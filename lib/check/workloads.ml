@@ -7,6 +7,7 @@ module Kernel = Histar_core.Kernel
 module Sys = Histar_core.Sys
 module Types = Histar_core.Types
 module Fs = Histar_unix.Fs
+module Process = Histar_unix.Process
 module Label = Histar_label.Label
 module Level = Histar_label.Level
 
@@ -328,4 +329,140 @@ let fs ?(nops = 24) () =
   in
   { Crash_sweep.name = "fs"; mk }
 
-let all () = [ wal (); store (); fs () ]
+(* ---------- in-place range flushes over a full kernel ---------- *)
+
+(* One multi-sector file under unaligned writes, fsync_range flushes,
+   whole-file fsyncs and an occasional sync_all. The model keeps each
+   byte's version history and the version the newest completed flush
+   covering it acknowledged; recovery must return that version or a
+   newer one at every byte. A crash inside an in-place flush may leave
+   its sectors part old, part new: every such byte is still a version
+   at or above its floor. *)
+let fsync_range ?(nops = 40) () =
+  let file_bytes = 6000 in
+  let path = "/f" in
+  let l1 = Label.make Level.L1 in
+  let mk seed =
+    let clock, disk = fresh_disk () in
+    let formatted = ref false in
+    let base_synced = ref false in
+    let oid = ref None in
+    let versions = Array.make file_bytes [] in (* newest first *)
+    let count = Array.make file_bytes 0 in
+    let floor = Array.make file_bytes 0 in (* index of the acked version *)
+    let write b c =
+      versions.(b) <- c :: versions.(b);
+      count.(b) <- count.(b) + 1
+    in
+    let ack lo hi =
+      for b = lo to hi - 1 do
+        floor.(b) <- count.(b) - 1
+      done
+    in
+    let run () =
+      let rng = Rng.create seed in
+      let store = Store.format ~disk ~wal_sectors:1024 ~apply_threshold:16 () in
+      formatted := true;
+      let kernel = Kernel.create ~clock ~store () in
+      let _tid =
+        Kernel.spawn kernel ~name:"init" (fun () ->
+            let fs = Fs.format_root ~container:(Kernel.root kernel) ~label:l1 in
+            let proc =
+              Process.boot ~fs ~container:(Kernel.root kernel) ~name:"init" ()
+            in
+            ignore (Fs.create fs path);
+            oid := Option.map (fun n -> n.Fs.oid) (Fs.lookup fs path);
+            Fs.reserve fs path file_bytes;
+            let fd = Process.open_file proc path in
+            let write_at off data =
+              Process.seek proc fd off;
+              ignore (Process.write proc fd data);
+              String.iteri (fun i c -> write (off + i) c) data
+            in
+            write_at 0 (Rng.bytes rng file_bytes);
+            Fs.fsync fs path;
+            Sys.sync_all ();
+            base_synced := true;
+            for _ = 1 to nops do
+              match Rng.int rng 20 with
+              | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 | 10 | 11 | 12 ->
+                  (* an unaligned write, most often flushed right away *)
+                  let off = Rng.int rng file_bytes in
+                  let len = 1 + Rng.int rng (min 700 (file_bytes - off)) in
+                  write_at off (Rng.bytes rng len);
+                  if Rng.int rng 3 > 0 then begin
+                    Fs.fsync_range fs path ~off ~len;
+                    ack off (off + len)
+                  end
+              | 13 | 14 | 15 ->
+                  let off = Rng.int rng file_bytes in
+                  let len = 1 + Rng.int rng 1500 in
+                  Fs.fsync_range fs path ~off ~len;
+                  ack off (min file_bytes (off + len))
+              | 16 | 17 ->
+                  Fs.fsync fs path;
+                  ack 0 file_bytes
+              | _ ->
+                  Sys.sync_all ();
+                  ack 0 file_bytes
+            done)
+      in
+      Kernel.run kernel
+    in
+    let acked_or_newer b c =
+      let rec go k = function
+        | [] -> false
+        | v :: older -> k > 0 && (Char.equal v c || go (k - 1) older)
+      in
+      go (count.(b) - floor.(b)) versions.(b)
+    in
+    let check ~crashed:_ disk =
+      match Store.recover ~disk with
+      | exception e ->
+          if !formatted then
+            failwith ("store recovery failed: " ^ Printexc.to_string e)
+      | s -> (
+          Store.fsck s;
+          match Kernel.recover ~store:s with
+          | exception e ->
+              if !base_synced then
+                failwith ("kernel recovery failed: " ^ Printexc.to_string e)
+          | k -> (
+              if !base_synced then
+                match Option.bind !oid (Kernel.segment_data k) with
+                | None -> failwith "file lost after base sync_all"
+                | Some data ->
+                    if String.length data <> file_bytes then
+                      failwith
+                        (Printf.sprintf "file recovered with %d bytes, want %d"
+                           (String.length data) file_bytes);
+                    String.iteri
+                      (fun b c ->
+                        if not (acked_or_newer b c) then
+                          failwith
+                            (Printf.sprintf
+                               "byte %d: recovered %C is older than its \
+                                acknowledged version"
+                               b c))
+                      data))
+    in
+    let snapshot () =
+      let f = !formatted
+      and bs = !base_synced
+      and o = !oid
+      and v = Array.copy versions
+      and c = Array.copy count
+      and fl = Array.copy floor in
+      fun () ->
+        formatted := f;
+        base_synced := bs;
+        oid := o;
+        Array.blit v 0 versions 0 file_bytes;
+        Array.blit c 0 count 0 file_bytes;
+        Array.blit fl 0 floor 0 file_bytes
+    in
+    { Crash_sweep.disk; run; check; snapshot = Some snapshot }
+  in
+  { Crash_sweep.name = "fsync_range"; mk }
+
+let all () = [ wal (); store (); fs (); fsync_range () ]

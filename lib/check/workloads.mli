@@ -1,4 +1,4 @@
-(** Recorded workloads for the crash-point sweep, at three layers of the
+(** Recorded workloads for the crash-point sweep, at the layers of the
     single-level store (§4):
 
     - {!wal}: raw log append/commit/truncate, checking prefix
@@ -11,15 +11,20 @@
       covering it, and {!Histar_store.Store.fsck} must pass;
     - {!fs}: Unix-library file operations through a full kernel over
       the store, with fsync/sync_all durability floors checked by
-      re-reading every path after recovery.
+      re-reading every path after recovery;
+    - {!fsync_range}: one multi-sector file under unaligned writes,
+      in-place [Fs.fsync_range] flushes, fsyncs and sync_alls, checking
+      every byte against the newest version a completed flush
+      acknowledged — including crashes that tear an in-place flush.
 
-    All three are deterministic in the seed: re-running with the same
+    All four are deterministic in the seed: re-running with the same
     seed replays the identical operation sequence, so a crash index
     uniquely identifies a failure. *)
 
 val wal : ?commits:int -> unit -> Crash_sweep.t
 val store : ?nops:int -> unit -> Crash_sweep.t
 val fs : ?nops:int -> unit -> Crash_sweep.t
+val fsync_range : ?nops:int -> unit -> Crash_sweep.t
 
 val all : unit -> Crash_sweep.t list
-(** The three standard workloads with default sizes. *)
+(** The four standard workloads with default sizes. *)

@@ -340,8 +340,10 @@ let uncharge d amount = d.usage <- Int64.sub d.usage amount
 let store_delete k oid =
   match k.store with Some s -> Store.delete s ~oid | None -> ()
 
-let encode_obj o =
-  let e = Codec.Enc.create () in
+(* Everything before a segment's data bytes (for the other kinds, the
+   whole encoding). A segment's payload is this prefix followed by its
+   data, which lets [Sync_range] hand the store the two parts. *)
+let encode_prefix e o =
   Codec.Enc.u8 e (kind_to_bit o.kind);
   Codec.Enc.i64 e o.id;
   Label.encode e o.label;
@@ -352,8 +354,8 @@ let encode_obj o =
   Codec.Enc.bool e o.immut;
   Codec.Enc.str e o.metadata;
   Codec.Enc.u32 e o.refs;
-  (match o.body with
-  | Seg s -> Codec.Enc.str e (Bytes.to_string s.data)
+  match o.body with
+  | Seg s -> Codec.Enc.u32 e (Bytes.length s.data)
   | Con c ->
       Codec.Enc.u32 e c.avoid;
       Codec.Enc.i64 e c.parent;
@@ -381,8 +383,26 @@ let encode_obj o =
           Codec.Enc.bool e m.flags.write;
           Codec.Enc.bool e m.flags.exec)
         a.mappings
-  | Dev d -> Codec.Enc.str e d.mac);
+  | Dev d -> Codec.Enc.str e d.mac
+
+let encode_obj o =
+  let e = Codec.Enc.create () in
+  encode_prefix e o;
+  (match o.body with
+  | Seg s -> Codec.Enc.raw e (Bytes.unsafe_to_string s.data)
+  | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> ());
   Codec.Enc.to_string e
+
+(* Stage [o] in the store, telling it where a segment's data starts so
+   a later [Sync_range] can rewrite just the dirtied sectors. *)
+let store_put s o =
+  let payload = encode_obj o in
+  let prefix_len =
+    match o.body with
+    | Seg sg -> Some (String.length payload - Bytes.length sg.data)
+    | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> None
+  in
+  Store.put s ~oid:o.id ?prefix_len payload
 
 let kind_of_bit = function
   | 0 -> Segment
@@ -623,7 +643,7 @@ let do_checkpoint k =
   match k.store with
   | None -> ()
   | Some s ->
-      Hashtbl.iter (fun oid o -> Store.put s ~oid (encode_obj o)) k.objects;
+      Hashtbl.iter (fun _ o -> store_put s o) k.objects;
       Store.put s ~oid:meta_oid (meta_record k);
       Store.checkpoint s
 
@@ -1384,7 +1404,7 @@ let handle_syscall k kont req : action =
                counters are durable whenever a freshly allocated object
                is: otherwise recovery would restore an older counter and
                re-issue this object's id to something else. *)
-            Store.put s ~oid:o.id (encode_obj o);
+            store_put s o;
             Store.put s ~oid:meta_oid (meta_record k);
             Store.sync_oids s ~oids:[ o.id; meta_oid ];
             ok_resp R_unit)
@@ -1400,25 +1420,31 @@ let handle_syscall k kont req : action =
         (match k.store with
         | None -> ok_resp R_unit
         | Some s ->
-            List.iter (fun o -> Store.put s ~oid:o.id (encode_obj o)) objs;
+            List.iter (store_put s) objs;
             Store.put s ~oid:meta_oid (meta_record k);
             Store.sync_oids s ~oids:(List.map (fun o -> o.id) objs @ [ meta_oid ]);
             ok_resp R_unit)
     | Sync_range (ce, off, len) ->
         let* o, _ = resolve_segment k ~op:"sync_range" ce in
-        (match k.store with
-        | None -> ok_resp R_unit
-        | Some s ->
-            Store.put s ~oid:o.id (encode_obj o);
-            (* The in-place fast path implies the object has a
-               checkpointed home location, so the counters already cover
-               its id; only the log fallback can make a new object
-               durable and must carry the metadata record with it. *)
-            if not (Store.sync_range s ~oid:o.id ~off ~len) then begin
+        (match (k.store, o.body) with
+        | None, _ -> ok_resp R_unit
+        | Some s, Seg sg ->
+            let e = Codec.Enc.create () in
+            encode_prefix e o;
+            let prefix = Codec.Enc.to_string e in
+            (* The in-place path implies the object has a checkpointed
+               home location, so the counters already cover its id; only
+               the log fallback can make a new object durable and must
+               carry the metadata record with it. *)
+            if not (Store.sync_range s ~oid:o.id ~prefix ~data:sg.data ~off ~len)
+            then begin
+              store_put s o;
+              Store.sync_oid s ~oid:o.id;
               Store.put s ~oid:meta_oid (meta_record k);
               Store.sync_oid s ~oid:meta_oid
             end;
-            ok_resp R_unit)
+            ok_resp R_unit
+        | Some _, (Con _ | Thr _ | Gat _ | Asp _ | Dev _) -> assert false)
     | Sync_all ->
         do_checkpoint k;
         ok_resp R_unit

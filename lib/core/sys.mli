@@ -188,7 +188,10 @@ val segment_cas : centry -> off:int -> expected:int64 -> desired:int64 -> bool
 val sync_object : centry -> unit
 val sync_many : centry list -> unit
 
-(** In-place flush of part of a segment to its home disk location. *)
+(** In-place flush of part of a segment to its home disk location.
+    When the store cannot flush in place (no home image yet, a logged
+    update still pending, or a size change), the whole segment goes to
+    the log as with {!sync_object}. *)
 val sync_range : centry -> off:int -> len:int -> unit
 val sync_all : unit -> unit
 val clock_ns : unit -> int64

@@ -39,21 +39,12 @@ let ucompare (a : int64) (b : int64) =
 (* FNV-1a avalanches poorly on short, similar strings (consecutive
    user names differ in a couple of low bytes, and all of a node's
    vnode points share a prefix pattern), which degenerates the ring:
-   every key lands on one member.  A 64-bit mix finalizer (the
-   murmur3 fmix64 constants) scrambles the FNV output so positions
-   spread uniformly. *)
-let mix64 (h : int64) =
-  let open Int64 in
-  let h = logxor h (shift_right_logical h 33) in
-  let h = mul h 0xff51afd7ed558ccdL in
-  let h = logxor h (shift_right_logical h 33) in
-  let h = mul h 0xc4ceb9fe1a85ec53L in
-  logxor h (shift_right_logical h 33)
-
+   every key lands on one member. The murmur3 finalizer scrambles the
+   FNV output so positions spread uniformly. *)
 let point_hash ~node ~vidx =
-  mix64 (Checksum.fnv64 (Printf.sprintf "ring:%d:%d" node vidx))
+  Checksum.mix64 (Checksum.fnv64 (Printf.sprintf "ring:%d:%d" node vidx))
 
-let key_hash key = mix64 (Checksum.fnv64 ("key:" ^ key))
+let key_hash key = Checksum.mix64 (Checksum.fnv64 ("key:" ^ key))
 
 let rebuild t =
   let pts =

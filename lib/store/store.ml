@@ -39,6 +39,27 @@ type stats = {
   mutable cache_misses : int;
 }
 
+(* A pending update: the payload, plus where its in-place-rewritable
+   data region starts when the writer said so (see {!sync_range}). *)
+type update = { payload : string; prefix_len : int option }
+
+(* What the store knows about a clean object's home image: enough to
+   rewrite a few of its sectors in place and fix up the checksum without
+   touching the rest. A fork shares these records with its trunk; the
+   first branch to patch one copies it ([owner] names the branch allowed
+   to mutate the bytes). *)
+type home = {
+  owner : unit ref;
+  len : int;  (** payload bytes *)
+  prefix_len : int option;
+  sums : Bytes.t;
+      (** little-endian int64s: the sum of all sector hashes, then the
+          hash of each image sector ([slot i]) *)
+  clean : Bytes.t option;
+      (** the image's payload: the clean read cache, and the copy
+          {!scrub} re-homes from when the image goes bad *)
+}
+
 type t = {
   disk : Disk.t;
   wal : Wal.t;
@@ -50,9 +71,14 @@ type t = {
           persistent; this field holds the current root, so {!fork} can
           branch the whole map in O(1). *)
   alloc : Extent_alloc.t;
-  dirty : (int64, string option) Hashtbl.t;
-      (** pending updates; [None] means deletion *)
-  cache : (int64, string) Hashtbl.t;  (** clean read cache *)
+  dirty : (int64, update option) Hashtbl.t;
+      (** pending updates; [None] means deletion. An object with a
+          record in the current log epoch is always here. *)
+  homes : (int64, home) Hashtbl.t;
+      (** home images of clean objects only: staging an update (or
+          logging a clean object) drops the entry until the checkpoint
+          that writes the next image *)
+  mutable owner : unit ref;  (** this branch's stamp on [homes] records *)
   stats : stats;
   mutable generation : int64;
   mutable checkpoint_extent : (int * int) option;  (** start, sectors *)
@@ -92,27 +118,89 @@ let sectors_for t bytes = (bytes + t.sector_bytes - 1) / t.sector_bytes
 
 (* ---------- object images ---------- *)
 
-(* Image: magic u32, byte length u32, checksum i64, payload, padding. *)
-let object_image t payload =
-  let e = Codec.Enc.create () in
-  Codec.Enc.u32 e object_magic;
-  Codec.Enc.u32 e (String.length payload);
-  Codec.Enc.i64 e (Checksum.fnv64 payload);
-  Codec.Enc.raw e payload;
-  let body = Codec.Enc.to_string e in
-  let padded = sectors_for t (String.length body) * t.sector_bytes in
-  body ^ String.make (padded - String.length body) '\000'
+(* Image: magic u32, payload length u32, sum i64, payload, zero padding
+   to whole sectors. The sum adds up one hash per sector, keyed by the
+   sector's index; sector 0 is hashed without the sum field, and the
+   padding is not covered. Rewriting k sectors in place therefore moves
+   the sum by k hash differences, whatever the object's size. *)
+let header_bytes = 16
 
-let parse_object_image image =
+let sector_hash image ~index ~pos ~len =
+  let seed = Int64.of_int index in
+  let h =
+    if index = 0 then
+      Checksum.fold64
+        (Checksum.fold64 seed image ~pos ~len:8)
+        image ~pos:(pos + header_bytes) ~len:(len - header_bytes)
+    else Checksum.fold64 seed image ~pos ~len
+  in
+  Checksum.mix64 h
+
+let slot i = (i + 1) * 8
+
+(* Hash state of an image whose first [body] bytes are header + payload. *)
+let image_sums t image ~body =
+  let sb = t.sector_bytes in
+  let n = sectors_for t body in
+  let sums = Bytes.create (slot n) in
+  let total = ref 0L in
+  for i = 0 to n - 1 do
+    let pos = i * sb in
+    let h = sector_hash image ~index:i ~pos ~len:(min sb (body - pos)) in
+    Bytes.set_int64_le sums (slot i) h;
+    total := Int64.add !total h
+  done;
+  Bytes.set_int64_le sums 0 !total;
+  sums
+
+let object_image t payload =
+  let len = String.length payload in
+  let body = header_bytes + len in
+  let image = Bytes.make (sectors_for t body * t.sector_bytes) '\000' in
+  Bytes.set_int32_le image 0 (Int32.of_int object_magic);
+  Bytes.set_int32_le image 4 (Int32.of_int len);
+  Bytes.blit_string payload 0 image header_bytes len;
+  let sums = image_sums t (Bytes.unsafe_to_string image) ~body in
+  Bytes.set_int64_le image 8 (Bytes.get_int64_le sums 0);
+  (Bytes.unsafe_to_string image, sums)
+
+(* An in-place flush writes sector 0 first (the elevator goes up), and
+   the sum it carries leaves out the run of later sectors it rewrites:
+   a crash may leave that run part old, part new. So an image whose
+   hashes add up to [diff] more than its sum is intact iff some run
+   [f, l] with 1 <= f <= l accounts for exactly [diff]; with prefix
+   sums p, p(l+1) - p(f) = diff. *)
+let omits_run sums diff =
+  let n = (Bytes.length sums / 8) - 1 in
+  let ends = Hashtbl.create n in
+  let p = ref (Bytes.get_int64_le sums (slot 0)) in
+  for l = 1 to n - 1 do
+    p := Int64.add !p (Bytes.get_int64_le sums (slot l));
+    Hashtbl.replace ends !p l
+  done;
+  let p = ref (Bytes.get_int64_le sums (slot 0)) in
+  let found = ref false in
+  for f = 1 to n - 1 do
+    (match Hashtbl.find_opt ends (Int64.add !p diff) with
+    | Some l when l >= f -> found := true
+    | Some _ | None -> ());
+    p := Int64.add !p (Bytes.get_int64_le sums (slot f))
+  done;
+  !found
+
+(* Verify an image read from disk; its payload length and hash state. *)
+let parse_object_image t image =
   let d = Codec.Dec.of_string image in
-  let m = Codec.Dec.u32 d in
-  if m <> object_magic then failwith "Store: bad object magic";
+  if Codec.Dec.u32 d <> object_magic then failwith "Store: bad object magic";
   let len = Codec.Dec.u32 d in
   let sum = Codec.Dec.i64 d in
-  let payload = Codec.Dec.raw d len in
-  if not (Int64.equal (Checksum.fnv64 payload) sum) then
+  if len > String.length image - header_bytes then
+    failwith "Store: object image truncated";
+  let sums = image_sums t image ~body:(header_bytes + len) in
+  let diff = Int64.sub (Bytes.get_int64_le sums 0) sum in
+  if not (Int64.equal diff 0L || omits_run sums diff) then
     failwith "Store: object checksum mismatch";
-  payload
+  (len, sums)
 
 (* ---------- superblock ---------- *)
 
@@ -183,7 +271,8 @@ let format ~disk ?(wal_sectors = default_wal_sectors) ?(apply_threshold = 1000)
       object_map = Bptree.create ();
       alloc;
       dirty = Hashtbl.create 256;
-      cache = Hashtbl.create 256;
+      homes = Hashtbl.create 256;
+      owner = ref ();
       stats = fresh_stats ();
       generation = 0L;
       checkpoint_extent = None;
@@ -202,39 +291,45 @@ let read_from_home t oid =
   | Some packed ->
       let start, sectors = unpack packed in
       let image = Disk.read_retrying t.disk ~sector:start ~count:sectors in
-      Some (parse_object_image image)
+      let len, sums = parse_object_image t image in
+      let prefix_len =
+        match Hashtbl.find_opt t.homes oid with
+        | Some h -> h.prefix_len
+        | None -> None
+      in
+      let clean = Bytes.sub (Bytes.unsafe_of_string image) header_bytes len in
+      Hashtbl.replace t.homes oid
+        { owner = t.owner; len; prefix_len; sums; clean = Some clean };
+      Some (Bytes.to_string clean)
 
 let get t ~oid =
   match Hashtbl.find_opt t.dirty oid with
-  | Some update -> update
+  | Some None -> None
+  | Some (Some u) -> Some u.payload
   | None -> (
-      match Hashtbl.find_opt t.cache oid with
-      | Some payload ->
+      match Hashtbl.find_opt t.homes oid with
+      | Some { clean = Some clean; _ } ->
           t.stats.cache_hits <- t.stats.cache_hits + 1;
           Metrics.Counter.incr m_cache_hits;
-          Some payload
-      | None -> (
+          Some (Bytes.to_string clean)
+      | Some { clean = None; _ } | None ->
           t.stats.cache_misses <- t.stats.cache_misses + 1;
           Metrics.Counter.incr m_cache_misses;
-          match read_from_home t oid with
-          | Some payload ->
-              Hashtbl.replace t.cache oid payload;
-              Some payload
-          | None -> None))
+          read_from_home t oid)
 
 let mem t ~oid = Option.is_some (get t ~oid)
 
 (* ---------- writes ---------- *)
 
-let put t ~oid payload =
-  Hashtbl.replace t.dirty oid (Some payload);
-  Hashtbl.remove t.cache oid
+let put t ~oid ?prefix_len payload =
+  Hashtbl.replace t.dirty oid (Some { payload; prefix_len });
+  Hashtbl.remove t.homes oid
 
 let delete t ~oid =
   let persistent = Bptree.mem t.object_map oid in
   if persistent then Hashtbl.replace t.dirty oid None
   else Hashtbl.remove t.dirty oid;
-  Hashtbl.remove t.cache oid
+  Hashtbl.remove t.homes oid
 
 (* ---------- checkpoint ---------- *)
 
@@ -283,15 +378,22 @@ let checkpoint t =
       | None -> ());
       match update with
       | None -> ()
-      | Some payload -> (
-          let image = object_image t payload in
+      | Some { payload; prefix_len } -> (
+          let image, sums = object_image t payload in
           let sectors = String.length image / t.sector_bytes in
           match Extent_alloc.alloc t.alloc ~sectors with
           | None -> failwith "Store: disk full"
           | Some start ->
               Disk.write t.disk ~sector:start image;
               t.object_map <- Bptree.insert t.object_map oid (pack ~start ~sectors);
-              Hashtbl.replace t.cache oid payload))
+              Hashtbl.replace t.homes oid
+                {
+                  owner = t.owner;
+                  len = String.length payload;
+                  prefix_len;
+                  sums;
+                  clean = Some (Bytes.of_string payload);
+                }))
     dirty;
   Hashtbl.reset t.dirty;
   (match t.checkpoint_extent with
@@ -348,11 +450,16 @@ let checkpoint t =
 
 let sync_oids t ~oids =
   let append oid =
-    let update =
-      match Hashtbl.find_opt t.dirty oid with
-      | Some u -> u
-      | None -> get t ~oid
-    in
+    let update = get t ~oid in
+    (* Replay applies this record over the home image, so the object
+       counts as dirty until the checkpoint that folds the log in: a
+       clean object logged here must not be patched in place. *)
+    if not (Hashtbl.mem t.dirty oid) then
+      Option.iter
+        (fun payload ->
+          let home = Hashtbl.find_opt t.homes oid in
+          put t ~oid ?prefix_len:(Option.bind home (fun h -> h.prefix_len)) payload)
+        update;
     let record = wal_record ~oid update in
     (try Wal.append t.wal record
      with Wal.Log_full ->
@@ -373,44 +480,102 @@ let sync_oids t ~oids =
 
 let sync_oid t ~oid = sync_oids t ~oids:[ oid ]
 
-(* In-place page flush (§7.1): when an object already has a home
-   location of the same size, force just the sectors covering
-   [off, off+len) (plus the header, whose checksum changes) without
-   logging or checkpointing. Falls back to the log when the object has
-   no home or changed size. *)
-let sync_range t ~oid ~off ~len =
-  match (Hashtbl.find_opt t.dirty oid, Bptree.find t.object_map oid) with
-  | Some (Some payload), Some packed ->
-      let image = object_image t payload in
-      let sectors = String.length image / t.sector_bytes in
-      let start, home_sectors = unpack packed in
-      if sectors <> home_sectors then begin
-        sync_oid t ~oid;
-        false
-      end
-      else begin
-        let sb = t.sector_bytes in
-        let header_bytes = 16 in
-        let first = (header_bytes + off) / sb in
-        let last = (header_bytes + off + max 0 (len - 1)) / sb in
-        let last = min last (sectors - 1) in
-        (* header sector (checksum + length) *)
-        Disk.write t.disk ~sector:start (String.sub image 0 sb);
-        Disk.write t.disk ~sector:(start + first)
-          (String.sub image (first * sb) ((last - first + 1) * sb));
-        Disk.flush t.disk;
-        (* the home copy is now current; the object is clean *)
-        Hashtbl.remove t.dirty oid;
-        Hashtbl.replace t.cache oid payload;
-        true
-      end
-  | Some None, _ ->
-      sync_oid t ~oid;
-      false
-  | None, _ -> true (* already clean: the home copy is current *)
-  | Some (Some _), None ->
-      sync_oid t ~oid;
-      false
+(* Copy-on-write for records a fork still shares with its sibling. *)
+let own_home t oid (h : home) =
+  if h.owner == t.owner then h
+  else begin
+    let h =
+      {
+        h with
+        owner = t.owner;
+        sums = Bytes.copy h.sums;
+        clean = Option.map Bytes.copy h.clean;
+      }
+    in
+    Hashtbl.replace t.homes oid h;
+    h
+  end
+
+(* Copy [len] bytes of the payload [prefix ^ data], from payload offset
+   [src], into [dst] at [dst_off]. *)
+let blit_payload ~prefix ~data ~src dst ~dst_off ~len =
+  let k = max 0 (min len (String.length prefix - src)) in
+  if k > 0 then Bytes.blit_string prefix src dst dst_off k;
+  if len > k then
+    Bytes.blit data (src + k - String.length prefix) dst (dst_off + k) (len - k)
+
+(* Build image sectors [a, b] from the payload [prefix ^ data], patch
+   the clean copy with the same bytes, and move the hash state by the
+   rebuilt sectors' hash differences. Returns the sectors, unwritten. *)
+let rewrite_run t h ~prefix ~data a b =
+  let sb = t.sector_bytes in
+  let body = header_bytes + h.len in
+  let buf = Bytes.make ((b - a + 1) * sb) '\000' in
+  let lo = max header_bytes (a * sb) and hi = min body ((b + 1) * sb) in
+  blit_payload ~prefix ~data ~src:(lo - header_bytes) buf ~dst_off:(lo - (a * sb))
+    ~len:(hi - lo);
+  Option.iter
+    (fun clean -> Bytes.blit buf (lo - (a * sb)) clean (lo - header_bytes) (hi - lo))
+    h.clean;
+  if a = 0 then begin
+    Bytes.set_int32_le buf 0 (Int32.of_int object_magic);
+    Bytes.set_int32_le buf 4 (Int32.of_int h.len)
+  end;
+  let image = Bytes.unsafe_to_string buf in
+  for i = a to b do
+    let fresh =
+      sector_hash image ~index:i ~pos:((i - a) * sb) ~len:(min sb (body - (i * sb)))
+    in
+    let total = Bytes.get_int64_le h.sums 0 in
+    Bytes.set_int64_le h.sums 0
+      (Int64.add total (Int64.sub fresh (Bytes.get_int64_le h.sums (slot i))));
+    Bytes.set_int64_le h.sums (slot i) fresh
+  done;
+  buf
+
+(* In-place page flush (§7.1): only a clean object (one with a [homes]
+   entry, so nothing newer is staged or logged) whose image has the same
+   payload and prefix lengths, so every data byte keeps its sector. *)
+let sync_range t ~oid ~prefix ~data ~off ~len =
+  let plen = String.length prefix and n = Bytes.length data in
+  match (Hashtbl.find_opt t.homes oid, Bptree.find t.object_map oid) with
+  | Some h, Some packed when h.prefix_len = Some plen && h.len = plen + n ->
+      let h = own_home t oid h in
+      let start, _ = unpack packed in
+      let sb = t.sector_bytes in
+      let data_at = header_bytes + plen in
+      (* Header sectors [0, head]; data sectors [first, last] hold the
+         bytes of [off, off+len) clipped to the data (empty: first > last). *)
+      let head = (data_at - 1) / sb in
+      let lo = max 0 off
+      and hi = if len <= 0 then 0 else if off > n - len then n else off + len in
+      let first, last =
+        if lo < hi then ((data_at + lo) / sb, (data_at + hi - 1) / sb)
+        else (head + 1, head)
+      in
+      let joined = first <= head + 1 in
+      let head = if joined then max head last else head in
+      let head_buf = rewrite_run t h ~prefix ~data 0 head in
+      let tail_buf =
+        if joined then None else Some (rewrite_run t h ~prefix ~data first last)
+      in
+      (* The stored sum leaves out every rewritten sector after sector 0
+         (see [omits_run]), so any crash point inside the flush leaves a
+         verifiable image. *)
+      let omit_from = if head > 0 || joined then 1 else first in
+      let omit_to = if joined then head else last in
+      let sum = ref (Bytes.get_int64_le h.sums 0) in
+      for i = omit_from to omit_to do
+        sum := Int64.sub !sum (Bytes.get_int64_le h.sums (slot i))
+      done;
+      Bytes.set_int64_le head_buf 8 !sum;
+      Disk.write t.disk ~sector:start (Bytes.unsafe_to_string head_buf);
+      Option.iter
+        (fun buf -> Disk.write t.disk ~sector:(start + first) (Bytes.unsafe_to_string buf))
+        tail_buf;
+      Disk.flush t.disk;
+      true
+  | _ -> false
 
 (* ---------- recovery ---------- *)
 
@@ -481,7 +646,8 @@ let recover ~disk =
       object_map;
       alloc;
       dirty = Hashtbl.create 256;
-      cache = Hashtbl.create 256;
+      homes = Hashtbl.create 256;
+      owner = ref ();
       stats = fresh_stats ();
       generation;
       checkpoint_extent;
@@ -583,29 +749,32 @@ let scrub ?(max_passes = 10) t =
         if not (Hashtbl.mem t.dirty oid) then begin
           incr scanned;
           let start, sectors = unpack packed in
-          let payload =
+          let intact =
             match readable t ~sector:start ~count:sectors with
-            | None -> None
-            | Some image -> ( try Some (parse_object_image image) with _ -> None)
+            | None -> false
+            | Some image -> (
+                try
+                  ignore (parse_object_image t image);
+                  true
+                with _ -> false)
           in
-          match payload with
-          | Some _ -> ()
-          | None -> (
-              incr faults;
-              (match Bptree.remove t.object_map oid with
-              | Some m -> t.object_map <- m
-              | None -> assert false);
-              quarantine t ~start ~sectors;
-              quarantined_n := !quarantined_n + sectors;
-              match Hashtbl.find_opt t.cache oid with
-              | Some data ->
-                  Hashtbl.replace t.dirty oid (Some data);
-                  Hashtbl.remove t.cache oid;
-                  incr repaired;
-                  Metrics.Counter.incr m_repaired
-              | None ->
-                  lost := oid :: !lost;
-                  Metrics.Counter.incr m_lost)
+          if not intact then begin
+            incr faults;
+            (match Bptree.remove t.object_map oid with
+            | Some m -> t.object_map <- m
+            | None -> assert false);
+            quarantine t ~start ~sectors;
+            quarantined_n := !quarantined_n + sectors;
+            match Hashtbl.find_opt t.homes oid with
+            | Some { clean = Some clean; prefix_len; _ } ->
+                put t ~oid ?prefix_len (Bytes.to_string clean);
+                incr repaired;
+                Metrics.Counter.incr m_repaired
+            | Some { clean = None; _ } | None ->
+                Hashtbl.remove t.homes oid;
+                lost := oid :: !lost;
+                Metrics.Counter.incr m_lost
+          end
         end)
       (List.rev !mapped);
     !faults
@@ -648,13 +817,15 @@ let quarantined_extents t = t.quarantined
 (* O(1) in the number of objects: the object map and both allocator
    trees are persistent (shared roots), the disk fork shares the
    persistent media map, and the WAL handle is a fresh record over the
-   forked disk. Only the dirty set, clean cache and volatile disk cache
-   are copied. The [quarantined] list and [wal_epoch] live in this
-   record, so a fork's quarantines and epoch bumps never reach the
-   trunk. *)
+   forked disk. Only the dirty set, the home table and the volatile disk
+   cache are copied, shallowly: both sides take a fresh [owner] stamp,
+   so whichever first patches a shared home record copies its bytes.
+   The [quarantined] list and [wal_epoch] live in this record, so a
+   fork's quarantines and epoch bumps never reach the trunk. *)
 let fork t =
   let disk = Disk.fork t.disk in
   let wal = Wal.fork t.wal ~disk in
+  t.owner <- ref ();
   {
     disk;
     wal;
@@ -664,7 +835,8 @@ let fork t =
     object_map = t.object_map;
     alloc = Extent_alloc.copy t.alloc;
     dirty = Hashtbl.copy t.dirty;
-    cache = Hashtbl.copy t.cache;
+    homes = Hashtbl.copy t.homes;
+    owner = ref ();
     stats = fresh_stats ();
     generation = t.generation;
     checkpoint_extent = t.checkpoint_extent;
@@ -691,7 +863,10 @@ let object_count t =
   !n
 
 let dirty_count t = Hashtbl.length t.dirty
-let drop_clean_cache t = Hashtbl.reset t.cache
+let drop_clean_cache t =
+  Hashtbl.filter_map_inplace
+    (fun _ (h : home) -> Some { h with clean = None })
+    t.homes
 let stats t = t.stats
 let free_sectors t = Extent_alloc.free_sectors t.alloc
 
@@ -707,7 +882,7 @@ let check_invariants t =
       if sectors <= 0 then failwith "Store: empty object extent";
       if not (Hashtbl.mem t.dirty oid) then
         ignore
-          (parse_object_image
+          (parse_object_image t
              (Disk.read_retrying t.disk ~sector:start ~count:sectors)))
     t.object_map
 

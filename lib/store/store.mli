@@ -46,7 +46,12 @@ val fork : t -> t
 val disk : t -> Histar_disk.Disk.t
 (** The disk this store handle writes to (a fork's is its own). *)
 
-val put : t -> oid:int64 -> string -> unit
+val put : t -> oid:int64 -> ?prefix_len:int -> string -> unit
+(** Stage an update. [prefix_len] marks the payload's first
+    [prefix_len] bytes as a small header and the rest as a data region
+    that {!sync_range} may later rewrite in place; without it the object
+    is only ever made durable whole. *)
+
 val get : t -> oid:int64 -> string option
 val mem : t -> oid:int64 -> bool
 
@@ -61,13 +66,30 @@ val sync_oids : t -> oids:int64 list -> unit
 (** Like {!sync_oid} for several objects with a single commit (one
     barrier) — the group-commit advantage of the log. *)
 
-val sync_range : t -> oid:int64 -> off:int -> len:int -> bool
-(** In-place page flush (§7.1): force only the sectors covering the
-    byte range to the object's existing home location — no log record,
-    no checkpoint. Falls back to {!sync_oid} when the object has no
-    same-size home copy. Returns [true] when the in-place path was
-    taken (the object already had a checkpointed home), [false] when it
-    fell back to the log. *)
+val sync_range :
+  t ->
+  oid:int64 ->
+  prefix:string ->
+  data:Bytes.t ->
+  off:int ->
+  len:int ->
+  bool
+(** In-place page flush (§7.1). The object's current payload is
+    [prefix ^ data]. When the object is clean (no pending or logged
+    update), has a home image, and that image was written with the same
+    payload length and the same prefix length (see {!put}), rewrite
+    just the image's header sector(s) and the sectors holding
+    [data[off, off+len)] (clipped to [data]) with one barrier: no log
+    record, no checkpoint, O(sectors written) work. The object stays
+    clean and its clean copy is patched with the same bytes. Returns
+    [false] without writing anything otherwise: the caller must make
+    the object durable through the log ({!put} + {!sync_oid}).
+
+    Each image's checksum is a sum of per-sector hashes, so the flush
+    adjusts it by the rewritten sectors alone. The sum it stores leaves
+    out the rewritten sectors after the first, which a crash inside the
+    flush may leave part old, part new; verification accepts an image
+    whose hashes exceed its sum by exactly one such run. *)
 
 val checkpoint : t -> unit
 (** Whole-system snapshot: write every dirty object to its home
@@ -76,7 +98,8 @@ val checkpoint : t -> unit
 
 val drop_clean_cache : t -> unit
 (** Evict clean cached objects (used by the uncached-read benchmarks).
-    Dirty objects are retained. *)
+    Dirty objects are retained, and so is the per-sector hash state
+    {!sync_range} needs. *)
 
 val iter_oids : t -> (int64 -> unit) -> unit
 (** Every live object id (dirty or persistent), unordered. *)

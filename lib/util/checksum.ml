@@ -10,3 +10,27 @@ let fnv64_sub s ~pos ~len =
   !h
 
 let fnv64 s = fnv64_sub s ~pos:0 ~len:(String.length s)
+
+(* Word-at-a-time FNV-1a: eight little-endian bytes per step, then the
+   odd tail bytes one at a time. Each step is a bijection of the running
+   value, so changing any single word changes the result. *)
+let fold64 h s ~pos ~len =
+  let h = ref h in
+  let i = ref pos in
+  let stop = pos + len in
+  while !i + 8 <= stop do
+    h := Int64.mul (Int64.logxor !h (String.get_int64_le s !i)) prime;
+    i := !i + 8
+  done;
+  while !i < stop do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[!i]))) prime;
+    incr i
+  done;
+  !h
+
+let mix64 h =
+  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+  let h = Int64.mul h 0xFF51AFD7ED558CCDL in
+  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+  let h = Int64.mul h 0xC4CEB9FE1A85EC53L in
+  Int64.logxor h (Int64.shift_right_logical h 33)

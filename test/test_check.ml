@@ -1,5 +1,5 @@
 (* The checking harness itself: generator determinism, shrinking
-   quality, the crash-point sweep over all three workload layers, and a
+   quality, the crash-point sweep over all four workloads, and a
    meta-test proving an injected durability regression is caught with a
    replayable report. *)
 
@@ -87,7 +87,7 @@ let sweep_test ?max_points w =
           reports := r :: !reports;
           if r.Crash_sweep.total_writes <= 0 then
             Alcotest.fail "workload performed no media writes";
-          (* All three real workloads carry a model snapshot, so the
+          (* Every real workload carries a model snapshot, so the
              sweep defaults to the O(W) fork-based path. *)
           if r.Crash_sweep.mode <> `Fork then
             Alcotest.fail "sweep did not default to fork mode";
@@ -104,7 +104,7 @@ let replaying () =
 let test_coverage () =
   (* Strided tier-1 sweeps still cover a healthy spread; the full sweep
      (HISTAR_CHECK_FULL=1) must exercise >= 200 distinct crash points
-     across the three layers, per the §4 durability claim. *)
+     across the workloads, per the §4 durability claim. *)
   if not (replaying ()) then begin
     let points =
       List.fold_left (fun acc r -> acc + r.Crash_sweep.points) 0 !reports
@@ -448,6 +448,7 @@ let () =
           sweep_test ~max_points:24 (Workloads.wal ());
           sweep_test ~max_points:24 (Workloads.store ());
           sweep_test ~max_points:16 (Workloads.fs ());
+          sweep_test ~max_points:16 (Workloads.fsync_range ());
           Alcotest.test_case "coverage" `Quick test_coverage;
           Alcotest.test_case "injected regression caught" `Quick
             test_injected_regression_caught;

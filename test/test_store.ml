@@ -195,32 +195,155 @@ let test_group_sync_faster_than_per_file_sync () =
     true
     (per_file_ns > Int64.mul 15L group_ns)
 
+(* An object whose payload is a 4-byte prefix plus [data], checkpointed
+   to a home image so that {!Store.sync_range} may patch it in place. *)
+let prefix = "hdr:"
+
+let homed_object s ~oid data =
+  Store.put s ~oid ~prefix_len:(String.length prefix)
+    (prefix ^ Bytes.to_string data);
+  Store.checkpoint s
+
 let test_sync_range_in_place () =
   let clock, disk, s = mk () in
   let big = Bytes.make 100_000 'a' in
-  Store.put s ~oid:9L (Bytes.to_string big);
-  Store.checkpoint s;
+  homed_object s ~oid:9L big;
   (* modify a small range and flush it in place *)
   Bytes.fill big 50_000 100 'b';
-  Store.put s ~oid:9L (Bytes.to_string big);
   let t0 = Clock.now_ns clock in
   let commits0 = (Store.stats s).Store.wal_commits in
-  let in_place = Store.sync_range s ~oid:9L ~off:50_000 ~len:100 in
+  let in_place =
+    Store.sync_range s ~oid:9L ~prefix ~data:big ~off:50_000 ~len:100
+  in
   Alcotest.(check bool) "in-place path taken" true in_place;
   let dt = Int64.sub (Clock.now_ns clock) t0 in
   Alcotest.(check int) "no log commit" commits0 (Store.stats s).Store.wal_commits;
+  Alcotest.(check int) "still clean" 0 (Store.dirty_count s);
   (* cheap: a couple of sectors plus one barrier, far below a full
      100 KB object sync *)
   Alcotest.(check bool) (Printf.sprintf "%Ldns" dt) true (dt < 30_000_000L);
+  (* the clean copy was patched with the flushed bytes *)
+  (match Store.get s ~oid:9L with
+  | Some v -> Alcotest.(check char) "cached copy patched" 'b' v.[4 + 50_050]
+  | None -> Alcotest.fail "object lost");
+  Store.fsck s;
   (* recovery sees the new bytes *)
   let s' = Store.recover ~disk in
   (match Store.get s' ~oid:9L with
   | Some v ->
-      Alcotest.(check char) "patched" 'b' v.[50_050];
-      Alcotest.(check char) "rest intact" 'a' v.[0];
-      Alcotest.(check int) "length" 100_000 (String.length v)
+      Alcotest.(check char) "patched" 'b' v.[4 + 50_050];
+      Alcotest.(check char) "rest intact" 'a' v.[4];
+      Alcotest.(check int) "length" 100_004 (String.length v)
   | None -> Alcotest.fail "object lost");
-  Store.check_invariants s'
+  Store.fsck s'
+
+let test_sync_range_refuses () =
+  (* Whenever the home image is not the newest durable copy, or the
+     payload layout moved, the store must refuse without writing: the
+     caller then takes the log path. *)
+  let _clock, disk, s = mk () in
+  let data = Bytes.make 4096 'a' in
+  homed_object s ~oid:1L data;
+  let refuses what ~prefix ~data =
+    let writes = Disk.media_writes disk and pending = (Disk.stats disk).Disk.writes in
+    Alcotest.(check bool) what false
+      (Store.sync_range s ~oid:1L ~prefix ~data ~off:0 ~len:16);
+    Alcotest.(check int) (what ^ ": no media writes") writes (Disk.media_writes disk);
+    Alcotest.(check int) (what ^ ": nothing buffered") pending (Disk.stats disk).Disk.writes
+  in
+  refuses "payload length changed" ~prefix ~data:(Bytes.make 4095 'a');
+  refuses "prefix length changed" ~prefix:"hdr:!" ~data:(Bytes.make 4095 'a');
+  (* A logged copy is newer than the home image: WAL replay would
+     override an in-place patch. *)
+  Store.put s ~oid:1L ~prefix_len:4 (prefix ^ String.make 4096 'x');
+  Store.sync_oid s ~oid:1L;
+  refuses "newer logged copy" ~prefix ~data;
+  (* Logging a clean object counts too. *)
+  Store.checkpoint s;
+  Store.sync_oid s ~oid:1L;
+  refuses "clean object logged" ~prefix ~data;
+  (* Without a declared prefix the store cannot place the data. *)
+  Store.put s ~oid:2L (prefix ^ Bytes.to_string data);
+  Store.checkpoint s;
+  Alcotest.(check bool) "layout never declared" false
+    (Store.sync_range s ~oid:2L ~prefix ~data ~off:0 ~len:16);
+  Store.fsck s
+
+let test_sync_range_fork_local () =
+  (* An in-place flush on a branch rewrites only the branch's disk and
+     copies the shared hash state: the trunk recovers, fscks and reads
+     exactly what it had. *)
+  let _clock, disk, s = mk () in
+  let data = Bytes.make 20_000 'a' in
+  homed_object s ~oid:3L data;
+  let b = Store.fork s in
+  let patched = Bytes.copy data in
+  Bytes.fill patched 9_000 3_000 'b';
+  Alcotest.(check bool) "branch in place" true
+    (Store.sync_range b ~oid:3L ~prefix ~data:patched ~off:9_000 ~len:3_000);
+  Store.fsck b;
+  Store.fsck s;
+  let expect what st c =
+    match Store.get st ~oid:3L with
+    | Some v -> Alcotest.(check char) what c v.[4 + 10_000]
+    | None -> Alcotest.fail (what ^ ": object lost")
+  in
+  expect "trunk cache untouched" s 'a';
+  expect "branch cache patched" b 'b';
+  let trunk' = Store.recover ~disk in
+  Store.fsck trunk';
+  expect "trunk recovers its own bytes" trunk' 'a';
+  let branch' = Store.recover ~disk:(Store.disk b) in
+  Store.fsck branch';
+  expect "branch recovers the flush" branch' 'b';
+  (* The trunk can still flush in place on its own copy. *)
+  let other = Bytes.copy data in
+  Bytes.fill other 9_000 3_000 'c';
+  Alcotest.(check bool) "trunk in place" true
+    (Store.sync_range s ~oid:3L ~prefix ~data:other ~off:9_000 ~len:3_000);
+  expect "branch unaffected" b 'b';
+  Store.fsck (Store.recover ~disk);
+  expect "trunk flush durable" (Store.recover ~disk) 'c'
+
+let test_sync_range_scrub_repairs () =
+  (* The sectors an in-place flush writes go latent-bad. Scrub must
+     re-home the object from its patched clean copy, not report it lost,
+     and the repaired image must carry the flushed bytes. *)
+  let module Faults = Histar_faults.Faults in
+  let _clock, disk, s = mk () in
+  let data = Bytes.make 20_000 'a' in
+  homed_object s ~oid:4L data;
+  Store.put s ~oid:5L "bystander";
+  Store.checkpoint s;
+  Bytes.fill data 6_000 1_000 'b';
+  let every_write_latent =
+    Faults.Schedule.mk ~seed:1L
+      ~disk:
+        {
+          Faults.Schedule.latent_rate = 1.0;
+          transient_rate = 0.0;
+          corrupt_rate = 0.0;
+        }
+      ()
+  in
+  Disk.set_faults disk (Faults.Disk_faults.create every_write_latent);
+  Alcotest.(check bool) "in place" true
+    (Store.sync_range s ~oid:4L ~prefix ~data ~off:6_000 ~len:1_000);
+  let report = Store.scrub ~max_passes:1 s in
+  Alcotest.(check int) "repaired" 1 report.Store.repaired;
+  Alcotest.(check (list int64)) "nothing lost" [] report.Store.lost;
+  (* Repair writes struck latent marks again; with the faults gone the
+     next scrub settles and the store checks clean. *)
+  Disk.set_faults disk None;
+  Alcotest.(check bool) "settles" true (Store.scrub s).Store.clean;
+  Store.fsck s;
+  let s' = Store.recover ~disk in
+  Store.fsck s';
+  match Store.get s' ~oid:4L with
+  | Some v ->
+      Alcotest.(check char) "flushed bytes survive repair" 'b' v.[4 + 6_500];
+      Alcotest.(check char) "rest intact" 'a' v.[4 + 100]
+  | None -> Alcotest.fail "object lost"
 
 let prop_store_model =
   (* Random puts/deletes/syncs/checkpoints followed by recovery must
@@ -495,6 +618,12 @@ let () =
           Alcotest.test_case "drop cache" `Quick test_drop_cache_rereads;
           Alcotest.test_case "sync_range in place" `Quick
             test_sync_range_in_place;
+          Alcotest.test_case "sync_range refuses" `Quick
+            test_sync_range_refuses;
+          Alcotest.test_case "sync_range on a fork" `Quick
+            test_sync_range_fork_local;
+          Alcotest.test_case "sync_range scrub repairs" `Quick
+            test_sync_range_scrub_repairs;
           Alcotest.test_case "group sync wins" `Quick
             test_group_sync_faster_than_per_file_sync;
           Alcotest.test_case "crash during auto-apply" `Quick
