@@ -1923,7 +1923,16 @@ let recover ~store =
   Store.iter_oids store (fun oid ->
       if not (Int64.equal oid meta_oid) then
         match Store.get store ~oid with
-        | Some payload -> Hashtbl.replace k.objects oid (decode_obj payload)
+        | Some payload ->
+            let o = decode_obj payload in
+            (* Re-declare each segment's layout, as [store_put] does, so
+               [Sync_range] can flush in place right after recovery. *)
+            (match o.body with
+            | Seg sg ->
+                Store.set_prefix_len store ~oid
+                  (String.length payload - Bytes.length sg.data)
+            | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> ());
+            Hashtbl.replace k.objects oid o
         | None -> ());
   k
 

@@ -44,21 +44,28 @@ type stats = {
 type update = { payload : string; prefix_len : int option }
 
 (* What the store knows about a clean object's home image: enough to
-   rewrite a few of its sectors in place and fix up the checksum without
-   touching the rest. A fork shares these records with its trunk; the
-   first branch to patch one copies it ([owner] names the branch allowed
-   to mutate the bytes). *)
+   verify it exactly, and to rewrite a few of its sectors in place and
+   fix up the checksum without touching the rest. A fork shares these
+   records with its trunk; the first branch to patch one copies it
+   ([owner] names the branch allowed to mutate the bytes). *)
 type home = {
   owner : unit ref;
   len : int;  (** payload bytes *)
   prefix_len : int option;
   sums : Bytes.t;
-      (** little-endian int64s: the sum of all sector hashes, then the
-          hash of each image sector ([slot i]) *)
-  clean : Bytes.t option;
+      (** little-endian int64s: the sum of all sector hashes, the sum
+          the image header carries, then the hash of each image sector
+          ([slot i]) *)
+  clean : clean option;
       (** the image's payload: the clean read cache, and the copy
           {!scrub} re-homes from when the image goes bad *)
 }
+
+(* The clean copy is the immutable payload as checkpointed or read, and
+   is handed to readers as is; the first in-place flush turns it into a
+   private buffer it can patch in O(range), which readers then get a
+   copy of. *)
+and clean = Frozen of string | Patched of Bytes.t
 
 type t = {
   disk : Disk.t;
@@ -136,9 +143,11 @@ let sector_hash image ~index ~pos ~len =
   in
   Checksum.mix64 h
 
-let slot i = (i + 1) * 8
+let slot i = (i + 2) * 8
+let stored_sum = 8
 
-(* Hash state of an image whose first [body] bytes are header + payload. *)
+(* Hash state of an image whose first [body] bytes are header + payload;
+   the caller fills in the stored sum. *)
 let image_sums t image ~body =
   let sb = t.sector_bytes in
   let n = sectors_for t body in
@@ -161,17 +170,20 @@ let object_image t payload =
   Bytes.set_int32_le image 4 (Int32.of_int len);
   Bytes.blit_string payload 0 image header_bytes len;
   let sums = image_sums t (Bytes.unsafe_to_string image) ~body in
+  Bytes.set_int64_le sums stored_sum (Bytes.get_int64_le sums 0);
   Bytes.set_int64_le image 8 (Bytes.get_int64_le sums 0);
   (Bytes.unsafe_to_string image, sums)
 
 (* An in-place flush writes sector 0 first (the elevator goes up), and
-   the sum it carries leaves out the run of later sectors it rewrites:
-   a crash may leave that run part old, part new. So an image whose
-   hashes add up to [diff] more than its sum is intact iff some run
+   the sum it carries leaves out the one run of later sectors it
+   rewrites: a crash may leave that run part old, part new. So an image
+   whose hashes add up to [diff] more than its sum passes iff some run
    [f, l] with 1 <= f <= l accounts for exactly [diff]; with prefix
-   sums p, p(l+1) - p(f) = diff. *)
+   sums p, p(l+1) - p(f) = diff. This leniency is for recovery only: the
+   run's bytes are not covered, so a live store checks against its own
+   record of the image instead (see [parse_object_image]). *)
 let omits_run sums diff =
-  let n = (Bytes.length sums / 8) - 1 in
+  let n = (Bytes.length sums / 8) - 2 in
   let ends = Hashtbl.create n in
   let p = ref (Bytes.get_int64_le sums (slot 0)) in
   for l = 1 to n - 1 do
@@ -188,8 +200,12 @@ let omits_run sums diff =
   done;
   !found
 
-(* Verify an image read from disk; its payload length and hash state. *)
-let parse_object_image t image =
+(* Verify an image read from disk; its payload length and hash state.
+   With the store's [home] record of the image, every sector hash and
+   the stored sum must match it exactly; without one (the first read
+   after recovery) the image's own sum must account for its hashes, up
+   to one run omitted by an in-place flush. *)
+let parse_object_image t ?home image =
   let d = Codec.Dec.of_string image in
   if Codec.Dec.u32 d <> object_magic then failwith "Store: bad object magic";
   let len = Codec.Dec.u32 d in
@@ -197,9 +213,15 @@ let parse_object_image t image =
   if len > String.length image - header_bytes then
     failwith "Store: object image truncated";
   let sums = image_sums t image ~body:(header_bytes + len) in
-  let diff = Int64.sub (Bytes.get_int64_le sums 0) sum in
-  if not (Int64.equal diff 0L || omits_run sums diff) then
-    failwith "Store: object checksum mismatch";
+  Bytes.set_int64_le sums stored_sum sum;
+  let intact =
+    match home with
+    | Some h -> h.len = len && Bytes.equal sums h.sums
+    | None ->
+        let diff = Int64.sub (Bytes.get_int64_le sums 0) sum in
+        Int64.equal diff 0L || omits_run sums diff
+  in
+  if not intact then failwith "Store: object checksum mismatch";
   (len, sums)
 
 (* ---------- superblock ---------- *)
@@ -285,22 +307,21 @@ let format ~disk ?(wal_sectors = default_wal_sectors) ?(apply_threshold = 1000)
 
 (* ---------- reads ---------- *)
 
+let clean_payload = function Frozen s -> s | Patched b -> Bytes.to_string b
+
 let read_from_home t oid =
   match Bptree.find t.object_map oid with
   | None -> None
   | Some packed ->
       let start, sectors = unpack packed in
       let image = Disk.read_retrying t.disk ~sector:start ~count:sectors in
-      let len, sums = parse_object_image t image in
-      let prefix_len =
-        match Hashtbl.find_opt t.homes oid with
-        | Some h -> h.prefix_len
-        | None -> None
-      in
-      let clean = Bytes.sub (Bytes.unsafe_of_string image) header_bytes len in
+      let home = Hashtbl.find_opt t.homes oid in
+      let len, sums = parse_object_image t ?home image in
+      let prefix_len = Option.bind home (fun h -> h.prefix_len) in
+      let payload = String.sub image header_bytes len in
       Hashtbl.replace t.homes oid
-        { owner = t.owner; len; prefix_len; sums; clean = Some clean };
-      Some (Bytes.to_string clean)
+        { owner = t.owner; len; prefix_len; sums; clean = Some (Frozen payload) };
+      Some payload
 
 let get t ~oid =
   match Hashtbl.find_opt t.dirty oid with
@@ -311,7 +332,7 @@ let get t ~oid =
       | Some { clean = Some clean; _ } ->
           t.stats.cache_hits <- t.stats.cache_hits + 1;
           Metrics.Counter.incr m_cache_hits;
-          Some (Bytes.to_string clean)
+          Some (clean_payload clean)
       | Some { clean = None; _ } | None ->
           t.stats.cache_misses <- t.stats.cache_misses + 1;
           Metrics.Counter.incr m_cache_misses;
@@ -324,6 +345,16 @@ let mem t ~oid = Option.is_some (get t ~oid)
 let put t ~oid ?prefix_len payload =
   Hashtbl.replace t.dirty oid (Some { payload; prefix_len });
   Hashtbl.remove t.homes oid
+
+let set_prefix_len t ~oid prefix_len =
+  match Hashtbl.find_opt t.dirty oid with
+  | Some (Some u) ->
+      Hashtbl.replace t.dirty oid (Some { u with prefix_len = Some prefix_len })
+  | Some None -> ()
+  | None ->
+      Option.iter
+        (fun h -> Hashtbl.replace t.homes oid { h with prefix_len = Some prefix_len })
+        (Hashtbl.find_opt t.homes oid)
 
 let delete t ~oid =
   let persistent = Bptree.mem t.object_map oid in
@@ -392,7 +423,7 @@ let checkpoint t =
                   len = String.length payload;
                   prefix_len;
                   sums;
-                  clean = Some (Bytes.of_string payload);
+                  clean = Some (Frozen payload);
                 }))
     dirty;
   Hashtbl.reset t.dirty;
@@ -480,21 +511,24 @@ let sync_oids t ~oids =
 
 let sync_oid t ~oid = sync_oids t ~oids:[ oid ]
 
-(* Copy-on-write for records a fork still shares with its sibling. *)
+(* Make [h] patchable by this branch: copy-on-write for records a fork
+   still shares with its sibling, and a private buffer for a frozen
+   clean copy. *)
 let own_home t oid (h : home) =
-  if h.owner == t.owner then h
-  else begin
-    let h =
-      {
-        h with
-        owner = t.owner;
-        sums = Bytes.copy h.sums;
-        clean = Option.map Bytes.copy h.clean;
-      }
-    in
-    Hashtbl.replace t.homes oid h;
-    h
-  end
+  let mine = h.owner == t.owner in
+  match h.clean with
+  | (Some (Patched _) | None) when mine -> h
+  | clean ->
+      let clean =
+        match clean with
+        | Some (Frozen s) -> Some (Patched (Bytes.of_string s))
+        | Some (Patched c) -> Some (Patched (Bytes.copy c))
+        | None -> None
+      in
+      let sums = if mine then h.sums else Bytes.copy h.sums in
+      let h = { h with owner = t.owner; sums; clean } in
+      Hashtbl.replace t.homes oid h;
+      h
 
 (* Copy [len] bytes of the payload [prefix ^ data], from payload offset
    [src], into [dst] at [dst_off]. *)
@@ -514,9 +548,11 @@ let rewrite_run t h ~prefix ~data a b =
   let lo = max header_bytes (a * sb) and hi = min body ((b + 1) * sb) in
   blit_payload ~prefix ~data ~src:(lo - header_bytes) buf ~dst_off:(lo - (a * sb))
     ~len:(hi - lo);
-  Option.iter
-    (fun clean -> Bytes.blit buf (lo - (a * sb)) clean (lo - header_bytes) (hi - lo))
-    h.clean;
+  (match h.clean with
+  | Some (Patched clean) ->
+      Bytes.blit buf (lo - (a * sb)) clean (lo - header_bytes) (hi - lo)
+  | Some (Frozen _) -> assert false (* [own_home] thawed it *)
+  | None -> ());
   if a = 0 then begin
     Bytes.set_int32_le buf 0 (Int32.of_int object_magic);
     Bytes.set_int32_le buf 4 (Int32.of_int h.len)
@@ -535,39 +571,43 @@ let rewrite_run t h ~prefix ~data a b =
 
 (* In-place page flush (§7.1): only a clean object (one with a [homes]
    entry, so nothing newer is staged or logged) whose image has the same
-   payload and prefix lengths, so every data byte keeps its sector. *)
+   payload and prefix lengths, so every data byte keeps its sector, and
+   whose rewritten sectors after sector 0 form one run (see [omits_run]):
+   a multi-sector prefix must adjoin the data sectors. *)
 let sync_range t ~oid ~prefix ~data ~off ~len =
   let plen = String.length prefix and n = Bytes.length data in
+  let sb = t.sector_bytes in
+  let data_at = header_bytes + plen in
+  (* Header sectors [0, head]; data sectors [first, last] hold the
+     bytes of [off, off+len) clipped to the data (empty: first > last). *)
+  let head = (data_at - 1) / sb in
+  let lo = max 0 off
+  and hi = if len <= 0 then 0 else if off > n - len then n else off + len in
+  let first, last =
+    if lo < hi then ((data_at + lo) / sb, (data_at + hi - 1) / sb)
+    else (head + 1, head)
+  in
+  let joined = first <= head + 1 in
   match (Hashtbl.find_opt t.homes oid, Bptree.find t.object_map oid) with
-  | Some h, Some packed when h.prefix_len = Some plen && h.len = plen + n ->
+  | Some h, Some packed
+    when h.prefix_len = Some plen && h.len = plen + n && (head = 0 || joined) ->
       let h = own_home t oid h in
       let start, _ = unpack packed in
-      let sb = t.sector_bytes in
-      let data_at = header_bytes + plen in
-      (* Header sectors [0, head]; data sectors [first, last] hold the
-         bytes of [off, off+len) clipped to the data (empty: first > last). *)
-      let head = (data_at - 1) / sb in
-      let lo = max 0 off
-      and hi = if len <= 0 then 0 else if off > n - len then n else off + len in
-      let first, last =
-        if lo < hi then ((data_at + lo) / sb, (data_at + hi - 1) / sb)
-        else (head + 1, head)
-      in
-      let joined = first <= head + 1 in
       let head = if joined then max head last else head in
       let head_buf = rewrite_run t h ~prefix ~data 0 head in
       let tail_buf =
         if joined then None else Some (rewrite_run t h ~prefix ~data first last)
       in
-      (* The stored sum leaves out every rewritten sector after sector 0
+      (* The stored sum leaves out the rewritten sectors after sector 0
          (see [omits_run]), so any crash point inside the flush leaves a
          verifiable image. *)
-      let omit_from = if head > 0 || joined then 1 else first in
+      let omit_from = if joined then 1 else first in
       let omit_to = if joined then head else last in
       let sum = ref (Bytes.get_int64_le h.sums 0) in
       for i = omit_from to omit_to do
         sum := Int64.sub !sum (Bytes.get_int64_le h.sums (slot i))
       done;
+      Bytes.set_int64_le h.sums stored_sum !sum;
       Bytes.set_int64_le head_buf 8 !sum;
       Disk.write t.disk ~sector:start (Bytes.unsafe_to_string head_buf);
       Option.iter
@@ -754,7 +794,8 @@ let scrub ?(max_passes = 10) t =
             | None -> false
             | Some image -> (
                 try
-                  ignore (parse_object_image t image);
+                  let home = Hashtbl.find_opt t.homes oid in
+                  ignore (parse_object_image t ?home image);
                   true
                 with _ -> false)
           in
@@ -767,7 +808,7 @@ let scrub ?(max_passes = 10) t =
             quarantined_n := !quarantined_n + sectors;
             match Hashtbl.find_opt t.homes oid with
             | Some { clean = Some clean; prefix_len; _ } ->
-                put t ~oid ?prefix_len (Bytes.to_string clean);
+                put t ~oid ?prefix_len (clean_payload clean);
                 incr repaired;
                 Metrics.Counter.incr m_repaired
             | Some { clean = None; _ } | None ->
@@ -882,7 +923,7 @@ let check_invariants t =
       if sectors <= 0 then failwith "Store: empty object extent";
       if not (Hashtbl.mem t.dirty oid) then
         ignore
-          (parse_object_image t
+          (parse_object_image t ?home:(Hashtbl.find_opt t.homes oid)
              (Disk.read_retrying t.disk ~sector:start ~count:sectors)))
     t.object_map
 

@@ -52,7 +52,19 @@ val put : t -> oid:int64 -> ?prefix_len:int -> string -> unit
     that {!sync_range} may later rewrite in place; without it the object
     is only ever made durable whole. *)
 
+val set_prefix_len : t -> oid:int64 -> int -> unit
+(** Declare the prefix length of an object already staged or homed, as
+    {!put}'s [prefix_len] would have: a recovered store does not know
+    its objects' layout, so without this {!sync_range} would refuse
+    them until each is next {!put}. No-op for an unknown or deleted
+    object. *)
+
 val get : t -> oid:int64 -> string option
+(** The object's current payload. A clean object is returned from the
+    clean cache without copying, unless {!sync_range} has patched that
+    cache since the object's last checkpoint or read: then each call
+    copies it. *)
+
 val mem : t -> oid:int64 -> bool
 
 val delete : t -> oid:int64 -> unit
@@ -88,8 +100,15 @@ val sync_range :
     Each image's checksum is a sum of per-sector hashes, so the flush
     adjusts it by the rewritten sectors alone. The sum it stores leaves
     out the rewritten sectors after the first, which a crash inside the
-    flush may leave part old, part new; verification accepts an image
-    whose hashes exceed its sum by exactly one such run. *)
+    flush may leave part old, part new; those must form one run, so an
+    object whose prefix spans several sectors is refused unless the
+    flushed range adjoins it. A live store verifies its images (reads,
+    {!scrub}, {!fsck}) against its own record of every sector hash, so
+    any corruption of the flushed sectors is caught and repaired. Only
+    the first read of an image after {!recover} accepts an image whose
+    hashes exceed its sum by exactly one run: corruption inside the run
+    of an object's last in-place flush before a restart goes
+    undetected. *)
 
 val checkpoint : t -> unit
 (** Whole-system snapshot: write every dirty object to its home

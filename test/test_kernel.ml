@@ -791,6 +791,43 @@ let test_sync_object_path () =
   Alcotest.(check bool) "wal commit happened" true
     (st.Histar_store.Store.wal_commits >= 1)
 
+let test_sync_range_after_recover () =
+  (* A recovered kernel re-declares each segment's layout to the store:
+     the first fsync_range after a reboot flushes in place, with no log
+     commit, and a second reboot sees the flushed bytes. *)
+  let disk, store = mk_store () in
+  let k = Kernel.create ~store () in
+  let root = Kernel.root k in
+  let seg = ref 0L in
+  let _tid =
+    Kernel.spawn k ~name:"init" (fun () ->
+        let s =
+          Sys.segment_create ~container:root ~label:l1 ~quota:16384L ~len:4096
+            "file"
+        in
+        Sys.segment_write (centry root s) (String.make 4096 'a');
+        Sys.sync_all ();
+        seg := s)
+  in
+  Kernel.run k;
+  let store' = Histar_store.Store.recover ~disk in
+  let k' = Kernel.recover ~store:store' in
+  let _tid =
+    Kernel.spawn k' ~name:"writer" (fun () ->
+        Sys.segment_write (centry root !seg) ~off:1000 "0123456789";
+        Sys.sync_range (centry root !seg) ~off:1000 ~len:10)
+  in
+  Kernel.run k';
+  Alcotest.(check int) "flushed in place, no log commit" 0
+    (Histar_store.Store.stats store').Histar_store.Store.wal_commits;
+  Histar_store.Store.fsck store';
+  let k'' = Kernel.recover ~store:(Histar_store.Store.recover ~disk) in
+  match Kernel.segment_data k'' !seg with
+  | Some data ->
+      Alcotest.(check string) "range durable" "0123456789" (String.sub data 1000 10);
+      Alcotest.(check char) "rest intact" 'a' data.[4095]
+  | None -> Alcotest.fail "segment lost"
+
 (* ---------- flow oracle ---------- *)
 
 let prop_flow_oracle =
@@ -1506,6 +1543,8 @@ let () =
         [
           Alcotest.test_case "checkpoint/recover" `Quick test_checkpoint_recover;
           Alcotest.test_case "sync object" `Quick test_sync_object_path;
+          Alcotest.test_case "sync_range after recover" `Quick
+            test_sync_range_after_recover;
         ] );
       ( "label cache",
         [

@@ -305,6 +305,84 @@ let test_sync_range_fork_local () =
   Store.fsck (Store.recover ~disk);
   expect "trunk flush durable" (Store.recover ~disk) 'c'
 
+let test_sync_range_multi_sector_prefix () =
+  (* The rewritten sectors after sector 0 must form one run: with a
+     prefix spanning two sectors, a flush far from it is refused (the
+     log takes it), one that adjoins it goes in place. *)
+  let _clock, disk, s = mk () in
+  let prefix = String.make 600 'p' in
+  let data = Bytes.make 8192 'a' in
+  Store.put s ~oid:6L ~prefix_len:600 (prefix ^ Bytes.to_string data);
+  Store.checkpoint s;
+  let writes = Disk.media_writes disk in
+  Alcotest.(check bool) "gap between runs: refused" false
+    (Store.sync_range s ~oid:6L ~prefix ~data ~off:6_000 ~len:10);
+  Alcotest.(check int) "refusal writes nothing" writes (Disk.media_writes disk);
+  Bytes.fill data 100 10 'b';
+  Alcotest.(check bool) "adjoining range: in place" true
+    (Store.sync_range s ~oid:6L ~prefix ~data ~off:100 ~len:10);
+  Store.fsck s;
+  match Store.get (Store.recover ~disk) ~oid:6L with
+  | Some v -> Alcotest.(check char) "flushed" 'b' v.[600 + 105]
+  | None -> Alcotest.fail "object lost"
+
+(* Flip one bit of a sector behind the store's back. *)
+let corrupt_sector disk sector =
+  let b = Bytes.of_string (Disk.read disk ~sector ~count:1) in
+  Bytes.set b 100 (Char.chr (Char.code (Bytes.get b 100) lxor 1));
+  Disk.write disk ~sector (Bytes.to_string b);
+  Disk.flush disk
+
+let test_sync_range_corruption_caught () =
+  (* The sum an in-place flush stores leaves out the data sectors it
+     rewrote, but a live store checks every sector against its own hash
+     record: a bit flipped there, silently or by the write itself, fails
+     fsck and is repaired by scrub from the clean copy. *)
+  let module Faults = Histar_faults.Faults in
+  let flushed data = Bytes.fill data 6_000 1_000 'b' in
+  let check_repaired what disk s =
+    Alcotest.(check bool) (what ^ ": fsck fails") true
+      (match Store.fsck s with () -> false | exception Failure _ -> true);
+    Disk.set_faults disk None;
+    let report = Store.scrub s in
+    Alcotest.(check int) (what ^ ": repaired") 1 report.Store.repaired;
+    Alcotest.(check (list int64)) (what ^ ": nothing lost") [] report.Store.lost;
+    Store.fsck s;
+    match Store.get (Store.recover ~disk) ~oid:4L with
+    | Some v -> Alcotest.(check char) (what ^ ": flushed bytes") 'b' v.[4 + 6_500]
+    | None -> Alcotest.fail (what ^ ": object lost")
+  in
+  (* Silent corruption of a flushed sector after the flush. *)
+  let _clock, disk, s = mk () in
+  let data = Bytes.make 20_000 'a' in
+  homed_object s ~oid:4L data;
+  flushed data;
+  let last_written = ref 0 in
+  Disk.set_write_trace disk (Some (fun ~sector ~data:_ -> last_written := sector));
+  Alcotest.(check bool) "in place" true
+    (Store.sync_range s ~oid:4L ~prefix ~data ~off:6_000 ~len:1_000);
+  Disk.set_write_trace disk None;
+  corrupt_sector disk !last_written;
+  check_repaired "silent" disk s;
+  (* Every sector the flush writes comes out corrupted. *)
+  let _clock, disk, s = mk () in
+  let data = Bytes.make 20_000 'a' in
+  homed_object s ~oid:4L data;
+  flushed data;
+  Disk.set_faults disk
+    (Faults.Disk_faults.create
+       (Faults.Schedule.mk ~seed:1L
+          ~disk:
+            {
+              Faults.Schedule.latent_rate = 0.0;
+              transient_rate = 0.0;
+              corrupt_rate = 1.0;
+            }
+          ()));
+  Alcotest.(check bool) "in place" true
+    (Store.sync_range s ~oid:4L ~prefix ~data ~off:6_000 ~len:1_000);
+  check_repaired "corrupt writes" disk s
+
 let test_sync_range_scrub_repairs () =
   (* The sectors an in-place flush writes go latent-bad. Scrub must
      re-home the object from its patched clean copy, not report it lost,
@@ -624,6 +702,10 @@ let () =
             test_sync_range_fork_local;
           Alcotest.test_case "sync_range scrub repairs" `Quick
             test_sync_range_scrub_repairs;
+          Alcotest.test_case "sync_range multi-sector prefix" `Quick
+            test_sync_range_multi_sector_prefix;
+          Alcotest.test_case "sync_range corruption caught" `Quick
+            test_sync_range_corruption_caught;
           Alcotest.test_case "group sync wins" `Quick
             test_group_sync_faster_than_per_file_sync;
           Alcotest.test_case "crash during auto-apply" `Quick
