@@ -732,23 +732,20 @@ let add_mdiff a b =
 
 let bucketed l = List.map (fun (s, n) -> (s, bucket n)) l
 
-(* Label-check elision moves counts from [label.checks] to
-   [label.elided] (and adds [label.summary_invalidations]) without
-   changing any decision. Coverage signatures fold the split back
-   together and drop the invalidation counter, so corpus evolution —
-   and hence whole fuzz reports — are bit-identical with elision on
-   and off. *)
+(* Which decisions the label cache serves ([label.elided]) rather than
+   computes ([label.checks]) is a caching detail, not behaviour.
+   Coverage signatures fold the split back together, so they count
+   label decisions, not cache hits. *)
 let normalize_mdiff l =
   let elided = ref 0 in
   let keep =
     List.filter
       (fun (n, v) ->
-        match n with
-        | "label.elided" ->
-            elided := v;
-            false
-        | "label.summary_invalidations" -> false
-        | _ -> true)
+        if String.equal n "label.elided" then begin
+          elided := v;
+          false
+        end
+        else true)
       l
   in
   if !elided = 0 then keep
@@ -777,8 +774,8 @@ let cov_of ~k ~mdiff ~outs ~term =
       List.map out_tag outs,
       pp_term term )
 
-let run_real ?weaken ?elide ops =
-  let k = Kernel.create ?weaken ?elide () in
+let run_real ?weaken ops =
+  let k = Kernel.create ?weaken () in
   let outs = ref [] in
   let slots = ref [ Kernel.root k ] in
   let cats : Category.t list ref = ref [] in
@@ -827,8 +824,8 @@ let exec_model ops =
   let m = run_model ops in
   (m.mr_outs, m.mr_term)
 
-let exec_real ?weaken ?elide ops =
-  let r = run_real ?weaken ?elide ops in
+let exec_real ?weaken ops =
+  let r = run_real ?weaken ops in
   (r.rr_outs, r.rr_term)
 
 (* ---------- final-state comparison ---------- *)
@@ -1000,9 +997,9 @@ type branch = {
   br_mterm : term option;
 }
 
-let initial_branch ?weaken ?elide () =
+let initial_branch ?weaken () =
   let mst = Model.init () in
-  let k = Kernel.create ?weaken ?elide () in
+  let k = Kernel.create ?weaken () in
   let tid = Kernel.spawn k ~name:"driver" (fun () -> ()) in
   {
     br_handle = Kernel.fork k;
@@ -1150,95 +1147,21 @@ let exec_from ?(capture = false) base ops =
   in
   (m, r, Array.of_list (List.rev !captured))
 
-let run_pair ?weaken ?elide ?(mode = `Replay) trace =
+let run_pair ?weaken ?(mode = `Replay) trace =
   match mode with
   | `Replay ->
       let m = run_model trace in
-      let r = run_real ?weaken ?elide trace in
+      let r = run_real ?weaken trace in
       (compare_runs m r, r.rr_cov)
   | `Fork ->
-      let m, r, _ = exec_from (initial_branch ?weaken ?elide ()) trace in
+      let m, r, _ = exec_from (initial_branch ?weaken ()) trace in
       (compare_runs m r, r.rr_cov)
 
-let compare_traces ?weaken ?elide ?mode trace =
-  fst (run_pair ?weaken ?elide ?mode trace)
+let compare_traces ?weaken ?mode trace =
+  fst (run_pair ?weaken ?mode trace)
 
-let trace_cov ?weaken ?elide ?mode trace =
-  snd (run_pair ?weaken ?elide ?mode trace)
-
-(* ---------- elided-vs-naive differential ---------- *)
-
-(* Run the same trace on two real kernels — elision on vs. off — and
-   require bit-identical behaviour: same per-op outcomes (including
-   error classes), same termination, same [label.denied] total, same
-   kernel profile and coverage signature, same final state in every
-   slot. Only the [label.checks]/[label.elided] split may differ. *)
-let compare_elision trace =
-  let denied_around f =
-    Metrics.with_enabled true (fun () ->
-        let before = Metrics.snapshot_local () in
-        let r = f () in
-        let d = Metrics.diff ~before ~after:(Metrics.snapshot_local ()) in
-        (r, Metrics.value_in d "label.denied"))
-  in
-  let a, da = denied_around (fun () -> run_real ~elide:true trace) in
-  let b, db = denied_around (fun () -> run_real ~elide:false trace) in
-  let rec outcomes i ao bo =
-    match (ao, bo) with
-    | [], [] -> None
-    | a1 :: _, b1 :: _ when a1 <> b1 ->
-        Some
-          (Printf.sprintf "outcome %d: elided=%s naive=%s" i (pp_outcome a1)
-             (pp_outcome b1))
-    | _ :: at, _ :: bt -> outcomes (i + 1) at bt
-    | a1 :: _, [] ->
-        Some (Printf.sprintf "outcome %d: elided=%s naive=<none>" i (pp_outcome a1))
-    | [], b1 :: _ ->
-        Some (Printf.sprintf "outcome %d: elided=<none> naive=%s" i (pp_outcome b1))
-  in
-  match outcomes 0 a.rr_outs b.rr_outs with
-  | Some d -> Some d
-  | None ->
-      if a.rr_term <> b.rr_term then
-        Some
-          (Printf.sprintf "termination: elided=%s naive=%s" (pp_term a.rr_term)
-             (pp_term b.rr_term))
-      else if da <> db then
-        Some (Printf.sprintf "label.denied: elided=%d naive=%d" da db)
-      else if
-        Profile.to_list (Kernel.profile a.rr_k)
-        <> Profile.to_list (Kernel.profile b.rr_k)
-      then Some "kernel profile differs between elided and naive runs"
-      else if a.rr_cov <> b.rr_cov then
-        Some "coverage signature differs between elided and naive runs"
-      else begin
-        let slot_of slots oid =
-          let rec go i = function
-            | [] -> -1
-            | o :: tl -> if Int64.equal o oid then i else go (i + 1) tl
-          in
-          go 0 slots
-        in
-        let rec slots i ao bo =
-          match (ao, bo) with
-          | [], [] -> None
-          | aoid :: at, boid :: bt ->
-              let av =
-                real_view_str a.rr_k a.rr_cats (slot_of a.rr_slots) aoid
-              in
-              let bv =
-                real_view_str b.rr_k b.rr_cats (slot_of b.rr_slots) boid
-              in
-              if av <> bv then
-                Some
-                  (Printf.sprintf
-                     "final state, slot %d:\n  elided: %s\n  naive : %s" i av
-                     bv)
-              else slots (i + 1) at bt
-          | _ -> Some "slot tables diverged between elided and naive runs"
-        in
-        slots 0 a.rr_slots b.rr_slots
-      end
+let trace_cov ?weaken ?mode trace =
+  snd (run_pair ?weaken ?mode trace)
 
 (* ---------- generators ---------- *)
 
@@ -1480,14 +1403,14 @@ let gen_quota_trace = Gen.list gen_quota_op
 
 (* ---------- shrinking ---------- *)
 
-let shrink_by pred trace =
+let shrink ?weaken trace =
   let evals = ref 0 in
   let max_evals = 300 in
   let diverges t =
     !evals < max_evals
     && begin
          incr evals;
-         pred t
+         compare_traces ?weaken t <> None
        end
   in
   let rec pass t chunk =
@@ -1507,9 +1430,6 @@ let shrink_by pred trace =
   in
   let n = List.length trace in
   if n = 0 then trace else pass trace (max 1 (n / 2))
-
-let shrink ?weaken ?elide trace =
-  shrink_by (fun t -> compare_traces ?weaken ?elide t <> None) trace
 
 (* ---------- coverage-guided fuzz loop ---------- *)
 
@@ -1579,8 +1499,8 @@ let common_prefix a b =
    (decide, execute, commit) sequence is therefore bit-identical to the
    sequential loop at every domain count: same RNG stream, same corpus
    evolution, same verdicts, same pinned catch indices. *)
-let run_fuzz ?domains ?weaken ?elide ?runs ?max_size ?(seed = Check.seed ())
-    ?(mode = `Fork) ?(seed_corpus = []) () =
+let run_fuzz ?domains ?weaken ?runs ?max_size ?(seed = Check.seed ())
+    ?(mode = `Fork) () =
   let runs =
     match runs with
     | Some r -> r
@@ -1590,21 +1510,17 @@ let run_fuzz ?domains ?weaken ?elide ?runs ?max_size ?(seed = Check.seed ())
   let rng = Rng.create (Int64.logxor seed 0x5EED_F00DL) in
   let base =
     match mode with
-    | `Fork -> Some (initial_branch ?weaken ?elide ())
+    | `Fork -> Some (initial_branch ?weaken ())
     | `Replay -> None
   in
   let corpus = ref [] in
   let seen = Hashtbl.create 64 in
   let result = ref None in
   let i = ref 0 in
-  (* Decision for iteration [idx], consuming [rng] against the current
-     corpus. Seed-corpus traces run first (AFL-style): checked like any
-     other run and admitted to the corpus by coverage, so the mutation
-     engine can grow them. Empty by default, in which case RNG
-     consumption — and thus every pinned catch index — is unchanged. *)
-  let decide idx =
-    if idx < List.length seed_corpus then (None, List.nth seed_corpus idx)
-    else if !corpus <> [] && Rng.bool rng then
+  (* Decision for the next iteration, consuming [rng] against the
+     current corpus. *)
+  let decide () =
+    if !corpus <> [] && Rng.bool rng then
       let e = List.nth !corpus (Rng.int rng (List.length !corpus)) in
       (Some e, mutate rng e.ce_trace)
     else
@@ -1615,7 +1531,7 @@ let run_fuzz ?domains ?weaken ?elide ?runs ?max_size ?(seed = Check.seed ())
   let execute (parent, trace) =
     match base with
     | None ->
-        let detail, cov = run_pair ?weaken ?elide trace in
+        let detail, cov = run_pair ?weaken trace in
         (detail, cov, fun () -> { ce_trace = trace; ce_branches = [||] })
     | Some base ->
         (* Resume from the deepest parent branch that is still a
@@ -1653,8 +1569,8 @@ let run_fuzz ?domains ?weaken ?elide ?runs ?max_size ?(seed = Check.seed ())
   let commit (_, trace) (detail, cov, remember) =
     match detail with
     | Some d ->
-        let t' = shrink ?weaken ?elide trace in
-        let d' = Option.value (compare_traces ?weaken ?elide t') ~default:d in
+        let t' = shrink ?weaken trace in
+        let d' = Option.value (compare_traces ?weaken t') ~default:d in
         result := Some (t', d');
         `Stop
     | None ->
@@ -1672,7 +1588,7 @@ let run_fuzz ?domains ?weaken ?elide ?runs ?max_size ?(seed = Check.seed ())
   if d <= 1 then
     (* Sequential loop, the reference semantics. *)
     while !result = None && !i < runs do
-      let dec = decide !i in
+      let dec = decide () in
       ignore (commit dec (execute dec) : [ `Stop | `Admitted | `Clean ]);
       incr i
     done
@@ -1688,7 +1604,7 @@ let run_fuzz ?domains ?weaken ?elide ?runs ?max_size ?(seed = Check.seed ())
       let decs = Array.make b (None, []) in
       for j = 0 to b - 1 do
         states.(j) <- Rng.state rng;
-        decs.(j) <- decide (!i + j)
+        decs.(j) <- decide ()
       done;
       let outs = Par.run ~domains:d b (fun j -> execute decs.(j)) in
       let invalid = ref false in
@@ -1722,36 +1638,12 @@ let run_fuzz ?domains ?weaken ?elide ?runs ?max_size ?(seed = Check.seed ())
    fuzzing. Each pass runs its own sequential loop (cells are sealed),
    so pass [p]'s stats are those of [run_fuzz ~seed:(split_seed seed p)]
    exactly, at every domain count. *)
-let run_fuzz_many ?domains ?weaken ?elide ?runs ?max_size
+let run_fuzz_many ?domains ?weaken ?runs ?max_size
     ?(seed = Check.seed ()) ?(mode = `Fork) ~passes () =
   Par.run ?domains passes (fun p ->
-      run_fuzz ?weaken ?elide ?runs ?max_size ~seed:(Par.split_seed seed p)
+      run_fuzz ?weaken ?runs ?max_size ~seed:(Par.split_seed seed p)
         ~mode ())
   |> Array.to_list
-
-(* Pure random sweep of the elided-vs-naive differential: no corpus
-   (coverage signatures are elision-normalized, so both runs of a pair
-   always produce the same one — there is nothing elision-specific to
-   steer by), a divergence is shrunk preserving the elided-vs-naive
-   disagreement. *)
-let run_elide_fuzz ?(runs = 200) ?(max_size = 30) ?(seed = Check.seed ()) () =
-  let rng = Rng.create (Int64.logxor seed 0xE11D_EF00L) in
-  let result = ref None in
-  let i = ref 0 in
-  while !result = None && !i < runs do
-    let trace =
-      Gen.generate gen_trace ~seed:(Rng.next64 rng)
-        ~size:(4 + Rng.int rng max_size)
-    in
-    (match compare_elision trace with
-    | Some d ->
-        let t' = shrink_by (fun t -> compare_elision t <> None) trace in
-        let d' = Option.value (compare_elision t') ~default:d in
-        result := Some (t', d')
-    | None -> ());
-    incr i
-  done;
-  { fs_runs = !i; fs_corpus = 0; fs_divergence = !result; fs_seed = seed }
 
 let report fs =
   match fs.fs_divergence with

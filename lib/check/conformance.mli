@@ -113,11 +113,7 @@ val pp_outcome : outcome -> string
 
 val exec_model : op list -> outcome list * term
 
-val exec_real :
-  ?weaken:Kernel.weaken -> ?elide:bool -> op list -> outcome list * term
-(** [elide] is passed through to {!Histar_core.Kernel.create}; it
-    defaults to the process-wide default (elision on unless
-    [HISTAR_NO_ELIDE=1]). *)
+val exec_real : ?weaken:Kernel.weaken -> op list -> outcome list * term
 
 type exec_mode = [ `Fork | `Replay ]
 (** How a trace pair is executed. [`Replay] (the historical path)
@@ -131,29 +127,16 @@ type exec_mode = [ `Fork | `Replay ]
     [test_model.ml] pin down. *)
 
 val compare_traces :
-  ?weaken:Kernel.weaken ->
-  ?elide:bool ->
-  ?mode:exec_mode ->
-  op list ->
-  string option
+  ?weaken:Kernel.weaken -> ?mode:exec_mode -> op list -> string option
 (** Run both sides; [Some detail] describes the first divergence
     (per-op outcome, termination, or final-state), [None] if the
     kernel conforms on this trace. [mode] defaults to [`Replay]. *)
 
-val trace_cov :
-  ?weaken:Kernel.weaken -> ?elide:bool -> ?mode:exec_mode -> op list -> int
+val trace_cov : ?weaken:Kernel.weaken -> ?mode:exec_mode -> op list -> int
 (** The trace's coverage signature (what guides the fuzz corpus), for
-    asserting fork/replay bit-identity. Signatures are
-    elision-normalized: [label.elided] folds back into [label.checks]
-    and [label.summary_invalidations] is dropped, so the same trace
-    yields the same signature with elision on and off. *)
-
-val compare_elision : op list -> string option
-(** The elided-vs-naive differential: run the trace on a kernel with
-    label-check elision on and again with it off, and require
-    bit-identical per-op outcomes, termination, [label.denied] delta,
-    kernel profile, coverage signature and final per-slot state.
-    [Some detail] describes the first disagreement. *)
+    asserting fork/replay bit-identity. [label.elided] (label-cache
+    hits) folds back into [label.checks], so a signature counts label
+    decisions, not how many of them the cache served. *)
 
 val gen_trace : op list Gen.t
 (** The full generator, biased towards label-boundary cases: owned
@@ -175,22 +158,13 @@ type fuzz_stats = {
 val run_fuzz :
   ?domains:int ->
   ?weaken:Kernel.weaken ->
-  ?elide:bool ->
   ?runs:int ->
   ?max_size:int ->
   ?seed:int64 ->
   ?mode:exec_mode ->
-  ?seed_corpus:op list list ->
   unit ->
   fuzz_stats
-(** The coverage-guided loop. [seed_corpus] (default empty) is a list
-    of traces executed before any generated ones — a seed corpus in
-    the AFL sense: each is differentially checked like any other run,
-    counts against [runs], and joins the corpus by coverage so the
-    mutation engine can extend it. An empty seed corpus leaves RNG
-    consumption bit-identical, so pinned catch indices are unaffected.
-
-    Defaults: [runs] 400 (×8 when
+(** The coverage-guided loop. Defaults: [runs] 400 (×8 when
     [HISTAR_CHECK_LONG=1]), [max_size] 30, [seed] {!Check.seed}[()],
     [mode] [`Fork]. In fork mode each corpus entry keeps a branch
     (kernel fork + model value) per op boundary and mutants resume
@@ -211,7 +185,6 @@ val run_fuzz :
 val run_fuzz_many :
   ?domains:int ->
   ?weaken:Kernel.weaken ->
-  ?elide:bool ->
   ?runs:int ->
   ?max_size:int ->
   ?seed:int64 ->
@@ -225,15 +198,6 @@ val run_fuzz_many :
     sweep). Pass [p]'s stats equal a standalone
     [run_fuzz ~seed:(split_seed seed p)] exactly, at every domain
     count. *)
-
-val run_elide_fuzz :
-  ?runs:int -> ?max_size:int -> ?seed:int64 -> unit -> fuzz_stats
-(** Random sweep of {!compare_elision} over generated traces
-    (defaults: 200 runs, max_size 30, seed {!Check.seed}[()]). No
-    corpus — coverage signatures are elision-normalized by design, so
-    there is nothing elision-specific to steer by; [fs_corpus] is 0.
-    A divergence is shrunk preserving the elided-vs-naive
-    disagreement. *)
 
 val report : fuzz_stats -> string
 (** Human-readable report; includes the [HISTAR_CHECK_SEED=0x...] replay

@@ -125,25 +125,6 @@ type weaken =
   | Weaken_segment_read_taint  (** skip the observe check on segment_read *)
   | Weaken_gate_star_grant  (** skip the ⋆-floor check on gate invocation *)
   | Weaken_unref_check  (** skip the modify check on unref *)
-  | Weaken_stale_summary
-      (** serve gate flow summaries without epoch/thread validation, i.e.
-          summaries survive ownership transfer and thread switches *)
-
-(* Per-gate flow summary: the memoized outcome of [check_gate_invoke]
-   for one (thread, epoch, requested-label triple). Sound because the
-   gate's label and clearance are immutable, the requested triple is
-   compared by interned identity, and [s_epoch]/[s_thread] pin the
-   only mutable inputs (the invoking thread's label and clearance):
-   any thread label or clearance change anywhere bumps the kernel's
-   [label_epoch], so a hit provably recomputes to the same result —
-   including the identical error string on a cached denial. *)
-type gate_summary = {
-  mutable s_epoch : int;
-  mutable s_thread : oid;
-  mutable s_req : Label.t * Label.t * Label.t;
-      (** requested label, requested clearance, verify label *)
-  mutable s_result : unit result;
-}
 
 type t = {
   clock : Sim_clock.t;
@@ -161,13 +142,6 @@ type t = {
   syscall_cost_ns : int;
   instrument : bool;
   weaken : weaken option;
-  elide : bool;
-  (* Label-check elision state: [label_epoch] advances whenever any
-     thread's label or clearance actually changes, invalidating every
-     entry in [gate_summaries] at once (summaries of destroyed gates
-     are evicted eagerly). *)
-  mutable label_epoch : int;
-  gate_summaries : (oid, gate_summary) Hashtbl.t;
   key : int64;
   (* Fork support: [snap] is the persistent oid → encoded-object map as
      of the last fork (or resume), and [snap_enc] caches each object's
@@ -240,27 +214,6 @@ let check_modify k ~op obj =
   else
     label_errf "%s: cannot modify %s (need L_T ⊑ L_O ⊑ L_T^J; L_T=%s, L_O=%s)"
       op obj.descrip (Label.to_string lt) (Label.to_string obj.label)
-
-(* ---------- flow-summary invalidation ---------- *)
-
-(* Bump the epoch when a thread label or clearance changed; every live
-   gate summary becomes stale at once. Counted only when there was
-   something to invalidate, so the counter reads as "summaries
-   actually discarded" events. *)
-let invalidate_summaries k =
-  k.label_epoch <- k.label_epoch + 1;
-  if k.instrument && Hashtbl.length k.gate_summaries > 0 then
-    Label_cache.count_summary_invalidation ()
-
-(* All thread label/clearance writes funnel through these so no
-   mutation can miss the epoch bump. *)
-let set_thread_labels k o th ~label ~clearance =
-  let changed =
-    (not (Label.equal o.label label)) || not (Label.equal th.tclear clearance)
-  in
-  o.label <- label;
-  th.tclear <- clearance;
-  if changed then invalidate_summaries k
 
 (* Resolve a container entry: read permission on the container, then the
    link must exist (⟨D,D⟩ names the container itself). *)
@@ -511,14 +464,7 @@ let rec destroy k o =
       | Some tls -> destroy k tls
       | None -> ()
     end
-  | Gat _ ->
-      (* The gate's categories may now be garbage; its summary must not
-         outlive it (a fresh object could reuse the oid). *)
-      if Hashtbl.mem k.gate_summaries o.id then begin
-        Hashtbl.remove k.gate_summaries o.id;
-        if k.instrument then Label_cache.count_summary_invalidation ()
-      end
-  | Seg _ | Asp _ | Dev _ -> ()
+  | Gat _ | Seg _ | Asp _ | Dev _ -> ()
 
 let unlink k d_obj c child_oid =
   match Hashtbl.find_opt c.children child_oid with
@@ -809,73 +755,36 @@ let reap_one_shot k (gate : centry) gate_obj g =
     | Some _ | None -> ()
 
 (* Gate invocation checks (§3.5):
-   L_T ⊑ C_G,  L_T ⊑ L_V,  (L_T^J ⊔ L_G^J)^⋆ ⊑ L_R ⊑ C_R ⊑ (C_T ⊔ C_G).
-
-   With elision on, a valid flow summary answers without running the
-   algebra: the gate's label and clearance are immutable, so once the
-   thread (s_thread), its label epoch (s_epoch) and the requested
-   triple (interned pointer comparison) match, every input to the five
-   checks is identical to the summarized run. [Weaken_stale_summary]
-   drops the epoch/thread validation — the test mutant the conformance
-   fuzzer must catch. *)
+   L_T ⊑ C_G,  L_T ⊑ L_V,  (L_T^J ⊔ L_G^J)^⋆ ⊑ L_R ⊑ C_R ⊑ (C_T ⊔ C_G). *)
 let check_gate_invoke k gate_obj g ~requested_label ~requested_clearance
     ~verify_label =
-  let summary =
-    if not k.elide then None
+  let lt = cur_label k in
+  let ct = cur_clearance k in
+  let lg = gate_obj.label in
+  let result =
+    if not (Label.leq lt g.gclear) then
+      label_errf "gate: L_T=%s not ⊑ C_G=%s" (Label.to_string lt)
+        (Label.to_string g.gclear)
+    else if not (Label.leq lt verify_label) then
+      label_errf "gate: L_T not ⊑ L_V=%s" (Label.to_string verify_label)
     else
-      match Hashtbl.find_opt k.gate_summaries gate_obj.id with
-      | Some s
-        when (let lr, cr, lv = s.s_req in
-              Label.equal lr requested_label
-              && Label.equal cr requested_clearance
-              && Label.equal lv verify_label)
-             && (k.weaken = Some Weaken_stale_summary
-                || (s.s_epoch = k.label_epoch
-                   && Int64.equal s.s_thread k.current)) ->
-          Some s.s_result
-      | Some _ | None -> None
+      let floor = Label.lower_star (Label.lub (Label.raise_j lt) (Label.raise_j lg)) in
+      if
+        (not (Label.leq floor requested_label))
+        && k.weaken <> Some Weaken_gate_star_grant
+      then
+        label_errf "gate: floor %s not ⊑ L_R=%s" (Label.to_string floor)
+          (Label.to_string requested_label)
+      else if not (Label.leq requested_label requested_clearance) then
+        label_errf "gate: L_R not ⊑ C_R"
+      else if not (Label.leq requested_clearance (Label.lub ct g.gclear)) then
+        label_errf "gate: C_R=%s not ⊑ C_T ⊔ C_G"
+          (Label.to_string requested_clearance)
+      else Ok ()
   in
-  match summary with
-  | Some result ->
-      if k.instrument then
-        Label_cache.count_elided ~allowed:(Result.is_ok result);
-      result
-  | None ->
-      let lt = cur_label k in
-      let ct = cur_clearance k in
-      let lg = gate_obj.label in
-      let result =
-        if not (Label.leq lt g.gclear) then
-          label_errf "gate: L_T=%s not ⊑ C_G=%s" (Label.to_string lt)
-            (Label.to_string g.gclear)
-        else if not (Label.leq lt verify_label) then
-          label_errf "gate: L_T not ⊑ L_V=%s" (Label.to_string verify_label)
-        else
-          let floor = Label.lower_star (Label.lub (Label.raise_j lt) (Label.raise_j lg)) in
-          if
-            (not (Label.leq floor requested_label))
-            && k.weaken <> Some Weaken_gate_star_grant
-          then
-            label_errf "gate: floor %s not ⊑ L_R=%s" (Label.to_string floor)
-              (Label.to_string requested_label)
-          else if not (Label.leq requested_label requested_clearance) then
-            label_errf "gate: L_R not ⊑ C_R"
-          else if not (Label.leq requested_clearance (Label.lub ct g.gclear)) then
-            label_errf "gate: C_R=%s not ⊑ C_T ⊔ C_G"
-              (Label.to_string requested_clearance)
-          else Ok ()
-      in
-      if k.instrument then
-        Label_cache.count_uncached_check ~allowed:(Result.is_ok result);
-      if k.elide then
-        Hashtbl.replace k.gate_summaries gate_obj.id
-          {
-            s_epoch = k.label_epoch;
-            s_thread = k.current;
-            s_req = (requested_label, requested_clearance, verify_label);
-            s_result = result;
-          };
-      result
+  if k.instrument then
+    Label_cache.count_uncached_check ~allowed:(Result.is_ok result);
+  result
 
 let resolve_gate k ~op ce =
   let* o = resolve k ~op ce in
@@ -892,8 +801,8 @@ let gate_enter_impl k ~gate ~requested_label ~requested_clearance ~verify_label
       ~verify_label
   in
   let o, th = cur_thread k in
-  set_thread_labels k o th ~label:requested_label
-    ~clearance:requested_clearance;
+  o.label <- requested_label;
+  th.tclear <- requested_clearance;
   match g.gentry with
   | Entry_fn f ->
       reap_one_shot k gate gate_obj g;
@@ -940,8 +849,8 @@ let gate_call_impl k kont ~gate ~requested_label ~requested_clearance
   in
   let o, th = cur_thread k in
   th.return_gate <- Some (centry return_spec.container ret_obj.id);
-  set_thread_labels k o th ~label:requested_label
-    ~clearance:requested_clearance;
+  o.label <- requested_label;
+  th.tclear <- requested_clearance;
   match g.gentry with
   | Entry_fn f ->
       reap_one_shot k gate gate_obj g;
@@ -1090,9 +999,8 @@ let handle_syscall k kont req : action =
     | Cat_create ->
         let c = Category.of_int64 (Category_gen.next k.catgen) in
         let o, th = cur_thread k in
-        set_thread_labels k o th
-          ~label:(Label.set o.label c Level.Star)
-          ~clearance:(Label.set th.tclear c Level.L3);
+        o.label <- Label.set o.label c Level.Star;
+        th.tclear <- Label.set th.tclear c Level.L3;
         ok_resp (R_cat c)
     | Self_get_id -> ok_resp (R_oid k.current)
     | Self_get_label -> ok_resp (R_label (cur_label k))
@@ -1100,7 +1008,7 @@ let handle_syscall k kont req : action =
     | Self_set_label l ->
         let o, th = cur_thread k in
         if Label.leq o.label l && Label.leq l th.tclear then begin
-          set_thread_labels k o th ~label:l ~clearance:th.tclear;
+          o.label <- l;
           ok_resp R_unit
         end
         else
@@ -1110,7 +1018,7 @@ let handle_syscall k kont req : action =
         let o, th = cur_thread k in
         let bound = Label.lub th.tclear (Label.raise_j o.label) in
         if Label.leq o.label c && Label.leq c bound then begin
-          set_thread_labels k o th ~label:o.label ~clearance:c;
+          th.tclear <- c;
           ok_resp R_unit
         end
         else label_errf "self_set_clearance: need L_T ⊑ C ⊑ C_T ⊔ L_T^J"
@@ -1646,9 +1554,6 @@ let object_count k = Hashtbl.length k.objects
 let label_cache_stats k =
   (Label_cache.hits k.label_cache, Label_cache.misses k.label_cache)
 
-let elide_enabled k = k.elide
-let label_epoch k = k.label_epoch
-let gate_summary_count k = Hashtbl.length k.gate_summaries
 let obj_label k oid = Option.map (fun o -> o.label) (find_obj k oid)
 let obj_kind k oid = Option.map (fun o -> o.kind) (find_obj k oid)
 let obj_quota k oid = Option.map (fun o -> (o.quota, o.usage)) (find_obj k oid)
@@ -1711,14 +1616,8 @@ let container_parent_of k oid =
 (* ---------- construction ---------- *)
 
 let create ?(seed = 0x4853_7461_7221L) ?clock ?store ?(syscall_cost_ns = 500)
-    ?(instrument = true) ?weaken ?elide () =
+    ?(instrument = true) ?weaken () =
   let clock = match clock with Some c -> c | None -> Sim_clock.create () in
-  (* The stale-summary mutant is only meaningful with elision on, so it
-     forces it regardless of HISTAR_NO_ELIDE. *)
-  let elide =
-    (match elide with Some e -> e | None -> Label_cache.elide_default ())
-    || weaken = Some Weaken_stale_summary
-  in
   let k =
     {
       clock;
@@ -1728,7 +1627,7 @@ let create ?(seed = 0x4853_7461_7221L) ?clock ?store ?(syscall_cost_ns = 500)
       catgen = Category_gen.create ~key:(Int64.lognot seed);
       runq = Queue.create ();
       futexq = Hashtbl.create 64;
-      label_cache = Label_cache.create ~elide ();
+      label_cache = Label_cache.create ();
       profile = Profile.create ();
       current = 0L;
       root = 0L;
@@ -1736,9 +1635,6 @@ let create ?(seed = 0x4853_7461_7221L) ?clock ?store ?(syscall_cost_ns = 500)
       syscall_cost_ns;
       instrument;
       weaken;
-      elide;
-      label_epoch = 0;
-      gate_summaries = Hashtbl.create 32;
       key = seed;
       snap = Bptree.create ();
       snap_enc = Hashtbl.create 256;
@@ -1912,9 +1808,6 @@ let recover ~store =
       syscall_cost_ns = 500;
       instrument = true;
       weaken = None;
-      elide = Label_cache.elide_default ();
-      label_epoch = 0;
-      gate_summaries = Hashtbl.create 32;
       key;
       snap = Bptree.create ();
       snap_enc = Hashtbl.create 256;
@@ -1958,30 +1851,10 @@ type handle = {
   h_syscall_cost_ns : int;
   h_instrument : bool;
   h_weaken : weaken option;
-  h_elide : bool;
-  h_label_epoch : int;
-  h_gate_summaries : (oid, gate_summary) Hashtbl.t;
   h_label_cache : Label_cache.t;
   h_profile : Profile.t;
   h_name : string option;
 }
-
-(* Deep copy: summary records are mutable, so branch and trunk must not
-   share them (like the label cache, a resumed branch's elision
-   behaviour is bit-identical to the trunk's at the branch point). *)
-let copy_gate_summaries tbl =
-  let t = Hashtbl.create (max 16 (Hashtbl.length tbl)) in
-  Hashtbl.iter
-    (fun oid s ->
-      Hashtbl.replace t oid
-        {
-          s_epoch = s.s_epoch;
-          s_thread = s.s_thread;
-          s_req = s.s_req;
-          s_result = s.s_result;
-        })
-    tbl;
-  t
 
 (* HERMIT-style named branch points: fork ~name publishes the handle in
    a registry so later phases can resume or discard it by name. *)
@@ -2027,9 +1900,6 @@ let fork ?name k =
       h_syscall_cost_ns = k.syscall_cost_ns;
       h_instrument = k.instrument;
       h_weaken = k.weaken;
-      h_elide = k.elide;
-      h_label_epoch = k.label_epoch;
-      h_gate_summaries = copy_gate_summaries k.gate_summaries;
       h_label_cache = Label_cache.copy k.label_cache;
       h_profile = Profile.copy k.profile;
       h_name = name;
@@ -2065,9 +1935,6 @@ let resume h =
       syscall_cost_ns = h.h_syscall_cost_ns;
       instrument = h.h_instrument;
       weaken = h.h_weaken;
-      elide = h.h_elide;
-      label_epoch = h.h_label_epoch;
-      gate_summaries = copy_gate_summaries h.h_gate_summaries;
       key = h.h_key;
       snap = h.h_objects;
       snap_enc = Hashtbl.create 256;

@@ -32,15 +32,12 @@ type weaken =
   | Weaken_segment_read_taint
   | Weaken_gate_star_grant
   | Weaken_unref_check
-  | Weaken_stale_summary
       (** Test-only switches that each weaken exactly one label-check
           mechanism (segment_read's observe check, the gate-invocation
-          ⋆-floor check, unref's container modify check, and the
-          gate flow-summary validation — [Weaken_stale_summary] serves
-          summaries without the epoch/thread check, so they survive
-          ownership transfer). The conformance fuzzer's
-          mutation-killing self-test asserts it detects every one as a
-          model divergence within a bounded budget. *)
+          ⋆-floor check, unref's container modify check). The
+          conformance fuzzer's mutation-killing self-test asserts it
+          detects every one as a model divergence within a bounded
+          budget. *)
 
 (** {1 Construction and scheduling} *)
 
@@ -51,7 +48,6 @@ val create :
   ?syscall_cost_ns:int ->
   ?instrument:bool ->
   ?weaken:weaken ->
-  ?elide:bool ->
   unit ->
   t
 (** [instrument] (default [true]) controls whether the syscall dispatch
@@ -59,17 +55,7 @@ val create :
     all. With it [true] but the registry disabled, each syscall costs
     one flag load and branch; [false] skips even that, giving the
     overhead test a no-instrumentation baseline. [weaken] (default
-    none) deliberately disables one label check — tests only.
-
-    [elide] (default {!Label_cache.elide_default}[ ()], i.e. on unless
-    [HISTAR_NO_ELIDE=1]) enables label-check elision: per-gate flow
-    summaries answer repeat gate-invocation checks with one interned
-    comparison, and label-cache hits count as [label.elided] instead of
-    [label.checks]. Elision is decision-invisible — every syscall
-    returns a bit-identical result, including denial messages, and
-    [label.denied] is unchanged; only the [label.checks] /
-    [label.elided] split moves. [Weaken_stale_summary] forces [elide]
-    on. *)
+    none) deliberately disables one label check — tests only. *)
 
 val clock : t -> Histar_util.Sim_clock.t
 val root : t -> oid
@@ -195,16 +181,6 @@ val object_count : t -> int
 
 (** (hits, misses) of the §4 label-comparison cache. *)
 val label_cache_stats : t -> int * int
-
-val elide_enabled : t -> bool
-
-val label_epoch : t -> int
-(** Advances whenever any thread's label or clearance actually changes;
-    gate flow summaries recorded under an older epoch are stale. *)
-
-val gate_summary_count : t -> int
-(** Live per-gate flow summaries (evicted when their gate is
-    destroyed). *)
 
 val profile : t -> Profile.t
 val obj_label : t -> oid -> Label.t option

@@ -1,67 +1,55 @@
 module Label = Histar_label.Label
 module Metrics = Histar_metrics.Metrics
 
-(* Counter semantics with elision (the default):
-   [label.checks]   — §2 algebra actually executed (cache misses plus
-                      un-summarized gate checks),
-   [label.elided]   — decisions served without running the algebra
-                      (cache hits and gate-summary hits),
-   [label.denied]   — denials, elided or not, unchanged either way.
-   With elision off (HISTAR_NO_ELIDE=1 / [~elide:false]) cache hits
-   count as [label.checks] again, restoring the pre-elision accounting
-   where checks = hits + misses. *)
+(* Counter semantics:
+   [label.checks]  — §2 algebra actually executed (cache misses plus
+                     the kernel's uncached gate-invocation checks),
+   [label.elided]  — decisions served from the cache without running
+                     the algebra (cache hits),
+   [label.denied]  — denials, cached or not. *)
 let m_checks = Metrics.counter "label.checks"
 let m_denied = Metrics.counter "label.denied"
 let m_cache_hits = Metrics.counter "label.cache_hits"
 let m_cache_misses = Metrics.counter "label.cache_misses"
 let m_elided = Metrics.counter "label.elided"
-let m_summary_invalidations = Metrics.counter "label.summary_invalidations"
 
-(* HISTAR_NO_ELIDE=1 turns label-check elision off process-wide (both
-   the cache-hit reclassification here and the kernel's gate flow
-   summaries), for byte-identity comparisons against the naive path. *)
-let elide_default () =
-  match Stdlib.Sys.getenv_opt "HISTAR_NO_ELIDE" with
-  | Some ("1" | "true" | "yes") -> false
-  | Some _ | None -> true
+(* Keys are the (thread, obj) label pair compared by pointer and hashed
+   by intern id. The key holds the labels themselves, not their ids: a
+   cached label then stays alive, so an equal label built later is the
+   same pointer and hits, whatever the GC collected in between. *)
+module Tbl = Hashtbl.Make (struct
+  type t = Label.t * Label.t
 
-type key = Label.t * Label.t
+  let equal (t1, o1) (t2, o2) = t1 == t2 && o1 == o2
+  let hash (t, o) = ((Label.id t * 65599) + Label.id o) land max_int
+end)
 
 type t = {
   bound : int;
-  elide : bool;
-  observe_tbl : (key, bool) Hashtbl.t;
-  modify_tbl : (key, bool) Hashtbl.t;
+  observe_tbl : bool Tbl.t;
+  modify_tbl : bool Tbl.t;
   mutable hits : int;
   mutable misses : int;
 }
 
-let create ?(bound = 8192) ?elide () =
-  let elide = match elide with Some e -> e | None -> elide_default () in
-  {
-    bound;
-    elide;
-    observe_tbl = Hashtbl.create 256;
-    modify_tbl = Hashtbl.create 256;
-    hits = 0;
-    misses = 0;
-  }
+let create ?(bound = 8192) () =
+  { bound; observe_tbl = Tbl.create 256; modify_tbl = Tbl.create 256; hits = 0; misses = 0 }
 
 let lookup t tbl key compute =
   let v =
-    match Hashtbl.find_opt tbl key with
+    match Tbl.find_opt tbl key with
     | Some v ->
         t.hits <- t.hits + 1;
         Metrics.Counter.incr m_cache_hits;
-        Metrics.Counter.incr (if t.elide then m_elided else m_checks);
+        Metrics.Counter.incr m_elided;
         v
     | None ->
         t.misses <- t.misses + 1;
         Metrics.Counter.incr m_cache_misses;
         Metrics.Counter.incr m_checks;
         let v = compute () in
-        if Hashtbl.length tbl >= t.bound then Hashtbl.reset tbl;
-        Hashtbl.replace tbl key v;
+        if Tbl.length tbl >= t.bound then Tbl.reset tbl;
+        Tbl.replace tbl key v;
         v
   in
   if not v then Metrics.Counter.incr m_denied;
@@ -73,24 +61,14 @@ let count_uncached_check ~allowed =
   Metrics.Counter.incr m_checks;
   if not allowed then Metrics.Counter.incr m_denied
 
-(* A gate-invocation decision served from a flow summary: no algebra
-   ran, but denials still count. *)
-let count_elided ~allowed =
-  Metrics.Counter.incr m_elided;
-  if not allowed then Metrics.Counter.incr m_denied
-
-let count_summary_invalidation () = Metrics.Counter.incr m_summary_invalidations
-
 let observe t ~thread ~obj =
-  lookup t t.observe_tbl (thread, obj) (fun () ->
-      Label.can_observe ~thread ~obj)
+  lookup t t.observe_tbl (thread, obj) (fun () -> Label.can_observe ~thread ~obj)
 
 let modify t ~thread ~obj =
   lookup t t.modify_tbl (thread, obj) (fun () -> Label.can_modify ~thread ~obj)
 
 let hits t = t.hits
 let misses t = t.misses
-let elide_enabled t = t.elide
 
 (* An independent cache with identical contents and statistics, so a
    forked kernel's hit/miss behaviour is bit-identical to the trunk's
@@ -99,9 +77,8 @@ let elide_enabled t = t.elide
 let copy t =
   {
     bound = t.bound;
-    elide = t.elide;
-    observe_tbl = Hashtbl.copy t.observe_tbl;
-    modify_tbl = Hashtbl.copy t.modify_tbl;
+    observe_tbl = Tbl.copy t.observe_tbl;
+    modify_tbl = Tbl.copy t.modify_tbl;
     hits = t.hits;
     misses = t.misses;
   }

@@ -4,32 +4,26 @@
     result of comparisons between immutable labels." Object labels are
     immutable after creation and thread labels change rarely, so the
     same (thread label, object label) pairs recur on every fault-path
-    access; this bounded cache short-circuits them.
+    access; this bounded cache short-circuits them. It is the only
+    decision memo in the system: {!Histar_label.Label} is a pure
+    algebra, and each kernel owns its cache, so hit and miss counts
+    are deterministic whatever else runs in the process.
 
-    Keys are the label values themselves (hash-consed, so hashing and
-    equality are effectively by intern identity); the cache is cleared
-    wholesale when it reaches its bound, which keeps the worst case
-    linear and the common case O(1).
+    Keys are the hash-consed label pair itself, compared by pointer and
+    hashed by {!Histar_label.Label.id}. A cached pair keeps its labels
+    alive, so hits never depend on garbage-collection timing. The cache
+    is cleared wholesale when it reaches its bound, which keeps the
+    worst case linear and the common case O(1).
 
-    Counter semantics: with elision enabled (the default), a cache hit
-    counts as [label.elided] — the §2 algebra did not run — and only
-    misses and un-summarized gate checks count as [label.checks].
-    With elision disabled ([~elide:false], or [HISTAR_NO_ELIDE=1] in
-    the environment), hits count as [label.checks] as before, so
-    [label.checks = label.cache_hits + label.cache_misses] on
-    cache-only workloads. [label.denied] is identical either way. *)
+    Counter semantics: a cache hit counts as [label.elided] (the §2
+    algebra did not run); misses and the kernel's uncached gate checks
+    count as [label.checks]. [label.cache_hits]/[label.cache_misses]
+    count this cache alone, and [label.denied] counts every denial. *)
 
 type t
 
-val create : ?bound:int -> ?elide:bool -> unit -> t
-(** Default bound: 8192 entries per relation. [elide] defaults to
-    {!elide_default}[ ()]. *)
-
-val elide_default : unit -> bool
-(** [false] iff [HISTAR_NO_ELIDE] is set to [1]/[true]/[yes] in the
-    environment. *)
-
-val elide_enabled : t -> bool
+val create : ?bound:int -> unit -> t
+(** Default bound: 8192 entries per relation. *)
 
 val observe : t -> thread:Histar_label.Label.t -> obj:Histar_label.Label.t -> bool
 (** Memoized {!Histar_label.Label.can_observe}. *)
@@ -50,13 +44,3 @@ val count_uncached_check : allowed:bool -> unit
     invocation checks use {!Histar_label.Label.leq} directly) into the
     global [label.checks] / [label.denied] metrics, so those counters
     cover every kernel label decision. *)
-
-val count_elided : allowed:bool -> unit
-(** Report a gate-invocation decision served from a per-gate flow
-    summary: counts into [label.elided] (and [label.denied] when the
-    cached decision was a denial) without touching [label.checks]. *)
-
-val count_summary_invalidation : unit -> unit
-(** Report a flow-summary invalidation (thread label/clearance epoch
-    bump with live summaries, or a summarized gate being destroyed)
-    into [label.summary_invalidations]. *)

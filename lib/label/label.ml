@@ -1,8 +1,9 @@
 (* Labels are hash-consed: every value of type [t] in the process is
    interned in a weak table, so structurally equal labels are the same
-   heap object. [equal] is a pointer test and the lattice operations
-   memoize on compact intern ids. The [uid] is process-local and never
-   serialized; [compare] stays structural so orderings are stable
+   heap object and [equal] is a pointer test. The algebra itself is
+   pure and keeps no memo: the kernel's per-instance [Label_cache] is
+   the one place decisions are cached. The [uid] is process-local and
+   never serialized; [compare] stays structural so orderings are stable
    across runs. *)
 type t = { uid : int; default : Level.t; entries : Level.t Category.Map.t }
 
@@ -43,6 +44,8 @@ let intern ~default ~entries =
   if v == candidate then incr next_uid;
   Mutex.unlock intern_mu;
   v
+
+let id t = t.uid
 
 let interned_count () =
   Mutex.lock intern_mu;
@@ -123,56 +126,18 @@ let merge_with f a b =
   intern ~default:d ~entries
 
 let pointwise_forall f a b =
-  let ok = ref (f a.default b.default) in
-  if !ok then
-    Category.Map.iter
-      (fun c la -> if not (f la (get b c)) then ok := false)
-      a.entries;
-  if !ok then
-    Category.Map.iter
-      (fun c lb -> if not (Category.Map.mem c a.entries) && not (f a.default lb) then ok := false)
-      b.entries;
-  !ok
+  f a.default b.default
+  && Category.Map.for_all (fun c la -> f la (get b c)) a.entries
+  && Category.Map.for_all
+       (fun c lb -> f a.default lb || Category.Map.mem c a.entries)
+       b.entries
 
-let leq_naive a b = pointwise_forall Level.leq a b
-let lub_naive a b = merge_with Level.max a b
-let glb_naive a b = merge_with Level.min a b
+let leq a b = a == b || pointwise_forall Level.leq a b
 
-(* Memo tables keyed by intern ids. Uids are never reused (the counter
-   only advances on fresh insertions), so a stale entry for a collected
-   label is inert: its key can never be looked up again. Bounded by
-   wholesale reset, mirroring [label_cache]. *)
-let memo_bound = 1 lsl 16
-
-(* Memo tables are shared across domains behind their own mutex. The
-   lock is *not* held while [compute] runs: compute re-enters [intern]
-   (its own lock), and a duplicate compute from a racing domain is
-   harmless — both results intern to the same canonical pointer, so
-   whichever insert lands last is equal to the other. *)
-let memo_mu = Mutex.create ()
-
-let memo (tbl : ((int * int), 'a) Hashtbl.t) key compute =
-  Mutex.lock memo_mu;
-  match Hashtbl.find_opt tbl key with
-  | Some v ->
-      Mutex.unlock memo_mu;
-      v
-  | None ->
-      Mutex.unlock memo_mu;
-      let v = compute () in
-      Mutex.lock memo_mu;
-      if Hashtbl.length tbl >= memo_bound then Hashtbl.reset tbl;
-      Hashtbl.replace tbl key v;
-      Mutex.unlock memo_mu;
-      v
-
-let leq_tbl : (int * int, bool) Hashtbl.t = Hashtbl.create 1024
-let lub_tbl : (int * int, t) Hashtbl.t = Hashtbl.create 1024
-let glb_tbl : (int * int, t) Hashtbl.t = Hashtbl.create 1024
-
-let leq a b = if a == b then true else memo leq_tbl (a.uid, b.uid) (fun () -> leq_naive a b)
-let lub a b = if a == b then a else memo lub_tbl (a.uid, b.uid) (fun () -> lub_naive a b)
-let glb a b = if a == b then a else memo glb_tbl (a.uid, b.uid) (fun () -> glb_naive a b)
+(* When one side dominates, the result is that input: no merge, no
+   intern. *)
+let lub a b = if leq b a then a else if leq a b then b else merge_with Level.max a b
+let glb a b = if leq a b then a else if leq b a then b else merge_with Level.min a b
 
 let map_levels f t =
   let d = f t.default in
@@ -180,16 +145,16 @@ let map_levels f t =
   let entries = Category.Map.filter (fun _ lv -> not (Level.equal lv d)) entries in
   intern ~default:d ~entries
 
-let raise_j_tbl : (int * int, t) Hashtbl.t = Hashtbl.create 1024
-let lower_star_tbl : (int * int, t) Hashtbl.t = Hashtbl.create 1024
+let star_to_j = function Level.Star -> Level.J | lv -> lv
+let j_to_star = function Level.J -> Level.Star | lv -> lv
 
-let raise_j t =
-  memo raise_j_tbl (t.uid, t.uid) (fun () ->
-      map_levels (function Level.Star -> Level.J | lv -> lv) t)
+let level_exists p t =
+  p t.default || Category.Map.exists (fun _ lv -> p lv) t.entries
 
-let lower_star t =
-  memo lower_star_tbl (t.uid, t.uid) (fun () ->
-      map_levels (function Level.J -> Level.Star | lv -> lv) t)
+let has_star t = level_exists (Level.equal Level.Star) t
+let has_j t = level_exists (Level.equal Level.J) t
+let raise_j t = if has_star t then map_levels star_to_j t else t
+let lower_star t = if has_j t then map_levels j_to_star t else t
 
 let owns t c =
   match get t c with Level.Star | Level.J -> true | Level.L0 | Level.L1 | Level.L2 | Level.L3 -> false
@@ -202,13 +167,11 @@ let owned t =
       | Level.L0 | Level.L1 | Level.L2 | Level.L3 -> acc)
     t.entries Category.Set.empty
 
-let level_exists p t =
-  p t.default || Category.Map.exists (fun _ lv -> p lv) t.entries
+(* [obj ⊑ thread^J], walked pointwise without building [thread^J]. *)
+let can_observe ~thread ~obj =
+  obj == thread || pointwise_forall (fun lo lt -> Level.leq lo (star_to_j lt)) obj thread
 
-let has_star t = level_exists (Level.equal Level.Star) t
-let has_j t = level_exists (Level.equal Level.J) t
-let can_observe ~thread ~obj = leq obj (raise_j thread)
-let can_modify ~thread ~obj = leq thread obj && leq obj (raise_j thread)
+let can_modify ~thread ~obj = leq thread obj && can_observe ~thread ~obj
 let can_flow ~src ~dst = leq src dst
 let taint_to_read ~thread ~obj = lower_star (lub (raise_j thread) obj)
 let is_storable t = not (has_j t)

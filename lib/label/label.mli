@@ -13,9 +13,11 @@
 
     Labels are hash-consed: every constructor interns its result in a
     process-wide weak table, so structurally equal labels are the same
-    heap object, [equal] is a pointer test, and [leq]/[lub]/[glb]
-    memoize on compact intern ids. The intern id is process-local and
-    never serialized; [compare] remains structural. *)
+    heap object and [equal] is a pointer test. The operations are pure
+    and keep no memo tables; decisions are cached per kernel by
+    {!Histar_core.Label_cache}. An operation whose result is one of its
+    inputs returns that input without allocating. The intern id is
+    process-local and never serialized; [compare] remains structural. *)
 
 type t
 
@@ -54,6 +56,11 @@ val compare : t -> t -> int
 (** Structural order (default level, then entries); stable across runs
     and processes, unlike the intern ids. *)
 
+val id : t -> int
+(** The intern id: distinct live labels have distinct ids. Process-local
+    (it depends on interning order, so it differs across runs and domain
+    interleavings); use it for hashing, never for output. *)
+
 val interned_count : unit -> int
 (** Number of distinct labels interned so far in this process (weak
     table insertions; never decremented). Re-interning a structurally
@@ -69,14 +76,6 @@ val lub : t -> t -> t
 
 val glb : t -> t -> t
 (** Greatest lower bound: pointwise minimum. *)
-
-val leq_naive : t -> t -> bool
-val lub_naive : t -> t -> t
-val glb_naive : t -> t -> t
-(** Un-memoized reference implementations — the direct §2 pointwise
-    algebra over the entry maps, bypassing the intern-id memo tables.
-    Oracles for the differential tests; the memoized operations must
-    agree with these exactly on every input. *)
 
 (** {1 Ownership operators} *)
 
@@ -98,7 +97,8 @@ val has_j : t -> bool
 (** {1 Access checks (§2.2)} *)
 
 val can_observe : thread:t -> obj:t -> bool
-(** "No read up": [L_O ⊑ L_T{^J}]. *)
+(** "No read up": [L_O ⊑ L_T{^J}], checked pointwise without building
+    [L_T{^J}]. *)
 
 val can_modify : thread:t -> obj:t -> bool
 (** "No write down" (which in HiStar implies observing):

@@ -97,9 +97,10 @@ let test_validate_rejects_tampering () =
       | _ -> j)
     "missing required counter"
 
-(* The elision acceptance bar from the gate-IPC workload: repeat gate
-   invocations hit their flow summaries, so full lattice comparisons
-   stay well below one per syscall and the elided counter is hot. *)
+(* The label-cache acceptance bar from the IPC workload: repeat
+   (thread, object) decisions hit the kernel's cache, so full lattice
+   comparisons stay well below one per syscall and the elided counter
+   is hot. *)
 let test_ipc_elision_ratio () =
   let _, _, f =
     List.find (fun (n, _, _) -> n = "ipc-pingpong") Runner.workloads

@@ -428,7 +428,7 @@ let () =
             test_remove_allocs_o_height;
         ] );
       ( "model",
-        List.map QCheck_alcotest.to_alcotest
+        List.map Qcheck_seed.to_alcotest
           [ prop_model 4; prop_model 16; prop_random_churn;
             prop_versions_persistent ] );
       ("differential (histar_check)", check_tests);

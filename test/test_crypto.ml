@@ -80,7 +80,7 @@ let () =
           Alcotest.test_case "61-bit inverse" `Quick test_encrypt61_inverse;
           Alcotest.test_case "injective" `Quick test_encrypt61_injective_prefix;
           Alcotest.test_case "key separation" `Quick test_keys_differ;
-          QCheck_alcotest.to_alcotest prop_cipher_bijective;
+          Qcheck_seed.to_alcotest prop_cipher_bijective;
         ] );
       ( "category_gen",
         [

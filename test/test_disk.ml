@@ -145,6 +145,6 @@ let () =
           Alcotest.test_case "stats reset" `Quick test_stats_reset;
           Alcotest.test_case "crash loses cache" `Quick test_crash_loses_cache;
           Alcotest.test_case "crash mid-flush" `Quick test_crash_partial_flush;
-          QCheck_alcotest.to_alcotest prop_write_read_roundtrip;
+          Qcheck_seed.to_alcotest prop_write_read_roundtrip;
         ] );
     ]

@@ -937,61 +937,72 @@ let print_label_pairs ps =
 
 (* Differential: the memoized cache must agree with the uncached
    relations on both the miss path and the hit path, and its metrics
-   must account for every lookup and every denial — in both accounting
-   modes. With elision off, every lookup is a [label.checks]; with
-   elision on, hits reclassify as [label.elided] (checks = misses,
-   elided = hits, checks + elided = lookups) while denials are
-   identical. A tiny bound forces wholesale clears mid-sequence. *)
+   must account for every lookup and every denial: misses count as
+   [label.checks], hits as [label.elided]. A tiny bound forces
+   wholesale clears mid-sequence. *)
 let prop_label_cache_differential pairs =
-  let run_mode ~elide =
-    let cache = Label_cache.create ~bound:8 ~elide () in
-    let checks0 = Metrics.counter_value "label.checks" in
-    let elided0 = Metrics.counter_value "label.elided" in
-    let denied0 = Metrics.counter_value "label.denied" in
-    let denials = ref 0 in
-    List.iter
-      (fun (t, o) ->
-        let want_obs = Label.can_observe ~thread:t ~obj:o in
-        let want_mod = Label.can_modify ~thread:t ~obj:o in
-        for _ = 1 to 2 do
-          Check.ensure ~msg:"cached observe differs from Label.can_observe"
-            (Label_cache.observe cache ~thread:t ~obj:o = want_obs);
-          Check.ensure ~msg:"cached modify differs from Label.can_modify"
-            (Label_cache.modify cache ~thread:t ~obj:o = want_mod);
-          if not want_obs then incr denials;
-          if not want_mod then incr denials
-        done)
-      pairs;
-    ( Metrics.counter_value "label.checks" - checks0,
-      Metrics.counter_value "label.elided" - elided0,
-      Metrics.counter_value "label.denied" - denied0,
-      !denials,
-      Label_cache.hits cache,
-      Label_cache.misses cache )
-  in
+  let cache = Label_cache.create ~bound:8 () in
   let was = Metrics.enabled () in
   Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Metrics.set_enabled was)
     (fun () ->
-      let lookups = 4 * List.length pairs in
-      let checks, elided, denied, denials, _, _ = run_mode ~elide:false in
-      Check.ensure ~msg:"no-elide: label.checks missed lookups"
-        (checks = lookups);
-      Check.ensure ~msg:"no-elide: label.elided must stay zero" (elided = 0);
-      Check.ensure ~msg:"no-elide: label.denied missed denials"
-        (denied = denials);
-      let checks, elided, denied, denials, hits, misses =
-        run_mode ~elide:true
-      in
-      Check.ensure ~msg:"elide: checks + elided must cover every lookup"
-        (checks + elided = lookups);
-      Check.ensure ~msg:"elide: label.checks must equal cache misses"
-        (checks = misses);
-      Check.ensure ~msg:"elide: label.elided must equal cache hits"
-        (elided = hits);
-      Check.ensure ~msg:"elide: label.denied missed denials"
-        (denied = denials))
+      let checks0 = Metrics.counter_value "label.checks" in
+      let elided0 = Metrics.counter_value "label.elided" in
+      let denied0 = Metrics.counter_value "label.denied" in
+      let denials = ref 0 in
+      List.iter
+        (fun (t, o) ->
+          let want_obs = Label.can_observe ~thread:t ~obj:o in
+          let want_mod = Label.can_modify ~thread:t ~obj:o in
+          for _ = 1 to 2 do
+            Check.ensure ~msg:"cached observe differs from Label.can_observe"
+              (Label_cache.observe cache ~thread:t ~obj:o = want_obs);
+            Check.ensure ~msg:"cached modify differs from Label.can_modify"
+              (Label_cache.modify cache ~thread:t ~obj:o = want_mod);
+            if not want_obs then incr denials;
+            if not want_mod then incr denials
+          done)
+        pairs;
+      let checks = Metrics.counter_value "label.checks" - checks0 in
+      let elided = Metrics.counter_value "label.elided" - elided0 in
+      Check.ensure ~msg:"checks + elided must cover every lookup"
+        (checks + elided = 4 * List.length pairs);
+      Check.ensure ~msg:"label.checks must equal cache misses"
+        (checks = Label_cache.misses cache);
+      Check.ensure ~msg:"label.elided must equal cache hits"
+        (elided = Label_cache.hits cache);
+      Check.ensure ~msg:"label.denied missed denials"
+        (Metrics.counter_value "label.denied" - denied0 = !denials))
+
+(* The cache's hits must not depend on when the GC runs. Build label
+   pairs over categories nothing else uses, look them up, drop them,
+   optionally collect, then rebuild equal pairs and look them up again.
+   A cache keyed on bare intern ids fails this: collected labels come
+   back with fresh ids, so the second pass misses only after a GC. *)
+let test_label_cache_gc_independent () =
+  let pass cache =
+    for i = 0 to 63 do
+      let c = Category.of_int (920_000 + i) in
+      let t = Label.of_list [ (c, Level.Star) ] Level.L1 in
+      let o = Label.of_list [ (c, Level.L2) ] Level.L1 in
+      ignore (Label_cache.observe cache ~thread:t ~obj:o : bool);
+      ignore (Label_cache.modify cache ~thread:t ~obj:o : bool)
+    done
+  in
+  let run ~gc =
+    let cache = Label_cache.create () in
+    pass cache;
+    if gc then Gc.full_major ();
+    pass cache;
+    (Label_cache.hits cache, Label_cache.misses cache)
+  in
+  let without_gc = run ~gc:false in
+  Gc.full_major ();
+  let with_gc = run ~gc:true in
+  Alcotest.(check (pair int int)) "second pass hits every pair" (128, 128) without_gc;
+  Alcotest.(check (pair int int)) "hit/miss counts identical after a GC" without_gc
+    with_gc
 
 (* After a thread picks up ownership of c through a gate, the same
    (thread, object) comparison must flip from denied to allowed — the
@@ -1080,28 +1091,12 @@ let test_gate_denied_message_and_counters () =
         "kernel.syscall_label_errors incremented" true
         (Metrics.counter_value "kernel.syscall_label_errors" > !e0))
 
-(* ---------- label-check elision: per-gate flow summaries ----------
+(* ---------- elided decisions never go stale ----------
 
-   Repeat gate invocations with an unchanged thread (same label epoch)
-   and an unchanged requested triple are answered from the gate's flow
-   summary, counted as [label.elided]. Anything that changes a
-   thread's label or clearance — ownership transfer through a gate,
-   category allocation, dropping a ⋆ — bumps the kernel's label epoch
-   and invalidates every summary, so post-transfer checks are
-   recomputed, never served stale. *)
-
-module Profile = Histar_core.Profile
-
-let in_kernel_elide ~elide f =
-  let k = Kernel.create ~elide () in
-  let result = ref None in
-  let _tid =
-    Kernel.spawn k ~name:"test" (fun () -> result := Some (f k (Kernel.root k)))
-  in
-  Kernel.run k;
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "test thread did not complete"
+   A decision served from the label cache ([label.elided]) is keyed on
+   the thread's label, so anything that changes that label — picking
+   up ownership through a gate, dropping a ⋆ — must flip the decision,
+   never serve the old one. *)
 
 let call_gate root gate ~label =
   Sys.gate_call ~gate:(centry root gate) ~label ~clearance:l2
@@ -1114,156 +1109,61 @@ let with_metrics f =
   Metrics.set_enabled true;
   Fun.protect ~finally:(fun () -> Metrics.set_enabled was) f
 
-let test_gate_summary_elides_repeat_calls () =
+(* Requesting c⋆ from a gate is denied until the caller owns c, then
+   allowed: the denied→allowed flip after an ownership transfer. *)
+let test_decision_flips_on_ownership_transfer () =
   with_metrics (fun () ->
-      in_kernel_elide ~elide:true (fun k root ->
-          let gate =
-            Sys.gate_create ~container:root ~label:l1 ~clearance:l2
-              ~quota:4096L ~name:"svc" (fun () -> Sys.gate_return ())
-          in
-          call_gate root gate ~label:l1;
-          Alcotest.(check bool) "summary recorded after first call" true
-            (Kernel.gate_summary_count k >= 1);
-          let e0 = Metrics.counter_value "label.elided" in
-          let c0 = Metrics.counter_value "label.checks" in
-          call_gate root gate ~label:l1;
-          Alcotest.(check bool) "repeat call served from the summary" true
-            (Metrics.counter_value "label.elided" > e0);
-          (* the per-call return gate is fresh each time, so its check
-             still runs — but strictly fewer checks than a naive call *)
-          ignore c0))
-
-let test_summary_invalidated_on_ownership_transfer () =
-  with_metrics (fun () ->
-      let got = ref false in
-      let elided = ref 0 in
-      let inv_before = ref (-1) in
-      let inv_after = ref (-1) in
-      in_kernel_elide ~elide:true (fun _k root ->
-          let c = Sys.cat_create () in
-          let svc =
-            Sys.gate_create ~container:root ~label:l1 ~clearance:l2
-              ~quota:4096L ~name:"svc" (fun () -> Sys.gate_return ())
-          in
-          let grant =
-            Sys.gate_create ~container:root
-              ~label:(l [ (c, Level.Star) ] Level.L1)
-              ~clearance:l2 ~quota:4096L ~name:"grant-c" (fun () ->
-                got := true;
-                Sys.self_halt ())
-          in
-          let _reader =
-            Sys.thread_create ~container:root ~label:l1 ~clearance:l2
-              ~quota:65536L ~name:"reader" (fun () ->
-                call_gate root svc ~label:l1;
-                let e0 = Metrics.counter_value "label.elided" in
-                call_gate root svc ~label:l1;
-                elided := Metrics.counter_value "label.elided" - e0;
-                inv_before :=
-                  Metrics.counter_value "label.summary_invalidations";
-                (* picking up c⋆ through the gate changes this thread's
-                   label: every summary must die with the old epoch *)
-                Sys.gate_enter ~gate:(centry root grant)
-                  ~label:(l [ (c, Level.Star) ] Level.L1)
-                  ~clearance:l2 ())
-          in
-          join (fun () -> !got);
-          inv_after := Metrics.counter_value "label.summary_invalidations";
-          Alcotest.(check bool) "repeat call before transfer elided" true
-            (!elided > 0);
-          Alcotest.(check bool)
-            "ownership transfer invalidated the summaries" true
-            (!inv_after > !inv_before)))
-
-let test_summary_invalidated_on_category_gc () =
-  with_metrics (fun () ->
-      in_kernel_elide ~elide:true (fun k root ->
+      let before = ref [] and after = ref [] and elided = ref 0 in
+      in_kernel (fun root ->
           let c = Sys.cat_create () in
           let owned = l [ (c, Level.Star) ] Level.L1 in
           let svc =
             Sys.gate_create ~container:root ~label:l1 ~clearance:l2
               ~quota:4096L ~name:"svc" (fun () -> Sys.gate_return ())
           in
-          (* requesting c⋆ is only legal while the thread owns c *)
-          call_gate root svc ~label:owned;
-          let e0 = Metrics.counter_value "label.elided" in
-          call_gate root svc ~label:owned;
-          Alcotest.(check bool) "repeat owned call elided" true
-            (Metrics.counter_value "label.elided" > e0);
-          let epoch0 = Kernel.label_epoch k in
-          let inv0 = Metrics.counter_value "label.summary_invalidations" in
-          (* drop the last ⋆ for c: the category is dead (GC), and the
-             summarized pass for [owned] must not survive it *)
-          Sys.self_set_label l1;
-          Alcotest.(check bool) "label epoch advanced" true
-            (Kernel.label_epoch k > epoch0);
-          Alcotest.(check bool) "category GC invalidated the summaries" true
-            (Metrics.counter_value "label.summary_invalidations" > inv0);
-          expect_label_error (fun () -> call_gate root svc ~label:owned)))
+          let attempt () =
+            match call_gate root svc ~label:owned with
+            | () -> `Allowed
+            | exception Kernel_error (Label_check _) -> `Denied
+          in
+          let grant =
+            Sys.gate_create ~container:root ~label:owned ~clearance:l2
+              ~quota:4096L ~name:"grant-c" (fun () ->
+                after := [ attempt (); attempt () ];
+                Sys.self_halt ())
+          in
+          let _reader =
+            Sys.thread_create ~container:root ~label:l1 ~clearance:l2
+              ~quota:65536L ~name:"reader" (fun () ->
+                let e0 = Metrics.counter_value "label.elided" in
+                before := [ attempt (); attempt () ];
+                elided := Metrics.counter_value "label.elided" - e0;
+                Sys.gate_enter ~gate:(centry root grant) ~label:owned
+                  ~clearance:l2 ())
+          in
+          join (fun () -> !after <> []));
+      Alcotest.(check bool) "repeat attempt served cached decisions" true
+        (!elided > 0);
+      Alcotest.(check bool) "denied before the transfer" true
+        (!before = [ `Denied; `Denied ]);
+      Alcotest.(check bool) "allowed after the transfer" true
+        (!after = [ `Allowed; `Allowed ]))
 
-(* §6.2 gate login in miniature, run with elision on and off: the two
-   kernels must produce byte-identical syscall results, identical
-   syscall profiles, and the same number of [label.denied] events —
-   only the checks/elided accounting split may differ. *)
-let run_login_scenario ~elide =
-  let k = Kernel.create ~elide () in
-  let events = ref [] in
-  let push e = events := e :: !events in
-  let denied0 = ref 0 and denied1 = ref 0 and finished = ref false in
-  let _tid =
-    Kernel.spawn k ~name:"init" (fun () ->
-        let root = Kernel.root k in
-        let u = Sys.cat_create () in
-        let secret =
-          Sys.segment_create ~container:root
-            ~label:(l [ (u, Level.L3) ] Level.L1)
-            ~quota:8192L ~len:10 "secret"
-        in
-        Sys.segment_write (centry root secret) "bob-secret";
-        let svc =
-          Sys.gate_create ~container:root ~label:l1 ~clearance:l2 ~quota:4096L
-            ~name:"logd" (fun () -> Sys.gate_return ())
-        in
-        let login =
-          Sys.gate_create ~container:root
-            ~label:(l [ (u, Level.Star) ] Level.L1)
-            ~clearance:l2 ~quota:4096L ~name:"login-bob" (fun () ->
-              push ("secret:" ^ Sys.segment_read (centry root secret) ());
-              finished := true;
-              Sys.self_halt ())
-        in
-        let _sshd =
-          Sys.thread_create ~container:root ~label:l1 ~clearance:l2
-            ~quota:65536L ~name:"sshd" (fun () ->
-              denied0 := Metrics.counter_value "label.denied";
-              (* pre-login attempts: denied, and repeated so the elided
-                 kernel actually has summaries to serve *)
-              for i = 1 to 3 do
-                (match Sys.segment_read (centry root secret) () with
-                | s -> push ("leak:" ^ s)
-                | exception Kernel_error (Label_check _) ->
-                    push (Printf.sprintf "denied-read-%d" i));
-                call_gate root svc ~label:l1;
-                push (Printf.sprintf "logged-%d" i)
-              done;
-              denied1 := Metrics.counter_value "label.denied";
-              Sys.gate_enter ~gate:(centry root login)
-                ~label:(l [ (u, Level.Star) ] Level.L1)
-                ~clearance:l2 ())
-        in
-        join (fun () -> !finished))
-  in
-  Kernel.run k;
-  (List.rev !events, !denied1 - !denied0, Kernel.profile k)
-
-let test_login_scenario_elide_identical () =
-  with_metrics (fun () ->
-      let ev_e, den_e, prof_e = run_login_scenario ~elide:true in
-      let ev_n, den_n, prof_n = run_login_scenario ~elide:false in
-      Alcotest.(check (list string)) "byte-identical event log" ev_n ev_e;
-      Alcotest.(check int) "identical label.denied delta" den_n den_e;
-      Alcotest.(check bool) "identical syscall profiles" true
-        (Profile.equal prof_n prof_e))
+(* Dropping the last ⋆ for c (the category is then garbage) flips the
+   same request back to denied. *)
+let test_decision_flips_on_category_gc () =
+  in_kernel (fun root ->
+      let c = Sys.cat_create () in
+      let owned = l [ (c, Level.Star) ] Level.L1 in
+      let svc =
+        Sys.gate_create ~container:root ~label:l1 ~clearance:l2 ~quota:4096L
+          ~name:"svc" (fun () -> Sys.gate_return ())
+      in
+      (* requesting c⋆ is only legal while the thread owns c *)
+      call_gate root svc ~label:owned;
+      call_gate root svc ~label:owned;
+      Sys.self_set_label l1;
+      expect_label_error (fun () -> call_gate root svc ~label:owned))
 
 (* ---------- arithmetic regressions from differential fuzzing ----------
 
@@ -1556,19 +1456,17 @@ let () =
             test_label_cache_gate_transfer;
           Alcotest.test_case "gate denial message and counters" `Quick
             test_gate_denied_message_and_counters;
+          Alcotest.test_case "hits independent of GC timing" `Quick
+            test_label_cache_gc_independent;
         ] );
       ( "elision",
         [
-          Alcotest.test_case "repeat gate calls served from summary" `Quick
-            test_gate_summary_elides_repeat_calls;
           Alcotest.test_case "invalidated by ownership transfer" `Quick
-            test_summary_invalidated_on_ownership_transfer;
+            test_decision_flips_on_ownership_transfer;
           Alcotest.test_case "invalidated by category GC" `Quick
-            test_summary_invalidated_on_category_gc;
-          Alcotest.test_case "gate login identical with elision off" `Quick
-            test_login_scenario_elide_identical;
+            test_decision_flips_on_category_gc;
         ] );
-      ("flow oracle", [ QCheck_alcotest.to_alcotest prop_flow_oracle ]);
+      ("flow oracle", [ Qcheck_seed.to_alcotest prop_flow_oracle ]);
       ( "fuzzer regressions",
         [
           Alcotest.test_case "finite-charge overflow rejected" `Quick

@@ -225,10 +225,8 @@ let test_fuzz_clean_kernel () =
    default seed, or it has lost its teeth. Detection points at
    [Check.default_seed]: segment 538 traces, gate 53, unref 70 — the
    2000-trace budget leaves a wide margin and still takes < 0.5 s. *)
-let assert_mutant_caught ?seed_corpus name weaken =
-  let stats =
-    Conf.run_fuzz ~weaken ~runs:2000 ~seed:Check.default_seed ?seed_corpus ()
-  in
+let assert_mutant_caught name weaken =
+  let stats = Conf.run_fuzz ~weaken ~runs:2000 ~seed:Check.default_seed () in
   match stats.Conf.fs_divergence with
   | Some (trace, _detail) ->
       (* The shrunk witness must itself still witness the divergence. *)
@@ -256,56 +254,6 @@ let test_mutant_gate_star_grant () =
 
 let test_mutant_unref_check () =
   assert_mutant_caught "unref permission" Kernel.Weaken_unref_check
-
-(* [Weaken_stale_summary] serves per-gate flow summaries without the
-   epoch/thread validation. Its observable window is structurally
-   narrow: a summary hit needs the requested (label, clearance,
-   verify) triple pointer-equal to the recorded one, and with [None]
-   specs the harness derives the triple from the thread's own
-   label/clearance — so a pointer-equal triple implies identical check
-   inputs and an identical verdict. The only stale serve that can
-   diverge is two identical explicit [Some] draws bracketing a change
-   the triple does not capture: an ownership-backed clearance raise
-   that flips C_R ⊑ C_T ⊔ C_G (taint raises are masked earlier by the
-   return-container modify check). Blind generation never composed
-   that shape at the default seed (0 catches in 20 000 traces), so the
-   fuzzer is seeded with the §6.2-shaped stale window below and the
-   differential oracle does the catching: detection at trace index 0,
-   shrunk to the minimal 6-op witness. *)
-let stale_summary_seed_corpus =
-  let l1 = { Conf.ls_def = 2; ls_ents = [] } in
-  let l2 = { Conf.ls_def = 3; ls_ents = [] } in
-  let lv = { Conf.ls_def = 4; ls_ents = [] } in
-  (* requested clearance {c0 3, 2}: above C_T ⊔ C_G until the thread,
-     owning c0, raises its own clearance to match *)
-  let cr = { Conf.ls_def = 3; ls_ents = [ (0, 4) ] } in
-  let call = Conf.O_gate_call ((0, 2), Some l1, Some cr, lv, 0) in
-  [
-    [
-      Conf.O_cat_create;
-      (* cat_create grants clearance c0→3; drop back to {2} so the
-         first call's requested clearance is out of reach *)
-      Conf.O_self_set_clearance l2;
-      Conf.O_gate_create (0, l1, l2, 4096L, false);
-      call;
-      Conf.O_self_set_clearance cr;
-      call;
-    ];
-  ]
-
-let test_mutant_stale_summary () =
-  assert_mutant_caught ~seed_corpus:stale_summary_seed_corpus "stale summary"
-    Kernel.Weaken_stale_summary;
-  (* the correct kernel must conform on the very window the mutant
-     fails: the epoch bump from self_set_clearance invalidates the
-     summary and the second call is re-checked *)
-  List.iter
-    (fun trace ->
-      match Conf.compare_traces trace with
-      | None -> ()
-      | Some d ->
-          Alcotest.fail ("unweakened kernel diverges on stale window: " ^ d))
-    stale_summary_seed_corpus
 
 (* ---------- container quota property ---------- *)
 
@@ -393,8 +341,33 @@ let trace_one_shot_gate =
     Conf.O_gate_call ((0, 2), None, None, { Conf.ls_def = 4; ls_ents = [] }, 0);
   ]
 
+(* A gate call decided before an ownership-backed clearance raise and
+   repeated, with the identical requested triple, after it: the raise
+   flips C_R ⊑ C_T ⊔ C_G, so the second call must be re-checked, not
+   answered from the first. Any cache of gate decisions that does not
+   key on the caller's current clearance fails here. *)
+let trace_clearance_raise_window =
+  let l1 = { Conf.ls_def = 2; ls_ents = [] } in
+  let l2 = { Conf.ls_def = 3; ls_ents = [] } in
+  let lv = { Conf.ls_def = 4; ls_ents = [] } in
+  (* requested clearance {c0 3, 2}: above C_T ⊔ C_G until the thread,
+     owning c0, raises its own clearance to match *)
+  let cr = { Conf.ls_def = 3; ls_ents = [ (0, 4) ] } in
+  let call = Conf.O_gate_call ((0, 2), Some l1, Some cr, lv, 0) in
+  [
+    Conf.O_cat_create;
+    (* cat_create grants clearance c0→3; drop back to {2} so the first
+       call's requested clearance is out of reach *)
+    Conf.O_self_set_clearance l2;
+    Conf.O_gate_create (0, l1, l2, 4096L, false);
+    call;
+    Conf.O_self_set_clearance cr;
+    call;
+  ]
+
 let regression_traces =
   [
+    ("gate call across a clearance raise", trace_clearance_raise_window);
     ("charge overflow", trace_charge_overflow);
     ("infinite-container usage wrap", trace_infinite_usage_wrap);
     ("quota_move target wrap", trace_quota_move_wrap);
@@ -414,6 +387,9 @@ let regress_negative_cas_offset =
   regression "negative CAS offset crash" trace_negative_cas_offset
 
 let regress_one_shot_gate = regression "one-shot gate reaped" trace_one_shot_gate
+
+let regress_clearance_raise_window =
+  regression "gate call across a clearance raise" trace_clearance_raise_window
 
 (* ---------- fork-based corpus: the double-run discipline ----------
 
@@ -462,62 +438,6 @@ let test_fuzz_fork_replay_mutant_identical () =
         (Conf.pp_trace tf)
   | None, _ -> Alcotest.fail "fork-mode fuzz missed the gate mutant"
   | _, None -> Alcotest.fail "replay-mode fuzz missed the gate mutant"
-
-(* ---------- label-check elision: elided vs naive ----------
-
-   The elision acceptance criterion: a kernel with hash-consed label
-   interning + per-gate flow summaries must be bit-identical to the
-   naive kernel — same syscall outcomes, same denials, same fuzz
-   verdicts — with only the `label.elided` / `label.checks` accounting
-   split distinguishing the two (and coverage signatures normalize
-   that split away). *)
-
-let test_fuzz_elide_naive_identical () =
-  (* The whole fuzz run — corpus evolution, verdict, report — must not
-     depend on whether checks were elided. *)
-  let run elide =
-    Conf.run_fuzz ~elide ~runs:300 ~seed:Check.default_seed ()
-  in
-  let e = run true and n = run false in
-  Alcotest.(check string) "elided/naive reports identical" (Conf.report n)
-    (Conf.report e);
-  Alcotest.(check int) "same corpus size" n.Conf.fs_corpus e.Conf.fs_corpus;
-  (match (e.Conf.fs_divergence, n.Conf.fs_divergence) with
-  | None, None -> ()
-  | Some (t, d), _ | _, Some (t, d) ->
-      Alcotest.fail
-        (Printf.sprintf "clean kernel diverged: %s\n%s" d (Conf.pp_trace t)))
-
-let test_regression_traces_elide_clean () =
-  (* The PR-4 regression traces and the stale-summary window, checked
-     through the elided-vs-naive differential: byte-identical per-op
-     outcomes, termination, denial counts, kernel profile, coverage
-     signature and final state. *)
-  List.iter
-    (fun (name, trace) ->
-      (match Conf.compare_elision trace with
-      | None -> ()
-      | Some d ->
-          Alcotest.fail
-            (Printf.sprintf "%s: elided kernel differs from naive: %s" name d));
-      Alcotest.(check int)
-        (name ^ ": coverage signature elide == naive")
-        (Conf.trace_cov ~elide:false trace)
-        (Conf.trace_cov ~elide:true trace))
-    (regression_traces
-    @ List.mapi
-        (fun i t -> (Printf.sprintf "stale window %d" i, t))
-        stale_summary_seed_corpus)
-
-let test_elide_fuzz_clean () =
-  (* Random sweep of the elided-vs-naive differential over generated
-     traces at the pinned seed: no disagreement anywhere. *)
-  let stats = Conf.run_elide_fuzz ~seed:Check.default_seed () in
-  match stats.Conf.fs_divergence with
-  | None -> ()
-  | Some (t, d) ->
-      Alcotest.fail
-        (Printf.sprintf "elision changed behavior: %s\n%s" d (Conf.pp_trace t))
 
 (* ---------- live remote-gate conformance (lib/dist hook) ----------
 
@@ -644,17 +564,6 @@ let () =
             test_mutant_gate_star_grant;
           Alcotest.test_case "catches weakened unref check" `Quick
             test_mutant_unref_check;
-          Alcotest.test_case "catches stale gate summary" `Quick
-            test_mutant_stale_summary;
-        ] );
-      ( "label-check elision",
-        [
-          Alcotest.test_case "fuzz verdicts elide == naive" `Quick
-            test_fuzz_elide_naive_identical;
-          Alcotest.test_case "regression traces elide == naive" `Quick
-            test_regression_traces_elide_clean;
-          Alcotest.test_case "elide-differential sweep clean" `Quick
-            test_elide_fuzz_clean;
         ] );
       ( "regressions",
         [
@@ -668,6 +577,11 @@ let () =
             regress_negative_cas_offset;
           Alcotest.test_case "one-shot gate reaped" `Quick
             regress_one_shot_gate;
+        ] );
+      ( "stale gate decision",
+        [
+          Alcotest.test_case "re-checked after a clearance raise" `Quick
+            regress_clearance_raise_window;
         ] );
       ( "fork corpus",
         [

@@ -597,7 +597,7 @@ let () =
           Alcotest.test_case "mtime" `Quick test_mtime_advances;
           Alcotest.test_case "fsync missing" `Quick test_fsync_missing_raises;
         ] );
-      ("fs model", [ QCheck_alcotest.to_alcotest prop_fs_model ]);
+      ("fs model", [ Qcheck_seed.to_alcotest prop_fs_model ]);
       ( "persistence",
         [
           Alcotest.test_case "unix world reboot" `Quick

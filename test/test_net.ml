@@ -579,8 +579,8 @@ let () =
           Alcotest.test_case "addr" `Quick test_addr_roundtrip;
           Alcotest.test_case "frame round-trip" `Quick test_packet_roundtrip;
           Alcotest.test_case "garbage" `Quick test_packet_garbage;
-          QCheck_alcotest.to_alcotest prop_frame_roundtrip;
-          QCheck_alcotest.to_alcotest prop_garbage_never_crashes;
+          Qcheck_seed.to_alcotest prop_frame_roundtrip;
+          Qcheck_seed.to_alcotest prop_garbage_never_crashes;
         ] );
       ( "tcp",
         [

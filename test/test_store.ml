@@ -679,7 +679,7 @@ let () =
           Alcotest.test_case "exhaustion" `Quick test_alloc_exhaustion;
           Alcotest.test_case "coalesce" `Quick test_free_coalesce;
           Alcotest.test_case "double free" `Quick test_double_free_detected;
-          QCheck_alcotest.to_alcotest prop_alloc_model;
+          Qcheck_seed.to_alcotest prop_alloc_model;
         ] );
       ( "store",
         [
@@ -710,8 +710,8 @@ let () =
             test_group_sync_faster_than_per_file_sync;
           Alcotest.test_case "crash during auto-apply" `Quick
             test_crash_during_auto_apply;
-          QCheck_alcotest.to_alcotest prop_store_model;
-          QCheck_alcotest.to_alcotest prop_store_crash_during_checkpoint;
+          Qcheck_seed.to_alcotest prop_store_model;
+          Qcheck_seed.to_alcotest prop_store_crash_during_checkpoint;
         ] );
       ( "fork",
         [

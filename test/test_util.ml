@@ -110,7 +110,7 @@ let test_clock () =
     (Sim_clock.to_seconds (Sim_clock.now_ns c))
 
 let () =
-  let qc = List.map QCheck_alcotest.to_alcotest in
+  let qc = List.map Qcheck_seed.to_alcotest in
   Alcotest.run "histar_util"
     [
       ( "codec",

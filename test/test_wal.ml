@@ -135,6 +135,6 @@ let () =
           Alcotest.test_case "empty commit no-op" `Quick test_empty_commit_noop;
           Alcotest.test_case "crash mid-commit" `Quick test_crash_mid_commit;
           Alcotest.test_case "binary payloads" `Quick test_binary_payloads;
-          QCheck_alcotest.to_alcotest prop_commit_prefix;
+          Qcheck_seed.to_alcotest prop_commit_prefix;
         ] );
     ]
