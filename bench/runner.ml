@@ -407,9 +407,9 @@ let dist_cluster ?(user_count = 2) ?(concurrency = 8) ?(zipf = false) ~nodes
 (* The versioned-state API itself: off a populated, checkpointed
    trunk, fork a chain of copy-on-write store branches at each depth,
    mutating every link, then checkpoint + fsck the leaf and drop the
-   chain. Each depth is bracketed by a named kernel handle so the
-   branch registry is exercised too. Deep chains stay cheap because a
-   fork copies only the B+-tree path to each mutated object. *)
+   chain. Each depth also takes a whole-kernel handle. Deep chains stay
+   cheap because a fork copies only the B+-tree path to each mutated
+   object. *)
 let snapshot_fork size =
   let objects = pick size ~smoke:192 ~full:2048 in
   let rounds = pick size ~smoke:1 ~full:4 in
@@ -426,10 +426,7 @@ let snapshot_fork size =
         for round = 1 to rounds do
           List.iter
             (fun depth ->
-              let h =
-                Kernel.fork ~name:(Printf.sprintf "bench-depth-%d" depth)
-                  m.kernel
-              in
+              ignore (Kernel.fork m.kernel : Kernel.handle);
               let leaf = ref m.store in
               for d = 0 to depth - 1 do
                 let b = Store.fork !leaf in
@@ -439,8 +436,7 @@ let snapshot_fork size =
                 leaf := b
               done;
               Store.checkpoint !leaf;
-              Store.fsck !leaf;
-              Kernel.drop h)
+              Store.fsck !leaf)
             [ 1; 8; 64 ]
         done)
   in

@@ -168,6 +168,9 @@ let back_mac i = Printf.sprintf "bk%02d" i
 let dist_port = 7000
 let front_port = 80
 
+(* How long a balancer session token stays valid. *)
+let session_ttl_ms = 5_000
+
 (* Session sealing key, computable by client and balancer alike from
    the password — the stand-in for an SSL handshake. *)
 let session_key ~user ~password =
@@ -237,11 +240,9 @@ let rec park () =
   Sys.sleep_until_ns (Int64.add (Sys.clock_ns ()) 3_600_000_000_000L);
   park ()
 
-let rec build ?(app_nodes = 2) ?db_shards ?(user_count = 4) ?(seed = 7L)
-    ?(work_us = 800) ?cooldown_ms ?faults () =
-  let db_shards =
-    match db_shards with Some d -> max 1 d | None -> Distd.Tuning.shards ()
-  in
+let rec build ?(app_nodes = 2) ?(db_shards = 3) ?(user_count = 4)
+    ?(seed = 7L) ?(work_us = 800) ?cooldown_ms ?faults () =
+  let db_shards = max 1 db_shards in
   let cluster = Cluster.create () in
   let edge_clock = Sim_clock.create () in
   let front_clock = Sim_clock.create () in
@@ -735,9 +736,7 @@ and auth_user t ~user ~pass =
                   (match grants with
                   | wire :: _ ->
                       let ttl_ns =
-                        Int64.mul
-                          (Int64.of_int (Distd.Tuning.session_ttl_ms ()))
-                          1_000_000L
+                        Int64.mul (Int64.of_int session_ttl_ms) 1_000_000L
                       in
                       Hashtbl.replace t.sessions user
                         (session_token t ~user ~wire ~pwh:(pw_hash pass)

@@ -48,6 +48,9 @@ module Category = Histar_label.Category
 
 type t
 
+val session_ttl_ms : int
+(** How long a balancer session token stays valid, in virtual ms. *)
+
 val build :
   ?app_nodes:int ->
   ?db_shards:int ->
@@ -60,13 +63,13 @@ val build :
   t
 (** Assemble the cluster: node 0 = balancer (dual-homed on the front
     and backbone hubs), nodes 1..N = app servers, nodes N+1..N+D = db
-    shards (D = [db_shards], default [HISTAR_DIST_SHARDS]). Each
+    shards (D = [db_shards], default 3). Each
     shard gets its own virtual disk and single-level store; user
     records and the shard's keeper thread are checkpointed at
     provisioning time. [work_us] is the modeled per-request rendering
     cost on an app node (the serial resource the scale benchmark
     measures); [cooldown_ms] seeds the balancer's backoff table
-    (default [HISTAR_DIST_COOLDOWN_MS]). [faults] arms the backbone
+    (default 40). [faults] arms the backbone
     hub (net sections), every shard disk (disk sections) and the
     kill/restart driver (crash sections) from one schedule. *)
 

@@ -187,6 +187,14 @@ let pp_term = function
 
 let pos_mod a n = ((a mod n) + n) mod n
 
+(* The slot an object id occupies in a slot table, or -1. *)
+let slot_in slots oid =
+  let rec go i = function
+    | [] -> -1
+    | o :: tl -> if Int64.equal o oid then i else go (i + 1) tl
+  in
+  go 0 slots
+
 let eclass : T.error -> string = function
   | T.Label_check _ -> "label"
   | T.Not_found_ _ -> "not_found"
@@ -219,22 +227,14 @@ type model_run = {
   mr_slots : Model.oid list;
 }
 
-(* Model-side executor over caller-owned refs, so execution can start
-   from any captured prefix state (the fork-based corpus path) as well
-   as from scratch. The returned function raises [Stop_model] on a
-   terminal step. *)
+(* Model-side executor over caller-owned refs. The returned function
+   raises [Stop_model] on a terminal step. *)
 let mk_model_harness ~st ~slots ~ncats ~outs =
   let tid = Model.boot_thread !st in
   let record o = outs := o :: !outs in
   let nslots () = List.length !slots in
   let oid_of s = List.nth !slots (pos_mod s (nslots ())) in
-  let slot_of oid =
-    let rec go i = function
-      | [] -> -1
-      | o :: tl -> if Int64.equal o oid then i else go (i + 1) tl
-    in
-    go 0 !slots
-  in
+  let slot_of oid = slot_in !slots oid in
   let ce (c, o) : Model.centry = { container = oid_of c; object_id = oid_of o } in
   let mlab sp =
     let n = !ncats in
@@ -478,9 +478,7 @@ let out_tag = function
   | Err c -> "E" ^ c
 
 (* The service body every trace gate runs: immediately gate-return,
-   optionally granting every owned category (the §6.2 pattern). Kept
-   standalone so a resumed branch can re-arm a deserialized gate with
-   an entry identical to the one serialization dropped. *)
+   optionally granting every owned category (the §6.2 pattern). *)
 let gate_entry ~stuck keep () =
   try
     if keep then
@@ -493,20 +491,13 @@ let gate_entry ~stuck keep () =
     Sys.self_halt ()
 
 (* Kernel-side executor over caller-owned refs (slot/category tables,
-   recorded outcomes, created-gate registry for branch re-arming). The
-   returned function performs syscalls, so it must run inside a kernel
-   thread. *)
-let mk_real_harness ~outs ~slots ~cats ~stuck ~gates =
+   recorded outcomes). The returned function performs syscalls, so it
+   must run inside a kernel thread. *)
+let mk_real_harness ~outs ~slots ~cats ~stuck =
   let record o = outs := o :: !outs in
   let nslots () = List.length !slots in
   let oid_of s = List.nth !slots (pos_mod s (nslots ())) in
-  let slot_of oid =
-    let rec go i = function
-      | [] -> -1
-      | o :: tl -> if Int64.equal o oid then i else go (i + 1) tl
-    in
-    go 0 !slots
-  in
+  let slot_of oid = slot_in !slots oid in
   let ce (c, o) = T.centry (oid_of c) (oid_of o) in
   let lab sp =
     let n = List.length !cats in
@@ -655,22 +646,16 @@ let mk_real_harness ~outs ~slots ~cats ~stuck ~gates =
                  ~clearance:(lab csp) ~quota:q ~name:"thr" (fun () -> ())))
     | O_gate_create (c, sp, csp, q, keep) ->
         atomic (fun () ->
-            let g =
-              Sys.gate_create ~container:(oid_of c) ~label:(lab sp)
-                ~clearance:(lab csp) ~quota:q ~name:"gate"
-                (gate_entry ~stuck keep)
-            in
-            gates := !gates @ [ (g, keep) ];
-            created g)
+            created
+              (Sys.gate_create ~container:(oid_of c) ~label:(lab sp)
+                 ~clearance:(lab csp) ~quota:q ~name:"gate"
+                 (gate_entry ~stuck keep)))
     | O_gate_create_oneshot (c, sp, csp, q, keep) ->
         atomic (fun () ->
-            let g =
-              Sys.gate_create ~one_shot:true ~container:(oid_of c)
-                ~label:(lab sp) ~clearance:(lab csp) ~quota:q ~name:"gate1"
-                (gate_entry ~stuck keep)
-            in
-            gates := !gates @ [ (g, keep) ];
-            created g)
+            created
+              (Sys.gate_create ~one_shot:true ~container:(oid_of c)
+                 ~label:(lab sp) ~clearance:(lab csp) ~quota:q ~name:"gate1"
+                 (gate_entry ~stuck keep)))
     | O_gate_call (g, lsp, csp, vsp, r) ->
         atomic (fun () ->
             let gate = ce g in
@@ -715,20 +700,6 @@ let metered f =
       let before = Metrics.snapshot_local () in
       f ();
       Metrics.diff ~before ~after:(Metrics.snapshot_local ()))
-
-(* Sum metric deltas: every snapshot scalar (counters, histogram
-   _count/_sum flattenings) is additive, so per-op windows sum to the
-   single-window delta of an uninterrupted run. *)
-let add_mdiff a b =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (n, v) -> Hashtbl.replace tbl n v) a;
-  List.iter
-    (fun (n, v) ->
-      Hashtbl.replace tbl n
-        (v + Option.value (Hashtbl.find_opt tbl n) ~default:0))
-    b;
-  Hashtbl.fold (fun n v acc -> if v = 0 then acc else (n, v) :: acc) tbl []
-  |> List.sort (fun (x, _) (y, _) -> String.compare x y)
 
 let bucketed l = List.map (fun (s, n) -> (s, bucket n)) l
 
@@ -780,10 +751,9 @@ let run_real ?weaken ops =
   let slots = ref [ Kernel.root k ] in
   let cats : Category.t list ref = ref [] in
   let stuck = ref None in
-  let gates = ref [] in
   let crash = ref None in
   let completed = ref false in
-  let do_op = mk_real_harness ~outs ~slots ~cats ~stuck ~gates in
+  let do_op = mk_real_harness ~outs ~slots ~cats ~stuck in
   let driver () =
     (try List.iter do_op ops with
     | T.Kernel_error e -> outs := Err (eclass e) :: !outs
@@ -819,14 +789,6 @@ let run_real ?weaken ops =
     rr_cats = !cats;
     rr_cov = cov_of ~k ~mdiff ~outs ~term;
   }
-
-let exec_model ops =
-  let m = run_model ops in
-  (m.mr_outs, m.mr_term)
-
-let exec_real ?weaken ops =
-  let r = run_real ?weaken ops in
-  (r.rr_outs, r.rr_term)
 
 (* ---------- final-state comparison ---------- *)
 
@@ -940,20 +902,8 @@ let compare_runs (m : model_run) (r : real_run) =
           (Printf.sprintf "slot tables diverged: model=%d kernel=%d"
              (List.length m.mr_slots) (List.length r.rr_slots))
       else begin
-        let mslot_of oid =
-          let rec go i = function
-            | [] -> -1
-            | o :: tl -> if Int64.equal o oid then i else go (i + 1) tl
-          in
-          go 0 m.mr_slots
-        in
-        let rslot_of oid =
-          let rec go i = function
-            | [] -> -1
-            | o :: tl -> if Int64.equal o oid then i else go (i + 1) tl
-          in
-          go 0 r.rr_slots
-        in
+        let mslot_of = slot_in m.mr_slots in
+        let rslot_of = slot_in r.rr_slots in
         let rec slots i ms rs =
           match (ms, rs) with
           | [], [] -> None
@@ -970,198 +920,28 @@ let compare_runs (m : model_run) (r : real_run) =
         slots 0 m.mr_slots r.rr_slots
       end
 
-(* ---------- branchable execution (fork-based corpus path) ---------- *)
+let run_pair ?weaken trace =
+  let m = run_model trace in
+  let r = run_real ?weaken trace in
+  (compare_runs m r, r.rr_cov)
 
-type exec_mode = [ `Fork | `Replay ]
+let compare_traces ?weaken trace = fst (run_pair ?weaken trace)
 
-(* The paired kernel+model state after a trace prefix: the kernel as an
-   immutable [Kernel.handle], the model as a pure value, plus the
-   harness bookkeeping both executors need to pick up mid-trace. A
-   branch is a value — resuming one never disturbs siblings — so a
-   corpus entry can seed any number of mutants from its prefix
-   states. *)
-type branch = {
-  br_handle : Kernel.handle;
-  br_tid : T.oid;  (* driver thread, slot 1 *)
-  br_outs : outcome list;  (* reversed *)
-  br_slots : T.oid list;
-  br_cats : Category.t list;
-  br_stuck : string option;
-  br_gates : (T.oid * bool) list;  (* created gates: (oid, keep) *)
-  br_mdiff : Metrics.snapshot;  (* summed per-op metric windows *)
-  br_term : term option;  (* kernel side went terminal at/before here *)
-  br_mst : Model.state;
-  br_mslots : Model.oid list;
-  br_mncats : int;
-  br_mouts : outcome list;  (* reversed *)
-  br_mterm : term option;
-}
+(* ---------- fork/resume round trip ---------- *)
 
-let initial_branch ?weaken () =
-  let mst = Model.init () in
-  let k = Kernel.create ?weaken () in
-  let tid = Kernel.spawn k ~name:"driver" (fun () -> ()) in
-  {
-    br_handle = Kernel.fork k;
-    br_tid = tid;
-    br_outs = [];
-    br_slots = [ Kernel.root k; tid ];
-    br_cats = [];
-    br_stuck = None;
-    br_gates = [];
-    br_mdiff = [];
-    br_term = None;
-    br_mst = mst;
-    br_mslots = [ Model.root mst; Model.boot_thread mst ];
-    br_mncats = 0;
-    br_mouts = [];
-    br_mterm = None;
-  }
-
-(* Run [ops] from [base]. Model side: plain value-threaded steps.
-   Kernel side: [Kernel.resume], re-arm the surviving gates, then one
-   [Kernel.run] per op — the driver thread is restarted with each op's
-   body and a fresh metric window wraps each run. Summed windows equal
-   the single window of an uninterrupted replay (all snapshot scalars
-   are additive) and the generators/clock/profile travel inside the
-   handle, so outcomes, termination and the coverage signature are
-   bit-identical to replaying [prefix @ ops] from scratch — the
-   equivalence the double-run tests pin down.
-
-   With [capture], a branch is recorded after every op; capture stops
-   at a kernel-side crash (that op is cheap to re-execute from the
-   previous branch) and the op loop short-circuits once both sides are
-   terminal. *)
-let exec_from ?(capture = false) base ops =
-  let mst = ref base.br_mst in
-  let mslots = ref base.br_mslots in
-  let mncats = ref base.br_mncats in
-  let mouts = ref base.br_mouts in
-  let mterm = ref base.br_mterm in
-  let mdo = mk_model_harness ~st:mst ~slots:mslots ~ncats:mncats ~outs:mouts in
-  let k = Kernel.resume base.br_handle in
-  let tid = base.br_tid in
-  let outs = ref base.br_outs in
-  let slots = ref base.br_slots in
-  let cats = ref base.br_cats in
-  let stuck = ref base.br_stuck in
-  let gates = ref base.br_gates in
-  let crash = ref None in
-  let rterm = ref base.br_term in
-  let mdiff = ref base.br_mdiff in
-  let rdo = mk_real_harness ~outs ~slots ~cats ~stuck ~gates in
-  (* Serialization dropped every gate entry; give each surviving gate
-     back the body it was created with. *)
-  List.iter
-    (fun (g, keep) ->
-      match Kernel.obj_kind k g with
-      | Some T.Gate -> Kernel.set_gate_entry k g (gate_entry ~stuck keep)
-      | Some _ | None -> ())
-    !gates;
-  let captured = ref [] in
-  let capturing = ref capture in
-  let snap () =
-    {
-      br_handle = Kernel.fork k;
-      br_tid = tid;
-      br_outs = !outs;
-      br_slots = !slots;
-      br_cats = !cats;
-      br_stuck = !stuck;
-      br_gates = !gates;
-      br_mdiff = !mdiff;
-      br_term = !rterm;
-      br_mst = !mst;
-      br_mslots = !mslots;
-      br_mncats = !mncats;
-      br_mouts = !mouts;
-      br_mterm = !mterm;
-    }
+let fork_resume_divergence trace =
+  let r = run_real trace in
+  let views k =
+    List.map (real_view_str k r.rr_cats (slot_in r.rr_slots)) r.rr_slots
   in
-  let exec_real_one op =
-    let finished = ref false in
-    Kernel.restart_thread k tid (fun () ->
-        (match rdo op with
-        | () -> ()
-        | exception T.Kernel_error e ->
-            (* mirrors the replay driver's outer handler: record the
-               class, skip the rest of the trace, count as done *)
-            outs := Err (eclass e) :: !outs;
-            rterm := Some T_done
-        | exception e -> crash := Some (Printexc.to_string e));
-        finished := true);
-    let d =
-      metered (fun () ->
-          try Kernel.run k
-          with e -> crash := Some ("kernel: " ^ Printexc.to_string e))
-    in
-    mdiff := add_mdiff !mdiff d;
-    match !crash with
-    | Some m -> rterm := Some (T_crash m)
-    | None ->
-        if not !finished then
-          rterm :=
-            Some
-              (match !stuck with
-              | Some c -> T_stuck c
-              | None -> (
-                  match Kernel.thread_state k tid with
-                  | None -> T_gone
-                  | Some _ -> T_crash "driver wedged"))
-  in
-  let rec go = function
-    | [] -> ()
-    | _ :: _ when !rterm <> None && !mterm <> None -> ()
-    | op :: rest ->
-        (if !mterm = None then
-           match mdo op with
-           | () -> ()
-           | exception Stop_model t -> mterm := Some t);
-        if !rterm = None then exec_real_one op;
-        (match !rterm with
-        | Some (T_crash _) -> capturing := false
-        | Some _ | None -> ());
-        if !capturing then captured := snap () :: !captured;
-        go rest
-  in
-  go ops;
-  let term = Option.value !rterm ~default:T_done in
-  let routs = List.rev !outs in
-  let m =
-    {
-      mr_outs = List.rev !mouts;
-      mr_term = Option.value !mterm ~default:T_done;
-      mr_st = !mst;
-      mr_slots = !mslots;
-    }
-  in
-  let r =
-    {
-      rr_outs = routs;
-      rr_term = term;
-      rr_k = k;
-      rr_slots = !slots;
-      rr_cats = !cats;
-      rr_cov = cov_of ~k ~mdiff:!mdiff ~outs:routs ~term;
-    }
-  in
-  (m, r, Array.of_list (List.rev !captured))
-
-let run_pair ?weaken ?(mode = `Replay) trace =
-  match mode with
-  | `Replay ->
-      let m = run_model trace in
-      let r = run_real ?weaken trace in
-      (compare_runs m r, r.rr_cov)
-  | `Fork ->
-      let m, r, _ = exec_from (initial_branch ?weaken ()) trace in
-      (compare_runs m r, r.rr_cov)
-
-let compare_traces ?weaken ?mode trace =
-  fst (run_pair ?weaken ?mode trace)
-
-let trace_cov ?weaken ?mode trace =
-  snd (run_pair ?weaken ?mode trace)
+  List.combine (views r.rr_k) (views (Kernel.resume (Kernel.fork r.rr_k)))
+  |> List.find_mapi (fun i (before, after) ->
+         if String.equal before after then None
+         else
+           Some
+             (Printf.sprintf
+                "slot %d after fork/resume:\n  before: %s\n  after : %s" i
+                before after))
 
 (* ---------- generators ---------- *)
 
@@ -1470,37 +1250,11 @@ let mutate rng t =
         let a = Rng.int rng (n + 1) in
         take a t @ fresh @ drop a t
 
-(* A corpus entry in fork mode remembers a branch per op boundary, so
-   a mutant resumes from its longest common prefix with its parent
-   (the mutation point) instead of replaying it. Replay-mode entries
-   carry no branches. *)
-type centry = { ce_trace : op list; ce_branches : branch array }
-
-let common_prefix a b =
-  let rec go n a b =
-    match (a, b) with
-    | x :: a', y :: b' when x = y -> go (n + 1) a' b'
-    | _ -> n
-  in
-  go 0 a b
-
-(* The fuzz loop is a strict sequence of (decide, execute, commit)
-   iterations: decide consumes the RNG against the current corpus,
-   execute is a pure differential check of the decided trace, commit
-   folds the verdict back into the loop state (result / seen / corpus).
-   Only execute is expensive, and only commit mutates state — so the
-   parallel driver speculates: it decides a batch ahead (recording the
-   RNG state before each decision), executes the batch on the pool, and
-   commits in order. A commit that admits a corpus entry invalidates
-   every later decision in the batch (they were decided against the
-   stale corpus — decide's draw COUNT depends on corpus contents, not
-   just its draws), so the driver rewinds the RNG to the state saved
-   before the first invalid decision and re-decides. The committed
-   (decide, execute, commit) sequence is therefore bit-identical to the
-   sequential loop at every domain count: same RNG stream, same corpus
-   evolution, same verdicts, same pinned catch indices. *)
-let run_fuzz ?domains ?weaken ?runs ?max_size ?(seed = Check.seed ())
-    ?(mode = `Fork) () =
+(* The fuzz loop: each iteration either mutates a random corpus entry
+   or generates a fresh trace, runs it on both sides, and admits it to
+   the corpus when its coverage signature is new. The first divergence
+   is shrunk and ends the loop. *)
+let run_fuzz ?weaken ?runs ?max_size ?(seed = Check.seed ()) () =
   let runs =
     match runs with
     | Some r -> r
@@ -1508,124 +1262,31 @@ let run_fuzz ?domains ?weaken ?runs ?max_size ?(seed = Check.seed ())
   in
   let max_size = Option.value max_size ~default:30 in
   let rng = Rng.create (Int64.logxor seed 0x5EED_F00DL) in
-  let base =
-    match mode with
-    | `Fork -> Some (initial_branch ?weaken ())
-    | `Replay -> None
-  in
   let corpus = ref [] in
   let seen = Hashtbl.create 64 in
   let result = ref None in
   let i = ref 0 in
-  (* Decision for the next iteration, consuming [rng] against the
-     current corpus. *)
-  let decide () =
-    if !corpus <> [] && Rng.bool rng then
-      let e = List.nth !corpus (Rng.int rng (List.length !corpus)) in
-      (Some e, mutate rng e.ce_trace)
-    else
-      ( None,
+  while !result = None && !i < runs do
+    let trace =
+      if !corpus <> [] && Rng.bool rng then
+        let parent = List.nth !corpus (Rng.int rng (List.length !corpus)) in
+        mutate rng parent
+      else
         Gen.generate gen_trace ~seed:(Rng.next64 rng)
-          ~size:(4 + Rng.int rng max_size) )
-  in
-  let execute (parent, trace) =
-    match base with
-    | None ->
-        let detail, cov = run_pair ?weaken trace in
-        (detail, cov, fun () -> { ce_trace = trace; ce_branches = [||] })
-    | Some base ->
-        (* Resume from the deepest parent branch that is still a
-           prefix of the mutant; fresh traces start from the shared
-           initial branch. Concurrent cells may resume the same
-           anchor: [Kernel.resume] only reads the handle's persistent
-           state. *)
-        let anchor, i0 =
-          match parent with
-          | Some p when Array.length p.ce_branches > 0 ->
-              let pl = common_prefix p.ce_trace trace in
-              let i0 = min pl (Array.length p.ce_branches - 1) in
-              (p.ce_branches.(i0), i0)
-          | Some _ | None -> (base, 0)
-        in
-        let suffix = List.filteri (fun j _ -> j >= i0) trace in
-        let m, r, _ = exec_from anchor suffix in
-        let remember () =
-          (* Deterministic re-execution with per-op capture, so only
-             corpus admissions pay the fork-per-op cost. *)
-          let _, _, captured = exec_from ~capture:true anchor suffix in
-          let prefix =
-            match parent with
-            | Some p when Array.length p.ce_branches > 0 ->
-                Array.sub p.ce_branches 0 (i0 + 1)
-            | Some _ | None -> [| anchor |]
-          in
-          { ce_trace = trace; ce_branches = Array.append prefix captured }
-        in
-        (compare_runs m r, r.rr_cov, remember)
-  in
-  (* Commit runs on the main domain; [remember]'s capture re-execution
-     is deterministic, so deferring it from the pool cell to the commit
-     point changes nothing. *)
-  let commit (_, trace) (detail, cov, remember) =
-    match detail with
-    | Some d ->
+          ~size:(4 + Rng.int rng max_size)
+    in
+    (match run_pair ?weaken trace with
+    | Some d, _ ->
         let t' = shrink ?weaken trace in
         let d' = Option.value (compare_traces ?weaken t') ~default:d in
-        result := Some (t', d');
-        `Stop
-    | None ->
+        result := Some (t', d')
+    | None, cov ->
         if not (Hashtbl.mem seen cov) then begin
           Hashtbl.add seen cov ();
-          corpus := remember () :: !corpus;
-          `Admitted
-        end
-        else `Clean
-  in
-  let d =
-    if Par.in_task () then 1
-    else match domains with Some d -> max 1 d | None -> Par.domains ()
-  in
-  if d <= 1 then
-    (* Sequential loop, the reference semantics. *)
-    while !result = None && !i < runs do
-      let dec = decide () in
-      ignore (commit dec (execute dec) : [ `Stop | `Admitted | `Clean ]);
-      incr i
-    done
-  else begin
-    (* Speculative batches. The batch width adapts: corpus admissions
-       are frequent early (every batch rewinds — speculative work is
-       wasted) and rare once coverage saturates (batches commit whole),
-       so width halves on a rewind and doubles on a full commit. *)
-    let width = ref 1 in
-    while !result = None && !i < runs do
-      let b = min !width (runs - !i) in
-      let states = Array.make b (Rng.state rng) in
-      let decs = Array.make b (None, []) in
-      for j = 0 to b - 1 do
-        states.(j) <- Rng.state rng;
-        decs.(j) <- decide ()
-      done;
-      let outs = Par.run ~domains:d b (fun j -> execute decs.(j)) in
-      let invalid = ref false in
-      let j = ref 0 in
-      while (not !invalid) && !result = None && !j < b do
-        (match commit decs.(!j) outs.(!j) with
-        | `Stop | `Clean -> ()
-        | `Admitted -> invalid := true);
-        incr i;
-        incr j
-      done;
-      if !result <> None then ()
-      else if !invalid && !j < b then begin
-        (* Decisions [!j..] were made against the stale corpus: rewind
-           the RNG to just before the first of them and re-decide. *)
-        Rng.set_state rng states.(!j);
-        width := max 1 (!width / 2)
-      end
-      else width := min (4 * d) (!width * 2)
-    done
-  end;
+          corpus := trace :: !corpus
+        end);
+    incr i
+  done;
   {
     fs_runs = !i;
     fs_corpus = Hashtbl.length seen;
@@ -1635,14 +1296,13 @@ let run_fuzz ?domains ?weaken ?runs ?max_size ?(seed = Check.seed ())
 
 (* Independent fuzz passes with split seeds, one pool cell per pass —
    the embarrassingly parallel outer loop for multi-pass (nightly)
-   fuzzing. Each pass runs its own sequential loop (cells are sealed),
-   so pass [p]'s stats are those of [run_fuzz ~seed:(split_seed seed p)]
-   exactly, at every domain count. *)
+   fuzzing. Pass [p]'s stats are those of
+   [run_fuzz ~seed:(split_seed seed p)] exactly, at every domain
+   count. *)
 let run_fuzz_many ?domains ?weaken ?runs ?max_size
-    ?(seed = Check.seed ()) ?(mode = `Fork) ~passes () =
+    ?(seed = Check.seed ()) ~passes () =
   Par.run ?domains passes (fun p ->
-      run_fuzz ?weaken ?runs ?max_size ~seed:(Par.split_seed seed p)
-        ~mode ())
+      run_fuzz ?weaken ?runs ?max_size ~seed:(Par.split_seed seed p) ())
   |> Array.to_list
 
 let report fs =

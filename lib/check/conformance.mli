@@ -19,8 +19,10 @@
 
     The fuzz loop is coverage-guided: each run's signature is the set
     of {!Histar_metrics.Metrics} registry deltas and kernel
-    {!Histar_core.Profile} counts, log2-bucketed; traces producing a
-    new signature join the corpus and are preferred for mutation
+    {!Histar_core.Profile} counts, log2-bucketed (label-cache hits
+    count as label checks, so a signature counts decisions, not how
+    the cache served them); traces producing a new signature join the
+    corpus and are preferred for mutation
     (span deletion/duplication/swap, op splices). Any divergence is
     shrunk to a minimal trace by greedy chunk removal and reported
     with the [HISTAR_CHECK_SEED] line that replays it. *)
@@ -111,32 +113,18 @@ val pp_op : op -> string
 val pp_trace : op list -> string
 val pp_outcome : outcome -> string
 
-val exec_model : op list -> outcome list * term
-
-val exec_real : ?weaken:Kernel.weaken -> op list -> outcome list * term
-
-type exec_mode = [ `Fork | `Replay ]
-(** How a trace pair is executed. [`Replay] (the historical path)
-    builds a fresh kernel and runs the whole trace in one scheduler
-    run. [`Fork] goes through the branchable-kernel machinery: the
-    trace starts from (or, in the fuzz loop, resumes mid-trace at) an
-    immutable {!Histar_core.Kernel.fork} snapshot and runs one op per
-    scheduler run, with per-op metric windows summed. Both modes
-    produce bit-identical outcomes, termination, and coverage
-    signatures — the double-run discipline the equivalence tests in
-    [test_model.ml] pin down. *)
-
-val compare_traces :
-  ?weaken:Kernel.weaken -> ?mode:exec_mode -> op list -> string option
+val compare_traces : ?weaken:Kernel.weaken -> op list -> string option
 (** Run both sides; [Some detail] describes the first divergence
     (per-op outcome, termination, or final-state), [None] if the
-    kernel conforms on this trace. [mode] defaults to [`Replay]. *)
+    kernel conforms on this trace. The kernel side is a fresh kernel
+    running the whole trace in one scheduler run. *)
 
-val trace_cov : ?weaken:Kernel.weaken -> ?mode:exec_mode -> op list -> int
-(** The trace's coverage signature (what guides the fuzz corpus), for
-    asserting fork/replay bit-identity. [label.elided] (label-cache
-    hits) folds back into [label.checks], so a signature counts label
-    decisions, not how many of them the cache served. *)
+val fork_resume_divergence : op list -> string option
+(** Run the trace on the real kernel, then {!Kernel.fork} its final
+    state and {!Kernel.resume} the handle. [Some detail] names the
+    first slot whose final-state view (the one {!compare_traces}
+    checks against the model) differs across the round trip, [None]
+    if every slot survives it. *)
 
 val gen_trace : op list Gen.t
 (** The full generator, biased towards label-boundary cases: owned
@@ -156,31 +144,16 @@ type fuzz_stats = {
 }
 
 val run_fuzz :
-  ?domains:int ->
   ?weaken:Kernel.weaken ->
   ?runs:int ->
   ?max_size:int ->
   ?seed:int64 ->
-  ?mode:exec_mode ->
   unit ->
   fuzz_stats
 (** The coverage-guided loop. Defaults: [runs] 400 (×8 when
-    [HISTAR_CHECK_LONG=1]), [max_size] 30, [seed] {!Check.seed}[()],
-    [mode] [`Fork]. In fork mode each corpus entry keeps a branch
-    (kernel fork + model value) per op boundary and mutants resume
-    from their longest common prefix with the parent instead of
-    replaying it; verdicts, corpus evolution and reports are
-    bit-identical to [`Replay] at the same seed. Shrinking is always
-    replay-based (the reported repro line needs no branch state).
-    Stops at the first divergence (after shrinking it).
-
-    [?domains] (default {!Par.domains}[()]) sets the pool width for
-    speculative execution: trace decisions are made ahead against the
-    current RNG/corpus, executed in parallel, and committed in
-    submission order, with an RNG rewind whenever a corpus admission
-    invalidates the batch's later decisions. The committed sequence —
-    stats, corpus, divergence, pinned catch indices — is bit-identical
-    to the sequential loop at every domain count. *)
+    [HISTAR_CHECK_LONG=1]), [max_size] 30, [seed] {!Check.seed}[()].
+    Runs sequentially on the calling domain and stops at the first
+    divergence (after shrinking it). *)
 
 val run_fuzz_many :
   ?domains:int ->
@@ -188,7 +161,6 @@ val run_fuzz_many :
   ?runs:int ->
   ?max_size:int ->
   ?seed:int64 ->
-  ?mode:exec_mode ->
   passes:int ->
   unit ->
   fuzz_stats list

@@ -2,8 +2,8 @@ module Disk = Histar_disk.Disk
 module Metrics = Histar_metrics.Metrics
 module Par = Histar_par.Par
 
-(* Cells actually checked (one per crash index, either mode), so the
-   bench trajectory can watch sweep throughput. *)
+(* Sweep cells actually checked (one per crash index), so sweep
+   throughput can be watched. *)
 let m_cells = Metrics.counter "crash_sweep.cells"
 
 type mode = [ `Fork | `Replay ]
@@ -12,7 +12,7 @@ type instance = {
   disk : Disk.t;
   run : unit -> unit;
   check : crashed:bool -> Disk.t -> unit;
-  snapshot : (unit -> unit -> unit) option;
+  snapshot : unit -> unit -> unit;
 }
 
 type t = { name : string; mk : int64 -> instance }
@@ -21,19 +21,16 @@ type report = {
   workload : string;
   total_writes : int;
   points : int;
-  mode : mode;
   wall_seconds : float;
 }
-
-let mode_string = function `Fork -> "fork" | `Replay -> "replay"
 
 let cells_per_sec r =
   if r.wall_seconds <= 0.0 then infinity
   else float_of_int r.points /. r.wall_seconds
 
 let pp_report fmt r =
-  Format.fprintf fmt "%s: %d crash points over %d media writes (%s-based)"
-    r.workload r.points r.total_writes (mode_string r.mode)
+  Format.fprintf fmt "%s: %d crash points over %d media writes" r.workload
+    r.points r.total_writes
 
 let replay_filter name =
   match Stdlib.Sys.getenv_opt "HISTAR_CHECK_WORKLOAD" with
@@ -55,9 +52,9 @@ let strided ~total ~n =
     List.init n (fun i -> i * (total - 1) / (n - 1))
     |> List.sort_uniq Int.compare
 
-(* Both cell paths raise the same replayable falsification, so a
-   fork-based failure reproduces with the (replay-based) single-index
-   env knobs. *)
+(* Sweep cells and the replay oracle raise the same replayable
+   falsification, so a failure reproduces with the single-index env
+   knobs. *)
 let falsify w ~seed ~total i e =
   raise
     (Check.Falsified
@@ -71,21 +68,22 @@ let falsify w ~seed ~total i e =
           (match e with Failure m -> m | e -> Printexc.to_string e)
           seed w.name i))
 
-(* Replay-based cell: fresh instance, re-run the whole workload prefix
-   with a scheduled crash, reopen, check. *)
-let crash_one w ~seed ~total i =
+(* The replay oracle's media: a fresh instance re-runs the whole
+   workload with a crash scheduled after [i] media writes. *)
+let replay_crash w ~seed i =
   let inst = w.mk seed in
   Disk.set_crash_after_writes inst.disk i;
   (match inst.run () with () -> () | exception Disk.Crashed -> ());
   let crashed = Disk.crashed inst.disk in
-  let disk =
-    if crashed then Disk.reopen_after_crash inst.disk else inst.disk
-  in
-  Metrics.Counter.incr m_cells;
+  let disk = if crashed then Disk.reopen_after_crash inst.disk else inst.disk in
+  (inst, crashed, disk)
+
+let replay_cell w ~seed ~total i =
+  let inst, crashed, disk = replay_crash w ~seed i in
   try inst.check ~crashed disk with e -> falsify w ~seed ~total i e
 
-(* Fork-based cell: the state at crash index [i] was captured during
-   the single clean run (an O(1) media snapshot plus the workload's own
+(* Sweep cell: the state at crash index [i] was captured during the
+   single clean run (an O(1) media snapshot plus the workload's own
    model capture); branch a disk off it and check. *)
 let fork_one w inst ~seed ~total snaps i =
   if i < 0 || i >= Array.length snaps then
@@ -101,23 +99,12 @@ let fork_one w inst ~seed ~total snaps i =
 (* A clean run that captures, before every media sector write, the
    media snapshot and a model-state restore thunk. Returns the
    instance, the captures (index [i] = state a crash at write [i]
-   leaves), and the total write count. The clean-run check still runs,
-   exactly as in replay mode. *)
+   leaves), and the total write count. The clean run is checked too. *)
 let clean_run_with_captures w ~seed =
   let inst = w.mk seed in
-  let capture =
-    match inst.snapshot with
-    | Some c -> c
-    | None ->
-        invalid_arg
-          (Printf.sprintf
-             "crash sweep '%s': workload has no model snapshot; use replay \
-              mode"
-             w.name)
-  in
   let snaps = ref [] in
-  Disk.set_pre_write_hook inst.disk
-    (Some (fun () -> snaps := (Disk.snapshot inst.disk, capture ()) :: !snaps));
+  let capture () = snaps := (Disk.snapshot inst.disk, inst.snapshot ()) :: !snaps in
+  Disk.set_pre_write_hook inst.disk (Some capture);
   inst.run ();
   Disk.set_pre_write_hook inst.disk None;
   let total = Disk.media_writes inst.disk in
@@ -143,73 +130,47 @@ let chunks_of d arr =
   |> List.filter (fun c -> Array.length c > 0)
   |> Array.of_list
 
-let sweep ?domains ?seed:seed_arg ?(max_points = 64) ?full ?mode w =
+let sweep ?domains ?seed:seed_arg ?(max_points = 64) ?full w =
   let seed = match seed_arg with Some s -> s | None -> Check.seed () in
   let full = match full with Some f -> f | None -> Check.full_mode () in
   let t0 = Stdlib.Sys.time () in
-  let finish ~total ~points ~mode =
-    {
-      workload = w.name;
-      total_writes = total;
-      points;
-      mode;
-      wall_seconds = Stdlib.Sys.time () -. t0;
-    }
-  in
-  let indices ~total =
+  let inst, snaps, total = clean_run_with_captures w ~seed in
+  let indices =
     match replay_filter w.name with
-    | `Skip -> []
-    | `Only i -> [ i ]
+    | `Skip -> [||]
+    | `Only i -> [| i |]
     | `All ->
-        if full then List.init total Fun.id else strided ~total ~n:max_points
+        Array.of_list
+          (if full then List.init total Fun.id
+           else strided ~total ~n:max_points)
   in
-  (* Default to fork-based when the workload can capture its model
-     state; a workload without a snapshot falls back to replay. *)
-  let mode =
-    match mode with
-    | Some m -> m
-    | None -> if Option.is_some (w.mk seed).snapshot then `Fork else `Replay
+  (* Cells share an instance ([restore_model] mutates it), so
+     parallelism is per contiguous chunk: chunk 0 reuses the clean run
+     above, every other chunk deterministically rebuilds its own
+     captures — silently, metrics-wise. *)
+  let d =
+    if Par.in_task () then 1
+    else match domains with Some d -> d | None -> Par.domains ()
   in
-  match mode with
-  | `Replay ->
-      let inst = w.mk seed in
-      inst.run ();
-      let total = Disk.media_writes inst.disk in
-      inst.check ~crashed:false inst.disk;
-      (* Every replay cell builds its own instance, so cells fan out
-         one-per-task; [Par.run] re-raises the lowest-index
-         falsification, matching the sequential first failure. *)
-      let indices = Array.of_list (indices ~total) in
-      ignore
-        (Par.run ?domains (Array.length indices) (fun i ->
-             crash_one w ~seed ~total indices.(i))
-          : unit array);
-      finish ~total ~points:(Array.length indices) ~mode
-  | `Fork ->
-      let inst, snaps, total = clean_run_with_captures w ~seed in
-      let indices = Array.of_list (indices ~total) in
-      (* Fork cells share an instance ([restore_model] mutates it), so
-         parallelism is per contiguous chunk: chunk 0 reuses the clean
-         run above, every other chunk deterministically rebuilds its
-         own captures — silently, metrics-wise. *)
-      let d =
-        if Par.in_task () then 1
-        else match domains with Some d -> d | None -> Par.domains ()
-      in
-      let chunks = chunks_of d indices in
-      ignore
-        (Par.run ?domains (Array.length chunks) (fun k ->
-             let inst, snaps =
-               if k = 0 then (inst, snaps)
-               else
-                 let inst, snaps, _ =
-                   metrics_quiet (fun () -> clean_run_with_captures w ~seed)
-                 in
-                 (inst, snaps)
+  let chunks = chunks_of d indices in
+  ignore
+    (Par.run ?domains (Array.length chunks) (fun k ->
+         let inst, snaps =
+           if k = 0 then (inst, snaps)
+           else
+             let inst, snaps, _ =
+               metrics_quiet (fun () -> clean_run_with_captures w ~seed)
              in
-             Array.iter (fork_one w inst ~seed ~total snaps) chunks.(k))
-          : unit array);
-      finish ~total ~points:(Array.length indices) ~mode
+             (inst, snaps)
+         in
+         Array.iter (fork_one w inst ~seed ~total snaps) chunks.(k))
+      : unit array);
+  {
+    workload = w.name;
+    total_writes = total;
+    points = Array.length indices;
+    wall_seconds = Stdlib.Sys.time () -. t0;
+  }
 
 (* One cell's *recovery* work, metered: produce the crashed media at
    [index] by the given mode, then run the workload check with the
@@ -227,14 +188,12 @@ let recovery_metrics w ~seed ~index ~mode =
   in
   match mode with
   | `Replay ->
-      let inst = w.mk seed in
-      Disk.set_crash_after_writes inst.disk index;
-      (match inst.run () with () -> () | exception Disk.Crashed -> ());
-      if not (Disk.crashed inst.disk) then
+      let inst, crashed, disk = replay_crash w ~seed index in
+      if not crashed then
         invalid_arg
           (Printf.sprintf "crash sweep '%s': index %d never reached" w.name
              index);
-      check inst ~crashed:true (Disk.reopen_after_crash inst.disk)
+      check inst ~crashed disk
   | `Fork ->
       let inst, snaps, total = clean_run_with_captures w ~seed in
       if index < 0 || index >= total then

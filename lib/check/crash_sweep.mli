@@ -8,20 +8,17 @@
     of writes [0..i-1] with the volatile cache lost must recover and
     validate every invariant.
 
-    Two ways to produce cell [i]'s crashed media:
+    During the single clean run, a pre-write hook captures an O(1)
+    persistent-media snapshot plus the workload's model state before
+    every write; each cell then branches a disk off its capture and
+    checks — O(W) for the whole sweep.
 
-    - {b replay} (the historical mode): re-execute the whole workload
-      with [set_crash_after_writes i] — O(W) work per cell, O(W²) for a
-      full sweep;
-    - {b fork} (default when the workload provides a model [snapshot]):
-      during the single clean run, a pre-write hook captures an O(1)
-      persistent-media snapshot plus the workload's model state before
-      every write; each cell then branches a disk off its capture and
-      checks — O(W) for the whole sweep.
-
-    Both modes check the identical media state and raise the identical
-    falsification, and {!recovery_metrics} lets tests assert the
-    recovery work is metric-for-metric the same.
+    The replay cell — re-execute the whole workload with
+    [set_crash_after_writes i], O(W) per cell — is kept only as the
+    reference the sweep is tested against: {!replay_cell} raises the
+    falsification the sweep raises at the same index, and
+    {!recovery_metrics} lets tests assert the recovery work is
+    metric-for-metric the same.
 
     By default a strided sample of at most [max_points] indices
     (always including [0] and [W-1]) is swept so the test stays tier-1
@@ -36,6 +33,8 @@
     v} *)
 
 type mode = [ `Fork | `Replay ]
+(** How {!recovery_metrics} produces a crashed media state: branched
+    off the sweep's clean-run capture, or by the replay oracle. *)
 
 type instance = {
   disk : Histar_disk.Disk.t;  (** fresh, unformatted *)
@@ -45,12 +44,12 @@ type instance = {
   check : crashed:bool -> Histar_disk.Disk.t -> unit;
       (** Validate recovery; the disk has been reopened if [crashed].
           Raises on any invariant violation. *)
-  snapshot : (unit -> unit -> unit) option;
+  snapshot : unit -> unit -> unit;
       (** Capture the workload's own model state (history arrays,
           expected-durability floors, …), returning a thunk that
-          restores it. Required for fork-based sweeping: the model
-          capture taken before media write [i] must describe exactly
-          the state the replay-based run has when it crashes at [i]. *)
+          restores it. The model capture taken before media write [i]
+          must describe exactly the state a replayed run has when it
+          crashes at [i]. *)
 }
 
 type t = { name : string; mk : int64 -> instance }
@@ -59,30 +58,28 @@ type report = {
   workload : string;
   total_writes : int;  (** media writes in the clean run *)
   points : int;  (** crash indices actually exercised *)
-  mode : mode;  (** how cells were produced *)
   wall_seconds : float;  (** host CPU time for the whole sweep *)
 }
 
 val sweep :
-  ?domains:int ->
-  ?seed:int64 ->
-  ?max_points:int ->
-  ?full:bool ->
-  ?mode:mode ->
-  t ->
-  report
+  ?domains:int -> ?seed:int64 -> ?max_points:int -> ?full:bool -> t -> report
 (** Defaults: seed from {!Check.seed}, [max_points] 64, [full] from
-    {!Check.full_mode}, [mode] fork when the workload has a [snapshot]
-    (replay otherwise). Honors [HISTAR_CHECK_WORKLOAD] /
+    {!Check.full_mode}. Honors [HISTAR_CHECK_WORKLOAD] /
     [HISTAR_CHECK_CRASH_INDEX] for single-point replay.
 
     Cells fan out on the lib/par pool ([?domains] defaults to
-    [Par.domains ()]): replay cells one per task, fork cells in
-    contiguous chunks (each extra chunk deterministically rebuilds its
-    own clean-run captures with metrics muted). Any falsification
-    raised, and the merged metric totals, are byte-identical at every
-    domain count — the first (lowest-index) failing cell wins, exactly
-    as in a sequential sweep. *)
+    [Par.domains ()]) in contiguous chunks; each extra chunk
+    deterministically rebuilds its own clean-run captures with metrics
+    muted. Any falsification raised, and the merged metric totals, are
+    byte-identical at every domain count — the first (lowest-index)
+    failing cell wins, exactly as in a sequential sweep. *)
+
+val replay_cell : t -> seed:int64 -> total:int -> int -> unit
+(** [replay_cell w ~seed ~total i] is the replay oracle for crash
+    index [i]: a fresh instance re-runs the whole workload with a
+    crash scheduled after [i] media writes, reopens and checks. It
+    raises the falsification the sweep raises at [i] ([total] is the
+    clean run's media-write count, which the report quotes). *)
 
 val recovery_metrics :
   t ->
@@ -97,7 +94,6 @@ val recovery_metrics :
     byte-identical. *)
 
 val cells_per_sec : report -> float
-(** Sweep throughput; the fork-based speedup assertion divides these. *)
+(** Sweep throughput. *)
 
-val mode_string : mode -> string
 val pp_report : Format.formatter -> report -> unit

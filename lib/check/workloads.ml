@@ -92,7 +92,7 @@ let wal ?(commits = 14) () =
         inflight := i;
         in_truncate := t
     in
-    { Crash_sweep.disk; run; check; snapshot = Some snapshot }
+    { Crash_sweep.disk; run; check; snapshot }
   in
   { Crash_sweep.name = "wal"; mk }
 
@@ -190,7 +190,7 @@ let store ?(nops = 45) () =
         Array.blit h 0 history 0 (Array.length h);
         Array.blit fl 0 floor 0 (Array.length fl)
     in
-    { Crash_sweep.disk; run; check; snapshot = Some snapshot }
+    { Crash_sweep.disk; run; check; snapshot }
   in
   { Crash_sweep.name = "store"; mk }
 
@@ -325,7 +325,7 @@ let fs ?(nops = 24) () =
         Array.blit h 0 history 0 (Array.length h);
         Array.blit fl 0 floor 0 (Array.length fl)
     in
-    { Crash_sweep.disk; run; check; snapshot = Some snapshot }
+    { Crash_sweep.disk; run; check; snapshot }
   in
   { Crash_sweep.name = "fs"; mk }
 
@@ -461,7 +461,7 @@ let fsync_range ?(nops = 40) () =
         Array.blit c 0 count 0 file_bytes;
         Array.blit fl 0 floor 0 file_bytes
     in
-    { Crash_sweep.disk; run; check; snapshot = Some snapshot }
+    { Crash_sweep.disk; run; check; snapshot }
   in
   { Crash_sweep.name = "fsync_range"; mk }
 

@@ -9,7 +9,6 @@ module Codec = Histar_util.Codec
 open Types
 open Syscall
 module Metrics = Histar_metrics.Metrics
-module Mtrace = Histar_metrics.Trace
 
 (* Syscall dispatch counters: total traps, per-syscall virtual-time
    latency (trap cost + handler work, including any disk time the
@@ -69,14 +68,11 @@ type gate_entry =
           clobber the outer one) *)
   | Entry_dead  (** recovered from disk: code is gone *)
 
-type gate = { gclear : Label.t; mutable gentry : gate_entry; gonce : bool }
-(* [gentry] is mutable only so harnesses can re-arm an [Entry_dead]
-   gate after resuming a forked/recovered state (see [set_gate_entry]);
-   the kernel itself never reassigns it. [gonce] marks a one-shot
-   service gate: reaped from its naming container after the first
-   successful invocation, exactly like the return gates [gate_call]
-   mints — the kernel primitive beneath scoped label excursions
-   (lib/lio's [to_labeled]/[catch]). *)
+type gate = { gclear : Label.t; gentry : gate_entry; gonce : bool }
+(* [gonce] marks a one-shot service gate: reaped from its naming
+   container after the first successful invocation, exactly like the
+   return gates [gate_call] mints — the kernel primitive beneath scoped
+   label excursions (lib/lio's [to_labeled]/[catch]). *)
 type address_space = { mutable mappings : mapping list }
 
 type device = {
@@ -1421,13 +1417,6 @@ let rec run_state_loop k tid rs =
           (match action with
           | A_resp (R_err (Label_check _)) -> Metrics.Counter.incr m_label_errors
           | _ -> ());
-          if Mtrace.enabled () then
-            Mtrace.emit ~ts_ns:t1 "syscall"
-              [
-                ("name", req_name req);
-                ("thread", Int64.to_string tid);
-                ("virtual_ns", Int64.to_string (Int64.sub t1 t0));
-              ];
           action
         end
         else begin
@@ -1839,8 +1828,8 @@ let recover ~store =
    the structural-sharing property the btree.node_allocs counter
    asserts. Continuations are not serializable (the same departure from
    the paper as [recover]), so a resumed branch comes back with all
-   threads halted and code-carrying gates dead; harnesses re-arm them
-   with [restart_thread] and [set_gate_entry]. *)
+   threads halted and code-carrying gates dead; harnesses re-arm
+   threads with [restart_thread]. *)
 type handle = {
   h_objects : string Bptree.t;
   h_root : oid;
@@ -1853,19 +1842,9 @@ type handle = {
   h_weaken : weaken option;
   h_label_cache : Label_cache.t;
   h_profile : Profile.t;
-  h_name : string option;
 }
 
-(* HERMIT-style named branch points: fork ~name publishes the handle in
-   a registry so later phases can resume or discard it by name. *)
-let handle_registry : (string, handle) Hashtbl.t = Hashtbl.create 16
-
-(* Named forks can happen from any domain (check cells capture corpus
-   branches on the lib/par pool); the registry is the only cross-kernel
-   shared table here, so it gets its own mutex. *)
-let handle_registry_mu = Mutex.create ()
-
-let fork ?name k =
+let fork k =
   (* Drop tree entries for objects destroyed since the last fork. *)
   let stale =
     Hashtbl.fold
@@ -1889,29 +1868,19 @@ let fork ?name k =
           Hashtbl.replace k.snap_enc oid enc;
           k.snap <- Bptree.insert k.snap oid enc)
     k.objects;
-  let h =
-    {
-      h_objects = k.snap;
-      h_root = k.root;
-      h_oid_counter = Category_gen.counter k.oidgen;
-      h_cat_counter = Category_gen.counter k.catgen;
-      h_key = k.key;
-      h_now_ns = Sim_clock.now_ns k.clock;
-      h_syscall_cost_ns = k.syscall_cost_ns;
-      h_instrument = k.instrument;
-      h_weaken = k.weaken;
-      h_label_cache = Label_cache.copy k.label_cache;
-      h_profile = Profile.copy k.profile;
-      h_name = name;
-    }
-  in
-  (match name with
-  | Some n ->
-      Mutex.lock handle_registry_mu;
-      Hashtbl.replace handle_registry n h;
-      Mutex.unlock handle_registry_mu
-  | None -> ());
-  h
+  {
+    h_objects = k.snap;
+    h_root = k.root;
+    h_oid_counter = Category_gen.counter k.oidgen;
+    h_cat_counter = Category_gen.counter k.catgen;
+    h_key = k.key;
+    h_now_ns = Sim_clock.now_ns k.clock;
+    h_syscall_cost_ns = k.syscall_cost_ns;
+    h_instrument = k.instrument;
+    h_weaken = k.weaken;
+    h_label_cache = Label_cache.copy k.label_cache;
+    h_profile = Profile.copy k.profile;
+  }
 
 let resume h =
   let clock = Sim_clock.create () in
@@ -1947,30 +1916,6 @@ let resume h =
     h.h_objects;
   k
 
-let drop h =
-  match h.h_name with
-  | Some n ->
-      Mutex.lock handle_registry_mu;
-      (match Hashtbl.find_opt handle_registry n with
-      | Some h' when h' == h -> Hashtbl.remove handle_registry n
-      | Some _ | None -> ());
-      Mutex.unlock handle_registry_mu
-  | None -> ()
-
-let handle_name h = h.h_name
-
-let find_handle name =
-  Mutex.lock handle_registry_mu;
-  let r = Hashtbl.find_opt handle_registry name in
-  Mutex.unlock handle_registry_mu;
-  r
-
-let handle_names () =
-  Mutex.lock handle_registry_mu;
-  let ns = Hashtbl.fold (fun n _ acc -> n :: acc) handle_registry [] in
-  Mutex.unlock handle_registry_mu;
-  List.sort String.compare ns
-
 let handle_object_count h = Bptree.cardinal h.h_objects
 
 (* Restart a thread that decoded as halted: same oid, same TLS, fresh
@@ -1984,15 +1929,3 @@ let restart_thread k tid entry =
       th.parked <- None;
       enqueue k tid
   | Some _ | None -> invalid_arg "Kernel.restart_thread: no such thread"
-
-(* Re-arm a gate whose entry decoded as [Entry_dead]. Refuses to
-   clobber a live entry: branch resumption only replaces what
-   serialization lost. *)
-let set_gate_entry k gate_oid entry =
-  match find_obj k gate_oid with
-  | Some { body = Gat g; _ } -> (
-      match g.gentry with
-      | Entry_dead -> g.gentry <- Entry_fn entry
-      | Entry_fn _ | Entry_resume _ ->
-          invalid_arg "Kernel.set_gate_entry: gate entry still live")
-  | Some _ | None -> invalid_arg "Kernel.set_gate_entry: no such gate"

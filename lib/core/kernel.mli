@@ -137,31 +137,18 @@ val recover : store:Histar_store.Store.t -> t
     number of independent kernels from it, in any order. Like
     {!recover}, a resumed branch has all threads halted and
     code-carrying gates dead (continuations are not serializable);
-    harnesses re-arm them with {!restart_thread} and
-    {!set_gate_entry}. *)
+    harnesses re-arm threads with {!restart_thread}. *)
 
 type handle
 (** An immutable, branchable whole-kernel version. *)
 
-val fork : ?name:string -> t -> handle
-(** Capture the current state. With [~name] the handle is also
-    published in a process-wide registry ({!find_handle}) until
-    {!drop}ped — named branch points for multi-phase harnesses. *)
+val fork : t -> handle
+(** Capture the current state. *)
 
 val resume : handle -> t
 (** An independent kernel at the captured state: fresh clock advanced
     to the captured virtual time, generators restored, no backing
     store. Mutations never reach the handle or any sibling branch. *)
-
-val drop : handle -> unit
-(** Unpublish a named handle from the registry (no-op for anonymous
-    handles or if the name was rebound since). The value itself stays
-    usable — dropping only forgets the name. *)
-
-val handle_name : handle -> string option
-val find_handle : string -> handle option
-val handle_names : unit -> string list
-(** Registered branch-point names, sorted. *)
 
 val handle_object_count : handle -> int
 
@@ -169,11 +156,6 @@ val restart_thread : t -> oid -> (unit -> unit) -> unit
 (** Give a halted (resumed/recovered) thread a fresh entry body: same
     oid, same TLS segment, no generator state consumed, re-enqueued as
     ready. Raises [Invalid_argument] if the oid is not a thread. *)
-
-val set_gate_entry : t -> oid -> (unit -> unit) -> unit
-(** Re-arm a gate whose entry was lost to serialization ([Entry_dead]).
-    Raises [Invalid_argument] if the oid is not a gate or its entry is
-    still live. *)
 
 (** {1 Introspection (host/test interface, not subject to labels)} *)
 

@@ -2,7 +2,6 @@ exception Crashed
 exception Read_error of { sector : int; transient : bool }
 
 module Metrics = Histar_metrics.Metrics
-module Trace = Histar_metrics.Trace
 module Disk_faults = Histar_faults.Faults.Disk_faults
 module Bptree = Histar_btree.Bptree
 
@@ -239,11 +238,6 @@ let flush t =
   Metrics.Counter.incr m_flushes;
   let dirty = Hashtbl.fold (fun i _ acc -> i :: acc) t.cache [] in
   let dirty = List.sort Int.compare dirty in
-  if Trace.enabled () then
-    Trace.emit
-      ~ts_ns:(Histar_util.Sim_clock.now_ns t.clock)
-      "disk.flush"
-      [ ("dirty_sectors", string_of_int (List.length dirty)) ];
   (* A write barrier waits for the platter: charge half a rotation for
      any non-empty flush, on top of per-run seek and transfer costs.
      This is what makes per-file fsync pay dearly compared to one big

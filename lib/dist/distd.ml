@@ -60,36 +60,15 @@ let m_probes = Metrics.counter "net.dist_probes"
 let m_batched = Metrics.counter "net.dist_admit_batched"
 let m_conn_reused = Metrics.counter "net.dist_conn_reused"
 
-(* --- tuning knobs ---
+(* --- dist-plane constants ---
 
-   All dist-plane tuning lives under HISTAR_DIST_*, mirroring the
-   HISTAR_FAULTS / HISTAR_CHECK_* conventions: read at use time (so a
-   test can set and unset them), integer-valued, with the defaults
-   documented here and in EXPERIMENTS.md.
-
-     HISTAR_DIST_GIVEUP          connect attempts before a call gives
-                                 up with Transport (default 1 — fail
-                                 fast, the balancer handles failover)
-     HISTAR_DIST_COOLDOWN_MS     initial per-peer backoff after a
-                                 transport failure (default 40)
-     HISTAR_DIST_RETRY_CAP_MS    cap on the exponential backoff
-                                 (default 640 — 5 doublings)
-     HISTAR_DIST_SHARDS          user-db shard count for apps/bench
-                                 (default 3)
-     HISTAR_DIST_SESSION_TTL_MS  app-node session-token cache TTL
-                                 (default 5000) *)
-module Tuning = struct
-  let env_int name default =
-    match Stdlib.Sys.getenv_opt name with
-    | Some s -> ( try int_of_string (String.trim s) with _ -> default)
-    | None -> default
-
-  let giveup () = env_int "HISTAR_DIST_GIVEUP" 1
-  let cooldown_ms () = env_int "HISTAR_DIST_COOLDOWN_MS" 40
-  let retry_cap_ms () = env_int "HISTAR_DIST_RETRY_CAP_MS" 640
-  let shards () = env_int "HISTAR_DIST_SHARDS" 3
-  let session_ttl_ms () = env_int "HISTAR_DIST_SESSION_TTL_MS" 5_000
-end
+   A call makes one connect attempt before it gives up with Transport:
+   fail fast, the balancer handles failover. A peer that failed is
+   backed off for 40 ms at first, doubling up to a 640 ms cap (5
+   doublings). *)
+let connect_attempts = 1
+let default_cooldown_ms = 40
+let default_retry_cap_ms = 640
 
 (* --- peer health ---
 
@@ -97,7 +76,7 @@ end
    balancer used a fixed-period cooldown: a dead node was re-probed
    every cooldown forever, so a permanently dead shard cost one full
    RTO give-up per period for the rest of the run.  Here consecutive
-   failures double the backoff up to HISTAR_DIST_RETRY_CAP_MS; the
+   failures double the backoff up to [default_retry_cap_ms]; the
    first send after a backoff window expires is a *probe*, counted in
    [net.dist_probes].  A probe that succeeds resets the peer to
    healthy; one that fails doubles the window again.  All state is
@@ -114,12 +93,8 @@ module Peer_health = struct
   let ns_of_ms ms = Int64.mul (Int64.of_int ms) 1_000_000L
 
   let create ?cooldown_ms ?cap_ms () =
-    let cd =
-      match cooldown_ms with Some m -> m | None -> Tuning.cooldown_ms ()
-    in
-    let cap =
-      match cap_ms with Some m -> m | None -> Tuning.retry_cap_ms ()
-    in
+    let cd = Option.value cooldown_ms ~default:default_cooldown_ms in
+    let cap = Option.value cap_ms ~default:default_retry_cap_ms in
     {
       peers = Hashtbl.create 8;
       cooldown_ns = ns_of_ms (max 1 cd);
@@ -697,7 +672,7 @@ let call t ~node ~service args =
       in
       let fresh () =
         match
-          Netd.Client.connect_retry ~attempts:(max 1 (Tuning.giveup ())) t.netd
+          Netd.Client.connect_retry ~attempts:connect_attempts t.netd
             ~return_container:rc (t.peers node)
         with
         | exception Netd.Client.Netd_error m -> Error (Transport m)

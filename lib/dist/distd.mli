@@ -32,28 +32,6 @@ type call_error =
   | Remote of string  (** remote execution error *)
   | Transport of string  (** connect/stream failure (node down, lossy link) *)
 
-(** Dist-plane tuning knobs, consolidated under [HISTAR_DIST_*] env
-    vars (read at use time, integer-valued), mirroring the
-    [HISTAR_FAULTS] / [HISTAR_CHECK_*] conventions:
-
-    - [HISTAR_DIST_GIVEUP] — connect attempts before a call fails with
-      [Transport] (default 1: fail fast, failover handles the rest)
-    - [HISTAR_DIST_COOLDOWN_MS] — initial per-peer backoff after a
-      transport failure (default 40)
-    - [HISTAR_DIST_RETRY_CAP_MS] — cap on the exponential backoff
-      (default 640)
-    - [HISTAR_DIST_SHARDS] — user-db shard count for apps and bench
-      (default 3)
-    - [HISTAR_DIST_SESSION_TTL_MS] — app-node session-token cache TTL
-      (default 5000) *)
-module Tuning : sig
-  val giveup : unit -> int
-  val cooldown_ms : unit -> int
-  val retry_cap_ms : unit -> int
-  val shards : unit -> int
-  val session_ttl_ms : unit -> int
-end
-
 (** Per-peer failure tracking with capped exponential backoff, driven
     entirely by virtual time (replayable).  Consecutive transport
     failures double the backoff window from [cooldown_ms] up to
@@ -64,7 +42,7 @@ module Peer_health : sig
   type t
 
   val create : ?cooldown_ms:int -> ?cap_ms:int -> unit -> t
-  (** Defaults come from {!Tuning}. *)
+  (** Defaults: [cooldown_ms] 40, [cap_ms] 640. *)
 
   val usable : t -> node:int -> now_ns:int64 -> [ `Yes | `Probe | `No ]
   (** [`Yes]: healthy. [`Probe]: backoff elapsed, this send is the

@@ -204,8 +204,3 @@ let run ?domains:darg n f =
     Array.iter (function Some e -> raise e | None -> ()) errors;
     Array.map Option.get results
   end
-
-let map_array ?domains f arr = run ?domains (Array.length arr) (fun i -> f arr.(i))
-
-let map_list ?domains f l =
-  Array.to_list (map_array ?domains f (Array.of_list l))

@@ -36,6 +36,3 @@ val run : ?domains:int -> int -> (int -> 'a) -> 'a array
     re-raised after all tasks finished. [?domains] overrides the pool
     width for this call; [1] (or being {!in_task}) runs sequentially
     inline. *)
-
-val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-val map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list

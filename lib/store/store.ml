@@ -4,7 +4,6 @@ module Bptree = Histar_btree.Bptree
 module Codec = Histar_util.Codec
 module Checksum = Histar_util.Checksum
 module Metrics = Histar_metrics.Metrics
-module Trace = Histar_metrics.Trace
 
 (* Checkpoint frequency and virtual-time cost, plus global mirrors of
    the per-instance WAL-path stats, so the benchmark runner's registry
@@ -392,7 +391,6 @@ let checkpoint t =
   Metrics.Counter.incr m_checkpoints;
   let clock = Disk.clock t.disk in
   let t0 = Histar_util.Sim_clock.now_ns clock in
-  let dirty_at_entry = Hashtbl.length t.dirty in
   let to_free = ref [] in
   (* Write dirty objects to fresh home locations, in oid order for
      locality. *)
@@ -468,14 +466,7 @@ let checkpoint t =
   List.iter (fun (start, sectors) -> Extent_alloc.free t.alloc ~start ~sectors) !to_free;
   Wal.truncate t.wal;
   let t1 = Histar_util.Sim_clock.now_ns clock in
-  Metrics.Histogram.observe m_checkpoint_ns (Int64.to_int (Int64.sub t1 t0));
-  if Trace.enabled () then
-    Trace.emit ~ts_ns:t1 "store.checkpoint"
-      [
-        ("generation", Int64.to_string t.generation);
-        ("dirty_objects", string_of_int dirty_at_entry);
-        ("virtual_ns", Int64.to_string (Int64.sub t1 t0));
-      ]
+  Metrics.Histogram.observe m_checkpoint_ns (Int64.to_int (Int64.sub t1 t0))
 
 (* ---------- sync (fsync path) ---------- *)
 
@@ -831,17 +822,6 @@ let scrub ?(max_passes = 10) t =
     end
   in
   let passes, clean = loop 0 in
-  if Trace.enabled () then
-    Trace.emit
-      ~ts_ns:(Histar_util.Sim_clock.now_ns (Disk.clock t.disk))
-      "store.scrub"
-      [
-        ("passes", string_of_int passes);
-        ("repaired", string_of_int !repaired);
-        ("quarantined_sectors", string_of_int !quarantined_n);
-        ("lost", string_of_int (List.length !lost));
-        ("clean", string_of_bool clean);
-      ];
   {
     passes;
     scanned = !scanned;

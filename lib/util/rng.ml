@@ -15,9 +15,6 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next64 t) 2) in
   v mod bound
 
-let state t = t.state
-let set_state t s = t.state <- s
-let copy t = { state = t.state }
 let bool t = Int64.logand (next64 t) 1L = 1L
 let byte t = Char.chr (int t 256)
 let bytes t n = String.init n (fun _ -> byte t)

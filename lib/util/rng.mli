@@ -14,16 +14,6 @@ val next64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
-val state : t -> int64
-(** Current internal state, for snapshot/restore (speculative
-    execution that may need to rewind its decisions). *)
-
-val set_state : t -> int64 -> unit
-(** Restore a state previously read with {!state}. *)
-
-val copy : t -> t
-(** Independent generator continuing from the same state. *)
-
 val bool : t -> bool
 val byte : t -> char
 

@@ -2,7 +2,6 @@ module Disk = Histar_disk.Disk
 module Codec = Histar_util.Codec
 module Checksum = Histar_util.Checksum
 module Metrics = Histar_metrics.Metrics
-module Trace = Histar_metrics.Trace
 
 (* Log activity counters: every append/commit/truncate, plus records
    re-read at recovery. Commit sectors expose how much batching the
@@ -184,26 +183,12 @@ let commit t =
       Disk.flush t.disk;
       Metrics.Counter.incr m_commits;
       Metrics.Counter.add m_commit_sectors (image_sectors t blob);
-      if Trace.enabled () then
-        Trace.emit
-          ~ts_ns:(Histar_util.Sim_clock.now_ns (Disk.clock t.disk))
-          "wal.commit"
-          [
-            ("records", string_of_int (List.length images));
-            ("sectors", string_of_int (image_sectors t blob));
-            ("epoch", Int64.to_string t.epoch);
-          ];
       t.head <- t.head + image_sectors t blob;
       t.committed <- t.committed + List.length images;
       t.pending <- []
 
 let truncate t =
   Metrics.Counter.incr m_truncates;
-  if Trace.enabled () then
-    Trace.emit
-      ~ts_ns:(Histar_util.Sim_clock.now_ns (Disk.clock t.disk))
-      "wal.truncate"
-      [ ("next_epoch", Int64.to_string (Int64.add t.epoch 1L)) ];
   t.epoch <- Int64.add t.epoch 1L;
   t.head <- 1;
   t.seq <- 0L;

@@ -87,10 +87,6 @@ let sweep_test ?max_points w =
           reports := r :: !reports;
           if r.Crash_sweep.total_writes <= 0 then
             Alcotest.fail "workload performed no media writes";
-          (* Every real workload carries a model snapshot, so the
-             sweep defaults to the O(W) fork-based path. *)
-          if r.Crash_sweep.mode <> `Fork then
-            Alcotest.fail "sweep did not default to fork mode";
           Format.printf "%a@." Crash_sweep.pp_report r
       | exception Check.Falsified msg -> Alcotest.fail msg)
 
@@ -118,9 +114,10 @@ let test_coverage () =
 
 (* ---------- fork vs replay: the double-run discipline ----------
 
-   The same crash cell produced both ways must do metric-for-metric
-   identical recovery work. This is the bit-identity contract that
-   justifies switching the sweep default to the O(W) fork path. *)
+   The sweep branches every cell off its clean-run capture; the replay
+   cell re-runs the workload up to the crash and is kept only as the
+   reference. The same crash cell produced both ways must do
+   metric-for-metric identical recovery work. *)
 
 let metric_list =
   Alcotest.(list (pair string int))
@@ -164,24 +161,46 @@ let test_cells_counter_and_throughput () =
       (Crash_sweep.cells_per_sec r > 0.0)
   end
 
+(* The sweep's strided sample: [n] evenly spaced indices of
+   [0, total), endpoints included. *)
+let strided ~total ~n =
+  if total <= n then List.init total Fun.id
+  else
+    List.init n (fun i -> i * (total - 1) / (n - 1))
+    |> List.sort_uniq Int.compare
+
+(* The replay oracle over [indices], in order: the first falsification
+   message, as a sequential replay sweep would raise it. *)
+let replay_first_failure w ~seed ~total indices =
+  List.find_map
+    (fun i ->
+      match Crash_sweep.replay_cell w ~seed ~total i with
+      | () -> None
+      | exception Check.Falsified msg -> Some msg)
+    indices
+
 (* The >= 10x wall-clock claim. CPU-time ratios on shared CI runners
    are noisy, so this only runs when explicitly requested
-   (HISTAR_CHECK_SPEEDUP=1, set by the snapshot-smoke CI job). *)
+   (HISTAR_CHECK_SPEEDUP=1, set by the env-legs CI job). *)
 let test_fork_speedup () =
   if Stdlib.Sys.getenv_opt "HISTAR_CHECK_SPEEDUP" <> Some "1" then ()
   else begin
     (* A longer run sharpens the asymptotics: replay pays the whole
        prefix per cell, fork pays only the recovery check. *)
     let w = Workloads.store ~nops:300 () in
-    let fork = Crash_sweep.sweep ~max_points:64 ~mode:`Fork w in
-    let replay = Crash_sweep.sweep ~max_points:64 ~mode:`Replay w in
-    let ratio =
-      Crash_sweep.cells_per_sec fork /. Crash_sweep.cells_per_sec replay
+    let seed = Check.seed () in
+    let fork = Crash_sweep.sweep ~seed ~max_points:64 w in
+    let total = fork.Crash_sweep.total_writes in
+    let indices = strided ~total ~n:64 in
+    let t0 = Stdlib.Sys.time () in
+    List.iter (Crash_sweep.replay_cell w ~seed ~total) indices;
+    let replay_cps =
+      float_of_int (List.length indices) /. (Stdlib.Sys.time () -. t0)
     in
+    let ratio = Crash_sweep.cells_per_sec fork /. replay_cps in
     Format.printf "fork %.0f cells/s, replay %.0f cells/s (%.1fx)@."
       (Crash_sweep.cells_per_sec fork)
-      (Crash_sweep.cells_per_sec replay)
-      ratio;
+      replay_cps ratio;
     if ratio < 10.0 then
       Alcotest.fail
         (Printf.sprintf "fork-based sweep only %.1fx faster than replay"
@@ -222,18 +241,18 @@ let broken_wal_workload () =
             let c = !committed in
             fun () -> committed := c
           in
-          { Crash_sweep.disk; run; check; snapshot = Some snapshot });
+          { Crash_sweep.disk; run; check; snapshot });
     }
 
 (* A "recovery" that skips WAL replay: it formats and commits like the
    real WAL workload but validates against a recovery that drops every
    record. The sweep must catch this at some crash index and print a
-   replayable report — and the fork-based and replay-based sweeps must
-   print the {e same} report, since they check identical media.
-   Skipped when a replay filter targets a different workload, since
-   the sweep then visits no crash points. *)
-let catch_broken mode =
-  match Crash_sweep.sweep ~max_points:16 ~mode (broken_wal_workload ()) with
+   replayable report — and the replay oracle, run over the same
+   indices, must print the {e same} report, since it checks identical
+   media. Skipped under a replay filter, since the sweep then visits
+   at most one crash point. *)
+let catch_broken () =
+  match Crash_sweep.sweep ~max_points:16 (broken_wal_workload ()) with
   | _ -> Alcotest.fail "injected WAL-replay regression was not caught"
   | exception Check.Falsified msg ->
       check_mentions msg
@@ -249,10 +268,18 @@ let catch_broken mode =
 let test_injected_regression_caught () =
   if replaying () then ()
   else
-    let by_fork = catch_broken `Fork in
-    let by_replay = catch_broken `Replay in
-    Alcotest.(check string) "fork and replay report identically" by_replay
-      by_fork
+    let by_fork = catch_broken () in
+    let total =
+      Scanf.sscanf by_fork
+        "crash sweep %_s@: invariant violation at crash index %_d of %d"
+        Fun.id
+    in
+    let by_replay =
+      replay_first_failure (broken_wal_workload ()) ~seed:(Check.seed ())
+        ~total (strided ~total ~n:16)
+    in
+    Alcotest.(check (option string)) "fork and replay report identically"
+      (Some by_fork) by_replay
 
 (* ---------- noninterference twins ---------- *)
 
@@ -351,20 +378,26 @@ let test_lio_model_diff =
 
 module Conf = Histar_check.Conformance
 
+(* A pool pass is the sequential loop run in a cell: at every domain
+   count its stats and report equal a standalone [run_fuzz] at the
+   pass's split seed. *)
 let test_fuzz_domain_identity () =
-  let run d = Conf.run_fuzz ~domains:d ~runs:300 ~seed:Check.default_seed () in
-  let s1 = run 1 in
+  let seed = Check.default_seed in
+  let alone =
+    List.init 3 (fun p ->
+        Conf.run_fuzz ~runs:150 ~seed:(Histar_par.Par.split_seed seed p) ())
+  in
   List.iter
     (fun d ->
-      let s = run d in
+      let pooled = Conf.run_fuzz_many ~domains:d ~runs:150 ~passes:3 ~seed () in
       Alcotest.(check bool)
         (Printf.sprintf "fuzz stats identical at %d domains" d)
-        true (s = s1);
-      Alcotest.(check string)
-        (Printf.sprintf "fuzz report identical at %d domains" d)
-        (Conf.report s1) (Conf.report s))
-    [ 2; 8 ];
-  Alcotest.(check bool) "double run at 8 domains" true (run 8 = run 8)
+        true (pooled = alone);
+      Alcotest.(check (list string))
+        (Printf.sprintf "fuzz reports identical at %d domains" d)
+        (List.map Conf.report alone)
+        (List.map Conf.report pooled))
+    [ 1; 2; 8 ]
 
 let test_fuzz_many_domain_identity () =
   let run d =
@@ -410,25 +443,20 @@ let test_ni_domain_identity () =
 let test_sweep_domain_identity () =
   if replaying () then ()
   else
-    let catch d mode =
+    let catch d =
       match
-        Crash_sweep.sweep ~domains:d ~max_points:16 ~mode
-          (broken_wal_workload ())
+        Crash_sweep.sweep ~domains:d ~max_points:16 (broken_wal_workload ())
       with
       | _ -> Alcotest.fail "injected regression not caught"
       | exception Check.Falsified msg -> msg
     in
+    let m1 = catch 1 in
     List.iter
-      (fun mode ->
-        let m1 = catch 1 mode in
-        List.iter
-          (fun d ->
-            Alcotest.(check string)
-              (Printf.sprintf "%s falsification identical at %d domains"
-                 (Crash_sweep.mode_string mode) d)
-              m1 (catch d mode))
-          [ 2; 8 ])
-      [ `Fork; `Replay ]
+      (fun d ->
+        Alcotest.(check string)
+          (Printf.sprintf "falsification identical at %d domains" d)
+          m1 (catch d))
+      [ 2; 8 ]
 
 let () =
   Alcotest.run "histar_check"

@@ -687,9 +687,7 @@ let test_session_ttl_expiry () =
   (* jump the balancer's virtual clock across the expiry boundary (the
      cluster-wide sync inside run_load raises every other clock to
      match — time never goes backwards) *)
-  let ttl_ns =
-    Int64.mul (Int64.of_int (Distd.Tuning.session_ttl_ms ())) 1_000_000L
-  in
+  let ttl_ns = Int64.mul (Int64.of_int Webcluster.session_ttl_ms) 1_000_000L in
   Sim_clock.advance_ns (Webcluster.balancer_clock wc)
     (Int64.add ttl_ns 1_000_000L);
   drive "third request (expired token)";

@@ -1,9 +1,8 @@
 (* Property tests for the observability subsystem (lib/metrics):
    counter monotonicity, histogram bucket accounting and quantile
-   bounds, trace-ring eviction order, and JSON round-trips. *)
+   bounds, snapshot diffs, and JSON round-trips. *)
 
 module Metrics = Histar_metrics.Metrics
-module Trace = Histar_metrics.Trace
 module Json = Histar_metrics.Json
 module Check = Histar_check.Check
 module Gen = Histar_check.Gen
@@ -168,67 +167,6 @@ let prop_snapshot_diff increments =
     (fun (_, d) -> Check.ensure ~msg:"zero delta reported" (d <> 0))
     delta
 
-(* ---------- trace ring ---------- *)
-
-let gen_ring = Gen.pair (Gen.int_range 1 16) (Gen.int_range 0 50)
-
-let prop_trace_ring_eviction (cap, n) =
-  Trace.set_capacity cap;
-  Trace.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.set_enabled false;
-      Trace.set_capacity Trace.default_capacity)
-    (fun () ->
-      for i = 0 to n - 1 do
-        Trace.emit ~ts_ns:(Int64.of_int i) "e" [ ("i", string_of_int i) ]
-      done;
-      let len = Trace.length () in
-      Check.ensure ~msg:"ring exceeded capacity" (len <= cap);
-      Check.ensure ~msg:"ring dropped too much" (len = min n cap);
-      Check.ensure ~msg:"evicted count wrong" (Trace.evicted () = max 0 (n - cap));
-      (* survivors are the newest [len] events, oldest first *)
-      let expect_first = n - len in
-      List.iteri
-        (fun j (e : Trace.event) ->
-          Check.ensure ~msg:"ring not oldest-first"
-            (e.Trace.ts_ns = Int64.of_int (expect_first + j)))
-        (Trace.events ()))
-
-let test_trace_disabled () =
-  Trace.set_enabled false;
-  Trace.clear ();
-  Trace.emit "ignored" [];
-  Alcotest.(check int) "disabled trace records nothing" 0 (Trace.length ())
-
-let test_trace_jsonl () =
-  Trace.set_capacity 8;
-  Trace.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.set_enabled false;
-      Trace.set_capacity Trace.default_capacity)
-    (fun () ->
-      Trace.emit ~ts_ns:7L "syscall" [ ("name", "yield") ];
-      Trace.emit ~ts_ns:9L "wal.commit" [ ("records", "3") ];
-      let lines =
-        String.split_on_char '\n' (Trace.to_jsonl ())
-        |> List.filter (fun l -> l <> "")
-      in
-      Alcotest.(check int) "one line per event" 2 (List.length lines);
-      List.iter
-        (fun line ->
-          match Json.of_string line with
-          | Json.Obj fields ->
-              Alcotest.(check bool)
-                "event has ts_ns" true
-                (List.mem_assoc "ts_ns" fields);
-              Alcotest.(check bool)
-                "event has kind" true
-                (List.mem_assoc "kind" fields)
-          | _ -> Alcotest.fail "trace line is not an object")
-        lines)
-
 (* ---------- JSON codec ---------- *)
 
 (* Arbitrary-byte strings exercise the \u00XX escape path. *)
@@ -320,14 +258,6 @@ let () =
         [
           Check.test_case "diff carries exactly the increments"
             (Gen.list Gen.nat) prop_snapshot_diff;
-        ] );
-      ( "trace",
-        [
-          Check.test_case "ring bounded, evicts oldest first" gen_ring
-            prop_trace_ring_eviction;
-          Alcotest.test_case "disabled emits nothing" `Quick
-            test_trace_disabled;
-          Alcotest.test_case "jsonl dump parses" `Quick test_trace_jsonl;
         ] );
       ( "json",
         [

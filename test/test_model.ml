@@ -200,7 +200,7 @@ let test_model_login_below_floor_rejected () =
 let test_fuzz_clean_kernel () =
   (* The headline acceptance check: a bounded coverage-guided fuzz on
      the unmodified kernel finds no divergence from the model. The
-     budget is well above every mutant's detection point (538 traces,
+     budget is well above every mutant's detection point (120 traces,
      worst case) and still runs in well under a second;
      HISTAR_CHECK_LONG=1 (nightly CI) multiplies it by 8. *)
   let runs =
@@ -223,7 +223,7 @@ let test_fuzz_clean_kernel () =
 (* Each [weaken] switch deletes one label comparison from the kernel.
    The fuzzer must catch all three within a bounded budget at the
    default seed, or it has lost its teeth. Detection points at
-   [Check.default_seed]: segment 538 traces, gate 53, unref 70 — the
+   [Check.default_seed]: segment 120 traces, gate 53, unref 70 — the
    2000-trace budget leaves a wide margin and still takes < 0.5 s. *)
 let assert_mutant_caught name weaken =
   let stats = Conf.run_fuzz ~weaken ~runs:2000 ~seed:Check.default_seed () in
@@ -271,20 +271,10 @@ let prop_quota_conformance trace =
 let l1s = { Conf.ls_def = 2; ls_ents = [] }
 let near_max = Int64.sub Int64.max_int 100L
 
-(* Each regression trace is checked in both execution modes: the
-   historical whole-trace replay and the fork-based per-op path the
-   fuzz corpus now runs on. The verdicts must agree — and be clean. *)
 let regression name trace () =
-  List.iter
-    (fun mode ->
-      match Conf.compare_traces ~mode trace with
-      | None -> ()
-      | Some detail ->
-          Alcotest.fail
-            (Printf.sprintf "%s regressed (%s mode): %s" name
-               (match mode with `Fork -> "fork" | `Replay -> "replay")
-               detail))
-    [ `Replay; `Fork ]
+  match Conf.compare_traces trace with
+  | None -> ()
+  | Some detail -> Alcotest.fail (Printf.sprintf "%s regressed: %s" name detail)
 
 let trace_charge_overflow =
   (* Finite-container admission check used [usage + amount > quota],
@@ -365,16 +355,6 @@ let trace_clearance_raise_window =
     call;
   ]
 
-let regression_traces =
-  [
-    ("gate call across a clearance raise", trace_clearance_raise_window);
-    ("charge overflow", trace_charge_overflow);
-    ("infinite-container usage wrap", trace_infinite_usage_wrap);
-    ("quota_move target wrap", trace_quota_move_wrap);
-    ("negative CAS offset crash", trace_negative_cas_offset);
-    ("one-shot gate reaped", trace_one_shot_gate);
-  ]
-
 let regress_charge_overflow = regression "charge overflow" trace_charge_overflow
 
 let regress_infinite_usage_wrap =
@@ -391,53 +371,17 @@ let regress_one_shot_gate = regression "one-shot gate reaped" trace_one_shot_gat
 let regress_clearance_raise_window =
   regression "gate call across a clearance raise" trace_clearance_raise_window
 
-(* ---------- fork-based corpus: the double-run discipline ----------
+(* ---------- fork/resume round trip ----------
 
-   The fuzz loop now runs on branchable kernel states (each corpus
-   entry keeps a [Kernel.fork] per op boundary; mutants resume from
-   the longest common prefix instead of replaying it). The discipline
-   that keeps the repro lines honest: at a pinned seed, the fork path
-   must be bit-identical to the replay path — same coverage
-   signatures, same corpus evolution, same divergences, same shrunk
-   witness, same report. *)
+   Forking a kernel serializes every object and resuming decodes them
+   all, so a field the codec drops shows up as a slot whose final-state
+   view changed across the round trip. Random traces reach every object
+   kind and label shape the fuzzer does. *)
 
-let test_regression_traces_cov_identical () =
-  List.iter
-    (fun (name, trace) ->
-      Alcotest.(check int)
-        (name ^ ": coverage signature identical")
-        (Conf.trace_cov ~mode:`Replay trace)
-        (Conf.trace_cov ~mode:`Fork trace))
-    regression_traces
-
-let test_fuzz_fork_replay_clean_identical () =
-  let run mode =
-    Conf.run_fuzz ~runs:300 ~seed:Check.default_seed ~mode ()
-  in
-  let f = run `Fork and r = run `Replay in
-  Alcotest.(check string) "clean-kernel reports identical" (Conf.report r)
-    (Conf.report f);
-  Alcotest.(check int) "same corpus size" r.Conf.fs_corpus f.Conf.fs_corpus;
-  Alcotest.(check int) "same run count" r.Conf.fs_runs f.Conf.fs_runs
-
-let test_fuzz_fork_replay_mutant_identical () =
-  (* A weakened kernel must be caught at the same run, shrunk to the
-     same witness, and reported with the same replay line, whichever
-     executor the corpus ran on. *)
-  let run mode =
-    Conf.run_fuzz ~weaken:Kernel.Weaken_gate_star_grant ~runs:200
-      ~seed:Check.default_seed ~mode ()
-  in
-  let f = run `Fork and r = run `Replay in
-  Alcotest.(check string) "mutant reports identical" (Conf.report r)
-    (Conf.report f);
-  match (f.Conf.fs_divergence, r.Conf.fs_divergence) with
-  | Some (tf, df), Some (tr, dr) ->
-      Alcotest.(check string) "same divergence detail" dr df;
-      Alcotest.(check string) "same shrunk witness" (Conf.pp_trace tr)
-        (Conf.pp_trace tf)
-  | None, _ -> Alcotest.fail "fork-mode fuzz missed the gate mutant"
-  | _, None -> Alcotest.fail "replay-mode fuzz missed the gate mutant"
+let prop_fork_resume_preserves_state trace =
+  match Conf.fork_resume_divergence trace with
+  | None -> ()
+  | Some detail -> Check.ensure ~msg:detail false
 
 (* ---------- live remote-gate conformance (lib/dist hook) ----------
 
@@ -583,13 +527,10 @@ let () =
           Alcotest.test_case "re-checked after a clearance raise" `Quick
             regress_clearance_raise_window;
         ] );
-      ( "fork corpus",
+      ( "fork/resume",
         [
-          Alcotest.test_case "regression coverage fork == replay" `Quick
-            test_regression_traces_cov_identical;
-          Alcotest.test_case "clean-kernel fuzz reports identical" `Quick
-            test_fuzz_fork_replay_clean_identical;
-          Alcotest.test_case "mutant shrink lines identical" `Quick
-            test_fuzz_fork_replay_mutant_identical;
+          Check.test_case ~count:200 ~print:Conf.pp_trace
+            "final state survives a round trip" Conf.gen_trace
+            prop_fork_resume_preserves_state;
         ] );
     ]
