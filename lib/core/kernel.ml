@@ -1721,31 +1721,19 @@ let deliver_packet k dev_oid frame =
   match find_obj k dev_oid with
   | Some { body = Dev d; _ } -> (
       Queue.push frame d.rx;
-      (* wake one thread blocked on this device *)
-      let waiter =
-        fold_threads k
-          (fun acc th ->
-            match (acc, th.tstate) with
-            | None, `Blocked (W_net oid) when Int64.equal oid dev_oid ->
-                Some th
-            | _ -> acc)
-          None
-      in
-      match waiter with
-      | Some _ ->
-          (* find its tid by scanning; thread records don't know their id *)
-          Hashtbl.iter
-            (fun tid o ->
-              match o.body with
-              | Thr th -> (
-                  match th.tstate with
-                  | `Blocked (W_net oid)
-                    when Int64.equal oid dev_oid && not (Queue.is_empty d.rx) ->
-                      wake k tid (R_bytes (Queue.pop d.rx))
-                  | _ -> ())
+      (* hand queued frames to threads blocked on this device; scan by
+         tid, since thread records don't know their id *)
+      Hashtbl.iter
+        (fun tid o ->
+          match o.body with
+          | Thr th -> (
+              match th.tstate with
+              | `Blocked (W_net oid)
+                when Int64.equal oid dev_oid && not (Queue.is_empty d.rx) ->
+                  wake k tid (R_bytes (Queue.pop d.rx))
               | _ -> ())
-            k.objects
-      | None -> ())
+          | _ -> ())
+        k.objects)
   | Some _ | None -> invalid_arg "Kernel.deliver_packet: no such device"
 
 (* Host-side wake of futex waiters on a segment word (used by device

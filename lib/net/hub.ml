@@ -70,8 +70,9 @@ type t = {
   mutable faults : Net_faults.t option;
   mutable tap : (string -> unit) option;
       (** packet-capture hook: sees every injected frame *)
-  mutable holdq : (int * string) list;
-      (** reordering: frames held back, released after N later injects *)
+  mutable holdq : (int * Packet.frame option * string) list;
+      (** reordering: frames held back (with their decoding), released
+          after N later injects *)
 }
 
 let broadcast_mac = "ff:ff:ff:ff:ff:ff"
@@ -160,13 +161,14 @@ let deliver ep bytes =
   account_rx ~mac:ep.ep_mac (String.length bytes);
   ep.ep_deliver bytes
 
-(* Decode + deliver to the destination endpoint(s). A frame that does
-   not decode here was corrupted in flight (or addressed nowhere) —
-   the receiving NIC would never see a valid destination, so it is a
-   no-route drop. A frame to or from a flapped-down link is lost. *)
-let route t bytes =
+(* Deliver to the destination endpoint(s), given the frame as
+   [inject_now] decoded it. A frame that does not decode was corrupted
+   in flight (or addressed nowhere) — the receiving NIC would never see
+   a valid destination, so it is a no-route drop. A frame to or from a
+   flapped-down link is lost. *)
+let route t decoded bytes =
   let nbytes = String.length bytes in
-  match Packet.frame_of_bytes bytes with
+  match decoded with
   | None -> drop_no_route t ~nbytes
   | Some f ->
       if not (link_up t f.Packet.src_mac && link_up t f.Packet.dst_mac) then
@@ -202,11 +204,11 @@ let route t bytes =
 let release_due t =
   let due, still =
     List.partition_map
-      (fun (n, b) -> if n <= 1 then Left b else Right (n - 1, b))
+      (fun (n, f, b) -> if n <= 1 then Left (f, b) else Right (n - 1, f, b))
       t.holdq
   in
   t.holdq <- still;
-  List.iter (fun b -> route t b) due
+  List.iter (fun (f, b) -> route t f b) due
 
 (* ---------- deferred injection (BSP outboxes) ---------- *)
 
@@ -251,10 +253,9 @@ let inject_now t bytes =
   (* The tap is an eavesdropper on the shared wire: it sees every
      frame as injected, before any loss or corruption decision. *)
   (match t.tap with Some f -> f bytes | None -> ());
+  let decoded = Packet.frame_of_bytes bytes in
   let src_mac =
-    match Packet.frame_of_bytes bytes with
-    | Some f -> Some f.Packet.src_mac
-    | None -> None
+    match decoded with Some f -> Some f.Packet.src_mac | None -> None
   in
   account_tx ~src:src_mac nbytes;
   let lost =
@@ -264,30 +265,31 @@ let inject_now t bytes =
   (if lost then drop_lost t ~nbytes
    else
      match t.faults with
-     | None -> route t bytes
+     | None -> route t decoded bytes
      | Some nf -> (
          let v = Net_faults.on_frame nf ~now_ns:(Sim_clock.now_ns t.clock) in
          match v.Net_faults.drop with
          | `Loss | `Flap -> drop_lost t ~nbytes
          | `No ->
-             let bytes =
+             let decoded, bytes =
                if v.Net_faults.corrupt then (
                  let b = Bytes.of_string bytes in
                  Net_faults.corrupt_bytes nf b;
-                 Bytes.unsafe_to_string b)
-               else bytes
+                 let bytes = Bytes.unsafe_to_string b in
+                 (Packet.frame_of_bytes bytes, bytes))
+               else (decoded, bytes)
              in
              if Int64.compare v.Net_faults.jitter_ns 0L > 0 then
                Sim_clock.advance_ns t.clock v.Net_faults.jitter_ns;
              if v.Net_faults.hold > 0 then (
                Metrics.Counter.incr m_frames_reordered;
-               t.holdq <- t.holdq @ [ (v.Net_faults.hold, bytes) ])
+               t.holdq <- t.holdq @ [ (v.Net_faults.hold, decoded, bytes) ])
              else begin
-               route t bytes;
+               route t decoded bytes;
                if v.Net_faults.duplicate then begin
                  Metrics.Counter.incr m_frames_duplicated;
                  account_tx ~src:src_mac nbytes;
-                 route t bytes
+                 route t decoded bytes
                end
              end));
   release_due t
@@ -322,9 +324,9 @@ let flush_held t =
   let rec go () =
     match t.holdq with
     | [] -> ()
-    | (_, b) :: rest ->
+    | (_, f, b) :: rest ->
         t.holdq <- rest;
-        route t b;
+        route t f b;
         go ()
   in
   go ()

@@ -24,6 +24,9 @@ let no_flags = { syn = false; ack = false; fin = false; rst = false }
    the check and is dropped at the receiving NIC rather than handed
    to the stack — the guarantee that makes injected frame corruption
    indistinguishable from loss at the transport layer. *)
+let fcs_len = 8
+
+(* The FCS is appended to the buffer the body was encoded into. *)
 let frame_to_bytes f =
   let e = Codec.Enc.create () in
   Codec.Enc.str e f.src_mac;
@@ -51,22 +54,23 @@ let frame_to_bytes f =
       Codec.Enc.u16 e u.usrc_port;
       Codec.Enc.u16 e u.udst_port;
       Codec.Enc.str e u.upayload);
-  let body = Codec.Enc.to_string e in
-  let fcs = Codec.Enc.create () in
-  Codec.Enc.i64 fcs (Histar_util.Checksum.fnv64 body);
-  body ^ Codec.Enc.to_string fcs
+  Codec.Enc.i64 e (Histar_util.Checksum.fnv64 (Codec.Enc.to_string e));
+  Codec.Enc.to_string e
 
+(* The body is decoded in place, bounded to end where the FCS starts:
+   a length field that runs into the trailer is a truncated body.
+   Unknown flag bits and bytes left over after the last field are
+   malformed, so every frame accepted re-encodes to exactly the bytes
+   it came from. *)
 let frame_of_bytes s =
   match
-    let n = String.length s in
-    if n < 8 then raise Codec.Truncated;
-    let body_len = n - 8 in
-    let fcs = Codec.Dec.i64 (Codec.Dec.of_string (String.sub s body_len 8)) in
+    let n = String.length s - fcs_len in
+    if n < 0 then raise Codec.Truncated;
     if not
-         (Int64.equal fcs
-            (Histar_util.Checksum.fnv64_sub s ~pos:0 ~len:body_len))
+         (Int64.equal (String.get_int64_le s n)
+            (Histar_util.Checksum.fnv64_sub s ~pos:0 ~len:n))
     then raise Codec.Truncated;
-    let d = Codec.Dec.of_string (String.sub s 0 body_len) in
+    let d = Codec.Dec.of_substring s ~pos:0 ~len:n in
     let src_mac = Codec.Dec.str d in
     let dst_mac = Codec.Dec.str d in
     let src_ip = Codec.Dec.u32 d in
@@ -79,6 +83,7 @@ let frame_of_bytes s =
           let seq = Codec.Dec.u32 d in
           let ack_no = Codec.Dec.u32 d in
           let bits = Codec.Dec.u8 d in
+          if bits land lnot 15 <> 0 then raise Codec.Truncated;
           let window = Codec.Dec.u32 d in
           let payload = Codec.Dec.str d in
           Tcp
@@ -104,12 +109,11 @@ let frame_of_bytes s =
           Udp { usrc_port; udst_port; upayload }
       | _ -> raise Codec.Truncated
     in
+    if not (Codec.Dec.at_end d) then raise Codec.Truncated;
     { src_mac; dst_mac; ip = { src_ip; dst_ip; proto } }
   with
   | f -> Some f
   | exception Codec.Truncated -> None
-
-let frame_len f = String.length (frame_to_bytes f)
 
 let pp_frame fmt f =
   match f.ip.proto with

@@ -30,9 +30,9 @@ val frame_to_bytes : frame -> string
     receiving NIC. *)
 
 val frame_of_bytes : string -> frame option
-(** [None] on truncation, a malformed body, or an FCS mismatch. *)
-
-val frame_len : frame -> int
-(** Encoded length (including FCS), used for bandwidth accounting. *)
+(** [None] on truncation, a malformed body (including a field that
+    runs into the FCS trailer, unknown TCP flag bits, or bytes left
+    over after the last field), or an FCS mismatch. Never raises. A
+    frame it returns re-encodes to the input bytes. *)
 
 val pp_frame : Format.formatter -> frame -> unit

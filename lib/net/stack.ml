@@ -36,8 +36,12 @@ type conn = {
   mutable snd_nxt : int;  (** next sequence number to send *)
   mutable snd_una : int;  (** oldest unacknowledged *)
   mutable rcv_nxt : int;
-  txq : Buffer.t;  (** bytes not yet segmented *)
-  mutable inflight : (int * string) list;  (** (seq, payload), oldest first *)
+  txq : string Queue.t;  (** bytes not yet segmented, as appended *)
+  mutable txq_head : int;  (** bytes of [txq]'s front already segmented *)
+  mutable txq_bytes : int;  (** bytes in [txq] not yet segmented *)
+  inflight : (int * string) Queue.t;
+      (** (seq, payload), oldest first; contiguous in seq *)
+  mutable inflight_bytes : int;  (** sum of the [inflight] payloads *)
   rxq : Buffer.t;
   mutable fin_received : bool;
   mutable fin_sent : bool;
@@ -171,29 +175,42 @@ let maybe_time_span c ~upto =
     c.rtt_sent_at <- Sim_clock.now_ns c.stack.clock
   end
 
-let inflight_bytes c =
-  List.fold_left (fun acc (_, p) -> acc + String.length p) 0 c.inflight
+let bytes_in_flight c = c.inflight_bytes
 
-let bytes_in_flight = inflight_bytes
+(* Remove the next [n] unsent bytes from the tx queue, copying only
+   those bytes. *)
+let take_tx c n =
+  c.txq_bytes <- c.txq_bytes - n;
+  let seg = Bytes.create n in
+  let filled = ref 0 in
+  while !filled < n do
+    let chunk = Queue.peek c.txq in
+    let k = min (n - !filled) (String.length chunk - c.txq_head) in
+    Bytes.blit_string chunk c.txq_head seg !filled k;
+    filled := !filled + k;
+    if c.txq_head + k = String.length chunk then begin
+      ignore (Queue.pop c.txq);
+      c.txq_head <- 0
+    end
+    else c.txq_head <- c.txq_head + k
+  done;
+  Bytes.unsafe_to_string seg
 
 (* Segment pending bytes from the tx queue into the window. Fin_wait
    still drains: close() with queued data must deliver it all before
-   the FIN goes out. *)
+   the FIN goes out. All state is updated before each segment is
+   sent: the peer's ack can re-enter [pump] from inside [send_seg]. *)
 let pump c =
   match c.cstate with
   | Established | Close_wait | Fin_wait ->
       let progress = ref false in
-      while
-        Buffer.length c.txq > 0 && inflight_bytes c + mss <= window_bytes
-      do
-        let take = min mss (Buffer.length c.txq) in
-        let payload = Buffer.sub c.txq 0 take in
-        let rest = Buffer.sub c.txq take (Buffer.length c.txq - take) in
-        Buffer.clear c.txq;
-        Buffer.add_string c.txq rest;
+      while c.txq_bytes > 0 && c.inflight_bytes + mss <= window_bytes do
+        let take = min mss c.txq_bytes in
+        let payload = take_tx c take in
         let seq = c.snd_nxt in
         c.snd_nxt <- c.snd_nxt + take;
-        c.inflight <- c.inflight @ [ (seq, payload) ];
+        Queue.push (seq, payload) c.inflight;
+        c.inflight_bytes <- c.inflight_bytes + take;
         maybe_time_span c ~upto:(seq + take);
         send_seg c ~payload ~flags:{ no_flags with ack = true } ~seq ();
         progress := true
@@ -204,8 +221,8 @@ let pump c =
 let maybe_send_fin c =
   if
     (not c.fin_sent)
-    && Buffer.length c.txq = 0
-    && c.inflight = []
+    && c.txq_bytes = 0
+    && Queue.is_empty c.inflight
     && (c.cstate = Fin_wait || (c.cstate = Close_wait && c.fin_received))
   then begin
     c.fin_sent <- true;
@@ -224,8 +241,11 @@ let mk_conn stack ~local_port ~remote ~cstate ~isn ~rcv_nxt =
     snd_nxt = isn;
     snd_una = isn;
     rcv_nxt;
-    txq = Buffer.create 256;
-    inflight = [];
+    txq = Queue.create ();
+    txq_head = 0;
+    txq_bytes = 0;
+    inflight = Queue.create ();
+    inflight_bytes = 0;
     rxq = Buffer.create 256;
     fin_received = false;
     fin_sent = false;
@@ -275,7 +295,10 @@ let send c data =
   (match c.cstate with
   | Closed | Fin_wait -> invalid_arg "Stack.send: connection closing"
   | Syn_sent | Syn_received | Established | Close_wait -> ());
-  Buffer.add_string c.txq data;
+  if data <> "" then begin
+    Queue.push data c.txq;
+    c.txq_bytes <- c.txq_bytes + String.length data
+  end;
   pump c
 
 let recv c =
@@ -311,13 +334,25 @@ let handle_ack c ack_no =
       c.rtt_seq <- -1
     end;
     c.snd_una <- ack_no;
-    c.inflight <-
-      List.filter (fun (seq, p) -> seq + String.length p > ack_no) c.inflight;
-    if c.inflight = [] then c.rto_deadline <- Int64.max_int else arm_rto c;
+    (* the acked entries are a prefix: the queue is in seq order *)
+    let rec drop_acked () =
+      match Queue.peek_opt c.inflight with
+      | Some (seq, p) when seq + String.length p <= ack_no ->
+          ignore (Queue.pop c.inflight);
+          c.inflight_bytes <- c.inflight_bytes - String.length p;
+          drop_acked ()
+      | Some _ | None -> ()
+    in
+    drop_acked ();
+    if Queue.is_empty c.inflight then c.rto_deadline <- Int64.max_int
+    else arm_rto c;
     pump c;
     maybe_send_fin c;
     (* If both sides have finished, reap. *)
-    if c.fin_sent && c.fin_received && c.inflight = [] && ack_no >= c.snd_nxt
+    if
+      c.fin_sent && c.fin_received
+      && Queue.is_empty c.inflight
+      && ack_no >= c.snd_nxt
     then begin
       c.cstate <- Closed;
       Hashtbl.remove c.stack.conns (conn_key c)
@@ -365,7 +400,11 @@ let handle_tcp t ~src_ip (seg : tcp) =
               | Fin_wait | Close_wait | Syn_sent | Syn_received | Closed -> ());
               send_ack c;
               maybe_send_fin c;
-              if c.fin_sent && c.inflight = [] && c.snd_una >= c.snd_nxt then begin
+              if
+                c.fin_sent
+                && Queue.is_empty c.inflight
+                && c.snd_una >= c.snd_nxt
+              then begin
                 c.cstate <- Closed;
                 Hashtbl.remove t.conns (conn_key c)
               end
@@ -451,12 +490,14 @@ let handle_timeout c =
           ~flags:{ no_flags with syn = true; ack = true }
           ~seq:c.snd_una ()
     | Established | Fin_wait | Close_wait ->
+        (* go-back-N over a snapshot: a retransmitted segment can be
+           acked re-entrantly, popping entries and pumping new ones *)
         List.iter
           (fun (seq, payload) ->
             count_retx c;
             send_seg c ~payload ~flags:{ no_flags with ack = true } ~seq ())
-          c.inflight;
-        if c.fin_sent && c.inflight = [] then begin
+          (List.of_seq (Queue.to_seq c.inflight));
+        if c.fin_sent && Queue.is_empty c.inflight then begin
           count_retx c;
           send_seg c
             ~flags:{ no_flags with fin = true; ack = true }

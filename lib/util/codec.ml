@@ -47,12 +47,17 @@ module Enc = struct
 end
 
 module Dec = struct
-  type t = { src : string; mutable pos : int }
+  type t = { src : string; mutable pos : int; limit : int }
 
-  let of_string s = { src = s; pos = 0 }
+  let of_string s = { src = s; pos = 0; limit = String.length s }
+
+  let of_substring s ~pos ~len =
+    if pos < 0 || len < 0 || pos > String.length s - len then
+      invalid_arg "Codec.Dec.of_substring";
+    { src = s; pos; limit = pos + len }
 
   let need d n =
-    if d.pos + n > String.length d.src then raise Truncated
+    if n < 0 || d.pos + n > d.limit then raise Truncated
 
   let u8 d =
     need d 1;
@@ -114,6 +119,6 @@ module Dec = struct
     (a, b)
 
   let pos d = d.pos
-  let remaining d = String.length d.src - d.pos
+  let remaining d = d.limit - d.pos
   let at_end d = remaining d = 0
 end

@@ -36,6 +36,12 @@ module Dec : sig
   type t
 
   val of_string : string -> t
+
+  val of_substring : string -> pos:int -> len:int -> t
+  (** Decodes [len] bytes of the string from [pos] in place: reads past
+      [pos + len] raise {!Truncated} as if the string ended there.
+      [Invalid_argument] if the range is not inside the string. *)
+
   val u8 : t -> int
   val u16 : t -> int
   val u32 : t -> int
@@ -49,6 +55,8 @@ module Dec : sig
   val option : t -> (t -> 'a) -> 'a option
   val pair : t -> (t -> 'a) -> (t -> 'b) -> 'a * 'b
   val pos : t -> int
+  (** Offset into the underlying string. *)
+
   val remaining : t -> int
   val at_end : t -> bool
 end

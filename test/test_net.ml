@@ -4,6 +4,8 @@ module Sys = Histar_core.Sys
 open Histar_net
 open Histar_label
 open Histar_core.Types
+module Check = Histar_check.Check
+module Gen = Histar_check.Gen
 
 let l entries d = Label.of_list entries d
 
@@ -387,6 +389,250 @@ let test_byte_conservation () =
      the identity was only tested in its degenerate form *)
   Alcotest.(check bool) "faulty run lost bytes" true (cv "net.bytes_lost" > 0)
 
+(* ---------- transmit path: wire identity, allocation ---------- *)
+
+(* A transfer made of twelve sends of irregular sizes drawn from the
+   check seed. The receiver takes its frames only a few at a time, so
+   the sender's window fills and later sends append to a half-drained
+   queue; the first ones even land before the handshake completes.
+   Returns the fnv64 digest of every frame the tap saw, the final
+   virtual ns, and the sender's segments sent and retransmitted. *)
+let wire_transfer ~faults =
+  let clock = Clock.create () in
+  let hub = Hub.create ?faults ~clock () in
+  let wire = Buffer.create 4096 in
+  Hub.set_tap hub (Some (Buffer.add_string wire));
+  let a = Sim_host.create ~hub ~clock ~ip:"10.0.0.1" ~mac:"aa" () in
+  let sa = Sim_host.stack a in
+  let b_ip = Addr.ip_of_string "10.0.0.2" in
+  let sb =
+    Stack.create ~mac:"bb" ~ip:b_ip ~send:(Hub.inject hub)
+      ~resolve:(Hub.resolve hub) ~clock ()
+  in
+  (* frames for the receiver wait here until [deliver] hands them over *)
+  let pending = Queue.create () in
+  Hub.attach hub
+    { Hub.ep_mac = "bb"; ep_ip = b_ip; ep_deliver = (fun f -> Queue.push f pending) };
+  Stack.listen sb ~port:80;
+  let server = ref None in
+  let got = Buffer.create 4096 in
+  let deliver n =
+    for _ = 1 to n do
+      Option.iter (Stack.input sb) (Queue.take_opt pending)
+    done;
+    if !server = None then server := Stack.accept sb ~port:80;
+    match !server with
+    | Some s ->
+        Buffer.add_string got (Stack.recv s);
+        if Stack.recv_eof s then Stack.close s
+    | None -> ()
+  in
+  (* hand over everything pending; on a quiet wire, run the timers *)
+  let drive_until stop =
+    let guard = ref 0 in
+    while (not (stop ())) && !guard < 20_000 do
+      incr guard;
+      if Queue.is_empty pending then begin
+        Clock.advance_ms clock 50.0;
+        Stack.tick sa;
+        Stack.tick sb;
+        Hub.flush_held hub
+      end;
+      deliver (Queue.length pending)
+    done
+  in
+  let rng = Histar_util.Rng.create (Check.seed ()) in
+  let c = Stack.connect sa ~dst:(Addr.v "10.0.0.2" 80) in
+  let sent = Buffer.create 4096 in
+  for _ = 1 to 12 do
+    let n = 1 + Histar_util.Rng.int rng 30_000 in
+    let data = Histar_util.Rng.bytes rng n in
+    Buffer.add_string sent data;
+    Stack.send c data;
+    deliver (Histar_util.Rng.int rng 12)
+  done;
+  drive_until (fun () -> Stack.state c <> Stack.Syn_sent);
+  Stack.close c;
+  drive_until (fun () ->
+      Stack.state c = Stack.Closed && Buffer.length got = Buffer.length sent);
+  Alcotest.(check bool) "stream exact" true
+    (String.equal (Buffer.contents sent) (Buffer.contents got));
+  ( Histar_util.Checksum.fnv64 (Buffer.contents wire),
+    Clock.now_ns clock,
+    Stack.segments_sent sa,
+    Stack.segments_retransmitted sa )
+
+(* Every frame on the wire, the virtual time and the segment counts are
+   pinned to what the copying transmit path produced, over a clean hub
+   and over one that loses, corrupts, duplicates and reorders. Pinned
+   at the default check seed only; another seed checks the stream. *)
+let test_wire_byte_identity () =
+  let module Schedule = Histar_faults.Faults.Schedule in
+  let run tag ~faults (digest, ns, sent, retx) =
+    let d, n, s, r = wire_transfer ~faults in
+    if Int64.equal (Check.seed ()) Check.default_seed then begin
+      Alcotest.(check string) (tag ^ ": wire digest") digest
+        (Printf.sprintf "%016Lx" d);
+      Alcotest.(check int64) (tag ^ ": virtual ns") ns n;
+      Alcotest.(check int) (tag ^ ": segments sent") sent s;
+      Alcotest.(check int) (tag ^ ": segments retransmitted") retx r
+    end
+  in
+  run "clean" ~faults:None ("080a0421f0dcb125", 21_468_880L, 155, 0);
+  let schedule = Schedule.mk ~seed:0x1D3A7L ~net:Schedule.default_net () in
+  run "lossy"
+    ~faults:(Histar_faults.Faults.Net_faults.create schedule)
+    ("5b93df9584cbd632", 62_788_369_360L, 565, 412)
+
+(* Words allocated by one transfer of [n] bytes through [Sim_host]. *)
+let transfer_alloc_words n =
+  let _clock, _hub, a, b = mk_pair () in
+  let content = String.make n 'x' in
+  Sim_host.serve_file b ~port:80 ~content;
+  let words () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = words () in
+  let c = Stack.connect (Sim_host.stack a) ~dst:(Addr.v "10.0.0.2" 80) in
+  Stack.send c "GET /";
+  let total = ref 0 in
+  let guard = ref 0 in
+  while (not (Stack.recv_eof c)) && !guard < 100_000 do
+    incr guard;
+    total := !total + String.length (Stack.recv c)
+  done;
+  let w1 = words () in
+  Alcotest.(check int) "all bytes" n !total;
+  w1 -. w0
+
+(* Doubling a transfer must about double what it allocates: allocation
+   counts are deterministic where wall time is not, and a transmit
+   path that re-copies its queue per segment allocates ~4x. *)
+let test_tx_alloc_linear () =
+  let small = transfer_alloc_words 1_250_000 in
+  let large = transfer_alloc_words 2_500_000 in
+  let ratio = large /. small in
+  Alcotest.(check bool)
+    (Printf.sprintf "1.25 MB -> 2.5 MB allocates %.2fx (%.0f -> %.0f words)"
+       ratio small large)
+    true (ratio <= 2.3)
+
+(* The bounded frame decoder is total: on arbitrary bytes and on
+   mutations of valid frames — most of them resealed with a valid FCS,
+   so the body decoder really runs — it returns [None] or [Some] and
+   never raises, and whatever it accepts re-encodes to the same bytes.
+   A payload length stretched into the FCS trailer must be rejected. *)
+let gen_frame =
+  let open Gen in
+  let u16 = int_range 0 0xFFFF and u32 = int_range 0 0xFFFF_FFFF in
+  let* src_mac = string in
+  let* dst_mac = string in
+  let* src_ip = u32 in
+  let* dst_ip = u32 in
+  let* tcp = bool in
+  let* payload = string in
+  if tcp then
+    let* src_port = u16 in
+    let* dst_port = u16 in
+    let* seq = u32 in
+    let* ack_no = u32 in
+    let* bits = int_range 0 15 in
+    let* window = u32 in
+    let flags =
+      {
+        Packet.syn = bits land 1 <> 0;
+        ack = bits land 2 <> 0;
+        fin = bits land 4 <> 0;
+        rst = bits land 8 <> 0;
+      }
+    in
+    return
+      {
+        Packet.src_mac;
+        dst_mac;
+        ip =
+          {
+            Packet.src_ip;
+            dst_ip;
+            proto =
+              Packet.Tcp
+                { Packet.src_port; dst_port; seq; ack_no; flags; window; payload };
+          };
+      }
+  else
+    let* usrc_port = u16 in
+    let* udst_port = u16 in
+    return
+      {
+        Packet.src_mac;
+        dst_mac;
+        ip =
+          {
+            Packet.src_ip;
+            dst_ip;
+            proto = Packet.Udp { Packet.usrc_port; udst_port; upayload = payload };
+          };
+      }
+
+let payload_of f =
+  match f.Packet.ip.Packet.proto with
+  | Packet.Tcp t -> t.Packet.payload
+  | Packet.Udp u -> u.Packet.upayload
+
+(* [body] followed by its FCS *)
+let reseal body =
+  let fcs = Bytes.create 8 in
+  Bytes.set_int64_le fcs 0 (Histar_util.Checksum.fnv64 body);
+  body ^ Bytes.to_string fcs
+
+(* (what was done, the bytes, whether they must be rejected) *)
+let gen_wire_case =
+  let open Gen in
+  let* f = gen_frame in
+  let wire = Packet.frame_to_bytes f in
+  let body = String.sub wire 0 (String.length wire - 8) in
+  let nb = String.length body in
+  let* pos = int_range 0 1_000_000 in
+  let* byte = int_range 1 255 in
+  let* k = int_range 1 8 in
+  let* tail = string in
+  let flip s i =
+    String.mapi
+      (fun j c -> if j = i then Char.chr (Char.code c lxor byte) else c)
+      s
+  in
+  choose
+    [
+      ("random bytes", tail, false);
+      ("valid frame", wire, false);
+      ("resealed body byte flip", reseal (flip body (pos mod nb)), false);
+      ("resealed truncated body", reseal (String.sub body 0 (pos mod nb)), false);
+      ("resealed body plus tail", reseal (body ^ tail), tail <> "");
+      ("unsealed byte flip", flip wire (pos mod String.length wire), true);
+      ("truncated frame", String.sub wire 0 (pos mod String.length wire), false);
+      (let len_at = nb - String.length (payload_of f) - 4 in
+       let b = Bytes.of_string body in
+       Bytes.set_int32_le b len_at
+         (Int32.of_int (String.length (payload_of f) + k));
+       ( Printf.sprintf "payload length +%d into the FCS, resealed" k,
+         reseal (Bytes.to_string b),
+         true ));
+    ]
+
+let test_decoder_total =
+  Check.test_case ~count:2000 ~max_size:64
+    ~print:(fun (what, s, _) ->
+      Printf.sprintf "%s: %S" what s)
+    "bounded frame decoder is total" gen_wire_case
+    (fun (what, s, must_reject) ->
+      match Packet.frame_of_bytes s with
+      | None -> ()
+      | Some f ->
+          Check.ensure ~msg:(what ^ ": accepted") (not must_reject);
+          Check.ensure ~msg:(what ^ ": accepted frame re-encodes differently")
+            (String.equal (Packet.frame_to_bytes f) s))
+
 (* ---------- netd inside HiStar ---------- *)
 
 let test_netd_end_to_end () =
@@ -581,6 +827,7 @@ let () =
           Alcotest.test_case "garbage" `Quick test_packet_garbage;
           Qcheck_seed.to_alcotest prop_frame_roundtrip;
           Qcheck_seed.to_alcotest prop_garbage_never_crashes;
+          test_decoder_total;
         ] );
       ( "tcp",
         [
@@ -594,6 +841,10 @@ let () =
           Alcotest.test_case "udp" `Quick test_udp;
           Alcotest.test_case "bandwidth model" `Quick test_hub_bandwidth_model;
           Alcotest.test_case "byte conservation" `Quick test_byte_conservation;
+          Alcotest.test_case "wire byte-identity" `Quick
+            test_wire_byte_identity;
+          Alcotest.test_case "transmit allocation linear" `Quick
+            test_tx_alloc_linear;
         ] );
       ( "netd",
         [
