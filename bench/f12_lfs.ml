@@ -7,18 +7,15 @@
 open Harness
 module Unixsim = Histar_baseline.Unixsim
 
-let files = ref 800
+type sizes = { files : int; large_mb : int; rand_writes : int }
+
+let full = { files = 800; large_mb = 24; rand_writes = 400 }
+let quick = { files = 200; large_mb = 8; rand_writes = 100 }
 let paper_files = 10_000
-let large_mb = ref 24
 let paper_large_mb = 100
-let rand_writes = ref 400
 let paper_rand_writes = 12_800
 
-let scale_small v = v *. (float_of_int paper_files /. float_of_int !files)
-let scale_large v = v *. (float_of_int paper_large_mb /. float_of_int !large_mb)
-
-let scale_rand v =
-  v *. (float_of_int paper_rand_writes /. float_of_int !rand_writes)
+let scale paper n v = v *. (float_of_int paper /. float_of_int n)
 
 type small_results = {
   create_async : float;
@@ -31,40 +28,21 @@ type small_results = {
   unlink_group : float option;
 }
 
-let content = String.make 1024 'd'
+(* ---------- HiStar ----------
 
-(* ---------- HiStar ---------- *)
+   One machine per phase-variant so WAL/state does not leak between
+   measurements; creates run the runner's workload. *)
 
-(* One machine per phase-variant so WAL/state does not leak between
-   measurements. *)
-let histar_create ~mode =
-  let m = mk_machine () in
-  boot m (fun fs _proc ->
-      ignore (Fs.mkdir fs "/lfs");
-      let (), ns =
-        timed m.clock (fun () ->
-            for i = 0 to !files - 1 do
-              let p = Printf.sprintf "/lfs/f%05d" i in
-              Fs.write_file fs p content;
-              match mode with
-              | `Async -> ()
-              | `Sync -> Fs.fsync fs p
-              | `Group -> ()
-            done;
-            match mode with
-            | `Group -> Sys.sync_all ()
-            | `Async | `Sync -> ())
-      in
-      s_of_ns ns)
+let histar_create ~mode ~files = s_of_ns (Runner.lfs_create ~mode ~files).ns
 
-let histar_read ~cached =
+let histar_read ~cached ~files =
   let m = mk_machine () in
   boot m (fun fs _proc ->
       ignore (Fs.mkdir fs "/lfs");
       let oids = ref [] in
-      for i = 0 to !files - 1 do
-        let p = Printf.sprintf "/lfs/f%05d" i in
-        Fs.write_file fs p content;
+      for i = 0 to files - 1 do
+        let p = Runner.lfs_path i in
+        Fs.write_file fs p Runner.lfs_content;
         match Fs.lookup fs p with
         | Some n -> oids := n.Fs.oid :: !oids
         | None -> ()
@@ -72,8 +50,8 @@ let histar_read ~cached =
       if cached then
         let (), ns =
           timed m.clock (fun () ->
-              for i = 0 to !files - 1 do
-                ignore (Fs.read_file fs (Printf.sprintf "/lfs/f%05d" i))
+              for i = 0 to files - 1 do
+                ignore (Fs.read_file fs (Runner.lfs_path i))
               done)
         in
         s_of_ns ns
@@ -93,18 +71,18 @@ let histar_read ~cached =
         s_of_ns ns
       end)
 
-let histar_unlink ~mode =
+let histar_unlink ~mode ~files =
   let m = mk_machine () in
   boot m (fun fs _proc ->
       ignore (Fs.mkdir fs "/lfs");
-      for i = 0 to !files - 1 do
-        Fs.write_file fs (Printf.sprintf "/lfs/f%05d" i) content
+      for i = 0 to files - 1 do
+        Fs.write_file fs (Runner.lfs_path i) Runner.lfs_content
       done;
       Sys.sync_all ();
       let (), ns =
         timed m.clock (fun () ->
-            for i = 0 to !files - 1 do
-              Fs.unlink fs (Printf.sprintf "/lfs/f%05d" i);
+            for i = 0 to files - 1 do
+              Fs.unlink fs (Runner.lfs_path i);
               match mode with
               | `Async -> ()
               | `Sync ->
@@ -118,21 +96,21 @@ let histar_unlink ~mode =
       in
       s_of_ns ns)
 
-let histar_small () =
+let histar_small ~files =
   {
-    create_async = histar_create ~mode:`Async;
-    create_sync = histar_create ~mode:`Sync;
-    create_group = histar_create ~mode:`Group;
-    read_cached = histar_read ~cached:true;
-    read_uncached = Some (histar_read ~cached:false);
-    unlink_async = histar_unlink ~mode:`Async;
-    unlink_sync = histar_unlink ~mode:`Sync;
-    unlink_group = Some (histar_unlink ~mode:`Group);
+    create_async = histar_create ~mode:`Async ~files;
+    create_sync = histar_create ~mode:`Sync ~files;
+    create_group = histar_create ~mode:`Group ~files;
+    read_cached = histar_read ~cached:true ~files;
+    read_uncached = Some (histar_read ~cached:false ~files);
+    unlink_async = histar_unlink ~mode:`Async ~files;
+    unlink_sync = histar_unlink ~mode:`Sync ~files;
+    unlink_group = Some (histar_unlink ~mode:`Group ~files);
   }
 
 (* ---------- baselines ---------- *)
 
-let baseline_small flavor =
+let baseline_small flavor ~files =
   let fresh () =
     let clock = Clock.create () in
     let disk = Disk.create ~clock () in
@@ -142,10 +120,10 @@ let baseline_small flavor =
     let clock, u = fresh () in
     let (), ns =
       timed clock (fun () ->
-          for i = 0 to !files - 1 do
-            let p = Printf.sprintf "/lfs/f%05d" i in
+          for i = 0 to files - 1 do
+            let p = Runner.lfs_path i in
             Unixsim.creat u ~uid:1 ~mode:0o644 p;
-            Unixsim.write u ~uid:1 p content;
+            Unixsim.write u ~uid:1 p Runner.lfs_content;
             if sync then Unixsim.fsync u p
           done)
     in
@@ -153,33 +131,33 @@ let baseline_small flavor =
   in
   let read ~cached =
     let clock, u = fresh () in
-    for i = 0 to !files - 1 do
-      let p = Printf.sprintf "/lfs/f%05d" i in
+    for i = 0 to files - 1 do
+      let p = Runner.lfs_path i in
       Unixsim.creat u ~uid:1 ~mode:0o644 p;
-      Unixsim.write u ~uid:1 p content
+      Unixsim.write u ~uid:1 p Runner.lfs_content
     done;
     Unixsim.sync_all u;
     if not cached then Unixsim.drop_caches u;
     let (), ns =
       timed clock (fun () ->
-          for i = 0 to !files - 1 do
-            ignore (Unixsim.read u ~uid:1 (Printf.sprintf "/lfs/f%05d" i))
+          for i = 0 to files - 1 do
+            ignore (Unixsim.read u ~uid:1 (Runner.lfs_path i))
           done)
     in
     s_of_ns ns
   in
   let unlink ~sync =
     let clock, u = fresh () in
-    for i = 0 to !files - 1 do
-      let p = Printf.sprintf "/lfs/f%05d" i in
+    for i = 0 to files - 1 do
+      let p = Runner.lfs_path i in
       Unixsim.creat u ~uid:1 ~mode:0o644 p;
-      Unixsim.write u ~uid:1 p content
+      Unixsim.write u ~uid:1 p Runner.lfs_content
     done;
     Unixsim.sync_all u;
     let (), ns =
       timed clock (fun () ->
-          for i = 0 to !files - 1 do
-            Unixsim.unlink u ~uid:1 (Printf.sprintf "/lfs/f%05d" i);
+          for i = 0 to files - 1 do
+            Unixsim.unlink u ~uid:1 (Runner.lfs_path i);
             if sync then Unixsim.fsync_dir u "/lfs"
           done)
     in
@@ -199,41 +177,16 @@ let baseline_small flavor =
 
 (* ---------- large file ---------- *)
 
-let chunk = 8192
-
-let histar_large () =
+(* The runner's prefill and random-write phases, then an uncached
+   sequential read through the store. *)
+let histar_large ~large_mb ~rand_writes =
   let m = mk_machine () in
-  let bytes = !large_mb * 1024 * 1024 in
   boot m (fun fs proc ->
-      ignore (Fs.mkdir fs "/big");
-      ignore (Fs.create fs "/big/file");
-      Fs.reserve fs "/big/file" (bytes + 65536);
-      let data = String.make chunk 'L' in
-      (* phase 1: sequential write + one fsync *)
-      let fd = Process.open_file proc "/big/file" in
-      let (), seq_ns =
-        timed m.clock (fun () ->
-            for _ = 1 to bytes / chunk do
-              ignore (Process.write proc fd data)
-            done;
-            Fs.fsync fs "/big/file")
-      in
-      Process.close proc fd;
+      let seq = Runner.large_file_prefill m fs proc ~mb:large_mb in
       Sys.sync_all ();
-      (* phase 2: random synchronous writes, flushed in place *)
-      let rng = Histar_util.Rng.create 7L in
-      let (), rand_ns =
-        timed m.clock (fun () ->
-            for _ = 1 to !rand_writes do
-              let off = Histar_util.Rng.int rng (bytes - chunk) in
-              let fd = Process.open_file proc "/big/file" in
-              Process.seek proc fd off;
-              ignore (Process.write proc fd data);
-              Process.close proc fd;
-              Fs.fsync_range fs "/big/file" ~off ~len:chunk
-            done)
+      let rand =
+        Runner.large_file_writes m fs proc ~mb:large_mb ~writes:rand_writes
       in
-      (* phase 3: uncached sequential read through the store *)
       Sys.sync_all ();
       Store.drop_clean_cache m.store;
       let oid =
@@ -244,13 +197,13 @@ let histar_large () =
       let (), read_ns =
         timed m.clock (fun () -> ignore (Store.get m.store ~oid))
       in
-      (s_of_ns seq_ns, s_of_ns rand_ns, s_of_ns read_ns))
+      (s_of_ns seq.ns, s_of_ns rand.ns, s_of_ns read_ns))
 
-let baseline_large flavor =
+let baseline_large flavor ~large_mb ~rand_writes =
   let clock = Clock.create () in
   let disk = Disk.create ~clock () in
   let u = Unixsim.create flavor ~disk ~clock () in
-  let bytes = !large_mb * 1024 * 1024 in
+  let bytes = large_mb * 1024 * 1024 in
   Unixsim.creat u ~uid:1 ~mode:0o644 "/big";
   let (), seq_ns =
     timed clock (fun () ->
@@ -260,7 +213,7 @@ let baseline_large flavor =
   in
   let (), rand_ns =
     timed clock (fun () ->
-        for _ = 1 to !rand_writes do
+        for _ = 1 to rand_writes do
           Unixsim.sync_write_pages u "/big" ~pages:2
         done)
   in
@@ -272,24 +225,24 @@ let baseline_large flavor =
 
 (* ---------- printing ---------- *)
 
-let p_small name get hi li bi ~paper_note =
-  let cell r =
-    match get r with
-    | None -> na
-    | Some v when Float.is_nan v -> na
-    | Some v -> Printf.sprintf "%.2f s" (scale_small v)
+let run { files; large_mb; rand_writes } =
+  let p_small name get hi li bi ~paper_note =
+    let cell r =
+      match get r with
+      | None -> na
+      | Some v when Float.is_nan v -> na
+      | Some v -> Printf.sprintf "%.2f s" (scale paper_files files v)
+    in
+    row4 name (cell hi) (cell li) (cell bi);
+    paper paper_note
   in
-  row4 name (cell hi) (cell li) (cell bi);
-  paper paper_note
-
-let run () =
   header
     (Printf.sprintf
        "Figure 12 (lower): LFS small-file benchmark (%d files, scaled to %d)"
-       !files paper_files);
-  let hi = histar_small () in
-  let li = baseline_small Unixsim.Linux in
-  let bi = baseline_small Unixsim.Openbsd in
+       files paper_files);
+  let hi = histar_small ~files in
+  let li = baseline_small Unixsim.Linux ~files in
+  let bi = baseline_small Unixsim.Openbsd ~files in
   row4 "Phase (times scaled to 10k files)" "HiStar" "Linux" "OpenBSD";
   p_small "create, async" (fun r -> Some r.create_async) hi li bi
     ~paper_note:"0.31 s / 0.316 s / 0.22 s";
@@ -310,9 +263,13 @@ let run () =
   header
     (Printf.sprintf
        "Figure 12 (lower): LFS large-file benchmark (%d MB, scaled to 100 MB)"
-       !large_mb);
-  let h_seq, h_rand, h_read = histar_large () in
-  let l_seq, l_rand, l_read = baseline_large Unixsim.Linux in
+       large_mb);
+  let h_seq, h_rand, h_read = histar_large ~large_mb ~rand_writes in
+  let l_seq, l_rand, l_read =
+    baseline_large Unixsim.Linux ~large_mb ~rand_writes
+  in
+  let scale_large = scale paper_large_mb large_mb in
+  let scale_rand = scale paper_rand_writes rand_writes in
   row4 "Phase" "HiStar" "Linux" "OpenBSD";
   row4 "sequential write + fsync"
     (fmt_time_s (scale_large h_seq))

@@ -4,97 +4,26 @@
 
 open Harness
 module Unixsim = Histar_baseline.Unixsim
-module Profile = Histar_core.Profile
 
-let ipc_rtts = 2_000
+(* The paper's sizes: 2,000 IPC round trips, 30 process cycles. *)
+type sizes = { rtts : int; iters : int }
 
-(* One ping-pong setup: returns virtual ns per round trip and syscalls
-   per round trip. *)
-let histar_ipc () =
-  let m = mk_machine () in
-  boot m (fun _fs proc ->
-      let r1, w1 = Process.pipe proc in
-      let r2, w2 = Process.pipe proc in
-      let _echo =
-        Process.spawn proc ~name:"echo" ~fds:[ r1; w2 ] (fun child ->
-            let rec loop () =
-              let msg = Process.read child r1 8 in
-              if String.length msg > 0 then begin
-                ignore (Process.write child w2 msg);
-                loop ()
-              end
-            in
-            loop ();
-            Process.close child w2)
-      in
-      (* warm up *)
-      ignore (Process.write proc w1 "warmup!!");
-      ignore (Process.read proc r2 8);
-      let profile = Kernel.profile m.kernel in
-      Profile.reset profile;
-      let (), ns =
-        timed m.clock (fun () ->
-            for _ = 1 to ipc_rtts do
-              ignore (Process.write proc w1 "8bytemsg");
-              ignore (Process.read proc r2 8)
-            done)
-      in
-      Process.close proc w1;
-      ( Int64.to_float ns /. float_of_int ipc_rtts,
-        float_of_int (Profile.total profile) /. float_of_int ipc_rtts ))
+let sizes = { rtts = 2_000; iters = 30 }
 
-let baseline_ipc flavor =
+let baseline_ipc flavor ~rtts =
   let clock = Clock.create () in
   let u = Unixsim.create flavor ~clock () in
   let (), ns =
     timed clock (fun () ->
-        for _ = 1 to ipc_rtts do
+        for _ = 1 to rtts do
           Unixsim.pipe_rtt u
         done)
   in
-  Int64.to_float ns /. float_of_int ipc_rtts
+  Int64.to_float ns /. float_of_int rtts
 
-(* fork/exec and spawn: virtual time and syscalls per full
-   create-run-exit-wait cycle of a /bin/true equivalent. *)
-let histar_proc ~use_spawn =
-  let m = mk_machine () in
-  let iters = 30 in
-  boot m (fun fs proc ->
-      ignore (Fs.mkdir fs "/bin");
-      Fs.write_file fs "/bin/true" "#!true";
-      (* the launching shell holds stdin/stdout/stderr, which the child
-         inherits; fork must copy their descriptor state, spawn only
-         links it *)
-      Fs.write_file fs "/dev-console" "";
-      let fds =
-        List.init 3 (fun _ -> Process.open_file proc "/dev-console")
-      in
-      let one () =
-        let h =
-          if use_spawn then
-            Process.spawn proc ~name:"true" ~fds (fun c -> Process.exit c 0)
-          else
-            Process.fork_exec proc ~name:"true" ~text:"/bin/true" ~fds
-              (fun c -> Process.exit c 0)
-        in
-        ignore (Process.wait proc h)
-      in
-      one () (* warmup *);
-      let profile = Kernel.profile m.kernel in
-      Profile.reset profile;
-      let (), ns =
-        timed m.clock (fun () ->
-            for _ = 1 to iters do
-              one ()
-            done)
-      in
-      ( Int64.to_float ns /. float_of_int iters /. 1e6,
-        Profile.total profile / iters ))
-
-let baseline_forkexec flavor =
+let baseline_forkexec flavor ~iters =
   let clock = Clock.create () in
   let u = Unixsim.create flavor ~clock () in
-  let iters = 30 in
   Unixsim.reset_syscall_count u;
   let (), ns =
     timed clock (fun () ->
@@ -104,11 +33,19 @@ let baseline_forkexec flavor =
   in
   (Int64.to_float ns /. float_of_int iters /. 1e6, Unixsim.syscall_count u / iters)
 
-let run () =
+(* HiStar's side runs the runner's workloads: ms and syscalls per
+   create-run-exit-wait cycle. *)
+let histar_proc ~use_spawn ~iters =
+  let p = Runner.proc_cycle ~use_spawn ~iters in
+  (Int64.to_float p.ns /. float_of_int iters /. 1e6, p.syscalls / iters)
+
+let run { rtts; iters } =
   header "Figure 12 (upper): IPC and process-creation microbenchmarks";
-  let h_ipc_ns, h_ipc_sc = histar_ipc () in
-  let l_ipc = baseline_ipc Unixsim.Linux in
-  let b_ipc = baseline_ipc Unixsim.Openbsd in
+  let ipc = Runner.ipc_pingpong ~rtts in
+  let h_ipc_ns = Int64.to_float ipc.ns /. float_of_int rtts in
+  let h_ipc_sc = float_of_int ipc.syscalls /. float_of_int rtts in
+  let l_ipc = baseline_ipc Unixsim.Linux ~rtts in
+  let b_ipc = baseline_ipc Unixsim.Openbsd ~rtts in
   row4 "Benchmark" "HiStar" "Linux" "OpenBSD";
   row4 "IPC benchmark, per RTT"
     (fmt_time_us (h_ipc_ns /. 1e3))
@@ -117,10 +54,10 @@ let run () =
   paper "3.11 µs / 4.32 µs / 2.13 µs";
   Printf.printf "%-38s %12s\n" "  syscalls per RTT (HiStar)"
     (Printf.sprintf "%.0f" h_ipc_sc);
-  let fe_ms, fe_sc = histar_proc ~use_spawn:false in
-  let sp_ms, sp_sc = histar_proc ~use_spawn:true in
-  let l_fe_ms, l_fe_sc = baseline_forkexec Unixsim.Linux in
-  let b_fe_ms, b_fe_sc = baseline_forkexec Unixsim.Openbsd in
+  let fe_ms, fe_sc = histar_proc ~use_spawn:false ~iters in
+  let sp_ms, sp_sc = histar_proc ~use_spawn:true ~iters in
+  let l_fe_ms, l_fe_sc = baseline_forkexec Unixsim.Linux ~iters in
+  let b_fe_ms, b_fe_sc = baseline_forkexec Unixsim.Openbsd ~iters in
   row4 "Fork/exec, per iteration" (fmt_time_ms fe_ms) (fmt_time_ms l_fe_ms)
     (fmt_time_ms b_fe_ms);
   paper "1.35 ms / 0.18 ms / 0.18 ms";

@@ -7,16 +7,19 @@ module Unixsim = Histar_baseline.Unixsim
 module Hub = Histar_net.Hub
 module Addr = Histar_net.Addr
 module Sim_host = Histar_net.Sim_host
-module Netd = Histar_net.Netd
 module Stack = Histar_net.Stack
-open Histar_label
 
-let build_files = ref 12
+type sizes = { build_files : int; wget_bytes : int; scan_bytes : int }
+
+let mib = 1024 * 1024
+let full = { build_files = 12; wget_bytes = 10 * mib; scan_bytes = 8 * mib }
+let quick = { build_files = 6; wget_bytes = 4 * mib; scan_bytes = 2 * mib }
 let paper_build_note = "6.2 s / 4.7 s / 6.0 s"
-let wget_mb = ref 10
-let paper_wget_mb = 100
-let scan_mb = ref 8
-let paper_scan_mb = 100
+let paper_bytes = 100 * mib
+let scale_100mb bytes v = v *. (float_of_int paper_bytes /. float_of_int bytes)
+
+let size_label bytes =
+  Printf.sprintf "%g MB" (float_of_int bytes /. float_of_int mib)
 
 (* the user-CPU cost of compiling one synthetic module — identical on
    every system; differences come from process/fs overheads *)
@@ -24,27 +27,27 @@ let compile_cpu_us = 300_000
 
 (* ---------- kernel build ---------- *)
 
-let histar_build () =
+let histar_build ~build_files =
   let m = mk_machine () in
   boot m (fun fs proc ->
-      Histar_apps.Build_sim.prepare ~fs ~files:!build_files ~loc_per_file:30;
+      Histar_apps.Build_sim.prepare ~fs ~files:build_files ~loc_per_file:30;
       let (), ns =
         timed m.clock (fun () ->
-            for i = 0 to !build_files - 1 do
+            for i = 0 to build_files - 1 do
               ignore i;
               Sys.usleep compile_cpu_us
             done;
-            ignore (Histar_apps.Build_sim.run ~proc ~files:!build_files ()))
+            ignore (Histar_apps.Build_sim.run ~proc ~files:build_files ()))
       in
       s_of_ns ns)
 
-let baseline_build flavor =
+let baseline_build flavor ~build_files =
   let clock = Clock.create () in
   let disk = Disk.create ~clock () in
   let u = Unixsim.create flavor ~disk ~clock () in
   let (), ns =
     timed clock (fun () ->
-        for i = 0 to !build_files - 1 do
+        for i = 0 to build_files - 1 do
           Clock.advance_us clock (float_of_int compile_cpu_us);
           Unixsim.fork_exec_true u;
           let src = Printf.sprintf "/src/m%d.c" i in
@@ -64,70 +67,10 @@ let baseline_build flavor =
 
 (* ---------- wget ---------- *)
 
-let histar_wget () =
-  let m = mk_machine () in
-  let bytes = !wget_mb * 1024 * 1024 in
-  let hub = Hub.create ~clock:m.clock () in
-  let server = Sim_host.create ~hub ~clock:m.clock ~ip:"10.0.0.2" ~mac:"www" () in
-  Sim_host.serve_file server ~port:80 ~content:(String.make bytes 'w');
-  let got = ref 0 in
-  let elapsed = ref 0L in
-  let _tid =
-    Kernel.spawn m.kernel ~name:"init" (fun () ->
-        let fs = Fs.format_root ~container:(Kernel.root m.kernel) ~label:l1 in
-        let proc =
-          Process.boot ~fs ~container:(Kernel.root m.kernel) ~name:"init" ()
-        in
-        let i = Sys.cat_create () in
-        let netd =
-          Netd.start m.kernel ~hub ~container:(Kernel.root m.kernel)
-            ~ip:(Addr.ip_of_string "10.0.0.1") ~mac:"km" ~taint:i ()
-        in
-        let scratch =
-          Sys.container_create
-            ~container:(Process.container proc)
-            ~label:(Label.of_list [ (i, Level.L2) ] Level.L1)
-            ~quota:2_097_152L "wget scratch"
-        in
-        let done_flag = ref false in
-        let _wget =
-          Process.spawn proc ~name:"wget"
-            ~extra_label:[ (i, Level.L2) ]
-            ~extra_clearance:[ (i, Level.L2) ]
-            (fun _w ->
-              try
-              let t0 = Clock.now_ns m.clock in
-              let sock =
-                Netd.Client.connect netd ~return_container:scratch
-                  (Addr.v "10.0.0.2" 80)
-              in
-              Netd.Client.send netd ~return_container:scratch sock "GET /big";
-              let rec loop () =
-                match Netd.Client.recv netd ~return_container:scratch sock with
-                | Some d ->
-                    got := !got + String.length d;
-                    if !got < bytes then loop ()
-                | None -> ()
-              in
-              loop ();
-              elapsed := Int64.sub (Clock.now_ns m.clock) t0;
-              done_flag := true
-              with
-              | Histar_core.Types.Kernel_error e ->
-                  Printf.eprintf "wget kernel error: %s\n"
-                    (Histar_core.Types.error_to_string e)
-              | e -> Printf.eprintf "wget: %s\n" (Printexc.to_string e))
-        in
-        ignore done_flag)
-  in
-  Kernel.run m.kernel;
-  (s_of_ns !elapsed, !got)
-
-let baseline_wget () =
+let baseline_wget ~bytes =
   (* the comparison systems drive the same simulated link directly *)
   let clock = Clock.create () in
   let hub = Hub.create ~clock () in
-  let bytes = !wget_mb * 1024 * 1024 in
   let server = Sim_host.create ~hub ~clock ~ip:"10.0.0.2" ~mac:"www" () in
   Sim_host.serve_file server ~port:80 ~content:(String.make bytes 'w');
   let client = Sim_host.create ~hub ~clock ~ip:"10.0.0.1" ~mac:"cli" () in
@@ -146,9 +89,8 @@ let baseline_wget () =
 
 (* ---------- ClamAV scan ---------- *)
 
-let histar_clamav ~wrapped =
+let histar_clamav ~wrapped ~bytes =
   let m = mk_machine () in
-  let bytes = !scan_mb * 1024 * 1024 in
   let seconds = ref nan in
   let kernel = m.kernel in
   Histar_apps.Clamav_world.build ~kernel ~network:false ~update_daemon:false ()
@@ -184,11 +126,10 @@ let histar_clamav ~wrapped =
   Kernel.run kernel;
   !seconds
 
-let baseline_clamav flavor =
+let baseline_clamav flavor ~bytes =
   let clock = Clock.create () in
   let disk = Disk.create ~clock () in
   let u = Unixsim.create flavor ~disk ~clock () in
-  let bytes = !scan_mb * 1024 * 1024 in
   Unixsim.creat u ~uid:1 ~mode:0o644 "/big";
   Unixsim.write u ~uid:1 "/big" (String.make bytes 'x');
   let scan_rate_us_per_byte = match flavor with
@@ -202,35 +143,34 @@ let baseline_clamav flavor =
   in
   s_of_ns ns
 
-let scale_wget v = v *. (float_of_int paper_wget_mb /. float_of_int !wget_mb)
-let scale_scan v = v *. (float_of_int paper_scan_mb /. float_of_int !scan_mb)
-
-let run () =
+let run { build_files; wget_bytes; scan_bytes } =
   header "Figure 13: application-level benchmarks";
   row4 "Benchmark" "HiStar" "Linux" "OpenBSD";
-  let hb = histar_build () in
-  let lb = baseline_build Unixsim.Linux in
-  let bb = baseline_build Unixsim.Openbsd in
+  let hb = histar_build ~build_files in
+  let lb = baseline_build Unixsim.Linux ~build_files in
+  let bb = baseline_build Unixsim.Openbsd ~build_files in
   row4
-    (Printf.sprintf "building the kernel (%d modules)" !build_files)
+    (Printf.sprintf "building the kernel (%d modules)" build_files)
     (fmt_time_s hb) (fmt_time_s lb) (fmt_time_s bb);
   paper paper_build_note;
-  let hw, got = histar_wget () in
-  let bw = baseline_wget () in
+  let hw = s_of_ns (Runner.wget ~bytes:wget_bytes).ns in
+  let bw = baseline_wget ~bytes:wget_bytes in
+  let scale_wget = scale_100mb wget_bytes in
+  let scale_scan = scale_100mb scan_bytes in
   row4
-    (Printf.sprintf "wget %d MB (scaled to 100 MB)" !wget_mb)
+    (Printf.sprintf "wget %s (scaled to 100 MB)" (size_label wget_bytes))
     (fmt_time_s (scale_wget hw))
     (fmt_time_s (scale_wget bw))
     (fmt_time_s (scale_wget bw));
   paper "9.1 s / 9.0 s / 9.0 s (all saturate 100 Mbps)";
   Printf.printf "%-38s %12s\n" "  achieved throughput (HiStar)"
-    (Printf.sprintf "%.1f Mbps" (float_of_int (got * 8) /. 1e6 /. hw));
-  let hs = histar_clamav ~wrapped:false in
-  let hsw = histar_clamav ~wrapped:true in
-  let ls = baseline_clamav Unixsim.Linux in
-  let bs = baseline_clamav Unixsim.Openbsd in
+    (Printf.sprintf "%.1f Mbps" (float_of_int (wget_bytes * 8) /. 1e6 /. hw));
+  let hs = histar_clamav ~wrapped:false ~bytes:scan_bytes in
+  let hsw = histar_clamav ~wrapped:true ~bytes:scan_bytes in
+  let ls = baseline_clamav Unixsim.Linux ~bytes:scan_bytes in
+  let bs = baseline_clamav Unixsim.Openbsd ~bytes:scan_bytes in
   row4
-    (Printf.sprintf "virus-check %d MB (scaled to 100 MB)" !scan_mb)
+    (Printf.sprintf "virus-check %s (scaled to 100 MB)" (size_label scan_bytes))
     (fmt_time_s (scale_scan hs))
     (fmt_time_s (scale_scan ls))
     (fmt_time_s (scale_scan bs));

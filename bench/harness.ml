@@ -52,6 +52,16 @@ let timed clock f =
   let v = f () in
   (v, Int64.sub (Clock.now_ns clock) t0)
 
+(* A measured phase of a HiStar workload: its virtual time and the
+   syscalls every thread made meanwhile, as a [Profile.total] delta. *)
+type phase = { ns : int64; syscalls : int }
+
+let measure m f =
+  let profile = Kernel.profile m.kernel in
+  let s0 = Histar_core.Profile.total profile in
+  let (), ns = timed m.clock f in
+  { ns; syscalls = Histar_core.Profile.total profile - s0 }
+
 let s_of_ns ns = Int64.to_float ns /. 1e9
 let us_of_ns ns = Int64.to_float ns /. 1e3
 

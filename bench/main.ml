@@ -1,12 +1,14 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation (§7) on the simulated substrate, plus the code
-   inventory and the §1 attack matrix. See DESIGN.md for the experiment
-   index and EXPERIMENTS.md for recorded paper-vs-measured results.
+   inventory and the §1 attack matrix. The figures' HiStar side runs
+   the Runner workloads that the --smoke/--bench trajectory runs, at
+   the figure's counts. See DESIGN.md for the experiment index and
+   EXPERIMENTS.md for recorded paper-vs-measured results.
 
    Usage:
      main.exe                     run everything (human-readable tables)
      main.exe f12-ipc f13-wget    run selected experiments
-     main.exe --quick             smaller workloads
+     main.exe --quick             each figure at its small sizes
      main.exe --bechamel          wall-clock substrate microbenchmarks
      main.exe --smoke             deterministic runner, minimal sizes,
                                   writes BENCH_baseline.json
@@ -20,14 +22,20 @@
 
 open Histar_bench
 
+(* Each experiment takes [quick], which picks the small sizes of the
+   figures that have them. *)
 let experiments =
   [
-    ("f12-ipc", "IPC / fork / exec / spawn microbenchmarks", F12_micro.run);
-    ("f12-lfs", "LFS small- and large-file benchmarks", F12_lfs.run);
-    ("f13-apps", "kernel build, wget, ClamAV", F13_apps.run);
-    ("t-codesize", "code-size inventory (§4.1)", Tables.codesize);
-    ("ablation", "design-choice ablations (log batching, label width)", Ablation.run);
-    ("sec-attacks", "§1 leak-vector matrix vs Unix", Tables.attacks);
+    ("f12-ipc", "IPC / fork / exec / spawn microbenchmarks",
+     fun _ -> F12_micro.run F12_micro.sizes);
+    ("f12-lfs", "LFS small- and large-file benchmarks",
+     fun quick -> F12_lfs.run (if quick then F12_lfs.quick else F12_lfs.full));
+    ("f13-apps", "kernel build, wget, ClamAV",
+     fun quick -> F13_apps.run (if quick then F13_apps.quick else F13_apps.full));
+    ("t-codesize", "code-size inventory (§4.1)", fun _ -> Tables.codesize ());
+    ("ablation", "design-choice ablations (log batching, label width)",
+     fun _ -> Ablation.run ());
+    ("sec-attacks", "§1 leak-vector matrix vs Unix", fun _ -> Tables.attacks ());
   ]
 
 let aliases =
@@ -50,14 +58,6 @@ let usage () =
   print_endline "experiments:";
   List.iter (fun (n, d, _) -> Printf.printf "  %-14s %s\n" n d) experiments;
   List.iter (fun (a, t) -> Printf.printf "  %-14s alias for %s\n" a t) aliases
-
-let set_quick () =
-  F12_lfs.files := 200;
-  F12_lfs.large_mb := 8;
-  F12_lfs.rand_writes := 100;
-  F13_apps.build_files := 6;
-  F13_apps.wget_mb := 4;
-  F13_apps.scan_mb := 2
 
 let default_out = "BENCH_baseline.json"
 
@@ -124,7 +124,7 @@ let () =
   | "--validate-bench" :: path :: _ -> validate_bench path
   | _ ->
       let bechamel = List.mem "--bechamel" args in
-      if List.mem "--quick" args then set_quick ();
+      let quick = List.mem "--quick" args in
       let selected =
         List.filter_map
           (fun a ->
@@ -154,6 +154,6 @@ let () =
       List.iter
         (fun name ->
           let _, _, f = List.find (fun (n, _, _) -> n = name) experiments in
-          f ())
+          f quick)
         to_run;
       if bechamel then Micro.benchmark ()

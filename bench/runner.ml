@@ -12,7 +12,6 @@ open Harness
 module Par = Histar_par.Par
 module Metrics = Histar_metrics.Metrics
 module Json = Histar_metrics.Json
-module Profile = Histar_core.Profile
 module Hub = Histar_net.Hub
 module Addr = Histar_net.Addr
 module Sim_host = Histar_net.Sim_host
@@ -42,12 +41,12 @@ let pick size ~smoke ~full = match size with Smoke -> smoke | Full -> full
 
 (* ---------- workloads ----------
 
-   Each returns the virtual nanoseconds its measured phase took. Every
-   workload builds a fresh machine from the fixed default seed so state
-   never leaks between entries. *)
+   Each builds a fresh machine from the fixed default seed so state
+   never leaks between entries. The §7 workloads shared with the
+   figure modules take explicit counts and return their measured
+   {!Harness.phase}; the rest take a [size] and return virtual ns. *)
 
-let ipc_pingpong size =
-  let rtts = pick size ~smoke:50 ~full:2_000 in
+let ipc_pingpong ~rtts =
   let m = mk_machine () in
   boot m (fun _fs proc ->
       let r1, w1 = Process.pipe proc in
@@ -66,18 +65,21 @@ let ipc_pingpong size =
       in
       ignore (Process.write proc w1 "warmup!!");
       ignore (Process.read proc r2 8);
-      let (), ns =
-        timed m.clock (fun () ->
+      let phase =
+        measure m (fun () ->
             for _ = 1 to rtts do
               ignore (Process.write proc w1 "8bytemsg");
               ignore (Process.read proc r2 8)
             done)
       in
       Process.close proc w1;
-      ns)
+      phase)
 
-let proc_cycle ~use_spawn size =
-  let iters = pick size ~smoke:3 ~full:30 in
+(* One create-run-exit-wait cycle of a /bin/true equivalent per
+   iteration. The launching shell holds stdin/stdout/stderr, which the
+   child inherits: fork must copy their descriptor state, spawn only
+   links it. *)
+let proc_cycle ~use_spawn ~iters =
   let m = mk_machine () in
   boot m (fun fs proc ->
       ignore (Fs.mkdir fs "/bin");
@@ -95,70 +97,68 @@ let proc_cycle ~use_spawn size =
         ignore (Process.wait proc h)
       in
       one () (* warmup *);
-      let (), ns =
-        timed m.clock (fun () ->
-            for _ = 1 to iters do
-              one ()
-            done)
-      in
-      ns)
+      measure m (fun () ->
+          for _ = 1 to iters do
+            one ()
+          done))
 
 let lfs_content = String.make 1024 'd'
+let lfs_path i = Printf.sprintf "/lfs/f%05d" i
 
-let lfs_create ~mode size =
-  let files =
-    match mode with
-    | `Sync -> pick size ~smoke:5 ~full:100
-    | `Group -> pick size ~smoke:20 ~full:800
-  in
+let lfs_create ~mode ~files =
   let m = mk_machine () in
   boot m (fun fs _proc ->
       ignore (Fs.mkdir fs "/lfs");
-      let (), ns =
-        timed m.clock (fun () ->
-            for i = 0 to files - 1 do
-              let p = Printf.sprintf "/lfs/f%05d" i in
-              Fs.write_file fs p lfs_content;
-              match mode with `Sync -> Fs.fsync fs p | `Group -> ()
-            done;
-            match mode with `Group -> Sys.sync_all () | `Sync -> ())
-      in
-      ns)
+      measure m (fun () ->
+          for i = 0 to files - 1 do
+            let p = lfs_path i in
+            Fs.write_file fs p lfs_content;
+            match mode with `Sync -> Fs.fsync fs p | `Async | `Group -> ()
+          done;
+          match mode with `Group -> Sys.sync_all () | `Async | `Sync -> ()))
 
-let large_file_rand size =
-  let mb = pick size ~smoke:1 ~full:8 in
-  let writes = pick size ~smoke:10 ~full:400 in
-  let chunk = 8192 in
+(* The large-file benchmark's two write phases on one booted machine:
+   [mb] MB written sequentially in 8 KB chunks and fsynced, then
+   [writes] random synchronous 8 KB writes, each flushed in place. *)
+let large_chunk = 8192
+let large_data = String.make large_chunk 'L'
+
+let large_file_prefill m fs proc ~mb =
   let bytes = mb * 1024 * 1024 in
-  let m = mk_machine () in
-  boot m (fun fs proc ->
-      ignore (Fs.mkdir fs "/big");
-      ignore (Fs.create fs "/big/file");
-      Fs.reserve fs "/big/file" (bytes + 65536);
-      let data = String.make chunk 'L' in
-      let fd = Process.open_file proc "/big/file" in
-      for _ = 1 to bytes / chunk do
-        ignore (Process.write proc fd data)
+  ignore (Fs.mkdir fs "/big");
+  ignore (Fs.create fs "/big/file");
+  Fs.reserve fs "/big/file" (bytes + 65536);
+  let fd = Process.open_file proc "/big/file" in
+  measure m (fun () ->
+      for _ = 1 to bytes / large_chunk do
+        ignore (Process.write proc fd large_data)
       done;
       Process.close proc fd;
-      Fs.fsync fs "/big/file";
-      Sys.sync_all ();
-      let rng = Histar_util.Rng.create 7L in
-      let (), ns =
-        timed m.clock (fun () ->
-            for _ = 1 to writes do
-              let off = Histar_util.Rng.int rng (bytes - chunk) in
-              let fd = Process.open_file proc "/big/file" in
-              Process.seek proc fd off;
-              ignore (Process.write proc fd data);
-              Process.close proc fd;
-              Fs.fsync_range fs "/big/file" ~off ~len:chunk
-            done)
-      in
-      ns)
+      Fs.fsync fs "/big/file")
 
-let wget size =
-  let bytes = pick size ~smoke:(64 * 1024) ~full:(4 * 1024 * 1024) in
+let large_file_writes m fs proc ~mb ~writes =
+  let bytes = mb * 1024 * 1024 in
+  let rng = Histar_util.Rng.create 7L in
+  measure m (fun () ->
+      for _ = 1 to writes do
+        let off = Histar_util.Rng.int rng (bytes - large_chunk) in
+        let fd = Process.open_file proc "/big/file" in
+        Process.seek proc fd off;
+        ignore (Process.write proc fd large_data);
+        Process.close proc fd;
+        Fs.fsync_range fs "/big/file" ~off ~len:large_chunk
+      done)
+
+let large_file_rand ~mb ~writes =
+  let m = mk_machine () in
+  boot m (fun fs proc ->
+      ignore (large_file_prefill m fs proc ~mb);
+      Sys.sync_all ();
+      large_file_writes m fs proc ~mb ~writes)
+
+(* A tainted wget client fetching [bytes] through netd; the phase runs
+   from the client's first call to its last byte. *)
+let wget ~bytes =
   let m = mk_machine () in
   let hub = Hub.create ~clock:m.clock () in
   let server =
@@ -166,7 +166,7 @@ let wget size =
   in
   Sim_host.serve_file server ~port:80 ~content:(String.make bytes 'w');
   let got = ref 0 in
-  let elapsed = ref (-1L) in
+  let phase = ref None in
   let _tid =
     Kernel.spawn m.kernel ~name:"init" (fun () ->
         let fs = Fs.format_root ~container:(Kernel.root m.kernel) ~label:l1 in
@@ -189,29 +189,35 @@ let wget size =
             ~extra_label:[ (i, Level.L2) ]
             ~extra_clearance:[ (i, Level.L2) ]
             (fun _w ->
-              let t0 = Clock.now_ns m.clock in
-              let sock =
-                Netd.Client.connect netd ~return_container:scratch
-                  (Addr.v "10.0.0.2" 80)
+              let p =
+                measure m (fun () ->
+                    let sock =
+                      Netd.Client.connect netd ~return_container:scratch
+                        (Addr.v "10.0.0.2" 80)
+                    in
+                    Netd.Client.send netd ~return_container:scratch sock
+                      "GET /big";
+                    let rec loop () =
+                      match
+                        Netd.Client.recv netd ~return_container:scratch sock
+                      with
+                      | Some d ->
+                          got := !got + String.length d;
+                          if !got < bytes then loop ()
+                      | None -> ()
+                    in
+                    loop ())
               in
-              Netd.Client.send netd ~return_container:scratch sock "GET /big";
-              let rec loop () =
-                match Netd.Client.recv netd ~return_container:scratch sock with
-                | Some d ->
-                    got := !got + String.length d;
-                    if !got < bytes then loop ()
-                | None -> ()
-              in
-              loop ();
-              elapsed := Int64.sub (Clock.now_ns m.clock) t0)
+              phase := Some p)
         in
         ())
   in
   Kernel.run m.kernel;
-  if !elapsed < 0L then failwith "wget: transfer did not complete";
-  if !got < bytes then
-    failwith (Printf.sprintf "wget: got %d of %d bytes" !got bytes);
-  !elapsed
+  match !phase with
+  | None -> failwith "wget: transfer did not complete"
+  | Some _ when !got < bytes ->
+      failwith (Printf.sprintf "wget: got %d of %d bytes" !got bytes)
+  | Some p -> p
 
 (* The same transfer under a fixed fault schedule: 5% frame loss on
    the wire plus 1% latent sector errors under the store. The client
@@ -494,19 +500,28 @@ let lio_eval size =
 
 let workloads =
   [
-    ("ipc-pingpong", "pipe round trips through the gate IPC path", ipc_pingpong);
+    ("ipc-pingpong", "pipe round trips through the gate IPC path",
+     fun size -> (ipc_pingpong ~rtts:(pick size ~smoke:50 ~full:2_000)).ns);
     ("fork-exec", "fork/exec/exit/wait of a /bin/true equivalent",
-     proc_cycle ~use_spawn:false);
+     fun size ->
+       (proc_cycle ~use_spawn:false ~iters:(pick size ~smoke:3 ~full:30)).ns);
     ("spawn", "spawn/exit/wait of a /bin/true equivalent",
-     proc_cycle ~use_spawn:true);
+     fun size ->
+       (proc_cycle ~use_spawn:true ~iters:(pick size ~smoke:3 ~full:30)).ns);
     ("lfs-create-sync", "small-file create with per-file fsync (WAL path)",
-     lfs_create ~mode:`Sync);
+     fun size ->
+       (lfs_create ~mode:`Sync ~files:(pick size ~smoke:5 ~full:100)).ns);
     ("lfs-create-group", "small-file create with one group sync (checkpoint)",
-     lfs_create ~mode:`Group);
+     fun size ->
+       (lfs_create ~mode:`Group ~files:(pick size ~smoke:20 ~full:800)).ns);
     ("large-file-rand", "random synchronous in-place writes to a large file",
-     large_file_rand);
+     fun size ->
+       (large_file_rand ~mb:(pick size ~smoke:1 ~full:8)
+          ~writes:(pick size ~smoke:10 ~full:400))
+         .ns);
     ("wget", "HTTP transfer through netd with a tainted client",
-     wget);
+     fun size ->
+       (wget ~bytes:(pick size ~smoke:(64 * 1024) ~full:(4 * 1024 * 1024))).ns);
     ("wget-faulty",
      "HTTP transfer under 5% loss + 1% latent sector errors, with scrub",
      wget_faulty);

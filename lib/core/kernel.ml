@@ -1533,11 +1533,6 @@ let blocked_count k =
     (fun acc th -> match th.tstate with `Blocked _ -> acc + 1 | _ -> acc)
     0
 
-let live_thread_count k =
-  fold_threads k
-    (fun acc th -> match th.tstate with `Halted -> acc | _ -> acc + 1)
-    0
-
 let object_count k = Hashtbl.length k.objects
 
 let label_cache_stats k =

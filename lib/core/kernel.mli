@@ -88,7 +88,6 @@ val step : t -> bool
 
 val runnable_count : t -> int
 val blocked_count : t -> int
-val live_thread_count : t -> int
 
 val next_timer_ns : t -> int64 option
 (** Earliest deadline (virtual ns) any thread is parked on, if any.

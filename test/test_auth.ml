@@ -364,15 +364,17 @@ let test_owned_set_exact_delta () =
 
 (* fuzz: no password other than the exact one is ever granted *)
 let prop_no_false_grants =
-  QCheck2.Test.make ~name:"login never grants on a wrong password" ~count:12
-    QCheck2.Gen.(string_size (int_bound 24))
+  Histar_check.Check.test_case ~count:12 ~print:(Printf.sprintf "%S")
+    "login never grants on a wrong password"
+    Histar_check.Gen.(resize 24 string)
     (fun guess ->
-      with_world (fun w ->
-          let outcome, _ = attempt_login w ~username:"bob" ~password:guess in
-          match outcome with
-          | Login.Granted _ -> String.equal guess "hunter2"
-          | Login.Bad_password -> not (String.equal guess "hunter2")
-          | Login.No_such_user | Login.Setup_rejected -> false))
+      Histar_check.Check.ensure
+        (with_world (fun w ->
+             let outcome, _ = attempt_login w ~username:"bob" ~password:guess in
+             match outcome with
+             | Login.Granted _ -> String.equal guess "hunter2"
+             | Login.Bad_password -> not (String.equal guess "hunter2")
+             | Login.No_such_user | Login.Setup_rejected -> false)))
 
 let () =
   Alcotest.run "histar_auth"
@@ -396,6 +398,6 @@ let () =
           Alcotest.test_case "trojan in CR mode" `Quick
             test_trojan_in_cr_mode_never_sees_password;
           Alcotest.test_case "append-only log" `Quick test_log_is_append_only;
-          Qcheck_seed.to_alcotest prop_no_false_grants;
+          prop_no_false_grants;
         ] );
     ]

@@ -4,6 +4,9 @@
    disabled instrumentation on the syscall path is near-free. *)
 
 module Runner = Histar_bench.Runner
+module F12_micro = Histar_bench.F12_micro
+module F12_lfs = Histar_bench.F12_lfs
+module F13_apps = Histar_bench.F13_apps
 module Metrics = Histar_metrics.Metrics
 module Json = Histar_metrics.Json
 module Kernel = Histar_core.Kernel
@@ -164,6 +167,31 @@ let test_wall_ms_excluded () =
     "stripped trajectory has no wall_ms" false
     (contains ~needle:"wall_ms" (Json.to_string (Runner.strip_wall json)))
 
+(* ---------- the §7 figures ---------- *)
+
+(* The §7.1 table through the shared workloads at the figure's sizes:
+   syscalls per IPC round trip and per /bin/true cycle, as
+   [main.exe f12-ipc] prints them. Exact totals, so a single extra
+   syscall anywhere in a measured phase fails. *)
+let test_syscall_table () =
+  let { F12_micro.rtts; iters } = F12_micro.sizes in
+  let ipc = Runner.ipc_pingpong ~rtts in
+  let cycle use_spawn = Runner.proc_cycle ~use_spawn ~iters in
+  let fork_exec = cycle false and spawn = cycle true in
+  Alcotest.(check int) "46 syscalls per IPC RTT" (46 * rtts) ipc.syscalls;
+  Alcotest.(check int) "74 syscalls per fork/exec cycle" (74 * iters)
+    fork_exec.syscalls;
+  Alcotest.(check int) "38 syscalls per spawn cycle" (38 * iters)
+    spawn.syscalls
+
+(* Every figure's table once at tiny sizes, so the figure code itself
+   stays exercised. *)
+let test_figures_tiny () =
+  F12_micro.run { F12_micro.rtts = 20; iters = 2 };
+  F12_lfs.run { F12_lfs.files = 5; large_mb = 1; rand_writes = 5 };
+  F13_apps.run
+    { F13_apps.build_files = 1; wget_bytes = 64 * 1024; scan_bytes = 64 * 1024 }
+
 (* ---------- instrumentation overhead ----------
 
    The acceptance bar: with the metrics registry disabled, the
@@ -259,5 +287,12 @@ let () =
             test_wall_ms_excluded;
           Alcotest.test_case "gate IPC elision ratio" `Quick
             test_ipc_elision_ratio;
+        ] );
+      ( "figures",
+        [
+          Alcotest.test_case "§7.1 syscall table at figure sizes" `Quick
+            test_syscall_table;
+          Alcotest.test_case "every figure runs at tiny sizes" `Quick
+            test_figures_tiny;
         ] );
     ]

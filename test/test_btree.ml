@@ -212,16 +212,19 @@ let test_remove_allocs_o_height () =
          nforks spent h bound);
   Alcotest.(check int) "base untouched" entries (Bptree.cardinal base)
 
-(* ---- model-based qcheck: compare against Map ---- *)
+(* ---- model-based properties: compare against Map ---- *)
+
+module Gen = Histar_check.Gen
+module Check = Histar_check.Check
 
 type op = Insert of int64 * int64 | Remove of int64 | FindGeq of int64 | FindLeq of int64
 
 let gen_op =
-  let open QCheck2.Gen in
-  let key = map Int64.of_int (int_bound 200) in
+  let open Gen in
+  let key = map Int64.of_int (int_range 0 200) in
   oneof
     [
-      map2 (fun k v -> Insert (k, v)) key (map Int64.of_int int);
+      map2 (fun k v -> Insert (k, v)) key int64;
       map (fun k -> Remove k) key;
       map (fun k -> FindGeq k) key;
       map (fun k -> FindLeq k) key;
@@ -248,40 +251,38 @@ let model_leq m k =
     m None
 
 let prop_model order =
-  QCheck2.Test.make
-    ~name:(Printf.sprintf "btree matches Map model (order %d)" order)
-    ~count:300
-    QCheck2.Gen.(list_size (int_bound 400) gen_op)
+  Check.test_case ~count:300
+    (Printf.sprintf "btree matches Map model (order %d)" order)
+    Gen.(resize 400 (list gen_op))
     (fun ops ->
       let t = ref (Bptree.create ~order ()) in
       let m = ref I64Map.empty in
-      List.for_all
-        (fun op ->
-          match op with
-          | Insert (k, v) ->
-              t := Bptree.insert !t k v;
-              m := I64Map.add k v !m;
-              Bptree.find !t k = Some v
-          | Remove k ->
-              let was = I64Map.mem k !m in
-              m := I64Map.remove k !m;
-              (match Bptree.remove !t k with
-              | Some t' ->
-                  t := t';
-                  was
-              | None -> not was)
-          | FindGeq k -> Bptree.find_geq !t k = model_geq !m k
-          | FindLeq k -> Bptree.find_leq !t k = model_leq !m k)
-        ops
-      && Bptree.cardinal !t = I64Map.cardinal !m
-      && Bptree.to_list !t = I64Map.bindings !m
-      &&
-      (Bptree.check_invariants !t;
-       true))
+      Check.ensure
+        (List.for_all
+           (fun op ->
+             match op with
+             | Insert (k, v) ->
+                 t := Bptree.insert !t k v;
+                 m := I64Map.add k v !m;
+                 Bptree.find !t k = Some v
+             | Remove k -> (
+                 let was = I64Map.mem k !m in
+                 m := I64Map.remove k !m;
+                 match Bptree.remove !t k with
+                 | Some t' ->
+                     t := t';
+                     was
+                 | None -> not was)
+             | FindGeq k -> Bptree.find_geq !t k = model_geq !m k
+             | FindLeq k -> Bptree.find_leq !t k = model_leq !m k)
+           ops
+        && Bptree.cardinal !t = I64Map.cardinal !m
+        && Bptree.to_list !t = I64Map.bindings !m);
+      Bptree.check_invariants !t)
 
 let prop_random_churn =
-  QCheck2.Test.make ~name:"btree invariants under churn" ~count:50
-    QCheck2.Gen.(int_range 1 10_000)
+  Check.test_case ~count:50 ~print:string_of_int "btree invariants under churn"
+    (Gen.int_range 1 10_000)
     (fun seed ->
       let rng = Histar_util.Rng.create (Int64.of_int seed) in
       let t = ref (Bptree.create ~order:6 ()) in
@@ -298,14 +299,14 @@ let prop_random_churn =
         end
       done;
       Bptree.check_invariants !t;
-      Bptree.to_list !t = I64Map.bindings !m)
+      Check.ensure (Bptree.to_list !t = I64Map.bindings !m))
 
 (* Every intermediate version of a random edit sequence stays exactly
    what it was when it was made — the property the kernel-fork layer
    rests on. *)
 let prop_versions_persistent =
-  QCheck2.Test.make ~name:"every version persists unchanged" ~count:30
-    QCheck2.Gen.(int_range 1 10_000)
+  Check.test_case ~count:30 ~print:string_of_int
+    "every version persists unchanged" (Gen.int_range 1 10_000)
     (fun seed ->
       let rng = Histar_util.Rng.create (Int64.of_int seed) in
       let t = ref (Bptree.create ~order:4 ()) in
@@ -317,16 +318,14 @@ let prop_versions_persistent =
            match Bptree.remove !t k with Some t' -> t := t' | None -> ());
         versions := (!t, Bptree.to_list !t) :: !versions
       done;
-      List.for_all
-        (fun (v, expected) -> Bptree.to_list v = expected)
-        !versions)
+      Check.ensure
+        (List.for_all
+           (fun (v, expected) -> Bptree.to_list v = expected)
+           !versions))
 
 (* ---------- histar_check: differential test against Map with
    integrated shrinking — a divergence shrinks to a minimal op
    sequence over a handful of keys. ---------- *)
-
-module Gen = Histar_check.Gen
-module Check = Histar_check.Check
 
 type dop = Ins of int64 * int64 | Del of int64 | Find of int64
 
@@ -428,8 +427,7 @@ let () =
             test_remove_allocs_o_height;
         ] );
       ( "model",
-        List.map Qcheck_seed.to_alcotest
-          [ prop_model 4; prop_model 16; prop_random_churn;
-            prop_versions_persistent ] );
+        [ prop_model 4; prop_model 16; prop_random_churn;
+          prop_versions_persistent ] );
       ("differential (histar_check)", check_tests);
     ]

@@ -120,15 +120,18 @@ let test_crash_partial_flush () =
   done
 
 let prop_write_read_roundtrip =
-  QCheck2.Test.make ~name:"disk write/read round-trip" ~count:100
-    QCheck2.Gen.(pair (int_bound 999) (int_range 1 8))
+  Histar_check.Check.test_case ~count:100
+    ~print:(fun (start, count) -> Printf.sprintf "sector %d, count %d" start count)
+    "disk write/read round-trip"
+    Histar_check.Gen.(pair (int_range 0 999) (int_range 1 8))
     (fun (start, count) ->
       let _, d = mk () in
       let rng = Histar_util.Rng.create (Int64.of_int (start + count)) in
       let data = Histar_util.Rng.bytes rng (count * 512) in
       Disk.write d ~sector:start data;
       Disk.flush d;
-      String.equal (Disk.read d ~sector:start ~count) data)
+      Histar_check.Check.ensure
+        (String.equal (Disk.read d ~sector:start ~count) data))
 
 let () =
   Alcotest.run "histar_disk"
@@ -145,6 +148,6 @@ let () =
           Alcotest.test_case "stats reset" `Quick test_stats_reset;
           Alcotest.test_case "crash loses cache" `Quick test_crash_loses_cache;
           Alcotest.test_case "crash mid-flush" `Quick test_crash_partial_flush;
-          Qcheck_seed.to_alcotest prop_write_read_roundtrip;
+          prop_write_read_roundtrip;
         ] );
     ]

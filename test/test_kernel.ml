@@ -2,6 +2,8 @@ module Kernel = Histar_core.Kernel
 module Sys = Histar_core.Sys
 module Types = Histar_core.Types
 module Syscall = Histar_core.Syscall
+module Check = Histar_check.Check
+module Gen = Histar_check.Gen
 open Histar_label
 open Types
 
@@ -831,9 +833,8 @@ let test_sync_range_after_recover () =
 (* ---------- flow oracle ---------- *)
 
 let prop_flow_oracle =
-  QCheck2.Test.make ~name:"every permitted access obeys the flow rules"
-    ~count:60
-    QCheck2.Gen.(int_range 1 100_000)
+  Check.test_case ~count:60 ~print:string_of_int
+    "every permitted access obeys the flow rules" (Gen.int_range 1 100_000)
     (fun seed ->
       let k = Kernel.create ~seed:(Int64.of_int seed) () in
       let violations = ref [] in
@@ -898,14 +899,12 @@ let prop_flow_oracle =
             done)
       in
       Kernel.run k;
-      !violations = [])
+      Check.ensure (!violations = []))
 
 (* ---------- label cache & observability ---------- *)
 
 module Metrics = Histar_metrics.Metrics
 module Label_cache = Histar_core.Label_cache
-module Check = Histar_check.Check
-module Gen = Histar_check.Gen
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -1437,7 +1436,7 @@ let () =
           Alcotest.test_case "invalidated by category GC" `Quick
             test_decision_flips_on_category_gc;
         ] );
-      ("flow oracle", [ Qcheck_seed.to_alcotest prop_flow_oracle ]);
+      ("flow oracle", [ prop_flow_oracle ]);
       ( "fuzzer regressions",
         [
           Alcotest.test_case "finite-charge overflow rejected" `Quick

@@ -121,106 +121,24 @@ let test_pp () =
   let l = lbl [ (w, Level.L0) ] Level.L1 in
   Alcotest.(check string) "paper notation" "{c1 0, 1}" (Label.to_string l)
 
-(* ---------- qcheck: lattice laws ---------- *)
-
-let gen_level_storable =
-  QCheck2.Gen.oneofl Level.[ Star; L0; L1; L2; L3 ]
-
-let gen_level_numeric = QCheck2.Gen.oneofl Level.[ L0; L1; L2; L3 ]
-
-let gen_label =
-  let open QCheck2.Gen in
-  let* d = gen_level_numeric in
-  let* n = int_bound 4 in
-  let* entries =
-    list_size (return n)
-      (pair (map cat (int_bound 7)) gen_level_storable)
-  in
-  return (Label.of_list entries d)
-
-let prop name gen f = QCheck2.Test.make ~name ~count:500 gen f
-
-let qcheck_tests =
-  let open QCheck2.Gen in
-  [
-    prop "leq reflexive" gen_label (fun l -> Label.leq l l);
-    prop "leq antisymmetric" (pair gen_label gen_label) (fun (a, b) ->
-        if Label.leq a b && Label.leq b a then Label.equal a b else true);
-    prop "leq transitive" (triple gen_label gen_label gen_label)
-      (fun (a, b, c) ->
-        if Label.leq a b && Label.leq b c then Label.leq a c else true);
-    prop "lub is upper bound" (pair gen_label gen_label) (fun (a, b) ->
-        let u = Label.lub a b in
-        Label.leq a u && Label.leq b u);
-    prop "lub is least" (triple gen_label gen_label gen_label)
-      (fun (a, b, c) ->
-        if Label.leq a c && Label.leq b c then Label.leq (Label.lub a b) c
-        else true);
-    prop "glb is lower bound" (pair gen_label gen_label) (fun (a, b) ->
-        let g = Label.glb a b in
-        Label.leq g a && Label.leq g b);
-    prop "glb is greatest" (triple gen_label gen_label gen_label)
-      (fun (a, b, c) ->
-        if Label.leq c a && Label.leq c b then Label.leq c (Label.glb a b)
-        else true);
-    prop "lub commutative" (pair gen_label gen_label) (fun (a, b) ->
-        Label.equal (Label.lub a b) (Label.lub b a));
-    prop "lub associative" (triple gen_label gen_label gen_label)
-      (fun (a, b, c) ->
-        Label.equal (Label.lub a (Label.lub b c)) (Label.lub (Label.lub a b) c));
-    prop "lub idempotent" gen_label (fun a -> Label.equal (Label.lub a a) a);
-    prop "absorption" (pair gen_label gen_label) (fun (a, b) ->
-        Label.equal (Label.lub a (Label.glb a b)) a);
-    prop "raise_j . lower_star stable on storable" gen_label (fun a ->
-        Label.equal
-          (Label.lower_star (Label.raise_j a))
-          (Label.lower_star (Label.raise_j (Label.lower_star (Label.raise_j a)))));
-    prop "taint_to_read is minimal" (pair gen_label gen_label)
-      (fun (thread, obj) ->
-        let raised = Label.taint_to_read ~thread ~obj in
-        Label.leq thread raised && Label.can_observe ~thread:raised ~obj);
-    prop "lattice distributivity" (triple gen_label gen_label gen_label)
-      (fun (a, b, c) ->
-        Label.equal
-          (Label.glb a (Label.lub b c))
-          (Label.lub (Label.glb a b) (Label.glb a c)));
-    prop "raise_j is extensive" gen_label (fun a ->
-        (* ⋆ < everything < J, so lifting ⋆ to J can only go up *)
-        Label.leq a (Label.raise_j a));
-    prop "lower_star . raise_j identity on star-free" gen_label (fun a ->
-        if Label.has_star a then true
-        else Label.equal (Label.lower_star (Label.raise_j a)) a);
-    prop "codec round-trip" gen_label (fun l ->
-        let e = Histar_util.Codec.Enc.create () in
-        Label.encode e l;
-        let d =
-          Histar_util.Codec.Dec.of_string (Histar_util.Codec.Enc.to_string e)
-        in
-        Label.equal l (Label.decode d));
-    prop "can_modify implies can_observe" (pair gen_label gen_label)
-      (fun (thread, obj) ->
-        if Label.can_modify ~thread ~obj then Label.can_observe ~thread ~obj
-        else true);
-  ]
-
-(* ---------- histar_check: the same algebra through the in-tree
-   engine, with integrated shrinking so a lattice-law violation shrinks
-   to a minimal pair of labels. ---------- *)
+(* ---------- lattice laws through lib/check, with integrated
+   shrinking so a violation shrinks to a minimal pair of labels
+   ---------- *)
 
 module Gen = Histar_check.Gen
 module Check = Histar_check.Check
 
-let gen_level_storable' = Gen.choose Level.[ L0; L1; L2; L3; Star ]
-let gen_level_numeric' = Gen.choose Level.[ L0; L1; L2; L3 ]
+let gen_level_storable = Gen.choose Level.[ L0; L1; L2; L3; Star ]
+let gen_level_numeric = Gen.choose Level.[ L0; L1; L2; L3 ]
 
 (* Small category pool so generated labels collide on categories, which
    is where leq/lub/glb actually have to merge entries. *)
-let gen_label' =
+let gen_label =
   let open Gen in
-  let* d = gen_level_numeric' in
+  let* d = gen_level_numeric in
   let* n = int_range 0 4 in
   let* entries =
-    list_len n (pair (map cat (int_range 0 7)) gen_level_storable')
+    list_len n (pair (map cat (int_range 0 7)) gen_level_storable)
   in
   return (Label.of_list entries d)
 
@@ -230,51 +148,116 @@ let pp2 (a, b) = Printf.sprintf "(%s, %s)" (pp_label a) (pp_label b)
 let pp3 (a, b, c) =
   Printf.sprintf "(%s, %s, %s)" (pp_label a) (pp_label b) (pp_label c)
 
+let label1 = (pp_label, gen_label)
+let label2 = (pp2, Gen.pair gen_label gen_label)
+let label3 = (pp3, Gen.triple gen_label gen_label gen_label)
+
+(* A law that must hold on 500 generated cases. *)
+let law name (print, gen) f =
+  Check.test_case ~count:500 ~print name gen (fun x -> Check.ensure (f x))
+
+let lattice_laws =
+  [
+    law "leq reflexive" label1 (fun l -> Label.leq l l);
+    law "leq antisymmetric" label2 (fun (a, b) ->
+        if Label.leq a b && Label.leq b a then Label.equal a b else true);
+    law "leq transitive" label3 (fun (a, b, c) ->
+        if Label.leq a b && Label.leq b c then Label.leq a c else true);
+    law "lub is upper bound" label2 (fun (a, b) ->
+        let u = Label.lub a b in
+        Label.leq a u && Label.leq b u);
+    law "lub is least" label3 (fun (a, b, c) ->
+        if Label.leq a c && Label.leq b c then Label.leq (Label.lub a b) c
+        else true);
+    law "glb is lower bound" label2 (fun (a, b) ->
+        let g = Label.glb a b in
+        Label.leq g a && Label.leq g b);
+    law "glb is greatest" label3 (fun (a, b, c) ->
+        if Label.leq c a && Label.leq c b then Label.leq c (Label.glb a b)
+        else true);
+    law "lub commutative" label2 (fun (a, b) ->
+        Label.equal (Label.lub a b) (Label.lub b a));
+    law "lub associative" label3 (fun (a, b, c) ->
+        Label.equal (Label.lub a (Label.lub b c)) (Label.lub (Label.lub a b) c));
+    law "lub idempotent" label1 (fun a -> Label.equal (Label.lub a a) a);
+    law "absorption" label2 (fun (a, b) ->
+        Label.equal (Label.lub a (Label.glb a b)) a);
+    law "raise_j . lower_star stable on storable" label1 (fun a ->
+        Label.equal
+          (Label.lower_star (Label.raise_j a))
+          (Label.lower_star (Label.raise_j (Label.lower_star (Label.raise_j a)))));
+    law "taint_to_read is minimal" label2 (fun (thread, obj) ->
+        let raised = Label.taint_to_read ~thread ~obj in
+        Label.leq thread raised && Label.can_observe ~thread:raised ~obj);
+    law "lattice distributivity" label3 (fun (a, b, c) ->
+        Label.equal
+          (Label.glb a (Label.lub b c))
+          (Label.lub (Label.glb a b) (Label.glb a c)));
+    law "raise_j is extensive" label1 (fun a ->
+        (* ⋆ < everything < J, so lifting ⋆ to J can only go up *)
+        Label.leq a (Label.raise_j a));
+    law "lower_star . raise_j identity on star-free" label1 (fun a ->
+        if Label.has_star a then true
+        else Label.equal (Label.lower_star (Label.raise_j a)) a);
+    law "codec round-trip" label1 (fun l ->
+        let e = Histar_util.Codec.Enc.create () in
+        Label.encode e l;
+        let d =
+          Histar_util.Codec.Dec.of_string (Histar_util.Codec.Enc.to_string e)
+        in
+        Label.equal l (Label.decode d));
+    law "can_modify implies can_observe" label2 (fun (thread, obj) ->
+        if Label.can_modify ~thread ~obj then Label.can_observe ~thread ~obj
+        else true);
+  ]
+
+(* The same algebra at the default count, asserting each side of a
+   law separately so a failure names the side that broke. *)
 let check_tests =
   let open Gen in
   [
-    Check.test_case ~print:pp_label "leq reflexive" gen_label' (fun l ->
+    Check.test_case ~print:pp_label "leq reflexive" gen_label (fun l ->
         Check.ensure (Label.leq l l));
-    Check.test_case ~print:pp2 "leq antisymmetric" (pair gen_label' gen_label')
+    Check.test_case ~print:pp2 "leq antisymmetric" (pair gen_label gen_label)
       (fun (a, b) ->
         if Label.leq a b && Label.leq b a then
           Check.ensure ~msg:"leq both ways but not equal" (Label.equal a b));
     Check.test_case ~print:pp3 "leq transitive"
-      (triple gen_label' gen_label' gen_label')
+      (triple gen_label gen_label gen_label)
       (fun (a, b, c) ->
         if Label.leq a b && Label.leq b c then
           Check.ensure ~msg:"a ⊑ b ⊑ c but not a ⊑ c" (Label.leq a c));
     Check.test_case ~print:pp2 "lub least upper bound"
-      (pair gen_label' gen_label')
+      (pair gen_label gen_label)
       (fun (a, b) ->
         let u = Label.lub a b in
         Check.ensure ~msg:"not an upper bound" (Label.leq a u && Label.leq b u));
     Check.test_case ~print:pp3 "lub minimality"
-      (triple gen_label' gen_label' gen_label')
+      (triple gen_label gen_label gen_label)
       (fun (a, b, c) ->
         if Label.leq a c && Label.leq b c then
           Check.ensure ~msg:"lub above another upper bound"
             (Label.leq (Label.lub a b) c));
     Check.test_case ~print:pp3 "glb maximality"
-      (triple gen_label' gen_label' gen_label')
+      (triple gen_label gen_label gen_label)
       (fun (a, b, c) ->
         let g = Label.glb a b in
         Check.ensure ~msg:"not a lower bound" (Label.leq g a && Label.leq g b);
         if Label.leq c a && Label.leq c b then
           Check.ensure ~msg:"glb below another lower bound" (Label.leq c g));
-    Check.test_case ~print:pp2 "lub/glb commute" (pair gen_label' gen_label')
+    Check.test_case ~print:pp2 "lub/glb commute" (pair gen_label gen_label)
       (fun (a, b) ->
         Check.ensure (Label.equal (Label.lub a b) (Label.lub b a));
         Check.ensure (Label.equal (Label.glb a b) (Label.glb b a)));
     Check.test_case ~print:pp2 "taint_to_read minimal sufficient"
-      (pair gen_label' gen_label')
+      (pair gen_label gen_label)
       (fun (thread, obj) ->
         let raised = Label.taint_to_read ~thread ~obj in
         Check.ensure ~msg:"thread label lowered" (Label.leq thread raised);
         Check.ensure ~msg:"still cannot observe"
           (Label.can_observe ~thread:raised ~obj));
     Check.test_case ~print:pp2 "ownership survives taint_to_read"
-      (pair gen_label' gen_label')
+      (pair gen_label gen_label)
       (fun (thread, obj) ->
         let raised = Label.taint_to_read ~thread ~obj in
         List.iter
@@ -284,7 +267,7 @@ let check_tests =
                 (Level.equal (Label.get raised c) Level.Star))
           (Label.entries thread));
     Check.test_case ~print:pp_label "star-free raise_j/lower_star identity"
-      gen_label' (fun a ->
+      gen_label (fun a ->
         if not (Label.has_star a) then
           Check.ensure (Label.equal (Label.lower_star (Label.raise_j a)) a));
   ]
@@ -308,15 +291,15 @@ let hashcons_tests =
   let open Gen in
   [
     Check.test_case ~print:pp2 "pointer equality iff structural equality"
-      (pair gen_label' gen_label')
+      (pair gen_label gen_label)
       (fun (a, b) ->
         Check.ensure ~msg:"equal/ranked disagree"
           (Label.equal a b = (Label.ranked a = Label.ranked b)));
     Check.test_case ~print:pp_label "of_list reconstructs the same pointer"
-      gen_label' (fun a ->
+      gen_label (fun a ->
         Check.ensure (Label.equal (Label.of_list (Label.entries a) (Label.default a)) a));
     Check.test_case ~print:pp2 "can_observe/can_modify agree with Mlabel"
-      (pair gen_label' gen_label')
+      (pair gen_label gen_label)
       (fun (a, b) ->
         let ma = mlabel_of a and mb = mlabel_of b in
         Check.ensure ~msg:"can_observe"
@@ -326,14 +309,14 @@ let hashcons_tests =
         Check.ensure ~msg:"can_modify"
           (Label.can_modify ~thread:a ~obj:b = Mlabel.can_modify ~thread:ma ~obj:mb));
     Check.test_case ~print:pp2 "taint_to_read agrees with Mlabel"
-      (pair gen_label' gen_label')
+      (pair gen_label gen_label)
       (fun (a, b) ->
         let ma = mlabel_of a and mb = mlabel_of b in
         Check.ensure
           (Label.ranked (Label.taint_to_read ~thread:a ~obj:b)
           = canon_m (Mlabel.taint_to_read ~thread:ma ~obj:mb)));
     Check.test_case ~print:pp2 "leq/lub/glb agree with Mlabel"
-      (pair gen_label' gen_label')
+      (pair gen_label gen_label)
       (fun (a, b) ->
         let ma = mlabel_of a and mb = mlabel_of b in
         Check.ensure ~msg:"leq" (Label.leq a b = Mlabel.leq ma mb);
@@ -380,7 +363,7 @@ let () =
           Alcotest.test_case "codec" `Quick test_codec_roundtrip;
           Alcotest.test_case "printing" `Quick test_pp;
         ] );
-      ("lattice laws", List.map Qcheck_seed.to_alcotest qcheck_tests);
+      ("lattice laws", lattice_laws);
       ("lattice laws (histar_check)", check_tests);
       ( "hash-consing",
         hashcons_tests

@@ -9,6 +9,8 @@ module Clock = Histar_util.Sim_clock
 open Histar_core.Types
 open Histar_unix
 open Histar_label
+module Check = Histar_check.Check
+module Gen = Histar_check.Gen
 
 let l entries d = Label.of_list entries d
 let l1 = Label.make Level.L1
@@ -250,11 +252,11 @@ type fs_op =
   | Op_read of int
 
 let gen_fs_op =
-  let open QCheck2.Gen in
-  let name = int_bound 8 in
+  let open Gen in
+  let name = int_range 0 8 in
   oneof
     [
-      map2 (fun n v -> Op_write (n, v)) name (string_size (int_bound 40));
+      map2 (fun n v -> Op_write (n, v)) name (resize 40 string);
       map (fun n -> Op_unlink n) name;
       map2 (fun a b -> Op_rename (a, b)) name name;
       map (fun n -> Op_read n) name;
@@ -263,10 +265,10 @@ let gen_fs_op =
 module SMap = Map.Make (String)
 
 let prop_fs_model =
-  QCheck2.Test.make ~name:"fs matches a map model" ~count:40
-    QCheck2.Gen.(list_size (int_bound 80) gen_fs_op)
+  Check.test_case ~count:40 "fs matches a map model"
+    Gen.(resize 80 (list gen_fs_op))
     (fun ops ->
-      in_unix (fun _ fs _ ->
+      Check.ensure @@ in_unix (fun _ fs _ ->
           ignore (Fs.mkdir fs "/m");
           let path n = Printf.sprintf "/m/f%d" n in
           let model = ref SMap.empty in
@@ -597,7 +599,7 @@ let () =
           Alcotest.test_case "mtime" `Quick test_mtime_advances;
           Alcotest.test_case "fsync missing" `Quick test_fsync_missing_raises;
         ] );
-      ("fs model", [ Qcheck_seed.to_alcotest prop_fs_model ]);
+      ("fs model", [ prop_fs_model ]);
       ( "persistence",
         [
           Alcotest.test_case "unix world reboot" `Quick

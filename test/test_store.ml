@@ -1,6 +1,8 @@
 module Disk = Histar_disk.Disk
 module Clock = Histar_util.Sim_clock
 open Histar_store
+module Check = Histar_check.Check
+module Gen = Histar_check.Gen
 
 let geometry = { Disk.sectors = 500_000; sector_bytes = 512 }
 
@@ -62,8 +64,9 @@ let test_double_free_detected () =
    with Failure _ -> ())
 
 let prop_alloc_model =
-  QCheck2.Test.make ~name:"allocator conserves space" ~count:200
-    QCheck2.Gen.(list_size (int_bound 100) (int_range 1 32))
+  Check.test_case ~count:200
+    ~print:(fun l -> String.concat ";" (List.map string_of_int l))
+    "allocator conserves space" Gen.(resize 100 (list (int_range 1 32)))
     (fun sizes ->
       let a = Extent_alloc.create () in
       Extent_alloc.add_region a ~start:0 ~sectors:10_000;
@@ -78,9 +81,10 @@ let prop_alloc_model =
       let ok1 = Extent_alloc.free_sectors a = 10_000 - total_alloc in
       List.iter (fun (start, sectors) -> Extent_alloc.free a ~start ~sectors) allocated;
       Extent_alloc.check_invariants a;
-      ok1
-      && Extent_alloc.free_sectors a = 10_000
-      && Extent_alloc.extent_count a = 1)
+      Check.ensure
+        (ok1
+        && Extent_alloc.free_sectors a = 10_000
+        && Extent_alloc.extent_count a = 1))
 
 (* ---------- store ---------- *)
 
@@ -426,19 +430,19 @@ let test_sync_range_scrub_repairs () =
 let prop_store_model =
   (* Random puts/deletes/syncs/checkpoints followed by recovery must
      agree with a Hashtbl model of everything made durable. *)
-  let open QCheck2.Gen in
+  let open Gen in
+  let oid = map Int64.of_int (int_range 0 20) in
   let op =
     oneof
       [
-        map2 (fun k v -> `Put (Int64.of_int k, v)) (int_bound 20)
-          (string_size (int_bound 200));
-        map (fun k -> `Delete (Int64.of_int k)) (int_bound 20);
-        map (fun k -> `Sync (Int64.of_int k)) (int_bound 20);
+        map2 (fun k v -> `Put (k, v)) oid (resize 200 string);
+        map (fun k -> `Delete k) oid;
+        map (fun k -> `Sync k) oid;
         return `Checkpoint;
       ]
   in
-  QCheck2.Test.make ~name:"store recovery matches durable model" ~count:60
-    (list_size (int_bound 60) op) (fun ops ->
+  Check.test_case ~count:60 "store recovery matches durable model"
+    (resize 60 (list op)) (fun ops ->
       let _, disk, s = mk ~wal_sectors:4096 () in
       let live = Hashtbl.create 16 in
       let durable = Hashtbl.create 16 in
@@ -462,10 +466,11 @@ let prop_store_model =
               Hashtbl.iter (Hashtbl.replace durable) live)
         ops;
       let s' = Store.recover ~disk in
-      Hashtbl.fold
-        (fun oid v acc -> acc && Store.get s' ~oid = Some v)
-        durable true
-      && Store.object_count s' = Hashtbl.length durable)
+      Check.ensure
+        (Hashtbl.fold
+           (fun oid v acc -> acc && Store.get s' ~oid = Some v)
+           durable true
+        && Store.object_count s' = Hashtbl.length durable))
 
 let test_crash_during_auto_apply () =
   (* with a tiny threshold, a sync triggers a full checkpoint; a crash
@@ -496,8 +501,11 @@ let test_crash_during_auto_apply () =
 let prop_store_crash_during_checkpoint =
   (* A crash in the middle of a checkpoint must recover to the previous
      consistent snapshot (plus any logged records). *)
-  QCheck2.Test.make ~name:"crash during checkpoint is atomic" ~count:40
-    QCheck2.Gen.(pair (int_range 1 30) (int_range 0 40))
+  Check.test_case ~count:40
+    ~print:(fun (nobj, crash_after) ->
+      Printf.sprintf "%d objects, crash after %d writes" nobj crash_after)
+    "crash during checkpoint is atomic"
+    Gen.(pair (int_range 1 30) (int_range 0 40))
     (fun (nobj, crash_after) ->
       let _, disk, s = mk ~wal_sectors:4096 () in
       for i = 1 to nobj do
@@ -523,8 +531,9 @@ let prop_store_crash_during_checkpoint =
             | Some v when String.length v >= 4 -> String.sub v 0 4
             | Some _ | None -> "????")
       in
-      List.for_all (String.equal "gen1") gens
-      || List.for_all (String.equal "gen2") gens)
+      Check.ensure
+        (List.for_all (String.equal "gen1") gens
+        || List.for_all (String.equal "gen2") gens))
 
 (* ---------- branchable stores (Store.fork) ---------- *)
 
@@ -679,7 +688,7 @@ let () =
           Alcotest.test_case "exhaustion" `Quick test_alloc_exhaustion;
           Alcotest.test_case "coalesce" `Quick test_free_coalesce;
           Alcotest.test_case "double free" `Quick test_double_free_detected;
-          Qcheck_seed.to_alcotest prop_alloc_model;
+          prop_alloc_model;
         ] );
       ( "store",
         [
@@ -710,8 +719,8 @@ let () =
             test_group_sync_faster_than_per_file_sync;
           Alcotest.test_case "crash during auto-apply" `Quick
             test_crash_during_auto_apply;
-          Qcheck_seed.to_alcotest prop_store_model;
-          Qcheck_seed.to_alcotest prop_store_crash_during_checkpoint;
+          prop_store_model;
+          prop_store_crash_during_checkpoint;
         ] );
       ( "fork",
         [

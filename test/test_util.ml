@@ -1,4 +1,6 @@
 open Histar_util
+module Check = Histar_check.Check
+module Gen = Histar_check.Gen
 
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
@@ -53,23 +55,26 @@ let test_codec_truncated () =
   Alcotest.check_raises "bad bool" Codec.Truncated (fun () ->
       ignore (Codec.Dec.bool d))
 
+(* Strings of 0..64 bytes; lists of 0..32 ints over the full range. *)
 let prop_codec_string_roundtrip =
-  QCheck2.Test.make ~name:"codec string round-trip" ~count:200
-    QCheck2.Gen.(string_size (int_bound 64))
+  Check.test_case ~count:200 ~print:(Printf.sprintf "%S")
+    "codec string round-trip" Gen.(resize 64 string)
     (fun s ->
       let e = Codec.Enc.create () in
       Codec.Enc.str e s;
       let d = Codec.Dec.of_string (Codec.Enc.to_string e) in
-      String.equal (Codec.Dec.str d) s)
+      Check.ensure (String.equal (Codec.Dec.str d) s))
 
 let prop_codec_int_list_roundtrip =
-  QCheck2.Test.make ~name:"codec int list round-trip" ~count:200
-    QCheck2.Gen.(list_size (int_bound 32) int)
+  Check.test_case ~count:200
+    ~print:(fun l -> String.concat ";" (List.map string_of_int l))
+    "codec int list round-trip"
+    Gen.(resize 32 (list (map Int64.to_int int64)))
     (fun l ->
       let e = Codec.Enc.create () in
       Codec.Enc.list e Codec.Enc.int l;
       let d = Codec.Dec.of_string (Codec.Enc.to_string e) in
-      Codec.Dec.list d Codec.Dec.int = l)
+      Check.ensure (Codec.Dec.list d Codec.Dec.int = l))
 
 (* Rng *)
 
@@ -110,7 +115,6 @@ let test_clock () =
     (Sim_clock.to_seconds (Sim_clock.now_ns c))
 
 let () =
-  let qc = List.map Qcheck_seed.to_alcotest in
   Alcotest.run "histar_util"
     [
       ( "codec",
@@ -119,7 +123,7 @@ let () =
           Alcotest.test_case "strings and containers" `Quick test_codec_str_list;
           Alcotest.test_case "truncated input" `Quick test_codec_truncated;
         ]
-        @ qc [ prop_codec_string_roundtrip; prop_codec_int_list_roundtrip ] );
+        @ [ prop_codec_string_roundtrip; prop_codec_int_list_roundtrip ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;

@@ -101,8 +101,8 @@ let test_binary_payloads () =
 let prop_commit_prefix =
   (* After any sequence of append/commit, recovery returns exactly the
      committed prefix. *)
-  QCheck2.Test.make ~name:"recovery = committed prefix" ~count:100
-    QCheck2.Gen.(list_size (int_bound 30) (pair (string_size (int_bound 100)) bool))
+  Histar_check.Check.test_case ~count:100 "recovery = committed prefix"
+    Histar_check.Gen.(resize 30 (list (pair (resize 100 string) bool)))
     (fun ops ->
       let disk = mk () in
       let wal = Wal.format ~disk ~start:1 ~sectors:4096 in
@@ -118,7 +118,7 @@ let prop_commit_prefix =
           end)
         ops;
       let _, records = Wal.recover ~disk ~start:1 ~sectors:4096 in
-      records = List.rev !committed)
+      Histar_check.Check.ensure (records = List.rev !committed))
 
 let () =
   Alcotest.run "histar_wal"
@@ -135,6 +135,6 @@ let () =
           Alcotest.test_case "empty commit no-op" `Quick test_empty_commit_noop;
           Alcotest.test_case "crash mid-commit" `Quick test_crash_mid_commit;
           Alcotest.test_case "binary payloads" `Quick test_binary_payloads;
-          Qcheck_seed.to_alcotest prop_commit_prefix;
+          prop_commit_prefix;
         ] );
     ]
