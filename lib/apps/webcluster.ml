@@ -1025,6 +1025,12 @@ let run_load t ?(concurrency = 4) requests =
     !completed >= total
   in
   let finished = Cluster.drive t.cluster ~until:pump () in
+  (* The next wave brings its own hosts (same MACs and IPs); retire
+     this wave's so the cluster's idle rounds do not keep visiting
+     them. *)
+  Array.iter
+    (fun s -> Cluster.remove_host t.cluster (Sim_host.stack s.s_host))
+    slots;
   let outcomes =
     Array.mapi
       (fun i r ->

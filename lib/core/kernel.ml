@@ -78,6 +78,7 @@ type address_space = { mutable mappings : mapping list }
 type device = {
   mac : string;
   rx : string Queue.t;
+  waiters : oid Queue.t;  (** threads that blocked in [net_recv], FIFO *)
   mutable transmit : string -> unit;
 }
 
@@ -122,6 +123,15 @@ type weaken =
   | Weaken_gate_star_grant  (** skip the ⋆-floor check on gate invocation *)
   | Weaken_unref_check  (** skip the modify check on unref *)
 
+(* Timer sleepers ordered by (deadline, tid): the wake order when
+   several deadlines tie. *)
+module Timers = Set.Make (struct
+  type t = int64 * oid
+
+  let compare (d, tid) (d', tid') =
+    match Int64.compare d d' with 0 -> Int64.compare tid tid' | c -> c
+end)
+
 type t = {
   clock : Sim_clock.t;
   store : Store.t option;
@@ -130,6 +140,7 @@ type t = {
   catgen : Category_gen.t;
   runq : oid Queue.t;
   futexq : (int64, oid Queue.t) Hashtbl.t;
+  mutable timers : Timers.t;
   label_cache : Label_cache.t;
   profile : Profile.t;
   mutable current : oid;
@@ -421,7 +432,13 @@ let decode_obj payload =
         in
         Asp { mappings }
     | Device ->
-        Dev { mac = Codec.Dec.str d; rx = Queue.create (); transmit = ignore }
+        Dev
+          {
+            mac = Codec.Dec.str d;
+            rx = Queue.create ();
+            waiters = Queue.create ();
+            transmit = ignore;
+          }
   in
   { id; kind; label; descrip; quota; usage; fixed_quota; immut; metadata; refs; body }
 
@@ -568,6 +585,33 @@ let futex_queue k key =
       let q = Queue.create () in
       Hashtbl.replace k.futexq key q;
       q
+
+(* Blocked-thread index: a thread that blocks on a deadline enters
+   [k.timers], one that blocks in [net_recv] enters its device's
+   [waiters]. As with the futex queues, entries are validated when
+   they are peeked, so wake, halt and destroy leave the index alone:
+   an entry whose thread no longer waits for that reason is dropped
+   when it surfaces. *)
+let index_blocked k tid = function
+  | W_timer d -> k.timers <- Timers.add (d, tid) k.timers
+  | W_net dev -> (
+      match find_obj k dev with
+      | Some { body = Dev d; _ } -> Queue.push tid d.waiters
+      | Some _ | None -> ())
+  | W_futex _ | W_alert -> ()
+
+(* The earliest live timer entry, dropping stale ones on the way. *)
+let rec next_timer k =
+  match Timers.min_elt_opt k.timers with
+  | None -> None
+  | Some ((d, tid) as e) -> (
+      match find_obj k tid with
+      | Some { body = Thr { tstate = `Blocked (W_timer d'); _ }; _ }
+        when Int64.equal d d' ->
+          Some e
+      | Some _ | None ->
+          k.timers <- Timers.remove e k.timers;
+          next_timer k)
 
 (* ---------- syscall implementation ---------- *)
 
@@ -1434,7 +1478,8 @@ let rec run_state_loop k tid rs =
               enqueue k tid
           | A_block reason ->
               th.tstate <- `Blocked reason;
-              th.parked <- Some kont
+              th.parked <- Some kont;
+              index_blocked k tid reason
           | A_jump f ->
               (* control transfer through a gate: the old continuation
                  is abandoned, like loading a new PC *)
@@ -1470,26 +1515,12 @@ and run_slice k tid =
    earliest deadline and wake that sleeper. This is what lets a
    retransmission timer fire over a fully flapped link (no inbound
    frames to drive progress) without busy-spinning the run queue.
-   Ties break on the lower deadline then the lower tid, so the wake
-   order is independent of hash-table iteration order. *)
+   Equal deadlines wake in tid order ([Timers]). *)
 let fire_next_timer k =
-  let next =
-    Hashtbl.fold
-      (fun tid o acc ->
-        match o.body with
-        | Thr { tstate = `Blocked (W_timer d); _ } -> (
-            match acc with
-            | Some (tid', d')
-              when Int64.compare d' d < 0
-                   || (Int64.equal d' d && Int64.compare tid' tid < 0) ->
-                acc
-            | Some _ | None -> Some (tid, d))
-        | _ -> acc)
-      k.objects None
-  in
-  match next with
+  match next_timer k with
   | None -> false
-  | Some (tid, d) ->
+  | Some ((d, tid) as e) ->
+      k.timers <- Timers.remove e k.timers;
       let now = Sim_clock.now_ns k.clock in
       if Int64.compare d now > 0 then
         Sim_clock.advance_ns k.clock (Int64.sub d now);
@@ -1499,16 +1530,7 @@ let fire_next_timer k =
 (* Earliest parked timer deadline, for multi-kernel drivers that must
    decide which host's idle clock to advance next (lib/dist's cluster
    driver). [None] when no thread is parked on a timer. *)
-let next_timer_ns k =
-  Hashtbl.fold
-    (fun _ o acc ->
-      match o.body with
-      | Thr { tstate = `Blocked (W_timer d); _ } -> (
-          match acc with
-          | Some d' when Int64.compare d' d <= 0 -> acc
-          | Some _ | None -> Some d)
-      | _ -> acc)
-    k.objects None
+let next_timer_ns k = Option.map fst (next_timer k)
 
 let step k =
   match Queue.take_opt k.runq with
@@ -1521,17 +1543,7 @@ let run k = while step k do () done
 
 (* ---------- counting / introspection ---------- *)
 
-let fold_threads k f init =
-  Hashtbl.fold
-    (fun _ o acc -> match o.body with Thr th -> f acc th | _ -> acc)
-    k.objects init
-
 let runnable_count k = Queue.length k.runq
-
-let blocked_count k =
-  fold_threads k
-    (fun acc th -> match th.tstate with `Blocked _ -> acc + 1 | _ -> acc)
-    0
 
 let object_count k = Hashtbl.length k.objects
 
@@ -1611,6 +1623,7 @@ let create ?(seed = 0x4853_7461_7221L) ?clock ?store ?(syscall_cost_ns = 500)
       catgen = Category_gen.create ~key:(Int64.lognot seed);
       runq = Queue.create ();
       futexq = Hashtbl.create 64;
+      timers = Timers.empty;
       label_cache = Label_cache.create ();
       profile = Profile.create ();
       current = 0L;
@@ -1701,7 +1714,8 @@ let attach_netdev k ~container ~label ~mac ~transmit =
       immut = false;
       metadata = "";
       refs = 1;
-      body = Dev { mac; rx = Queue.create (); transmit };
+      body =
+        Dev { mac; rx = Queue.create (); waiters = Queue.create (); transmit };
     }
   in
   Hashtbl.replace k.objects id o;
@@ -1716,19 +1730,15 @@ let deliver_packet k dev_oid frame =
   match find_obj k dev_oid with
   | Some { body = Dev d; _ } -> (
       Queue.push frame d.rx;
-      (* hand queued frames to threads blocked on this device; scan by
-         tid, since thread records don't know their id *)
-      Hashtbl.iter
-        (fun tid o ->
-          match o.body with
-          | Thr th -> (
-              match th.tstate with
-              | `Blocked (W_net oid)
-                when Int64.equal oid dev_oid && not (Queue.is_empty d.rx) ->
-                  wake k tid (R_bytes (Queue.pop d.rx))
-              | _ -> ())
-          | _ -> ())
-        k.objects)
+      (* hand queued frames to this device's waiters in blocking order *)
+      while not (Queue.is_empty d.rx || Queue.is_empty d.waiters) do
+        let tid = Queue.pop d.waiters in
+        match find_obj k tid with
+        | Some { body = Thr { tstate = `Blocked (W_net oid); _ }; _ }
+          when Int64.equal oid dev_oid ->
+            wake k tid (R_bytes (Queue.pop d.rx))
+        | Some _ | None -> ()
+      done)
   | Some _ | None -> invalid_arg "Kernel.deliver_packet: no such device"
 
 (* Host-side wake of futex waiters on a segment word (used by device
@@ -1772,6 +1782,7 @@ let recover ~store =
       catgen = Category_gen.restore ~key:(Int64.lognot key) ~counter:cat_counter;
       runq = Queue.create ();
       futexq = Hashtbl.create 64;
+      timers = Timers.empty;
       label_cache = Label_cache.create ();
       profile = Profile.create ();
       current = 0L;
@@ -1879,6 +1890,7 @@ let resume h =
           ~counter:h.h_cat_counter;
       runq = Queue.create ();
       futexq = Hashtbl.create 64;
+      timers = Timers.empty;
       label_cache = Label_cache.copy h.h_label_cache;
       profile = Profile.copy h.h_profile;
       current = 0L;

@@ -87,7 +87,6 @@ val step : t -> bool
     attempting to fire the earliest parked timer deadline). *)
 
 val runnable_count : t -> int
-val blocked_count : t -> int
 
 val next_timer_ns : t -> int64 option
 (** Earliest deadline (virtual ns) any thread is parked on, if any.

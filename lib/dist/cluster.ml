@@ -26,15 +26,30 @@ module Par = Histar_par.Par
 type host = { h_stack : Stack.t; h_clock : Sim_clock.t }
 
 type t = {
-  mutable kernels : Kernel.t list;  (* reversed registration order *)
+  mutable kernels : Kernel.t list;  (* registration order *)
   mutable hosts : host list;
+  mutable clocks : Sim_clock.t list;
+      (* every distinct clock of [kernels] and [hosts], kept current by
+         the add/remove functions so drive rounds need not rebuild it *)
   mutable on_tick : (int64 -> unit) option;
       (* driver hook, called with global virtual now once per drive
          round — the crash-plan pump (kill/restart at virtual times) *)
 }
 
-let create () = { kernels = []; hosts = []; on_tick = None }
-let add_kernel t k = t.kernels <- t.kernels @ [ k ]
+let create () = { kernels = []; hosts = []; clocks = []; on_tick = None }
+
+(* Deduplicated physically: kernel-less client hosts typically share
+   one edge clock. *)
+let refresh_clocks t =
+  t.clocks <-
+    List.fold_left
+      (fun acc c -> if List.memq c acc then acc else c :: acc)
+      []
+      (List.map Kernel.clock t.kernels @ List.map (fun h -> h.h_clock) t.hosts)
+
+let add_kernel t k =
+  t.kernels <- t.kernels @ [ k ];
+  refresh_clocks t
 
 (* Remove a node from scheduling (node crash): its threads stop
    running and its timers stop being considered, exactly as if the
@@ -42,22 +57,30 @@ let add_kernel t k = t.kernels <- t.kernels @ [ k ]
    again.  Removal is by physical identity; re-adding a recovered
    kernel appends it at the end of registration order, which is part
    of the deterministic schedule and must match across double runs. *)
-let remove_kernel t k = t.kernels <- List.filter (fun k' -> k' != k) t.kernels
+let remove_kernel t k =
+  t.kernels <- List.filter (fun k' -> k' != k) t.kernels;
+  refresh_clocks t
+
 let set_on_tick t f = t.on_tick <- f
 
 let add_host t ~stack ~clock =
-  t.hosts <- t.hosts @ [ { h_stack = stack; h_clock = clock } ]
+  t.hosts <- t.hosts @ [ { h_stack = stack; h_clock = clock } ];
+  refresh_clocks t
+
+let remove_host t stack =
+  t.hosts <- List.filter (fun h -> h.h_stack != stack) t.hosts;
+  refresh_clocks t
 
 let kernels t = t.kernels
+let host_count t = List.length t.hosts
 
-(* All distinct clocks in the cluster, deduplicated physically:
-   kernel-less client hosts typically share one edge clock. *)
-let clocks t =
-  let cs =
-    List.map (fun k -> Kernel.clock k) t.kernels
-    @ List.map (fun h -> h.h_clock) t.hosts
-  in
-  List.fold_left (fun acc c -> if List.memq c acc then acc else c :: acc) [] cs
+(* Advance every clock in the cluster to [tgt] (none moves back). *)
+let advance_all t tgt =
+  List.iter
+    (fun c ->
+      let d = Int64.sub tgt (Sim_clock.now_ns c) in
+      if Int64.compare d 0L > 0 then Sim_clock.advance_ns c d)
+    t.clocks
 
 (* One scheduling decision when everyone is idle: the pending timer
    with the least relative wait fires, and — crucially — *every*
@@ -80,19 +103,13 @@ let global_now_ns t =
     (fun m c ->
       let n = Sim_clock.now_ns c in
       if Int64.compare n m > 0 then n else m)
-    0L (clocks t)
+    0L t.clocks
 
 (* Jointly advance every clock to the global maximum — the same
    synchronization a timer firing performs, available to hosts that
    want a clean time baseline after un-driven work (e.g. measuring
    from after provisioning rather than across it). *)
-let sync_clocks t =
-  let tgt = global_now_ns t in
-  List.iter
-    (fun c ->
-      let d = Int64.sub tgt (Sim_clock.now_ns c) in
-      if Int64.compare d 0L > 0 then Sim_clock.advance_ns c d)
-    (clocks t)
+let sync_clocks t = advance_all t (global_now_ns t)
 
 let fire_next_timer t =
   let best = ref None in
@@ -120,14 +137,7 @@ let fire_next_timer t =
   match !best with
   | None -> false
   | Some (w, target) ->
-      let cs = clocks t in
-      let global_now = global_now_ns t in
-      let tgt = Int64.add global_now w in
-      List.iter
-        (fun c ->
-          let d = Int64.sub tgt (Sim_clock.now_ns c) in
-          if Int64.compare d 0L > 0 then Sim_clock.advance_ns c d)
-        cs;
+      advance_all t (Int64.add (global_now_ns t) w);
       (match target with
       | `Kernel k -> ignore (Kernel.step k : bool)
       | `Host h -> Stack.tick h.h_stack);

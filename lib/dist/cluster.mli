@@ -39,7 +39,15 @@ val add_host :
     timers the driver must honor: advancing [clock] to the stack's
     earliest RTO deadline and ticking it counts as firing a timer. *)
 
+val remove_host : t -> Histar_net.Stack.t -> unit
+(** Stop honoring a host's timers: the inverse of {!add_host}, for
+    client endpoints whose work is done. Hub attachment is the
+    caller's business. *)
+
 val kernels : t -> Histar_core.Kernel.t list
+
+val host_count : t -> int
+(** Hosts currently registered with {!add_host}. *)
 
 val settle : ?max_rounds:int -> t -> unit
 (** Run every kernel to quiescence without firing timers: boot work

@@ -5,8 +5,8 @@
    remote gate end-to-end (taint acquired remotely arrives translated
    on the caller), refusal accounting, the scale-out web cluster
    (packet-capture secrecy, wrong-password and cross-user denial),
-   failover under a link flap, and bit-reproducibility of a whole
-   cluster run. *)
+   failover under a link flap, bit-reproducibility of a whole
+   cluster run, and a wave cost that does not grow with past waves. *)
 
 module Label = Histar_label.Label
 module Level = Histar_label.Level
@@ -697,6 +697,43 @@ let test_session_ttl_expiry () =
   drive "fourth request (re-cached token)";
   Alcotest.(check int) "re-auth cached a fresh token" (h0 + 2) (hits ())
 
+(* Cluster stationarity: the host cost of a wave must not grow with
+   the waves before it. The gauge is minor words on one domain, a
+   deterministic count, not wall time. Per-request kernel objects are
+   still never reclaimed, so later waves may cost a little more; an
+   idle round that visits every past wave's client hosts, or a
+   scheduler that scans every object, costs far more than the 3%. *)
+let test_cluster_stationary () =
+  let saved = Par.domains () in
+  Par.set_domains 1;
+  Fun.protect ~finally:(fun () -> Par.set_domains saved) @@ fun () ->
+  let wc = Webcluster.build ~app_nodes:4 ~db_shards:2 ~user_count:4 () in
+  let users = Webcluster.users wc in
+  let cluster = Webcluster.cluster wc in
+  let hosts = Cluster.host_count cluster in
+  let words =
+    Array.init 50 (fun w ->
+        let batch =
+          Array.init 8 (fun i ->
+              let u, p = users.((w + i) mod Array.length users) in
+              (u, p, u))
+        in
+        let before = Gc.minor_words () in
+        let finished, _ = Webcluster.run_load wc ~concurrency:8 batch in
+        let used = Gc.minor_words () -. before in
+        Alcotest.(check bool)
+          (Printf.sprintf "wave %d completed" w)
+          true finished;
+        Alcotest.(check int) "run_load retires its client hosts" hosts
+          (Cluster.host_count cluster);
+        used)
+  in
+  let mean lo = Array.fold_left ( +. ) 0. (Array.sub words lo 5) /. 5. in
+  let ratio = mean 45 /. mean 5 in
+  Alcotest.(check bool)
+    (Printf.sprintf "waves 45-49 allocate %.3fx waves 5-9 (<= 1.03)" ratio)
+    true (ratio <= 1.03)
+
 let suite =
   [
     ("seal roundtrip", `Quick, test_seal_roundtrip);
@@ -714,6 +751,7 @@ let suite =
     ("cluster: session token TTL expiry", `Quick, test_session_ttl_expiry);
     ("cluster: failover under link flap", `Quick, test_cluster_failover);
     ("cluster: scaling and reproducibility", `Slow, test_cluster_scaling);
+    ("cluster: waves are stationary", `Quick, test_cluster_stationary);
   ]
 
 let () = Alcotest.run "dist" [ ("dist", suite) ]

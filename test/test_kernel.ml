@@ -664,7 +664,7 @@ let test_netdev_taint () =
       ~transmit:(fun frame -> sent := frame :: !sent)
   in
   let phase = ref [] in
-  let _tid =
+  let tid =
     Kernel.spawn k ~name:"netd"
       ~label:(l [ (i, Level.L2) ] Level.L1)
       ~clearance:(l [ (i, Level.L2) ] Level.L2)
@@ -678,11 +678,133 @@ let test_netdev_taint () =
   in
   Kernel.run k;
   (* thread should now be blocked in net_recv *)
-  Alcotest.(check int) "blocked on rx" 1 (Kernel.blocked_count k);
+  Alcotest.(check bool) "blocked on rx" true
+    (Kernel.thread_state k tid = Some `Blocked);
   Kernel.deliver_packet k dev "pong";
   Kernel.run k;
   Alcotest.(check (list string)) "tx seen" [ "ping" ] !sent;
   Alcotest.(check (list string)) "phases" [ "got:pong"; "sent" ] !phase
+
+(* ---------- blocked-thread index ---------- *)
+
+(* Run every runnable slice without letting an idle kernel fire a
+   timer: [Kernel.run] would jump the clock to the first deadline. *)
+let settle k =
+  while Kernel.runnable_count k > 0 do
+    ignore (Kernel.step k : bool)
+  done
+
+let deadline = 1_000_000_000L
+
+let test_timer_ties_wake_in_tid_order () =
+  let k = Kernel.create () in
+  let woke = ref [] in
+  let tids =
+    List.init 6 (fun i ->
+        Kernel.spawn k ~name:(Printf.sprintf "sleeper-%d" i) (fun () ->
+            Sys.sleep_until_ns deadline;
+            woke := (Sys.self_id (), Sys.clock_ns ()) :: !woke))
+  in
+  let sorted = List.sort Int64.compare tids in
+  Alcotest.(check bool) "spawn order is not tid order" false (tids = sorted);
+  Kernel.run k;
+  Alcotest.(check (list int64)) "woken in tid order" sorted
+    (List.rev_map fst !woke);
+  List.iter
+    (fun (_, at) ->
+      Alcotest.(check bool) "not woken early" true
+        (Int64.compare at deadline >= 0))
+    !woke;
+  Alcotest.(check (option int64)) "no timer left" None (Kernel.next_timer_ns k)
+
+let test_destroyed_sleeper_never_woken () =
+  let k = Kernel.create () in
+  let root = Kernel.root k in
+  let woke = ref false in
+  let sleeper =
+    Kernel.spawn k ~name:"sleeper" (fun () ->
+        Sys.sleep_until_ns deadline;
+        woke := true)
+  in
+  settle k;
+  Alcotest.(check (option int64)) "indexed" (Some deadline)
+    (Kernel.next_timer_ns k);
+  let _killer =
+    Kernel.spawn k ~name:"killer" (fun () -> Sys.unref (centry root sleeper))
+  in
+  settle k;
+  Alcotest.(check bool) "destroyed" true (Kernel.thread_state k sleeper = None);
+  Alcotest.(check (option int64)) "entry dropped" None (Kernel.next_timer_ns k);
+  Alcotest.(check bool) "nothing to fire" false (Kernel.step k);
+  Alcotest.(check bool) "never woken" false !woke;
+  Alcotest.(check bool) "clock did not jump" true
+    (Int64.compare (Histar_util.Sim_clock.now_ns (Kernel.clock k)) deadline < 0)
+
+(* [thread_alert] does not cut a sleep short, so the sleeper is
+   re-armed to wait for the alert instead: its old deadline must not
+   resume the alert wait, and the alert must. *)
+let test_alerted_sleeper_never_woken_by_timer () =
+  let k = Kernel.create () in
+  let root = Kernel.root k in
+  let asp = ref 0L in
+  let woke = ref false and got = ref None in
+  let _setup =
+    Kernel.spawn k ~name:"setup" (fun () ->
+        asp := Sys.as_create ~container:root ~label:l1 ~quota:4096L "as")
+  in
+  let sleeper =
+    Kernel.spawn k ~name:"sleeper" (fun () ->
+        Sys.sleep_until_ns deadline;
+        woke := true)
+  in
+  settle k;
+  Alcotest.(check (option int64)) "indexed" (Some deadline)
+    (Kernel.next_timer_ns k);
+  Kernel.restart_thread k sleeper (fun () ->
+      Sys.self_set_as (centry root !asp);
+      got := Some (Sys.wait_alert ()));
+  settle k;
+  Alcotest.(check bool) "waits for an alert" true
+    (Kernel.thread_state k sleeper = Some `Blocked);
+  Alcotest.(check (option int64)) "entry dropped" None (Kernel.next_timer_ns k);
+  Alcotest.(check bool) "nothing to fire" false (Kernel.step k);
+  Alcotest.(check (option int)) "not resumed by the deadline" None !got;
+  let _alerter =
+    Kernel.spawn k ~name:"alerter" (fun () ->
+        Sys.thread_alert (centry root sleeper) 7)
+  in
+  Kernel.run k;
+  Alcotest.(check (option int)) "alert delivered" (Some 7) !got;
+  Alcotest.(check bool) "never woken by the timer" false !woke;
+  Alcotest.(check (option int64)) "no timer left" None (Kernel.next_timer_ns k)
+
+let test_frame_for_destroyed_waiter_stays_queued () =
+  let k = Kernel.create () in
+  let root = Kernel.root k in
+  let dev =
+    Kernel.attach_netdev k ~container:root ~label:l1 ~mac:"02:00:00:00:00:04"
+      ~transmit:ignore
+  in
+  let stolen = ref None and got = ref None in
+  let waiter =
+    Kernel.spawn k ~name:"waiter" (fun () ->
+        stolen := Some (Sys.net_recv (centry root dev)))
+  in
+  settle k;
+  let _killer =
+    Kernel.spawn k ~name:"killer" (fun () -> Sys.unref (centry root waiter))
+  in
+  settle k;
+  Kernel.deliver_packet k dev "frame";
+  Alcotest.(check int) "nobody woken" 0 (Kernel.runnable_count k);
+  let _reader =
+    Kernel.spawn k ~name:"reader" (fun () ->
+        got := Some (Sys.net_recv (centry root dev)))
+  in
+  Kernel.run k;
+  Alcotest.(check (option string)) "destroyed waiter got nothing" None !stolen;
+  Alcotest.(check (option string)) "next net_recv gets the frame"
+    (Some "frame") !got
 
 let test_netdev_untainted_cannot_recv () =
   let k = Kernel.create () in
@@ -1408,6 +1530,17 @@ let () =
             test_netdev_untainted_cannot_recv;
           Alcotest.test_case "vpn taint cannot send" `Quick
             test_netdev_vpn_tainted_cannot_send;
+        ] );
+      ( "blocked index",
+        [
+          Alcotest.test_case "timer ties wake in tid order" `Quick
+            test_timer_ties_wake_in_tid_order;
+          Alcotest.test_case "destroyed sleeper never woken" `Quick
+            test_destroyed_sleeper_never_woken;
+          Alcotest.test_case "alerted sleeper never woken by timer" `Quick
+            test_alerted_sleeper_never_woken_by_timer;
+          Alcotest.test_case "frame for destroyed waiter stays queued" `Quick
+            test_frame_for_destroyed_waiter_stays_queued;
         ] );
       ( "persistence",
         [
