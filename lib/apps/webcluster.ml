@@ -920,9 +920,7 @@ let cluster t = t.cluster
 let front_hub t = t.front
 let back_hub t = t.back
 let balancer t = t.balancer.n_kernel
-let app_kernel t i = t.apps.(i).n_kernel
 let app_mac t i = back_mac t.apps.(i).n_id
-let app_clock t i = t.apps.(i).n_clock
 let balancer_clock t = t.balancer.n_clock
 let users t = t.users
 let secret_of t user = List.assoc user t.secrets
@@ -930,13 +928,10 @@ let served t = Array.copy t.served
 let failovers t = t.failovers
 let handoff_refusals t = t.handoff_refused
 let ring t = t.ring
-let shard_count t = Array.length t.shards
 let shard_node_id t k = t.shards.(k).sh_id
-let shard_kernel t k = t.shards.(k).sh_node.n_kernel
 let shard_alive t k = t.shards.(k).sh_alive
 let shard_users t k = t.shards.(k).sh_users
 let shard_store t k = t.shards.(k).sh_store
-let db_kernel t = t.shards.(0).sh_node.n_kernel
 
 let shard_of_user t user =
   match Ring.owner t.ring (user_key user) with

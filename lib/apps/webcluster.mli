@@ -79,16 +79,11 @@ val cluster : t -> Histar_dist.Cluster.t
 val front_hub : t -> Histar_net.Hub.t
 val back_hub : t -> Histar_net.Hub.t
 val balancer : t -> Histar_core.Kernel.t
-val app_kernel : t -> int -> Histar_core.Kernel.t
-
-val db_kernel : t -> Histar_core.Kernel.t
-(** Shard 0's kernel (compatibility accessor). *)
 
 val app_mac : t -> int -> string
 (** Backbone MAC of app node [i] — the handle for
     [Hub.set_link_faults] when flapping a node mid-run. *)
 
-val app_clock : t -> int -> Histar_util.Sim_clock.t
 val balancer_clock : t -> Histar_util.Sim_clock.t
 
 val users : t -> (string * string) array
@@ -110,16 +105,12 @@ val handoff_refusals : t -> int
 (** {1 Shards} *)
 
 val ring : t -> Histar_dist.Ring.t
-val shard_count : t -> int
 
 val shard_of_user : t -> string -> int option
 (** Index (0-based) of the shard whose arc currently owns the user. *)
 
 val shard_node_id : t -> int -> int
 (** Cluster node id of shard [k] (for crash-plan [node=] fields). *)
-
-val shard_kernel : t -> int -> Histar_core.Kernel.t
-(** Shard [k]'s *current* kernel — a new object after recovery. *)
 
 val shard_store : t -> int -> Histar_store.Store.t
 (** Shard [k]'s current store handle (fsck it after recovery). *)

@@ -16,7 +16,8 @@
       seed — accepts decimal or 0x-prefixed hex;
     - [HISTAR_CHECK_COUNT]: override every property's iteration count;
     - [HISTAR_CHECK_FULL=1]: exhaustive mode — multiplies property
-      iteration counts by 5 and makes crash sweeps visit every crash
+      iteration counts by 5, the conformance fuzz budgets by 8 and the
+      twin-trace pairs by 4, and makes crash sweeps visit every crash
       point instead of a strided sample. *)
 
 val default_seed : int64

@@ -1220,8 +1220,6 @@ type fuzz_stats = {
   fs_seed : int64;
 }
 
-let long_mode () = Stdlib.Sys.getenv_opt "HISTAR_CHECK_LONG" = Some "1"
-
 let take n l = List.filteri (fun i _ -> i < n) l
 let drop n l = List.filteri (fun i _ -> i >= n) l
 
@@ -1258,7 +1256,7 @@ let run_fuzz ?weaken ?runs ?max_size ?(seed = Check.seed ()) () =
   let runs =
     match runs with
     | Some r -> r
-    | None -> if long_mode () then 3200 else 400
+    | None -> if Check.full_mode () then 3200 else 400
   in
   let max_size = Option.value max_size ~default:30 in
   let rng = Rng.create (Int64.logxor seed 0x5EED_F00DL) in

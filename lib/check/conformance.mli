@@ -151,7 +151,7 @@ val run_fuzz :
   unit ->
   fuzz_stats
 (** The coverage-guided loop. Defaults: [runs] 400 (×8 when
-    [HISTAR_CHECK_LONG=1]), [max_size] 30, [seed] {!Check.seed}[()].
+    [HISTAR_CHECK_FULL=1]), [max_size] 30, [seed] {!Check.seed}[()].
     Runs sequentially on the calling domain and stops at the first
     divergence (after shrinking it). *)
 

@@ -154,8 +154,7 @@ let interp w prog =
    that allocates a different number of high objects shifts every
    subsequent oid), categories by their index in the world's category
    table (never raw ids or intern ids), and no metrics, elision
-   counters, quotas or clock values appear at all (the harness kernels
-   run with ~instrument:false besides). *)
+   counters, quotas or clock values appear at all. *)
 
 type canon = {
   c_names : (oid, string) Hashtbl.t;
@@ -274,7 +273,7 @@ type base = {
    they agree bit-for-bit on every generator stream at the divergence
    point. *)
 let build_base () =
-  let k = Kernel.create ~instrument:false () in
+  let k = Kernel.create () in
   let cell = ref None in
   let tid =
     Kernel.spawn k ~name:"twin-main" (fun () ->
@@ -458,7 +457,7 @@ let mlabel_of_spec sp =
 let render_state cur clear = Printf.sprintf "cur=%s clear=%s" cur clear
 
 let real_trajectory ops =
-  let k = Kernel.create ~instrument:false () in
+  let k = Kernel.create () in
   let out = ref [] in
   let record s = out := s :: !out in
   let _tid =

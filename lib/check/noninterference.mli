@@ -12,11 +12,10 @@
 
     The projection never mentions raw oids, intern ids, metrics,
     elision counters, quotas or clock values: objects are named by
-    descrip plus order of first appearance, categories by their index
-    in the world's category table, and the kernels run with
-    [~instrument:false]. A twin that allocates a different number of
-    high objects therefore shifts every later oid without perturbing
-    the projection — covered by the allocation-order regression in
+    descrip plus order of first appearance, and categories by their
+    index in the world's category table. A twin that allocates a
+    different number of high objects therefore shifts every later oid
+    without perturbing the projection — covered by the allocation-order regression in
     [test/test_check.ml].
 
     Divergences surface through {!Check} properties, so they shrink

@@ -147,7 +147,6 @@ type t = {
   mutable root : oid;
   mutable trace : (trace_event -> unit) option;
   syscall_cost_ns : int;
-  instrument : bool;
   weaken : weaken option;
   key : int64;
   (* Fork support: [snap] is the persistent oid → encoded-object map as
@@ -822,8 +821,7 @@ let check_gate_invoke k gate_obj g ~requested_label ~requested_clearance
           (Label.to_string requested_clearance)
       else Ok ()
   in
-  if k.instrument then
-    Label_cache.count_uncached_check ~allowed:(Result.is_ok result);
+  Label_cache.count_uncached_check ~allowed:(Result.is_ok result);
   result
 
 let resolve_gate k ~op ce =
@@ -1449,25 +1447,15 @@ let rec run_state_loop k tid rs =
             k.syscall_cost_ns * 30
         | _ -> k.syscall_cost_ns
       in
-      let action =
-        if k.instrument then begin
-          let t0 = Sim_clock.now_ns k.clock in
-          Sim_clock.advance_ns k.clock (Int64.of_int cost_ns);
-          let action = handle_syscall k kont req in
-          Metrics.Counter.incr m_syscalls;
-          let t1 = Sim_clock.now_ns k.clock in
-          Metrics.Histogram.observe m_syscall_ns
-            (Int64.to_int (Int64.sub t1 t0));
-          (match action with
-          | A_resp (R_err (Label_check _)) -> Metrics.Counter.incr m_label_errors
-          | _ -> ());
-          action
-        end
-        else begin
-          Sim_clock.advance_ns k.clock (Int64.of_int cost_ns);
-          handle_syscall k kont req
-        end
-      in
+      let t0 = Sim_clock.now_ns k.clock in
+      Sim_clock.advance_ns k.clock (Int64.of_int cost_ns);
+      let action = handle_syscall k kont req in
+      Metrics.Counter.incr m_syscalls;
+      let t1 = Sim_clock.now_ns k.clock in
+      Metrics.Histogram.observe m_syscall_ns (Int64.to_int (Int64.sub t1 t0));
+      (match action with
+      | A_resp (R_err (Label_check _)) -> Metrics.Counter.incr m_label_errors
+      | _ -> ());
       match find_obj k tid with
       | None -> () (* thread was destroyed by its own syscall *)
       | Some { body = Thr th; _ } -> (
@@ -1611,31 +1599,38 @@ let container_parent_of k oid =
 
 (* ---------- construction ---------- *)
 
-let create ?(seed = 0x4853_7461_7221L) ?clock ?store ?(syscall_cost_ns = 500)
-    ?(instrument = true) ?weaken () =
+(* The one place a kernel record is built. [create] starts both
+   generators at zero; [recover] and [resume] restore their counters. *)
+let make ~clock ?store ~key ~oid_counter ~cat_counter ~root
+    ?(label_cache = Label_cache.create ()) ?(profile = Profile.create ())
+    ?(syscall_cost_ns = 500) ?weaken ?(snap = Bptree.create ()) () =
+  {
+    clock;
+    store;
+    objects = Hashtbl.create 256;
+    oidgen = Category_gen.restore ~key ~counter:oid_counter;
+    catgen = Category_gen.restore ~key:(Int64.lognot key) ~counter:cat_counter;
+    runq = Queue.create ();
+    futexq = Hashtbl.create 64;
+    timers = Timers.empty;
+    label_cache;
+    profile;
+    current = 0L;
+    root;
+    trace = None;
+    syscall_cost_ns;
+    weaken;
+    key;
+    snap;
+    snap_enc = Hashtbl.create 256;
+  }
+
+let create ?(seed = 0x4853_7461_7221L) ?clock ?store ?syscall_cost_ns ?weaken
+    () =
   let clock = match clock with Some c -> c | None -> Sim_clock.create () in
   let k =
-    {
-      clock;
-      store;
-      objects = Hashtbl.create 256;
-      oidgen = Category_gen.create ~key:seed;
-      catgen = Category_gen.create ~key:(Int64.lognot seed);
-      runq = Queue.create ();
-      futexq = Hashtbl.create 64;
-      timers = Timers.empty;
-      label_cache = Label_cache.create ();
-      profile = Profile.create ();
-      current = 0L;
-      root = 0L;
-      trace = None;
-      syscall_cost_ns;
-      instrument;
-      weaken;
-      key = seed;
-      snap = Bptree.create ();
-      snap_enc = Hashtbl.create 256;
-    }
+    make ~clock ?store ~key:seed ~oid_counter:0L ~cat_counter:0L ~root:0L
+      ?syscall_cost_ns ?weaken ()
   in
   let root_id = next_oid k in
   let root_obj =
@@ -1772,29 +1767,9 @@ let recover ~store =
   let oid_counter = Codec.Dec.i64 d in
   let cat_counter = Codec.Dec.i64 d in
   let key = Codec.Dec.i64 d in
-  let clock = Sim_clock.create () in
   let k =
-    {
-      clock;
-      store = Some store;
-      objects = Hashtbl.create 256;
-      oidgen = Category_gen.restore ~key ~counter:oid_counter;
-      catgen = Category_gen.restore ~key:(Int64.lognot key) ~counter:cat_counter;
-      runq = Queue.create ();
-      futexq = Hashtbl.create 64;
-      timers = Timers.empty;
-      label_cache = Label_cache.create ();
-      profile = Profile.create ();
-      current = 0L;
-      root;
-      trace = None;
-      syscall_cost_ns = 500;
-      instrument = true;
-      weaken = None;
-      key;
-      snap = Bptree.create ();
-      snap_enc = Hashtbl.create 256;
-    }
+    make ~clock:(Sim_clock.create ()) ~store ~key ~oid_counter ~cat_counter
+      ~root ()
   in
   Store.iter_oids store (fun oid ->
       if not (Int64.equal oid meta_oid) then
@@ -1832,7 +1807,6 @@ type handle = {
   h_key : int64;
   h_now_ns : int64;
   h_syscall_cost_ns : int;
-  h_instrument : bool;
   h_weaken : weaken option;
   h_label_cache : Label_cache.t;
   h_profile : Profile.t;
@@ -1870,7 +1844,6 @@ let fork k =
     h_key = k.key;
     h_now_ns = Sim_clock.now_ns k.clock;
     h_syscall_cost_ns = k.syscall_cost_ns;
-    h_instrument = k.instrument;
     h_weaken = k.weaken;
     h_label_cache = Label_cache.copy k.label_cache;
     h_profile = Profile.copy k.profile;
@@ -1880,29 +1853,11 @@ let resume h =
   let clock = Sim_clock.create () in
   Sim_clock.advance_ns clock h.h_now_ns;
   let k =
-    {
-      clock;
-      store = None;
-      objects = Hashtbl.create 256;
-      oidgen = Category_gen.restore ~key:h.h_key ~counter:h.h_oid_counter;
-      catgen =
-        Category_gen.restore ~key:(Int64.lognot h.h_key)
-          ~counter:h.h_cat_counter;
-      runq = Queue.create ();
-      futexq = Hashtbl.create 64;
-      timers = Timers.empty;
-      label_cache = Label_cache.copy h.h_label_cache;
-      profile = Profile.copy h.h_profile;
-      current = 0L;
-      root = h.h_root;
-      trace = None;
-      syscall_cost_ns = h.h_syscall_cost_ns;
-      instrument = h.h_instrument;
-      weaken = h.h_weaken;
-      key = h.h_key;
-      snap = h.h_objects;
-      snap_enc = Hashtbl.create 256;
-    }
+    make ~clock ~key:h.h_key ~oid_counter:h.h_oid_counter
+      ~cat_counter:h.h_cat_counter ~root:h.h_root
+      ~label_cache:(Label_cache.copy h.h_label_cache)
+      ~profile:(Profile.copy h.h_profile) ~syscall_cost_ns:h.h_syscall_cost_ns
+      ?weaken:h.h_weaken ~snap:h.h_objects ()
   in
   Bptree.iter
     (fun oid enc ->

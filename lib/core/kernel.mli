@@ -46,16 +46,13 @@ val create :
   ?clock:Histar_util.Sim_clock.t ->
   ?store:Histar_store.Store.t ->
   ?syscall_cost_ns:int ->
-  ?instrument:bool ->
   ?weaken:weaken ->
   unit ->
   t
-(** [instrument] (default [true]) controls whether the syscall dispatch
-    loop reports into the global {!Histar_metrics.Metrics} registry at
-    all. With it [true] but the registry disabled, each syscall costs
-    one flag load and branch; [false] skips even that, giving the
-    overhead test a no-instrumentation baseline. [weaken] (default
-    none) deliberately disables one label check — tests only. *)
+(** The syscall dispatch loop always reports into the
+    {!Histar_metrics.Metrics} registry; with the registry disabled each
+    report costs one flag load and branch. [weaken] (default none)
+    deliberately disables one label check — tests only. *)
 
 val clock : t -> Histar_util.Sim_clock.t
 val root : t -> oid

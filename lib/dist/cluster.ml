@@ -82,20 +82,6 @@ let advance_all t tgt =
       if Int64.compare d 0L > 0 then Sim_clock.advance_ns c d)
     t.clocks
 
-(* One scheduling decision when everyone is idle: the pending timer
-   with the least relative wait fires, and — crucially — *every*
-   clock in the cluster is synchronized to the global maximum plus
-   that wait. Virtual time is global: without the joint advance, a
-   node with a periodic housekeeping timer (netd re-arms every 50ms)
-   would keep presenting a smaller relative wait than a peer's
-   pending 200ms RTO forever, and the RTO would never fire — a
-   cross-node timeout livelock. Synchronizing to the maximum (rather
-   than adding an equal delta everywhere) also absorbs the drift that
-   per-syscall costs introduce: a busy node's clock runs ahead of an
-   idle one's between timer rounds, and an idle node that keeps
-   timing out against its own lagging clock would otherwise see
-   cross-node deadlines recede indefinitely. Timers left overdue by
-   the jump fire on later rounds with wait 0. *)
 (* Global virtual now: the maximum over every clock in the cluster.
    This is the time axis crash schedules are written against. *)
 let global_now_ns t =
@@ -111,6 +97,20 @@ let global_now_ns t =
    from after provisioning rather than across it). *)
 let sync_clocks t = advance_all t (global_now_ns t)
 
+(* One scheduling decision when everyone is idle: the pending timer
+   with the least relative wait fires, and — crucially — *every*
+   clock in the cluster is synchronized to the global maximum plus
+   that wait. Virtual time is global: without the joint advance, a
+   node with a periodic housekeeping timer (netd re-arms every 50ms)
+   would keep presenting a smaller relative wait than a peer's
+   pending 200ms RTO forever, and the RTO would never fire — a
+   cross-node timeout livelock. Synchronizing to the maximum (rather
+   than adding an equal delta everywhere) also absorbs the drift that
+   per-syscall costs introduce: a busy node's clock runs ahead of an
+   idle one's between timer rounds, and an idle node that keeps
+   timing out against its own lagging clock would otherwise see
+   cross-node deadlines recede indefinitely. Timers left overdue by
+   the jump fire on later rounds with wait 0. *)
 let fire_next_timer t =
   let best = ref None in
   let consider wait target =

@@ -293,10 +293,6 @@ let register t ~service ~label ~clearance handler =
   Hashtbl.replace t.services service
     { sv_label = label; sv_clear = clearance; sv_handler = handler }
 
-let unregister t ~service =
-  t.svc_version <- t.svc_version + 1;
-  Hashtbl.remove t.services service
-
 (* Poll-park until the proxy posts its result. A futex would require
    the clean conn thread to observe tainted proxy writes; virtual
    time is label-free. *)

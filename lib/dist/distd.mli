@@ -89,16 +89,12 @@ val register :
     runs on the proxy thread and returns the reply payload plus
     categories to grant through the return (it must own them).
 
-    Re-registering (any [register] or {!unregister} call) bumps the
-    node's service-table version, invalidating the per-connection
-    admission memos: a long-lived peer connection re-runs the full
-    translate+admit for each (caller, label, capacity, service) tuple
-    after the table changes, and otherwise replays the cached admit —
-    counted in [net.dist_admit_batched].  Refusals are never cached. *)
-
-val unregister : t -> service:string -> unit
-(** Remove a service (e.g. while its shard's data is mid-handoff);
-    callers get a remote error until it is re-registered. *)
+    Each [register] call bumps the node's service-table version,
+    invalidating the per-connection admission memos: a long-lived peer
+    connection re-runs the full translate+admit for each (caller,
+    label, capacity, service) tuple after the table changes, and
+    otherwise replays the cached admit — counted in
+    [net.dist_admit_batched].  Refusals are never cached. *)
 
 val export_owned : t -> ?trust:int list -> Category.t -> int64
 (** Publish a locally-owned category cluster-wide: mint its wire

@@ -25,9 +25,8 @@ type point = {
 }
 
 type t = {
-  mutable points : point array;  (* sorted by unsigned hash *)
-  vnodes : int;
-  mutable members : int list;  (* live members, ascending *)
+  points : point array;  (* sorted by unsigned hash *)
+  members : int list;  (* ascending *)
 }
 
 module Checksum = Histar_util.Checksum
@@ -46,35 +45,20 @@ let point_hash ~node ~vidx =
 
 let key_hash key = Checksum.mix64 (Checksum.fnv64 ("key:" ^ key))
 
-let rebuild t =
-  let pts =
-    List.concat_map
-      (fun node ->
-        List.init t.vnodes (fun vidx ->
-            { hash = point_hash ~node ~vidx; node; vidx; draining = None }))
-      t.members
-  in
-  let arr = Array.of_list pts in
-  Array.sort (fun a b -> ucompare a.hash b.hash) arr;
-  t.points <- arr
-
 let create ?(vnodes = 16) members =
   let members = List.sort_uniq compare members in
-  let t = { points = [||]; vnodes; members } in
-  rebuild t;
-  t
+  let points =
+    Array.of_list
+      (List.concat_map
+         (fun node ->
+           List.init vnodes (fun vidx ->
+               { hash = point_hash ~node ~vidx; node; vidx; draining = None }))
+         members)
+  in
+  Array.sort (fun a b -> ucompare a.hash b.hash) points;
+  { points; members }
 
 let members t = t.members
-
-let add_member t node =
-  if not (List.mem node t.members) then (
-    t.members <- List.sort_uniq compare (node :: t.members);
-    rebuild t)
-
-let remove_member t node =
-  if List.mem node t.members then (
-    t.members <- List.filter (fun n -> n <> node) t.members;
-    rebuild t)
 
 (* First point clockwise from [h] (binary search over the sorted
    array, wrapping past the top). *)
@@ -141,10 +125,3 @@ let abort_handoff t ~key =
       | Some _ ->
           p.draining <- None;
           Ok ())
-
-let draining_count t =
-  Array.fold_left (fun acc p -> if p.draining <> None then acc + 1 else acc) 0 t.points
-
-(* Keys from [keys] whose owning arc belongs to [node] — used by a
-   rebalance to enumerate what must move. *)
-let keys_owned t ~node keys = List.filter (fun k -> owner t k = Some node) keys

@@ -13,8 +13,6 @@ val create : ?vnodes:int -> int list -> t
     (default 16). *)
 
 val members : t -> int list
-val add_member : t -> int -> unit
-val remove_member : t -> int -> unit
 
 val owner : t -> string -> int option
 (** Owning member of a key, ignoring handoff state. [None] iff the
@@ -32,7 +30,3 @@ val commit_handoff : t -> key:string -> (int, string) result
     the mark; returns the new owner. *)
 
 val abort_handoff : t -> key:string -> (unit, string) result
-val draining_count : t -> int
-
-val keys_owned : t -> node:int -> string list -> string list
-(** Subset of [keys] whose owning arc belongs to [node]. *)

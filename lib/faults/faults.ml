@@ -198,15 +198,7 @@ module Schedule = struct
         match of_string s with
         | Error msg ->
             failwith (Printf.sprintf "HISTAR_FAULTS: %s (in %S)" msg s)
-        | Ok t -> (
-            match Sys.getenv_opt "HISTAR_FAULTS_SEED" with
-            | None | Some "" -> Some t
-            | Some sv -> (
-                match Int64.of_string_opt sv with
-                | Some seed -> Some { t with seed }
-                | None ->
-                    failwith
-                      (Printf.sprintf "HISTAR_FAULTS_SEED: bad seed %S" sv))))
+        | Ok t -> Some t)
 
   let pp fmt t = Format.pp_print_string fmt (to_string t)
 end

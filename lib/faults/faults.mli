@@ -8,10 +8,9 @@
    take the decision plans built from a schedule and ask them on
    every media write / read / injected frame.
 
-   Env knobs follow the HISTAR_CHECK_* discipline:
-     HISTAR_FAULTS       schedule string, e.g.
-                           "seed=0xc0ffee;disk:latent=0.01;net:loss=0.05,dup=0.02"
-     HISTAR_FAULTS_SEED  overrides the seed of HISTAR_FAULTS *)
+   One env knob, following the HISTAR_CHECK_* discipline:
+     HISTAR_FAULTS  schedule string, seed included, e.g.
+                      "seed=0xc0ffee;disk:latent=0.01;net:loss=0.05,dup=0.02" *)
 
 module Schedule : sig
   type disk = {
@@ -68,7 +67,8 @@ module Schedule : sig
 
   val of_string : string -> (t, string) result
   val of_env : unit -> t option
-  (** Reads HISTAR_FAULTS / HISTAR_FAULTS_SEED; [None] when unset. *)
+  (** Reads HISTAR_FAULTS; [None] when unset or empty. Raises [Failure]
+      naming the variable when the string does not parse. *)
 
   val pp : Format.formatter -> t -> unit
 end

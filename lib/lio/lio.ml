@@ -74,7 +74,6 @@ let scratch_for_object ctx l =
 (* ---------- the floating label ---------- *)
 
 let current_label () = Sys.self_label ()
-let current_clearance () = Sys.self_clearance ()
 
 (* Pointwise ⊔ of the current label with [l], except that ⋆ entries
    are privilege, not taint: a plain ⊔ would let the *public* default
@@ -216,7 +215,6 @@ let new_ref ctx ?(name = "lio ref") l v =
   if String.length v > 0 then Sys.segment_write r.r_entry v;
   r
 
-let ref_label r = r.r_label
 let ref_entry r = r.r_entry
 
 let read_ref r =

@@ -49,7 +49,6 @@ val scratch_for : ctx -> Label.t -> oid
 (** {1 The floating label} *)
 
 val current_label : unit -> Label.t
-val current_clearance : unit -> Label.t
 
 val taint : Label.t -> unit
 (** Raise the current label to [current ⊔ l] — a plain pointwise ⊔,
@@ -123,7 +122,6 @@ val new_ref : ctx -> ?name:string -> Label.t -> string -> lref
     the segment's descrip — the twin-trace harness keys its canonical
     low projection on descrips, never on raw oids. *)
 
-val ref_label : lref -> Label.t
 val ref_entry : lref -> centry
 
 val read_ref : lref -> string

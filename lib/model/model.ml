@@ -926,8 +926,3 @@ let thread_label_of st oid =
   match find st oid with
   | Some { body = Thr _; label; _ } -> Some label
   | Some _ | None -> None
-
-let thread_clearance_of st oid =
-  match find st oid with
-  | Some { body = Thr th; _ } -> Some th.tclear
-  | Some _ | None -> None

@@ -178,7 +178,6 @@ val live : state -> oid list
 
 val view : state -> oid -> view option
 val thread_label_of : state -> oid -> Mlabel.t option
-val thread_clearance_of : state -> oid -> Mlabel.t option
 val err_to_string : err -> string
 val kind_to_string : kind -> string
 

@@ -12,13 +12,7 @@ module Metrics = Histar_metrics.Metrics
 let m_forwarded = Metrics.counter "net.bridge_forwarded"
 let m_unroutable = Metrics.counter "net.bridge_no_route"
 
-type t = {
-  mutable forwarded : int;
-  mutable unroutable : int;
-}
-
-let forward t ~src ~dst bytes =
-  ignore src;
+let forward ~dst bytes =
   match Packet.frame_of_bytes bytes with
   | None -> ()
   | Some f ->
@@ -26,32 +20,24 @@ let forward t ~src ~dst bytes =
       else (
         match Hub.lookup dst f.Packet.ip.Packet.dst_ip with
         | Some mac ->
-            t.forwarded <- t.forwarded + 1;
             Metrics.Counter.incr m_forwarded;
             Hub.inject dst
               (Packet.frame_to_bytes { f with Packet.dst_mac = mac })
-        | None ->
-            t.unroutable <- t.unroutable + 1;
-            Metrics.Counter.incr m_unroutable)
+        | None -> Metrics.Counter.incr m_unroutable)
 
 let connect ~a ~a_ip ~b ~b_ip ?(mac = "bridge") () =
-  let t = { forwarded = 0; unroutable = 0 } in
   let mac_a = mac ^ ":a" and mac_b = mac ^ ":b" in
   Hub.attach a
     {
       Hub.ep_mac = mac_a;
       ep_ip = a_ip;
-      ep_deliver = (fun bytes -> forward t ~src:a ~dst:b bytes);
+      ep_deliver = (fun bytes -> forward ~dst:b bytes);
     };
   Hub.attach b
     {
       Hub.ep_mac = mac_b;
       ep_ip = b_ip;
-      ep_deliver = (fun bytes -> forward t ~src:b ~dst:a bytes);
+      ep_deliver = (fun bytes -> forward ~dst:a bytes);
     };
   Hub.set_default_route a ~mac:mac_a;
-  Hub.set_default_route b ~mac:mac_b;
-  t
-
-let frames_forwarded t = t.forwarded
-let frames_unroutable t = t.unroutable
+  Hub.set_default_route b ~mac:mac_b

@@ -3,8 +3,6 @@
     route; frames for IPs the far hub owns are re-addressed to the
     owner's MAC and injected there. Broadcasts are not forwarded. *)
 
-type t
-
 val connect :
   a:Hub.t ->
   a_ip:Addr.ip ->
@@ -12,10 +10,8 @@ val connect :
   b_ip:Addr.ip ->
   ?mac:string ->
   unit ->
-  t
+  unit
 (** Attach the bridge between [a] and [b], registering port IPs
     [a_ip]/[b_ip] and installing the ports as each hub's default
-    route. *)
-
-val frames_forwarded : t -> int
-val frames_unroutable : t -> int
+    route. Forwarded and unroutable frames count in
+    [net.bridge_forwarded] / [net.bridge_no_route]. *)

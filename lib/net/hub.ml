@@ -309,8 +309,6 @@ let flush_outbox (ob : outbox) =
   ob := [];
   List.iter (fun (t, bytes) -> inject_now t bytes) frames
 
-let outbox_empty (ob : outbox) = !ob = []
-
 let frames_sent t = t.frames_sent
 let frames_lost t = t.frames_lost
 let frames_no_route t = t.frames_no_route

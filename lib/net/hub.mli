@@ -88,8 +88,6 @@ val flush_outbox : outbox -> unit
 (** Re-inject the parked frames, oldest first, through the normal
     wire path. Call outside any {!with_outbox} scope. *)
 
-val outbox_empty : outbox -> bool
-
 val resolve : t -> Addr.ip -> string option
 (** MAC for an attached IP (the stand-in for ARP); falls back to the
     default route when set. *)

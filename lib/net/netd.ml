@@ -27,7 +27,6 @@ type shared = {
 type t = {
   shared : shared;
   dev : oid;
-  dev_label : Label.t;
   container : oid;
 }
 
@@ -37,7 +36,6 @@ let service_gate t =
   | None -> invalid_arg "Netd.service_gate: netd not initialized yet (run the kernel)"
 
 let device t = t.dev
-let device_label t = t.dev_label
 
 let stack t =
   match !(t.shared.stack_cell) with
@@ -427,7 +425,7 @@ let start k ~hub ~container ~ip ~mac ?taint () =
     worker_loop shared dev_ce req_seg notify ()
   in
   let _tid = Kernel.spawn k ~container ~name:"netd" init in
-  { shared; dev; dev_label; container }
+  { shared; dev; container }
 
 (* ---- client wrappers ---- *)
 

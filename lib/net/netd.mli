@@ -40,7 +40,6 @@ val service_gate : t -> Histar_core.Types.centry
 (** The gate clients invoke for socket operations. *)
 
 val device : t -> Histar_core.Types.oid
-val device_label : t -> Histar_label.Label.t
 val stack : t -> Stack.t
 (** Host-side access for tests. *)
 

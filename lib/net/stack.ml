@@ -175,8 +175,6 @@ let maybe_time_span c ~upto =
     c.rtt_sent_at <- Sim_clock.now_ns c.stack.clock
   end
 
-let bytes_in_flight c = c.inflight_bytes
-
 (* Remove the next [n] unsent bytes from the tx queue, copying only
    those bytes. *)
 let take_tx c n =
@@ -544,8 +542,6 @@ let next_timer_deadline t =
         | None -> Some c.rto_deadline
         | Some d -> Some (Int64.min d c.rto_deadline))
     t.conns None
-
-let active_conns t = Hashtbl.length t.conns
 
 (* ----- UDP ----- *)
 

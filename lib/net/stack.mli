@@ -72,7 +72,6 @@ val recv_eof : conn -> bool
 (** The peer has sent FIN and all data has been drained. *)
 
 val close : conn -> unit
-val bytes_in_flight : conn -> int
 
 (** {1 UDP} *)
 
@@ -90,8 +89,6 @@ val needs_timer : t -> bool
 
 val next_timer_deadline : t -> int64 option
 (** Earliest armed RTO deadline (virtual ns), if any. *)
-
-val active_conns : t -> int
 
 (** {1 Stats} *)
 

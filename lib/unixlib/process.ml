@@ -58,11 +58,9 @@ let fs t = t.pfs
 let container t = t.proc_ct
 let internal t = t.internal_ct
 let categories t = (t.pr, t.pw)
-let proc_user t = t.puser
 let output t = t.out_buf
 let printf t fmt = Printf.bprintf t.out_buf fmt
 let handle_container h = h.h_proc_ct
-let handle_exit_seg h = h.h_exit_seg
 let fd_count t = Hashtbl.length t.fds
 
 let l entries d = Label.of_list entries d

@@ -42,7 +42,6 @@ val container : t -> oid
 
 val internal : t -> oid
 val categories : t -> Category.t * Category.t
-val proc_user : t -> user option
 val output : t -> Buffer.t
 (** Console output buffer (host-visible). *)
 
@@ -89,7 +88,6 @@ val on_signal : t -> int -> (int -> unit) -> unit
     caught). *)
 
 val handle_container : handle -> oid
-val handle_exit_seg : handle -> centry
 
 (** {1 File descriptors (§5.3)} *)
 

@@ -12,9 +12,6 @@ let ensure_home_root ~fs =
 let private_label (u : Process.user) =
   Label.of_list [ (u.Process.ur, Level.L3); (u.Process.uw, Level.L0) ] Level.L1
 
-let readonly_label (u : Process.user) =
-  Label.of_list [ (u.Process.uw, Level.L0) ] Level.L1
-
 let home (u : Process.user) = "/home/" ^ u.Process.user_name
 
 let create_user ~fs ~name =
@@ -27,9 +24,6 @@ let create_user ~fs ~name =
 
 let owns label (u : Process.user) =
   Label.owns label u.Process.ur && Label.owns label u.Process.uw
-
-let grant_spec (u : Process.user) =
-  [ (u.Process.ur, Level.Star); (u.Process.uw, Level.Star) ]
 
 let sees ~fs ~viewer path =
   match Fs.lookup fs path with

@@ -12,15 +12,9 @@ val create_user : fs:Fs.t -> name:string -> Process.user
 val private_label : Process.user -> Histar_label.Label.t
 (** [{ur3, uw0, 1}]. *)
 
-val readonly_label : Process.user -> Histar_label.Label.t
-(** [{uw0, 1}]: world-readable, writable only by the user. *)
-
 val home : Process.user -> string
 val owns : Histar_label.Label.t -> Process.user -> bool
 (** Does this thread label carry both of the user's categories at ⋆? *)
-
-val grant_spec : Process.user -> (Histar_label.Category.t * Histar_label.Level.t) list
-(** Label additions giving full ownership of the user's categories. *)
 
 val sees : fs:Fs.t -> viewer:Histar_label.Label.t -> string -> bool
 (** Can a thread with this label read the named file? (Checked against

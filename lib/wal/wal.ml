@@ -164,7 +164,6 @@ let pending_sectors t =
   List.fold_left (fun acc img -> acc + image_sectors t img) 0 t.pending
 
 let free_sectors t = t.sectors - t.head - pending_sectors t
-let sectors_used t = t.head - 1 + pending_sectors t
 
 let append t payload =
   let image = record_image t payload in

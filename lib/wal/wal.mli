@@ -53,7 +53,6 @@ val pending_records : t -> int
 (** Records appended but not yet committed. *)
 
 val free_sectors : t -> int
-val sectors_used : t -> int
 
 val epoch : t -> int64
 (** Current epoch; bumped by {!truncate}. The store records in its

@@ -181,7 +181,7 @@ let replay_first_failure w ~seed ~total indices =
 
 (* The >= 10x wall-clock claim. CPU-time ratios on shared CI runners
    are noisy, so this only runs when explicitly requested
-   (HISTAR_CHECK_SPEEDUP=1, set by the env-legs CI job). *)
+   (HISTAR_CHECK_SPEEDUP=1, set by a build-test CI step). *)
 let test_fork_speedup () =
   if Stdlib.Sys.getenv_opt "HISTAR_CHECK_SPEEDUP" <> Some "1" then ()
   else begin
@@ -291,10 +291,9 @@ let test_ni_property =
 
 (* The acceptance sweep: >= 500 clean twin pairs at the pinned seed,
    and the whole harness bit-identical when run twice. Nightly CI sets
-   HISTAR_CHECK_LONG=1 (with a date-seeded HISTAR_CHECK_SEED) to run a
+   HISTAR_CHECK_FULL=1 (with a date-seeded HISTAR_CHECK_SEED) to run a
    larger schedule. *)
-let ni_count () =
-  if Stdlib.Sys.getenv_opt "HISTAR_CHECK_LONG" = Some "1" then 2000 else 500
+let ni_count () = if Check.full_mode () then 2000 else 500
 
 let test_ni_suite_deterministic () =
   let count = ni_count () in

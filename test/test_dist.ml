@@ -17,7 +17,6 @@ module Types = Histar_core.Types
 module Metrics = Histar_metrics.Metrics
 module Par = Histar_par.Par
 module Hub = Histar_net.Hub
-module Bridge = Histar_net.Bridge
 module Addr = Histar_net.Addr
 module Netd = Histar_net.Netd
 module Stack = Histar_net.Stack

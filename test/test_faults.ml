@@ -66,6 +66,28 @@ let test_schedule_roundtrip () =
              e)
   done
 
+(* HISTAR_FAULTS is read through [of_env]: its seed= section is the
+   seed of the extra sweep cell, and a malformed string names the
+   variable. The caller's own HISTAR_FAULTS is restored afterwards. *)
+let test_schedule_of_env () =
+  let saved = Option.value (Sys.getenv_opt "HISTAR_FAULTS") ~default:"" in
+  Fun.protect ~finally:(fun () -> Unix.putenv "HISTAR_FAULTS" saved)
+  @@ fun () ->
+  Unix.putenv "HISTAR_FAULTS" "";
+  Alcotest.(check bool) "empty is unset" true (Schedule.of_env () = None);
+  Unix.putenv "HISTAR_FAULTS" "seed=0x2a;net:loss=0.05";
+  (match Schedule.of_env () with
+  | Some s -> Alcotest.(check int64) "seed= carried" 0x2aL s.Schedule.seed
+  | None -> Alcotest.fail "HISTAR_FAULTS ignored");
+  Unix.putenv "HISTAR_FAULTS" "seed=0x2a;disk:latent=banana";
+  match Schedule.of_env () with
+  | _ -> Alcotest.fail "accepted a malformed HISTAR_FAULTS"
+  | exception Failure msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error names the variable: %s" msg)
+        true
+        (String.starts_with ~prefix:"HISTAR_FAULTS:" msg)
+
 (* The documented crash grammar parses field-for-field, multiple
    sections accumulate in order, and a plan built from the schedule
    fires Kill strictly before the paired Restart. *)
@@ -333,20 +355,16 @@ let test_acceptance_reproducible () =
   Alcotest.(check string) "metrics dumps byte-identical"
     a.Fault_sweep.metrics_dump b.Fault_sweep.metrics_dump
 
-(* The full matrix sweep (each cell run twice for reproducibility) is
-   CI's faults-smoke job; gate it behind an env knob so tier-1 stays
-   fast. *)
+(* The full matrix sweep, each cell run twice for reproducibility.
+   HISTAR_FAULTS='<schedule>' adds that schedule as one more cell. *)
 let test_matrix_sweep () =
-  if Sys.getenv_opt "HISTAR_FAULTS_SWEEP" = None then ()
-  else begin
-    let cells = Fault_sweep.sweep () in
-    Alcotest.(check bool) "swept at least one cell" true (List.length cells > 0);
-    List.iter
-      (fun c ->
-        Format.printf "%a@." Fault_sweep.pp_cell c;
-        Alcotest.(check int) "no corruption" 0 c.Fault_sweep.corrupt_payloads)
-      cells
-  end
+  let cells = Fault_sweep.sweep () in
+  Alcotest.(check bool) "swept at least one cell" true (List.length cells > 0);
+  List.iter
+    (fun c ->
+      Format.printf "%a@." Fault_sweep.pp_cell c;
+      Alcotest.(check int) "no corruption" 0 c.Fault_sweep.corrupt_payloads)
+    cells
 
 let () =
   Alcotest.run "faults"
@@ -357,6 +375,7 @@ let () =
           Alcotest.test_case "crash sections" `Quick
             test_schedule_crash_sections;
           Alcotest.test_case "errors" `Quick test_schedule_errors;
+          Alcotest.test_case "of_env" `Quick test_schedule_of_env;
         ] );
       ( "disk",
         [
@@ -382,7 +401,7 @@ let () =
             test_acceptance_cell;
           Alcotest.test_case "byte-for-byte reproducible" `Quick
             test_acceptance_reproducible;
-          Alcotest.test_case "matrix sweep (HISTAR_FAULTS_SWEEP=1)" `Quick
+          Alcotest.test_case "fault-matrix sweep" `Quick
             test_matrix_sweep;
         ] );
     ]

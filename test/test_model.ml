@@ -202,10 +202,8 @@ let test_fuzz_clean_kernel () =
      the unmodified kernel finds no divergence from the model. The
      budget is well above every mutant's detection point (120 traces,
      worst case) and still runs in well under a second;
-     HISTAR_CHECK_LONG=1 (nightly CI) multiplies it by 8. *)
-  let runs =
-    if Stdlib.Sys.getenv_opt "HISTAR_CHECK_LONG" = Some "1" then 9600 else 1200
-  in
+     HISTAR_CHECK_FULL=1 (nightly CI) multiplies it by 8. *)
+  let runs = if Check.full_mode () then 9600 else 1200 in
   let stats = Conf.run_fuzz ~runs () in
   (match stats.Conf.fs_divergence with
   | None -> ()
