@@ -559,21 +559,18 @@ type entry = {
   e_counters : (string * int) list;
 }
 
-(* A workload cell is always sealed: nested lib/par fan-out (the
-   dist-cluster workloads step nodes through Par.run) collapses to the
-   inline path, so the whole cell runs on one domain and its
-   domain-local metric window sees exactly its own work. Sealing even
-   at --jobs 1 keeps the counters — and thus the whole trajectory minus
-   wall_ms — byte-identical at every job count and HISTAR_DOMAINS. *)
+(* The window is the current metrics scope: a pool task's own at
+   --jobs N; at --jobs 1 the caller's, into which a workload's nested
+   Par.run (the dist-cluster node steps) folds its task scopes before
+   returning. Either way it reads the single-domain counts. *)
 let run_one size (name, descr, f) =
-  Par.sealed @@ fun () ->
-  let before = Metrics.snapshot_local () in
+  let before = Metrics.snapshot () in
   let w0 = Unix.gettimeofday () in
   let virtual_ns =
     try f size with e -> raise (Workload_failed (name, e))
   in
   let wall_ms = (Unix.gettimeofday () -. w0) *. 1e3 in
-  let after = Metrics.snapshot_local () in
+  let after = Metrics.snapshot () in
   let delta = Metrics.diff ~before ~after in
   (* The required spine is always present; other deltas ride along. *)
   let spine =

@@ -693,13 +693,12 @@ let mk_real_harness ~outs ~slots ~cats ~stuck =
 (* Metrics window around one scheduler run; the delta is what the
    coverage signature buckets. *)
 let metered f =
-  (* Domain-local window: a scheduler run never leaves its domain, so
-     concurrent fuzz cells on other pool domains can't bleed into the
-     delta. *)
+  (* The window reads the current scope, which on the pool is this fuzz
+     cell's own, so concurrent cells can't bleed into the delta. *)
   Metrics.with_enabled true (fun () ->
-      let before = Metrics.snapshot_local () in
+      let before = Metrics.snapshot () in
       f ();
-      Metrics.diff ~before ~after:(Metrics.snapshot_local ()))
+      Metrics.diff ~before ~after:(Metrics.snapshot ()))
 
 let bucketed l = List.map (fun (s, n) -> (s, bucket n)) l
 

@@ -113,10 +113,10 @@ let clean_run_with_captures w ~seed =
   assert (Array.length snaps = total);
   (inst, snaps, total)
 
-(* Run [f] with the current domain's metric shard switched off, so the
+(* Run [f] with the current metrics scope switched off, so the
    redundant per-chunk clean runs of a parallel fork sweep contribute
-   nothing — merged metric totals stay byte-identical to the
-   single-domain sweep. *)
+   nothing — the totals folded into the caller's scope stay
+   byte-identical to the single-domain sweep. *)
 let metrics_quiet f = Metrics.with_enabled false f
 
 (* Contiguous split of [arr] into at most [d] nonempty chunks. Order is
@@ -179,12 +179,11 @@ let sweep ?domains ?seed:seed_arg ?(max_points = 64) ?full w =
    tests pin down. *)
 let recovery_metrics w ~seed ~index ~mode =
   let check inst ~crashed disk =
-    (* A domain-local window: the recovery work all happens on the
-       calling domain, so [snapshot_local] meters exactly it even when
-       other pool tasks are incrementing their own shards. *)
-    let before = Metrics.snapshot_local () in
+    (* The window reads the current scope, which on the pool is this
+       task's own, so other tasks' work never shows in it. *)
+    let before = Metrics.snapshot () in
     Metrics.with_enabled true (fun () -> inst.check ~crashed disk);
-    Metrics.diff ~before ~after:(Metrics.snapshot_local ())
+    Metrics.diff ~before ~after:(Metrics.snapshot ())
   in
   match mode with
   | `Replay ->

@@ -1,91 +1,51 @@
-(* A zero-dependency metrics registry: monotonic counters, gauges and
-   fixed-bucket latency histograms, all named and process-global so
-   instrumentation points anywhere in the tree report into one place.
+(* A zero-dependency metrics registry: monotonic counters and
+   fixed-bucket latency histograms, named and registered process-wide
+   so instrumentation points anywhere in the tree report into one
+   place.
 
-   Everything is gated on an [enabled] flag, off by default: a disabled
+   Values live in a *scope*: an explicit record holding an [on] flag
+   (off by default), one slot per registered counter and one lazily
+   created cell per touched histogram. Each domain has a current scope,
+   reached through one [Domain.DLS] key, and every increment, read,
+   reset and flag toggle acts on that scope alone. A disabled
    instrumentation point costs one domain-local load and one branch,
    which is what lets the hot paths (syscall dispatch, sector writes)
-   stay instrumented permanently. The benchmark runner enables the
-   registry, snapshots it around each workload, and records the deltas.
+   stay instrumented permanently. The benchmark runner enables its
+   scope, snapshots it around each workload, and records the deltas.
 
-   Domain safety: each metric is a registered *handle*; the mutable
-   cells live in per-domain shards reached through [Domain.DLS], so an
-   increment never contends with (or races against) another domain.
-   Reads merge the shards deterministically — sums for counter-like
-   scalars and bucket counts, min-of-mins / max-of-maxes for histogram
-   extremes — all commutative, so merged output is independent of how
-   increments interleaved across domains. [snapshot] reads the merged
-   view; [snapshot_local] reads only the calling domain's shard, which
-   is what gives concurrent check cells isolated metric windows. With
-   one domain the two coincide, so single-domain runs are byte-for-byte
-   what the unsharded registry produced. The [enabled] flag is likewise
-   domain-local (a worker toggling a metered window must not perturb
-   its siblings); toggles on the main domain also set the default that
-   freshly created domains inherit. *)
+   Nothing merges behind a reader's back. lib/par runs each parallel
+   task in a fresh scope ({!fresh_scope}, {!with_scope}) and, after the
+   join, folds the task scopes into the submitter's with {!absorb}:
+   sums for counters and bucket counts, min of mins and max of maxes
+   for histogram extremes. All of these commute, so a window around a
+   parallel run reads exactly what the sequential run produces. *)
 
-(* Guards registration and shard lists; never held while user code or
-   a shard-cell initializer runs. *)
+(* Guards registration; never held while user code runs. *)
 let mu = Mutex.create ()
 
 let locked f =
   Mutex.lock mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
-let main_domain = Domain.self ()
-let default_on = Atomic.make false
+(* ---------- metric handles ---------- *)
 
-(* Per-domain override: [None] follows the global default, so a
-   [set_enabled] on the main domain reaches pool workers even when they
-   were spawned before the call. A non-main domain calling
-   [set_enabled] pins a sticky local override — scoped windows inside
-   pool tasks should use [with_enabled] instead, which restores the
-   override on exit. *)
-let on_key : bool option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+type counter = { c_name : string; c_idx : int  (** slot in a scope *) }
 
-let enabled () =
-  match !(Domain.DLS.get on_key) with
-  | Some b -> b
-  | None -> Atomic.get default_on
-
-let set_enabled b =
-  if Domain.self () = main_domain then (
-    Atomic.set default_on b;
-    Domain.DLS.get on_key := None)
-  else Domain.DLS.get on_key := Some b
-
-let with_enabled b f =
-  let r = Domain.DLS.get on_key in
-  let saved = !r in
-  r := Some b;
-  Fun.protect ~finally:(fun () -> r := saved) f
-
-(* A shard cell per (metric, domain), created on the metric's first
-   touch from that domain and threaded onto the metric's cell list so
-   merges and resets can reach every shard from any domain. *)
-let shard_key cells fresh =
-  Domain.DLS.new_key (fun () ->
-      let cell = fresh () in
-      Mutex.lock mu;
-      cells := cell :: !cells;
-      Mutex.unlock mu;
-      cell)
-
-(* ---------- metric bodies ---------- *)
-
-type counter = {
-  c_name : string;
-  c_cells : int ref list ref;
-  c_key : int ref Domain.DLS.key;
+type histogram = {
+  h_name : string;
+  bounds : int array;
+      (** strictly increasing inclusive upper bounds; observations above
+          the last bound land in an implicit overflow bucket *)
+  h_idx : int;  (** cell in a scope *)
 }
 
-type gauge = {
-  g_name : string;
-  g_cells : int ref list ref;
-  g_key : int ref Domain.DLS.key;
-}
+type metric = Counter of counter | Histogram of histogram
 
-type hshard = {
+let metric_name = function Counter c -> c.c_name | Histogram h -> h.h_name
+
+(* ---------- scopes ---------- *)
+
+type hcell = {
   hs_counts : int array;  (** length = Array.length bounds + 1 *)
   mutable hs_count : int;
   mutable hs_sum : int;
@@ -93,27 +53,38 @@ type hshard = {
   mutable hs_max : int;
 }
 
-type histogram = {
-  h_name : string;
-  bounds : int array;
-      (** strictly increasing inclusive upper bounds; observations above
-          the last bound land in an implicit overflow bucket *)
-  h_cells : hshard list ref;
-  h_key : hshard Domain.DLS.key;
+type scope = {
+  mutable on : bool;
+  mutable counts : int array;  (** by [c_idx]; grown on first touch *)
+  mutable cells : hcell option array;  (** by [h_idx]; grown on first touch *)
 }
 
-type metric = Counter of counter | Gauge of gauge | Histogram of histogram
+let new_scope on = { on; counts = [||]; cells = [||] }
+let key = Domain.DLS.new_key (fun () -> new_scope false)
 
-let metric_name = function
-  | Counter c -> c.c_name
-  | Gauge g -> g.g_name
-  | Histogram h -> h.h_name
+let enabled () = (Domain.DLS.get key).on
+let set_enabled b = (Domain.DLS.get key).on <- b
 
-let mk_scalar () =
-  let cells = ref [] in
-  (cells, shard_key cells (fun () -> ref 0))
+let with_enabled b f =
+  let s = Domain.DLS.get key in
+  let saved = s.on in
+  s.on <- b;
+  Fun.protect ~finally:(fun () -> s.on <- saved) f
 
-let fresh_hshard nbuckets () =
+let n_counters = ref 0
+let n_histograms = ref 0
+
+(* [a] extended past index [i] to cover every metric registered so far,
+   so a scope grows once per registration burst, not once per metric. *)
+let cover a i registered fill =
+  let n = max (i + 1) (locked (fun () -> !registered)) in
+  Array.append a (Array.make (n - Array.length a) fill)
+
+let bump s i n =
+  if i >= Array.length s.counts then s.counts <- cover s.counts i n_counters 0;
+  s.counts.(i) <- s.counts.(i) + n
+
+let fresh_cell nbuckets =
   {
     hs_counts = Array.make nbuckets 0;
     hs_count = 0;
@@ -121,6 +92,43 @@ let fresh_hshard nbuckets () =
     hs_min = max_int;
     hs_max = min_int;
   }
+
+let cell s i nbuckets =
+  if i >= Array.length s.cells then s.cells <- cover s.cells i n_histograms None;
+  match s.cells.(i) with
+  | Some c -> c
+  | None ->
+      let c = fresh_cell nbuckets in
+      s.cells.(i) <- Some c;
+      c
+
+let cell_of s h = cell s h.h_idx (Array.length h.bounds + 1)
+
+(* A scope for a parallel task: empty, with the current scope's flag. *)
+let fresh_scope () = new_scope (enabled ())
+
+let with_scope s f =
+  let saved = Domain.DLS.get key in
+  Domain.DLS.set key s;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set key saved) f
+
+(* Fold [src] into the current scope: bucket-wise and total sums, min
+   of mins, max of maxes — commutative and associative, so the result
+   is independent of how the work was split. *)
+let absorb src =
+  let dst = Domain.DLS.get key in
+  Array.iteri (bump dst) src.counts;
+  Array.iteri
+    (fun i -> function
+      | None -> ()
+      | Some c ->
+          let acc = cell dst i (Array.length c.hs_counts) in
+          Array.iteri (fun b n -> acc.hs_counts.(b) <- acc.hs_counts.(b) + n) c.hs_counts;
+          acc.hs_count <- acc.hs_count + c.hs_count;
+          acc.hs_sum <- acc.hs_sum + c.hs_sum;
+          if c.hs_min < acc.hs_min then acc.hs_min <- c.hs_min;
+          if c.hs_max > acc.hs_max then acc.hs_max <- c.hs_max)
+    src.cells
 
 (* ---------- registry ---------- *)
 
@@ -140,23 +148,17 @@ let kind_mismatch name want =
     (Printf.sprintf "Metrics: %s is already registered with a different kind (wanted %s)"
        name want)
 
+let next r =
+  let i = !r in
+  r := i + 1;
+  i
+
 let counter name =
   match
-    register name (fun () ->
-        let cells, key = mk_scalar () in
-        Counter { c_name = name; c_cells = cells; c_key = key })
+    register name (fun () -> Counter { c_name = name; c_idx = next n_counters })
   with
   | Counter c -> c
-  | Gauge _ | Histogram _ -> kind_mismatch name "counter"
-
-let gauge name =
-  match
-    register name (fun () ->
-        let cells, key = mk_scalar () in
-        Gauge { g_name = name; g_cells = cells; g_key = key })
-  with
-  | Gauge g -> g
-  | Counter _ | Histogram _ -> kind_mismatch name "gauge"
+  | Histogram _ -> kind_mismatch name "counter"
 
 (* Latency buckets in nanoseconds: sub-microsecond syscall dispatch up
    through multi-second checkpoints. *)
@@ -178,26 +180,11 @@ let histogram ?(bounds = default_bounds) name =
   check_bounds bounds;
   match
     register name (fun () ->
-        let bounds = Array.copy bounds in
-        let cells = ref [] in
         Histogram
-          {
-            h_name = name;
-            bounds;
-            h_cells = cells;
-            h_key = shard_key cells (fresh_hshard (Array.length bounds + 1));
-          })
+          { h_name = name; bounds = Array.copy bounds; h_idx = next n_histograms })
   with
   | Histogram h -> h
-  | Counter _ | Gauge _ -> kind_mismatch name "histogram"
-
-(* Shard lists are cons cells replaced only under [mu]; a merge grabs
-   the current list under the lock and folds outside it. Merges are
-   exact whenever the incrementing domains are quiescent (the ordered
-   join in lib/par delivers exactly that at every merge point). *)
-let cells_of r = locked (fun () -> !r)
-
-let sum_cells r = List.fold_left (fun acc c -> acc + !c) 0 (cells_of r)
+  | Counter _ -> kind_mismatch name "histogram"
 
 (* ---------- counters ---------- *)
 
@@ -205,37 +192,17 @@ module Counter = struct
   type t = counter
 
   let incr c =
-    if enabled () then begin
-      let r = Domain.DLS.get c.c_key in
-      r := !r + 1
-    end
+    let s = Domain.DLS.get key in
+    if s.on then bump s c.c_idx 1
 
   let add c n =
-    if enabled () then
-      if n < 0 then invalid_arg "Metrics.Counter.add: negative increment"
-      else begin
-        let r = Domain.DLS.get c.c_key in
-        r := !r + n
-      end
+    if n < 0 then invalid_arg "Metrics.Counter.add: negative increment";
+    let s = Domain.DLS.get key in
+    if s.on then bump s c.c_idx n
 
-  let value c = sum_cells c.c_cells
-  let local_value c = !(Domain.DLS.get c.c_key)
-  let name c = c.c_name
-end
-
-module Gauge = struct
-  type t = gauge
-
-  let set g v = if enabled () then Domain.DLS.get g.g_key := v
-
-  let add g n =
-    if enabled () then begin
-      let r = Domain.DLS.get g.g_key in
-      r := !r + n
-    end
-
-  let value g = sum_cells g.g_cells
-  let name g = g.g_name
+  let value c =
+    let a = (Domain.DLS.get key).counts in
+    if c.c_idx < Array.length a then a.(c.c_idx) else 0
 end
 
 (* ---------- histograms ---------- *)
@@ -261,53 +228,36 @@ module Histogram = struct
     (lower, upper)
 
   let observe h v =
-    if enabled () then begin
-      let s = Domain.DLS.get h.h_key in
+    let s = Domain.DLS.get key in
+    if s.on then begin
+      let c = cell_of s h in
       let b = bucket_of_value h v in
-      s.hs_counts.(b) <- s.hs_counts.(b) + 1;
-      s.hs_count <- s.hs_count + 1;
-      s.hs_sum <- s.hs_sum + v;
-      if v < s.hs_min then s.hs_min <- v;
-      if v > s.hs_max then s.hs_max <- v
+      c.hs_counts.(b) <- c.hs_counts.(b) + 1;
+      c.hs_count <- c.hs_count + 1;
+      c.hs_sum <- c.hs_sum + v;
+      if v < c.hs_min then c.hs_min <- v;
+      if v > c.hs_max then c.hs_max <- v
     end
 
-  (* Deterministic shard merge: bucket-wise and total sums, min of
-     mins, max of maxes — all commutative and associative, so the
-     result is independent of increment interleaving. *)
-  let merged h =
-    let acc = fresh_hshard (Array.length h.bounds + 1) () in
-    List.iter
-      (fun s ->
-        Array.iteri (fun i n -> acc.hs_counts.(i) <- acc.hs_counts.(i) + n) s.hs_counts;
-        acc.hs_count <- acc.hs_count + s.hs_count;
-        acc.hs_sum <- acc.hs_sum + s.hs_sum;
-        if s.hs_min < acc.hs_min then acc.hs_min <- s.hs_min;
-        if s.hs_max > acc.hs_max then acc.hs_max <- s.hs_max)
-      (cells_of h.h_cells);
-    acc
-
-  let count h = (merged h).hs_count
-  let sum h = (merged h).hs_sum
-  let local_count h = (Domain.DLS.get h.h_key).hs_count
-  let local_sum h = (Domain.DLS.get h.h_key).hs_sum
-  let name h = h.h_name
-  let bounds h = Array.copy h.bounds
-  let bucket_counts h = Array.copy (merged h).hs_counts
+  let current h = cell_of (Domain.DLS.get key) h
+  let count h = (current h).hs_count
+  let sum h = (current h).hs_sum
+  let bucket_counts h = Array.copy (current h).hs_counts
 
   let min_value h =
-    let s = merged h in
-    if s.hs_count = 0 then None else Some s.hs_min
+    let c = current h in
+    if c.hs_count = 0 then None else Some c.hs_min
 
   let max_value h =
-    let s = merged h in
-    if s.hs_count = 0 then None else Some s.hs_max
+    let c = current h in
+    if c.hs_count = 0 then None else Some c.hs_max
 
   (* Quantile estimate: the value at rank ceil(q * count). The reported
      value is the containing bucket's upper bound clamped to the
      observed maximum, which keeps estimates inside the bucket that
      holds the rank and makes q -> quantile monotone. *)
   let quantile h q =
-    let s = merged h in
+    let s = current h in
     if s.hs_count = 0 then None
     else begin
       if not (q > 0.0 && q <= 1.0) then
@@ -334,35 +284,24 @@ end
 
 (* ---------- snapshots ---------- *)
 
-(* Scalar view of the registry: counters and gauges by value,
-   histograms flattened to _count / _sum so workload deltas can carry
-   them uniformly. Sorted by name for deterministic output. *)
+(* Scalar view of the current scope: counters by value, histograms
+   flattened to _count / _sum so workload deltas can carry them
+   uniformly. Sorted by name for deterministic output. *)
 type snapshot = (string * int) list
 
 let metrics () = locked (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) registry [])
 
-let snapshot_with ~cv ~gv ~hcount ~hsum () : snapshot =
+let snapshot () : snapshot =
   List.fold_left
     (fun acc m ->
       match m with
-      | Counter c -> (c.c_name, cv c) :: acc
-      | Gauge g -> (g.g_name, gv g) :: acc
+      | Counter c -> (c.c_name, Counter.value c) :: acc
       | Histogram h ->
-          (h.h_name ^ "_count", hcount h) :: (h.h_name ^ "_sum", hsum h) :: acc)
+          (h.h_name ^ "_count", Histogram.count h)
+          :: (h.h_name ^ "_sum", Histogram.sum h)
+          :: acc)
     [] (metrics ())
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let snapshot () =
-  snapshot_with ~cv:Counter.value ~gv:Gauge.value ~hcount:Histogram.count
-    ~hsum:Histogram.sum ()
-
-(* The calling domain's shard only: the window primitive for check
-   cells running concurrently on the pool. Single-domain runs see
-   exactly what [snapshot] sees. *)
-let snapshot_local () =
-  snapshot_with ~cv:Counter.local_value
-    ~gv:(fun g -> !(Domain.DLS.get g.g_key))
-    ~hcount:Histogram.local_count ~hsum:Histogram.local_sum ()
 
 (* Per-name [after - before]; names absent from [before] count from 0,
    zero deltas are dropped. *)
@@ -383,32 +322,13 @@ let find name = locked (fun () -> Hashtbl.find_opt registry name)
 let counter_value name =
   match find name with
   | Some (Counter c) -> Counter.value c
-  | Some (Gauge g) -> Gauge.value g
   | Some (Histogram _) | None -> 0
 
-(* Zero every shard of every metric. Only meaningful at quiescent
-   points (no concurrent incrementers), which is where every caller
-   sits: suite setup on the main domain. *)
+(* Zero the current scope (its flag stays). *)
 let reset () =
-  List.iter
-    (fun m ->
-      match m with
-      | Counter c -> List.iter (fun r -> r := 0) (cells_of c.c_cells)
-      | Gauge g -> List.iter (fun r -> r := 0) (cells_of g.g_cells)
-      | Histogram h ->
-          List.iter
-            (fun s ->
-              Array.fill s.hs_counts 0 (Array.length s.hs_counts) 0;
-              s.hs_count <- 0;
-              s.hs_sum <- 0;
-              s.hs_min <- max_int;
-              s.hs_max <- min_int)
-            (cells_of h.h_cells))
-    (metrics ())
-
-let all () =
-  metrics ()
-  |> List.sort (fun a b -> String.compare (metric_name a) (metric_name b))
+  let s = Domain.DLS.get key in
+  s.counts <- [||];
+  s.cells <- [||]
 
 (* ---------- rendering ---------- *)
 
@@ -416,8 +336,6 @@ let to_json () =
   let field_of = function
     | Counter c ->
         (c.c_name, Json.Obj [ ("type", Json.Str "counter"); ("value", Json.Int (Counter.value c)) ])
-    | Gauge g ->
-        (g.g_name, Json.Obj [ ("type", Json.Str "gauge"); ("value", Json.Int (Gauge.value g)) ])
     | Histogram h ->
         let q name v = (name, match v with None -> Json.Null | Some x -> Json.Int x) in
         ( h.h_name,
@@ -433,19 +351,5 @@ let to_json () =
               q "p99" (Histogram.p99 h);
             ] )
   in
-  Json.Obj (List.map field_of (all ()))
-
-let pp fmt () =
-  List.iter
-    (fun m ->
-      match m with
-      | Counter c -> Format.fprintf fmt "%-36s %d@." c.c_name (Counter.value c)
-      | Gauge g -> Format.fprintf fmt "%-36s %d@." g.g_name (Gauge.value g)
-      | Histogram h ->
-          let s = function None -> "-" | Some v -> string_of_int v in
-          Format.fprintf fmt "%-36s n=%d sum=%d p50=%s p95=%s p99=%s@."
-            h.h_name (Histogram.count h) (Histogram.sum h)
-            (s (Histogram.p50 h))
-            (s (Histogram.p95 h))
-            (s (Histogram.p99 h)))
-    (all ())
+  let by_name a b = String.compare (metric_name a) (metric_name b) in
+  Json.Obj (List.map field_of (List.sort by_name (metrics ())))

@@ -15,21 +15,22 @@
      lowest-index failure is re-raised, which is exactly the failure a
      sequential left-to-right loop would have surfaced first.
 
-   - Sealed tasks. Code running inside a pool task sees [in_task ()]
-     = true and any nested [run] executes inline on the task's own
-     domain. A task is therefore a single-domain computation: its
-     domain-local metric shards observe all of it and nothing else,
-     which is what makes per-task metric windows identical to the
-     sequential run's windows.
+   - Task scopes. Each pool task runs in a fresh metrics scope that
+     copies the submitter's enabled flag, and sees [in_task ()] = true,
+     so any nested [run] executes inline on the task's own domain and
+     in its scope. After the join the task scopes fold into the
+     submitter's scope in index order ({!Histar_metrics.Metrics.absorb}),
+     so a metrics window around a [run] reads the same totals at every
+     domain count.
 
    Scheduling-independent inputs come from {!split_seed}: each cell
    derives its RNG from its submission index, never from which domain
    or in which order it actually ran.
 
    The pool is a single process-global set of worker domains, created
-   lazily and reused for every batch, so domain-local state (metric
-   shards, enabled flags) stays bounded by [max_workers] regardless of
-   how many batches run. *)
+   lazily and reused for every batch. *)
+
+module Metrics = Histar_metrics.Metrics
 
 let max_workers = 15
 
@@ -191,14 +192,16 @@ let run ?domains:darg n f =
   else begin
     let results = Array.make n None in
     let errors = Array.make n None in
+    let scopes = Array.init n (fun _ -> Metrics.fresh_scope ()) in
     let b_run i =
-      match sealed (fun () -> f i) with
+      match Metrics.with_scope scopes.(i) (fun () -> sealed (fun () -> f i)) with
       | v -> results.(i) <- Some v
       | exception e -> errors.(i) <- Some e
     in
     ensure_workers (min d n - 1);
     submit_and_join
       { b_run; b_n = n; b_next = Atomic.make 0; b_done = Atomic.make 0 };
+    Array.iter Metrics.absorb scopes;
     (* Lowest-index failure first: the same exception a sequential
        left-to-right loop would have raised. *)
     Array.iter (function Some e -> raise e | None -> ()) errors;

@@ -1,5 +1,6 @@
 (** Deterministic multi-domain runtime: a sized worker pool with an
-    ordered join, sealed tasks, and splittable per-index seeds.
+    ordered join, per-task metrics scopes, and splittable per-index
+    seeds.
 
     Results at [HISTAR_DOMAINS=N] are byte-identical to [N=1]: tasks
     carry stable submission indices, results are merged in submission
@@ -20,19 +21,15 @@ val split_seed : int64 -> int -> int64
     scheduling. *)
 
 val in_task : unit -> bool
-(** True while running inside a pool task (or a {!sealed} region):
-    nested {!run} calls execute inline on the current domain. *)
-
-val sealed : (unit -> 'a) -> 'a
-(** Run [f] with {!in_task} forced true, so any parallelism inside is
-    suppressed and the computation stays on the calling domain — the
-    bench runner wraps each workload this way to keep per-workload
-    metric windows single-domain. *)
+(** True while running inside a pool task: nested {!run} calls execute
+    inline on the current domain, in the task's metrics scope. *)
 
 val run : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** [run n f] evaluates [f 0 .. f (n-1)], possibly on the worker pool,
     and returns results indexed by submission order. If any task
     raised, the exception of the lowest-index failing task is
-    re-raised after all tasks finished. [?domains] overrides the pool
-    width for this call; [1] (or being {!in_task}) runs sequentially
-    inline. *)
+    re-raised after all tasks finished. On the pool, each task counts
+    metrics in a fresh scope with the caller's enabled flag; the task
+    scopes fold into the caller's scope before [run] returns or
+    re-raises. [?domains] overrides the pool width for this call; [1]
+    (or being {!in_task}) runs sequentially inline. *)

@@ -43,12 +43,19 @@ let prop_counter_monotone ops =
     ops;
   Check.ensure ~msg:"counter is the op sum" (Metrics.Counter.value c = !expected)
 
+(* Rejected whether or not the registry is enabled, so a bad caller
+   fails in untraced runs too. *)
 let test_counter_negative_add () =
   fresh ();
   let c = Metrics.counter "test.counter" in
-  Alcotest.check_raises "negative add rejected"
-    (Invalid_argument "Metrics.Counter.add: negative increment") (fun () ->
-      Metrics.Counter.add c (-1))
+  List.iter
+    (fun on ->
+      Metrics.set_enabled on;
+      Alcotest.check_raises
+        (Printf.sprintf "negative add rejected (enabled=%b)" on)
+        (Invalid_argument "Metrics.Counter.add: negative increment") (fun () ->
+          Metrics.Counter.add c (-1)))
+    [ true; false ]
 
 let test_disabled_is_inert () =
   fresh ();

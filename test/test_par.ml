@@ -2,8 +2,8 @@
 
    The pool's contract is that [Par.run n f] is observationally
    identical to the sequential loop [f 0; f 1; ...; f (n-1)] as far as
-   the returned array, the re-raised exception, and any per-domain
-   metric shards are concerned — at every domain count, under any
+   the returned array, the re-raised exception, and the caller's
+   metrics scope are concerned — at every domain count, under any
    completion order.  These tests perturb completion order on purpose
    (slow-task injection keyed off the task index) and check
    bit-identical results at HISTAR_DOMAINS in {1, 2, 8}. *)
@@ -79,7 +79,7 @@ let test_split_seed () =
   Alcotest.(check bool) "split differs from parent" true
     (Array.for_all (fun s -> s <> seed) a)
 
-(* --- sealed: nested Par.run inside a task runs inline ----------------- *)
+(* --- nesting: a Par.run inside a task runs inline --------------------- *)
 
 let test_sealed_nesting () =
   Alcotest.(check bool) "not in task at top level" false (Par.in_task ());
@@ -93,7 +93,7 @@ let test_sealed_nesting () =
     (Array.for_all Fun.id inner_flags);
   Alcotest.(check bool) "flag restored" false (Par.in_task ())
 
-(* --- metrics: per-domain shards merge to the sequential totals -------- *)
+(* --- metrics: task scopes fold into the caller's sequential totals ---- *)
 
 let test_metrics_merge_independent () =
   let c = Metrics.counter "par.test.hits" in
@@ -122,10 +122,98 @@ let test_metrics_merge_independent () =
         (Printf.sprintf "merged metrics identical at %d domains" d)
         true (got = reference))
     dcounts;
-  (* the merged total is the arithmetic series regardless of sharding *)
+  (* the folded total is the arithmetic series however tasks were spread *)
   let total, _, _, _ = reference in
-  Alcotest.(check int) "counter sums shards" (32 * 33 / 2) total;
+  Alcotest.(check int) "counter sums task scopes" (32 * 33 / 2) total;
   Metrics.set_enabled was
+
+(* Tasks inherit the submitter's flag: a disabled submitter's tasks
+   count nothing. *)
+let test_disabled_submitter () =
+  let c = Metrics.counter "par.test.hits" in
+  Metrics.with_enabled false (fun () ->
+      List.iter
+        (fun d ->
+          Metrics.reset ();
+          let flags =
+            Par.run ~domains:d 16 (fun i ->
+                slow_for i;
+                Metrics.Counter.incr c;
+                Metrics.enabled ())
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "tasks disabled at %d domains" d)
+            false (Array.exists Fun.id flags);
+          Alcotest.(check int)
+            (Printf.sprintf "nothing counted at %d domains" d)
+            0 (Metrics.Counter.value c))
+        dcounts)
+
+(* [with_enabled false] inside one task is confined to that task: its
+   siblings keep counting and the submitter's flag is untouched. *)
+let test_task_flag_confined () =
+  let c = Metrics.counter "par.test.hits" in
+  Metrics.with_enabled true (fun () ->
+      List.iter
+        (fun d ->
+          Metrics.reset ();
+          let flags =
+            Par.run ~domains:d 16 (fun i ->
+                if i = 3 then
+                  Metrics.with_enabled false (fun () ->
+                      slow_for i;
+                      Metrics.Counter.incr c;
+                      true)
+                else begin
+                  spin 200_000;
+                  Metrics.Counter.incr c;
+                  Metrics.enabled ()
+                end)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "siblings enabled at %d domains" d)
+            true (Array.for_all Fun.id flags);
+          Alcotest.(check bool)
+            (Printf.sprintf "submitter enabled at %d domains" d)
+            true (Metrics.enabled ());
+          Alcotest.(check int)
+            (Printf.sprintf "only the quiet task uncounted at %d domains" d)
+            15 (Metrics.Counter.value c))
+        dcounts)
+
+(* A snapshot window around a nested [Par.run] reads the d = 1 window,
+   both at top level and inside a pool task (where the nested run is
+   inline): the property the bench runner's per-workload windows rest
+   on. *)
+let test_window_around_nested_run () =
+  let c = Metrics.counter "par.test.hits" in
+  let h = Metrics.histogram "par.test.lat" ~bounds:[| 1; 10; 100 |] in
+  let window f =
+    let before = Metrics.snapshot () in
+    f ();
+    Metrics.diff ~before ~after:(Metrics.snapshot ())
+  in
+  let work d () =
+    ignore
+      (Par.run ~domains:d 12 (fun i ->
+           slow_for i;
+           Metrics.Counter.add c (i + 1);
+           Metrics.Histogram.observe h ((i * 13) mod 120))
+        : unit array)
+  in
+  let run d =
+    (window (work d), Par.run ~domains:d 3 (fun _ -> window (work d)))
+  in
+  Metrics.with_enabled true (fun () ->
+      let reference = run 1 in
+      Alcotest.(check int) "window sees the work" (12 * 13 / 2)
+        (Metrics.value_in (fst reference) "par.test.hits");
+      List.iter
+        (fun d ->
+          Alcotest.(check bool)
+            (Printf.sprintf "windows identical at %d domains" d)
+            true (run d = reference))
+        dcounts)
 
 (* --- labels: weak intern table keeps pointer-equality under load ------ *)
 
@@ -229,6 +317,12 @@ let () =
         [
           Alcotest.test_case "metrics merge interleaving-independent" `Quick
             test_metrics_merge_independent;
+          Alcotest.test_case "disabled submitter's tasks count nothing" `Quick
+            test_disabled_submitter;
+          Alcotest.test_case "task with_enabled confined to the task" `Quick
+            test_task_flag_confined;
+          Alcotest.test_case "window around nested run matches 1 domain" `Quick
+            test_window_around_nested_run;
           Alcotest.test_case "label intern stress" `Quick
             test_label_intern_stress;
         ] );
