@@ -249,8 +249,7 @@ let project k ~canon ~events =
             if kind = Container then
               List.iter
                 (fun (child, _) -> walk child)
-                (List.sort compare
-                   (Option.value ~default:[] (Kernel.container_children k oid)))
+                (Option.value ~default:[] (Kernel.container_children k oid))
         | _ -> ())
   in
   walk (Kernel.root k);

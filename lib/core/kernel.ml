@@ -41,10 +41,22 @@ type wait_reason =
 
 (* ---------- kernel objects ---------- *)
 
+(* The kernel's oid-keyed tables: the object table, each container's
+   children, the futex queues and the fork encodings. Oids are
+   block-cipher output (§3) and futex keys mix an oid linearly, so the
+   key's own low bits are already evenly spread and serve as the hash;
+   this keeps [caml_hash] and polymorphic compare off the syscall path. *)
+module Oid_tbl = Hashtbl.Make (struct
+  type t = int64
+
+  let equal = Int64.equal
+  let hash x = Int64.to_int x land max_int
+end)
+
 type segment = { mutable data : Bytes.t }
 
 type container = {
-  children : (oid, kind) Hashtbl.t;
+  children : kind Oid_tbl.t;
   avoid : int;
   mutable parent : oid;
 }
@@ -135,11 +147,11 @@ end)
 type t = {
   clock : Sim_clock.t;
   store : Store.t option;
-  objects : (oid, obj) Hashtbl.t;
+  objects : obj Oid_tbl.t;
   oidgen : Category_gen.t;
   catgen : Category_gen.t;
   runq : oid Queue.t;
-  futexq : (int64, oid Queue.t) Hashtbl.t;
+  futexq : oid Queue.t Oid_tbl.t;
   mutable timers : Timers.t;
   label_cache : Label_cache.t;
   profile : Profile.t;
@@ -154,7 +166,7 @@ type t = {
      last encoding so an unchanged object costs one string comparison
      and zero tree writes at the next fork. *)
   mutable snap : string Bptree.t;
-  snap_enc : (oid, string) Hashtbl.t;
+  snap_enc : string Oid_tbl.t;
 }
 
 let clock t = t.clock
@@ -164,7 +176,12 @@ let set_trace t f = t.trace <- f
 
 (* ---------- object table ---------- *)
 
-let find_obj k oid = Hashtbl.find_opt k.objects oid
+let find_obj k oid = Oid_tbl.find_opt k.objects oid
+
+(* A container's children in ascending oid order, never the table's. *)
+let sorted_children c =
+  Oid_tbl.fold (fun oid kind acc -> (oid, kind) :: acc) c.children []
+  |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
 
 let cur_thread k =
   match find_obj k k.current with
@@ -231,7 +248,7 @@ let resolve k ~op (ce : centry) =
       | Con c ->
           let* () = check_observe k ~op d in
           if Int64.equal ce.object_id ce.container then Ok d
-          else if Hashtbl.mem c.children ce.object_id then
+          else if Oid_tbl.mem c.children ce.object_id then
             match find_obj k ce.object_id with
             | Some o -> Ok o
             | None -> not_found_f "%s: dangling link %Ld" op ce.object_id
@@ -318,8 +335,8 @@ let encode_prefix e o =
   | Con c ->
       Codec.Enc.u32 e c.avoid;
       Codec.Enc.i64 e c.parent;
-      Codec.Enc.u32 e (Hashtbl.length c.children);
-      Hashtbl.iter
+      Codec.Enc.u32 e (Oid_tbl.length c.children);
+      Oid_tbl.iter
         (fun oid kind ->
           Codec.Enc.i64 e oid;
           Codec.Enc.u8 e (kind_to_bit kind))
@@ -391,11 +408,11 @@ let decode_obj payload =
         let avoid = Codec.Dec.u32 d in
         let parent = Codec.Dec.i64 d in
         let n = Codec.Dec.u32 d in
-        let children = Hashtbl.create (max 4 n) in
+        let children = Oid_tbl.create (max 4 n) in
         for _ = 1 to n do
           let oid = Codec.Dec.i64 d in
           let kind = kind_of_bit (Codec.Dec.u8 d) in
-          Hashtbl.replace children oid kind
+          Oid_tbl.replace children oid kind
         done;
         Con { children; avoid; parent }
     | Thread ->
@@ -450,16 +467,16 @@ let decode_obj payload =
 let next_oid k =
   let rec fresh () =
     let oid = Category_gen.next k.oidgen in
-    if Hashtbl.mem k.objects oid then fresh () else oid
+    if Oid_tbl.mem k.objects oid then fresh () else oid
   in
   fresh ()
 
 let rec destroy k o =
-  Hashtbl.remove k.objects o.id;
+  Oid_tbl.remove k.objects o.id;
   store_delete k o.id;
   match o.body with
   | Con c ->
-      Hashtbl.iter
+      Oid_tbl.iter
         (fun child_oid _ ->
           match find_obj k child_oid with
           | Some child ->
@@ -467,7 +484,7 @@ let rec destroy k o =
               if child.refs <= 0 then destroy k child
           | None -> ())
         c.children;
-      Hashtbl.reset c.children
+      Oid_tbl.reset c.children
   | Thr th -> begin
       th.tstate <- `Halted;
       th.next_run <- None;
@@ -479,10 +496,10 @@ let rec destroy k o =
   | Gat _ | Seg _ | Asp _ | Dev _ -> ()
 
 let unlink k d_obj c child_oid =
-  match Hashtbl.find_opt c.children child_oid with
+  match Oid_tbl.find_opt c.children child_oid with
   | None -> ()
   | Some _ ->
-      Hashtbl.remove c.children child_oid;
+      Oid_tbl.remove c.children child_oid;
       (match find_obj k child_oid with
       | Some child ->
           uncharge d_obj child.quota;
@@ -552,8 +569,8 @@ let create_object k ~(spec : create_spec) ~kind ~clearance_check ~body =
       body;
     }
   in
-  Hashtbl.replace k.objects id o;
-  Hashtbl.replace c.children id kind;
+  Oid_tbl.replace k.objects id o;
+  Oid_tbl.replace c.children id kind;
   Ok o
 
 (* ---------- scheduler ---------- *)
@@ -578,11 +595,11 @@ let futex_key seg_oid offset =
   Int64.add (Int64.mul seg_oid 1_000_003L) (Int64.of_int offset)
 
 let futex_queue k key =
-  match Hashtbl.find_opt k.futexq key with
+  match Oid_tbl.find_opt k.futexq key with
   | Some q -> q
   | None ->
       let q = Queue.create () in
-      Hashtbl.replace k.futexq key q;
+      Oid_tbl.replace k.futexq key q;
       q
 
 (* Blocked-thread index: a thread that blocks on a deadline enters
@@ -628,7 +645,7 @@ let do_checkpoint k =
   match k.store with
   | None -> ()
   | Some s ->
-      Hashtbl.iter (fun _ o -> store_put s o) k.objects;
+      Oid_tbl.iter (fun _ o -> store_put s o) k.objects;
       Store.put s ~oid:meta_oid (meta_record k);
       Store.checkpoint s
 
@@ -724,7 +741,7 @@ let mk_tls k =
       body = Seg { data = Bytes.make 4096 '\000' };
     }
   in
-  Hashtbl.replace k.objects id o;
+  Oid_tbl.replace k.objects id o;
   id
 
 let thread_create_impl k ~(spec : create_spec) ~clearance ~entry =
@@ -905,7 +922,7 @@ let quota_move_impl k ~container ~target ~nbytes =
   let* c = as_container ~op:"quota_move" d_obj in
   let* () = check_modify k ~op:"quota_move(container)" d_obj in
   let* o =
-    if Hashtbl.mem c.children target then
+    if Oid_tbl.mem c.children target then
       match find_obj k target with
       | Some o -> Ok o
       | None -> not_found_f "quota_move: dangling %Ld" target
@@ -959,7 +976,7 @@ let unref_impl k (ce : centry) =
   in
   if Int64.equal ce.object_id ce.container then
     invalid_f "unref: container cannot unlink itself"
-  else if Hashtbl.mem c.children ce.object_id then begin
+  else if Oid_tbl.mem c.children ce.object_id then begin
     unlink k d_obj c ce.object_id;
     ok_resp R_unit
   end
@@ -990,11 +1007,11 @@ let container_link_impl k ~container ~target =
     if o.fixed_quota then Ok ()
     else invalid_f "container_link: object quota not fixed"
   in
-  if Hashtbl.mem c.children o.id then invalid_f "container_link: already linked"
+  if Oid_tbl.mem c.children o.id then invalid_f "container_link: already linked"
   else
     (* double-charging (§3.3): the full quota counts in every container *)
     let* () = charge ~op:"container_link" d_obj o.quota in
-    Hashtbl.replace c.children o.id o.kind;
+    Oid_tbl.replace c.children o.id o.kind;
     o.refs <- o.refs + 1;
     ok_resp R_unit
 
@@ -1154,7 +1171,7 @@ let handle_syscall k kont req : action =
         let body =
           Con
             {
-              children = Hashtbl.create 8;
+              children = Oid_tbl.create 8;
               avoid = avoid lor parent_avoid;
               parent = spec.container;
             }
@@ -1165,14 +1182,13 @@ let handle_syscall k kont req : action =
         let* o = resolve k ~op:"container_list" ce in
         let* c = as_container ~op:"container_list" o in
         let entries =
-          Hashtbl.fold
-            (fun oid kind acc ->
+          List.map
+            (fun (oid, kind) ->
               let descrip =
                 match find_obj k oid with Some ob -> ob.descrip | None -> "?"
               in
-              (oid, kind, descrip) :: acc)
-            c.children []
-          |> List.sort (fun (a, _, _) (b, _, _) -> Int64.compare a b)
+              (oid, kind, descrip))
+            (sorted_children c)
         in
         ok_resp (R_entries entries)
     | Container_get_parent ce ->
@@ -1431,7 +1447,7 @@ let rec run_state_loop k tid rs =
       Logs.warn (fun m ->
           m "thread %Ld crashed: %s" tid (Printexc.to_string exn))
   | Syscalled (req, kont) -> (
-      Profile.record k.profile (req_name req);
+      Profile.record k.profile (req_index req);
       (* Three cost tiers: segment data access models a memory-mapped
          load/store through the page tables (the paper's fault path is
          only taken on first touch); object creation models allocation,
@@ -1533,7 +1549,7 @@ let run k = while step k do () done
 
 let runnable_count k = Queue.length k.runq
 
-let object_count k = Hashtbl.length k.objects
+let object_count k = Oid_tbl.length k.objects
 
 let label_cache_stats k =
   (Label_cache.hits k.label_cache, Label_cache.misses k.label_cache)
@@ -1544,8 +1560,7 @@ let obj_quota k oid = Option.map (fun o -> (o.quota, o.usage)) (find_obj k oid)
 
 let container_children k oid =
   match find_obj k oid with
-  | Some { body = Con c; _ } ->
-      Some (Hashtbl.fold (fun oid kind acc -> (oid, kind) :: acc) c.children [])
+  | Some { body = Con c; _ } -> Some (sorted_children c)
   | Some _ | None -> None
 
 let segment_data k oid =
@@ -1607,11 +1622,11 @@ let make ~clock ?store ~key ~oid_counter ~cat_counter ~root
   {
     clock;
     store;
-    objects = Hashtbl.create 256;
+    objects = Oid_tbl.create 256;
     oidgen = Category_gen.restore ~key ~counter:oid_counter;
     catgen = Category_gen.restore ~key:(Int64.lognot key) ~counter:cat_counter;
     runq = Queue.create ();
-    futexq = Hashtbl.create 64;
+    futexq = Oid_tbl.create 64;
     timers = Timers.empty;
     label_cache;
     profile;
@@ -1622,7 +1637,7 @@ let make ~clock ?store ~key ~oid_counter ~cat_counter ~root
     weaken;
     key;
     snap;
-    snap_enc = Hashtbl.create 256;
+    snap_enc = Oid_tbl.create 256;
   }
 
 let create ?(seed = 0x4853_7461_7221L) ?clock ?store ?syscall_cost_ns ?weaken
@@ -1645,10 +1660,10 @@ let create ?(seed = 0x4853_7461_7221L) ?clock ?store ?syscall_cost_ns ?weaken
       immut = false;
       metadata = "";
       refs = 1;
-      body = Con { children = Hashtbl.create 32; avoid = 0; parent = root_id };
+      body = Con { children = Oid_tbl.create 32; avoid = 0; parent = root_id };
     }
   in
-  Hashtbl.replace k.objects root_id root_obj;
+  Oid_tbl.replace k.objects root_id root_obj;
   k.root <- root_id;
   k
 
@@ -1684,10 +1699,10 @@ let spawn k ?label ?clearance ?container ~name entry =
           };
     }
   in
-  Hashtbl.replace k.objects id o;
+  Oid_tbl.replace k.objects id o;
   (match find_obj k container with
   | Some ({ body = Con c; _ } as d) ->
-      Hashtbl.replace c.children id Thread;
+      Oid_tbl.replace c.children id Thread;
       d.usage <- Int64.add d.usage o.quota
   | Some _ | None -> invalid_arg "Kernel.spawn: bad container");
   enqueue k id;
@@ -1713,10 +1728,10 @@ let attach_netdev k ~container ~label ~mac ~transmit =
         Dev { mac; rx = Queue.create (); waiters = Queue.create (); transmit };
     }
   in
-  Hashtbl.replace k.objects id o;
+  Oid_tbl.replace k.objects id o;
   (match find_obj k container with
   | Some ({ body = Con c; _ } as d) ->
-      Hashtbl.replace c.children id Device;
+      Oid_tbl.replace c.children id Device;
       d.usage <- Int64.add d.usage o.quota
   | Some _ | None -> invalid_arg "Kernel.attach_netdev: bad container");
   id
@@ -1783,7 +1798,7 @@ let recover ~store =
                 Store.set_prefix_len store ~oid
                   (String.length payload - Bytes.length sg.data)
             | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> ());
-            Hashtbl.replace k.objects oid o
+            Oid_tbl.replace k.objects oid o
         | None -> ());
   k
 
@@ -1815,25 +1830,25 @@ type handle = {
 let fork k =
   (* Drop tree entries for objects destroyed since the last fork. *)
   let stale =
-    Hashtbl.fold
-      (fun oid _ acc -> if Hashtbl.mem k.objects oid then acc else oid :: acc)
+    Oid_tbl.fold
+      (fun oid _ acc -> if Oid_tbl.mem k.objects oid then acc else oid :: acc)
       k.snap_enc []
   in
   List.iter
     (fun oid ->
-      Hashtbl.remove k.snap_enc oid;
+      Oid_tbl.remove k.snap_enc oid;
       match Bptree.remove k.snap oid with
       | Some m -> k.snap <- m
       | None -> ())
     stale;
   (* Re-encode live objects; only changed encodings touch the tree. *)
-  Hashtbl.iter
+  Oid_tbl.iter
     (fun oid o ->
       let enc = encode_obj o in
-      match Hashtbl.find_opt k.snap_enc oid with
+      match Oid_tbl.find_opt k.snap_enc oid with
       | Some prev when String.equal prev enc -> ()
       | _ ->
-          Hashtbl.replace k.snap_enc oid enc;
+          Oid_tbl.replace k.snap_enc oid enc;
           k.snap <- Bptree.insert k.snap oid enc)
     k.objects;
   {
@@ -1861,8 +1876,8 @@ let resume h =
   in
   Bptree.iter
     (fun oid enc ->
-      Hashtbl.replace k.snap_enc oid enc;
-      Hashtbl.replace k.objects oid (decode_obj enc))
+      Oid_tbl.replace k.snap_enc oid enc;
+      Oid_tbl.replace k.objects oid (decode_obj enc))
     h.h_objects;
   k
 

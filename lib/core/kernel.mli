@@ -166,6 +166,9 @@ val obj_quota : t -> oid -> (int64 * int64) option
 (** (quota, usage). *)
 
 val container_children : t -> oid -> (oid * kind) list option
+(** A container's children in ascending oid order, as [Container_list]
+    returns them. *)
+
 val segment_data : t -> oid -> string option
 val thread_state : t -> oid -> [ `Ready | `Running | `Blocked | `Halted ] option
 val thread_label : t -> oid -> Label.t option

@@ -1,35 +1,38 @@
-type t = { counts : (string, int ref) Hashtbl.t; mutable total : int }
+(* One count per syscall, in the slot [Syscall.req_index] gives it;
+   [Syscall.req_names] names the slots on output. *)
+type t = { counts : int array; mutable total : int }
 
-let create () = { counts = Hashtbl.create 64; total = 0 }
+let create () = { counts = Array.make (Array.length Syscall.req_names) 0; total = 0 }
 
-let record t name =
+let record t i =
   t.total <- t.total + 1;
-  match Hashtbl.find_opt t.counts name with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.counts name (ref 1)
+  t.counts.(i) <- t.counts.(i) + 1
 
 let total t = t.total
 
 let count t name =
-  match Hashtbl.find_opt t.counts name with Some r -> !r | None -> 0
+  match Array.find_index (String.equal name) Syscall.req_names with
+  | Some i -> t.counts.(i)
+  | None -> 0
 
-(* Canonical order: count descending, then name — independent of hash
-   iteration order, so profiles with equal contents always list (and
-   hash) identically, whichever path (fork or replay) produced them. *)
+(* Canonical order: count descending, then name — independent of slot
+   order, so profiles with equal contents always list (and hash)
+   identically, whichever path (fork or replay) produced them. *)
 let to_list t =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counts []
-  |> List.sort (fun (na, a) (nb, b) ->
-         match Int.compare b a with 0 -> String.compare na nb | c -> c)
+  let acc = ref [] in
+  Array.iteri
+    (fun i n -> if n > 0 then acc := (Syscall.req_names.(i), n) :: !acc)
+    t.counts;
+  List.sort
+    (fun (na, a) (nb, b) ->
+      match Int.compare b a with 0 -> String.compare na nb | c -> c)
+    !acc
 
-let equal a b = a.total = b.total && to_list a = to_list b
-
-let copy t =
-  let counts = Hashtbl.create (max 64 (Hashtbl.length t.counts)) in
-  Hashtbl.iter (fun name r -> Hashtbl.add counts name (ref !r)) t.counts;
-  { counts; total = t.total }
+let equal a b = a.total = b.total && a.counts = b.counts
+let copy t = { counts = Array.copy t.counts; total = t.total }
 
 let reset t =
-  Hashtbl.reset t.counts;
+  Array.fill t.counts 0 (Array.length t.counts) 0;
   t.total <- 0
 
 let pp fmt t =

@@ -2,6 +2,7 @@ module Kernel = Histar_core.Kernel
 module Sys = Histar_core.Sys
 module Types = Histar_core.Types
 module Syscall = Histar_core.Syscall
+module Profile = Histar_core.Profile
 module Check = Histar_check.Check
 module Gen = Histar_check.Gen
 open Histar_label
@@ -317,6 +318,43 @@ let test_unref_recursive () =
         (Kernel.object_count k);
       Alcotest.(check bool) "segment gone" true
         (Kernel.obj_kind k seg = None))
+
+(* Children come back in ascending oid order, whatever order they were
+   linked in and whichever of them were unlinked since. *)
+let test_children_in_oid_order () =
+  let kids, listed =
+    in_kernel_k (fun k root ->
+        let d =
+          Sys.container_create ~container:root ~label:l1 ~quota:1_000_000L "d"
+        in
+        let segs =
+          Array.init 24 (fun i ->
+              let s =
+                Sys.segment_create ~container:root ~label:l1 ~quota:1024L
+                  (Printf.sprintf "s%d" i)
+              in
+              Sys.set_fixed_quota (centry root s);
+              s)
+        in
+        (* 7 is coprime to 24: link in a scrambled order. *)
+        Array.iteri
+          (fun i _ ->
+            Sys.container_link ~container:d
+              ~target:(centry root segs.(i * 7 mod 24)))
+          segs;
+        Array.iteri
+          (fun i s -> if i mod 3 = 0 then Sys.unref (centry d s))
+          segs;
+        ( List.map fst (Option.get (Kernel.container_children k d)),
+          List.map (fun (o, _, _) -> o) (Sys.container_list (centry root d)) ))
+  in
+  Alcotest.(check int) "unlinked children gone" 16 (List.length kids);
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> Int64.compare a b < 0 && ascending rest
+    | [ _ ] | [] -> true
+  in
+  Alcotest.(check bool) "strictly ascending" true (ascending kids);
+  Alcotest.(check (list int64)) "as container_list returns them" listed kids
 
 let test_hard_link_keeps_alive () =
   in_kernel_k (fun k root ->
@@ -1365,6 +1403,101 @@ let test_negative_offset_is_error () =
       Alcotest.(check bool) "thread still runs" true
         (Sys.segment_cas (centry root s) ~off:8 ~expected:0L ~desired:7L))
 
+(* ---------- syscall profile ---------- *)
+
+(* A fixed program making 16 distinct syscalls, some several times. *)
+let profile_program root =
+  ignore (Sys.self_label ());
+  ignore (Sys.self_clearance ());
+  ignore (Sys.cat_create ());
+  let d = Sys.container_create ~container:root ~label:l1 ~quota:65536L "d" in
+  let s = Sys.segment_create ~container:d ~label:l1 ~quota:8192L ~len:8 "s" in
+  Sys.segment_write (centry d s) "abcdefgh";
+  for _ = 1 to 3 do
+    ignore (Sys.segment_read (centry d s) ())
+  done;
+  ignore (Sys.segment_size (centry d s));
+  Sys.segment_resize (centry d s) 16;
+  Sys.segment_write (centry d s) ~off:8 "ijklmnop";
+  ignore (Sys.obj_label (centry d s));
+  ignore (Sys.obj_kind (centry d s));
+  ignore (Sys.container_list (centry root d));
+  ignore (Sys.futex_wake (centry d s) ~off:0 ~count:1);
+  ignore (Sys.clock_ns ());
+  Sys.yield ();
+  Sys.unref (centry root d)
+
+let profiled_kernel () =
+  let k = Kernel.create () in
+  let _tid = Kernel.spawn k ~name:"profiled" (fun () -> profile_program (Kernel.root k)) in
+  Kernel.run k;
+  k
+
+(* Names, counts and order are pinned: perfbench's
+   kernel.sys.<name>_per_op figures read them, so they must not move
+   with the profile's representation. *)
+let expected_profile =
+  [
+    ("segment_read", 3);
+    ("segment_write", 2);
+    ("cat_create", 1);
+    ("clock_read", 1);
+    ("container_create", 1);
+    ("container_list", 1);
+    ("futex_wake", 1);
+    ("obj_get_kind", 1);
+    ("obj_get_label", 1);
+    ("segment_create", 1);
+    ("segment_get_size", 1);
+    ("segment_resize", 1);
+    ("self_get_clearance", 1);
+    ("self_get_label", 1);
+    ("self_yield", 1);
+    ("unref", 1);
+  ]
+
+let test_profile_fixed_program () =
+  let p = Kernel.profile (profiled_kernel ()) in
+  Alcotest.(check (list (pair string int))) "to_list" expected_profile
+    (Profile.to_list p);
+  Alcotest.(check int) "total"
+    (List.fold_left (fun n (_, c) -> n + c) 0 expected_profile)
+    (Profile.total p);
+  List.iter
+    (fun (name, c) -> Alcotest.(check int) ("count " ^ name) c (Profile.count p name))
+    expected_profile
+
+let test_profile_unknown_name () =
+  let p = Kernel.profile (profiled_kernel ()) in
+  Alcotest.(check int) "unknown name" 0 (Profile.count p "no_such_syscall");
+  Alcotest.(check int) "named but never made" 0 (Profile.count p "gate_call");
+  Alcotest.(check int) "empty name" 0 (Profile.count p "")
+
+let test_profile_copy_reset () =
+  let p = Kernel.profile (profiled_kernel ()) in
+  let c = Profile.copy p in
+  Alcotest.(check bool) "copy equal" true (Profile.equal p c);
+  Profile.reset p;
+  Alcotest.(check int) "reset total" 0 (Profile.total p);
+  Alcotest.(check (list (pair string int))) "reset list" [] (Profile.to_list p);
+  Alcotest.(check (list (pair string int))) "copy unaffected" expected_profile
+    (Profile.to_list c);
+  Alcotest.(check bool) "no longer equal" false (Profile.equal p c)
+
+let test_profile_fork_resume () =
+  let k = profiled_kernel () in
+  let h = Kernel.fork k in
+  let b = Kernel.resume h in
+  Alcotest.(check bool) "resumed counts equal" true
+    (Profile.equal (Kernel.profile k) (Kernel.profile b));
+  (* The branch counts on its own copy. *)
+  let _tid = Kernel.spawn b ~name:"branch" (fun () -> Sys.yield ()) in
+  Kernel.run b;
+  Alcotest.(check int) "branch counted" (Profile.total (Kernel.profile k) + 1)
+    (Profile.total (Kernel.profile b));
+  Alcotest.(check (list (pair string int))) "trunk unchanged" expected_profile
+    (Profile.to_list (Kernel.profile k))
+
 (* ---------- branchable kernel states (fork / resume / drop) ---------- *)
 
 let test_fork_resume_isolated () =
@@ -1488,6 +1621,8 @@ let () =
           Alcotest.test_case "self entry" `Quick test_container_self_entry;
           Alcotest.test_case "recursive unref" `Quick test_unref_recursive;
           Alcotest.test_case "hard links" `Quick test_hard_link_keeps_alive;
+          Alcotest.test_case "children in oid order" `Quick
+            test_children_in_oid_order;
           Alcotest.test_case "link needs fixed quota" `Quick
             test_link_requires_fixed_quota;
           Alcotest.test_case "quota exhaustion" `Quick test_quota_exhaustion;
@@ -1580,6 +1715,16 @@ let () =
             test_quota_move_target_wrap_rejected;
           Alcotest.test_case "negative segment offsets are errors" `Quick
             test_negative_offset_is_error;
+        ] );
+      ( "profile",
+        [
+          Alcotest.test_case "fixed program's counts" `Quick
+            test_profile_fixed_program;
+          Alcotest.test_case "unknown name counts 0" `Quick
+            test_profile_unknown_name;
+          Alcotest.test_case "copy survives reset" `Quick test_profile_copy_reset;
+          Alcotest.test_case "fork/resume keeps counts" `Quick
+            test_profile_fork_resume;
         ] );
       ( "branchable states",
         [
