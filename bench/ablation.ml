@@ -7,10 +7,10 @@
       whole-system checkpoint; at the paper's 1,000 the log absorbs
       nearly everything.
 
-   2. §6.2 notes that privilege-separating authentication keeps labels
-      small, "improving the performance of label operations". We sweep
-      label width and measure the wall-clock cost of the ⊑ check that
-      every syscall performs.
+   2. §4 says the kernel "caches the result of comparisons between
+      immutable labels". We count the decisions an fs churn workload
+      serves from the cache ([label.elided]) and computes
+      ([label.cache_misses]).
 
    3. The disk write barrier is what makes per-file sync expensive; we
       sweep its cost (half-rotation at 7,200/15,000 RPM and an
@@ -18,9 +18,7 @@
       artifact, not a HiStar artifact. *)
 
 open Harness
-module Label = Histar_label.Label
-module Level = Histar_label.Level
-module Category = Histar_label.Category
+module Metrics = Histar_metrics.Metrics
 
 let files = 300
 
@@ -42,21 +40,6 @@ let per_file_sync_time ~apply_threshold ~params =
       in
       s_of_ns ns)
 
-let label_check_ns ~cats =
-  let mk seed =
-    Label.of_list
-      (List.init cats (fun i ->
-           (Category.of_int ((i * 7919) + seed), Level.of_int ((i + seed) mod 4))))
-      Level.L1
-  in
-  let a = mk 1 and b = mk 2 in
-  let iters = 200_000 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    ignore (Label.leq a b)
-  done;
-  (Unix.gettimeofday () -. t0) /. float_of_int iters *. 1e9
-
 let run () =
   header "Ablation 1: write-ahead-log apply threshold (§7.1 batching)";
   Printf.printf "%-44s %14s\n"
@@ -69,30 +52,33 @@ let run () =
     [ 1; 10; 100; 1000 ];
   print_endline
     "(threshold 1 = checkpoint per fsync; 1000 = the paper's setting)";
-  header "Ablation 2: label width vs ⊑ cost (§6.2 'keep labels small')";
-  Printf.printf "%-44s %14s\n" "categories in each label" "wall-clock leq";
-  List.iter
-    (fun cats ->
-      Printf.printf "%-44d %11.0f ns\n" cats (label_check_ns ~cats))
-    [ 1; 4; 16; 64; 256 ];
-  header "Ablation 3: label-comparison cache (§4 'caches the result')";
-  (let clock = Clock.create () in
-   let disk = Disk.create ~clock () in
-   let store = Store.format ~disk ~wal_sectors:65_536 () in
-   let kernel = Kernel.create ~clock ~store ~syscall_cost_ns:120 () in
-   let m = { kernel; clock; disk; store } in
-   boot m (fun fs _proc ->
-       ignore (Fs.mkdir fs "/churn");
-       for i = 0 to 199 do
-         let p = Printf.sprintf "/churn/f%d" (i mod 20) in
-         Fs.write_file fs p "x";
-         ignore (Fs.read_file fs p)
-       done);
-   let hits, misses = Kernel.label_cache_stats kernel in
+  header "Ablation 2: label-comparison cache (§4 'caches the result')";
+  (let counts () =
+     (Metrics.counter_value "label.elided",
+      Metrics.counter_value "label.cache_misses")
+   in
+   let hits, misses =
+     Metrics.with_enabled true (fun () ->
+         let h0, m0 = counts () in
+         let clock = Clock.create () in
+         let disk = Disk.create ~clock () in
+         let store = Store.format ~disk ~wal_sectors:65_536 () in
+         let kernel = Kernel.create ~clock ~store ~syscall_cost_ns:120 () in
+         let m = { kernel; clock; disk; store } in
+         boot m (fun fs _proc ->
+             ignore (Fs.mkdir fs "/churn");
+             for i = 0 to 199 do
+               let p = Printf.sprintf "/churn/f%d" (i mod 20) in
+               Fs.write_file fs p "x";
+               ignore (Fs.read_file fs p)
+             done);
+         let h1, m1 = counts () in
+         (h1 - h0, m1 - m0))
+   in
    Printf.printf "fs churn workload: %d hits, %d misses (%.1f%% hit rate)\n"
      hits misses
      (100.0 *. float_of_int hits /. float_of_int (max 1 (hits + misses))));
-  header "Ablation 4: barrier cost (the sync gap is rotational)";
+  header "Ablation 3: barrier cost (the sync gap is rotational)";
   let sweep name rotation_us =
     let params =
       Some { Disk.default_params with Disk.rotation_us }

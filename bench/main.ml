@@ -9,14 +9,10 @@
      main.exe                     run everything (human-readable tables)
      main.exe f12-ipc f13-wget    run selected experiments
      main.exe --quick             each figure at its small sizes
-     main.exe --bechamel          wall-clock substrate microbenchmarks
      main.exe --smoke             deterministic runner, minimal sizes,
                                   writes BENCH_baseline.json
      main.exe --bench             deterministic runner, full sizes
      main.exe --out FILE          output path for --smoke/--bench
-     main.exe --jobs N            run workloads on N pool domains
-                                  (output minus wall_ms is identical
-                                  at every N)
      main.exe --validate-bench F  validate a BENCH_*.json against the
                                   schema; exit nonzero on mismatch *)
 
@@ -33,7 +29,7 @@ let experiments =
     ("f13-apps", "kernel build, wget, ClamAV",
      fun quick -> F13_apps.run (if quick then F13_apps.quick else F13_apps.full));
     ("t-codesize", "code-size inventory (§4.1)", fun _ -> Tables.codesize ());
-    ("ablation", "design-choice ablations (log batching, label width)",
+    ("ablation", "design-choice ablations (log batching, label cache, barrier)",
      fun _ -> Ablation.run ());
     ("sec-attacks", "§1 leak-vector matrix vs Unix", fun _ -> Tables.attacks ());
   ]
@@ -52,8 +48,8 @@ let aliases =
 
 let usage () =
   print_endline
-    "usage: main.exe [--quick] [--bechamel] [experiment ...]\n\
-    \       main.exe --smoke | --bench [--out FILE] [--jobs N]\n\
+    "usage: main.exe [--quick] [experiment ...]\n\
+    \       main.exe --smoke | --bench [--out FILE]\n\
     \       main.exe --validate-bench FILE";
   print_endline "experiments:";
   List.iter (fun (n, d, _) -> Printf.printf "  %-14s %s\n" n d) experiments;
@@ -63,8 +59,8 @@ let default_out = "BENCH_baseline.json"
 
 (* Run the deterministic runner; a workload that traps names itself on
    stderr and fails the process. *)
-let run_bench ~jobs ~size ~out =
-  match Runner.run_suite ~jobs ~size () with
+let run_bench ~size ~out =
+  match Runner.run_suite ~size () with
   | json ->
       (match Runner.validate json with
       | Ok () -> ()
@@ -100,30 +96,15 @@ let rec parse_out = function
   | _ :: rest -> parse_out rest
   | [] -> None
 
-(* Workload-level parallelism for --smoke/--bench: N independent
-   workloads on the lib/par pool. The trajectory (minus wall_ms) is
-   byte-identical at every N — pinned by test_bench. *)
-let rec parse_jobs = function
-  | "--jobs" :: n :: _ -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 -> n
-      | Some _ | None ->
-          Printf.eprintf "bench: --jobs wants a positive integer, got %s\n" n;
-          exit 1)
-  | _ :: rest -> parse_jobs rest
-  | [] -> 1
-
 let () =
   let args = List.tl (Array.to_list Stdlib.Sys.argv) in
   let out = Option.value (parse_out args) ~default:default_out in
-  let jobs = parse_jobs args in
   match args with
   | _ when List.mem "--help" args -> usage ()
-  | _ when List.mem "--smoke" args -> run_bench ~jobs ~size:Runner.Smoke ~out
-  | _ when List.mem "--bench" args -> run_bench ~jobs ~size:Runner.Full ~out
+  | _ when List.mem "--smoke" args -> run_bench ~size:Runner.Smoke ~out
+  | _ when List.mem "--bench" args -> run_bench ~size:Runner.Full ~out
   | "--validate-bench" :: path :: _ -> validate_bench path
   | _ ->
-      let bechamel = List.mem "--bechamel" args in
       let quick = List.mem "--quick" args in
       let selected =
         List.filter_map
@@ -155,5 +136,4 @@ let () =
         (fun name ->
           let _, _, f = List.find (fun (n, _, _) -> n = name) experiments in
           f quick)
-        to_run;
-      if bechamel then Micro.benchmark ()
+        to_run

@@ -9,7 +9,6 @@
    must strip it. *)
 
 open Harness
-module Par = Histar_par.Par
 module Metrics = Histar_metrics.Metrics
 module Json = Histar_metrics.Json
 module Hub = Histar_net.Hub
@@ -559,10 +558,6 @@ type entry = {
   e_counters : (string * int) list;
 }
 
-(* The window is the current metrics scope: a pool task's own at
-   --jobs N; at --jobs 1 the caller's, into which a workload's nested
-   Par.run (the dist-cluster node steps) folds its task scopes before
-   returning. Either way it reads the single-domain counts. *)
 let run_one size (name, descr, f) =
   let before = Metrics.snapshot () in
   let w0 = Unix.gettimeofday () in
@@ -587,19 +582,14 @@ let run_one size (name, descr, f) =
     e_counters = spine @ extras;
   }
 
-let run_suite ?(jobs = 1) ~size () =
+let run_suite ~size () =
   let was_enabled = Metrics.enabled () in
   Metrics.set_enabled true;
   Metrics.reset ();
-  let wl = Array.of_list workloads in
   let entries =
     Fun.protect
       ~finally:(fun () -> Metrics.set_enabled was_enabled)
-      (fun () ->
-        (* Independent workloads, ordered join: entries come back in
-           workload-list order whatever the completion order. *)
-        Par.run ~domains:jobs (Array.length wl) (fun i -> run_one size wl.(i))
-        |> Array.to_list)
+      (fun () -> List.map (run_one size) workloads)
   in
   let total_virtual =
     List.fold_left (fun a e -> Int64.add a e.e_virtual_ns) 0L entries

@@ -1551,9 +1551,6 @@ let runnable_count k = Queue.length k.runq
 
 let object_count k = Oid_tbl.length k.objects
 
-let label_cache_stats k =
-  (Label_cache.hits k.label_cache, Label_cache.misses k.label_cache)
-
 let obj_label k oid = Option.map (fun o -> o.label) (find_obj k oid)
 let obj_kind k oid = Option.map (fun o -> o.kind) (find_obj k oid)
 let obj_quota k oid = Option.map (fun o -> (o.quota, o.usage)) (find_obj k oid)

@@ -155,10 +155,6 @@ val restart_thread : t -> oid -> (unit -> unit) -> unit
 (** {1 Introspection (host/test interface, not subject to labels)} *)
 
 val object_count : t -> int
-
-(** (hits, misses) of the §4 label-comparison cache. *)
-val label_cache_stats : t -> int * int
-
 val profile : t -> Profile.t
 val obj_label : t -> oid -> Label.t option
 val obj_kind : t -> oid -> kind option

@@ -6,10 +6,10 @@ module Metrics = Histar_metrics.Metrics
                      the kernel's uncached gate-invocation checks),
    [label.elided]  — decisions served from the cache without running
                      the algebra (cache hits),
+   [label.cache_misses] — decisions this cache computed,
    [label.denied]  — denials, cached or not. *)
 let m_checks = Metrics.counter "label.checks"
 let m_denied = Metrics.counter "label.denied"
-let m_cache_hits = Metrics.counter "label.cache_hits"
 let m_cache_misses = Metrics.counter "label.cache_misses"
 let m_elided = Metrics.counter "label.elided"
 
@@ -24,27 +24,18 @@ module Tbl = Hashtbl.Make (struct
   let hash (t, o) = ((Label.id t * 65599) + Label.id o) land max_int
 end)
 
-type t = {
-  bound : int;
-  observe_tbl : bool Tbl.t;
-  modify_tbl : bool Tbl.t;
-  mutable hits : int;
-  mutable misses : int;
-}
+type t = { bound : int; observe_tbl : bool Tbl.t; modify_tbl : bool Tbl.t }
 
 let create ?(bound = 8192) () =
-  { bound; observe_tbl = Tbl.create 256; modify_tbl = Tbl.create 256; hits = 0; misses = 0 }
+  { bound; observe_tbl = Tbl.create 256; modify_tbl = Tbl.create 256 }
 
 let lookup t tbl key compute =
   let v =
     match Tbl.find_opt tbl key with
     | Some v ->
-        t.hits <- t.hits + 1;
-        Metrics.Counter.incr m_cache_hits;
         Metrics.Counter.incr m_elided;
         v
     | None ->
-        t.misses <- t.misses + 1;
         Metrics.Counter.incr m_cache_misses;
         Metrics.Counter.incr m_checks;
         let v = compute () in
@@ -67,18 +58,12 @@ let observe t ~thread ~obj =
 let modify t ~thread ~obj =
   lookup t t.modify_tbl (thread, obj) (fun () -> Label.can_modify ~thread ~obj)
 
-let hits t = t.hits
-let misses t = t.misses
-
-(* An independent cache with identical contents and statistics, so a
-   forked kernel's hit/miss behaviour is bit-identical to the trunk's
-   at the branch point (same cached entries, same reset threshold
-   fill). *)
+(* An independent cache with identical contents, so a forked kernel's
+   hit/miss behaviour is bit-identical to the trunk's at the branch
+   point (same cached entries, same reset threshold fill). *)
 let copy t =
   {
     bound = t.bound;
     observe_tbl = Tbl.copy t.observe_tbl;
     modify_tbl = Tbl.copy t.modify_tbl;
-    hits = t.hits;
-    misses = t.misses;
   }

@@ -15,10 +15,12 @@
     is cleared wholesale when it reaches its bound, which keeps the
     worst case linear and the common case O(1).
 
-    Counter semantics: a cache hit counts as [label.elided] (the §2
-    algebra did not run); misses and the kernel's uncached gate checks
-    count as [label.checks]. [label.cache_hits]/[label.cache_misses]
-    count this cache alone, and [label.denied] counts every denial. *)
+    Counter semantics: one counter per fact. A cache hit counts as
+    [label.elided] (the §2 algebra did not run); a miss counts as
+    [label.cache_misses] and, with the kernel's uncached gate checks,
+    as [label.checks]; [label.denied] counts every denial. The cache
+    keeps no statistics of its own: read hits and misses as deltas of
+    these counters inside an enabled metrics window. *)
 
 type t
 
@@ -31,13 +33,10 @@ val observe : t -> thread:Histar_label.Label.t -> obj:Histar_label.Label.t -> bo
 val modify : t -> thread:Histar_label.Label.t -> obj:Histar_label.Label.t -> bool
 (** Memoized {!Histar_label.Label.can_modify}. *)
 
-val hits : t -> int
-val misses : t -> int
-
 val copy : t -> t
-(** An independent cache with identical contents and statistics, so a
-    forked kernel's future hit/miss behaviour matches the trunk's at
-    the branch point exactly. *)
+(** An independent cache with identical contents, so a forked kernel's
+    future hit/miss behaviour matches the trunk's at the branch point
+    exactly. *)
 
 val count_uncached_check : allowed:bool -> unit
 (** Report a label comparison performed outside the cache (gate

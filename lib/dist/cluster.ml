@@ -21,7 +21,6 @@ module Kernel = Histar_core.Kernel
 module Sim_clock = Histar_util.Sim_clock
 module Stack = Histar_net.Stack
 module Hub = Histar_net.Hub
-module Par = Histar_par.Par
 
 type host = { h_stack : Stack.t; h_clock : Sim_clock.t }
 
@@ -162,30 +161,21 @@ let settle ?(max_rounds = 64) t =
   in
   go max_rounds
 
-(* One bulk-synchronous step: every kernel runs up to [slice] steps
-   with its transmissions parked in a per-kernel outbox, then the
-   outboxes flush onto the wire in registration order (FIFO within a
-   sender). Between barriers a kernel touches only its own state —
-   its clock, scheduler, stacks and outbox — so the kernels step
-   concurrently on the lib/par pool; the barrier is the only
-   cross-domain synchronization point, and the flush schedule is a
-   pure function of registration order, so the round is byte-identical
-   whatever HISTAR_DOMAINS says (including 1, where the same deferred
-   schedule simply runs inline). *)
+(* One bulk-synchronous step: every kernel, in registration order,
+   runs up to [slice] steps inside one deferred-injection scope. When
+   the scope closes, the round's frames go on the wire in the order
+   they were sent, so no kernel sees a peer's frame before the barrier
+   and the wire schedule is a pure function of registration order. *)
 let step_round ~slice t =
-  let ks = Array.of_list t.kernels in
-  let obs = Array.map (fun _ -> Hub.new_outbox ()) ks in
-  ignore
-    (Par.run (Array.length ks) (fun i ->
-         Hub.with_outbox obs.(i) (fun () ->
-             let k = ks.(i) in
-             let budget = ref slice in
-             while Kernel.runnable_count k > 0 && !budget > 0 do
-               ignore (Kernel.step k : bool);
-               decr budget
-             done))
-      : unit array);
-  Array.iter Hub.flush_outbox obs
+  Hub.deferred (fun () ->
+      List.iter
+        (fun k ->
+          let budget = ref slice in
+          while Kernel.runnable_count k > 0 && !budget > 0 do
+            ignore (Kernel.step k : bool);
+            decr budget
+          done)
+        t.kernels)
 
 let drive ?(slice = 20_000) ?(max_rounds = 200_000) t ~until () =
   let rec round n =

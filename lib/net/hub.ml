@@ -210,32 +210,19 @@ let release_due t =
   t.holdq <- still;
   List.iter (fun (f, b) -> route t f b) due
 
-(* ---------- deferred injection (BSP outboxes) ---------- *)
+(* ---------- deferred injection ---------- *)
 
-(* The cluster driver steps kernels on separate domains between
-   global-virtual-time barriers. Everything a kernel touches while
-   stepping is its own — except the hub, whose inject path advances
-   the shared wire clock, consumes the shared loss RNG and delivers
-   synchronously into the destination stack. So while a kernel steps
-   inside [with_outbox], [inject] only appends the raw frame (with its
-   target hub) to the domain-local outbox and touches no hub state at
-   all; the driver flushes outboxes through the real inject path at
-   the barrier, in kernel registration order, FIFO within each sender.
-   The flush order is a pure function of registration order, so the
-   wire schedule is identical whatever the domain count — including 1,
-   which is what makes single- and multi-domain runs byte-identical. *)
-type outbox = (t * string) list ref (* reversed *)
-
-let new_outbox () : outbox = ref []
-
-let outbox_key : outbox option ref Domain.DLS.key =
+(* The cluster driver steps every node's kernel inside one [deferred]
+   scope per BSP round. Hub state is shared by the nodes: [inject]
+   advances the wire clock, consumes the loss RNG and delivers
+   synchronously into the destination stack. So while the scope is
+   open, [inject] only appends the raw frame (with its target hub) to
+   the scope's FIFO and touches no hub state at all; the frames go on
+   the wire when the scope closes, oldest first. The scope lives in a
+   domain-local cell, so a check cell driving its own hubs on another
+   pool domain is never caught by it. *)
+let deferred_key : (t * string) list ref option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
-
-let with_outbox (ob : outbox) f =
-  let cell = Domain.DLS.get outbox_key in
-  let saved = !cell in
-  cell := Some ob;
-  Fun.protect ~finally:(fun () -> cell := saved) f
 
 let inject_now t bytes =
   let nbytes = String.length bytes in
@@ -295,19 +282,22 @@ let inject_now t bytes =
   release_due t
 
 let inject t bytes =
-  match !(Domain.DLS.get outbox_key) with
-  | Some ob -> ob := (t, bytes) :: !ob
+  match !(Domain.DLS.get deferred_key) with
+  | Some parked -> parked := (t, bytes) :: !parked
   | None -> inject_now t bytes
 
-(* Replay a drained outbox through the real inject path, oldest frame
-   first. Runs at the barrier, outside any [with_outbox] scope, so
-   re-entrant injects from rx paths (a stack acking straight out of
-   [ep_deliver]) hit the wire immediately, exactly as they do in a
-   plain sequential run. *)
-let flush_outbox (ob : outbox) =
-  let frames = List.rev !ob in
-  ob := [];
-  List.iter (fun (t, bytes) -> inject_now t bytes) frames
+(* The parked frames replay after the scope is closed, so re-entrant
+   injects from rx paths (a stack acking straight out of [ep_deliver])
+   hit the wire at once, exactly as in a plain sequential run. If [f]
+   raises, its parked frames are dropped with it. *)
+let deferred f =
+  let cell = Domain.DLS.get deferred_key in
+  let saved = !cell in
+  let parked = ref [] in
+  cell := Some parked;
+  let v = Fun.protect ~finally:(fun () -> cell := saved) f in
+  List.iter (fun (t, bytes) -> inject_now t bytes) (List.rev !parked);
+  v
 
 let frames_sent t = t.frames_sent
 let frames_lost t = t.frames_lost

@@ -61,32 +61,18 @@ val inject : t -> string -> unit
     delivers to the destination MAC (or everyone, for the broadcast MAC
     ["ff:ff:ff:ff:ff:ff"]). Unknown destinations are dropped.
 
-    Inside {!with_outbox} the frame is deferred to the active outbox
-    instead, touching no hub state — the BSP hook the cluster driver
-    uses to step kernels on separate domains between barriers. *)
+    Inside {!deferred} the frame is parked instead, touching no hub
+    state. *)
 
-(** {2 Deferred injection (BSP outboxes)}
-
-    The cluster driver steps each node's kernel inside [with_outbox]:
-    frames the node transmits are parked, tagged with their target
-    hub, in a domain-local outbox, and the driver flushes them through
-    the real inject path at the next global-virtual-time barrier in
-    kernel registration order (FIFO within a sender). The flush
-    schedule is a pure function of registration order — independent of
-    how many domains stepped the kernels — which is what keeps
-    multi-domain cluster runs byte-identical to single-domain ones. *)
-
-type outbox
-
-val new_outbox : unit -> outbox
-
-val with_outbox : outbox -> (unit -> 'a) -> 'a
-(** Run [f] with every [inject] (on any hub, from this domain)
-    deferred into the outbox. Nests: the innermost scope wins. *)
-
-val flush_outbox : outbox -> unit
-(** Re-inject the parked frames, oldest first, through the normal
-    wire path. Call outside any {!with_outbox} scope. *)
+val deferred : (unit -> 'a) -> 'a
+(** [deferred f] runs [f] with every [inject] (on any hub, from this
+    domain) parked in one FIFO, then re-injects the parked frames,
+    oldest first, through the normal wire path. Frames injected while
+    the parked ones are delivered (a stack acking from its rx path) go
+    straight to the wire. This is the BSP barrier of the cluster
+    driver: nodes step one after another within a round, and the
+    round's frames reach the wire in the order they were sent. If [f]
+    raises, its frames are dropped. *)
 
 val resolve : t -> Addr.ip -> string option
 (** MAC for an attached IP (the stand-in for ARP); falls back to the

@@ -138,26 +138,18 @@ let test_suite_deterministic () =
     (Json.to_string (Runner.strip_wall j1))
     (Json.to_string (Runner.strip_wall j2))
 
-(* --jobs N fans workloads out on the lib/par pool; the trajectory
-   (minus wall_ms) must be byte-identical at every job count. At
-   --jobs 1 with 4 domains the workloads themselves fan out (the
-   dist-cluster nodes step on the pool), and each workload's window
-   must still read the sequential totals. *)
-let test_suite_jobs_identical () =
-  let run jobs =
-    Json.to_string (Runner.strip_wall (Runner.run_suite ~jobs ~size:Runner.Smoke ()))
+(* No workload consults the lib/par pool: the trajectory (minus
+   wall_ms) run with 4 pool domains configured must be byte-identical
+   to the one run with the default. *)
+let test_suite_domains_identical () =
+  let run () =
+    Json.to_string (Runner.strip_wall (Runner.run_suite ~size:Runner.Smoke ()))
   in
-  let ref_j = run 1 in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "trajectory identical at --jobs %d" jobs)
-        ref_j (run jobs))
-    [ 2; 8 ];
+  let ref_j = run () in
   let saved = Par.domains () in
   Par.set_domains 4;
-  let wide = Fun.protect ~finally:(fun () -> Par.set_domains saved) (fun () -> run 1) in
-  Alcotest.(check string) "trajectory identical at --jobs 1, 4 domains" ref_j wide
+  let wide = Fun.protect ~finally:(fun () -> Par.set_domains saved) run in
+  Alcotest.(check string) "trajectory identical at 4 domains" ref_j wide
 
 (* Pin the comparison contract itself: wall_ms is present in the raw
    trajectory (it is informational) and completely absent once
@@ -325,8 +317,8 @@ let () =
             test_validate_rejects_tampering;
           Alcotest.test_case "trajectory is deterministic" `Quick
             test_suite_deterministic;
-          Alcotest.test_case "trajectory identical across --jobs" `Quick
-            test_suite_jobs_identical;
+          Alcotest.test_case "trajectory identical across domains" `Quick
+            test_suite_domains_identical;
           Alcotest.test_case "wall_ms excluded from comparisons" `Quick
             test_wall_ms_excluded;
           Alcotest.test_case "gate IPC elision ratio" `Quick

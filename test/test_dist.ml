@@ -638,9 +638,9 @@ let test_cluster_scaling () =
   let m2', d2' = run 2 in
   Alcotest.(check bool) "same seed, same makespan" true (Int64.equal m2 m2');
   Alcotest.(check string) "same seed, same run — bit for bit" d2 d2';
-  (* The same cluster with node stepping fanned out on real pool
-     domains: outcomes, makespan and merged metric dump must all be
-     byte-identical to the single-domain run. *)
+  (* The cluster steps its nodes inline and never consults the lib/par
+     pool, so configuring 2 or 8 pool domains must leave outcomes,
+     makespan and the metric dump byte-identical. *)
   let saved = Par.domains () in
   Fun.protect
     ~finally:(fun () -> Par.set_domains saved)
@@ -697,15 +697,12 @@ let test_session_ttl_expiry () =
   Alcotest.(check int) "re-auth cached a fresh token" (h0 + 2) (hits ())
 
 (* Cluster stationarity: the host cost of a wave must not grow with
-   the waves before it. The gauge is minor words on one domain, a
-   deterministic count, not wall time. Per-request kernel objects are
+   the waves before it. The gauge is minor words, a deterministic
+   count, not wall time. Per-request kernel objects are
    still never reclaimed, so later waves may cost a little more; an
    idle round that visits every past wave's client hosts, or a
    scheduler that scans every object, costs far more than the 3%. *)
 let test_cluster_stationary () =
-  let saved = Par.domains () in
-  Par.set_domains 1;
-  Fun.protect ~finally:(fun () -> Par.set_domains saved) @@ fun () ->
   let wc = Webcluster.build ~app_nodes:4 ~db_shards:2 ~user_count:4 () in
   let users = Webcluster.users wc in
   let cluster = Webcluster.cluster wc in

@@ -1097,8 +1097,9 @@ let print_label_pairs ps =
 (* Differential: the memoized cache must agree with the uncached
    relations on both the miss path and the hit path, and its metrics
    must account for every lookup and every denial: misses count as
-   [label.checks], hits as [label.elided]. A tiny bound forces
-   wholesale clears mid-sequence. *)
+   [label.checks] and [label.cache_misses], hits as [label.elided].
+   Each pair is looked up twice in a row, so at least half the
+   lookups hit. A tiny bound forces wholesale clears mid-sequence. *)
 let prop_label_cache_differential pairs =
   let cache = Label_cache.create ~bound:8 () in
   let was = Metrics.enabled () in
@@ -1108,6 +1109,7 @@ let prop_label_cache_differential pairs =
     (fun () ->
       let checks0 = Metrics.counter_value "label.checks" in
       let elided0 = Metrics.counter_value "label.elided" in
+      let misses0 = Metrics.counter_value "label.cache_misses" in
       let denied0 = Metrics.counter_value "label.denied" in
       let denials = ref 0 in
       List.iter
@@ -1125,12 +1127,13 @@ let prop_label_cache_differential pairs =
         pairs;
       let checks = Metrics.counter_value "label.checks" - checks0 in
       let elided = Metrics.counter_value "label.elided" - elided0 in
+      let misses = Metrics.counter_value "label.cache_misses" - misses0 in
       Check.ensure ~msg:"checks + elided must cover every lookup"
         (checks + elided = 4 * List.length pairs);
       Check.ensure ~msg:"label.checks must equal cache misses"
-        (checks = Label_cache.misses cache);
-      Check.ensure ~msg:"label.elided must equal cache hits"
-        (elided = Label_cache.hits cache);
+        (checks = misses);
+      Check.ensure ~msg:"every repeated lookup must count as elided"
+        (elided >= 2 * List.length pairs);
       Check.ensure ~msg:"label.denied missed denials"
         (Metrics.counter_value "label.denied" - denied0 = !denials))
 
@@ -1138,7 +1141,9 @@ let prop_label_cache_differential pairs =
    pairs over categories nothing else uses, look them up, drop them,
    optionally collect, then rebuild equal pairs and look them up again.
    A cache keyed on bare intern ids fails this: collected labels come
-   back with fresh ids, so the second pass misses only after a GC. *)
+   back with fresh ids, so the second pass misses only after a GC.
+   Hits and misses are the [label.elided] / [label.cache_misses]
+   deltas of an enabled metrics window. *)
 let test_label_cache_gc_independent () =
   let pass cache =
     for i = 0 to 63 do
@@ -1150,11 +1155,18 @@ let test_label_cache_gc_independent () =
     done
   in
   let run ~gc =
+    Metrics.with_enabled true @@ fun () ->
+    let counts () =
+      (Metrics.counter_value "label.elided",
+       Metrics.counter_value "label.cache_misses")
+    in
+    let h0, m0 = counts () in
     let cache = Label_cache.create () in
     pass cache;
     if gc then Gc.full_major ();
     pass cache;
-    (Label_cache.hits cache, Label_cache.misses cache)
+    let h1, m1 = counts () in
+    (h1 - h0, m1 - m0)
   in
   let without_gc = run ~gc:false in
   Gc.full_major ();

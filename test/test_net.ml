@@ -238,6 +238,62 @@ let test_hub_bandwidth_model () =
     true
     (secs > 0.7 && secs < 5.0)
 
+(* Deferred injection, the cluster's BSP barrier. Inside
+   [Hub.deferred], frames sent on two hubs, interleaved, must touch no
+   hub state: no tap sees them, [frames_sent] stays 0 and neither hub
+   clock moves. When the scope closes they reach the wire in injection
+   order across both hubs. A TCP SYN parked ahead of a datagram shows
+   that re-entrant injects during the flush are not parked again: the
+   SYN-ACK and ACK go straight to the wire, before the datagram. *)
+let test_deferred_injection () =
+  let clock1 = Clock.create () and clock2 = Clock.create () in
+  let hub1 = Hub.create ~clock:clock1 () and hub2 = Hub.create ~clock:clock2 () in
+  let a = Sim_host.create ~hub:hub1 ~clock:clock1 ~ip:"10.0.0.1" ~mac:"aa" () in
+  let b = Sim_host.create ~hub:hub1 ~clock:clock1 ~ip:"10.0.0.2" ~mac:"bb" () in
+  let c = Sim_host.create ~hub:hub2 ~clock:clock2 ~ip:"10.0.1.1" ~mac:"cc" () in
+  let _d = Sim_host.create ~hub:hub2 ~clock:clock2 ~ip:"10.0.1.2" ~mac:"dd" () in
+  Sim_host.echo b ~port:7;
+  let seen = ref [] in
+  let tap tag bytes =
+    let what =
+      match Packet.frame_of_bytes bytes with
+      | Some { Packet.ip = { proto = Packet.Udp u; _ }; _ } -> u.Packet.upayload
+      | Some { Packet.ip = { proto = Packet.Tcp t; _ }; _ } ->
+          Printf.sprintf "tcp%s%s" (if t.flags.syn then " syn" else "")
+            (if t.flags.ack then " ack" else "")
+      | None -> "?"
+    in
+    seen := (tag ^ ":" ^ what) :: !seen
+  in
+  Hub.set_tap hub1 (Some (tap "h1"));
+  Hub.set_tap hub2 (Some (tap "h2"));
+  let udp host dst msg =
+    Stack.udp_send (Sim_host.stack host) ~dst:(Addr.v dst 53) msg
+  in
+  let t1 = Clock.now_ns clock1 and t2 = Clock.now_ns clock2 in
+  let conn =
+    Hub.deferred (fun () ->
+        udp a "10.0.0.2" "1";
+        udp c "10.0.1.2" "2";
+        udp a "10.0.0.2" "3";
+        let conn = Stack.connect (Sim_host.stack a) ~dst:(Addr.v "10.0.0.2" 7) in
+        udp c "10.0.1.2" "4";
+        Alcotest.(check (list string)) "no tap sees a parked frame" [] !seen;
+        Alcotest.(check (pair int int)) "frames_sent unmoved" (0, 0)
+          (Hub.frames_sent hub1, Hub.frames_sent hub2);
+        Alcotest.(check (pair int64 int64)) "hub clocks unmoved" (t1, t2)
+          (Clock.now_ns clock1, Clock.now_ns clock2);
+        Alcotest.(check bool) "handshake still pending" true
+          (Stack.state conn = Stack.Syn_sent);
+        conn)
+  in
+  Alcotest.(check (list string))
+    "injection order, re-entrant replies straight to the wire"
+    [ "h1:1"; "h2:2"; "h1:3"; "h1:tcp syn"; "h1:tcp syn ack"; "h1:tcp ack"; "h2:4" ]
+    (List.rev !seen);
+  Alcotest.(check bool) "handshake completed in the flush" true
+    (Stack.state conn = Stack.Established)
+
 (* Satellite: byte-conservation identity. Every frame copy the hub
    accepts is charged to [net.bytes_tx] (per delivered copy) and then
    accounted exactly once as received, lost, or unroutable, so after
@@ -788,6 +844,7 @@ let () =
           Alcotest.test_case "udp" `Quick test_udp;
           Alcotest.test_case "bandwidth model" `Quick test_hub_bandwidth_model;
           Alcotest.test_case "byte conservation" `Quick test_byte_conservation;
+          Alcotest.test_case "deferred injection" `Quick test_deferred_injection;
           Alcotest.test_case "wire byte-identity" `Quick
             test_wire_byte_identity;
           Alcotest.test_case "transmit allocation linear" `Quick

@@ -183,8 +183,8 @@ let test_task_flag_confined () =
 
 (* A snapshot window around a nested [Par.run] reads the d = 1 window,
    both at top level and inside a pool task (where the nested run is
-   inline): the property the bench runner's per-workload windows rest
-   on. *)
+   inline): the property any caller's metrics window around a pooled
+   run rests on. *)
 let test_window_around_nested_run () =
   let c = Metrics.counter "par.test.hits" in
   let h = Metrics.histogram "par.test.lat" ~bounds:[| 1; 10; 100 |] in
