@@ -409,44 +409,6 @@ let dist_cluster ?(user_count = 2) ?(concurrency = 8) ?(zipf = false) ~nodes
     outcomes;
   Webcluster.elapsed_since wc t0
 
-(* The versioned-state API itself: off a populated, checkpointed
-   trunk, fork a chain of copy-on-write store branches at each depth,
-   mutating every link, then checkpoint + fsck the leaf and drop the
-   chain. Each depth also takes a whole-kernel handle. Deep chains stay
-   cheap because a fork copies only the B+-tree path to each mutated
-   object. *)
-let snapshot_fork size =
-  let objects = pick size ~smoke:192 ~full:2048 in
-  let rounds = pick size ~smoke:1 ~full:4 in
-  let m = mk_machine () in
-  boot m (fun _fs _proc ->
-      let payload = String.make 128 's' in
-      for i = 0 to objects - 1 do
-        Store.put m.store ~oid:(Int64.of_int (0x5000 + i)) payload
-      done;
-      Store.checkpoint m.store);
-  (* Kernel is quiescent now; branch off the trunk. *)
-  let (), ns =
-    timed m.clock (fun () ->
-        for round = 1 to rounds do
-          List.iter
-            (fun depth ->
-              ignore (Kernel.fork m.kernel : Kernel.handle);
-              let leaf = ref m.store in
-              for d = 0 to depth - 1 do
-                let b = Store.fork !leaf in
-                Store.put b
-                  ~oid:(Int64.of_int (0x5000 + (d mod objects)))
-                  (Printf.sprintf "branch %d/%d/%d" round depth d);
-                leaf := b
-              done;
-              Store.checkpoint !leaf;
-              Store.fsck !leaf)
-            [ 1; 8; 64 ]
-        done)
-  in
-  ns
-
 (* The LIO floating-label layer priced end to end: one service thread
    serving a fixed mix of tenant evaluations, each a [to_labeled]
    block (one-shot gate create + call + reap) plus a laundering outbox
@@ -536,9 +498,6 @@ let workloads =
      "web cluster request batch over 16 app nodes, zipfian over 8 users",
      fun size ->
        dist_cluster ~nodes:16 ~user_count:8 ~concurrency:16 ~zipf:true size);
-    ("snapshot-fork",
-     "copy-on-write store branches: fork/mutate/fsck/drop at depth 1/8/64",
-     snapshot_fork);
     ("lio-eval",
      "multi-tenant LIO evaluator: to_labeled blocks + laundered outbox scopes",
      lio_eval);

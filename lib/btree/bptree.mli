@@ -9,11 +9,11 @@
     The tree is immutable: {!insert} and {!remove} return a new tree
     that shares all untouched nodes with the old one (path copying).
     A version of the whole map is therefore an O(1) value copy, which
-    is what lets kernel states fork in O(1) and lets the crash sweep
-    and conformance fuzzer branch from any point instead of replaying.
+    is what lets the crash sweep capture the disk media at every write
+    ([Disk.snapshot]) instead of replaying the prefix.
     Node constructions are counted in the [btree.node_allocs] metrics
-    counter, so structural-sharing claims are assertable: forking N
-    branches must allocate O(N·height of the touched paths), never
+    counter, so structural-sharing claims are assertable: N captures
+    and writes allocate O(N·height of the touched paths), never
     O(N·entries).
 
     Keys are unique; inserting an existing key replaces its value. *)

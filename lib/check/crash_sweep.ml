@@ -1,6 +1,5 @@
 module Disk = Histar_disk.Disk
 module Metrics = Histar_metrics.Metrics
-module Par = Histar_par.Par
 
 (* Sweep cells actually checked (one per crash index), so sweep
    throughput can be watched. *)
@@ -113,24 +112,7 @@ let clean_run_with_captures w ~seed =
   assert (Array.length snaps = total);
   (inst, snaps, total)
 
-(* Run [f] with the current metrics scope switched off, so the
-   redundant per-chunk clean runs of a parallel fork sweep contribute
-   nothing — the totals folded into the caller's scope stay
-   byte-identical to the single-domain sweep. *)
-let metrics_quiet f = Metrics.with_enabled false f
-
-(* Contiguous split of [arr] into at most [d] nonempty chunks. Order is
-   preserved, so the lowest falsifying index always lives in the
-   lowest-numbered falsifying chunk — [Par.run]'s lowest-task-index
-   re-raise therefore reproduces the sequential first failure. *)
-let chunks_of d arr =
-  let m = Array.length arr in
-  let d = max 1 (min d m) in
-  List.init d (fun k -> Array.sub arr (k * m / d) (((k + 1) * m / d) - (k * m / d)))
-  |> List.filter (fun c -> Array.length c > 0)
-  |> Array.of_list
-
-let sweep ?domains ?seed:seed_arg ?(max_points = 64) ?full w =
+let sweep ?seed:seed_arg ?(max_points = 64) ?full w =
   let seed = match seed_arg with Some s -> s | None -> Check.seed () in
   let full = match full with Some f -> f | None -> Check.full_mode () in
   let t0 = Stdlib.Sys.time () in
@@ -144,27 +126,7 @@ let sweep ?domains ?seed:seed_arg ?(max_points = 64) ?full w =
           (if full then List.init total Fun.id
            else strided ~total ~n:max_points)
   in
-  (* Cells share an instance ([restore_model] mutates it), so
-     parallelism is per contiguous chunk: chunk 0 reuses the clean run
-     above, every other chunk deterministically rebuilds its own
-     captures — silently, metrics-wise. *)
-  let d =
-    if Par.in_task () then 1
-    else match domains with Some d -> d | None -> Par.domains ()
-  in
-  let chunks = chunks_of d indices in
-  ignore
-    (Par.run ?domains (Array.length chunks) (fun k ->
-         let inst, snaps =
-           if k = 0 then (inst, snaps)
-           else
-             let inst, snaps, _ =
-               metrics_quiet (fun () -> clean_run_with_captures w ~seed)
-             in
-             (inst, snaps)
-         in
-         Array.iter (fork_one w inst ~seed ~total snaps) chunks.(k))
-      : unit array);
+  Array.iter (fork_one w inst ~seed ~total snaps) indices;
   {
     workload = w.name;
     total_writes = total;

@@ -61,18 +61,14 @@ type report = {
   wall_seconds : float;  (** host CPU time for the whole sweep *)
 }
 
-val sweep :
-  ?domains:int -> ?seed:int64 -> ?max_points:int -> ?full:bool -> t -> report
+val sweep : ?seed:int64 -> ?max_points:int -> ?full:bool -> t -> report
 (** Defaults: seed from {!Check.seed}, [max_points] 64, [full] from
     {!Check.full_mode}. Honors [HISTAR_CHECK_WORKLOAD] /
     [HISTAR_CHECK_CRASH_INDEX] for single-point replay.
 
-    Cells fan out on the lib/par pool ([?domains] defaults to
-    [Par.domains ()]) in contiguous chunks; each extra chunk
-    deterministically rebuilds its own clean-run captures with metrics
-    muted. Any falsification raised, and the merged metric totals, are
-    byte-identical at every domain count — the first (lowest-index)
-    failing cell wins, exactly as in a sequential sweep. *)
+    Cells run in one loop, in ascending crash index, all off the one
+    clean run's captures; the first (lowest-index) failing cell's
+    falsification is raised. *)
 
 val replay_cell : t -> seed:int64 -> total:int -> int -> unit
 (** [replay_cell w ~seed ~total i] is the replay oracle for crash

@@ -3,7 +3,6 @@ module Level = Histar_label.Level
 module Category = Histar_label.Category
 module Category_gen = Histar_crypto.Category_gen
 module Store = Histar_store.Store
-module Bptree = Histar_btree.Bptree
 module Sim_clock = Histar_util.Sim_clock
 module Codec = Histar_util.Codec
 open Types
@@ -42,10 +41,10 @@ type wait_reason =
 (* ---------- kernel objects ---------- *)
 
 (* The kernel's oid-keyed tables: the object table, each container's
-   children, the futex queues and the fork encodings. Oids are
-   block-cipher output (§3) and futex keys mix an oid linearly, so the
-   key's own low bits are already evenly spread and serve as the hash;
-   this keeps [caml_hash] and polymorphic compare off the syscall path. *)
+   children and the futex queues. Oids are block-cipher output (§3) and
+   futex keys mix an oid linearly, so the key's own low bits are already
+   evenly spread and serve as the hash; this keeps [caml_hash] and
+   polymorphic compare off the syscall path. *)
 module Oid_tbl = Hashtbl.Make (struct
   type t = int64
 
@@ -161,12 +160,6 @@ type t = {
   syscall_cost_ns : int;
   weaken : weaken option;
   key : int64;
-  (* Fork support: [snap] is the persistent oid → encoded-object map as
-     of the last fork (or resume), and [snap_enc] caches each object's
-     last encoding so an unchanged object costs one string comparison
-     and zero tree writes at the next fork. *)
-  mutable snap : string Bptree.t;
-  snap_enc : string Oid_tbl.t;
 }
 
 let clock t = t.clock
@@ -1615,7 +1608,7 @@ let container_parent_of k oid =
    generators at zero; [recover] and [resume] restore their counters. *)
 let make ~clock ?store ~key ~oid_counter ~cat_counter ~root
     ?(label_cache = Label_cache.create ()) ?(profile = Profile.create ())
-    ?(syscall_cost_ns = 500) ?weaken ?(snap = Bptree.create ()) () =
+    ?(syscall_cost_ns = 500) ?weaken () =
   {
     clock;
     store;
@@ -1633,8 +1626,6 @@ let make ~clock ?store ~key ~oid_counter ~cat_counter ~root
     syscall_cost_ns;
     weaken;
     key;
-    snap;
-    snap_enc = Oid_tbl.create 256;
   }
 
 let create ?(seed = 0x4853_7461_7221L) ?clock ?store ?syscall_cost_ns ?weaken
@@ -1801,18 +1792,13 @@ let recover ~store =
 
 (* ---------- branchable kernel states ---------- *)
 
-(* A handle is a whole-kernel version: every object in its serialized
-   form inside a persistent map, plus the scalar machine state. Taking
-   one re-encodes live objects but only *writes* tree paths for objects
-   whose encoding changed since the previous fork, so N sibling forks
-   of a quiescent kernel cost O(N) tree nodes, not O(N · objects) —
-   the structural-sharing property the btree.node_allocs counter
-   asserts. Continuations are not serializable (the same departure from
-   the paper as [recover]), so a resumed branch comes back with all
-   threads halted and code-carrying gates dead; harnesses re-arm
-   threads with [restart_thread]. *)
+(* A handle is a whole-kernel version: every live object's encoding,
+   sorted by oid, plus the scalar machine state. Continuations are not
+   serializable (the same departure from the paper as [recover]), so a
+   resumed branch comes back with all threads halted and code-carrying
+   gates dead; harnesses re-arm threads with [restart_thread]. *)
 type handle = {
-  h_objects : string Bptree.t;
+  h_objects : (oid * string) array;
   h_root : oid;
   h_oid_counter : int64;
   h_cat_counter : int64;
@@ -1825,31 +1811,13 @@ type handle = {
 }
 
 let fork k =
-  (* Drop tree entries for objects destroyed since the last fork. *)
-  let stale =
-    Oid_tbl.fold
-      (fun oid _ acc -> if Oid_tbl.mem k.objects oid then acc else oid :: acc)
-      k.snap_enc []
+  let objects =
+    Array.of_seq
+      (Seq.map (fun (oid, o) -> (oid, encode_obj o)) (Oid_tbl.to_seq k.objects))
   in
-  List.iter
-    (fun oid ->
-      Oid_tbl.remove k.snap_enc oid;
-      match Bptree.remove k.snap oid with
-      | Some m -> k.snap <- m
-      | None -> ())
-    stale;
-  (* Re-encode live objects; only changed encodings touch the tree. *)
-  Oid_tbl.iter
-    (fun oid o ->
-      let enc = encode_obj o in
-      match Oid_tbl.find_opt k.snap_enc oid with
-      | Some prev when String.equal prev enc -> ()
-      | _ ->
-          Oid_tbl.replace k.snap_enc oid enc;
-          k.snap <- Bptree.insert k.snap oid enc)
-    k.objects;
+  Array.sort (fun (a, _) (b, _) -> Int64.compare a b) objects;
   {
-    h_objects = k.snap;
+    h_objects = objects;
     h_root = k.root;
     h_oid_counter = Category_gen.counter k.oidgen;
     h_cat_counter = Category_gen.counter k.catgen;
@@ -1861,6 +1829,8 @@ let fork k =
     h_profile = Profile.copy k.profile;
   }
 
+(* Decoding in oid order fills the tables in the same order on every
+   resume of a handle. *)
 let resume h =
   let clock = Sim_clock.create () in
   Sim_clock.advance_ns clock h.h_now_ns;
@@ -1869,16 +1839,14 @@ let resume h =
       ~cat_counter:h.h_cat_counter ~root:h.h_root
       ~label_cache:(Label_cache.copy h.h_label_cache)
       ~profile:(Profile.copy h.h_profile) ~syscall_cost_ns:h.h_syscall_cost_ns
-      ?weaken:h.h_weaken ~snap:h.h_objects ()
+      ?weaken:h.h_weaken ()
   in
-  Bptree.iter
-    (fun oid enc ->
-      Oid_tbl.replace k.snap_enc oid enc;
-      Oid_tbl.replace k.objects oid (decode_obj enc))
+  Array.iter
+    (fun (oid, enc) -> Oid_tbl.replace k.objects oid (decode_obj enc))
     h.h_objects;
   k
 
-let handle_object_count h = Bptree.cardinal h.h_objects
+let handle_object_count h = Array.length h.h_objects
 
 (* Restart a thread that decoded as halted: same oid, same TLS, fresh
    entry body. Consumes no generator state, so a restarted branch stays

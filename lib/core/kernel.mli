@@ -124,12 +124,11 @@ val recover : store:Histar_store.Store.t -> t
 (** {1 Branchable kernel states}
 
     A {!handle} is an immutable version of the whole kernel: every
-    object in serialized form inside a persistent map, plus the scalar
-    machine state (generators, virtual time, label-cache and profile
-    copies). {!fork} is O(changed objects) in tree writes — N sibling
-    forks of a quiescent kernel allocate O(N) B+-tree nodes, never
-    O(N·objects) — and the handle itself is a pure value: {!resume} any
-    number of independent kernels from it, in any order. Like
+    live object's encoding, sorted by oid, plus the scalar machine
+    state (generators, virtual time, label-cache and profile copies).
+    {!fork} encodes every live object once, and the handle is a pure
+    value: {!resume} any number of independent kernels from it, in any
+    order. Like
     {!recover}, a resumed branch has all threads halted and
     code-carrying gates dead (continuations are not serializable);
     harnesses re-arm threads with {!restart_thread}. *)

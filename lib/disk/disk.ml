@@ -52,7 +52,7 @@ type stats = {
    "the platter as of this instant" is an O(1) root copy, which is what
    lets the crash sweep snapshot at every write instead of replaying
    the workload prefix for every crash point. The volatile write cache
-   stays a hash table — it is lost on crash and copied on fork. *)
+   stays a hash table — it is lost on crash. *)
 type t = {
   geometry : geometry;
   params : params;
@@ -318,24 +318,4 @@ let restore snap ~clock =
     write_trace = None;
     pre_write_hook = None;
     faults = None;
-  }
-
-let fork t =
-  check_alive t;
-  {
-    t with
-    media = t.media;
-    cache = Hashtbl.copy t.cache;
-    stats =
-      {
-        reads = t.stats.reads;
-        writes = t.stats.writes;
-        sectors_read = t.stats.sectors_read;
-        sectors_written = t.stats.sectors_written;
-        flushes = t.stats.flushes;
-        seeks = t.stats.seeks;
-      };
-    crash_after = None;
-    write_trace = None;
-    pre_write_hook = None;
   }

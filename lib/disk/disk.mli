@@ -126,9 +126,8 @@ val reopen_after_crash : t -> t
 
     The durable media is a persistent (path-copying) B+-tree, so the
     platter contents at any instant are an O(1) value. {!snapshot}
-    captures them, {!restore} rebuilds an independent disk over them,
-    and {!fork} branches a live disk. Branches never alias: writes on
-    one are invisible to the others. *)
+    captures them and {!restore} rebuilds an independent disk over
+    them; writes on a restored disk are invisible to every other. *)
 
 type snapshot
 (** Immutable capture of the durable media contents (the volatile write
@@ -143,12 +142,6 @@ val restore : snapshot -> clock:Histar_util.Sim_clock.t -> t
     stats, head at sector 0, no crash scheduled, no faults — exactly
     the state {!reopen_after_crash} would produce had the original disk
     crashed at the capture point. O(1). *)
-
-val fork : t -> t
-(** Branch a live (non-crashed) disk: shares the media structurally,
-    copies the volatile cache and per-instance stats, keeps the clock
-    and fault plan, and clears any scheduled crash, write trace and
-    pre-write hook on the branch. Writes on either side stay local. *)
 
 val set_pre_write_hook : t -> (unit -> unit) option -> unit
 (** Install a hook that fires immediately {e before} each media sector

@@ -26,7 +26,7 @@ let intern_tbl = Intern.create 1024
 let next_uid = ref 0
 
 (* Interning is process-global and domains intern concurrently (check
-   cells and cluster nodes run on the lib/par pool), so the weak table
+   cells run on the lib/par pool), so the weak table
    and the uid counter sit behind one mutex. Canonical pointers stay
    canonical across domains — two domains interning structurally equal
    labels get the same heap object — which is what keeps [equal]'s

@@ -1,5 +1,4 @@
 module Sim_clock = Histar_util.Sim_clock
-module Rng = Histar_util.Rng
 module Metrics = Histar_metrics.Metrics
 module Net_faults = Histar_faults.Faults.Net_faults
 
@@ -57,8 +56,6 @@ type t = {
   clock : Sim_clock.t;
   bandwidth_bps : float;
   latency_us : float;
-  loss_rate : float;
-  rng : Rng.t;
   endpoints : (string, endpoint) Hashtbl.t;
   by_ip : (Addr.ip, string) Hashtbl.t;
   links : (string, link) Hashtbl.t;
@@ -77,14 +74,11 @@ type t = {
 
 let broadcast_mac = "ff:ff:ff:ff:ff:ff"
 
-let create ?(bandwidth_bps = 100e6) ?(latency_us = 100.0) ?(loss_rate = 0.0)
-    ?rng ?faults ~clock () =
+let create ?(bandwidth_bps = 100e6) ?(latency_us = 100.0) ?faults ~clock () =
   {
     clock;
     bandwidth_bps;
     latency_us;
-    loss_rate;
-    rng = (match rng with Some r -> r | None -> Rng.create 0x6e657477L);
     endpoints = Hashtbl.create 8;
     by_ip = Hashtbl.create 8;
     links = Hashtbl.create 8;
@@ -245,40 +239,34 @@ let inject_now t bytes =
     match decoded with Some f -> Some f.Packet.src_mac | None -> None
   in
   account_tx ~src:src_mac nbytes;
-  let lost =
-    t.loss_rate > 0.0
-    && Rng.int t.rng 1_000_000 < int_of_float (t.loss_rate *. 1e6)
-  in
-  (if lost then drop_lost t ~nbytes
-   else
-     match t.faults with
-     | None -> route t decoded bytes
-     | Some nf -> (
-         let v = Net_faults.on_frame nf ~now_ns:(Sim_clock.now_ns t.clock) in
-         match v.Net_faults.drop with
-         | `Loss | `Flap -> drop_lost t ~nbytes
-         | `No ->
-             let decoded, bytes =
-               if v.Net_faults.corrupt then (
-                 let b = Bytes.of_string bytes in
-                 Net_faults.corrupt_bytes nf b;
-                 let bytes = Bytes.unsafe_to_string b in
-                 (Packet.frame_of_bytes bytes, bytes))
-               else (decoded, bytes)
-             in
-             if Int64.compare v.Net_faults.jitter_ns 0L > 0 then
-               Sim_clock.advance_ns t.clock v.Net_faults.jitter_ns;
-             if v.Net_faults.hold > 0 then (
-               Metrics.Counter.incr m_frames_reordered;
-               t.holdq <- t.holdq @ [ (v.Net_faults.hold, decoded, bytes) ])
-             else begin
-               route t decoded bytes;
-               if v.Net_faults.duplicate then begin
-                 Metrics.Counter.incr m_frames_duplicated;
-                 account_tx ~src:src_mac nbytes;
-                 route t decoded bytes
-               end
-             end));
+  (match t.faults with
+  | None -> route t decoded bytes
+  | Some nf -> (
+      let v = Net_faults.on_frame nf ~now_ns:(Sim_clock.now_ns t.clock) in
+      match v.Net_faults.drop with
+      | `Loss | `Flap -> drop_lost t ~nbytes
+      | `No ->
+          let decoded, bytes =
+            if v.Net_faults.corrupt then (
+              let b = Bytes.of_string bytes in
+              Net_faults.corrupt_bytes nf b;
+              let bytes = Bytes.unsafe_to_string b in
+              (Packet.frame_of_bytes bytes, bytes))
+            else (decoded, bytes)
+          in
+          if Int64.compare v.Net_faults.jitter_ns 0L > 0 then
+            Sim_clock.advance_ns t.clock v.Net_faults.jitter_ns;
+          if v.Net_faults.hold > 0 then (
+            Metrics.Counter.incr m_frames_reordered;
+            t.holdq <- t.holdq @ [ (v.Net_faults.hold, decoded, bytes) ])
+          else begin
+            route t decoded bytes;
+            if v.Net_faults.duplicate then begin
+              Metrics.Counter.incr m_frames_duplicated;
+              account_tx ~src:src_mac nbytes;
+              route t decoded bytes
+            end
+          end));
   release_due t
 
 let inject t bytes =

@@ -1,6 +1,7 @@
 (** The simulated wire: a hub connecting endpoints by MAC address, with
     a bandwidth/latency model charged on the shared virtual clock and
-    optional random frame loss for exercising retransmission.
+    an optional deterministic fault plan (loss, corruption,
+    duplication, reordering, jitter, link flaps).
 
     Substitutes for the paper's 100 Mbps Ethernet (§7.2). *)
 
@@ -15,13 +16,11 @@ type endpoint = {
 val create :
   ?bandwidth_bps:float ->
   ?latency_us:float ->
-  ?loss_rate:float ->
-  ?rng:Histar_util.Rng.t ->
   ?faults:Histar_faults.Faults.Net_faults.t ->
   clock:Histar_util.Sim_clock.t ->
   unit ->
   t
-(** Defaults: 100 Mbps, 100 µs latency, no loss, no fault plan. *)
+(** Defaults: 100 Mbps, 100 µs latency, no fault plan. *)
 
 val set_faults : t -> Histar_faults.Faults.Net_faults.t option -> unit
 (** Attach (or clear) a deterministic network-fault plan: per-frame

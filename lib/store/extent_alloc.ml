@@ -1,8 +1,7 @@
 module Bptree = Histar_btree.Bptree
 
 (* The two index trees are persistent; the allocator handle just holds
-   the current roots. [copy] is therefore O(1) and copies never alias:
-   a fork's allocations can't leak into the trunk. *)
+   the current roots. [copy] is therefore O(1) and copies never alias. *)
 type t = {
   mutable by_size : int64 Bptree.t;  (** key = size<<32 | start, value = start *)
   mutable by_loc : int64 Bptree.t;  (** key = start, value = size *)
@@ -124,7 +123,6 @@ let check_invariants t =
       last := Some (start, len))
     t.by_loc
 
-(* Structural sharing makes this a constant-time branch point. *)
 let copy t = { by_size = t.by_size; by_loc = t.by_loc }
 
 let encode enc t =

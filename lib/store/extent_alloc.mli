@@ -38,8 +38,7 @@ val to_list : t -> (int * int) list
 val copy : t -> t
 (** An independent copy — O(1), the persistent trees are shared
     structurally (used to encode "allocator as of the end of the
-    checkpoint" while deferring frees for crash atomicity, and to give
-    each store fork its own allocator). *)
+    checkpoint" while deferring frees for crash atomicity). *)
 
 val check_invariants : t -> unit
 (** Both trees describe the same extent set; no extent overlaps or abuts

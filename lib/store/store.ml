@@ -44,11 +44,8 @@ type update = { payload : string; prefix_len : int option }
 
 (* What the store knows about a clean object's home image: enough to
    verify it exactly, and to rewrite a few of its sectors in place and
-   fix up the checksum without touching the rest. A fork shares these
-   records with its trunk; the first branch to patch one copies it
-   ([owner] names the branch allowed to mutate the bytes). *)
+   fix up the checksum without touching the rest. *)
 type home = {
-  owner : unit ref;
   len : int;  (** payload bytes *)
   prefix_len : int option;
   sums : Bytes.t;
@@ -73,9 +70,8 @@ type t = {
   apply_threshold : int;
   sector_bytes : int;
   mutable object_map : int64 Bptree.t;
-      (** oid → packed (start << 24 | sector count). The tree is
-          persistent; this field holds the current root, so {!fork} can
-          branch the whole map in O(1). *)
+      (** oid → packed (start << 24 | sector count); the current root
+          of a persistent tree *)
   alloc : Extent_alloc.t;
   dirty : (int64, update option) Hashtbl.t;
       (** pending updates; [None] means deletion. An object with a
@@ -84,7 +80,6 @@ type t = {
       (** home images of clean objects only: staging an update (or
           logging a clean object) drops the entry until the checkpoint
           that writes the next image *)
-  mutable owner : unit ref;  (** this branch's stamp on [homes] records *)
   stats : stats;
   mutable generation : int64;
   mutable checkpoint_extent : (int * int) option;  (** start, sectors *)
@@ -293,7 +288,6 @@ let format ~disk ?(wal_sectors = default_wal_sectors) ?(apply_threshold = 1000)
       alloc;
       dirty = Hashtbl.create 256;
       homes = Hashtbl.create 256;
-      owner = ref ();
       stats = fresh_stats ();
       generation = 0L;
       checkpoint_extent = None;
@@ -319,7 +313,7 @@ let read_from_home t oid =
       let prefix_len = Option.bind home (fun h -> h.prefix_len) in
       let payload = String.sub image header_bytes len in
       Hashtbl.replace t.homes oid
-        { owner = t.owner; len; prefix_len; sums; clean = Some (Frozen payload) };
+        { len; prefix_len; sums; clean = Some (Frozen payload) };
       Some payload
 
 let get t ~oid =
@@ -417,7 +411,6 @@ let checkpoint t =
               t.object_map <- Bptree.insert t.object_map oid (pack ~start ~sectors);
               Hashtbl.replace t.homes oid
                 {
-                  owner = t.owner;
                   len = String.length payload;
                   prefix_len;
                   sums;
@@ -502,24 +495,14 @@ let sync_oids t ~oids =
 
 let sync_oid t ~oid = sync_oids t ~oids:[ oid ]
 
-(* Make [h] patchable by this branch: copy-on-write for records a fork
-   still shares with its sibling, and a private buffer for a frozen
-   clean copy. *)
+(* Make [h] patchable: thaw a frozen clean copy into a private buffer. *)
 let own_home t oid (h : home) =
-  let mine = h.owner == t.owner in
   match h.clean with
-  | (Some (Patched _) | None) when mine -> h
-  | clean ->
-      let clean =
-        match clean with
-        | Some (Frozen s) -> Some (Patched (Bytes.of_string s))
-        | Some (Patched c) -> Some (Patched (Bytes.copy c))
-        | None -> None
-      in
-      let sums = if mine then h.sums else Bytes.copy h.sums in
-      let h = { h with owner = t.owner; sums; clean } in
+  | Some (Frozen s) ->
+      let h = { h with clean = Some (Patched (Bytes.of_string s)) } in
       Hashtbl.replace t.homes oid h;
       h
+  | Some (Patched _) | None -> h
 
 (* Copy [len] bytes of the payload [prefix ^ data], from payload offset
    [src], into [dst] at [dst_off]. *)
@@ -678,7 +661,6 @@ let recover ~disk =
       alloc;
       dirty = Hashtbl.create 256;
       homes = Hashtbl.create 256;
-      owner = ref ();
       stats = fresh_stats ();
       generation;
       checkpoint_extent;
@@ -832,40 +814,6 @@ let scrub ?(max_passes = 10) t =
   }
 
 let quarantined_extents t = t.quarantined
-
-(* ---------- branching ---------- *)
-
-(* O(1) in the number of objects: the object map and both allocator
-   trees are persistent (shared roots), the disk fork shares the
-   persistent media map, and the WAL handle is a fresh record over the
-   forked disk. Only the dirty set, the home table and the volatile disk
-   cache are copied, shallowly: both sides take a fresh [owner] stamp,
-   so whichever first patches a shared home record copies its bytes.
-   The [quarantined] list and [wal_epoch] live in this record, so a
-   fork's quarantines and epoch bumps never reach the trunk. *)
-let fork t =
-  let disk = Disk.fork t.disk in
-  let wal = Wal.fork t.wal ~disk in
-  t.owner <- ref ();
-  {
-    disk;
-    wal;
-    wal_sectors = t.wal_sectors;
-    apply_threshold = t.apply_threshold;
-    sector_bytes = t.sector_bytes;
-    object_map = t.object_map;
-    alloc = Extent_alloc.copy t.alloc;
-    dirty = Hashtbl.copy t.dirty;
-    homes = Hashtbl.copy t.homes;
-    owner = ref ();
-    stats = fresh_stats ();
-    generation = t.generation;
-    checkpoint_extent = t.checkpoint_extent;
-    quarantined = t.quarantined;
-    wal_epoch = t.wal_epoch;
-  }
-
-let disk t = t.disk
 
 (* ---------- inspection ---------- *)
 

@@ -36,16 +36,6 @@ val recover : disk:Histar_disk.Disk.t -> t
     and [store.recovered_objects] — the numbers a shard-death drill
     reads to prove a node really came back from its own store. *)
 
-val fork : t -> t
-(** Branch the whole store — O(1) in the number of objects. The object
-    map and allocator trees are persistent and shared structurally; the
-    disk fork shares the persistent media map. Mutations on either side
-    (puts, checkpoints, scrubs, quarantines, WAL epoch bumps) stay
-    local to that branch. {!fsck} is valid on any branch. *)
-
-val disk : t -> Histar_disk.Disk.t
-(** The disk this store handle writes to (a fork's is its own). *)
-
 val put : t -> oid:int64 -> ?prefix_len:int -> string -> unit
 (** Stage an update. [prefix_len] marks the payload's first
     [prefix_len] bytes as a small header and the rest as a data region

@@ -199,12 +199,6 @@ let committed_records t = t.committed
 let pending_records t = List.length t.pending
 let epoch t = t.epoch
 
-(* A branch's log handle: same cursor state, bound to the branch's
-   disk. The epoch/head/seq fields live in this fresh record, so a
-   fork's truncates (epoch bumps) never move the trunk's epoch — and
-   vice versa. O(1); the pending list is immutable. *)
-let fork t ~disk = { t with disk }
-
 let check_invariants t =
   if t.head < 1 || t.head > t.sectors then
     failwith

@@ -60,13 +60,6 @@ val epoch : t -> int64
     snapshot, closing the crash window between a checkpoint's
     superblock write and the log truncate. *)
 
-val fork : t -> disk:Histar_disk.Disk.t -> t
-(** A branch's log handle over [disk] (normally
-    [Histar_disk.Disk.fork] of the trunk's): identical cursor state
-    (epoch, head, sequence, committed count, pending records) in a
-    fresh record, so epoch bumps and appends on either side stay local
-    to that branch. O(1). *)
-
 val check_invariants : t -> unit
 (** Raises [Failure] if the handle and the on-disk log disagree: the
     region must re-parse to exactly [committed_records] records of the

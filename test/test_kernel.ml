@@ -1510,7 +1510,7 @@ let test_profile_fork_resume () =
   Alcotest.(check (list (pair string int))) "trunk unchanged" expected_profile
     (Profile.to_list (Kernel.profile k))
 
-(* ---------- branchable kernel states (fork / resume / drop) ---------- *)
+(* ---------- branchable kernel states (fork / resume) ---------- *)
 
 let test_fork_resume_isolated () =
   let k = Kernel.create () in
@@ -1581,6 +1581,47 @@ let test_fork_resume_reruns_deterministically () =
   in
   Alcotest.(check (list int64)) "same oids on both resumes" (run_once ())
     (run_once ())
+
+let test_fork_after_destroy_and_create () =
+  (* A second fork after the trunk destroyed one segment and created
+     another captures exactly the trunk's live objects. *)
+  let k = Kernel.create () in
+  let root = Kernel.root k in
+  let in_thread f =
+    let r = ref None in
+    let _tid = Kernel.spawn k ~name:"step" (fun () -> r := Some (f ())) in
+    Kernel.run k;
+    Option.get !r
+  in
+  let make data =
+    in_thread (fun () ->
+        let s =
+          Sys.segment_create ~container:root ~label:l1 ~quota:4096L
+            ~len:(String.length data) "seg"
+        in
+        Sys.segment_write (centry root s) ~off:0 data;
+        s)
+  in
+  let doomed = make "doomed" in
+  let _kept = make "kept" in
+  let first = Kernel.fork k in
+  Alcotest.(check bool) "first fork holds the doomed segment" true
+    (Kernel.obj_kind (Kernel.resume first) doomed <> None);
+  in_thread (fun () -> Sys.unref (centry root doomed));
+  let fresh = make "fresh!" in
+  let h = Kernel.fork k in
+  let b = Kernel.resume h in
+  Alcotest.(check int) "handle holds the trunk's live objects"
+    (Kernel.object_count k)
+    (Kernel.handle_object_count h);
+  Alcotest.(check int) "resumed object count" (Kernel.object_count k)
+    (Kernel.object_count b);
+  Alcotest.(check (option string)) "new segment's bytes" (Some "fresh!")
+    (Kernel.segment_data b fresh);
+  Alcotest.(check bool) "destroyed oid absent" true
+    (Kernel.obj_kind b doomed = None);
+  Alcotest.(check bool) "same container children" true
+    (Kernel.container_children b root = Kernel.container_children k root)
 
 let test_restart_thread_rejects_non_thread () =
   let k = Kernel.create () in
@@ -1744,6 +1785,8 @@ let () =
             test_fork_resume_isolated;
           Alcotest.test_case "resume is deterministic" `Quick
             test_fork_resume_reruns_deterministically;
+          Alcotest.test_case "fork after destroy and create" `Quick
+            test_fork_after_destroy_and_create;
           Alcotest.test_case "restart guard" `Quick
             test_restart_thread_rejects_non_thread;
         ] );

@@ -106,9 +106,25 @@ let test_tcp_rst_on_closed_port () =
   Alcotest.(check bool) "reset" true (Stack.state c = Stack.Closed)
 
 let test_tcp_loss_recovery () =
+  let module Schedule = Histar_faults.Faults.Schedule in
   let clock = Clock.create () in
-  let rng = Histar_util.Rng.create 42L in
-  let hub = Hub.create ~clock ~loss_rate:0.05 ~rng () in
+  let loss_only =
+    Schedule.mk ~seed:42L
+      ~net:
+        {
+          Schedule.loss_rate = 0.05;
+          corrupt_rate = 0.0;
+          duplicate_rate = 0.0;
+          reorder_rate = 0.0;
+          reorder_depth = 0;
+          jitter_us = 0;
+          flap_period_ms = 0;
+          flap_down_ms = 0;
+        }
+      ()
+  in
+  let faults = Histar_faults.Faults.Net_faults.create loss_only in
+  let hub = Hub.create ?faults ~clock () in
   let a = Sim_host.create ~hub ~clock ~ip:"10.0.0.1" ~mac:"aa" () in
   let b = Sim_host.create ~hub ~clock ~ip:"10.0.0.2" ~mac:"bb" () in
   let content = String.init 50_000 (fun i -> Char.chr (i * 7 land 0xff)) in

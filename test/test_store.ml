@@ -273,42 +273,6 @@ let test_sync_range_refuses () =
     (Store.sync_range s ~oid:2L ~prefix ~data ~off:0 ~len:16);
   Store.fsck s
 
-let test_sync_range_fork_local () =
-  (* An in-place flush on a branch rewrites only the branch's disk and
-     copies the shared hash state: the trunk recovers, fscks and reads
-     exactly what it had. *)
-  let _clock, disk, s = mk () in
-  let data = Bytes.make 20_000 'a' in
-  homed_object s ~oid:3L data;
-  let b = Store.fork s in
-  let patched = Bytes.copy data in
-  Bytes.fill patched 9_000 3_000 'b';
-  Alcotest.(check bool) "branch in place" true
-    (Store.sync_range b ~oid:3L ~prefix ~data:patched ~off:9_000 ~len:3_000);
-  Store.fsck b;
-  Store.fsck s;
-  let expect what st c =
-    match Store.get st ~oid:3L with
-    | Some v -> Alcotest.(check char) what c v.[4 + 10_000]
-    | None -> Alcotest.fail (what ^ ": object lost")
-  in
-  expect "trunk cache untouched" s 'a';
-  expect "branch cache patched" b 'b';
-  let trunk' = Store.recover ~disk in
-  Store.fsck trunk';
-  expect "trunk recovers its own bytes" trunk' 'a';
-  let branch' = Store.recover ~disk:(Store.disk b) in
-  Store.fsck branch';
-  expect "branch recovers the flush" branch' 'b';
-  (* The trunk can still flush in place on its own copy. *)
-  let other = Bytes.copy data in
-  Bytes.fill other 9_000 3_000 'c';
-  Alcotest.(check bool) "trunk in place" true
-    (Store.sync_range s ~oid:3L ~prefix ~data:other ~off:9_000 ~len:3_000);
-  expect "branch unaffected" b 'b';
-  Store.fsck (Store.recover ~disk);
-  expect "trunk flush durable" (Store.recover ~disk) 'c'
-
 let test_sync_range_multi_sector_prefix () =
   (* The rewritten sectors after sector 0 must form one run: with a
      prefix spanning two sectors, a flush far from it is refused (the
@@ -535,149 +499,6 @@ let prop_store_crash_during_checkpoint =
         (List.for_all (String.equal "gen1") gens
         || List.for_all (String.equal "gen2") gens))
 
-(* ---------- branchable stores (Store.fork) ---------- *)
-
-let test_fork_isolation () =
-  let _, disk, s = mk () in
-  Store.put s ~oid:1L "trunk-1";
-  Store.put s ~oid:2L "trunk-2";
-  Store.checkpoint s;
-  let b = Store.fork s in
-  (* Diverge both sides. *)
-  Store.put b ~oid:1L "branch-1";
-  Store.put b ~oid:3L "branch-only";
-  Store.delete b ~oid:2L;
-  Store.put s ~oid:4L "trunk-only";
-  Alcotest.(check (option string)) "trunk keeps 1" (Some "trunk-1")
-    (Store.get s ~oid:1L);
-  Alcotest.(check (option string)) "trunk keeps 2" (Some "trunk-2")
-    (Store.get s ~oid:2L);
-  Alcotest.(check (option string)) "trunk blind to 3" None (Store.get s ~oid:3L);
-  Alcotest.(check (option string)) "branch sees rewrite" (Some "branch-1")
-    (Store.get b ~oid:1L);
-  Alcotest.(check (option string)) "branch sees delete" None
-    (Store.get b ~oid:2L);
-  Alcotest.(check (option string)) "branch blind to 4" None
-    (Store.get b ~oid:4L);
-  (* Branch durability is its own: a branch checkpoint lands on the
-     branch's disk fork, never the trunk media. *)
-  Store.checkpoint b;
-  let trunk' = Store.recover ~disk in
-  Alcotest.(check (option string)) "trunk media untouched" (Some "trunk-1")
-    (Store.get trunk' ~oid:1L);
-  Alcotest.(check (option string)) "no branch leak" None
-    (Store.get trunk' ~oid:3L);
-  let branch' = Store.recover ~disk:(Store.disk b) in
-  Alcotest.(check (option string)) "branch media has rewrite"
-    (Some "branch-1")
-    (Store.get branch' ~oid:1L);
-  Store.fsck trunk';
-  Store.fsck branch'
-
-let test_fork_mutate_drop_fsck () =
-  (* Fan out branches, mutate and checkpoint each (checkpoints truncate
-     the WAL, so each branch bumps its own epoch), drop half, and fsck
-     every survivor — including after recovery from its own media. *)
-  let _, _, s = mk ~wal_sectors:4096 ~apply_threshold:8 () in
-  for i = 1 to 10 do
-    Store.put s ~oid:(Int64.of_int i) (Printf.sprintf "base-%d" i)
-  done;
-  Store.checkpoint s;
-  let nbranches = 8 in
-  let branches =
-    List.init nbranches (fun b ->
-        let br = Store.fork s in
-        for i = 1 to 10 do
-          if i mod (b + 2) = 0 then Store.delete br ~oid:(Int64.of_int i)
-          else
-            Store.put br ~oid:(Int64.of_int i)
-              (Printf.sprintf "b%d-%d" b i)
-        done;
-        Store.sync_oid br ~oid:1L;
-        Store.checkpoint br;
-        (b, br))
-  in
-  (* Drop the even branches; the survivors and the trunk must be
-     unaffected. *)
-  let survivors = List.filter (fun (b, _) -> b mod 2 = 1) branches in
-  List.iter
-    (fun (b, br) ->
-      Store.fsck br;
-      for i = 1 to 10 do
-        let got = Store.get br ~oid:(Int64.of_int i) in
-        let want =
-          if i mod (b + 2) = 0 then None else Some (Printf.sprintf "b%d-%d" b i)
-        in
-        Alcotest.(check (option string))
-          (Printf.sprintf "branch %d oid %d" b i)
-          want got
-      done;
-      let br' = Store.recover ~disk:(Store.disk br) in
-      Store.fsck br')
-    survivors;
-  Store.fsck s;
-  for i = 1 to 10 do
-    Alcotest.(check (option string))
-      (Printf.sprintf "trunk oid %d" i)
-      (Some (Printf.sprintf "base-%d" i))
-      (Store.get s ~oid:(Int64.of_int i))
-  done
-
-let test_fork_quarantine_branch_local () =
-  (* Satellite: scrub's quarantine set and the WAL epoch metadata are
-     branch-local. Quarantining sectors on a fork must not poison the
-     trunk's allocator or its quarantine list. *)
-  let module Faults = Histar_faults.Faults in
-  let sched =
-    Faults.Schedule.mk ~seed:5L
-      ~disk:
-        {
-          Faults.Schedule.latent_rate = 0.08;
-          transient_rate = 0.05;
-          corrupt_rate = 0.02;
-        }
-      ()
-  in
-  let clock = Clock.create () in
-  let disk =
-    Disk.create ?faults:(Faults.Disk_faults.create sched) ~clock ()
-  in
-  let s = Store.format ~disk ~wal_sectors:1024 () in
-  let rng = Histar_util.Rng.create 0xBEEFL in
-  for oid = 1 to 50 do
-    Store.put s ~oid:(Int64.of_int oid) (Histar_util.Rng.bytes rng (64 + Histar_util.Rng.int rng 2048))
-  done;
-  Store.checkpoint s;
-  let free0 = Store.free_sectors s in
-  let b = Store.fork s in
-  let report = Store.scrub b in
-  Alcotest.(check bool) "branch scrub converged" true report.Store.clean;
-  Alcotest.(check bool) "branch quarantined sectors" true
-    (report.Store.quarantined_sectors > 0);
-  Store.fsck b;
-  let branch_quarantine = Store.quarantined_extents b in
-  (* The trunk never scrubbed: its quarantine list is still empty, its
-     allocator untouched. *)
-  Alcotest.(check (list (pair int int))) "trunk quarantine empty" []
-    (Store.quarantined_extents s);
-  Alcotest.(check int) "trunk allocator untouched" free0
-    (Store.free_sectors s);
-  (* The trunk can still scrub and settle independently. *)
-  let treport = Store.scrub s in
-  Alcotest.(check bool) "trunk scrub converged" true treport.Store.clean;
-  Store.fsck s;
-  (* And the trunk's scrub did not bleed back into the branch: its
-     quarantine list is exactly what its own scrub computed. *)
-  Alcotest.(check (list (pair int int))) "branch quarantine unchanged"
-    branch_quarantine
-    (Store.quarantined_extents b);
-  (* The fault plan is shared apparatus, so the trunk's repair writes
-     may have struck fresh latent marks; one more branch scrub settles
-     them and the branch must still fsck clean. *)
-  Alcotest.(check bool) "branch re-scrub converged" true
-    (Store.scrub b).Store.clean;
-  Store.fsck b
-
 let () =
   Alcotest.run "histar_store"
     [
@@ -707,8 +528,6 @@ let () =
             test_sync_range_in_place;
           Alcotest.test_case "sync_range refuses" `Quick
             test_sync_range_refuses;
-          Alcotest.test_case "sync_range on a fork" `Quick
-            test_sync_range_fork_local;
           Alcotest.test_case "sync_range scrub repairs" `Quick
             test_sync_range_scrub_repairs;
           Alcotest.test_case "sync_range multi-sector prefix" `Quick
@@ -721,13 +540,5 @@ let () =
             test_crash_during_auto_apply;
           prop_store_model;
           prop_store_crash_during_checkpoint;
-        ] );
-      ( "fork",
-        [
-          Alcotest.test_case "isolation" `Quick test_fork_isolation;
-          Alcotest.test_case "fork/mutate/drop/fsck" `Quick
-            test_fork_mutate_drop_fsck;
-          Alcotest.test_case "quarantine is branch-local" `Quick
-            test_fork_quarantine_branch_local;
         ] );
     ]
