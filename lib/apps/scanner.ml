@@ -67,9 +67,7 @@ let publish_results result_seg vs =
   let blob = encode_verdicts vs in
   Sys.segment_resize result_seg (8 + String.length blob);
   Sys.segment_write result_seg ~off:8 blob;
-  let e = Codec.Enc.create () in
-  Codec.Enc.i64 e 1L;
-  Sys.segment_write result_seg ~off:0 (Codec.Enc.to_string e);
+  Sys.set_segment_word result_seg ~off:0 1L;
   ignore (Sys.futex_wake result_seg ~off:0 ~count:max_int)
 
 (* ---------- the honest scanner ---------- *)

@@ -24,11 +24,7 @@ let rec await cell =
       await cell
 
 let bump ce =
-  let d = Histar_util.Codec.Dec.of_string (Sys.segment_read ce ~off:0 ~len:8 ()) in
-  let v = Histar_util.Codec.Dec.i64 d in
-  let e = Histar_util.Codec.Enc.create () in
-  Histar_util.Codec.Enc.i64 e (Int64.add v 1L);
-  Sys.segment_write ce (Histar_util.Codec.Enc.to_string e);
+  Sys.set_segment_word ce ~off:0 (Int64.add (Sys.segment_word ce ~off:0) 1L);
   ignore (Sys.futex_wake ce ~off:0 ~count:max_int)
 
 let start ~proc ~dbw ~db_path ~netd ~vendor =
@@ -93,11 +89,7 @@ let start ~proc ~dbw ~db_path ~netd ~vendor =
                 paths
           | None -> ());
           (if Queue.is_empty t.inbox then
-             let d =
-               Histar_util.Codec.Dec.of_string
-                 (Sys.segment_read wake ~off:0 ~len:8 ())
-             in
-             let gen = Histar_util.Codec.Dec.i64 d in
+             let gen = Sys.segment_word wake ~off:0 in
              if Queue.is_empty t.inbox then
                Sys.futex_wait wake ~off:0 ~expected:gen);
           serve ()

@@ -163,12 +163,6 @@ let setup ~proc ~kernel ~inet_hub ~corp_hub ~i ~v =
               loop ())
         in
         (* uplink loop: encrypt tunnel-hub frames up to the server *)
-        let word () =
-          let d =
-            Codec.Dec.of_string (Sys.segment_read notify ~off:0 ~len:8 ())
-          in
-          Codec.Dec.i64 d
-        in
         let rec uplink () =
           match Queue.take_opt outbox with
           | Some frame ->
@@ -179,7 +173,7 @@ let setup ~proc ~kernel ~inet_hub ~corp_hub ~i ~v =
                 (Buffer.contents b);
               uplink ()
           | None ->
-              let gen = word () in
+              let gen = Sys.segment_word notify ~off:0 in
               if Queue.is_empty outbox then
                 Sys.futex_wait notify ~off:0 ~expected:gen;
               uplink ()

@@ -3,7 +3,6 @@ module Process = Histar_unix.Process
 module Fs = Histar_unix.Fs
 module Label = Histar_label.Label
 module Level = Histar_label.Level
-module Codec = Histar_util.Codec
 open Histar_core.Types
 
 type report = {
@@ -11,10 +10,6 @@ type report = {
   timed_out : bool;
   elapsed_ns : int64;
 }
-
-let ready_flag seg =
-  let d = Codec.Dec.of_string (Sys.segment_read seg ~off:0 ~len:8 ()) in
-  Codec.Dec.i64 d
 
 let run ~proc ~user ~db_path ~paths ?(timeout_ms = 10_000)
     ?(scanner = Scanner.run) ?(spawn_helpers = false) () =
@@ -50,7 +45,7 @@ let run ~proc ~user ~db_path ~paths ?(timeout_ms = 10_000)
     Int64.add started_ns (Int64.mul (Int64.of_int timeout_ms) 1_000_000L)
   in
   let rec await () =
-    if not (Int64.equal (ready_flag result_seg) 0L) then `Done
+    if not (Int64.equal (Sys.segment_word result_seg ~off:0) 0L) then `Done
     else if Int64.compare (Sys.clock_ns ()) deadline > 0 then `Timeout
     else begin
       Sys.usleep 1000;

@@ -37,26 +37,17 @@ let stolen t = !(t.stolen_paths)
 let set_password t password =
   t.password_hash := Proto.hash_password ~salt:t.salt ~password
 
-let word ce =
-  let d = Codec.Dec.of_string (Sys.segment_read ce ~off:0 ~len:8 ()) in
-  Codec.Dec.i64 d
-
-let set_word ce v =
-  let e = Codec.Enc.create () in
-  Codec.Enc.i64 e v;
-  Sys.segment_write ce ~off:0 (Codec.Enc.to_string e)
-
 (* --- the check gate: runs tainted pir3 on the login thread --- *)
 
 let check_entry t ~x ~retry ~challenge () =
   let credential = Proto.dec_credential (Sys.tls_read ()) in
-  let tries = word retry in
+  let tries = Sys.segment_word retry ~off:0 in
   if Int64.to_int tries >= t.retry_limit then begin
     Sys.tls_write (Proto.enc_check_reply false);
     Sys.gate_return ()
   end
   else begin
-    set_word retry (Int64.add tries 1L);
+    Sys.set_segment_word retry ~off:0 (Int64.add tries 1L);
     let ok =
       match (credential, challenge) with
       | `Password password, None ->

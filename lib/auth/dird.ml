@@ -70,5 +70,3 @@ let register t ~return_container ~user ~setup_gate =
 let lookup t ~return_container user =
   Proto.dec_dir_reply
     (call (await t.lookup_cell) ~return_container (Proto.enc_string user))
-
-let poison t ~user ~setup_gate = Hashtbl.replace t.table user setup_gate

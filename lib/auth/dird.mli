@@ -20,6 +20,3 @@ val lookup :
   return_container:Histar_core.Types.oid ->
   string ->
   Histar_core.Types.centry option
-
-val poison : t -> user:string -> setup_gate:Histar_core.Types.centry -> unit
-(** Host/test hook: make the directory malicious for one user. *)

@@ -29,7 +29,6 @@ val create :
   unit ->
   t
 
-val flavor_name : flavor -> string
 val syscall_count : t -> int
 val reset_syscall_count : t -> unit
 

@@ -192,7 +192,10 @@ let run_cell ?(requests = 3) ?(body_bytes = 8 * 1024) schedule =
     corrupt_payloads = corrupt;
     request_retries = !retries;
     scrub;
-    metrics_dump = Json.to_string (Metrics.to_json ());
+    metrics_dump =
+      Json.to_string
+        (Json.Obj
+           (List.map (fun (k, v) -> (k, Json.Int v)) (Metrics.snapshot ())));
   }
 
 let matrix ~seeds =

@@ -32,7 +32,7 @@ type cell = {
   corrupt_payloads : int;  (** must be 0 *)
   request_retries : int;  (** request-level retries the client needed *)
   scrub : Histar_store.Store.scrub_report;
-  metrics_dump : string;  (** canonical JSON of the metrics registry *)
+  metrics_dump : string;  (** canonical JSON of every counter in the cell's scope *)
 }
 
 val run_cell : ?requests:int -> ?body_bytes:int -> Schedule.t -> cell

@@ -43,7 +43,6 @@ let triple a b c =
 
 let sized f = { run = (fun s n -> (f n).run s n) }
 let resize n g = { run = (fun s _ -> g.run s n) }
-let no_shrink g = { run = (fun s n -> Tree (tree_root (g.run s n), Seq.empty)) }
 
 (* ---------- integers ---------- *)
 

@@ -9,11 +9,11 @@ open Types
 open Syscall
 module Metrics = Histar_metrics.Metrics
 
-(* Syscall dispatch counters: total traps, per-syscall virtual-time
-   latency (trap cost + handler work, including any disk time the
-   handler charges), and how many syscalls failed a label check. *)
+(* Syscall dispatch counters: total traps, total virtual-time latency
+   (trap cost + handler work, including any disk time the handler
+   charges), and how many syscalls failed a label check. *)
 let m_syscalls = Metrics.counter "kernel.syscalls"
-let m_syscall_ns = Metrics.histogram "kernel.syscall_ns"
+let m_syscall_ns_sum = Metrics.counter "kernel.syscall_ns_sum"
 let m_label_errors = Metrics.counter "kernel.syscall_label_errors"
 
 let infinite_quota = Int64.max_int
@@ -1461,7 +1461,7 @@ let rec run_state_loop k tid rs =
       let action = handle_syscall k kont req in
       Metrics.Counter.incr m_syscalls;
       let t1 = Sim_clock.now_ns k.clock in
-      Metrics.Histogram.observe m_syscall_ns (Int64.to_int (Int64.sub t1 t0));
+      Metrics.Counter.add m_syscall_ns_sum (Int64.to_int (Int64.sub t1 t0));
       (match action with
       | A_resp (R_err (Label_check _)) -> Metrics.Counter.incr m_label_errors
       | _ -> ());

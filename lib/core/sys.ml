@@ -1,5 +1,6 @@
 module Label = Histar_label.Label
 module Category = Histar_label.Category
+module Codec = Histar_util.Codec
 open Types
 open Syscall
 
@@ -115,6 +116,19 @@ let segment_read ce ?(off = 0) ?(len = -1) () =
 
 let segment_write ce ?(off = 0) data =
   unit_resp "segment_write" (Segment_write (ce, off, data))
+
+(* An 8-byte little-endian word: one [segment_read] or [segment_write]
+   of exactly those bytes, the layout [segment_cas] works on. The
+   requests are built here rather than through [?off], which would box
+   the offset on every futex-word access. *)
+let segment_word ce ~off =
+  let b = bytes_resp "segment_read" (Segment_read (ce, off, 8)) in
+  Codec.Dec.i64 (Codec.Dec.of_string b)
+
+let set_segment_word ce ~off v =
+  let e = Codec.Enc.create () in
+  Codec.Enc.i64 e v;
+  unit_resp "segment_write" (Segment_write (ce, off, Codec.Enc.to_string e))
 
 let segment_resize ce len = unit_resp "segment_resize" (Segment_resize (ce, len))
 

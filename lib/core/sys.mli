@@ -73,6 +73,13 @@ val segment_create :
 
 val segment_read : centry -> ?off:int -> ?len:int -> unit -> string
 val segment_write : centry -> ?off:int -> string -> unit
+
+val segment_word : centry -> off:int -> int64
+(** The 8-byte little-endian word at [off]: one 8-byte {!segment_read}. *)
+
+val set_segment_word : centry -> off:int -> int64 -> unit
+(** Store a word at [off]: one 8-byte {!segment_write}. *)
+
 val segment_resize : centry -> int -> unit
 val segment_size : centry -> int
 

@@ -7,7 +7,8 @@ module Bptree = Histar_btree.Bptree
 
 (* Process-global media counters and decomposed service-time totals
    (§7's disk model made observable: where virtual time on the platter
-   actually goes). Per-instance counts stay in [stats]. *)
+   actually goes). These counters are the disk's only accounting: a
+   caller that wants one disk's work reads their deltas in a scope. *)
 let m_reads = Metrics.counter "disk.reads"
 let m_sectors_read = Metrics.counter "disk.sectors_read"
 let m_media_sector_writes = Metrics.counter "disk.media_sector_writes"
@@ -39,15 +40,6 @@ let default_params =
     transfer_us_per_sector = 512.0 /. 58.0;
   }
 
-type stats = {
-  mutable reads : int;
-  mutable writes : int;
-  mutable sectors_read : int;
-  mutable sectors_written : int;
-  mutable flushes : int;
-  mutable seeks : int;
-}
-
 (* The durable media is a persistent map sector → contents: capturing
    "the platter as of this instant" is an O(1) root copy, which is what
    lets the crash sweep snapshot at every write instead of replaying
@@ -59,7 +51,6 @@ type t = {
   clock : Histar_util.Sim_clock.t;
   mutable media : string Bptree.t;  (** durable contents *)
   cache : (int, string) Hashtbl.t;  (** volatile dirty sectors *)
-  stats : stats;
   mutable head : int;  (** current head position (sector) *)
   mutable crash_after : int option;  (** media writes remaining before crash *)
   mutable is_crashed : bool;
@@ -68,16 +59,6 @@ type t = {
   mutable pre_write_hook : (unit -> unit) option;
   mutable faults : Disk_faults.t option;  (** injected media faults *)
 }
-
-let fresh_stats () =
-  {
-    reads = 0;
-    writes = 0;
-    sectors_read = 0;
-    sectors_written = 0;
-    flushes = 0;
-    seeks = 0;
-  }
 
 let create ?(geometry = default_geometry) ?(params = default_params) ?faults
     ~clock () =
@@ -88,7 +69,6 @@ let create ?(geometry = default_geometry) ?(params = default_params) ?faults
     clock;
     media = Bptree.create ();
     cache = Hashtbl.create 256;
-    stats = fresh_stats ();
     head = 0;
     crash_after = None;
     is_crashed = false;
@@ -101,16 +81,6 @@ let set_faults t f = t.faults <- f
 let faults t = t.faults
 let geometry t = t.geometry
 let clock t = t.clock
-let stats t = t.stats
-
-let reset_stats t =
-  let s = t.stats in
-  s.reads <- 0;
-  s.writes <- 0;
-  s.sectors_read <- 0;
-  s.sectors_written <- 0;
-  s.flushes <- 0;
-  s.seeks <- 0
 
 let check_alive t = if t.is_crashed then raise Crashed
 
@@ -125,7 +95,6 @@ let check_range t sector count =
 let charge_io t ~sector ~count =
   let p = t.params in
   if t.head <> sector then begin
-    t.stats.seeks <- t.stats.seeks + 1;
     Metrics.Counter.incr m_seeks;
     let dist = float_of_int (abs (sector - t.head)) in
     let frac = dist /. float_of_int t.geometry.sectors in
@@ -152,8 +121,6 @@ let sector_contents t i =
 let read t ~sector ~count =
   check_alive t;
   check_range t sector count;
-  t.stats.reads <- t.stats.reads + 1;
-  t.stats.sectors_read <- t.stats.sectors_read + count;
   Metrics.Counter.incr m_reads;
   Metrics.Counter.add m_sectors_read count;
   (* Cached (dirty) sectors cost nothing extra; charge for the whole run
@@ -202,7 +169,6 @@ let write t ~sector data =
     invalid_arg "Disk.write: data not a multiple of the sector size";
   let count = String.length data / sb in
   check_range t sector count;
-  t.stats.writes <- t.stats.writes + 1;
   for i = 0 to count - 1 do
     Hashtbl.replace t.cache (sector + i) (String.sub data (i * sb) sb)
   done
@@ -225,7 +191,6 @@ let media_write_one t i data =
     | None -> data
   in
   t.media <- Bptree.insert t.media (Int64.of_int i) data;
-  t.stats.sectors_written <- t.stats.sectors_written + 1;
   t.media_writes <- t.media_writes + 1;
   Metrics.Counter.incr m_media_sector_writes;
   match t.write_trace with
@@ -234,7 +199,6 @@ let media_write_one t i data =
 
 let flush t =
   check_alive t;
-  t.stats.flushes <- t.stats.flushes + 1;
   Metrics.Counter.incr m_flushes;
   let dirty = Hashtbl.fold (fun i _ acc -> i :: acc) t.cache [] in
   let dirty = List.sort Int.compare dirty in
@@ -289,7 +253,6 @@ let reopen_after_crash t =
     media_writes = 0;
     write_trace = None;
     pre_write_hook = None;
-    stats = fresh_stats ();
   }
 
 (* ---------- branchable media states ---------- *)
@@ -310,7 +273,6 @@ let restore snap ~clock =
     clock;
     media = snap.snap_media;
     cache = Hashtbl.create 256;
-    stats = fresh_stats ();
     head = 0;
     crash_after = None;
     is_crashed = false;

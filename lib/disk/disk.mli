@@ -77,23 +77,11 @@ val write : t -> sector:int -> string -> unit
 val flush : t -> unit
 (** Write barrier: force every dirty sector to the media. *)
 
-type stats = {
-  mutable reads : int;
-  mutable writes : int;
-  mutable sectors_read : int;
-  mutable sectors_written : int;
-  mutable flushes : int;
-  mutable seeks : int;
-}
-
-val stats : t -> stats
-val reset_stats : t -> unit
-
 val media_writes : t -> int
 (** Lifetime count of sector writes that reached the media through this
-    handle (monotonic; unaffected by {!reset_stats}). The crash-sweep
-    driver records this after a clean run to enumerate every possible
-    crash point. A handle from {!reopen_after_crash} starts at zero. *)
+    handle (monotonic). The crash-sweep driver records this after a
+    clean run to enumerate every possible crash point. A handle from
+    {!reopen_after_crash} starts at zero. *)
 
 val set_write_trace : t -> (sector:int -> data:string -> unit) option -> unit
 (** Observe every media sector write (after it lands). Used by the
@@ -138,10 +126,10 @@ val snapshot : t -> snapshot
     pre-write hook or after a crash. *)
 
 val restore : snapshot -> clock:Histar_util.Sim_clock.t -> t
-(** A fresh disk over the captured media: empty write cache, zeroed
-    stats, head at sector 0, no crash scheduled, no faults — exactly
-    the state {!reopen_after_crash} would produce had the original disk
-    crashed at the capture point. O(1). *)
+(** A fresh disk over the captured media: empty write cache, head at
+    sector 0, no crash scheduled, no faults — exactly the state
+    {!reopen_after_crash} would produce had the original disk crashed
+    at the capture point. O(1). *)
 
 val set_pre_write_hook : t -> (unit -> unit) option -> unit
 (** Install a hook that fires immediately {e before} each media sector

@@ -136,11 +136,6 @@ module Peer_health = struct
       else b
     in
     p.down_until_ns <- Int64.add now_ns backoff
-
-  let fail_count t ~node = (peer t node).fails
-
-  let is_down t ~node ~now_ns =
-    match usable t ~node ~now_ns with `No -> true | `Yes | `Probe -> false
 end
 
 type service = {

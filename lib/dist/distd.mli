@@ -54,9 +54,6 @@ module Peer_health : sig
 
   val failed : t -> node:int -> now_ns:int64 -> unit
   (** Record a transport failure: doubles the backoff window. *)
-
-  val fail_count : t -> node:int -> int
-  val is_down : t -> node:int -> now_ns:int64 -> bool
 end
 
 val start :

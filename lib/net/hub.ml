@@ -2,11 +2,13 @@ module Sim_clock = Histar_util.Sim_clock
 module Metrics = Histar_metrics.Metrics
 module Net_faults = Histar_faults.Faults.Net_faults
 
-(* Wire-level traffic counters across every hub instance.
-   [net.frames_dropped] stays the sum of the loss and no-route
-   streams so pre-split consumers keep working. *)
+(* Wire-level traffic counters across every hub instance: the hub's
+   only accounting. A caller that wants one hub's traffic reads their
+   deltas in a metrics scope. [net.frames_lost] counts random loss,
+   injected faults and link flaps; [net.frames_no_route] counts frames
+   that decode to no attached destination (FCS failures after wire
+   corruption included). *)
 let m_frames_sent = Metrics.counter "net.frames_sent"
-let m_frames_dropped = Metrics.counter "net.frames_dropped"
 let m_frames_lost = Metrics.counter "net.frames_lost"
 let m_frames_no_route = Metrics.counter "net.frames_no_route"
 let m_frames_duplicated = Metrics.counter "net.frames_duplicated"
@@ -59,10 +61,6 @@ type t = {
   endpoints : (string, endpoint) Hashtbl.t;
   by_ip : (Addr.ip, string) Hashtbl.t;
   links : (string, link) Hashtbl.t;
-  mutable frames_sent : int;
-  mutable frames_lost : int;
-  mutable frames_no_route : int;
-  mutable bytes_sent : int;
   mutable default_route : string option;  (** MAC for unknown IPs *)
   mutable faults : Net_faults.t option;
   mutable tap : (string -> unit) option;
@@ -82,10 +80,6 @@ let create ?(bandwidth_bps = 100e6) ?(latency_us = 100.0) ?faults ~clock () =
     endpoints = Hashtbl.create 8;
     by_ip = Hashtbl.create 8;
     links = Hashtbl.create 8;
-    frames_sent = 0;
-    frames_lost = 0;
-    frames_no_route = 0;
-    bytes_sent = 0;
     default_route = None;
     faults;
     tap = None;
@@ -126,16 +120,12 @@ let resolve t ip =
 
 let set_default_route t ~mac = t.default_route <- Some mac
 
-let drop_lost t ~nbytes =
-  t.frames_lost <- t.frames_lost + 1;
+let drop_lost ~nbytes =
   Metrics.Counter.incr m_frames_lost;
-  Metrics.Counter.incr m_frames_dropped;
   Metrics.Counter.add m_bytes_lost nbytes
 
-let drop_no_route t ~nbytes =
-  t.frames_no_route <- t.frames_no_route + 1;
+let drop_no_route ~nbytes =
   Metrics.Counter.incr m_frames_no_route;
-  Metrics.Counter.incr m_frames_dropped;
   Metrics.Counter.add m_bytes_no_route nbytes
 
 (* One transmission attempt entering the routing fabric. Called once
@@ -163,10 +153,10 @@ let deliver ep bytes =
 let route t decoded bytes =
   let nbytes = String.length bytes in
   match decoded with
-  | None -> drop_no_route t ~nbytes
+  | None -> drop_no_route ~nbytes
   | Some f ->
       if not (link_up t f.Packet.src_mac && link_up t f.Packet.dst_mac) then
-        drop_lost t ~nbytes
+        drop_lost ~nbytes
       else if String.equal f.Packet.dst_mac broadcast_mac then begin
         let recipients =
           Hashtbl.fold
@@ -176,7 +166,7 @@ let route t decoded bytes =
           |> List.sort (fun a b -> String.compare a.ep_mac b.ep_mac)
         in
         match recipients with
-        | [] -> drop_no_route t ~nbytes
+        | [] -> drop_no_route ~nbytes
         | first :: rest ->
             deliver first bytes;
             List.iter
@@ -189,7 +179,7 @@ let route t decoded bytes =
       else (
         match Hashtbl.find_opt t.endpoints f.Packet.dst_mac with
         | Some ep -> deliver ep bytes
-        | None -> drop_no_route t ~nbytes)
+        | None -> drop_no_route ~nbytes)
 
 (* Age the reorder queue by one inject and release frames whose hold
    expired. Collect first, then deliver: delivery can re-enter
@@ -227,8 +217,6 @@ let inject_now t bytes =
   Sim_clock.advance_us t.clock
     ((t.latency_us /. 10.0)
     +. (float_of_int (nbytes * 8) /. t.bandwidth_bps *. 1e6));
-  t.frames_sent <- t.frames_sent + 1;
-  t.bytes_sent <- t.bytes_sent + nbytes;
   Metrics.Counter.incr m_frames_sent;
   Metrics.Counter.add m_bytes_sent nbytes;
   (* The tap is an eavesdropper on the shared wire: it sees every
@@ -244,7 +232,7 @@ let inject_now t bytes =
   | Some nf -> (
       let v = Net_faults.on_frame nf ~now_ns:(Sim_clock.now_ns t.clock) in
       match v.Net_faults.drop with
-      | `Loss | `Flap -> drop_lost t ~nbytes
+      | `Loss | `Flap -> drop_lost ~nbytes
       | `No ->
           let decoded, bytes =
             if v.Net_faults.corrupt then (
@@ -286,12 +274,6 @@ let deferred f =
   let v = Fun.protect ~finally:(fun () -> cell := saved) f in
   List.iter (fun (t, bytes) -> inject_now t bytes) (List.rev !parked);
   v
-
-let frames_sent t = t.frames_sent
-let frames_lost t = t.frames_lost
-let frames_no_route t = t.frames_no_route
-let frames_dropped t = t.frames_lost + t.frames_no_route
-let bytes_sent t = t.bytes_sent
 
 (* Deliver everything still held in the reorder queue (a drained wire
    at the end of a run); used by tests to avoid conflating a held

@@ -85,20 +85,6 @@ val lookup : t -> Addr.ip -> string option
 val set_default_route : t -> mac:string -> unit
 (** Deliver frames for unknown IPs to this endpoint (a gateway). *)
 
-val frames_sent : t -> int
-
-val frames_lost : t -> int
-(** Frames dropped by random loss, an injected fault, or a link flap. *)
-
-val frames_no_route : t -> int
-(** Frames dropped because they decode to no attached destination
-    (includes frames whose FCS check failed after wire corruption). *)
-
-val frames_dropped : t -> int
-(** [frames_lost + frames_no_route] — kept for compatibility. *)
-
-val bytes_sent : t -> int
-
 val flush_held : t -> unit
 (** Deliver any frames still parked in the reordering queue. Tests
     call this when draining the wire so a held frame is not

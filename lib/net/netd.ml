@@ -44,16 +44,8 @@ let stack t =
 
 (* ---- futex helpers over a one-word segment ---- *)
 
-let word_read ce =
-  let s = Sys.segment_read ce ~len:8 () in
-  let d = Codec.Dec.of_string s in
-  Codec.Dec.i64 d
-
 let word_bump ce =
-  let v = word_read ce in
-  let e = Codec.Enc.create () in
-  Codec.Enc.i64 e (Int64.add v 1L);
-  Sys.segment_write ce (Codec.Enc.to_string e);
+  Sys.set_segment_word ce ~off:0 (Int64.add (Sys.segment_word ce ~off:0) 1L);
   ignore (Sys.futex_wake ce ~off:0 ~count:max_int)
 
 (* Wait until [pred ()] becomes true, sleeping on the notify futex in
@@ -62,7 +54,7 @@ let wait_on ce pred =
   let rec loop () =
     if pred () then ()
     else begin
-      let gen = word_read ce in
+      let gen = Sys.segment_word ce ~off:0 in
       if pred () then ()
       else begin
         Sys.futex_wait ce ~off:0 ~expected:gen;
@@ -301,7 +293,7 @@ let worker_loop shared dev_ce req_seg notify () =
     (match Queue.take_opt shared.workq with
     | Some w -> process w
     | None ->
-        let gen = word_read req_seg in
+        let gen = Sys.segment_word req_seg ~off:0 in
         if Queue.is_empty shared.workq then
           Sys.futex_wait req_seg ~off:0 ~expected:gen);
     loop ()
@@ -343,7 +335,7 @@ let timer_loop shared notify () =
        word_bump notify
      end
      else begin
-       let gen = word_read notify in
+       let gen = Sys.segment_word notify ~off:0 in
        if not (Stack.needs_timer stack) then
          Sys.futex_wait notify ~off:0 ~expected:gen
      end);

@@ -35,4 +35,3 @@ val frame_of_bytes : string -> frame option
     over after the last field), or an FCS mismatch. Never raises. A
     frame it returns re-encodes to the input bytes. *)
 
-val pp_frame : Format.formatter -> frame -> unit

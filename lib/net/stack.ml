@@ -2,8 +2,9 @@ module Sim_clock = Histar_util.Sim_clock
 module Metrics = Histar_metrics.Metrics
 open Packet
 
-(* Transport counters, registry-visible next to the hub's wire
-   counters (the per-stack ints remain for per-instance stats). *)
+(* Transport counters next to the hub's wire counters: the stack's only
+   accounting. A caller that wants one stack's segments reads their
+   deltas in a metrics scope. *)
 let m_segments_sent = Metrics.counter "net.segments_sent"
 let m_segments_retransmitted = Metrics.counter "net.segments_retransmitted"
 let m_rto_timeouts = Metrics.counter "net.rto_timeouts"
@@ -72,8 +73,6 @@ and t = {
   listeners : (Addr.port, conn Queue.t) Hashtbl.t;
   udp_ports : (Addr.port, (Addr.t * string) Queue.t) Hashtbl.t;
   mutable next_port : int;
-  mutable segments_sent : int;
-  mutable segments_retransmitted : int;
 }
 
 let create ~mac ~ip ~send ~resolve ~clock () =
@@ -87,14 +86,10 @@ let create ~mac ~ip ~send ~resolve ~clock () =
     listeners = Hashtbl.create 8;
     udp_ports = Hashtbl.create 8;
     next_port = 32_768;
-    segments_sent = 0;
-    segments_retransmitted = 0;
   }
 
 let mac t = t.smac
 let ip t = t.sip
-let segments_sent t = t.segments_sent
-let segments_retransmitted t = t.segments_retransmitted
 
 let conn_key c = (c.local_port, c.remote.Addr.ip, c.remote.Addr.port)
 
@@ -102,7 +97,6 @@ let emit_tcp t ~dst_ip ~tcp =
   match t.resolve dst_ip with
   | None -> () (* unreachable host: silently dropped, like a dead ARP *)
   | Some dst_mac ->
-      t.segments_sent <- t.segments_sent + 1;
       Metrics.Counter.incr m_segments_sent;
       t.send_frame
         (frame_to_bytes
@@ -456,9 +450,7 @@ let input t bytes =
                   q
             | None -> ()))
 
-let count_retx c =
-  c.stack.segments_retransmitted <- c.stack.segments_retransmitted + 1;
-  Metrics.Counter.incr m_segments_retransmitted
+let count_retx () = Metrics.Counter.incr m_segments_retransmitted
 
 let handle_timeout c =
   Metrics.Counter.incr m_rto_timeouts;
@@ -480,10 +472,10 @@ let handle_timeout c =
     c.cur_rto_ns <- Int64.min rto_max_ns (Int64.mul 2L c.cur_rto_ns);
     (match c.cstate with
     | Syn_sent ->
-        count_retx c;
+        count_retx ();
         send_seg c ~flags:{ no_flags with syn = true } ~seq:c.snd_una ()
     | Syn_received ->
-        count_retx c;
+        count_retx ();
         send_seg c
           ~flags:{ no_flags with syn = true; ack = true }
           ~seq:c.snd_una ()
@@ -492,11 +484,11 @@ let handle_timeout c =
            acked re-entrantly, popping entries and pumping new ones *)
         List.iter
           (fun (seq, payload) ->
-            count_retx c;
+            count_retx ();
             send_seg c ~payload ~flags:{ no_flags with ack = true } ~seq ())
           (List.of_seq (Queue.to_seq c.inflight));
         if c.fin_sent && Queue.is_empty c.inflight then begin
-          count_retx c;
+          count_retx ();
           send_seg c
             ~flags:{ no_flags with fin = true; ack = true }
             ~seq:(c.snd_nxt - 1) ()

@@ -89,8 +89,3 @@ val needs_timer : t -> bool
 
 val next_timer_deadline : t -> int64 option
 (** Earliest armed RTO deadline (virtual ns), if any. *)
-
-(** {1 Stats} *)
-
-val segments_sent : t -> int
-val segments_retransmitted : t -> int

@@ -5,11 +5,12 @@ module Codec = Histar_util.Codec
 module Checksum = Histar_util.Checksum
 module Metrics = Histar_metrics.Metrics
 
-(* Checkpoint frequency and virtual-time cost, plus global mirrors of
-   the per-instance WAL-path stats, so the benchmark runner's registry
-   snapshot sees storage work without holding a store handle. *)
+(* Checkpoint frequency and total virtual-time cost, log sync batches
+   and the clean-object cache. These counters are the store's only
+   accounting: a caller reads their deltas in a metrics scope, so the
+   benchmark runner sees storage work without holding a store handle. *)
 let m_checkpoints = Metrics.counter "store.checkpoints"
-let m_checkpoint_ns = Metrics.histogram "store.checkpoint_ns"
+let m_checkpoint_ns_sum = Metrics.counter "store.checkpoint_ns_sum"
 let m_sync_batches = Metrics.counter "store.sync_batches"
 let m_synced_oids = Metrics.counter "store.synced_oids"
 let m_cache_hits = Metrics.counter "store.cache_hits"
@@ -28,15 +29,6 @@ let m_lost = Metrics.counter "store.lost_objects"
 
 let store_magic = 0x48695374L (* "HiSt" *)
 let object_magic = 0x4F424A31 (* "OBJ1" *)
-
-type stats = {
-  mutable checkpoints : int;
-  mutable wal_commits : int;
-  mutable wal_records : int;
-  mutable log_applies : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-}
 
 (* A pending update: the payload, plus where its in-place-rewritable
    data region starts when the writer said so (see {!sync_range}). *)
@@ -80,7 +72,6 @@ type t = {
       (** home images of clean objects only: staging an update (or
           logging a clean object) drops the entry until the checkpoint
           that writes the next image *)
-  stats : stats;
   mutable generation : int64;
   mutable checkpoint_extent : (int * int) option;  (** start, sectors *)
   mutable quarantined : (int * int) list;
@@ -104,16 +95,6 @@ let unpack v =
   let start = Int64.to_int (Int64.shift_right_logical v 24) in
   let sectors = Int64.to_int (Int64.logand v 0xFF_FFFFL) in
   (start, sectors)
-
-let fresh_stats () =
-  {
-    checkpoints = 0;
-    wal_commits = 0;
-    wal_records = 0;
-    log_applies = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-  }
 
 let sectors_for t bytes = (bytes + t.sector_bytes - 1) / t.sector_bytes
 
@@ -288,7 +269,6 @@ let format ~disk ?(wal_sectors = default_wal_sectors) ?(apply_threshold = 1000)
       alloc;
       dirty = Hashtbl.create 256;
       homes = Hashtbl.create 256;
-      stats = fresh_stats ();
       generation = 0L;
       checkpoint_extent = None;
       quarantined = [];
@@ -323,11 +303,9 @@ let get t ~oid =
   | None -> (
       match Hashtbl.find_opt t.homes oid with
       | Some { clean = Some clean; _ } ->
-          t.stats.cache_hits <- t.stats.cache_hits + 1;
           Metrics.Counter.incr m_cache_hits;
           Some (clean_payload clean)
       | Some { clean = None; _ } | None ->
-          t.stats.cache_misses <- t.stats.cache_misses + 1;
           Metrics.Counter.incr m_cache_misses;
           read_from_home t oid)
 
@@ -381,7 +359,6 @@ let encode_metadata ~object_map ~alloc ~quarantined =
    the post-free allocator, so it encodes a copy with the deferred
    frees already applied. *)
 let checkpoint t =
-  t.stats.checkpoints <- t.stats.checkpoints + 1;
   Metrics.Counter.incr m_checkpoints;
   let clock = Disk.clock t.disk in
   let t0 = Histar_util.Sim_clock.now_ns clock in
@@ -459,7 +436,7 @@ let checkpoint t =
   List.iter (fun (start, sectors) -> Extent_alloc.free t.alloc ~start ~sectors) !to_free;
   Wal.truncate t.wal;
   let t1 = Histar_util.Sim_clock.now_ns clock in
-  Metrics.Histogram.observe m_checkpoint_ns (Int64.to_int (Int64.sub t1 t0))
+  Metrics.Counter.add m_checkpoint_ns_sum (Int64.to_int (Int64.sub t1 t0))
 
 (* ---------- sync (fsync path) ---------- *)
 
@@ -478,20 +455,14 @@ let sync_oids t ~oids =
     let record = wal_record ~oid update in
     (try Wal.append t.wal record
      with Wal.Log_full ->
-       t.stats.log_applies <- t.stats.log_applies + 1;
        checkpoint t;
-       Wal.append t.wal record);
-    t.stats.wal_records <- t.stats.wal_records + 1
+       Wal.append t.wal record)
   in
   List.iter append oids;
   Wal.commit t.wal;
-  t.stats.wal_commits <- t.stats.wal_commits + 1;
   Metrics.Counter.incr m_sync_batches;
   Metrics.Counter.add m_synced_oids (List.length oids);
-  if Wal.committed_records t.wal >= t.apply_threshold then begin
-    t.stats.log_applies <- t.stats.log_applies + 1;
-    checkpoint t
-  end
+  if Wal.committed_records t.wal >= t.apply_threshold then checkpoint t
 
 let sync_oid t ~oid = sync_oids t ~oids:[ oid ]
 
@@ -661,7 +632,6 @@ let recover ~disk =
       alloc;
       dirty = Hashtbl.create 256;
       homes = Hashtbl.create 256;
-      stats = fresh_stats ();
       generation;
       checkpoint_extent;
       quarantined;
@@ -836,7 +806,6 @@ let drop_clean_cache t =
   Hashtbl.filter_map_inplace
     (fun _ (h : home) -> Some { h with clean = None })
     t.homes
-let stats t = t.stats
 let free_sectors t = Extent_alloc.free_sectors t.alloc
 
 let check_invariants t =

@@ -116,16 +116,6 @@ val iter_oids : t -> (int64 -> unit) -> unit
 val object_count : t -> int
 val dirty_count : t -> int
 
-type stats = {
-  mutable checkpoints : int;
-  mutable wal_commits : int;
-  mutable wal_records : int;
-  mutable log_applies : int;  (** checkpoints forced by the log *)
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-}
-
-val stats : t -> stats
 val free_sectors : t -> int
 
 (** {1 Media-fault repair}

@@ -46,11 +46,7 @@ let of_dir ~dir_entry =
   let d = Codec.Dec.of_string md in
   centry dir_entry.object_id (Codec.Dec.i64 d)
 
-let word ce off =
-  let d = Codec.Dec.of_string (Sys.segment_read ce ~off ~len:8 ()) in
-  Codec.Dec.i64 d
-
-let generation ce = word ce 8
+let generation ce = Sys.segment_word ce ~off:8
 
 (* Consistent read without write permission: generation + busy flag
    sampled before and after (§5.1). *)
@@ -58,7 +54,7 @@ let entries ce =
   let rec attempt tries =
     if tries > 10_000 then failwith "Dirseg.entries: livelock";
     let gen0 = generation ce in
-    let busy = word ce 0 in
+    let busy = Sys.segment_word ce ~off:0 in
     if not (Int64.equal busy 0L) then begin
       Sys.yield ();
       attempt (tries + 1)
@@ -82,9 +78,7 @@ let write_entries ce es =
   Sys.segment_resize ce (header_bytes + String.length body);
   (* resize may have zeroed past data only beyond length; rewrite
      generation and body *)
-  let e = Codec.Enc.create () in
-  Codec.Enc.i64 e (Int64.add gen 1L);
-  Sys.segment_write ce ~off:8 (Codec.Enc.to_string e);
+  Sys.set_segment_word ce ~off:8 (Int64.add gen 1L);
   Sys.segment_write ce ~off:header_bytes body
 
 let read_entries_locked ce =

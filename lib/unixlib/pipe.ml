@@ -1,5 +1,4 @@
 module Sys = Histar_core.Sys
-module Codec = Histar_util.Codec
 open Histar_core.Types
 
 let capacity = 65_536
@@ -14,15 +13,6 @@ type t = { seg : centry }
 let entry t = t.seg
 let of_entry seg = { seg }
 
-let word ce off =
-  let d = Codec.Dec.of_string (Sys.segment_read ce ~off ~len:8 ()) in
-  Codec.Dec.i64 d
-
-let set_word ce off v =
-  let e = Codec.Enc.create () in
-  Codec.Enc.i64 e v;
-  Sys.segment_write ce ~off (Codec.Enc.to_string e)
-
 let create ~container ~label =
   let len = data_start + capacity in
   let seg =
@@ -31,18 +21,20 @@ let create ~container ~label =
       ~len "pipe"
   in
   let t = { seg = centry container seg } in
-  set_word t.seg off_writers 1L;
+  Sys.set_segment_word t.seg ~off:off_writers 1L;
   t
 
 let mutex t = Mutex0.at t.seg ~off:off_mutex
 
 let add_writer t =
   Mutex0.with_lock (mutex t) (fun () ->
-      set_word t.seg off_writers (Int64.add (word t.seg off_writers) 1L))
+      Sys.set_segment_word t.seg ~off:off_writers
+        (Int64.add (Sys.segment_word t.seg ~off:off_writers) 1L))
 
 let close_writer t =
   Mutex0.with_lock (mutex t) (fun () ->
-      set_word t.seg off_writers (Int64.sub (word t.seg off_writers) 1L));
+      Sys.set_segment_word t.seg ~off:off_writers
+        (Int64.sub (Sys.segment_word t.seg ~off:off_writers) 1L));
   (* wake readers so they can observe EOF *)
   ignore (Sys.futex_wake t.seg ~off:off_wpos ~count:max_int)
 
@@ -67,8 +59,8 @@ let rec write t data =
   if String.length data = 0 then ()
   else begin
     Mutex0.lock (mutex t);
-    let rpos = word t.seg off_rpos in
-    let wpos = word t.seg off_wpos in
+    let rpos = Sys.segment_word t.seg ~off:off_rpos in
+    let wpos = Sys.segment_word t.seg ~off:off_wpos in
     let space = capacity - Int64.to_int (Int64.sub wpos rpos) in
     if space = 0 then begin
       Mutex0.unlock (mutex t);
@@ -79,7 +71,7 @@ let rec write t data =
     else begin
       let n = min space (String.length data) in
       ring_write t ~wpos (String.sub data 0 n);
-      set_word t.seg off_wpos (Int64.add wpos (Int64.of_int n));
+      Sys.set_segment_word t.seg ~off:off_wpos (Int64.add wpos (Int64.of_int n));
       Mutex0.unlock (mutex t);
       ignore (Sys.futex_wake t.seg ~off:off_wpos ~count:max_int);
       write t (String.sub data n (String.length data - n))
@@ -88,11 +80,11 @@ let rec write t data =
 
 let rec read t ~max =
   Mutex0.lock (mutex t);
-  let rpos = word t.seg off_rpos in
-  let wpos = word t.seg off_wpos in
+  let rpos = Sys.segment_word t.seg ~off:off_rpos in
+  let wpos = Sys.segment_word t.seg ~off:off_wpos in
   let avail = Int64.to_int (Int64.sub wpos rpos) in
   if avail = 0 then begin
-    let writers = word t.seg off_writers in
+    let writers = Sys.segment_word t.seg ~off:off_writers in
     Mutex0.unlock (mutex t);
     if Int64.equal writers 0L then None
     else begin
@@ -103,7 +95,7 @@ let rec read t ~max =
   else begin
     let n = min avail max in
     let data = ring_read t ~rpos n in
-    set_word t.seg off_rpos (Int64.add rpos (Int64.of_int n));
+    Sys.set_segment_word t.seg ~off:off_rpos (Int64.add rpos (Int64.of_int n));
     Mutex0.unlock (mutex t);
     ignore (Sys.futex_wake t.seg ~off:off_rpos ~count:max_int);
     Some data

@@ -87,17 +87,6 @@ let clearance_for ?(extra = []) label =
   in
   List.fold_left (fun acc (c, lv) -> Label.set acc c lv) base extra
 
-(* ---------- exit-status segment ---------- *)
-
-let word ce off =
-  let d = Codec.Dec.of_string (Sys.segment_read ce ~off ~len:8 ()) in
-  Codec.Dec.i64 d
-
-let set_word ce off v =
-  let e = Codec.Enc.create () in
-  Codec.Enc.i64 e v;
-  Sys.segment_write ce ~off (Codec.Enc.to_string e)
-
 (* ---------- process structure (Figure 6) ---------- *)
 
 (* Build the kernel objects for a new process. Runs in the creating
@@ -319,13 +308,13 @@ let read proc n max =
   let st = get_fd proc n in
   match st.target with
   | T_file file ->
-      let pos = Int64.to_int (word st.fd_seg 0) in
+      let pos = Int64.to_int (Sys.segment_word st.fd_seg ~off:0) in
       let size = Sys.segment_size file in
       let len = min max (size - pos) in
       if len <= 0 then ""
       else begin
         let data = Sys.segment_read file ~off:pos ~len () in
-        set_word st.fd_seg 0 (Int64.of_int (pos + len));
+        Sys.set_segment_word st.fd_seg ~off:0 (Int64.of_int (pos + len));
         data
       end
   | T_pipe_r p -> ( match Pipe.read p ~max with Some d -> d | None -> "")
@@ -336,11 +325,15 @@ let write proc n data =
   match st.target with
   | T_file file ->
       let size = Sys.segment_size file in
-      let pos = if st.append then size else Int64.to_int (word st.fd_seg 0) in
+      let pos =
+        if st.append then size
+        else Int64.to_int (Sys.segment_word st.fd_seg ~off:0)
+      in
       let endpos = pos + String.length data in
       if endpos > size then Sys.segment_resize file endpos;
       Sys.segment_write file ~off:pos data;
-      if not st.append then set_word st.fd_seg 0 (Int64.of_int endpos);
+      if not st.append then
+        Sys.set_segment_word st.fd_seg ~off:0 (Int64.of_int endpos);
       String.length data
   | T_pipe_w p ->
       Pipe.write p data;
@@ -349,9 +342,10 @@ let write proc n data =
 
 let seek proc n pos =
   let st = get_fd proc n in
-  set_word st.fd_seg 0 (Int64.of_int pos)
+  Sys.set_segment_word st.fd_seg ~off:0 (Int64.of_int pos)
 
-let fd_pos proc n = Int64.to_int (word (get_fd proc n).fd_seg 0)
+let fd_pos proc n =
+  Int64.to_int (Sys.segment_word (get_fd proc n).fd_seg ~off:0)
 
 let close proc n =
   let st = get_fd proc n in
@@ -418,8 +412,8 @@ let inherited_cats proc fds =
     fds
 
 let publish_exit exit_seg status =
-  set_word exit_seg 8 (Int64.of_int status);
-  set_word exit_seg 0 1L;
+  Sys.set_segment_word exit_seg ~off:8 (Int64.of_int status);
+  Sys.set_segment_word exit_seg ~off:0 1L;
   ignore (Sys.futex_wake exit_seg ~off:0 ~count:max_int)
 
 (* Terminate the current thread, publishing [status]. A thread that has
@@ -641,14 +635,14 @@ let fork_exec proc ~name ?text ?(fds = []) main =
 
 let wait _proc h =
   let rec block () =
-    let done_ = word h.h_exit_seg 0 in
+    let done_ = Sys.segment_word h.h_exit_seg ~off:0 in
     if Int64.equal done_ 0L then begin
       Sys.futex_wait h.h_exit_seg ~off:0 ~expected:0L;
       block ()
     end
   in
   block ();
-  let status = Int64.to_int (word h.h_exit_seg 8) in
+  let status = Int64.to_int (Sys.segment_word h.h_exit_seg ~off:8) in
   (* reap: destroy the process subtree *)
   (try Sys.unref (centry h.h_parent_ct h.h_proc_ct) with Kernel_error _ -> ());
   status

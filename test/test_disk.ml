@@ -1,5 +1,6 @@
 open Histar_disk
 module Clock = Histar_util.Sim_clock
+module Metrics = Histar_metrics.Metrics
 
 let small_geometry = { Disk.sectors = 10_000; sector_bytes = 512 }
 
@@ -62,23 +63,18 @@ let test_sequential_cheaper_than_random () =
 
 let test_flush_coalesces () =
   let _, d = mk () in
+  Metrics.with_enabled true @@ fun () ->
+  let before = Metrics.snapshot () in
   for i = 0 to 9 do
     Disk.write d ~sector:(100 + i) (sector 'y')
   done;
   Disk.flush d;
-  let s = Disk.stats d in
-  Alcotest.(check int) "ten sectors written" 10 s.sectors_written;
+  let delta = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
+  Alcotest.(check int) "ten sectors written" 10
+    (Metrics.value_in delta "disk.media_sector_writes");
   (* One contiguous run: at most one seek. *)
-  Alcotest.(check bool) "coalesced into one seek" true (s.seeks <= 2)
-
-let test_stats_reset () =
-  let _, d = mk () in
-  Disk.write d ~sector:0 (sector 'z');
-  Disk.flush d;
-  Disk.reset_stats d;
-  let s = Disk.stats d in
-  Alcotest.(check int) "writes reset" 0 s.writes;
-  Alcotest.(check int) "sectors reset" 0 s.sectors_written
+  Alcotest.(check bool) "coalesced into one seek" true
+    (Metrics.value_in delta "disk.seeks" <= 2)
 
 let test_crash_loses_cache () =
   let _, d = mk () in
@@ -145,7 +141,6 @@ let () =
           Alcotest.test_case "seq vs random cost" `Quick
             test_sequential_cheaper_than_random;
           Alcotest.test_case "flush coalesces" `Quick test_flush_coalesces;
-          Alcotest.test_case "stats reset" `Quick test_stats_reset;
           Alcotest.test_case "crash loses cache" `Quick test_crash_loses_cache;
           Alcotest.test_case "crash mid-flush" `Quick test_crash_partial_flush;
           prop_write_read_roundtrip;

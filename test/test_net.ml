@@ -6,6 +6,7 @@ open Histar_label
 open Histar_core.Types
 module Check = Histar_check.Check
 module Gen = Histar_check.Gen
+module Metrics = Histar_metrics.Metrics
 
 let l entries d = Label.of_list entries d
 
@@ -124,6 +125,8 @@ let test_tcp_loss_recovery () =
       ()
   in
   let faults = Histar_faults.Faults.Net_faults.create loss_only in
+  Metrics.with_enabled true @@ fun () ->
+  let retx0 = Metrics.counter_value "net.segments_retransmitted" in
   let hub = Hub.create ?faults ~clock () in
   let a = Sim_host.create ~hub ~clock ~ip:"10.0.0.1" ~mac:"aa" () in
   let b = Sim_host.create ~hub ~clock ~ip:"10.0.0.2" ~mac:"bb" () in
@@ -152,7 +155,7 @@ let test_tcp_loss_recovery () =
     Stack.tick (Sim_host.stack b)
   done;
   Alcotest.(check bool) "retransmissions happened" true
-    (Stack.segments_retransmitted sa + Stack.segments_retransmitted (Sim_host.stack b) > 0);
+    (Metrics.counter_value "net.segments_retransmitted" > retx0);
   Alcotest.(check bool) "content intact despite loss" true
     (String.equal content (Buffer.contents buf))
 
@@ -176,6 +179,8 @@ let test_tcp_stream_exact_under_faulty_hub () =
           ()
       in
       let faults = Histar_faults.Faults.Net_faults.create schedule in
+      Metrics.with_enabled true @@ fun () ->
+      let lost0 = Metrics.counter_value "net.frames_lost" in
       let hub = Hub.create ?faults ~clock () in
       let a = Sim_host.create ~hub ~clock ~ip:"10.0.0.1" ~mac:"aa" () in
       let b = Sim_host.create ~hub ~clock ~ip:"10.0.0.2" ~mac:"bb" () in
@@ -209,11 +214,7 @@ let test_tcp_stream_exact_under_faulty_hub () =
       Alcotest.(check bool)
         (Printf.sprintf "faults were injected (%s)" replay)
         true
-        (Hub.frames_lost hub > 0);
-      Alcotest.(check int)
-        (Printf.sprintf "dropped = lost + no_route (%s)" replay)
-        (Hub.frames_lost hub + Hub.frames_no_route hub)
-        (Hub.frames_dropped hub);
+        (Metrics.counter_value "net.frames_lost" > lost0);
       Alcotest.(check bool)
         (Printf.sprintf "stream exact and in-order (%s)" replay)
         true
@@ -256,7 +257,7 @@ let test_hub_bandwidth_model () =
 
 (* Deferred injection, the cluster's BSP barrier. Inside
    [Hub.deferred], frames sent on two hubs, interleaved, must touch no
-   hub state: no tap sees them, [frames_sent] stays 0 and neither hub
+   hub state: no tap sees them, [net.frames_sent] stays put and neither hub
    clock moves. When the scope closes they reach the wire in injection
    order across both hubs. A TCP SYN parked ahead of a datagram shows
    that re-entrant injects during the flush are not parked again: the
@@ -287,6 +288,8 @@ let test_deferred_injection () =
     Stack.udp_send (Sim_host.stack host) ~dst:(Addr.v dst 53) msg
   in
   let t1 = Clock.now_ns clock1 and t2 = Clock.now_ns clock2 in
+  Metrics.with_enabled true @@ fun () ->
+  let sent0 = Metrics.counter_value "net.frames_sent" in
   let conn =
     Hub.deferred (fun () ->
         udp a "10.0.0.2" "1";
@@ -295,8 +298,8 @@ let test_deferred_injection () =
         let conn = Stack.connect (Sim_host.stack a) ~dst:(Addr.v "10.0.0.2" 7) in
         udp c "10.0.1.2" "4";
         Alcotest.(check (list string)) "no tap sees a parked frame" [] !seen;
-        Alcotest.(check (pair int int)) "frames_sent unmoved" (0, 0)
-          (Hub.frames_sent hub1, Hub.frames_sent hub2);
+        Alcotest.(check int) "frames_sent unmoved" sent0
+          (Metrics.counter_value "net.frames_sent");
         Alcotest.(check (pair int64 int64)) "hub clocks unmoved" (t1, t2)
           (Clock.now_ns clock1, Clock.now_ns clock2);
         Alcotest.(check bool) "handshake still pending" true
@@ -402,8 +405,10 @@ let test_byte_conservation () =
    the sender's window fills and later sends append to a half-drained
    queue; the first ones even land before the handshake completes.
    Returns the fnv64 digest of every frame the tap saw, the final
-   virtual ns, and the sender's segments sent and retransmitted. *)
+   virtual ns, and the segments both stacks sent and retransmitted. *)
 let wire_transfer ~faults =
+  Metrics.with_enabled true @@ fun () ->
+  let before = Metrics.snapshot () in
   let clock = Clock.create () in
   let hub = Hub.create ?faults ~clock () in
   let wire = Buffer.create 4096 in
@@ -463,10 +468,11 @@ let wire_transfer ~faults =
       Stack.state c = Stack.Closed && Buffer.length got = Buffer.length sent);
   Alcotest.(check bool) "stream exact" true
     (String.equal (Buffer.contents sent) (Buffer.contents got));
+  let delta = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
   ( Histar_util.Checksum.fnv64 (Buffer.contents wire),
     Clock.now_ns clock,
-    Stack.segments_sent sa,
-    Stack.segments_retransmitted sa )
+    Metrics.value_in delta "net.segments_sent",
+    Metrics.value_in delta "net.segments_retransmitted" )
 
 (* Every frame on the wire, the virtual time and the segment counts are
    pinned to what the copying transmit path produced, over a clean hub
@@ -484,11 +490,11 @@ let test_wire_byte_identity () =
       Alcotest.(check int) (tag ^ ": segments retransmitted") retx r
     end
   in
-  run "clean" ~faults:None ("080a0421f0dcb125", 21_468_880L, 155, 0);
+  run "clean" ~faults:None ("080a0421f0dcb125", 21_468_880L, 309, 0);
   let schedule = Schedule.mk ~seed:0x1D3A7L ~net:Schedule.default_net () in
   run "lossy"
     ~faults:(Histar_faults.Faults.Net_faults.create schedule)
-    ("5b93df9584cbd632", 62_788_369_360L, 565, 412)
+    ("5b93df9584cbd632", 62_788_369_360L, 1105, 412)
 
 (* Words allocated by one transfer of [n] bytes through [Sim_host]. *)
 let transfer_alloc_words n =

@@ -3,6 +3,7 @@ module Clock = Histar_util.Sim_clock
 open Histar_store
 module Check = Histar_check.Check
 module Gen = Histar_check.Gen
+module Metrics = Histar_metrics.Metrics
 
 let geometry = { Disk.sectors = 500_000; sector_bytes = 512 }
 
@@ -11,6 +12,14 @@ let mk ?(wal_sectors = 1024) ?(apply_threshold = 1000) () =
   let disk = Disk.create ~geometry ~clock () in
   let store = Store.format ~disk ~wal_sectors ~apply_threshold () in
   (clock, disk, store)
+
+(* [f ()] and the per-counter deltas it caused, read in an enabled
+   metrics window: the store counts only through [Metrics]. *)
+let counted f =
+  Metrics.with_enabled true @@ fun () ->
+  let before = Metrics.snapshot () in
+  let v = f () in
+  (v, Metrics.diff ~before ~after:(Metrics.snapshot ()))
 
 (* ---------- extent allocator ---------- *)
 
@@ -155,28 +164,30 @@ let test_rewrite_changes_size () =
 
 let test_apply_threshold_triggers_checkpoint () =
   let _, _, s = mk ~apply_threshold:10 () in
-  for i = 1 to 25 do
-    let oid = Int64.of_int i in
-    Store.put s ~oid "x";
-    Store.sync_oid s ~oid
-  done;
-  let st = Store.stats s in
-  Alcotest.(check bool) "log applied at least twice" true (st.Store.log_applies >= 2)
+  let (), d =
+    counted (fun () ->
+        for i = 1 to 25 do
+          let oid = Int64.of_int i in
+          Store.put s ~oid "x";
+          Store.sync_oid s ~oid
+        done)
+  in
+  Alcotest.(check bool) "log applied at least twice" true
+    (Metrics.value_in d "store.checkpoints" >= 2)
 
 let test_drop_cache_rereads () =
   let _, _, s = mk () in
   Store.put s ~oid:1L "payload";
   Store.checkpoint s;
   Store.drop_clean_cache s;
-  let st = Store.stats s in
-  let misses0 = st.Store.cache_misses in
-  Alcotest.(check (option string)) "reread from disk" (Some "payload")
-    (Store.get s ~oid:1L);
-  Alcotest.(check bool) "cache miss happened" true (st.Store.cache_misses > misses0);
+  let got, d = counted (fun () -> Store.get s ~oid:1L) in
+  Alcotest.(check (option string)) "reread from disk" (Some "payload") got;
+  Alcotest.(check bool) "cache miss happened" true
+    (Metrics.value_in d "store.cache_misses" > 0);
   (* second read hits cache *)
-  let hits0 = st.Store.cache_hits in
-  ignore (Store.get s ~oid:1L);
-  Alcotest.(check bool) "then cache hit" true (st.Store.cache_hits > hits0)
+  let _, d = counted (fun () -> Store.get s ~oid:1L) in
+  Alcotest.(check bool) "then cache hit" true
+    (Metrics.value_in d "store.cache_hits" > 0)
 
 let test_group_sync_faster_than_per_file_sync () =
   (* The paper's headline storage result: group sync beats per-file sync
@@ -215,13 +226,13 @@ let test_sync_range_in_place () =
   (* modify a small range and flush it in place *)
   Bytes.fill big 50_000 100 'b';
   let t0 = Clock.now_ns clock in
-  let commits0 = (Store.stats s).Store.wal_commits in
-  let in_place =
-    Store.sync_range s ~oid:9L ~prefix ~data:big ~off:50_000 ~len:100
+  let in_place, d =
+    counted (fun () ->
+        Store.sync_range s ~oid:9L ~prefix ~data:big ~off:50_000 ~len:100)
   in
   Alcotest.(check bool) "in-place path taken" true in_place;
   let dt = Int64.sub (Clock.now_ns clock) t0 in
-  Alcotest.(check int) "no log commit" commits0 (Store.stats s).Store.wal_commits;
+  Alcotest.(check int) "no log commit" 0 (Metrics.value_in d "store.sync_batches");
   Alcotest.(check int) "still clean" 0 (Store.dirty_count s);
   (* cheap: a couple of sectors plus one barrier, far below a full
      100 KB object sync *)
@@ -249,11 +260,13 @@ let test_sync_range_refuses () =
   let data = Bytes.make 4096 'a' in
   homed_object s ~oid:1L data;
   let refuses what ~prefix ~data =
-    let writes = Disk.media_writes disk and pending = (Disk.stats disk).Disk.writes in
+    let writes = Disk.media_writes disk in
     Alcotest.(check bool) what false
       (Store.sync_range s ~oid:1L ~prefix ~data ~off:0 ~len:16);
     Alcotest.(check int) (what ^ ": no media writes") writes (Disk.media_writes disk);
-    Alcotest.(check int) (what ^ ": nothing buffered") pending (Disk.stats disk).Disk.writes
+    (* a buffered write would reach the media at the next barrier *)
+    Disk.flush disk;
+    Alcotest.(check int) (what ^ ": nothing buffered") writes (Disk.media_writes disk)
   in
   refuses "payload length changed" ~prefix ~data:(Bytes.make 4095 'a');
   refuses "prefix length changed" ~prefix:"hdr:!" ~data:(Bytes.make 4095 'a');

@@ -1,6 +1,7 @@
 open Histar_wal
 module Disk = Histar_disk.Disk
 module Clock = Histar_util.Sim_clock
+module Metrics = Histar_metrics.Metrics
 
 let geometry = { Disk.sectors = 100_000; sector_bytes = 512 }
 
@@ -68,10 +69,11 @@ let test_log_full () =
 let test_empty_commit_noop () =
   let disk = mk () in
   let wal = Wal.format ~disk ~start:1 ~sectors:64 in
-  let before = (Disk.stats disk).Disk.flushes in
+  Metrics.with_enabled true @@ fun () ->
+  let before = Metrics.counter_value "disk.flushes" in
   Wal.commit wal;
   Alcotest.(check int) "no flush for empty commit" before
-    (Disk.stats disk).Disk.flushes
+    (Metrics.counter_value "disk.flushes")
 
 let test_crash_mid_commit () =
   let disk = mk () in
