@@ -140,7 +140,7 @@ let ls depth =
         | Some k -> kind_to_string k
         | None -> "?"
       in
-      Printf.printf "%s%-14s %-20Ld %s\n" indent kind oid label;
+      Printf.printf "%s%-14s %-20d %s\n" indent kind oid label;
       match Kernel.container_children kernel oid with
       | Some kids when d > 0 ->
           List.iter (fun (k, _) -> show k (indent ^ "  ") (d - 1)) kids

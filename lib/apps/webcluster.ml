@@ -218,7 +218,7 @@ let render_index sh =
     (List.map
        (fun user ->
          let c, seg, wire = Hashtbl.find sh.sh_records user in
-         Printf.sprintf "%s %Ld %Ld %Ld\n" user wire (Category.to_int64 c) seg)
+         Printf.sprintf "%s %Ld %d %d\n" user wire (c :> int) seg)
        sh.sh_users)
 
 let parse_index data =
@@ -230,7 +230,7 @@ let parse_index data =
                ( user,
                  Int64.of_string wire,
                  Category.of_int64 (Int64.of_string cat),
-                 Int64.of_string seg )
+                 Types.oid_of_int64 (Int64.of_string seg) )
          | _ -> None)
 
 (* Park a keeper thread: alive (so the checkpoint keeps it, label and
@@ -303,7 +303,7 @@ let rec build ?(app_nodes = 2) ?(db_shards = 3) ?(user_count = 4)
           sh_alive = true;
           sh_users = [];
           sh_records = Hashtbl.create 8;
-          sh_index = 0L;
+          sh_index = 0;
           sh_keepers = [];
         })
   in

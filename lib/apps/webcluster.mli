@@ -16,13 +16,14 @@
 
     Robustness story (this is the fault-tolerance drill rig):
 
-    - {!kill_shard} powers a db node off — MAC detached, kernel
-      dropped from the schedule, volatile state gone. Unaffected
-      users keep being served; affected users are *refused* (never
-      mis-admitted) while the balancer's capped-exponential-backoff
-      health table ({!Histar_dist.Distd.Peer_health}) routes around
-      the corpse, probing it ever more rarely.
-    - {!recover_shard} brings it back from its own single-level
+    - A crash in the fault schedule powers a db node off — MAC
+      detached, kernel dropped from the schedule, volatile state gone.
+      Unaffected users keep being served; affected users are *refused*
+      (never mis-admitted) while the balancer's
+      capped-exponential-backoff health table
+      ({!Histar_dist.Distd.Peer_health}) routes around the corpse,
+      probing it ever more rarely.
+    - Its scheduled restart brings it back from its own single-level
       store: [Store.recover] + [fsck], [Kernel.recover], then the
       persisted keeper thread — whose checkpointed label still owns
       every category the shard minted — is re-armed to re-bind the
@@ -117,16 +118,6 @@ val shard_store : t -> int -> Histar_store.Store.t
 
 val shard_alive : t -> int -> bool
 val shard_users : t -> int -> string list
-
-val kill_shard : t -> int -> unit
-(** Power shard [k] off: detach its backbone MAC, drop its kernel
-    from the schedule. Volatile state is lost; the disk survives.
-    Idempotent while dead. *)
-
-val recover_shard : t -> int -> unit
-(** Store-based recovery of a dead shard [k]; see the module
-    preamble. Raises if the recovered store fails [fsck] or the
-    persisted index is missing. No-op while alive. *)
 
 val rebalance_user :
   t -> user:string -> to_shard:int -> (unit, string) result

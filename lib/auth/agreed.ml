@@ -23,14 +23,14 @@ let retry_bytes = 16
 (* TLS request: session container, pir, uw. TLS reply: retry centry. *)
 let encode_request ~session ~pir ~uw =
   let e = Codec.Enc.create () in
-  Codec.Enc.i64 e session;
-  Codec.Enc.i64 e (Histar_label.Category.to_int64 pir);
-  Codec.Enc.i64 e (Histar_label.Category.to_int64 uw);
+  Codec.Enc.int e session;
+  Codec.Enc.int e (pir : Histar_label.Category.t :> int);
+  Codec.Enc.int e (uw : Histar_label.Category.t :> int);
   Codec.Enc.to_string e
 
 let create_retry_segment_entry () =
   let d = Codec.Dec.of_string (Sys.tls_read ()) in
-  let session = Codec.Dec.i64 d in
+  let session = oid_of_int64 (Codec.Dec.i64 d) in
   let pir = Histar_label.Category.of_int64 (Codec.Dec.i64 d) in
   let uw = Histar_label.Category.of_int64 (Codec.Dec.i64 d) in
   let label = Label.of_list [ (pir, Level.L3); (uw, Level.L0) ] Level.L1 in

@@ -116,8 +116,8 @@ let grant_entry t ~session () =
    with Kernel_error _ -> ());
   (* category names are not secret; ownership is the protected thing *)
   let e = Codec.Enc.create () in
-  Codec.Enc.i64 e (Category.to_int64 t.auth_user.Process.ur);
-  Codec.Enc.i64 e (Category.to_int64 t.auth_user.Process.uw);
+  Codec.Enc.int e (t.auth_user.Process.ur :> int);
+  Codec.Enc.int e (t.auth_user.Process.uw :> int);
   Sys.tls_write (Codec.Enc.to_string e);
   Sys.gate_return
     ~keep:[ t.auth_user.Process.ur; t.auth_user.Process.uw ]
@@ -127,7 +127,7 @@ let grant_entry t ~session () =
 
 let setup_entry t ~evil () =
   let d = Codec.Dec.of_string (Sys.tls_read ()) in
-  let session = Codec.Dec.i64 d in
+  let session = oid_of_int64 (Codec.Dec.i64 d) in
   let pir = Category.of_int64 (Codec.Dec.i64 d) in
   let agreed_gate = Proto.dec_centry d in
   let agreed_marker = Proto.dec_centry d in
@@ -144,7 +144,7 @@ let setup_entry t ~evil () =
     | Challenge_response ->
         Some
           (Histar_util.Checksum.fnv64
-             (Printf.sprintf "%Ld|%Ld" session (Sys.clock_ns ())))
+             (Printf.sprintf "%d|%Ld" session (Sys.clock_ns ())))
   in
   (* verify the agreed code before lending it uw ownership *)
   if not (Agreed.verify ~marker:agreed_marker) then begin

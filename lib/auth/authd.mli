@@ -42,9 +42,6 @@ val start :
     directory. *)
 
 val setup_gate : t -> Histar_core.Types.centry
-val set_password : t -> string -> unit
-(** Host/test hook: the user changes their password. *)
-
 val trojaned_setup_gate : t -> Histar_core.Types.centry
 (** Host/test hook: a *malicious* variant of the setup gate whose check
     gate tries to exfiltrate the password instead of verifying it.

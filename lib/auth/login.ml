@@ -28,8 +28,8 @@ let login_via_gate ~proc ~setup_gate ~username ~password =
      neither pir's ownership nor pir clearance, or it could stash
      password-readable storage for later (§6.2). *)
   let e = Codec.Enc.create () in
-  Codec.Enc.i64 e session;
-  Codec.Enc.i64 e (Category.to_int64 pir);
+  Codec.Enc.int e session;
+  Codec.Enc.int e (pir : Category.t :> int);
   Proto.enc_centry e agreed_gate;
   Proto.enc_centry e agreed_marker;
   Sys.tls_write (Codec.Enc.to_string e);

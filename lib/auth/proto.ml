@@ -5,12 +5,12 @@ module Codec = Histar_util.Codec
 open Histar_core.Types
 
 let enc_centry e (ce : centry) =
-  Codec.Enc.i64 e ce.container;
-  Codec.Enc.i64 e ce.object_id
+  Codec.Enc.int e ce.container;
+  Codec.Enc.int e ce.object_id
 
 let dec_centry d =
-  let c = Codec.Dec.i64 d in
-  let o = Codec.Dec.i64 d in
+  let c = oid_of_int64 (Codec.Dec.i64 d) in
+  let o = oid_of_int64 (Codec.Dec.i64 d) in
   centry c o
 
 let enc_string s =
@@ -25,13 +25,13 @@ let dec_string s =
 (* setup request: session container oid, pir category *)
 let enc_setup_req ~session ~pir =
   let e = Codec.Enc.create () in
-  Codec.Enc.i64 e session;
-  Codec.Enc.i64 e (Histar_label.Category.to_int64 pir);
+  Codec.Enc.int e session;
+  Codec.Enc.int e (pir : Histar_label.Category.t :> int);
   Codec.Enc.to_string e
 
 let dec_setup_req s =
   let d = Codec.Dec.of_string s in
-  let session = Codec.Dec.i64 d in
+  let session = oid_of_int64 (Codec.Dec.i64 d) in
   let pir = Histar_label.Category.of_int64 (Codec.Dec.i64 d) in
   (session, pir)
 

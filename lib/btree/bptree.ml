@@ -15,8 +15,8 @@ let m_allocs = Metrics.counter "btree.node_allocs"
    Separator semantics: keys >= keys.(i) live in children.(i+1).
    All arrays are immutable by convention — every update copies. *)
 type 'a node =
-  | Leaf of { keys : int64 array; vals : 'a array }
-  | Internal of { keys : int64 array; children : 'a node array }
+  | Leaf of { keys : int array; vals : 'a array }
+  | Internal of { keys : int array; children : 'a node array }
 
 type 'a t = { order : int; root : 'a node; size : int }
 
@@ -63,7 +63,7 @@ let lower_bound a k =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Int64.compare a.(mid) k < 0 then lo := mid + 1 else hi := mid
+    if Int.compare a.(mid) k < 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
@@ -72,7 +72,7 @@ let upper_bound a k =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Int64.compare a.(mid) k <= 0 then lo := mid + 1 else hi := mid
+    if Int.compare a.(mid) k <= 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
@@ -83,7 +83,7 @@ let rec find_node node k =
   match node with
   | Leaf l ->
       let i = lower_bound l.keys k in
-      if i < Array.length l.keys && Int64.equal l.keys.(i) k then
+      if i < Array.length l.keys && Int.equal l.keys.(i) k then
         Some l.vals.(i)
       else None
   | Internal n -> find_node n.children.(upper_bound n.keys k) k
@@ -175,7 +175,7 @@ let rec insert_node t node k v =
   match node with
   | Leaf l ->
       let i = lower_bound l.keys k in
-      if i < Array.length l.keys && Int64.equal l.keys.(i) k then
+      if i < Array.length l.keys && Int.equal l.keys.(i) k then
         (mk_leaf l.keys (array_set l.vals i v), false, None)
       else
         let keys = array_insert l.keys i k in
@@ -360,7 +360,7 @@ let rec remove_node t node k =
   match node with
   | Leaf l ->
       let i = lower_bound l.keys k in
-      if i < Array.length l.keys && Int64.equal l.keys.(i) k then
+      if i < Array.length l.keys && Int.equal l.keys.(i) k then
         Some (mk_leaf (array_remove l.keys i) (array_remove l.vals i))
       else None
   | Internal nd -> (
@@ -408,8 +408,8 @@ let encode e t =
   Codec.Enc.u32 e t.size;
   iter
     (fun k v ->
-      Codec.Enc.i64 e k;
-      Codec.Enc.i64 e v)
+      Codec.Enc.int e k;
+      Codec.Enc.int e v)
     t
 
 let decode d =
@@ -417,8 +417,8 @@ let decode d =
   let size = Codec.Dec.u32 d in
   let t = ref (create ~order ()) in
   for _ = 1 to size do
-    let k = Codec.Dec.i64 d in
-    let v = Codec.Dec.i64 d in
+    let k = Codec.Dec.int d in
+    let v = Codec.Dec.int d in
     t := insert !t k v
   done;
   !t
@@ -433,10 +433,10 @@ let check_invariants t =
   let rec go node ~lo ~hi ~is_root ~d =
     let bound_check k =
       (match lo with
-      | Some b when Int64.compare k b < 0 -> fail "Bptree: key below bound"
+      | Some b when Int.compare k b < 0 -> fail "Bptree: key below bound"
       | _ -> ());
       match hi with
-      | Some b when Int64.compare k b >= 0 -> fail "Bptree: key above bound"
+      | Some b when Int.compare k b >= 0 -> fail "Bptree: key above bound"
       | _ -> ()
     in
     match node with
@@ -451,7 +451,7 @@ let check_invariants t =
         count := !count + n;
         Array.iteri
           (fun i k ->
-            if i > 0 && Int64.compare l.keys.(i - 1) k >= 0 then
+            if i > 0 && Int.compare l.keys.(i - 1) k >= 0 then
               fail "Bptree: leaf keys out of order";
             bound_check k)
           l.keys
@@ -465,7 +465,7 @@ let check_invariants t =
         if is_root && nc < 2 then fail "Bptree: internal root with one child";
         Array.iteri
           (fun i k ->
-            if i > 0 && Int64.compare nd.keys.(i - 1) k >= 0 then
+            if i > 0 && Int.compare nd.keys.(i - 1) k >= 0 then
               fail "Bptree: separators out of order";
             bound_check k)
           nd.keys;

@@ -1,10 +1,10 @@
-(** Persistent B+-tree with fixed-size [int64] keys.
+(** Persistent B+-tree with fixed-size [int] keys.
 
     The single-level store uses three of these, exactly as in §4 of the
     paper: object ID → disk location, free extents indexed by size, and
     free extents indexed by location. Fixed-size keys "significantly
     simplify the implementation" — composite keys (for the by-size
-    index) are packed into the int64.
+    index) are packed into the int.
 
     The tree is immutable: {!insert} and {!remove} return a new tree
     that shares all untouched nodes with the old one (path copying).
@@ -24,31 +24,31 @@ val create : ?order:int -> unit -> 'a t
 (** The empty tree. [order] is the maximum number of children of an
     internal node (default 16; must be at least 4). *)
 
-val insert : 'a t -> int64 -> 'a -> 'a t
+val insert : 'a t -> int -> 'a -> 'a t
 (** Path-copying insert/replace; the argument tree is unchanged. *)
 
-val remove : 'a t -> int64 -> 'a t option
+val remove : 'a t -> int -> 'a t option
 (** [Some t'] with the key removed, [None] if the key was absent. The
     argument tree is unchanged. *)
 
-val find : 'a t -> int64 -> 'a option
-val mem : 'a t -> int64 -> bool
+val find : 'a t -> int -> 'a option
+val mem : 'a t -> int -> bool
 val cardinal : 'a t -> int
 val is_empty : 'a t -> bool
-val min_binding : 'a t -> (int64 * 'a) option
-val max_binding : 'a t -> (int64 * 'a) option
+val min_binding : 'a t -> (int * 'a) option
+val max_binding : 'a t -> (int * 'a) option
 
-val find_geq : 'a t -> int64 -> (int64 * 'a) option
+val find_geq : 'a t -> int -> (int * 'a) option
 (** Smallest binding with key [>=] the argument. *)
 
-val find_gt : 'a t -> int64 -> (int64 * 'a) option
-val find_leq : 'a t -> int64 -> (int64 * 'a) option
+val find_gt : 'a t -> int -> (int * 'a) option
+val find_leq : 'a t -> int -> (int * 'a) option
 (** Largest binding with key [<=] the argument. *)
 
-val find_lt : 'a t -> int64 -> (int64 * 'a) option
-val iter : (int64 -> 'a -> unit) -> 'a t -> unit
-val fold : ('acc -> int64 -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val to_list : 'a t -> (int64 * 'a) list
+val find_lt : 'a t -> int -> (int * 'a) option
+val iter : (int -> 'a -> unit) -> 'a t -> unit
+val fold : ('acc -> int -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
+val to_list : 'a t -> (int * 'a) list
 
 val height : 'a t -> int
 (** Tree height (1 for a single leaf); useful for balance assertions. *)
@@ -57,8 +57,9 @@ val check_invariants : 'a t -> unit
 (** Raises [Failure] if a structural invariant is violated: key
     ordering, node fill factors, uniform leaf depth, cardinality. *)
 
-val encode : Histar_util.Codec.Enc.t -> int64 t -> unit
+val encode : Histar_util.Codec.Enc.t -> int t -> unit
 (** On-disk format is unchanged from the historical mutable tree:
-    order, size, then the bindings in key order. *)
+    order, size, then the bindings in key order, each key and value as
+    8 little-endian bytes. *)
 
-val decode : Histar_util.Codec.Dec.t -> int64 t
+val decode : Histar_util.Codec.Dec.t -> int t

@@ -191,7 +191,7 @@ let pos_mod a n = ((a mod n) + n) mod n
 let slot_in slots oid =
   let rec go i = function
     | [] -> -1
-    | o :: tl -> if Int64.equal o oid then i else go (i + 1) tl
+    | o :: tl -> if Int.equal o oid then i else go (i + 1) tl
   in
   go 0 slots
 
@@ -214,9 +214,7 @@ let mkind_to_tkind : Model.kind -> T.kind = function
 (* ---------- model-side execution ---------- *)
 
 let canon_mlabel ml =
-  ( List.sort compare
-      (List.map (fun (c, r) -> (Int64.to_int c, r)) (Mlabel.entries ml)),
-    Mlabel.default ml )
+  (List.sort compare (Mlabel.entries ml), Mlabel.default ml)
 
 exception Stop_model of term
 
@@ -240,7 +238,7 @@ let mk_model_harness ~st ~slots ~ncats ~outs =
     let n = !ncats in
     List.fold_left
       (fun acc (ci, r) ->
-        if n = 0 then acc else Mlabel.set acc (Int64.of_int (pos_mod ci n)) r)
+        if n = 0 then acc else Mlabel.set acc (pos_mod ci n) r)
       (Mlabel.make sp.ls_def) sp.ls_ents
   in
   let mstep req =
@@ -254,7 +252,7 @@ let mk_model_harness ~st ~slots ~ncats ~outs =
   let out_of = function
     | Model.R_unit -> Ok_unit
     | Model.R_bool b -> Ok_bool b
-    | Model.R_cat c -> Ok_cat (Int64.to_int c)
+    | Model.R_cat c -> Ok_cat c
     | Model.R_label l -> Ok_label (canon_mlabel l)
     | Model.R_oid _ -> Ok_unit (* creates handled per-op *)
     | Model.R_bytes s -> Ok_bytes s
@@ -296,7 +294,7 @@ let mk_model_harness ~st ~slots ~ncats ~outs =
         match mstep Model.Cat_create with
         | Model.R_cat c ->
             incr ncats;
-            record (Ok_cat (Int64.to_int c))
+            record (Ok_cat c)
         | resp -> record (out_of resp))
     | O_self_get_label -> record (out_of (mstep Model.Self_get_label))
     | O_self_get_clearance -> record (out_of (mstep Model.Self_get_clearance))
@@ -444,7 +442,7 @@ let canon_label cats l =
   let idx cid =
     let rec go i = function
       | [] -> -1
-      | c :: tl -> if Int64.equal (Category.to_int64 c) cid then i else go (i + 1) tl
+      | c :: tl -> if Int.equal (c : Category.t :> int) cid then i else go (i + 1) tl
     in
     go 0 cats
   in

@@ -111,8 +111,6 @@ type term =
 
 val pp_op : op -> string
 val pp_trace : op list -> string
-val pp_outcome : outcome -> string
-
 val compare_traces : ?weaken:Kernel.weaken -> op list -> string option
 (** Run both sides; [Some detail] describes the first divergence
     (per-op outcome, termination, or final-state), [None] if the

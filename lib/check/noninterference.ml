@@ -159,7 +159,7 @@ let interp w prog =
 type canon = {
   c_names : (oid, string) Hashtbl.t;
   c_counts : (string, int) Hashtbl.t;
-  c_cats : int64 list;
+  c_cats : int list;
 }
 
 let canon_make cats =
@@ -186,8 +186,8 @@ let canon_label canon l =
   let entries, default = Label.ranked l in
   let cat_idx id =
     let rec go i = function
-      | [] -> Printf.sprintf "?%Ld" id
-      | c :: tl -> if Int64.equal c id then Printf.sprintf "c%d" i else go (i + 1) tl
+      | [] -> Printf.sprintf "?%d" id
+      | c :: tl -> if Int.equal c id then Printf.sprintf "c%d" i else go (i + 1) tl
     in
     go 0 canon.c_cats
   in
@@ -263,7 +263,7 @@ type base = {
   b_handle : Kernel.handle;
   b_tid : oid;
   b_world : world;
-  b_cats : int64 list;
+  b_cats : int list;
 }
 
 (* Shared prologue: one kernel, one thread that mints the secrecy
@@ -287,7 +287,7 @@ let build_base () =
           Array.init 3 (fun i ->
               Lio.new_ref ctx ~name:(Printf.sprintf "high%d" i) hi "init")
         in
-        cell := Some ({ w_ctx = ctx; w_hi = hi; w_lows; w_highs }, (s :> int64)))
+        cell := Some ({ w_ctx = ctx; w_hi = hi; w_lows; w_highs }, (s :> int)))
   in
   Kernel.run k;
   match !cell with
@@ -450,7 +450,7 @@ exception Body_throw
 
 let mlabel_of_spec sp =
   Mlabel.of_entries
-    (List.map (fun (i, r) -> (Int64.of_int i, r + 1)) sp)
+    (List.map (fun (i, r) -> (i, r + 1)) sp)
     Mlabel.l1
 
 let render_state cur clear = Printf.sprintf "cur=%s clear=%s" cur clear
@@ -478,7 +478,7 @@ let real_trajectory ops =
           let idx id =
             let rec go i =
               if i >= 4 then 99
-              else if Int64.equal (cats.(i) :> int64) id then i
+              else if Int.equal (cats.(i) :> int) id then i
               else go (i + 1)
             in
             go 0
@@ -553,16 +553,16 @@ let model_trajectory ops =
     "{"
     ^ String.concat ","
         (List.map
-           (fun (id, r) -> Printf.sprintf "c%Ld:%d" id r)
+           (fun (id, r) -> Printf.sprintf "c%d:%d" id r)
            (Mlabel.entries m))
     ^ Printf.sprintf "|%d}" (Mlabel.default m)
   in
   let init =
     Mlio.make
-      ~cur:(Mlabel.of_entries [ (0L, Mlabel.star); (1L, Mlabel.star) ] Mlabel.l1)
+      ~cur:(Mlabel.of_entries [ (0, Mlabel.star); (1, Mlabel.star) ] Mlabel.l1)
       ~clear:
         (Mlabel.of_entries
-           (List.map (fun i -> (Int64.of_int i, Mlabel.l3)) [ 0; 1; 2; 3 ])
+           (List.map (fun i -> (i, Mlabel.l3)) [ 0; 1; 2; 3 ])
            Mlabel.l2)
   in
   let st = ref init in

@@ -50,7 +50,6 @@ type stmt =
   | S_to_labeled_high of stmt list
   | S_catch of stmt list * stmt list
 
-val twin_prog : stmt list -> stmt list
 val pp_prog : stmt list -> string
 val gen_prog : stmt list Gen.t
 
@@ -65,13 +64,11 @@ val prop : ?weaken:Histar_lio.Lio.weaken -> stmt list -> unit
 (** Raises [Failure] with a full diff report if the low views differ —
     the property fed to {!Check.run}. *)
 
-val prog_at : seed:int64 -> int -> stmt list
-(** The deterministic program schedule shared by {!suite_digest} and
-    {!catch_index}, so a "catch index" is meaningful on its own. *)
-
 val suite_digest :
   ?domains:int -> ?count:int -> ?seed:int64 -> unit -> int * string
-(** Run [count] (default 500) twin pairs from the schedule; raise on
+(** Run [count] (default 500) twin pairs from the deterministic
+    program schedule that {!catch_index} also scans, so a "catch
+    index" is meaningful on its own; raise on
     the first (lowest-index) divergence, otherwise return the pair
     count and a hex digest of every low view — two runs must return
     the identical digest (the harness is deterministic end to end).
@@ -110,9 +107,6 @@ type lop =
 
 val pp_lops : lop list -> string
 val gen_lops : lop list Gen.t
-
-val real_trajectory : lop list -> string list
-val model_trajectory : lop list -> string list
 
 val prop_lio_model_diff : lop list -> unit
 (** Raises [Failure] with both trajectories on divergence. *)

@@ -125,7 +125,7 @@ let validate_versions ~what ~history ~floor ~get =
 
 let store ?(nops = 45) () =
   let noids = 6 in
-  let oid_of i = Int64.of_int (100 + i) in
+  let oid_of i = 100 + i in
   let mk seed =
     let _clock, disk = fresh_disk () in
     let formatted = ref false in

@@ -19,7 +19,7 @@ let m_label_errors = Metrics.counter "kernel.syscall_label_errors"
 let infinite_quota = Int64.max_int
 let base_overhead = 512L
 (* kernel-meta record key in the store; outside the 61-bit oid space *)
-let meta_oid = -2L
+let meta_oid = -2
 
 (* ---------- scheduler plumbing ---------- *)
 
@@ -46,10 +46,10 @@ type wait_reason =
    evenly spread and serve as the hash; this keeps [caml_hash] and
    polymorphic compare off the syscall path. *)
 module Oid_tbl = Hashtbl.Make (struct
-  type t = int64
+  type t = int
 
-  let equal = Int64.equal
-  let hash x = Int64.to_int x land max_int
+  let equal = Int.equal
+  let hash x = x land max_int
 end)
 
 type segment = { mutable data : Bytes.t }
@@ -140,7 +140,7 @@ module Timers = Set.Make (struct
   type t = int64 * oid
 
   let compare (d, tid) (d', tid') =
-    match Int64.compare d d' with 0 -> Int64.compare tid tid' | c -> c
+    match Int64.compare d d' with 0 -> Int.compare tid tid' | c -> c
 end)
 
 type t = {
@@ -174,7 +174,7 @@ let find_obj k oid = Oid_tbl.find_opt k.objects oid
 (* A container's children in ascending oid order, never the table's. *)
 let sorted_children c =
   Oid_tbl.fold (fun oid kind acc -> (oid, kind) :: acc) c.children []
-  |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let cur_thread k =
   match find_obj k k.current with
@@ -235,23 +235,23 @@ let check_modify k ~op obj =
    link must exist (⟨D,D⟩ names the container itself). *)
 let resolve k ~op (ce : centry) =
   match find_obj k ce.container with
-  | None -> not_found_f "%s: no container %Ld" op ce.container
+  | None -> not_found_f "%s: no container %d" op ce.container
   | Some d -> (
       match d.body with
       | Con c ->
           let* () = check_observe k ~op d in
-          if Int64.equal ce.object_id ce.container then Ok d
+          if ce.object_id = ce.container then Ok d
           else if Oid_tbl.mem c.children ce.object_id then
             match find_obj k ce.object_id with
             | Some o -> Ok o
-            | None -> not_found_f "%s: dangling link %Ld" op ce.object_id
-          else not_found_f "%s: %Ld not in container %Ld" op ce.object_id ce.container
+            | None -> not_found_f "%s: dangling link %d" op ce.object_id
+          else not_found_f "%s: %d not in container %d" op ce.object_id ce.container
       | Seg _ | Thr _ | Gat _ | Asp _ | Dev _ ->
-          invalid_f "%s: %Ld is not a container" op ce.container)
+          invalid_f "%s: %d is not a container" op ce.container)
 
 (* Resolve a segment entry, honouring the reserved thread-local oid. *)
 let resolve_segment k ~op (ce : centry) =
-  if Int64.equal ce.object_id tls_oid then
+  if ce.object_id = tls_oid then
     let _, th = cur_thread k in
     match find_obj k th.tls with
     | Some o -> Ok (o, `Tls)
@@ -261,13 +261,13 @@ let resolve_segment k ~op (ce : centry) =
     match o.body with
     | Seg _ -> Ok (o, `Plain)
     | Con _ | Thr _ | Gat _ | Asp _ | Dev _ ->
-        invalid_f "%s: %Ld is not a segment" op ce.object_id
+        invalid_f "%s: %d is not a segment" op ce.object_id
 
 let as_container ~op o =
   match o.body with
   | Con c -> Ok c
   | Seg _ | Thr _ | Gat _ | Asp _ | Dev _ ->
-      invalid_f "%s: %Ld is not a container" op o.id
+      invalid_f "%s: %d is not a container" op o.id
 
 (* ---------- quotas ---------- *)
 
@@ -314,7 +314,7 @@ let store_delete k oid =
    data, which lets [Sync_range] hand the store the two parts. *)
 let encode_prefix e o =
   Codec.Enc.u8 e (kind_to_bit o.kind);
-  Codec.Enc.i64 e o.id;
+  Codec.Enc.int e o.id;
   Label.encode e o.label;
   Codec.Enc.str e o.descrip;
   Codec.Enc.i64 e o.quota;
@@ -327,16 +327,16 @@ let encode_prefix e o =
   | Seg s -> Codec.Enc.u32 e (Bytes.length s.data)
   | Con c ->
       Codec.Enc.u32 e c.avoid;
-      Codec.Enc.i64 e c.parent;
+      Codec.Enc.int e c.parent;
       Codec.Enc.u32 e (Oid_tbl.length c.children);
       Oid_tbl.iter
         (fun oid kind ->
-          Codec.Enc.i64 e oid;
+          Codec.Enc.int e oid;
           Codec.Enc.u8 e (kind_to_bit kind))
         c.children
   | Thr th ->
       Label.encode e th.tclear;
-      Codec.Enc.i64 e th.tls
+      Codec.Enc.int e th.tls
   | Gat g ->
       Label.encode e g.gclear;
       Codec.Enc.bool e g.gonce
@@ -344,8 +344,8 @@ let encode_prefix e o =
       Codec.Enc.list e
         (fun e m ->
           Codec.Enc.i64 e m.va;
-          Codec.Enc.i64 e m.seg.container;
-          Codec.Enc.i64 e m.seg.object_id;
+          Codec.Enc.int e m.seg.container;
+          Codec.Enc.int e m.seg.object_id;
           Codec.Enc.int e m.offset;
           Codec.Enc.int e m.npages;
           Codec.Enc.bool e m.flags.read;
@@ -382,10 +382,12 @@ let kind_of_bit = function
   | 5 -> Device
   | n -> invalid_arg (Printf.sprintf "kind_of_bit %d" n)
 
+let decode_oid d = oid_of_int64 (Codec.Dec.i64 d)
+
 let decode_obj payload =
   let d = Codec.Dec.of_string payload in
   let kind = kind_of_bit (Codec.Dec.u8 d) in
-  let id = Codec.Dec.i64 d in
+  let id = decode_oid d in
   let label = Label.decode d in
   let descrip = Codec.Dec.str d in
   let quota = Codec.Dec.i64 d in
@@ -399,18 +401,18 @@ let decode_obj payload =
     | Segment -> Seg { data = Bytes.of_string (Codec.Dec.str d) }
     | Container ->
         let avoid = Codec.Dec.u32 d in
-        let parent = Codec.Dec.i64 d in
+        let parent = decode_oid d in
         let n = Codec.Dec.u32 d in
         let children = Oid_tbl.create (max 4 n) in
         for _ = 1 to n do
-          let oid = Codec.Dec.i64 d in
+          let oid = decode_oid d in
           let kind = kind_of_bit (Codec.Dec.u8 d) in
           Oid_tbl.replace children oid kind
         done;
         Con { children; avoid; parent }
     | Thread ->
         let tclear = Label.decode d in
-        let tls = Codec.Dec.i64 d in
+        let tls = decode_oid d in
         Thr
           {
             tclear;
@@ -430,8 +432,8 @@ let decode_obj payload =
         let mappings =
           Codec.Dec.list d (fun d ->
               let va = Codec.Dec.i64 d in
-              let c = Codec.Dec.i64 d in
-              let o = Codec.Dec.i64 d in
+              let c = decode_oid d in
+              let o = decode_oid d in
               let offset = Codec.Dec.int d in
               let npages = Codec.Dec.int d in
               let read = Codec.Dec.bool d in
@@ -519,7 +521,7 @@ let create_object k ~(spec : create_spec) ~kind ~clearance_check ~body =
   let* d_obj =
     match find_obj k spec.container with
     | Some o -> Ok o
-    | None -> not_found_f "create: no container %Ld" spec.container
+    | None -> not_found_f "create: no container %d" spec.container
   in
   let* c = as_container ~op:"create" d_obj in
   let* () = check_modify k ~op:"create(container)" d_obj in
@@ -583,9 +585,10 @@ let wake k tid resp =
   | Some _ | None -> ()
 
 (* futex queues live on the segment objects via a per-kernel side
-   table, keyed by (segment oid, offset) *)
-let futex_key seg_oid offset =
-  Int64.add (Int64.mul seg_oid 1_000_003L) (Int64.of_int offset)
+   table, keyed by (segment oid, offset). The key wraps modulo 2^63;
+   [futexq] is only probed by key and never iterated, so neither the
+   wrap nor the table's order is observable. *)
+let futex_key seg_oid offset = (seg_oid * 1_000_003) + offset
 
 let futex_queue k key =
   match Oid_tbl.find_opt k.futexq key with
@@ -626,7 +629,7 @@ let rec next_timer k =
 
 let meta_record k =
   let e = Codec.Enc.create () in
-  Codec.Enc.i64 e k.root;
+  Codec.Enc.int e k.root;
   Codec.Enc.i64 e (Category_gen.counter k.oidgen);
   Codec.Enc.i64 e (Category_gen.counter k.catgen);
   Codec.Enc.i64 e k.key;
@@ -839,7 +842,7 @@ let resolve_gate k ~op ce =
   match o.body with
   | Gat g -> Ok (o, g)
   | Seg _ | Con _ | Thr _ | Asp _ | Dev _ ->
-      invalid_f "%s: %Ld is not a gate" op ce.object_id
+      invalid_f "%s: %d is not a gate" op ce.object_id
 
 let gate_enter_impl k ~gate ~requested_label ~requested_clearance ~verify_label
     =
@@ -910,7 +913,7 @@ let quota_move_impl k ~container ~target ~nbytes =
   let* d_obj =
     match find_obj k container with
     | Some o -> Ok o
-    | None -> not_found_f "quota_move: no container %Ld" container
+    | None -> not_found_f "quota_move: no container %d" container
   in
   let* c = as_container ~op:"quota_move" d_obj in
   let* () = check_modify k ~op:"quota_move(container)" d_obj in
@@ -918,8 +921,8 @@ let quota_move_impl k ~container ~target ~nbytes =
     if Oid_tbl.mem c.children target then
       match find_obj k target with
       | Some o -> Ok o
-      | None -> not_found_f "quota_move: dangling %Ld" target
-    else not_found_f "quota_move: %Ld not in container %Ld" target container
+      | None -> not_found_f "quota_move: dangling %d" target
+    else not_found_f "quota_move: %d not in container %d" target container
   in
   let lt = cur_label k in
   let ct = cur_clearance k in
@@ -960,20 +963,20 @@ let unref_impl k (ce : centry) =
   let* d_obj =
     match find_obj k ce.container with
     | Some o -> Ok o
-    | None -> not_found_f "unref: no container %Ld" ce.container
+    | None -> not_found_f "unref: no container %d" ce.container
   in
   let* c = as_container ~op:"unref" d_obj in
   let* () =
     if k.weaken = Some Weaken_unref_check then Ok ()
     else check_modify k ~op:"unref(container)" d_obj
   in
-  if Int64.equal ce.object_id ce.container then
+  if ce.object_id = ce.container then
     invalid_f "unref: container cannot unlink itself"
   else if Oid_tbl.mem c.children ce.object_id then begin
     unlink k d_obj c ce.object_id;
     ok_resp R_unit
   end
-  else not_found_f "unref: %Ld not in container %Ld" ce.object_id ce.container
+  else not_found_f "unref: %d not in container %d" ce.object_id ce.container
 
 let container_link_impl k ~container ~target =
   (* Hard link: write the destination container, clearance covers the
@@ -982,7 +985,7 @@ let container_link_impl k ~container ~target =
   let* d_obj =
     match find_obj k container with
     | Some d -> Ok d
-    | None -> not_found_f "container_link: no container %Ld" container
+    | None -> not_found_f "container_link: no container %d" container
   in
   let* c = as_container ~op:"container_link" d_obj in
   let* () = check_modify k ~op:"container_link(container)" d_obj in
@@ -1032,20 +1035,20 @@ let thread_alert_impl k (ce : centry) alert =
       | `Ready | `Running | `Blocked _ | `Halted -> ());
       ok_resp R_unit
   | Seg _ | Con _ | Gat _ | Asp _ | Dev _ ->
-      invalid_f "thread_alert: %Ld is not a thread" ce.object_id
+      invalid_f "thread_alert: %d is not a thread" ce.object_id
 
 let resolve_device k ~op (ce : centry) =
   let* o = resolve k ~op ce in
   match o.body with
   | Dev d -> Ok (o, d)
   | Seg _ | Con _ | Thr _ | Gat _ | Asp _ ->
-      invalid_f "%s: %Ld is not a device" op ce.object_id
+      invalid_f "%s: %d is not a device" op ce.object_id
 
 let handle_syscall k kont req : action =
   let result =
     match req with
     | Cat_create ->
-        let c = Category.of_int64 (Category_gen.next k.catgen) in
+        let c = Category.of_int (Category_gen.next k.catgen) in
         let o, th = cur_thread k in
         o.label <- Label.set o.label c Level.Star;
         th.tclear <- Label.set th.tclear c Level.L3;
@@ -1158,7 +1161,7 @@ let handle_syscall k kont req : action =
           match find_obj k spec.container with
           | Some { body = Con c; _ } -> Ok c.avoid
           | Some _ -> invalid_f "container_create: parent not a container"
-          | None -> not_found_f "container_create: no container %Ld" spec.container
+          | None -> not_found_f "container_create: no container %d" spec.container
         in
         (* avoid_types is inherited: descendants can only add bits *)
         let body =
@@ -1438,7 +1441,7 @@ let rec run_state_loop k tid rs =
   | Crashed exn ->
       halt_thread k tid;
       Logs.warn (fun m ->
-          m "thread %Ld crashed: %s" tid (Printexc.to_string exn))
+          m "thread %d crashed: %s" tid (Printexc.to_string exn))
   | Syscalled (req, kont) -> (
       Profile.record k.profile (req_index req);
       (* Three cost tiers: segment data access models a memory-mapped
@@ -1620,7 +1623,7 @@ let make ~clock ?store ~key ~oid_counter ~cat_counter ~root
     timers = Timers.empty;
     label_cache;
     profile;
-    current = 0L;
+    current = 0;
     root;
     trace = None;
     syscall_cost_ns;
@@ -1632,7 +1635,7 @@ let create ?(seed = 0x4853_7461_7221L) ?clock ?store ?syscall_cost_ns ?weaken
     () =
   let clock = match clock with Some c -> c | None -> Sim_clock.create () in
   let k =
-    make ~clock ?store ~key:seed ~oid_counter:0L ~cat_counter:0L ~root:0L
+    make ~clock ?store ~key:seed ~oid_counter:0L ~cat_counter:0L ~root:0
       ?syscall_cost_ns ?weaken ()
   in
   let root_id = next_oid k in
@@ -1733,7 +1736,7 @@ let deliver_packet k dev_oid frame =
         let tid = Queue.pop d.waiters in
         match find_obj k tid with
         | Some { body = Thr { tstate = `Blocked (W_net oid); _ }; _ }
-          when Int64.equal oid dev_oid ->
+          when oid = dev_oid ->
             wake k tid (R_bytes (Queue.pop d.rx))
         | Some _ | None -> ()
       done)
@@ -1766,7 +1769,7 @@ let recover ~store =
     | None -> invalid_arg "Kernel.recover: no kernel metadata in store"
   in
   let d = Codec.Dec.of_string meta in
-  let root = Codec.Dec.i64 d in
+  let root = decode_oid d in
   let oid_counter = Codec.Dec.i64 d in
   let cat_counter = Codec.Dec.i64 d in
   let key = Codec.Dec.i64 d in
@@ -1775,7 +1778,7 @@ let recover ~store =
       ~root ()
   in
   Store.iter_oids store (fun oid ->
-      if not (Int64.equal oid meta_oid) then
+      if oid <> meta_oid then
         match Store.get store ~oid with
         | Some payload ->
             let o = decode_obj payload in
@@ -1815,7 +1818,7 @@ let fork k =
     Array.of_seq
       (Seq.map (fun (oid, o) -> (oid, encode_obj o)) (Oid_tbl.to_seq k.objects))
   in
-  Array.sort (fun (a, _) (b, _) -> Int64.compare a b) objects;
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) objects;
   {
     h_objects = objects;
     h_root = k.root;

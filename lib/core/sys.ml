@@ -139,7 +139,7 @@ let segment_copy ~src ~container ~label ~quota descrip =
   oid_resp "segment_copy"
     (Segment_copy (src, { container; label; descrip; quota }))
 
-let tls = centry 0L tls_oid
+let tls = centry 0 tls_oid
 let tls_read () = segment_read tls ()
 
 let tls_write data =

@@ -1,18 +1,18 @@
-type oid = int64
-
-let pp_oid fmt o = Format.fprintf fmt "#%Ld" o
+type oid = int
 
 (* All real object IDs come from the cipher over [0, 2^61); this value is
    outside that range. *)
-let tls_oid = Int64.minus_one
+let tls_oid = -1
+
+let oid_of_int64 v =
+  if (v < 0L || v >= 0x2000_0000_0000_0000L) && not (Int64.equal v (-1L)) then
+    invalid_arg (Printf.sprintf "Types.oid_of_int64: %Ld out of range" v);
+  Int64.to_int v
 
 type centry = { container : oid; object_id : oid }
 
 let centry container object_id = { container; object_id }
 let self_entry d = { container = d; object_id = d }
-
-let pp_centry fmt ce =
-  Format.fprintf fmt "<%Ld,%Ld>" ce.container ce.object_id
 
 type kind = Segment | Thread | Address_space | Gate | Container | Device
 
@@ -32,8 +32,6 @@ let kind_to_bit = function
   | Container -> 4
   | Device -> 5
 
-let pp_kind fmt k = Format.pp_print_string fmt (kind_to_string k)
-
 type error =
   | Label_check of string
   | Not_found_ of string
@@ -49,8 +47,6 @@ let error_to_string = function
   | Quota s -> "quota: " ^ s
   | Immutable s -> "immutable: " ^ s
   | Avoid_type s -> "avoid_type: " ^ s
-
-let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
 
 exception Kernel_error of error
 

@@ -5,8 +5,9 @@ type t
 
 val create : key:int64 -> t
 
-val next : t -> int64
-(** A fresh 61-bit category name, distinct from all previous ones. *)
+val next : t -> int
+(** A fresh 61-bit name, distinct from all previous ones; it fits an
+    immediate int. *)
 
 val allocated : t -> int
 (** How many names have been handed out. *)

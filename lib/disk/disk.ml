@@ -114,7 +114,7 @@ let sector_contents t i =
   match Hashtbl.find_opt t.cache i with
   | Some s -> s
   | None -> (
-      match Bptree.find t.media (Int64.of_int i) with
+      match Bptree.find t.media i with
       | Some s -> s
       | None -> zero_sector t)
 
@@ -190,7 +190,7 @@ let media_write_one t i data =
     | Some f -> Disk_faults.on_media_write f ~sector:i data
     | None -> data
   in
-  t.media <- Bptree.insert t.media (Int64.of_int i) data;
+  t.media <- Bptree.insert t.media i data;
   t.media_writes <- t.media_writes + 1;
   Metrics.Counter.incr m_media_sector_writes;
   match t.write_trace with

@@ -34,9 +34,6 @@ type geometry = {
   sector_bytes : int;  (** bytes per sector (512) *)
 }
 
-val default_geometry : geometry
-(** 40 GB of 512-byte sectors, like the paper's drive. *)
-
 type params = {
   seek_min_us : float;  (** track-to-track seek *)
   seek_max_us : float;  (** full-stroke seek *)
@@ -53,6 +50,8 @@ val create :
   clock:Histar_util.Sim_clock.t ->
   unit ->
   t
+(** The default geometry is 40 GB of 512-byte sectors, like the
+    paper's drive. *)
 
 val geometry : t -> geometry
 

@@ -34,18 +34,21 @@ let star_to_l3 l =
 let cap ~label ~clearance = Label.lub clearance (star_to_l3 label)
 
 let to_wire names l =
-  let entries, default = Label.ranked l in
   let rec go acc = function
-    | [] -> Ok { Wire.wl_entries = List.rev acc; wl_default = default }
-    | (craw, rank) :: rest -> (
-        let c = Category.of_int64 craw in
+    | [] ->
+        Ok
+          {
+            Wire.wl_entries = List.rev acc;
+            wl_default = Level.to_rank (Label.default l);
+          }
+    | (c, lv) :: rest -> (
         match Names.find_local names c with
-        | Some e -> go ((e.Names.e_wire, rank) :: acc) rest
+        | Some e -> go ((e.Names.e_wire, Level.to_rank lv) :: acc) rest
         | None ->
             Error
               (Fmt.str "category %s not exported" (Category.to_string c)))
   in
-  go [] entries
+  go [] (Label.entries l)
 
 let clamp_rank ~trusted rank =
   (* Untrusted ⋆, wire J, and out-of-range ranks all degrade to L3:

@@ -24,10 +24,7 @@ type point = {
       (* (old_owner, new_owner) while a handoff is in flight *)
 }
 
-type t = {
-  points : point array;  (* sorted by unsigned hash *)
-  members : int list;  (* ascending *)
-}
+type t = { points : point array (* sorted by unsigned hash *) }
 
 module Checksum = Histar_util.Checksum
 
@@ -56,9 +53,7 @@ let create ?(vnodes = 16) members =
          members)
   in
   Array.sort (fun a b -> ucompare a.hash b.hash) points;
-  { points; members }
-
-let members t = t.members
+  { points }
 
 (* First point clockwise from [h] (binary search over the sorted
    array, wrapping past the top). *)

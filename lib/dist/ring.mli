@@ -12,8 +12,6 @@ val create : ?vnodes:int -> int list -> t
 (** [create members] builds a ring of [vnodes] points per member
     (default 16). *)
 
-val members : t -> int list
-
 val owner : t -> string -> int option
 (** Owning member of a key, ignoring handoff state. [None] iff the
     ring is empty. *)

@@ -12,7 +12,7 @@ let structural_equal a b =
 
 let structural_hash t =
   Category.Map.fold
-    (fun c lv acc -> (Hashtbl.hash (Category.to_int64 c, Level.to_rank lv) + (acc * 65599)) land max_int)
+    (fun c lv acc -> (Hashtbl.hash ((c :> int), Level.to_rank lv) + (acc * 65599)) land max_int)
     t.entries (Level.to_rank t.default)
 
 module Intern = Weak.Make (struct
@@ -93,7 +93,7 @@ let entries t = Category.Map.bindings t.entries
 
 let ranked t =
   ( Category.Map.fold
-      (fun c lv acc -> (Category.to_int64 c, Level.to_rank lv) :: acc)
+      (fun c lv acc -> ((c :> int), Level.to_rank lv) :: acc)
       t.entries []
     |> List.sort compare,
     Level.to_rank t.default )
@@ -183,7 +183,7 @@ let encode enc t =
   E.u32 enc (Category.Map.cardinal t.entries);
   Category.Map.iter
     (fun c lv ->
-      E.i64 enc (Category.to_int64 c);
+      E.int enc (c :> int);
       E.u8 enc (Level.to_rank lv))
     t.entries
 

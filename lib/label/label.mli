@@ -39,7 +39,7 @@ val set : t -> Category.t -> Level.t -> t
 val entries : t -> (Category.t * Level.t) list
 (** Non-default entries in increasing category order. *)
 
-val ranked : t -> (int64 * int) list * int
+val ranked : t -> (int * int) list * int
 (** Numeric view for the {!Histar_model} reference algebra: non-default
     entries as [(category id, rank)] sorted by category id, plus the
     default rank, where rank orders ⋆ < 0 < 1 < 2 < 3 < J as 0..5

@@ -4,7 +4,7 @@
    none equal to the default, each category at most once — so
    structural equality is extensional equality. *)
 
-type t = { def : int; ents : (int64 * int) list }
+type t = { def : int; ents : (int * int) list }
 
 let star = 0
 let l0 = 1
@@ -26,9 +26,9 @@ let get t c =
 
 let set t c r =
   if not (valid_rank r) then invalid_arg "Mlabel.set";
-  let ents = List.filter (fun (c', _) -> not (Int64.equal c c')) t.ents in
+  let ents = List.filter (fun (c', _) -> not (Int.equal c c')) t.ents in
   let ents = if r = t.def then ents else (c, r) :: ents in
-  { t with ents = List.sort (fun (a, _) (b, _) -> Int64.compare a b) ents }
+  { t with ents = List.sort (fun (a, _) (b, _) -> Int.compare a b) ents }
 
 let of_entries entries d =
   List.fold_left (fun acc (c, r) -> set acc c r) (make d) entries
@@ -47,7 +47,7 @@ let map2 f a b =
     | (c, r) :: xs', [] -> go xs' [] ((c, f r b.def) :: acc)
     | [], (c, r) :: ys' -> go [] ys' ((c, f a.def r) :: acc)
     | (cx, rx) :: xs', (cy, ry) :: ys' ->
-        let cmp = Int64.compare cx cy in
+        let cmp = Int.compare cx cy in
         if cmp < 0 then go xs' ys ((cx, f rx b.def) :: acc)
         else if cmp > 0 then go xs ys' ((cy, f a.def ry) :: acc)
         else go xs' ys' ((cx, f rx ry) :: acc)
@@ -62,7 +62,7 @@ let check2 f a b =
     | (_, r) :: xs', [] -> f r b.def && go xs' []
     | [], (_, r) :: ys' -> f a.def r && go [] ys'
     | (cx, rx) :: xs', (cy, ry) :: ys' ->
-        let cmp = Int64.compare cx cy in
+        let cmp = Int.compare cx cy in
         if cmp < 0 then f rx b.def && go xs' ys
         else if cmp > 0 then f a.def ry && go xs ys'
         else f rx ry && go xs' ys'
@@ -112,7 +112,7 @@ let to_string t =
   Buffer.add_char b '{';
   List.iter
     (fun (c, r) ->
-      Buffer.add_string b (Printf.sprintf "c%Ld %s, " c (rank_to_string r)))
+      Buffer.add_string b (Printf.sprintf "c%d %s, " c (rank_to_string r)))
     t.ents;
   Buffer.add_string b (rank_to_string t.def);
   Buffer.add_char b '}';

@@ -23,14 +23,14 @@ val make : int -> t
 (** [make d] maps every category to rank [d]. Raises [Invalid_argument]
     if [d] is [j] or out of range (mirrors {!Histar_label.Label.make}). *)
 
-val of_entries : (int64 * int) list -> int -> t
+val of_entries : (int * int) list -> int -> t
 (** [of_entries entries default]; later entries for the same category
     override earlier ones (mirrors [Label.of_list]). *)
 
 val default : t -> int
-val get : t -> int64 -> int
-val set : t -> int64 -> int -> t
-val entries : t -> (int64 * int) list
+val get : t -> int -> int
+val set : t -> int -> int -> t
+val entries : t -> (int * int) list
 (** Non-default entries sorted by category. *)
 
 val equal : t -> t -> bool
@@ -50,10 +50,10 @@ val raise_j : t -> t
 val lower_star : t -> t
 (** Superscript ⋆: J ↦ ⋆. *)
 
-val owns : t -> int64 -> bool
+val owns : t -> int -> bool
 (** Rank ⋆ or J at the category. *)
 
-val owned : t -> int64 list
+val owned : t -> int list
 (** Categories with an explicit ⋆ or J entry, sorted. *)
 
 val has_star : t -> bool

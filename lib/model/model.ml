@@ -8,7 +8,7 @@
    specified behaviour (the return gate leaks, the thread keeps the
    requested label). *)
 
-type oid = int64
+type oid = int
 type centry = { container : oid; object_id : oid }
 type kind = Segment | Thread | Address_space | Gate | Container | Device
 
@@ -83,7 +83,7 @@ type req =
 type resp =
   | R_unit
   | R_bool of bool
-  | R_cat of int64
+  | R_cat of int
   | R_label of Mlabel.t
   | R_oid of oid
   | R_bytes of string
@@ -96,7 +96,7 @@ type resp =
 
 type status = S_continue | S_thread_gone | S_stuck of err * string
 
-module M = Map.Make (Int64)
+module M = Map.Make (Int)
 
 type con = { children : kind M.t; parent : oid; avoid : int }
 
@@ -126,7 +126,7 @@ type obj = {
 type state = {
   objs : obj M.t;
   next_oid : oid;
-  next_cat : int64;
+  next_cat : int;
   root : oid;
   boot : oid;
 }
@@ -220,7 +220,7 @@ let resolve st tid ~op (ce : centry) =
       match d.body with
       | Con c ->
           let* () = check_observe st tid d op in
-          if Int64.equal ce.object_id ce.container then Ok (ce.container, d)
+          if ce.object_id = ce.container then Ok (ce.container, d)
           else if M.mem ce.object_id c.children then (
             match find st ce.object_id with
             | Some o -> Ok (ce.object_id, o)
@@ -342,7 +342,7 @@ let create_object st tid ~(spec : spec) ~kind ~clearance_check ~body =
       body;
     }
   in
-  let st = put { st with next_oid = Int64.add id 1L } id o in
+  let st = put { st with next_oid = id + 1 } id o in
   let st =
     match find st spec.sc_container with
     | Some ({ body = Con c; _ } as d) ->
@@ -491,7 +491,7 @@ let exec st tid req : (state * resp, err * string) result =
       let lt = Mlabel.set (cur_label st tid) c Mlabel.star in
       let ct = Mlabel.set (cur_clear st tid) c Mlabel.l3 in
       let st = set_thread st tid ~label:lt ~clear:ct in
-      Ok ({ st with next_cat = Int64.add c 1L }, R_cat c)
+      Ok ({ st with next_cat = c + 1 }, R_cat c)
   | Self_get_label -> Ok (st, R_label (cur_label st tid))
   | Self_get_clearance -> Ok (st, R_label (cur_clear st tid))
   | Self_set_label l ->
@@ -542,7 +542,7 @@ let exec st tid req : (state * resp, err * string) result =
       in
       let* c = as_container ~op:"unref" d in
       let* () = check_modify st tid d "unref(container)" in
-      if Int64.equal ce.object_id ce.container then
+      if ce.object_id = ce.container then
         err E_invalid "unref: container cannot unlink itself"
       else if M.mem ce.object_id c.children then
         Ok (unlink st ce.container ce.object_id, R_unit)
@@ -622,7 +622,7 @@ let exec st tid req : (state * resp, err * string) result =
             in
             (oid, kind, descrip) :: acc)
           c.children []
-        |> List.sort (fun (a, _, _) (b, _, _) -> Int64.compare a b)
+        |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
       in
       Ok (st, R_entries entries)
   | Container_get_parent ce ->
@@ -840,7 +840,7 @@ let spawn st ~container ~label ~clearance ~descrip =
       body = Thr { tclear = clearance };
     }
   in
-  let st = put { st with next_oid = Int64.add id 1L } id o in
+  let st = put { st with next_oid = id + 1 } id o in
   match find st container with
   | Some ({ body = Con c; _ } as d) ->
       let st =
@@ -855,7 +855,7 @@ let spawn st ~container ~label ~clearance ~descrip =
   | Some _ | None -> invalid_arg "Model.spawn: bad container"
 
 let init () =
-  let root_id = 1L in
+  let root_id = 1 in
   let root_obj =
     {
       kind = Container;
@@ -873,10 +873,10 @@ let init () =
   let st =
     {
       objs = M.add root_id root_obj M.empty;
-      next_oid = 2L;
-      next_cat = 0L;
+      next_oid = 2;
+      next_cat = 0;
       root = root_id;
-      boot = 0L;
+      boot = 0;
     }
   in
   let st, boot =
@@ -887,7 +887,7 @@ let init () =
 
 let root st = st.root
 let boot_thread st = st.boot
-let live st = M.fold (fun oid _ acc -> oid :: acc) st.objs [] |> List.sort Int64.compare
+let live st = M.fold (fun oid _ acc -> oid :: acc) st.objs [] |> List.sort Int.compare
 
 let view st oid =
   Option.map
@@ -914,7 +914,7 @@ let view st oid =
                      in
                      (coid, kind, descrip) :: acc)
                    c.children []
-                |> List.sort (fun (a, _, _) (b, _, _) -> Int64.compare a b))
+                |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b))
           | _ -> None);
         v_parent = (match o.body with Con c -> Some c.parent | _ -> None);
         v_clear = (match o.body with Thr th -> Some th.tclear | _ -> None);

@@ -21,7 +21,7 @@
     keeps AS mappings as inert data. Model object ids and category ids
     are small sequential integers; the comparison layer translates. *)
 
-type oid = int64
+type oid = int
 type centry = { container : oid; object_id : oid }
 
 type kind = Segment | Thread | Address_space | Gate | Container | Device
@@ -111,7 +111,7 @@ type req =
 type resp =
   | R_unit
   | R_bool of bool
-  | R_cat of int64
+  | R_cat of int
   | R_label of Mlabel.t
   | R_oid of oid
   | R_bytes of string

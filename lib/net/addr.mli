@@ -14,4 +14,3 @@ val ip_to_string : ip -> string
 val v : string -> port -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val pp_ip : Format.formatter -> ip -> unit

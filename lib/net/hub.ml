@@ -31,15 +31,17 @@ let m_bytes_rx = Metrics.counter "net.bytes_rx"
 let m_bytes_lost = Metrics.counter "net.bytes_lost"
 let m_bytes_no_route = Metrics.counter "net.bytes_no_route"
 
-let per_host : (string, Metrics.Counter.t) Hashtbl.t = Hashtbl.create 16
+(* One table per direction, keyed by MAC: a counter's name is built
+   only the first time its MAC is seen, not on every frame. *)
+let tx_counters : (string, Metrics.Counter.t) Hashtbl.t = Hashtbl.create 16
+let rx_counters : (string, Metrics.Counter.t) Hashtbl.t = Hashtbl.create 16
 
-let host_counter ~dir mac =
-  let name = Printf.sprintf "net.bytes_%s.%s" dir mac in
-  match Hashtbl.find_opt per_host name with
+let host_counter counters ~dir mac =
+  match Hashtbl.find_opt counters mac with
   | Some c -> c
   | None ->
-      let c = Metrics.counter name in
-      Hashtbl.replace per_host name c;
+      let c = Metrics.counter (Printf.sprintf "net.bytes_%s.%s" dir mac) in
+      Hashtbl.replace counters mac c;
       c
 
 type endpoint = {
@@ -111,8 +113,6 @@ let detach t ~mac =
       Hashtbl.remove t.by_ip ep.ep_ip
   | None -> ()
 
-let lookup t ip = Hashtbl.find_opt t.by_ip ip
-
 let resolve t ip =
   match Hashtbl.find_opt t.by_ip ip with
   | Some mac -> Some mac
@@ -134,12 +134,12 @@ let drop_no_route ~nbytes =
 let account_tx ~src nbytes =
   Metrics.Counter.add m_bytes_tx nbytes;
   match src with
-  | Some mac -> Metrics.Counter.add (host_counter ~dir:"tx" mac) nbytes
+  | Some mac -> Metrics.Counter.add (host_counter tx_counters ~dir:"tx" mac) nbytes
   | None -> ()
 
 let account_rx ~mac nbytes =
   Metrics.Counter.add m_bytes_rx nbytes;
-  Metrics.Counter.add (host_counter ~dir:"rx" mac) nbytes
+  Metrics.Counter.add (host_counter rx_counters ~dir:"rx" mac) nbytes
 
 let deliver ep bytes =
   account_rx ~mac:ep.ep_mac (String.length bytes);

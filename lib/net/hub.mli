@@ -77,11 +77,6 @@ val resolve : t -> Addr.ip -> string option
 (** MAC for an attached IP (the stand-in for ARP); falls back to the
     default route when set. *)
 
-val lookup : t -> Addr.ip -> string option
-(** Like {!resolve} but with no default-route fallback: [Some mac]
-    only when the IP is attached to this hub. Used by {!Bridge} to
-    decide which side of a two-hub topology owns an address. *)
-
 val set_default_route : t -> mac:string -> unit
 (** Deliver frames for unknown IPs to this endpoint (a gateway). *)
 

@@ -30,11 +30,6 @@ type t = {
   container : oid;
 }
 
-let service_gate t =
-  match !(t.shared.gate_cell) with
-  | Some g -> g
-  | None -> invalid_arg "Netd.service_gate: netd not initialized yet (run the kernel)"
-
 let device t = t.dev
 
 let stack t =

@@ -36,9 +36,6 @@ val start :
     attach it to the hub, and spawn the netd process. Must be called
     before [Kernel.run]. *)
 
-val service_gate : t -> Histar_core.Types.centry
-(** The gate clients invoke for socket operations. *)
-
 val device : t -> Histar_core.Types.oid
 val stack : t -> Stack.t
 (** Host-side access for tests. *)

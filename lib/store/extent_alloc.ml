@@ -3,28 +3,26 @@ module Bptree = Histar_btree.Bptree
 (* The two index trees are persistent; the allocator handle just holds
    the current roots. [copy] is therefore O(1) and copies never alias. *)
 type t = {
-  mutable by_size : int64 Bptree.t;  (** key = size<<32 | start, value = start *)
-  mutable by_loc : int64 Bptree.t;  (** key = start, value = size *)
+  mutable by_size : int Bptree.t;  (** key = size<<32 | start, value = start *)
+  mutable by_loc : int Bptree.t;  (** key = start, value = size *)
 }
 
-(* Packing requires starts and sizes below 2^32 sectors; the simulated
-   disk is 40 GB = ~78M sectors, far inside the bound. *)
+(* Packing requires starts below 2^32 sectors and sizes below 2^30, so
+   the key stays a positive 63-bit int; the simulated disk is 40 GB =
+   ~78M (< 2^27) sectors, far inside both bounds. *)
 let size_key ~sectors ~start =
-  assert (sectors > 0 && sectors < 0x1_0000_0000);
+  assert (sectors > 0 && sectors < 0x4000_0000);
   assert (start >= 0 && start < 0x1_0000_0000);
-  Int64.logor
-    (Int64.shift_left (Int64.of_int sectors) 32)
-    (Int64.of_int start)
+  (sectors lsl 32) lor start
 
 let create () = { by_size = Bptree.create (); by_loc = Bptree.create () }
 
 let insert_extent t ~start ~sectors =
-  t.by_loc <- Bptree.insert t.by_loc (Int64.of_int start) (Int64.of_int sectors);
-  t.by_size <-
-    Bptree.insert t.by_size (size_key ~sectors ~start) (Int64.of_int start)
+  t.by_loc <- Bptree.insert t.by_loc start sectors;
+  t.by_size <- Bptree.insert t.by_size (size_key ~sectors ~start) start
 
 let remove_extent t ~start ~sectors =
-  (match Bptree.remove t.by_loc (Int64.of_int start) with
+  (match Bptree.remove t.by_loc start with
   | Some tr -> t.by_loc <- tr
   | None -> assert false);
   match Bptree.remove t.by_size (size_key ~sectors ~start) with
@@ -34,30 +32,26 @@ let remove_extent t ~start ~sectors =
 let free t ~start ~sectors =
   if sectors <= 0 then invalid_arg "Extent_alloc.free: empty extent";
   (* Detect double-free / overlap with the by-location tree. *)
-  (match Bptree.find_leq t.by_loc (Int64.of_int start) with
-  | Some (s, len)
-    when Int64.to_int s + Int64.to_int len > start ->
+  (match Bptree.find_leq t.by_loc start with
+  | Some (s, len) when s + len > start ->
       failwith "Extent_alloc.free: overlaps an already-free extent"
   | Some _ | None -> ());
-  (match Bptree.find_gt t.by_loc (Int64.of_int start) with
-  | Some (s, _) when Int64.to_int s < start + sectors ->
+  (match Bptree.find_gt t.by_loc start with
+  | Some (s, _) when s < start + sectors ->
       failwith "Extent_alloc.free: overlaps an already-free extent"
   | Some _ | None -> ());
   (* Coalesce with the predecessor if it abuts. *)
   let start, sectors =
-    match Bptree.find_lt t.by_loc (Int64.of_int start) with
-    | Some (s, len)
-      when Int64.to_int s + Int64.to_int len = start ->
-        let s = Int64.to_int s and len = Int64.to_int len in
+    match Bptree.find_lt t.by_loc start with
+    | Some (s, len) when s + len = start ->
         remove_extent t ~start:s ~sectors:len;
         (s, len + sectors)
     | Some _ | None -> (start, sectors)
   in
   (* Coalesce with the successor if it abuts. *)
   let sectors =
-    match Bptree.find_geq t.by_loc (Int64.of_int (start + sectors)) with
-    | Some (s, len) when Int64.to_int s = start + sectors ->
-        let len = Int64.to_int len in
+    match Bptree.find_geq t.by_loc (start + sectors) with
+    | Some (s, len) when s = start + sectors ->
         remove_extent t ~start:(start + sectors) ~sectors:len;
         sectors + len
     | Some _ | None -> sectors
@@ -71,28 +65,24 @@ let alloc t ~sectors =
   match Bptree.find_geq t.by_size (size_key ~sectors ~start:0) with
   | None -> None
   | Some (key, start) ->
-      let ext_sectors = Int64.to_int (Int64.shift_right_logical key 32) in
-      let start = Int64.to_int start in
+      let ext_sectors = key lsr 32 in
       remove_extent t ~start ~sectors:ext_sectors;
       if ext_sectors > sectors then
         insert_extent t ~start:(start + sectors) ~sectors:(ext_sectors - sectors);
       Some start
 
 let free_sectors t =
-  Bptree.fold (fun acc _ len -> acc + Int64.to_int len) 0 t.by_loc
+  Bptree.fold (fun acc _ len -> acc + len) 0 t.by_loc
 
 let extent_count t = Bptree.cardinal t.by_loc
 
 let to_list t =
-  List.rev
-    (Bptree.fold
-       (fun acc start len -> (Int64.to_int start, Int64.to_int len) :: acc)
-       [] t.by_loc)
+  Bptree.to_list t.by_loc
 
 let largest_extent t =
   match Bptree.max_binding t.by_size with
   | None -> 0
-  | Some (key, _) -> Int64.to_int (Int64.shift_right_logical key 32)
+  | Some (key, _) -> key lsr 32
 
 let check_invariants t =
   Bptree.check_invariants t.by_loc;
@@ -102,7 +92,6 @@ let check_invariants t =
   let prev_end = ref (-1) in
   Bptree.iter
     (fun start len ->
-      let start = Int64.to_int start and len = Int64.to_int len in
       if len <= 0 then failwith "Extent_alloc: empty extent";
       if start <= !prev_end then failwith "Extent_alloc: overlap/abut not coalesced";
       if start = !prev_end + 1 && !prev_end >= 0 then ();
@@ -115,7 +104,6 @@ let check_invariants t =
   let last = ref None in
   Bptree.iter
     (fun start len ->
-      let start = Int64.to_int start and len = Int64.to_int len in
       (match !last with
       | Some (s, l) when s + l = start ->
           failwith "Extent_alloc: abutting extents not coalesced"
@@ -130,8 +118,8 @@ let encode enc t =
   E.u32 enc (Bptree.cardinal t.by_loc);
   Bptree.iter
     (fun start len ->
-      E.i64 enc start;
-      E.i64 enc len)
+      E.int enc start;
+      E.int enc len)
     t.by_loc
 
 let decode dec =
@@ -139,8 +127,8 @@ let decode dec =
   let t = create () in
   let n = D.u32 dec in
   for _ = 1 to n do
-    let start = Int64.to_int (D.i64 dec) in
-    let len = Int64.to_int (D.i64 dec) in
+    let start = D.int dec in
+    let len = D.int dec in
     insert_extent t ~start ~sectors:len
   done;
   t

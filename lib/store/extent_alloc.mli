@@ -2,7 +2,7 @@
     by extent size (to find appropriately-sized extents) and one by
     location (to coalesce adjacent extents on free).
 
-    The by-size tree packs [(size, start)] into its int64 key so that
+    The by-size tree packs [(size, start)] into its int key so that
     same-sized extents coexist; the by-location tree maps
     [start → size]. *)
 

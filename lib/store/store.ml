@@ -61,14 +61,14 @@ type t = {
   wal_sectors : int;
   apply_threshold : int;
   sector_bytes : int;
-  mutable object_map : int64 Bptree.t;
+  mutable object_map : int Bptree.t;
       (** oid → packed (start << 24 | sector count); the current root
           of a persistent tree *)
   alloc : Extent_alloc.t;
-  dirty : (int64, update option) Hashtbl.t;
+  dirty : (int, update option) Hashtbl.t;
       (** pending updates; [None] means deletion. An object with a
           record in the current log epoch is always here. *)
-  homes : (int64, home) Hashtbl.t;
+  homes : (int, home) Hashtbl.t;
       (** home images of clean objects only: staging an update (or
           logging a clean object) drops the entry until the checkpoint
           that writes the next image *)
@@ -89,12 +89,8 @@ type t = {
 
 let wal_start = 1
 let default_wal_sectors = 65_536
-let pack ~start ~sectors = Int64.logor (Int64.shift_left (Int64.of_int start) 24) (Int64.of_int sectors)
-
-let unpack v =
-  let start = Int64.to_int (Int64.shift_right_logical v 24) in
-  let sectors = Int64.to_int (Int64.logand v 0xFF_FFFFL) in
-  (start, sectors)
+let pack ~start ~sectors = (start lsl 24) lor sectors
+let unpack v = (v lsr 24, v land 0xFF_FFFF)
 
 let sectors_for t bytes = (bytes + t.sector_bytes - 1) / t.sector_bytes
 
@@ -231,21 +227,21 @@ let wal_record ~oid update =
   (match update with
   | Some payload ->
       Codec.Enc.u8 e 1;
-      Codec.Enc.i64 e oid;
+      Codec.Enc.int e oid;
       Codec.Enc.str e payload
   | None ->
       Codec.Enc.u8 e 2;
-      Codec.Enc.i64 e oid);
+      Codec.Enc.int e oid);
   Codec.Enc.to_string e
 
 let parse_wal_record payload =
   let d = Codec.Dec.of_string payload in
   match Codec.Dec.u8 d with
   | 1 ->
-      let oid = Codec.Dec.i64 d in
+      let oid = Codec.Dec.int d in
       let data = Codec.Dec.str d in
       (oid, Some data)
-  | 2 -> (Codec.Dec.i64 d, None)
+  | 2 -> (Codec.Dec.int d, None)
   | _ -> failwith "Store: unknown WAL record tag"
 
 (* ---------- construction ---------- *)
@@ -366,7 +362,7 @@ let checkpoint t =
   (* Write dirty objects to fresh home locations, in oid order for
      locality. *)
   let dirty = Hashtbl.fold (fun oid u acc -> (oid, u) :: acc) t.dirty [] in
-  let dirty = List.sort (fun (a, _) (b, _) -> Int64.compare a b) dirty in
+  let dirty = List.sort (fun (a, _) (b, _) -> Int.compare a b) dirty in
   List.iter
     (fun (oid, update) ->
       (match Bptree.find t.object_map oid with
@@ -661,7 +657,7 @@ type scrub_report = {
   scanned : int;
   repaired : int;
   quarantined_sectors : int;
-  lost : int64 list;
+  lost : int list;
   clean : bool;
 }
 
@@ -787,14 +783,19 @@ let quarantined_extents t = t.quarantined
 
 (* ---------- inspection ---------- *)
 
+(* In oid order, so no caller sees the [dirty] table's hash order. *)
 let iter_oids t f =
-  let seen = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun oid update ->
-      Hashtbl.replace seen oid ();
-      match update with Some _ -> f oid | None -> ())
-    t.dirty;
-  Bptree.iter (fun oid _ -> if not (Hashtbl.mem seen oid) then f oid) t.object_map
+  let live =
+    Bptree.fold
+      (fun acc oid _ -> if Hashtbl.mem t.dirty oid then acc else oid :: acc)
+      [] t.object_map
+  in
+  let live =
+    Hashtbl.fold
+      (fun oid update acc -> match update with Some _ -> oid :: acc | None -> acc)
+      t.dirty live
+  in
+  List.iter f (List.sort Int.compare live)
 
 let object_count t =
   let n = ref 0 in
@@ -840,7 +841,7 @@ let fsck t =
   Bptree.iter
     (fun oid packed ->
       let start, sectors = unpack packed in
-      add (Printf.sprintf "object %Ld" oid) start sectors)
+      add (Printf.sprintf "object %d" oid) start sectors)
     t.object_map;
   (match t.checkpoint_extent with
   | Some (start, sectors) ->

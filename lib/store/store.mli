@@ -36,41 +36,41 @@ val recover : disk:Histar_disk.Disk.t -> t
     and [store.recovered_objects] — the numbers a shard-death drill
     reads to prove a node really came back from its own store. *)
 
-val put : t -> oid:int64 -> ?prefix_len:int -> string -> unit
+val put : t -> oid:int -> ?prefix_len:int -> string -> unit
 (** Stage an update. [prefix_len] marks the payload's first
     [prefix_len] bytes as a small header and the rest as a data region
     that {!sync_range} may later rewrite in place; without it the object
     is only ever made durable whole. *)
 
-val set_prefix_len : t -> oid:int64 -> int -> unit
+val set_prefix_len : t -> oid:int -> int -> unit
 (** Declare the prefix length of an object already staged or homed, as
     {!put}'s [prefix_len] would have: a recovered store does not know
     its objects' layout, so without this {!sync_range} would refuse
     them until each is next {!put}. No-op for an unknown or deleted
     object. *)
 
-val get : t -> oid:int64 -> string option
+val get : t -> oid:int -> string option
 (** The object's current payload. A clean object is returned from the
     clean cache without copying, unless {!sync_range} has patched that
     cache since the object's last checkpoint or read: then each call
     copies it. *)
 
-val mem : t -> oid:int64 -> bool
+val mem : t -> oid:int -> bool
 
-val delete : t -> oid:int64 -> unit
+val delete : t -> oid:int -> unit
 (** Removing an absent object is a no-op. *)
 
-val sync_oid : t -> oid:int64 -> unit
+val sync_oid : t -> oid:int -> unit
 (** Force this object (its current contents, or its deletion) to the
     log and flush. *)
 
-val sync_oids : t -> oids:int64 list -> unit
+val sync_oids : t -> oids:int list -> unit
 (** Like {!sync_oid} for several objects with a single commit (one
     barrier) — the group-commit advantage of the log. *)
 
 val sync_range :
   t ->
-  oid:int64 ->
+  oid:int ->
   prefix:string ->
   data:Bytes.t ->
   off:int ->
@@ -110,8 +110,8 @@ val drop_clean_cache : t -> unit
     Dirty objects are retained, and so is the per-sector hash state
     {!sync_range} needs. *)
 
-val iter_oids : t -> (int64 -> unit) -> unit
-(** Every live object id (dirty or persistent), unordered. *)
+val iter_oids : t -> (int -> unit) -> unit
+(** Every live object id (dirty or persistent), in increasing order. *)
 
 val object_count : t -> int
 val dirty_count : t -> int
@@ -130,7 +130,7 @@ type scrub_report = {
   scanned : int;  (** object-image verifications, summed over passes *)
   repaired : int;  (** objects re-homed from an in-memory copy *)
   quarantined_sectors : int;  (** sectors withdrawn from service *)
-  lost : int64 list;  (** oids unreadable with no surviving copy *)
+  lost : int list;  (** oids unreadable with no surviving copy *)
   clean : bool;  (** final pass found no faults *)
 }
 

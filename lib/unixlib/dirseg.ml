@@ -11,7 +11,7 @@ let encode_entries es =
   Codec.Enc.list e
     (fun e en ->
       Codec.Enc.str e en.name;
-      Codec.Enc.i64 e en.oid;
+      Codec.Enc.int e en.oid;
       Codec.Enc.bool e en.is_dir)
     es;
   Codec.Enc.to_string e
@@ -20,7 +20,7 @@ let decode_entries s =
   let d = Codec.Dec.of_string s in
   Codec.Dec.list d (fun d ->
       let name = Codec.Dec.str d in
-      let oid = Codec.Dec.i64 d in
+      let oid = oid_of_int64 (Codec.Dec.i64 d) in
       let is_dir = Codec.Dec.bool d in
       { name; oid; is_dir })
 
@@ -35,7 +35,7 @@ let create ~dir ~label =
   Sys.segment_write (centry dir seg) ~off:header_bytes body;
   (* record the dirseg oid in the container's metadata *)
   let e = Codec.Enc.create () in
-  Codec.Enc.i64 e seg;
+  Codec.Enc.int e seg;
   Sys.set_metadata (self_entry dir) (Codec.Enc.to_string e);
   seg
 
@@ -44,7 +44,7 @@ let of_dir ~dir_entry =
   if String.length md < 8 then
     invalid_arg "Dirseg.of_dir: container has no directory segment";
   let d = Codec.Dec.of_string md in
-  centry dir_entry.object_id (Codec.Dec.i64 d)
+  centry dir_entry.object_id (oid_of_int64 (Codec.Dec.i64 d))
 
 let generation ce = Sys.segment_word ce ~off:8
 

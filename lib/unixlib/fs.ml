@@ -121,7 +121,7 @@ let chain_to_dir t dirpath =
       let root_parent = Sys.container_parent (self_entry t.fs_root) in
       let chain = (root_parent, t.fs_root) :: chain in
       let chain =
-        if Int64.equal dnode.parent dnode.oid then chain
+        if dnode.parent = dnode.oid then chain
         else chain @ [ (dnode.parent, dnode.oid) ]
       in
       (dnode.oid, chain)
@@ -137,7 +137,7 @@ let ensure_headroom t dirpath need =
     let sweep () =
       List.for_all
         (fun (parent, child) ->
-          if Int64.equal parent child then true
+          if parent = child then true
           else
             let avail = avail_of (self_entry child) in
             if Int64.compare avail need >= 0 then true

@@ -11,5 +11,4 @@ val at : Histar_core.Types.centry -> off:int -> t
 
 val lock : t -> unit
 val unlock : t -> unit
-val try_lock : t -> bool
 val with_lock : t -> (unit -> 'a) -> 'a

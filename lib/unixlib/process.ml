@@ -259,7 +259,7 @@ let boot ~fs ~container ?user ~name () =
       next_fd = 3;
       handlers = Hashtbl.create 4;
       out_buf = Buffer.create 256;
-      sig_thread = 0L;
+      sig_thread = 0;
       exit_gate = None;
     }
   in
@@ -501,7 +501,7 @@ let spawn proc ~name ?user ?(fds = []) ?(extra_label = [])
       next_fd = 3;
       handlers = Hashtbl.create 4;
       out_buf = proc.out_buf;
-      sig_thread = 0L;
+      sig_thread = 0;
       exit_gate;
     }
   in
@@ -610,7 +610,7 @@ let fork_exec proc ~name ?text ?(fds = []) main =
       next_fd = 3;
       handlers = Hashtbl.create 4;
       out_buf = proc.out_buf;
-      sig_thread = 0L;
+      sig_thread = 0;
       exit_gate;
     }
   in

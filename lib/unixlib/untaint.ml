@@ -33,8 +33,8 @@ let make_file_create_gate ~fs ~container ~taints =
     (match Fs.create fs ~label:file_label path with
     | ce ->
         Codec.Enc.bool reply true;
-        Codec.Enc.i64 reply ce.container;
-        Codec.Enc.i64 reply ce.object_id
+        Codec.Enc.int reply ce.container;
+        Codec.Enc.int reply ce.object_id
     | exception _ -> Codec.Enc.bool reply false);
     Sys.tls_write (Codec.Enc.to_string reply);
     Sys.gate_return ()
@@ -57,8 +57,8 @@ let create_file_via ~gate ~return_container path =
   Codec.Enc.str e path;
   let d = Codec.Dec.of_string (call gate ~return_container (Codec.Enc.to_string e)) in
   if Codec.Dec.bool d then
-    let c = Codec.Dec.i64 d in
-    let o = Codec.Dec.i64 d in
+    let c = oid_of_int64 (Codec.Dec.i64 d) in
+    let o = oid_of_int64 (Codec.Dec.i64 d) in
     centry c o
   else failwith "Untaint.create_file_via: creation refused"
 
@@ -73,8 +73,8 @@ let make_quota_gate ~container ~taints =
     taints;
   let entry () =
     let d = Codec.Dec.of_string (Sys.tls_read ()) in
-    let src = Codec.Dec.i64 d in
-    let target = Codec.Dec.i64 d in
+    let src = oid_of_int64 (Codec.Dec.i64 d) in
+    let target = oid_of_int64 (Codec.Dec.i64 d) in
     let nbytes = Codec.Dec.i64 d in
     let reply = Codec.Enc.create () in
     (match Sys.quota_move ~container:src ~target ~nbytes with
@@ -97,8 +97,8 @@ let make_quota_gate ~container ~taints =
 
 let adjust_quota_via ~gate ~return_container ~container ~target ~nbytes =
   let e = Codec.Enc.create () in
-  Codec.Enc.i64 e container;
-  Codec.Enc.i64 e target;
+  Codec.Enc.int e container;
+  Codec.Enc.int e target;
   Codec.Enc.i64 e nbytes;
   let d = Codec.Dec.of_string (call gate ~return_container (Codec.Enc.to_string e)) in
   if not (Codec.Dec.bool d) then

@@ -3,8 +3,6 @@
     [{ur3, uw0, 1}]. There is no superuser — "root" is just a user
     whose categories things happen to be labeled with. *)
 
-open Histar_core.Types
-
 val create_user : fs:Fs.t -> name:string -> Process.user
 (** Allocate the user's categories (the calling thread becomes an
     owner) and create [/home/<name>] labeled [{ur3, uw0, 1}]. *)
@@ -20,5 +18,3 @@ val sees : fs:Fs.t -> viewer:Histar_label.Label.t -> string -> bool
 (** Can a thread with this label read the named file? (Checked against
     the file's label; convenience for tests.) *)
 
-val ensure_home_root : fs:Fs.t -> oid
-(** Make sure /home exists; returns its container. *)

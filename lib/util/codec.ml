@@ -15,7 +15,14 @@ module Enc = struct
     u16 b (v lsr 16)
 
   let i64 b v = Buffer.add_int64_le b v
-  let int b v = i64 b (Int64.of_int v)
+
+  (* The bytes [i64] writes for [Int64.of_int v], in four 16-bit
+     pieces so that no boxed int64 is built on the way. *)
+  let int b v =
+    Buffer.add_uint16_le b (v land 0xffff);
+    Buffer.add_uint16_le b ((v lsr 16) land 0xffff);
+    Buffer.add_uint16_le b ((v lsr 32) land 0xffff);
+    Buffer.add_uint16_le b ((v asr 48) land 0xffff)
   let bool b v = u8 b (if v then 1 else 0)
 
   let str b s =
@@ -81,7 +88,14 @@ module Dec = struct
     d.pos <- d.pos + 8;
     v
 
-  let int d = Int64.to_int (i64 d)
+  (* An int is 63 bits: a value outside that range would otherwise
+     come back reduced modulo 2^63, aliasing an in-range one. *)
+  let int d =
+    need d 8;
+    let v = String.get_int64_le d.src d.pos in
+    d.pos <- d.pos + 8;
+    let i = Int64.to_int v in
+    if Int64.equal (Int64.of_int i) v then i else raise Truncated
 
   let bool d =
     match u8 d with

@@ -17,6 +17,8 @@ module Enc : sig
   val u32 : t -> int -> unit
   val i64 : t -> int64 -> unit
   val int : t -> int -> unit
+  (** The same 8 bytes as [i64] of the value. *)
+
   val bool : t -> bool -> unit
   val str : t -> string -> unit
   (** Length-prefixed string. *)
@@ -47,6 +49,9 @@ module Dec : sig
   val u32 : t -> int
   val i64 : t -> int64
   val int : t -> int
+  (** Reads what [Enc.int] wrote. Raises {!Truncated} on a 64-bit value
+      outside OCaml's 63-bit int range. *)
+
   val bool : t -> bool
   val str : t -> string
   val raw : t -> int -> string

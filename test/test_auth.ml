@@ -168,8 +168,8 @@ let test_retry_bound_within_one_session () =
               Histar_auth.Agreed.install ~container:session ~pir
             in
             let e = Histar_util.Codec.Enc.create () in
-            Histar_util.Codec.Enc.i64 e session;
-            Histar_util.Codec.Enc.i64 e (Category.to_int64 pir);
+            Histar_util.Codec.Enc.int e session;
+            Histar_util.Codec.Enc.int e (pir :> int);
             Histar_auth.Proto.enc_centry e agreed_gate;
             Histar_auth.Proto.enc_centry e agreed_marker;
             Sys.tls_write (Histar_util.Codec.Enc.to_string e);

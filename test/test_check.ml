@@ -439,6 +439,129 @@ let test_ni_domain_identity () =
            ^ " not caught at some domain count"))
     [ Lio.Weaken_toLabeled_result; Lio.Weaken_lio_catch ]
 
+(* ---------- decoder range: ids are 61-bit, fields are 64-bit ---------- *)
+
+module Codec = Histar_util.Codec
+module Label = Histar_label.Label
+module Level = Histar_label.Level
+module Category = Histar_label.Category
+module Kernel = Histar_core.Kernel
+module Sys = Histar_core.Sys
+module Store = Histar_store.Store
+module Wire = Histar_dist.Wire
+module Proto = Histar_dist.Proto
+
+let two61 = Int64.shift_left 1L 61
+
+(* A 64-bit id field no 61-bit name fits: negative, in [2^61, 2^63),
+   or 2^63+k for an in-range k — the value a decoder that reduced
+   modulo 2^63 would read as the valid id k. *)
+let gen_bad_id =
+  let open Gen in
+  let low61 = map (fun v -> Int64.logand v (Int64.pred two61)) int64 in
+  oneof
+    [
+      map (fun k -> Int64.of_int (-1 - k)) (int_range 0 1_000_000);
+      map (fun v -> Int64.logor two61 (Int64.logand v Int64.max_int)) int64;
+      map (fun k -> Int64.logor Int64.min_int k) low61;
+    ]
+
+let patch_i64 s ~at v =
+  let b = Bytes.of_string s in
+  Bytes.set_int64_le b at v;
+  Bytes.to_string b
+
+let rejects what f =
+  match f () with
+  | _ -> Alcotest.fail (what ^ ": out-of-range id decoded")
+  | exception Invalid_argument _ -> ()
+
+(* Label encoding: default u8, count u32, then (category i64, level u8)
+   per entry, so the one entry's category sits at byte 5. *)
+let prop_label_decode_range bad =
+  let e = Codec.Enc.create () in
+  Label.encode e (Label.of_list [ (Category.of_int 5, Level.L3) ] Level.L1);
+  let good = Codec.Enc.to_string e in
+  ignore (Label.decode (Codec.Dec.of_string good));
+  rejects "Label.decode" (fun () ->
+      Label.decode (Codec.Dec.of_string (patch_i64 good ~at:5 bad)))
+
+(* Wire names are full 64-bit cipher outputs, so the wire decoder has no
+   range to reject: it must hand each name to the resolver unchanged.
+   A label naming [w] and its 63-bit alias must therefore import two
+   distinct categories. *)
+let prop_of_wire_distinct bad =
+  let alias = Int64.of_int (Int64.to_int bad) in
+  if not (Int64.equal alias bad) then begin
+    let msg =
+      Wire.Reply
+        {
+          Wire.r_status = Wire.S_ok;
+          r_label = { Wire.wl_entries = [ (bad, 4); (alias, 4) ]; wl_default = 2 };
+          r_grants = [];
+          r_payload = "";
+        }
+    in
+    match Wire.decode_msg (Wire.encode_msg msg) with
+    | Wire.Reply r ->
+        let seen = Hashtbl.create 4 in
+        let resolve w =
+          match Hashtbl.find_opt seen w with
+          | Some c -> c
+          | None ->
+              let c = Category.of_int (Hashtbl.length seen) in
+              Hashtbl.replace seen w c;
+              c
+        in
+        let l = Proto.of_wire ~resolve ~trusted:(fun _ -> false) r.Wire.r_label in
+        Alcotest.(check int) "two wire names, two categories" 2
+          (List.length (Label.entries l))
+    | Wire.Call _ -> Alcotest.fail "reply decoded as a call"
+  end
+
+(* The kernel's object decoder, reached through [Kernel.recover]: a
+   checkpointed segment labelled with one category, whose oid field
+   (byte 1) or label category (byte 14: kind u8, oid i64, then the
+   label) is overwritten in the store. *)
+let kernel_image =
+  lazy
+    (let clock = Sim_clock.create () in
+     let store = Store.format ~disk:(Disk.create ~clock ()) () in
+     let k = Kernel.create ~clock ~store () in
+     let seg = ref 0 in
+     ignore
+       (Kernel.spawn k ~name:"mk" (fun () ->
+            let c = Sys.cat_create () in
+            seg :=
+              Sys.segment_create ~container:(Kernel.root k)
+                ~label:(Label.of_list [ (c, Level.L2) ] Level.L1)
+                ~quota:8192L "victim"));
+     Kernel.run k;
+     Kernel.checkpoint k;
+     (store, !seg, Option.get (Store.get store ~oid:!seg)))
+
+let prop_kernel_decode_range bad =
+  let store, seg, good = Lazy.force kernel_image in
+  List.iter
+    (fun at ->
+      Store.put store ~oid:seg (patch_i64 good ~at bad);
+      rejects (Printf.sprintf "Kernel.recover (field at %d)" at) (fun () ->
+          Kernel.recover ~store))
+    [ 1; 14 ];
+  Store.put store ~oid:seg good;
+  ignore (Kernel.recover ~store)
+
+let decoder_range_tests =
+  let print = Printf.sprintf "0x%Lx" in
+  [
+    Check.test_case ~print "Label.decode rejects out-of-range categories"
+      gen_bad_id prop_label_decode_range;
+    Check.test_case ~print "Proto.of_wire keeps 64-bit wire names apart"
+      gen_bad_id prop_of_wire_distinct;
+    Check.test_case ~count:40 ~print "kernel object decoder rejects out-of-range ids"
+      gen_bad_id prop_kernel_decode_range;
+  ]
+
 let () =
   Alcotest.run "histar_check"
     [
@@ -471,6 +594,7 @@ let () =
           Alcotest.test_case "fork sweep >= 10x (HISTAR_CHECK_SPEEDUP=1)"
             `Quick test_fork_speedup;
         ] );
+      ("decoder range", decoder_range_tests);
       ( "noninterference",
         [
           test_ni_property;

@@ -207,7 +207,11 @@ let test_admit_matches_model () =
       (Label.make (Level.of_rank w.Wire.wl_default))
       w.Wire.wl_entries
   in
-  let to_mlabel w = Mlabel.of_entries w.Wire.wl_entries w.Wire.wl_default in
+  let to_mlabel w =
+    Mlabel.of_entries
+      (List.map (fun (c, r) -> ((Category.of_int64 c :> int), r)) w.Wire.wl_entries)
+      w.Wire.wl_default
+  in
   let lv = wl [] 4 in
   let checked = ref 0 in
   List.iter

@@ -270,8 +270,8 @@ let test_store_scrub_repairs () =
   let rng = Rng.create 0xBEEFL in
   for oid = 1 to 50 do
     let payload = Rng.bytes rng (64 + Rng.int rng 2048) in
-    Hashtbl.replace model (Int64.of_int oid) payload;
-    Store.put store ~oid:(Int64.of_int oid) payload
+    Hashtbl.replace model oid payload;
+    Store.put store ~oid payload
   done;
   Store.checkpoint store;
   (* The checkpoint writes landed through the fault plan, so some home
@@ -279,7 +279,7 @@ let test_store_scrub_repairs () =
      them all from the clean cache. *)
   let report = Store.scrub store in
   Alcotest.(check bool) "scrub converged" true report.Store.clean;
-  Alcotest.(check (list int64)) "no objects lost" [] report.Store.lost;
+  Alcotest.(check (list int)) "no objects lost" [] report.Store.lost;
   Alcotest.(check bool) "faults were actually injected and repaired" true
     (report.Store.repaired > 0);
   Alcotest.(check bool) "bad extents were quarantined" true
@@ -292,8 +292,8 @@ let test_store_scrub_repairs () =
       match Store.get store ~oid with
       | Some got ->
           if not (String.equal got expected) then
-            Alcotest.fail (Printf.sprintf "object %Ld corrupt after scrub" oid)
-      | None -> Alcotest.fail (Printf.sprintf "object %Ld missing" oid))
+            Alcotest.fail (Printf.sprintf "object %d corrupt after scrub" oid)
+      | None -> Alcotest.fail (Printf.sprintf "object %d missing" oid))
     model;
   (* Quarantine survives recovery: the list is persisted in checkpoint
      metadata and still counted by fsck's tiling proof. *)
@@ -308,9 +308,9 @@ let test_store_scrub_repairs () =
       match Store.get store2 ~oid with
       | Some got ->
           Alcotest.(check bool)
-            (Printf.sprintf "object %Ld intact after recover" oid)
+            (Printf.sprintf "object %d intact after recover" oid)
             true (String.equal got expected)
-      | None -> Alcotest.fail (Printf.sprintf "object %Ld lost by recover" oid))
+      | None -> Alcotest.fail (Printf.sprintf "object %d lost by recover" oid))
     model
 
 let test_scrub_noop_when_healthy () =
@@ -318,7 +318,7 @@ let test_scrub_noop_when_healthy () =
   let disk = Disk.create ~clock () in
   let store = Store.format ~disk ~wal_sectors:1024 () in
   for oid = 1 to 10 do
-    Store.put store ~oid:(Int64.of_int oid) (String.make 100 'h')
+    Store.put store ~oid (String.make 100 'h')
   done;
   Store.checkpoint store;
   let report = Store.scrub store in

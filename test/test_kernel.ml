@@ -351,11 +351,11 @@ let test_children_in_oid_order () =
   in
   Alcotest.(check int) "unlinked children gone" 16 (List.length kids);
   let rec ascending = function
-    | a :: (b :: _ as rest) -> Int64.compare a b < 0 && ascending rest
+    | a :: (b :: _ as rest) -> a < b && ascending rest
     | [ _ ] | [] -> true
   in
   Alcotest.(check bool) "strictly ascending" true (ascending kids);
-  Alcotest.(check (list int64)) "as container_list returns them" listed kids
+  Alcotest.(check (list int)) "as container_list returns them" listed kids
 
 let test_hard_link_keeps_alive () =
   in_kernel_k (fun k root ->
@@ -744,10 +744,10 @@ let test_timer_ties_wake_in_tid_order () =
             Sys.sleep_until_ns deadline;
             woke := (Sys.self_id (), Sys.clock_ns ()) :: !woke))
   in
-  let sorted = List.sort Int64.compare tids in
+  let sorted = List.sort Int.compare tids in
   Alcotest.(check bool) "spawn order is not tid order" false (tids = sorted);
   Kernel.run k;
-  Alcotest.(check (list int64)) "woken in tid order" sorted
+  Alcotest.(check (list int)) "woken in tid order" sorted
     (List.rev_map fst !woke);
   List.iter
     (fun (_, at) ->
@@ -785,7 +785,7 @@ let test_destroyed_sleeper_never_woken () =
 let test_alerted_sleeper_never_woken_by_timer () =
   let k = Kernel.create () in
   let root = Kernel.root k in
-  let asp = ref 0L in
+  let asp = ref 0 in
   let woke = ref false and got = ref None in
   let _setup =
     Kernel.spawn k ~name:"setup" (fun () ->
@@ -901,8 +901,8 @@ let test_checkpoint_recover () =
   let _disk, store = mk_store () in
   let k = Kernel.create ~store () in
   let root = Kernel.root k in
-  let seg_id = ref 0L in
-  let dir_id = ref 0L in
+  let seg_id = ref 0 in
+  let dir_id = ref 0 in
   let _tid =
     Kernel.spawn k ~name:"init" (fun () ->
         let d = Sys.container_create ~container:root ~label:l1 ~quota:65536L "home" in
@@ -967,7 +967,7 @@ let test_sync_range_after_recover () =
   let disk, store = mk_store () in
   let k = Kernel.create ~store () in
   let root = Kernel.root k in
-  let seg = ref 0L in
+  let seg = ref 0 in
   let _tid =
     Kernel.spawn k ~name:"init" (fun () ->
         let s =
@@ -1588,7 +1588,7 @@ let test_fork_resume_reruns_deterministically () =
     Kernel.run b;
     !made
   in
-  Alcotest.(check (list int64)) "same oids on both resumes" (run_once ())
+  Alcotest.(check (list int)) "same oids on both resumes" (run_once ())
     (run_once ())
 
 let test_fork_after_destroy_and_create () =

@@ -115,7 +115,20 @@ let test_codec_roundtrip () =
   let e = Histar_util.Codec.Enc.create () in
   Label.encode e l;
   let d = Histar_util.Codec.Dec.of_string (Histar_util.Codec.Enc.to_string e) in
-  Alcotest.check label_t "round-trip" l (Label.decode d)
+  Alcotest.check label_t "round-trip" l (Label.decode d);
+  (* Golden bytes at both ends of the 61-bit range: a category is
+     written as 8 little-endian bytes, whatever type holds it. *)
+  let max61 = (1 lsl 61) - 1 in
+  let l = lbl [ (cat 0, Level.Star); (cat max61, Level.L3) ] Level.L1 in
+  let e = Histar_util.Codec.Enc.create () in
+  Label.encode e l;
+  let bytes = Histar_util.Codec.Enc.to_string e in
+  Alcotest.(check string) "golden encoding"
+    "0202000000000000000000000000ffffffffffffff1f04"
+    (String.concat ""
+       (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq bytes))));
+  Alcotest.check label_t "golden decodes" l
+    (Label.decode (Histar_util.Codec.Dec.of_string bytes))
 
 let test_pp () =
   let l = lbl [ (w, Level.L0) ] Level.L1 in

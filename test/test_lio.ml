@@ -252,8 +252,8 @@ let lio_login ~proc ~setup_gate ~username ~password =
   in
   let agreed_gate, agreed_marker = Agreed.install ~container:session ~pir in
   let e = Codec.Enc.create () in
-  Codec.Enc.i64 e session;
-  Codec.Enc.i64 e (Category.to_int64 pir);
+  Codec.Enc.int e session;
+  Codec.Enc.int e (pir :> int);
   Proto.enc_centry e agreed_gate;
   Proto.enc_centry e agreed_marker;
   Sys.tls_write (Codec.Enc.to_string e);

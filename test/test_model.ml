@@ -19,31 +19,31 @@ open Histar_label
 (* A label description both algebras can build: default rank 1..4 and
    (category, rank 0..5) entries over a small category universe, so
    generated pairs collide on categories often. *)
-type ldesc = { ld_def : int; ld_ents : (int64 * int) list }
+type ldesc = { ld_def : int; ld_ents : (int * int) list }
 
 let gen_ldesc =
   let open Gen in
   let* d = int_range 1 4 in
-  let* ents = resize 4 (list (pair (map Int64.of_int (int_range 0 7)) (int_range 0 5))) in
+  let* ents = resize 4 (list (pair (int_range 0 7) (int_range 0 5))) in
   return { ld_def = d; ld_ents = ents }
 
 let print_ldesc { ld_def; ld_ents } =
   Printf.sprintf "{d=%d;[%s]}" ld_def
     (String.concat ";"
-       (List.map (fun (c, r) -> Printf.sprintf "(%Ld,%d)" c r) ld_ents))
+       (List.map (fun (c, r) -> Printf.sprintf "(%d,%d)" c r) ld_ents))
 
 let mlabel_of d = Mlabel.of_entries d.ld_ents d.ld_def
 
 let label_of d =
   Label.of_list
-    (List.map (fun (c, r) -> (Category.of_int64 c, Level.of_rank r)) d.ld_ents)
+    (List.map (fun (c, r) -> (Category.of_int c, Level.of_rank r)) d.ld_ents)
     (Level.of_rank d.ld_def)
 
 (* Canonical form shared by both: sorted non-default entries + default. *)
 let canon_m l = (Mlabel.entries l, Mlabel.default l)
 let canon_r l = Label.ranked l
 
-let ranked = Alcotest.(pair (list (pair int64 int)) int)
+let ranked = Alcotest.(pair (list (pair int int)) int)
 
 let prop_ops_agree (a, b) =
   let ma = mlabel_of a and mb = mlabel_of b in
@@ -68,19 +68,19 @@ let prop_ops_agree (a, b) =
 
 let test_label_algebra_units () =
   (* The identities the fuzzer's bias leans on, spelled out once. *)
-  let star_u = Mlabel.of_entries [ (7L, Mlabel.star) ] Mlabel.l1 in
+  let star_u = Mlabel.of_entries [ (7, Mlabel.star) ] Mlabel.l1 in
   let floor =
     Mlabel.lower_star
       (Mlabel.lub (Mlabel.raise_j (Mlabel.make Mlabel.l1)) (Mlabel.raise_j star_u))
   in
   Alcotest.(check ranked) "floor keeps the gate's stars"
-    ([ (7L, Mlabel.star) ], Mlabel.l1)
+    ([ (7, Mlabel.star) ], Mlabel.l1)
     (canon_m floor);
   Alcotest.(check bool) "floor is below everything at owned cats" true
     (Mlabel.leq floor (Mlabel.make Mlabel.l3));
-  let tainted = Mlabel.of_entries [ (3L, Mlabel.l3) ] Mlabel.l1 in
+  let tainted = Mlabel.of_entries [ (3, Mlabel.l3) ] Mlabel.l1 in
   Alcotest.(check ranked) "taint_to_read picks up object taint"
-    ([ (3L, Mlabel.l3) ], Mlabel.l1)
+    ([ (3, Mlabel.l3) ], Mlabel.l1)
     (canon_m (Mlabel.taint_to_read ~thread:(Mlabel.make Mlabel.l1) ~obj:tainted))
 
 (* ---------- §6.2 gate-based login in the model ---------- *)
@@ -154,11 +154,11 @@ let gate_call ~gate ~retcon ?label st tid =
 
 let test_model_login_grants_exactly_user_star () =
   let st, root, u, _c, grant, _check, caller = login_world () in
-  Alcotest.(check (list int64)) "caller starts with no ownership" []
+  Alcotest.(check (list int)) "caller starts with no ownership" []
     (owned_of st caller);
   match gate_call ~gate:grant ~retcon:root st caller with
   | st, Model.R_unit, Model.S_continue ->
-      Alcotest.(check (list int64)) "success grants exactly {u}" [ u ]
+      Alcotest.(check (list int)) "success grants exactly {u}" [ u ]
         (owned_of st caller);
       (* The granted star rides an otherwise unchanged label: no taint. *)
       let l = Option.get (Model.thread_label_of st caller) in
@@ -178,7 +178,7 @@ let test_model_login_failure_leaks_nothing () =
   let st, root, _u, _c, _grant, check, caller = login_world () in
   match gate_call ~gate:check ~retcon:root st caller with
   | st, Model.R_unit, Model.S_continue ->
-      Alcotest.(check (list int64)) "failed login grants nothing" []
+      Alcotest.(check (list int)) "failed login grants nothing" []
         (owned_of st caller);
       let l = Option.get (Model.thread_label_of st caller) in
       Alcotest.(check ranked) "caller label untouched" ([], Mlabel.l1) (canon_m l)
@@ -454,7 +454,7 @@ let test_remote_call_matches_model () =
       Alcotest.fail "live call refused where the model admits"
   | Error _, _ -> Alcotest.fail "model refuses the clean case"
   | _, _ -> Alcotest.fail "clean call did not complete");
-  match (model_verdict ~lg:(ml [ (9L, 2) ] 1), !r_tainted) with
+  match (model_verdict ~lg:(ml [ (9, 2) ] 1), !r_tainted) with
   | Error (Model.E_label, want), Some (Error (Histar_dist.Distd.Refused got))
     ->
       Alcotest.(check string) "same refusal string" want got

@@ -99,67 +99,67 @@ let prop_alloc_model =
 
 let test_put_get () =
   let _, _, s = mk () in
-  Store.put s ~oid:1L "hello";
-  Store.put s ~oid:2L "world";
-  Alcotest.(check (option string)) "get 1" (Some "hello") (Store.get s ~oid:1L);
-  Alcotest.(check (option string)) "get 2" (Some "world") (Store.get s ~oid:2L);
-  Alcotest.(check (option string)) "absent" None (Store.get s ~oid:3L);
+  Store.put s ~oid:1 "hello";
+  Store.put s ~oid:2 "world";
+  Alcotest.(check (option string)) "get 1" (Some "hello") (Store.get s ~oid:1);
+  Alcotest.(check (option string)) "get 2" (Some "world") (Store.get s ~oid:2);
+  Alcotest.(check (option string)) "absent" None (Store.get s ~oid:3);
   Alcotest.(check int) "count" 2 (Store.object_count s)
 
 let test_checkpoint_persists () =
   let clock, disk, s = mk () in
   ignore clock;
-  Store.put s ~oid:10L (String.make 5000 'a');
-  Store.put s ~oid:11L "small";
+  Store.put s ~oid:10 (String.make 5000 'a');
+  Store.put s ~oid:11 "small";
   Store.checkpoint s;
   Alcotest.(check int) "nothing dirty" 0 (Store.dirty_count s);
   let s' = Store.recover ~disk in
   Alcotest.(check (option string)) "big object" (Some (String.make 5000 'a'))
-    (Store.get s' ~oid:10L);
+    (Store.get s' ~oid:10);
   Alcotest.(check (option string)) "small object" (Some "small")
-    (Store.get s' ~oid:11L);
+    (Store.get s' ~oid:11);
   Store.check_invariants s'
 
 let test_unsynced_lost_on_crash () =
   let _, disk, s = mk () in
-  Store.put s ~oid:1L "durable";
+  Store.put s ~oid:1 "durable";
   Store.checkpoint s;
-  Store.put s ~oid:2L "lost";
+  Store.put s ~oid:2 "lost";
   (* no sync, no checkpoint; simulate power cut by recovering from media *)
   let s' = Store.recover ~disk in
   Alcotest.(check (option string)) "durable survives" (Some "durable")
-    (Store.get s' ~oid:1L);
-  Alcotest.(check (option string)) "unsynced gone" None (Store.get s' ~oid:2L)
+    (Store.get s' ~oid:1);
+  Alcotest.(check (option string)) "unsynced gone" None (Store.get s' ~oid:2)
 
 let test_sync_oid_survives () =
   let _, disk, s = mk () in
-  Store.put s ~oid:5L "fsynced data";
-  Store.sync_oid s ~oid:5L;
+  Store.put s ~oid:5 "fsynced data";
+  Store.sync_oid s ~oid:5;
   let s' = Store.recover ~disk in
   Alcotest.(check (option string)) "fsynced survives" (Some "fsynced data")
-    (Store.get s' ~oid:5L)
+    (Store.get s' ~oid:5)
 
 let test_sync_delete_survives () =
   let _, disk, s = mk () in
-  Store.put s ~oid:5L "data";
+  Store.put s ~oid:5 "data";
   Store.checkpoint s;
-  Store.delete s ~oid:5L;
-  Store.sync_oid s ~oid:5L;
+  Store.delete s ~oid:5;
+  Store.sync_oid s ~oid:5;
   let s' = Store.recover ~disk in
   Alcotest.(check (option string)) "synced delete survives" None
-    (Store.get s' ~oid:5L)
+    (Store.get s' ~oid:5)
 
 let test_rewrite_changes_size () =
   let _, disk, s = mk () in
-  Store.put s ~oid:7L (String.make 4096 'x');
+  Store.put s ~oid:7 (String.make 4096 'x');
   Store.checkpoint s;
   let free1 = Store.free_sectors s in
-  Store.put s ~oid:7L "tiny";
+  Store.put s ~oid:7 "tiny";
   Store.checkpoint s;
   let free2 = Store.free_sectors s in
   Alcotest.(check bool) "space reclaimed" true (free2 > free1);
   let s' = Store.recover ~disk in
-  Alcotest.(check (option string)) "rewritten" (Some "tiny") (Store.get s' ~oid:7L);
+  Alcotest.(check (option string)) "rewritten" (Some "tiny") (Store.get s' ~oid:7);
   Store.check_invariants s'
 
 let test_apply_threshold_triggers_checkpoint () =
@@ -167,7 +167,7 @@ let test_apply_threshold_triggers_checkpoint () =
   let (), d =
     counted (fun () ->
         for i = 1 to 25 do
-          let oid = Int64.of_int i in
+          let oid = i in
           Store.put s ~oid "x";
           Store.sync_oid s ~oid
         done)
@@ -177,15 +177,15 @@ let test_apply_threshold_triggers_checkpoint () =
 
 let test_drop_cache_rereads () =
   let _, _, s = mk () in
-  Store.put s ~oid:1L "payload";
+  Store.put s ~oid:1 "payload";
   Store.checkpoint s;
   Store.drop_clean_cache s;
-  let got, d = counted (fun () -> Store.get s ~oid:1L) in
+  let got, d = counted (fun () -> Store.get s ~oid:1) in
   Alcotest.(check (option string)) "reread from disk" (Some "payload") got;
   Alcotest.(check bool) "cache miss happened" true
     (Metrics.value_in d "store.cache_misses" > 0);
   (* second read hits cache *)
-  let _, d = counted (fun () -> Store.get s ~oid:1L) in
+  let _, d = counted (fun () -> Store.get s ~oid:1) in
   Alcotest.(check bool) "then cache hit" true
     (Metrics.value_in d "store.cache_hits" > 0)
 
@@ -195,13 +195,13 @@ let test_group_sync_faster_than_per_file_sync () =
   let n = 300 in
   let clock1, _, s1 = mk ~wal_sectors:8192 () in
   for i = 1 to n do
-    Store.put s1 ~oid:(Int64.of_int i) (String.make 1024 'd');
-    Store.sync_oid s1 ~oid:(Int64.of_int i)
+    Store.put s1 ~oid:i (String.make 1024 'd');
+    Store.sync_oid s1 ~oid:i
   done;
   let per_file_ns = Clock.now_ns clock1 in
   let clock2, _, s2 = mk ~wal_sectors:8192 () in
   for i = 1 to n do
-    Store.put s2 ~oid:(Int64.of_int i) (String.make 1024 'd')
+    Store.put s2 ~oid:i (String.make 1024 'd')
   done;
   Store.checkpoint s2;
   let group_ns = Clock.now_ns clock2 in
@@ -222,13 +222,13 @@ let homed_object s ~oid data =
 let test_sync_range_in_place () =
   let clock, disk, s = mk () in
   let big = Bytes.make 100_000 'a' in
-  homed_object s ~oid:9L big;
+  homed_object s ~oid:9 big;
   (* modify a small range and flush it in place *)
   Bytes.fill big 50_000 100 'b';
   let t0 = Clock.now_ns clock in
   let in_place, d =
     counted (fun () ->
-        Store.sync_range s ~oid:9L ~prefix ~data:big ~off:50_000 ~len:100)
+        Store.sync_range s ~oid:9 ~prefix ~data:big ~off:50_000 ~len:100)
   in
   Alcotest.(check bool) "in-place path taken" true in_place;
   let dt = Int64.sub (Clock.now_ns clock) t0 in
@@ -238,13 +238,13 @@ let test_sync_range_in_place () =
      100 KB object sync *)
   Alcotest.(check bool) (Printf.sprintf "%Ldns" dt) true (dt < 30_000_000L);
   (* the clean copy was patched with the flushed bytes *)
-  (match Store.get s ~oid:9L with
+  (match Store.get s ~oid:9 with
   | Some v -> Alcotest.(check char) "cached copy patched" 'b' v.[4 + 50_050]
   | None -> Alcotest.fail "object lost");
   Store.fsck s;
   (* recovery sees the new bytes *)
   let s' = Store.recover ~disk in
-  (match Store.get s' ~oid:9L with
+  (match Store.get s' ~oid:9 with
   | Some v ->
       Alcotest.(check char) "patched" 'b' v.[4 + 50_050];
       Alcotest.(check char) "rest intact" 'a' v.[4];
@@ -258,11 +258,11 @@ let test_sync_range_refuses () =
      caller then takes the log path. *)
   let _clock, disk, s = mk () in
   let data = Bytes.make 4096 'a' in
-  homed_object s ~oid:1L data;
+  homed_object s ~oid:1 data;
   let refuses what ~prefix ~data =
     let writes = Disk.media_writes disk in
     Alcotest.(check bool) what false
-      (Store.sync_range s ~oid:1L ~prefix ~data ~off:0 ~len:16);
+      (Store.sync_range s ~oid:1 ~prefix ~data ~off:0 ~len:16);
     Alcotest.(check int) (what ^ ": no media writes") writes (Disk.media_writes disk);
     (* a buffered write would reach the media at the next barrier *)
     Disk.flush disk;
@@ -272,18 +272,18 @@ let test_sync_range_refuses () =
   refuses "prefix length changed" ~prefix:"hdr:!" ~data:(Bytes.make 4095 'a');
   (* A logged copy is newer than the home image: WAL replay would
      override an in-place patch. *)
-  Store.put s ~oid:1L ~prefix_len:4 (prefix ^ String.make 4096 'x');
-  Store.sync_oid s ~oid:1L;
+  Store.put s ~oid:1 ~prefix_len:4 (prefix ^ String.make 4096 'x');
+  Store.sync_oid s ~oid:1;
   refuses "newer logged copy" ~prefix ~data;
   (* Logging a clean object counts too. *)
   Store.checkpoint s;
-  Store.sync_oid s ~oid:1L;
+  Store.sync_oid s ~oid:1;
   refuses "clean object logged" ~prefix ~data;
   (* Without a declared prefix the store cannot place the data. *)
-  Store.put s ~oid:2L (prefix ^ Bytes.to_string data);
+  Store.put s ~oid:2 (prefix ^ Bytes.to_string data);
   Store.checkpoint s;
   Alcotest.(check bool) "layout never declared" false
-    (Store.sync_range s ~oid:2L ~prefix ~data ~off:0 ~len:16);
+    (Store.sync_range s ~oid:2 ~prefix ~data ~off:0 ~len:16);
   Store.fsck s
 
 let test_sync_range_multi_sector_prefix () =
@@ -293,17 +293,17 @@ let test_sync_range_multi_sector_prefix () =
   let _clock, disk, s = mk () in
   let prefix = String.make 600 'p' in
   let data = Bytes.make 8192 'a' in
-  Store.put s ~oid:6L ~prefix_len:600 (prefix ^ Bytes.to_string data);
+  Store.put s ~oid:6 ~prefix_len:600 (prefix ^ Bytes.to_string data);
   Store.checkpoint s;
   let writes = Disk.media_writes disk in
   Alcotest.(check bool) "gap between runs: refused" false
-    (Store.sync_range s ~oid:6L ~prefix ~data ~off:6_000 ~len:10);
+    (Store.sync_range s ~oid:6 ~prefix ~data ~off:6_000 ~len:10);
   Alcotest.(check int) "refusal writes nothing" writes (Disk.media_writes disk);
   Bytes.fill data 100 10 'b';
   Alcotest.(check bool) "adjoining range: in place" true
-    (Store.sync_range s ~oid:6L ~prefix ~data ~off:100 ~len:10);
+    (Store.sync_range s ~oid:6 ~prefix ~data ~off:100 ~len:10);
   Store.fsck s;
-  match Store.get (Store.recover ~disk) ~oid:6L with
+  match Store.get (Store.recover ~disk) ~oid:6 with
   | Some v -> Alcotest.(check char) "flushed" 'b' v.[600 + 105]
   | None -> Alcotest.fail "object lost"
 
@@ -327,28 +327,28 @@ let test_sync_range_corruption_caught () =
     Disk.set_faults disk None;
     let report = Store.scrub s in
     Alcotest.(check int) (what ^ ": repaired") 1 report.Store.repaired;
-    Alcotest.(check (list int64)) (what ^ ": nothing lost") [] report.Store.lost;
+    Alcotest.(check (list int)) (what ^ ": nothing lost") [] report.Store.lost;
     Store.fsck s;
-    match Store.get (Store.recover ~disk) ~oid:4L with
+    match Store.get (Store.recover ~disk) ~oid:4 with
     | Some v -> Alcotest.(check char) (what ^ ": flushed bytes") 'b' v.[4 + 6_500]
     | None -> Alcotest.fail (what ^ ": object lost")
   in
   (* Silent corruption of a flushed sector after the flush. *)
   let _clock, disk, s = mk () in
   let data = Bytes.make 20_000 'a' in
-  homed_object s ~oid:4L data;
+  homed_object s ~oid:4 data;
   flushed data;
   let last_written = ref 0 in
   Disk.set_write_trace disk (Some (fun ~sector ~data:_ -> last_written := sector));
   Alcotest.(check bool) "in place" true
-    (Store.sync_range s ~oid:4L ~prefix ~data ~off:6_000 ~len:1_000);
+    (Store.sync_range s ~oid:4 ~prefix ~data ~off:6_000 ~len:1_000);
   Disk.set_write_trace disk None;
   corrupt_sector disk !last_written;
   check_repaired "silent" disk s;
   (* Every sector the flush writes comes out corrupted. *)
   let _clock, disk, s = mk () in
   let data = Bytes.make 20_000 'a' in
-  homed_object s ~oid:4L data;
+  homed_object s ~oid:4 data;
   flushed data;
   Disk.set_faults disk
     (Faults.Disk_faults.create
@@ -361,7 +361,7 @@ let test_sync_range_corruption_caught () =
             }
           ()));
   Alcotest.(check bool) "in place" true
-    (Store.sync_range s ~oid:4L ~prefix ~data ~off:6_000 ~len:1_000);
+    (Store.sync_range s ~oid:4 ~prefix ~data ~off:6_000 ~len:1_000);
   check_repaired "corrupt writes" disk s
 
 let test_sync_range_scrub_repairs () =
@@ -371,8 +371,8 @@ let test_sync_range_scrub_repairs () =
   let module Faults = Histar_faults.Faults in
   let _clock, disk, s = mk () in
   let data = Bytes.make 20_000 'a' in
-  homed_object s ~oid:4L data;
-  Store.put s ~oid:5L "bystander";
+  homed_object s ~oid:4 data;
+  Store.put s ~oid:5 "bystander";
   Store.checkpoint s;
   Bytes.fill data 6_000 1_000 'b';
   let every_write_latent =
@@ -387,10 +387,10 @@ let test_sync_range_scrub_repairs () =
   in
   Disk.set_faults disk (Faults.Disk_faults.create every_write_latent);
   Alcotest.(check bool) "in place" true
-    (Store.sync_range s ~oid:4L ~prefix ~data ~off:6_000 ~len:1_000);
+    (Store.sync_range s ~oid:4 ~prefix ~data ~off:6_000 ~len:1_000);
   let report = Store.scrub ~max_passes:1 s in
   Alcotest.(check int) "repaired" 1 report.Store.repaired;
-  Alcotest.(check (list int64)) "nothing lost" [] report.Store.lost;
+  Alcotest.(check (list int)) "nothing lost" [] report.Store.lost;
   (* Repair writes struck latent marks again; with the faults gone the
      next scrub settles and the store checks clean. *)
   Disk.set_faults disk None;
@@ -398,7 +398,7 @@ let test_sync_range_scrub_repairs () =
   Store.fsck s;
   let s' = Store.recover ~disk in
   Store.fsck s';
-  match Store.get s' ~oid:4L with
+  match Store.get s' ~oid:4 with
   | Some v ->
       Alcotest.(check char) "flushed bytes survive repair" 'b' v.[4 + 6_500];
       Alcotest.(check char) "rest intact" 'a' v.[4 + 100]
@@ -408,7 +408,7 @@ let prop_store_model =
   (* Random puts/deletes/syncs/checkpoints followed by recovery must
      agree with a Hashtbl model of everything made durable. *)
   let open Gen in
-  let oid = map Int64.of_int (int_range 0 20) in
+  let oid = int_range 0 20 in
   let op =
     oneof
       [
@@ -454,14 +454,14 @@ let test_crash_during_auto_apply () =
      there must still recover a consistent prefix *)
   let _, disk, s = mk ~wal_sectors:4096 ~apply_threshold:3 () in
   for i = 1 to 2 do
-    Store.put s ~oid:(Int64.of_int i) (Printf.sprintf "v%d" i);
-    Store.sync_oid s ~oid:(Int64.of_int i)
+    Store.put s ~oid:i (Printf.sprintf "v%d" i);
+    Store.sync_oid s ~oid:i
   done;
   Disk.set_crash_after_writes disk 4;
   (* the 3rd sync crosses the threshold and checkpoints mid-crash *)
   (match
-     Store.put s ~oid:3L "v3";
-     Store.sync_oid s ~oid:3L
+     Store.put s ~oid:3 "v3";
+     Store.sync_oid s ~oid:3
    with
   | () -> ()
   | exception Disk.Crashed -> ());
@@ -469,9 +469,9 @@ let test_crash_during_auto_apply () =
   let s' = Store.recover ~disk:disk' in
   Store.check_invariants s';
   (* objects 1 and 2 were durable before the crash; 3 may or may not be *)
-  Alcotest.(check (option string)) "obj1" (Some "v1") (Store.get s' ~oid:1L);
-  Alcotest.(check (option string)) "obj2" (Some "v2") (Store.get s' ~oid:2L);
-  match Store.get s' ~oid:3L with
+  Alcotest.(check (option string)) "obj1" (Some "v1") (Store.get s' ~oid:1);
+  Alcotest.(check (option string)) "obj2" (Some "v2") (Store.get s' ~oid:2);
+  match Store.get s' ~oid:3 with
   | Some "v3" | None -> ()
   | Some other -> Alcotest.fail ("garbage: " ^ other)
 
@@ -486,11 +486,11 @@ let prop_store_crash_during_checkpoint =
     (fun (nobj, crash_after) ->
       let _, disk, s = mk ~wal_sectors:4096 () in
       for i = 1 to nobj do
-        Store.put s ~oid:(Int64.of_int i) (Printf.sprintf "gen1-%d" i)
+        Store.put s ~oid:i (Printf.sprintf "gen1-%d" i)
       done;
       Store.checkpoint s;
       for i = 1 to nobj do
-        Store.put s ~oid:(Int64.of_int i) (Printf.sprintf "gen2-%d" i)
+        Store.put s ~oid:i (Printf.sprintf "gen2-%d" i)
       done;
       Disk.set_crash_after_writes disk crash_after;
       let crashed =
@@ -504,7 +504,7 @@ let prop_store_crash_during_checkpoint =
          whole-snapshot semantics: either all gen1 or all gen2. *)
       let gens =
         List.init nobj (fun i ->
-            match Store.get s' ~oid:(Int64.of_int (i + 1)) with
+            match Store.get s' ~oid:(i + 1) with
             | Some v when String.length v >= 4 -> String.sub v 0 4
             | Some _ | None -> "????")
       in

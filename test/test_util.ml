@@ -53,7 +53,16 @@ let test_codec_truncated () =
       ignore (Codec.Dec.str d));
   let d = Codec.Dec.of_string "\x02" in
   Alcotest.check_raises "bad bool" Codec.Truncated (fun () ->
-      ignore (Codec.Dec.bool d))
+      ignore (Codec.Dec.bool d));
+  (* 2^63+5 and 2^62 do not fit a 63-bit int: no aliasing to 5 or min_int *)
+  List.iter
+    (fun v ->
+      let e = Codec.Enc.create () in
+      Codec.Enc.i64 e v;
+      let d = Codec.Dec.of_string (Codec.Enc.to_string e) in
+      Alcotest.check_raises (Printf.sprintf "int out of range 0x%Lx" v)
+        Codec.Truncated (fun () -> ignore (Codec.Dec.int d)))
+    [ Int64.add Int64.min_int 5L; Int64.shift_left 1L 62 ]
 
 (* Strings of 0..64 bytes; lists of 0..32 ints over the full range. *)
 let prop_codec_string_roundtrip =
