@@ -30,7 +30,9 @@ type run_state =
 
 and kont = (resp, run_state) Effect.Deep.continuation
 
-type runnable = Start of (unit -> unit) | Resume of kont * resp
+(* What a thread runs when next scheduled. [Nothing] rather than an
+   option, so a resume costs one block, not two. *)
+type runnable = Nothing | Start of (unit -> unit) | Resume of kont * resp
 
 type wait_reason =
   | W_futex of oid * int
@@ -52,6 +54,36 @@ module Oid_tbl = Hashtbl.Make (struct
   let hash x = x land max_int
 end)
 
+(* A FIFO of thread ids in a growable int ring: the run queue, each
+   futex queue and each device's waiters. Pushing and popping neither
+   allocate nor store a pointer, so scheduling adds no entry to the
+   minor GC's remembered set. *)
+module Tidq = struct
+  type t = { mutable buf : int array; mutable head : int; mutable len : int }
+
+  let create () = { buf = Array.make 4 0; head = 0; len = 0 }
+  let is_empty q = q.len = 0
+  let length q = q.len
+
+  let push q tid =
+    let cap = Array.length q.buf in
+    if q.len = cap then begin
+      q.buf <-
+        Array.init (2 * cap) (fun i ->
+            if i < cap then q.buf.((q.head + i) mod cap) else 0);
+      q.head <- 0
+    end;
+    q.buf.((q.head + q.len) mod Array.length q.buf) <- tid;
+    q.len <- q.len + 1
+
+  let pop q =
+    if q.len = 0 then raise Queue.Empty;
+    let tid = q.buf.(q.head) in
+    q.head <- (q.head + 1) mod Array.length q.buf;
+    q.len <- q.len - 1;
+    tid
+end
+
 type segment = { mutable data : Bytes.t }
 
 type container = {
@@ -65,7 +97,7 @@ type thread = {
   tls : oid;
   mutable tas : centry option;
   mutable tstate : [ `Ready | `Running | `Blocked of wait_reason | `Halted ];
-  mutable next_run : runnable option;
+  mutable next_run : runnable;
   mutable parked : kont option;
   alerts : int Queue.t;
   mutable return_gate : centry option;
@@ -89,7 +121,7 @@ type address_space = { mutable mappings : mapping list }
 type device = {
   mac : string;
   rx : string Queue.t;
-  waiters : oid Queue.t;  (** threads that blocked in [net_recv], FIFO *)
+  waiters : Tidq.t;  (** threads that blocked in [net_recv], FIFO *)
   mutable transmit : string -> unit;
 }
 
@@ -149,8 +181,8 @@ type t = {
   objects : obj Oid_tbl.t;
   oidgen : Category_gen.t;
   catgen : Category_gen.t;
-  runq : oid Queue.t;
-  futexq : oid Queue.t Oid_tbl.t;
+  runq : Tidq.t;
+  futexq : Tidq.t Oid_tbl.t;
   mutable timers : Timers.t;
   label_cache : Label_cache.t;
   profile : Profile.t;
@@ -158,6 +190,9 @@ type t = {
   mutable root : oid;
   mutable trace : (trace_event -> unit) option;
   syscall_cost_ns : int;
+  tier_ns : int64 array;
+      (** the three syscall cost tiers (data access, trap, creation),
+          boxed once rather than on every syscall *)
   weaken : weaken option;
   key : int64;
 }
@@ -176,10 +211,14 @@ let sorted_children c =
   Oid_tbl.fold (fun oid kind acc -> (oid, kind) :: acc) c.children []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
+(* The running thread's object, found without an option: it always
+   exists while one of its syscalls is being handled. *)
+let cur_obj k = Oid_tbl.find k.objects k.current
+
 let cur_thread k =
-  match find_obj k k.current with
-  | Some ({ body = Thr th; _ } as o) -> (o, th)
-  | Some _ | None -> assert false
+  match cur_obj k with
+  | { body = Thr th; _ } as o -> (o, th)
+  | _ -> assert false
 
 let emit_trace k ~op ~obj ~dir =
   match k.trace with
@@ -207,7 +246,7 @@ let quota_f fmt = errf (fun s -> Quota s) fmt
 
 (* ---------- label checks ---------- *)
 
-let cur_label k = (fst (cur_thread k)).label
+let cur_label k = (cur_obj k).label
 let cur_clearance k = (snd (cur_thread k)).tclear
 
 let check_observe k ~op obj =
@@ -234,34 +273,49 @@ let check_modify k ~op obj =
 (* Resolve a container entry: read permission on the container, then the
    link must exist (⟨D,D⟩ names the container itself). *)
 let resolve k ~op (ce : centry) =
-  match find_obj k ce.container with
-  | None -> not_found_f "%s: no container %d" op ce.container
-  | Some d -> (
+  match Oid_tbl.find k.objects ce.container with
+  | exception Not_found -> not_found_f "%s: no container %d" op ce.container
+  | d -> (
       match d.body with
-      | Con c ->
-          let* () = check_observe k ~op d in
-          if ce.object_id = ce.container then Ok d
-          else if Oid_tbl.mem c.children ce.object_id then
-            match find_obj k ce.object_id with
-            | Some o -> Ok o
-            | None -> not_found_f "%s: dangling link %d" op ce.object_id
-          else not_found_f "%s: %d not in container %d" op ce.object_id ce.container
+      | Con c -> (
+          match check_observe k ~op d with
+          | Error e -> Error e
+          | Ok () -> (
+              if ce.object_id = ce.container then Ok d
+              else if Oid_tbl.mem c.children ce.object_id then
+                match Oid_tbl.find k.objects ce.object_id with
+                | o -> Ok o
+                | exception Not_found ->
+                    not_found_f "%s: dangling link %d" op ce.object_id
+              else
+                not_found_f "%s: %d not in container %d" op ce.object_id
+                  ce.container))
       | Seg _ | Thr _ | Gat _ | Asp _ | Dev _ ->
           invalid_f "%s: %d is not a container" op ce.container)
 
-(* Resolve a segment entry, honouring the reserved thread-local oid. *)
-let resolve_segment k ~op (ce : centry) =
+(* Resolve a segment entry, then check [dir] access to it. The reserved
+   thread-local oid names the caller's own segment and is exempt from
+   both steps. *)
+let resolve_segment k ~op ~dir (ce : centry) =
   if ce.object_id = tls_oid then
-    let _, th = cur_thread k in
-    match find_obj k th.tls with
-    | Some o -> Ok (o, `Tls)
-    | None -> assert false
+    match (cur_obj k).body with
+    | Thr th -> Ok (Oid_tbl.find k.objects th.tls)
+    | Seg _ | Con _ | Gat _ | Asp _ | Dev _ -> assert false
   else
-    let* o = resolve k ~op ce in
-    match o.body with
-    | Seg _ -> Ok (o, `Plain)
-    | Con _ | Thr _ | Gat _ | Asp _ | Dev _ ->
-        invalid_f "%s: %d is not a segment" op ce.object_id
+    match resolve k ~op ce with
+    | Error e -> Error e
+    | Ok o as r -> (
+        match o.body with
+        | Seg _ -> (
+            let checked =
+              match dir with
+              | `Observe -> check_observe k ~op o
+              | `Modify -> check_modify k ~op o
+              | `Unchecked -> Ok ()
+            in
+            match checked with Error e -> Error e | Ok () -> r)
+        | Con _ | Thr _ | Gat _ | Asp _ | Dev _ ->
+            invalid_f "%s: %d is not a segment" op ce.object_id)
 
 let as_container ~op o =
   match o.body with
@@ -419,7 +473,7 @@ let decode_obj payload =
             tls;
             tas = None;
             tstate = `Halted;
-            next_run = None;
+            next_run = Nothing;
             parked = None;
             alerts = Queue.create ();
             return_gate = None;
@@ -447,7 +501,7 @@ let decode_obj payload =
           {
             mac = Codec.Dec.str d;
             rx = Queue.create ();
-            waiters = Queue.create ();
+            waiters = Tidq.create ();
             transmit = ignore;
           }
   in
@@ -482,7 +536,7 @@ let rec destroy k o =
       Oid_tbl.reset c.children
   | Thr th -> begin
       th.tstate <- `Halted;
-      th.next_run <- None;
+      th.next_run <- Nothing;
       th.parked <- None;
       match find_obj k th.tls with
       | Some tls -> destroy k tls
@@ -570,7 +624,7 @@ let create_object k ~(spec : create_spec) ~kind ~clearance_check ~body =
 
 (* ---------- scheduler ---------- *)
 
-let enqueue k tid = Queue.push tid k.runq
+let enqueue k tid = Tidq.push k.runq tid
 
 let wake k tid resp =
   match find_obj k tid with
@@ -579,7 +633,7 @@ let wake k tid resp =
       | `Blocked _, Some kont ->
           th.parked <- None;
           th.tstate <- `Ready;
-          th.next_run <- Some (Resume (kont, resp));
+          th.next_run <- Resume (kont, resp);
           enqueue k tid
       | _ -> ())
   | Some _ | None -> ()
@@ -591,10 +645,10 @@ let wake k tid resp =
 let futex_key seg_oid offset = (seg_oid * 1_000_003) + offset
 
 let futex_queue k key =
-  match Oid_tbl.find_opt k.futexq key with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
+  match Oid_tbl.find k.futexq key with
+  | q -> q
+  | exception Not_found ->
+      let q = Tidq.create () in
       Oid_tbl.replace k.futexq key q;
       q
 
@@ -608,7 +662,7 @@ let index_blocked k tid = function
   | W_timer d -> k.timers <- Timers.add (d, tid) k.timers
   | W_net dev -> (
       match find_obj k dev with
-      | Some { body = Dev d; _ } -> Queue.push tid d.waiters
+      | Some { body = Dev d; _ } -> Tidq.push d.waiters tid
       | Some _ | None -> ())
   | W_futex _ | W_alert -> ()
 
@@ -654,50 +708,43 @@ type action =
 
 let ok_resp r = Ok (A_resp r)
 
-let read_i64_at data off =
-  if off < 0 || off + 8 > Bytes.length data then None
-  else Some (Bytes.get_int64_le data off)
+(* Shared blocks for the constant replies, so they allocate nothing. *)
+let ok_unit = ok_resp R_unit
+let ok_true = ok_resp (R_ok true)
+let ok_false = ok_resp (R_ok false)
 
 let segment_read_impl k (ce : centry) off len =
-  let* o, kind_ = resolve_segment k ~op:"segment_read" ce in
-  let* () =
-    match kind_ with
-    | `Tls -> Ok ()
-    | `Plain ->
-        if k.weaken = Some Weaken_segment_read_taint then Ok ()
-        else check_observe k ~op:"segment_read" o
+  let dir =
+    match k.weaken with
+    | Some Weaken_segment_read_taint -> `Unchecked
+    | Some (Weaken_gate_star_grant | Weaken_unref_check) | None -> `Observe
   in
-  match o.body with
-  | Seg s ->
+  match resolve_segment k ~op:"segment_read" ~dir ce with
+  | Error e -> Error e
+  | Ok { body = Seg s; _ } ->
       let n = Bytes.length s.data in
       let len = if len < 0 then n - off else len in
       if off < 0 || len < 0 || off + len > n then
         invalid_f "segment_read: range [%d,%d) outside length %d" off (off + len) n
       else ok_resp (R_bytes (Bytes.sub_string s.data off len))
-  | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> assert false
+  | Ok _ -> assert false
 
 let segment_write_impl k (ce : centry) off data =
-  let* o, kind_ = resolve_segment k ~op:"segment_write" ce in
-  let* () =
-    match kind_ with `Tls -> Ok () | `Plain -> check_modify k ~op:"segment_write" o
-  in
-  match o.body with
-  | Seg s ->
+  match resolve_segment k ~op:"segment_write" ~dir:`Modify ce with
+  | Error e -> Error e
+  | Ok { body = Seg s; _ } ->
       let n = Bytes.length s.data in
       if off < 0 || off + String.length data > n then
         invalid_f "segment_write: range [%d,%d) outside length %d" off
           (off + String.length data) n
       else begin
         Bytes.blit_string data 0 s.data off (String.length data);
-        ok_resp R_unit
+        ok_unit
       end
-  | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> assert false
+  | Ok _ -> assert false
 
 let segment_resize_impl k (ce : centry) len =
-  let* o, kind_ = resolve_segment k ~op:"segment_resize" ce in
-  let* () =
-    match kind_ with `Tls -> Ok () | `Plain -> check_modify k ~op:"segment_resize" o
-  in
+  let* o = resolve_segment k ~op:"segment_resize" ~dir:`Modify ce in
   match o.body with
   | Seg s ->
       if len < 0 then invalid_f "segment_resize: negative length"
@@ -713,7 +760,7 @@ let segment_resize_impl k (ce : centry) len =
           Bytes.blit old 0 fresh 0 (min (Bytes.length old) len);
           s.data <- fresh;
           o.usage <- new_usage;
-          ok_resp R_unit
+          ok_unit
         end
       end
   | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> assert false
@@ -763,7 +810,7 @@ let thread_create_impl k ~(spec : create_spec) ~clearance ~entry =
         tls;
         tas = None;
         tstate = `Ready;
-        next_run = Some (Start entry);
+        next_run = Start entry;
         parked = None;
         alerts = Queue.create ();
         return_gate = None;
@@ -821,10 +868,12 @@ let check_gate_invoke k gate_obj g ~requested_label ~requested_clearance
       label_errf "gate: L_T not ⊑ L_V=%s" (Label.to_string verify_label)
     else
       let floor = Label.lower_star (Label.lub (Label.raise_j lt) (Label.raise_j lg)) in
-      if
-        (not (Label.leq floor requested_label))
-        && k.weaken <> Some Weaken_gate_star_grant
-      then
+      let floor_checked =
+        match k.weaken with
+        | Some Weaken_gate_star_grant -> false
+        | Some (Weaken_segment_read_taint | Weaken_unref_check) | None -> true
+      in
+      if floor_checked && not (Label.leq floor requested_label) then
         label_errf "gate: floor %s not ⊑ L_R=%s" (Label.to_string floor)
           (Label.to_string requested_label)
       else if not (Label.leq requested_label requested_clearance) then
@@ -957,7 +1006,7 @@ let quota_move_impl k ~container ~target ~nbytes =
   in
   let* () = charge ~op:"quota_move" d_obj nbytes in
   o.quota <- Int64.add o.quota nbytes;
-  ok_resp R_unit
+  ok_unit
 
 let unref_impl k (ce : centry) =
   let* d_obj =
@@ -967,14 +1016,16 @@ let unref_impl k (ce : centry) =
   in
   let* c = as_container ~op:"unref" d_obj in
   let* () =
-    if k.weaken = Some Weaken_unref_check then Ok ()
-    else check_modify k ~op:"unref(container)" d_obj
+    match k.weaken with
+    | Some Weaken_unref_check -> Ok ()
+    | Some (Weaken_segment_read_taint | Weaken_gate_star_grant) | None ->
+        check_modify k ~op:"unref(container)" d_obj
   in
   if ce.object_id = ce.container then
     invalid_f "unref: container cannot unlink itself"
   else if Oid_tbl.mem c.children ce.object_id then begin
     unlink k d_obj c ce.object_id;
-    ok_resp R_unit
+    ok_unit
   end
   else not_found_f "unref: %d not in container %d" ce.object_id ce.container
 
@@ -1009,7 +1060,7 @@ let container_link_impl k ~container ~target =
     let* () = charge ~op:"container_link" d_obj o.quota in
     Oid_tbl.replace c.children o.id o.kind;
     o.refs <- o.refs + 1;
-    ok_resp R_unit
+    ok_unit
 
 let thread_alert_impl k (ce : centry) alert =
   let* o = resolve k ~op:"thread_alert" ce in
@@ -1033,7 +1084,7 @@ let thread_alert_impl k (ce : centry) alert =
       (match target.tstate with
       | `Blocked W_alert -> wake k o.id (R_alert (Queue.pop target.alerts))
       | `Ready | `Running | `Blocked _ | `Halted -> ());
-      ok_resp R_unit
+      ok_unit
   | Seg _ | Con _ | Gat _ | Asp _ | Dev _ ->
       invalid_f "thread_alert: %d is not a thread" ce.object_id
 
@@ -1060,7 +1111,7 @@ let handle_syscall k kont req : action =
         let o, th = cur_thread k in
         if Label.leq o.label l && Label.leq l th.tclear then begin
           o.label <- l;
-          ok_resp R_unit
+          ok_unit
         end
         else
           label_errf "self_set_label: need L_T ⊑ L ⊑ C_T (L=%s)"
@@ -1070,7 +1121,7 @@ let handle_syscall k kont req : action =
         let bound = Label.lub th.tclear (Label.raise_j o.label) in
         if Label.leq o.label c && Label.leq c bound then begin
           th.tclear <- c;
-          ok_resp R_unit
+          ok_unit
         end
         else label_errf "self_set_clearance: need L_T ⊑ C ⊑ C_T ⊔ L_T^J"
     | Self_set_as ce ->
@@ -1084,7 +1135,7 @@ let handle_syscall k kont req : action =
         let* () = check_observe k ~op:"self_set_as" o in
         let _, th = cur_thread k in
         th.tas <- Some ce;
-        ok_resp R_unit
+        ok_unit
     | Self_get_as ->
         let _, th = cur_thread k in
         ok_resp (R_centry_opt th.tas)
@@ -1092,16 +1143,16 @@ let handle_syscall k kont req : action =
         let _, th = cur_thread k in
         ok_resp (R_centry_opt th.return_gate)
     | Self_halt -> Ok A_halt
-    | Self_yield -> ok_resp R_unit
+    | Self_yield -> ok_unit
     | Self_usleep us ->
         if us < 0 then invalid_f "self_usleep: negative"
         else begin
           Sim_clock.advance_us k.clock (float_of_int us);
-          ok_resp R_unit
+          ok_unit
         end
     | Self_sleep_until deadline ->
         if Int64.compare deadline (Sim_clock.now_ns k.clock) <= 0 then
-          ok_resp R_unit
+          ok_unit
         else Ok (A_block (W_timer deadline))
     | Self_wait_alert ->
         let _, th = cur_thread k in
@@ -1135,12 +1186,12 @@ let handle_syscall k kont req : action =
         let* o = resolve k ~op:"obj_set_fixed_quota" ce in
         let* () = check_modify k ~op:"obj_set_fixed_quota" o in
         o.fixed_quota <- true;
-        ok_resp R_unit
+        ok_unit
     | Obj_set_immutable ce ->
         let* o = resolve k ~op:"obj_set_immutable" ce in
         let* () = check_modify k ~op:"obj_set_immutable" o in
         o.immut <- true;
-        ok_resp R_unit
+        ok_unit
     | Obj_get_metadata ce ->
         let* o = resolve k ~op:"obj_get_metadata" ce in
         let* () = check_observe k ~op:"obj_get_metadata" o in
@@ -1151,7 +1202,7 @@ let handle_syscall k kont req : action =
         if String.length md > 64 then invalid_f "obj_set_metadata: > 64 bytes"
         else begin
           o.metadata <- md;
-          ok_resp R_unit
+          ok_unit
         end
     | Unref ce -> unref_impl k ce
     | Quota_move { container; target; nbytes } ->
@@ -1202,23 +1253,13 @@ let handle_syscall k kont req : action =
     | Segment_read (ce, off, len) -> segment_read_impl k ce off len
     | Segment_write (ce, off, data) -> segment_write_impl k ce off data
     | Segment_resize (ce, len) -> segment_resize_impl k ce len
-    | Segment_get_size ce ->
-        let* o, kind_ = resolve_segment k ~op:"segment_get_size" ce in
-        let* () =
-          match kind_ with
-          | `Tls -> Ok ()
-          | `Plain -> check_observe k ~op:"segment_get_size" o
-        in
-        (match o.body with
-        | Seg s -> ok_resp (R_int (Int64.of_int (Bytes.length s.data)))
-        | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> assert false)
+    | Segment_get_size ce -> (
+        match resolve_segment k ~op:"segment_get_size" ~dir:`Observe ce with
+        | Error e -> Error e
+        | Ok { body = Seg s; _ } -> ok_resp (R_int (Bytes.length s.data))
+        | Ok _ -> assert false)
     | Segment_copy (src, spec) ->
-        let* o, kind_ = resolve_segment k ~op:"segment_copy" src in
-        let* () =
-          match kind_ with
-          | `Tls -> Ok ()
-          | `Plain -> check_observe k ~op:"segment_copy" o
-        in
+        let* o = resolve_segment k ~op:"segment_copy" ~dir:`Observe src in
         (match o.body with
         | Seg s ->
             let body = Seg { data = Bytes.copy s.data } in
@@ -1241,7 +1282,7 @@ let handle_syscall k kont req : action =
         (match o.body with
         | Asp a ->
             a.mappings <- m :: List.filter (fun m' -> m'.va <> m.va) a.mappings;
-            ok_resp R_unit
+            ok_unit
         | Seg _ | Con _ | Thr _ | Gat _ | Dev _ -> invalid_f "as_map: not an AS")
     | As_unmap (ce, va) ->
         let* o = resolve k ~op:"as_unmap" ce in
@@ -1249,7 +1290,7 @@ let handle_syscall k kont req : action =
         (match o.body with
         | Asp a ->
             a.mappings <- List.filter (fun m -> m.va <> va) a.mappings;
-            ok_resp R_unit
+            ok_unit
         | Seg _ | Con _ | Thr _ | Gat _ | Dev _ -> invalid_f "as_unmap: not an AS")
     | Thread_create { spec; clearance; entry } ->
         thread_create_impl k ~spec ~clearance ~entry
@@ -1280,47 +1321,35 @@ let handle_syscall k kont req : action =
         } ->
         gate_call_impl k kont ~gate ~requested_label ~requested_clearance
           ~verify_label ~return_spec ~return_clearance
-    | Futex_wait (ce, off, expected) ->
-        let* o, kind_ = resolve_segment k ~op:"futex_wait" ce in
-        let* () =
-          match kind_ with
-          | `Tls -> Ok ()
-          | `Plain -> check_observe k ~op:"futex_wait" o
-        in
-        (match o.body with
-        | Seg s -> (
-            match read_i64_at s.data off with
-            | None -> invalid_f "futex_wait: offset out of range"
-            | Some v ->
-                if Int64.equal v expected then begin
-                  Queue.push k.current (futex_queue k (futex_key o.id off));
-                  Ok (A_block (W_futex (o.id, off)))
-                end
-                else ok_resp (R_ok false))
-        | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> assert false)
-    | Futex_wake (ce, off, count) ->
-        let* o, kind_ = resolve_segment k ~op:"futex_wake" ce in
+    | Futex_wait (ce, off, expected) -> (
+        match resolve_segment k ~op:"futex_wait" ~dir:`Observe ce with
+        | Error e -> Error e
+        | Ok ({ body = Seg s; _ } as o) ->
+            if off < 0 || off + 8 > Bytes.length s.data then
+              invalid_f "futex_wait: offset out of range"
+            else if Int64.equal (Bytes.get_int64_le s.data off) expected then begin
+              Tidq.push (futex_queue k (futex_key o.id off)) k.current;
+              Ok (A_block (W_futex (o.id, off)))
+            end
+            else ok_false
+        | Ok _ -> assert false)
+    | Futex_wake (ce, off, count) -> (
         (* waking is a write: it conveys information to the waiters, so
            it demands modify permission like any store to the word *)
-        let* () =
-          match kind_ with
-          | `Tls -> Ok ()
-          | `Plain -> check_modify k ~op:"futex_wake" o
-        in
-        let q = futex_queue k (futex_key o.id off) in
-        let woken = ref 0 in
-        while !woken < count && not (Queue.is_empty q) do
-          let tid = Queue.pop q in
-          (match find_obj k tid with
-          | Some { body = Thr th; _ } -> (
-              match th.tstate with
-              | `Blocked (W_futex _) ->
+        match resolve_segment k ~op:"futex_wake" ~dir:`Modify ce with
+        | Error e -> Error e
+        | Ok o ->
+            let q = futex_queue k (futex_key o.id off) in
+            let woken = ref 0 in
+            while !woken < count && not (Tidq.is_empty q) do
+              let tid = Tidq.pop q in
+              match Oid_tbl.find k.objects tid with
+              | { body = Thr { tstate = `Blocked (W_futex _); _ }; _ } ->
                   wake k tid (R_ok true);
                   incr woken
-              | `Ready | `Running | `Blocked _ | `Halted -> ())
-          | Some _ | None -> ())
-        done;
-        ok_resp (R_int (Int64.of_int !woken))
+              | _ | (exception Not_found) -> ()
+            done;
+            ok_resp (R_int !woken))
     | Net_get_mac ce ->
         let* o, d = resolve_device k ~op:"net_get_mac" ce in
         let* () = check_observe k ~op:"net_get_mac" o in
@@ -1329,34 +1358,28 @@ let handle_syscall k kont req : action =
         let* o, d = resolve_device k ~op:"net_send" ce in
         let* () = check_modify k ~op:"net_send" o in
         d.transmit frame;
-        ok_resp R_unit
+        ok_unit
     | Net_recv ce ->
         let* o, d = resolve_device k ~op:"net_recv" ce in
         let* () = check_observe k ~op:"net_recv" o in
         if Queue.is_empty d.rx then Ok (A_block (W_net o.id))
         else ok_resp (R_bytes (Queue.pop d.rx))
-    | Segment_cas (ce, off, expected, desired) ->
-        let* o, kind_ = resolve_segment k ~op:"segment_cas" ce in
-        let* () =
-          match kind_ with
-          | `Tls -> Ok ()
-          | `Plain -> check_modify k ~op:"segment_cas" o
-        in
-        (match o.body with
-        | Seg s -> (
-            match read_i64_at s.data off with
-            | None -> invalid_f "segment_cas: offset out of range"
-            | Some v ->
-                if Int64.equal v expected then begin
-                  Bytes.set_int64_le s.data off desired;
-                  ok_resp (R_ok true)
-                end
-                else ok_resp (R_ok false))
-        | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> assert false)
+    | Segment_cas (ce, off, expected, desired) -> (
+        match resolve_segment k ~op:"segment_cas" ~dir:`Modify ce with
+        | Error e -> Error e
+        | Ok { body = Seg s; _ } ->
+            if off < 0 || off + 8 > Bytes.length s.data then
+              invalid_f "segment_cas: offset out of range"
+            else if Int64.equal (Bytes.get_int64_le s.data off) expected then begin
+              Bytes.set_int64_le s.data off desired;
+              ok_true
+            end
+            else ok_false
+        | Ok _ -> assert false)
     | Sync_object ce ->
         let* o = resolve k ~op:"sync_object" ce in
         (match k.store with
-        | None -> ok_resp R_unit
+        | None -> ok_unit
         | Some s ->
             (* The metadata record rides along so the id/category
                counters are durable whenever a freshly allocated object
@@ -1365,7 +1388,7 @@ let handle_syscall k kont req : action =
             store_put s o;
             Store.put s ~oid:meta_oid (meta_record k);
             Store.sync_oids s ~oids:[ o.id; meta_oid ];
-            ok_resp R_unit)
+            ok_unit)
     | Sync_many ces ->
         let* objs =
           List.fold_left
@@ -1376,16 +1399,16 @@ let handle_syscall k kont req : action =
             (Ok []) ces
         in
         (match k.store with
-        | None -> ok_resp R_unit
+        | None -> ok_unit
         | Some s ->
             List.iter (store_put s) objs;
             Store.put s ~oid:meta_oid (meta_record k);
             Store.sync_oids s ~oids:(List.map (fun o -> o.id) objs @ [ meta_oid ]);
-            ok_resp R_unit)
+            ok_unit)
     | Sync_range (ce, off, len) ->
-        let* o, _ = resolve_segment k ~op:"sync_range" ce in
+        let* o = resolve_segment k ~op:"sync_range" ~dir:`Unchecked ce in
         (match (k.store, o.body) with
-        | None, _ -> ok_resp R_unit
+        | None, _ -> ok_unit
         | Some s, Seg sg ->
             let e = Codec.Enc.create () in
             encode_prefix e o;
@@ -1401,29 +1424,36 @@ let handle_syscall k kont req : action =
               Store.put s ~oid:meta_oid (meta_record k);
               Store.sync_oid s ~oid:meta_oid
             end;
-            ok_resp R_unit
+            ok_unit
         | Some _, (Con _ | Thr _ | Gat _ | Asp _ | Dev _) -> assert false)
     | Sync_all ->
         do_checkpoint k;
-        ok_resp R_unit
-    | Clock_read -> ok_resp (R_int (Sim_clock.now_ns k.clock))
+        ok_unit
+    | Clock_read -> ok_resp (R_clock (Sim_clock.now_ns k.clock))
   in
   match result with Ok action -> action | Error e -> A_resp (R_err e)
 
 (* ---------- thread execution ---------- *)
 
+(* A thread's handler suspends it at each syscall. The function the
+   effect branch returns is built once per thread, not once per
+   syscall: it reads the request from [pending], which the branch has
+   just set. [pending] is not cleared afterwards; it only holds the
+   thread's latest request. *)
 let start_body body =
+  let pending = ref Self_yield in
+  let suspend = Some (fun kont -> Syscalled (!pending, kont)) in
   Effect.Deep.match_with body ()
     {
       retc = (fun () -> Finished);
       exnc = (fun e -> Crashed e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, run_state) Effect.Deep.continuation -> run_state) option ->
           match eff with
           | Syscall req ->
-              Some
-                (fun (kont : (a, run_state) Effect.Deep.continuation) ->
-                  Syscalled (req, kont))
+              pending := req;
+              suspend
           | _ -> None);
     }
 
@@ -1431,7 +1461,7 @@ let halt_thread k tid =
   match find_obj k tid with
   | Some ({ body = Thr th; _ } as _o) ->
       th.tstate <- `Halted;
-      th.next_run <- None;
+      th.next_run <- Nothing;
       th.parked <- None
   | Some _ | None -> ()
 
@@ -1449,18 +1479,18 @@ let rec run_state_loop k tid rs =
          only taken on first touch); object creation models allocation,
          label manipulation and page zeroing; everything else is a
          plain trap. *)
-      let cost_ns =
+      let tier =
         match req with
         | Segment_read _ | Segment_write _ | Segment_cas _
         | Segment_get_size _ ->
-            k.syscall_cost_ns / 4
+            0
         | Segment_create _ | Segment_copy _ | Container_create _
         | Thread_create _ | Gate_create _ | As_create _ | Gate_call _ ->
-            k.syscall_cost_ns * 30
-        | _ -> k.syscall_cost_ns
+            2
+        | _ -> 1
       in
       let t0 = Sim_clock.now_ns k.clock in
-      Sim_clock.advance_ns k.clock (Int64.of_int cost_ns);
+      Sim_clock.advance_ns k.clock k.tier_ns.(tier);
       let action = handle_syscall k kont req in
       Metrics.Counter.incr m_syscalls;
       let t1 = Sim_clock.now_ns k.clock in
@@ -1468,13 +1498,13 @@ let rec run_state_loop k tid rs =
       (match action with
       | A_resp (R_err (Label_check _)) -> Metrics.Counter.incr m_label_errors
       | _ -> ());
-      match find_obj k tid with
-      | None -> () (* thread was destroyed by its own syscall *)
-      | Some { body = Thr th; _ } -> (
+      match Oid_tbl.find k.objects tid with
+      | exception Not_found -> () (* thread was destroyed by its own syscall *)
+      | { body = Thr th; _ } -> (
           match action with
           | A_resp resp ->
               th.tstate <- `Ready;
-              th.next_run <- Some (Resume (kont, resp));
+              th.next_run <- Resume (kont, resp);
               enqueue k tid
           | A_block reason ->
               th.tstate <- `Blocked reason;
@@ -1484,31 +1514,36 @@ let rec run_state_loop k tid rs =
               (* control transfer through a gate: the old continuation
                  is abandoned, like loading a new PC *)
               th.tstate <- `Ready;
-              th.next_run <- Some (Start f);
+              th.next_run <- Start f;
               enqueue k tid
           | A_resume (saved, resp) ->
               th.tstate <- `Ready;
-              th.next_run <- Some (Resume (saved, resp));
+              th.next_run <- Resume (saved, resp);
               enqueue k tid
           | A_halt -> halt_thread k tid)
-      | Some _ -> assert false)
+      | _ -> assert false)
 
 and run_slice k tid =
-  match find_obj k tid with
-  | Some { body = Thr th; _ } -> (
+  match Oid_tbl.find k.objects tid with
+  | { body = Thr th; _ } -> (
       match (th.tstate, th.next_run) with
-      | `Ready, Some runnable ->
+      | `Ready, ((Start _ | Resume _) as runnable) ->
+          (* [next_run] keeps the value just taken: [tstate] says whether
+             it is pending, and every move to [`Ready] sets a fresh one.
+             Overwriting a young value later costs nothing, where
+             writing [Nothing] here would put the field in the minor
+             GC's remembered set again on every syscall. *)
           th.tstate <- `Running;
-          th.next_run <- None;
           k.current <- tid;
           let rs =
             match runnable with
             | Start f -> start_body f
             | Resume (kont, resp) -> Effect.Deep.continue kont resp
+            | Nothing -> assert false
           in
           run_state_loop k tid rs
       | _ -> ())
-  | Some _ | None -> ()
+  | _ | (exception Not_found) -> ()
 
 (* When nothing is runnable but a thread is parked on a timer
    deadline, play idle clock: jump virtual time forward to the
@@ -1533,17 +1568,17 @@ let fire_next_timer k =
 let next_timer_ns k = Option.map fst (next_timer k)
 
 let step k =
-  match Queue.take_opt k.runq with
-  | None -> fire_next_timer k
-  | Some tid ->
-      run_slice k tid;
-      true
+  if Tidq.is_empty k.runq then fire_next_timer k
+  else begin
+    run_slice k (Tidq.pop k.runq);
+    true
+  end
 
 let run k = while step k do () done
 
 (* ---------- counting / introspection ---------- *)
 
-let runnable_count k = Queue.length k.runq
+let runnable_count k = Tidq.length k.runq
 
 let object_count k = Oid_tbl.length k.objects
 
@@ -1618,7 +1653,7 @@ let make ~clock ?store ~key ~oid_counter ~cat_counter ~root
     objects = Oid_tbl.create 256;
     oidgen = Category_gen.restore ~key ~counter:oid_counter;
     catgen = Category_gen.restore ~key:(Int64.lognot key) ~counter:cat_counter;
-    runq = Queue.create ();
+    runq = Tidq.create ();
     futexq = Oid_tbl.create 64;
     timers = Timers.empty;
     label_cache;
@@ -1627,6 +1662,9 @@ let make ~clock ?store ~key ~oid_counter ~cat_counter ~root
     root;
     trace = None;
     syscall_cost_ns;
+    tier_ns =
+      Array.map Int64.of_int
+        [| syscall_cost_ns / 4; syscall_cost_ns; syscall_cost_ns * 30 |];
     weaken;
     key;
   }
@@ -1683,7 +1721,7 @@ let spawn k ?label ?clearance ?container ~name entry =
             tls;
             tas = None;
             tstate = `Ready;
-            next_run = Some (Start entry);
+            next_run = Start entry;
             parked = None;
             alerts = Queue.create ();
             return_gate = None;
@@ -1716,7 +1754,7 @@ let attach_netdev k ~container ~label ~mac ~transmit =
       metadata = "";
       refs = 1;
       body =
-        Dev { mac; rx = Queue.create (); waiters = Queue.create (); transmit };
+        Dev { mac; rx = Queue.create (); waiters = Tidq.create (); transmit };
     }
   in
   Oid_tbl.replace k.objects id o;
@@ -1732,8 +1770,8 @@ let deliver_packet k dev_oid frame =
   | Some { body = Dev d; _ } -> (
       Queue.push frame d.rx;
       (* hand queued frames to this device's waiters in blocking order *)
-      while not (Queue.is_empty d.rx || Queue.is_empty d.waiters) do
-        let tid = Queue.pop d.waiters in
+      while not (Queue.is_empty d.rx || Tidq.is_empty d.waiters) do
+        let tid = Tidq.pop d.waiters in
         match find_obj k tid with
         | Some { body = Thr { tstate = `Blocked (W_net oid); _ }; _ }
           when oid = dev_oid ->
@@ -1748,8 +1786,8 @@ let deliver_packet k dev_oid frame =
    only runs between thread slices. *)
 let host_wake_futex k oid ~off =
   let q = futex_queue k (futex_key oid off) in
-  while not (Queue.is_empty q) do
-    let tid = Queue.pop q in
+  while not (Tidq.is_empty q) do
+    let tid = Tidq.pop q in
     match find_obj k tid with
     | Some { body = Thr th; _ } -> (
         match th.tstate with
@@ -1858,7 +1896,7 @@ let restart_thread k tid entry =
   match find_obj k tid with
   | Some { body = Thr th; _ } ->
       th.tstate <- `Ready;
-      th.next_run <- Some (Start entry);
+      th.next_run <- Start entry;
       th.parked <- None;
       enqueue k tid
   | Some _ | None -> invalid_arg "Kernel.restart_thread: no such thread"

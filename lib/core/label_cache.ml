@@ -13,34 +13,55 @@ let m_denied = Metrics.counter "label.denied"
 let m_cache_misses = Metrics.counter "label.cache_misses"
 let m_elided = Metrics.counter "label.elided"
 
-(* Keys are the (thread, obj) label pair compared by pointer and hashed
-   by intern id. The key holds the labels themselves, not their ids: a
-   cached label then stays alive, so an equal label built later is the
-   same pointer and hits, whatever the GC collected in between. *)
-module Tbl = Hashtbl.Make (struct
-  type t = Label.t * Label.t
+(* A key is a (thread, obj) label pair compared by pointer and hashed
+   by intern id. A stored key holds the labels themselves, not their
+   ids: a cached label then stays alive, so an equal label built later
+   is the same pointer and hits, whatever the GC collected in between.
+   A lookup probes through the one mutable [probe] record, so a hit
+   allocates nothing; only a miss stores a fresh key, because a stored
+   key that is later overwritten would alias every entry. *)
+type key = { mutable thread : Label.t; mutable obj : Label.t }
 
-  let equal (t1, o1) (t2, o2) = t1 == t2 && o1 == o2
-  let hash (t, o) = ((Label.id t * 65599) + Label.id o) land max_int
+module Tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b = a.thread == b.thread && a.obj == b.obj
+  let hash k = ((Label.id k.thread * 65599) + Label.id k.obj) land max_int
 end)
 
-type t = { bound : int; observe_tbl : bool Tbl.t; modify_tbl : bool Tbl.t }
+type t = {
+  bound : int;
+  observe_tbl : bool Tbl.t;
+  modify_tbl : bool Tbl.t;
+  probe : key;
+}
+
+let fresh_probe () =
+  let l = Label.make Histar_label.Level.L1 in
+  { thread = l; obj = l }
 
 let create ?(bound = 8192) () =
-  { bound; observe_tbl = Tbl.create 256; modify_tbl = Tbl.create 256 }
+  {
+    bound;
+    observe_tbl = Tbl.create 256;
+    modify_tbl = Tbl.create 256;
+    probe = fresh_probe ();
+  }
 
-let lookup t tbl key compute =
+let lookup t tbl relation ~thread ~obj =
+  t.probe.thread <- thread;
+  t.probe.obj <- obj;
   let v =
-    match Tbl.find_opt tbl key with
-    | Some v ->
+    match Tbl.find tbl t.probe with
+    | v ->
         Metrics.Counter.incr m_elided;
         v
-    | None ->
+    | exception Not_found ->
         Metrics.Counter.incr m_cache_misses;
         Metrics.Counter.incr m_checks;
-        let v = compute () in
+        let v = relation ~thread ~obj in
         if Tbl.length tbl >= t.bound then Tbl.reset tbl;
-        Tbl.replace tbl key v;
+        Tbl.add tbl { thread; obj } v;
         v
   in
   if not v then Metrics.Counter.incr m_denied;
@@ -52,11 +73,8 @@ let count_uncached_check ~allowed =
   Metrics.Counter.incr m_checks;
   if not allowed then Metrics.Counter.incr m_denied
 
-let observe t ~thread ~obj =
-  lookup t t.observe_tbl (thread, obj) (fun () -> Label.can_observe ~thread ~obj)
-
-let modify t ~thread ~obj =
-  lookup t t.modify_tbl (thread, obj) (fun () -> Label.can_modify ~thread ~obj)
+let observe t ~thread ~obj = lookup t t.observe_tbl Label.can_observe ~thread ~obj
+let modify t ~thread ~obj = lookup t t.modify_tbl Label.can_modify ~thread ~obj
 
 (* An independent cache with identical contents, so a forked kernel's
    hit/miss behaviour is bit-identical to the trunk's at the branch
@@ -66,4 +84,5 @@ let copy t =
     bound = t.bound;
     observe_tbl = Tbl.copy t.observe_tbl;
     modify_tbl = Tbl.copy t.modify_tbl;
+    probe = fresh_probe ();
   }

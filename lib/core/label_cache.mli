@@ -11,7 +11,9 @@
 
     Keys are the hash-consed label pair itself, compared by pointer and
     hashed by {!Histar_label.Label.id}. A cached pair keeps its labels
-    alive, so hits never depend on garbage-collection timing. The cache
+    alive, so hits never depend on garbage-collection timing. A lookup
+    probes through one mutable key record, so a hit allocates nothing;
+    only a miss stores a fresh key. The cache
     is cleared wholesale when it reaches its bound, which keeps the
     worst case linear and the common case O(1).
 

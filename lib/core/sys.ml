@@ -1,6 +1,5 @@
 module Label = Histar_label.Label
 module Category = Histar_label.Category
-module Codec = Histar_util.Codec
 open Types
 open Syscall
 
@@ -122,18 +121,16 @@ let segment_write ce ?(off = 0) data =
    requests are built here rather than through [?off], which would box
    the offset on every futex-word access. *)
 let segment_word ce ~off =
-  let b = bytes_resp "segment_read" (Segment_read (ce, off, 8)) in
-  Codec.Dec.i64 (Codec.Dec.of_string b)
+  String.get_int64_le (bytes_resp "segment_read" (Segment_read (ce, off, 8))) 0
 
 let set_segment_word ce ~off v =
-  let e = Codec.Enc.create () in
-  Codec.Enc.i64 e v;
-  unit_resp "segment_write" (Segment_write (ce, off, Codec.Enc.to_string e))
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 v;
+  unit_resp "segment_write" (Segment_write (ce, off, Bytes.unsafe_to_string b))
 
 let segment_resize ce len = unit_resp "segment_resize" (Segment_resize (ce, len))
 
-let segment_size ce =
-  Int64.to_int (int_resp "segment_size" (Segment_get_size ce))
+let segment_size ce = int_resp "segment_size" (Segment_get_size ce)
 
 let segment_copy ~src ~container ~label ~quota descrip =
   oid_resp "segment_copy"
@@ -268,8 +265,7 @@ let futex_wait ce ~off ~expected =
   | R_ok _ -> ()
   | r -> fail_resp "futex_wait" r
 
-let futex_wake ce ~off ~count =
-  Int64.to_int (int_resp "futex_wake" (Futex_wake (ce, off, count)))
+let futex_wake ce ~off ~count = int_resp "futex_wake" (Futex_wake (ce, off, count))
 
 (* --- network devices --- *)
 
@@ -289,4 +285,5 @@ let sync_many ces = unit_resp "sync_many" (Sync_many ces)
 
 let sync_range ce ~off ~len = unit_resp "sync_range" (Sync_range (ce, off, len))
 let sync_all () = unit_resp "sync_all" Sync_all
-let clock_ns () = int_resp "clock_ns" Clock_read
+let clock_ns () =
+  match perform Clock_read with R_clock ns -> ns | r -> fail_resp "clock_ns" r

@@ -136,7 +136,8 @@ type resp =
   | R_cat of Category.t
   | R_label of Label.t
   | R_bytes of string
-  | R_int of int64
+  | R_int of int
+  | R_clock of int64  (** virtual ns *)
   | R_quota of int64 * int64
   | R_kind of kind
   | R_entries of (oid * kind * string) list

@@ -6,16 +6,12 @@ let at seg ~off = { seg; off }
 
 let try_lock t = Sys.segment_cas t.seg ~off:t.off ~expected:0L ~desired:1L
 
-let lock t =
-  let rec loop () =
-    if try_lock t then ()
-    else begin
-      (* sleep while the word reads locked; wake on unlock *)
-      Sys.futex_wait t.seg ~off:t.off ~expected:1L;
-      loop ()
-    end
-  in
-  loop ()
+let rec lock t =
+  if not (try_lock t) then begin
+    (* sleep while the word reads locked; wake on unlock *)
+    Sys.futex_wait t.seg ~off:t.off ~expected:1L;
+    lock t
+  end
 
 let unlock t =
   if not (Sys.segment_cas t.seg ~off:t.off ~expected:1L ~desired:0L) then
