@@ -13,20 +13,21 @@ let m_denied = Metrics.counter "label.denied"
 let m_cache_misses = Metrics.counter "label.cache_misses"
 let m_elided = Metrics.counter "label.elided"
 
-(* A key is a (thread, obj) label pair compared by pointer and hashed
-   by intern id. A stored key holds the labels themselves, not their
-   ids: a cached label then stays alive, so an equal label built later
-   is the same pointer and hits, whatever the GC collected in between.
-   A lookup probes through the one mutable [probe] record, so a hit
-   allocates nothing; only a miss stores a fresh key, because a stored
-   key that is later overwritten would alias every entry. *)
+(* A key is a (thread, obj) label pair compared with [Label.equal] and
+   hashed by the labels' stored structural hashes, so an equal label
+   built later hits whatever the GC collected in between. A lookup
+   probes through the one mutable [probe] record, so a hit allocates
+   nothing; only a miss stores a fresh key, because a stored key that
+   is later overwritten would alias every entry. *)
 type key = { mutable thread : Label.t; mutable obj : Label.t }
 
 module Tbl = Hashtbl.Make (struct
   type t = key
 
-  let equal a b = a.thread == b.thread && a.obj == b.obj
-  let hash k = ((Label.id k.thread * 65599) + Label.id k.obj) land max_int
+  (* [==] first: a hit usually presents the very labels it stored. *)
+  let same x y = x == y || Label.equal x y
+  let equal a b = same a.thread b.thread && same a.obj b.obj
+  let hash k = ((Label.hash k.thread * 65599) + Label.hash k.obj) land max_int
 end)
 
 type t = {

@@ -9,9 +9,10 @@
     algebra, and each kernel owns its cache, so hit and miss counts
     are deterministic whatever else runs in the process.
 
-    Keys are the hash-consed label pair itself, compared by pointer and
-    hashed by {!Histar_label.Label.id}. A cached pair keeps its labels
-    alive, so hits never depend on garbage-collection timing. A lookup
+    Keys are the label pair itself, compared with
+    {!Histar_label.Label.equal} and hashed by
+    {!Histar_label.Label.hash}, both structural, so hits never depend on
+    garbage-collection timing. A lookup
     probes through one mutable key record, so a hit allocates nothing;
     only a miss stores a fresh key. The cache
     is cleared wholesale when it reaches its bound, which keeps the

@@ -17,11 +17,4 @@ let equal = Int.equal
 let to_string v = Printf.sprintf "c%d" v
 let pp fmt v = Format.pp_print_string fmt (to_string v)
 
-module Ord = struct
-  type nonrec t = t
-
-  let compare = compare
-end
-
-module Map = Map.Make (Ord)
-module Set = Set.Make (Ord)
+module Set = Set.Make (Int)

@@ -16,5 +16,4 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

@@ -11,13 +11,14 @@
     [raise_j] (the paper's superscript-J operator) and back by
     [lower_star] (superscript-⋆).
 
-    Labels are hash-consed: every constructor interns its result in a
-    process-wide weak table, so structurally equal labels are the same
-    heap object and [equal] is a pointer test. The operations are pure
-    and keep no memo tables; decisions are cached per kernel by
-    {!Histar_core.Label_cache}. An operation whose result is one of its
-    inputs returns that input without allocating. The intern id is
-    process-local and never serialized; [compare] remains structural. *)
+    A label is a default level plus one sorted int array of
+    (category, rank) pairs; every constructor normalises, so equal
+    labels have equal arrays, and each label carries a structural
+    [hash] computed once at construction. The operations are pure and
+    keep no memo tables; decisions are cached per kernel by
+    {!Histar_core.Label_cache}. ⊑, ⊔ and ⊓ are each one merge walk over
+    the two arrays, and an operation whose result is one of its inputs
+    returns that input without allocating. *)
 
 type t
 
@@ -34,7 +35,7 @@ val get : t -> Category.t -> Level.t
 
 val set : t -> Category.t -> Level.t -> t
 (** Functional update; setting a category to the default level removes
-    its entry. *)
+    its entry. Copies the entry array unless the label is unchanged. *)
 
 val entries : t -> (Category.t * Level.t) list
 (** Non-default entries in increasing category order. *)
@@ -45,26 +46,14 @@ val ranked : t -> (int * int) list * int
     default rank, where rank orders ⋆ < 0 < 1 < 2 < 3 < J as 0..5
     (see {!Level.to_rank}). *)
 
-val categories : t -> Category.Set.t
-(** Categories with non-default entries. *)
-
 val equal : t -> t -> bool
-(** Physical equality. Because all constructors intern, this coincides
-    with structural (and hence extensional) equality. *)
+(** Structural (and hence extensional) equality: physical equality, or
+    equal hash, default and entries. *)
 
-val compare : t -> t -> int
-(** Structural order (default level, then entries); stable across runs
-    and processes, unlike the intern ids. *)
-
-val id : t -> int
-(** The intern id: distinct live labels have distinct ids. Process-local
-    (it depends on interning order, so it differs across runs and domain
-    interleavings); use it for hashing, never for output. *)
-
-val interned_count : unit -> int
-(** Number of distinct labels interned so far in this process (weak
-    table insertions; never decremented). Re-interning a structurally
-    equal label does not advance it. *)
+val hash : t -> int
+(** A non-negative structural hash: equal labels have equal hashes, and
+    the value depends only on the label, so it is the same in every run,
+    process and domain. *)
 
 (** {1 Lattice operations} *)
 
@@ -125,6 +114,9 @@ val is_object_label : t -> bool
 
 val encode : Histar_util.Codec.Enc.t -> t -> unit
 val decode : Histar_util.Codec.Dec.t -> t
+(** Reads untrusted bytes: entries may be unsorted, repeated or at the
+    default level, and are normalised as {!of_list} does (later entries
+    win). *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints in the paper's notation, e.g. [{c3 *, c7 3, 1}]. *)

@@ -5,9 +5,9 @@
     integer ranks ordered ⋆ < 0 < 1 < 2 < 3 < J as [0..5], a label is a
     default rank plus finitely many per-category exceptions, and every
     operator is pointwise. It shares no code with [Histar_label.Label]
-    (which is Map-based and cached in the kernel), so the conformance
-    fuzzer's differential comparison covers the production label
-    implementation as well as the kernel's use of it. *)
+    (a sorted int array walked by merge, cached in the kernel), so the
+    conformance fuzzer's differential comparison covers the production
+    label implementation as well as the kernel's use of it. *)
 
 type t
 

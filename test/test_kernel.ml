@@ -1162,10 +1162,11 @@ let prop_label_cache_differential pairs =
 (* The cache's hits must not depend on when the GC runs. Build label
    pairs over categories nothing else uses, look them up, drop them,
    optionally collect, then rebuild equal pairs and look them up again.
-   A cache keyed on bare intern ids fails this: collected labels come
-   back with fresh ids, so the second pass misses only after a GC.
-   Hits and misses are the [label.elided] / [label.cache_misses]
-   deltas of an enabled metrics window. *)
+   A cache keyed on anything that identifies a label by its heap object
+   (an address, or an id handed out per live value) fails this: the
+   rebuilt labels are new objects, so the second pass misses. Hits and
+   misses are the [label.elided] / [label.cache_misses] deltas of an
+   enabled metrics window. *)
 let test_label_cache_gc_independent () =
   let pass cache =
     for i = 0 to 63 do

@@ -1,6 +1,7 @@
 open Histar_label
 
 let cat = Category.of_int
+let max61 = (1 lsl 61) - 1
 let lbl entries d = Label.of_list entries d
 let label_t = Alcotest.testable Label.pp Label.equal
 let level_t = Alcotest.testable Level.pp Level.equal
@@ -118,7 +119,6 @@ let test_codec_roundtrip () =
   Alcotest.check label_t "round-trip" l (Label.decode d);
   (* Golden bytes at both ends of the 61-bit range: a category is
      written as 8 little-endian bytes, whatever type holds it. *)
-  let max61 = (1 lsl 61) - 1 in
   let l = lbl [ (cat 0, Level.Star); (cat max61, Level.L3) ] Level.L1 in
   let e = Histar_util.Codec.Enc.create () in
   Label.encode e l;
@@ -129,6 +129,28 @@ let test_codec_roundtrip () =
        (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq bytes))));
   Alcotest.check label_t "golden decodes" l
     (Label.decode (Histar_util.Codec.Dec.of_string bytes))
+
+(* Label bytes written by hand (default u8, count u32, then category
+   i64 and level u8 per entry) in the given order, which may be
+   unsorted, repeat a category or sit at the default level. *)
+let raw_label_bytes entries d =
+  let module E = Histar_util.Codec.Enc in
+  let e = E.create () in
+  E.u8 e (Level.to_rank d);
+  E.u32 e (List.length entries);
+  List.iter
+    (fun ((c : Category.t), lv) ->
+      E.int e (c :> int);
+      E.u8 e (Level.to_rank lv))
+    entries;
+  E.to_string e
+
+let encoded l =
+  let e = Histar_util.Codec.Enc.create () in
+  Label.encode e l;
+  Histar_util.Codec.Enc.to_string e
+
+let decode_string s = Label.decode (Histar_util.Codec.Dec.of_string s)
 
 let test_pp () =
   let l = lbl [ (w, Level.L0) ] Level.L1 in
@@ -145,14 +167,18 @@ let gen_level_storable = Gen.choose Level.[ L0; L1; L2; L3; Star ]
 let gen_level_numeric = Gen.choose Level.[ L0; L1; L2; L3 ]
 
 (* Small category pool so generated labels collide on categories, which
-   is where leq/lub/glb actually have to merge entries. *)
+   is where leq/lub/glb actually have to merge entries. Half the pool
+   sits at the top of the 61-bit range, so the merge walks order
+   categories across the high bits, where a packed or signed encoding
+   would misorder them. *)
+let gen_cat =
+  Gen.map (fun i -> cat (if i < 4 then i else max61 - 7 + i)) (Gen.int_range 0 7)
+
 let gen_label =
   let open Gen in
   let* d = gen_level_numeric in
   let* n = int_range 0 4 in
-  let* entries =
-    list_len n (pair (map cat (int_range 0 7)) gen_level_storable)
-  in
+  let* entries = list_len n (pair gen_cat gen_level_storable) in
   return (Label.of_list entries d)
 
 let pp_label l = Label.to_string l
@@ -285,12 +311,13 @@ let check_tests =
           Check.ensure (Label.equal (Label.lower_star (Label.raise_j a)) a));
   ]
 
-(* ---------- hash-consing and the pure algebra ----------
+(* ---------- normal form and the pure algebra ----------
 
-   Labels are interned in a weak table: structural equality coincides
-   with pointer equality ([Label.equal] is [==]). The operations keep no
-   memo and shortcut when the result is one of their inputs; these
-   properties pin them to the reference model's assoc-list algebra. *)
+   Every constructor normalises a label to one sorted entry array, so
+   [Label.equal] is structural equality and agrees with the ranked
+   view. The operations keep no memo and shortcut when the result is
+   one of their inputs; these properties pin them to the reference
+   model's assoc-list algebra. *)
 
 module Mlabel = Histar_model.Mlabel
 
@@ -300,17 +327,38 @@ let mlabel_of l =
 
 let canon_m l = (Mlabel.entries l, Mlabel.default l)
 
-let hashcons_tests =
+let normal_form_tests =
   let open Gen in
   [
-    Check.test_case ~print:pp2 "pointer equality iff structural equality"
+    Check.test_case ~print:pp2 "equal iff ranked equal"
       (pair gen_label gen_label)
       (fun (a, b) ->
-        Check.ensure ~msg:"equal/ranked disagree"
-          (Label.equal a b = (Label.ranked a = Label.ranked b)));
-    Check.test_case ~print:pp_label "of_list reconstructs the same pointer"
+        let same = Label.ranked a = Label.ranked b in
+        Check.ensure ~msg:"equal/ranked disagree" (Label.equal a b = same);
+        if same then
+          Check.ensure ~msg:"equal labels, different hashes" (Label.hash a = Label.hash b));
+    Check.test_case ~print:pp_label "of_list reconstructs the same label"
       gen_label (fun a ->
         Check.ensure (Label.equal (Label.of_list (Label.entries a) (Label.default a)) a));
+    Check.test_case
+      ~print:(fun (ents, _, b) ->
+        Printf.sprintf "%d raw entries vs %s" (List.length ents) (pp_label b))
+      "decode normalises raw entries"
+      (triple (list_len 6 (pair gen_cat gen_level_storable)) gen_level_numeric gen_label)
+      (fun (ents, d, b) ->
+        let l = decode_string (raw_label_bytes ents d) in
+        let expect = lbl ents d in
+        Check.ensure ~msg:"decode <> of_list" (Label.equal l expect);
+        Check.ensure ~msg:"re-encoding differs" (encoded l = encoded expect);
+        let ml =
+          Mlabel.of_entries
+            (List.map (fun ((c : Category.t), lv) -> ((c :> int), Level.to_rank lv)) ents)
+            (Level.to_rank d)
+        in
+        Check.ensure ~msg:"leq disagrees with Mlabel"
+          (Label.leq l b = Mlabel.leq ml (mlabel_of b));
+        Check.ensure ~msg:"can_observe disagrees with Mlabel"
+          (Label.can_observe ~thread:b ~obj:l = Mlabel.can_observe ~thread:(mlabel_of b) ~obj:ml));
     Check.test_case ~print:pp2 "can_observe/can_modify agree with Mlabel"
       (pair gen_label gen_label)
       (fun (a, b) ->
@@ -339,23 +387,19 @@ let hashcons_tests =
           (Label.ranked (Label.glb a b) = canon_m (Mlabel.glb ma mb)));
   ]
 
-let test_intern_single_allocation () =
-  (* Categories no other test touches, so the first build is the only
-     allocation; every later build — reordered, with shadowed
-     duplicate entries, or through set — must return the same value
-     without growing the intern table. *)
+let test_one_normal_form () =
+  (* Every way of building the same label — reordered, with shadowed
+     duplicate entries, or through set — reaches one normal form. *)
   let c1 = cat 910001 and c2 = cat 910002 in
   let a = lbl [ (c1, Level.L3); (c2, Level.Star) ] Level.L1 in
-  let n = Label.interned_count () in
   let b = lbl [ (c2, Level.Star); (c1, Level.L3) ] Level.L1 in
   let c = lbl [ (c1, Level.L0); (c1, Level.L3); (c2, Level.Star) ] Level.L1 in
-  Alcotest.(check bool) "reordered entries intern to the same label" true
+  Alcotest.(check bool) "reordered entries build the same label" true
     (Label.equal b a);
   Alcotest.(check bool) "of_list keeps the last duplicate entry" true
     (Label.equal c a);
-  Alcotest.(check int) "no new interned values" n (Label.interned_count ());
   let via_set = Label.set (Label.set (Label.make Level.L1) c1 Level.L3) c2 Level.Star in
-  Alcotest.(check bool) "set chain reaches the interned label" true
+  Alcotest.(check bool) "set chain reaches the same label" true
     (Label.equal via_set a)
 
 let () =
@@ -379,9 +423,9 @@ let () =
       ("lattice laws", lattice_laws);
       ("lattice laws (histar_check)", check_tests);
       ( "hash-consing",
-        hashcons_tests
+        normal_form_tests
         @ [
-            Alcotest.test_case "single allocation per distinct label" `Quick
-              test_intern_single_allocation;
+            Alcotest.test_case "normal form per distinct label" `Quick
+              test_one_normal_form;
           ] );
     ]

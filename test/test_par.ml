@@ -207,42 +207,48 @@ let test_window_around_nested_run () =
             true (run d = reference))
         dcounts)
 
-(* --- labels: weak intern table keeps pointer-equality under load ------ *)
+(* --- labels: structural equality is the same on every domain ---------- *)
 
-let test_label_intern_stress () =
+let encoded l =
+  let e = Histar_util.Codec.Enc.create () in
+  Label.encode e l;
+  Histar_util.Codec.Enc.to_string e
+
+let test_label_equality_across_domains () =
   let lvl = Histar_label.Level.of_int in
-  let mk i =
-    Label.of_list
-      [
-        (Histar_label.Category.of_int (i mod 17), lvl 3);
-        (Histar_label.Category.of_int (100 + (i mod 5)), lvl 0);
-      ]
-      (lvl (if i land 1 = 0 then 1 else 2))
+  let cat = Histar_label.Category.of_int in
+  let ents i = [ (cat (i mod 17), lvl 3); (cat (100 + (i mod 5)), lvl 0) ] in
+  let dflt i = lvl (if i land 1 = 0 then 1 else 2) in
+  let mk i = Label.of_list (ents i) (dflt i) in
+  (* the same label by another route: reversed entries through set *)
+  let mk_set i =
+    List.fold_left (fun l (c, v) -> Label.set l c v) (Label.make (dflt i)) (List.rev (ents i))
   in
+  let same what i a b =
+    if not (Label.equal a b && Label.hash a = Label.hash b && encoded a = encoded b) then
+      Alcotest.failf "%s: labels for %d differ" what i
+  in
+  (* built on the main domain: the reference every domain must match *)
+  let reference = Array.init 256 mk in
   List.iter
     (fun d ->
       let labels =
         Par.run ~domains:d 256 (fun i ->
             let a = mk i in
-            let b = mk i in
-            (* hash-consing: structurally equal labels intern to the
-               same pointer even when built on different domains *)
-            if a != b then
-              failwith (Printf.sprintf "intern broke pointer eq at %d" i);
-            ignore (Label.leq a b : bool);
-            ignore (Label.lub a b : Label.t);
+            same (Printf.sprintf "of_list vs set at %d domains" d) i a (mk_set i);
+            ignore (Label.leq a (mk_set i) : bool);
+            ignore (Label.lub a (mk_set i) : Label.t);
             a)
       in
-      (* same (i mod 17, i mod 5, parity) triple => same interned label *)
+      Array.iteri
+        (fun i a -> same (Printf.sprintf "domain vs main at %d domains" d) i a reference.(i))
+        labels;
+      (* same (i mod 17, i mod 5, parity) triple => equal labels *)
       Array.iteri
         (fun i a ->
           let j = i mod 170 in
-          if
-            i mod 17 = j mod 17
-            && i mod 5 = j mod 5
-            && i land 1 = j land 1
-            && labels.(j) != a
-          then Alcotest.failf "cross-domain intern mismatch %d vs %d" i j)
+          if i mod 17 = j mod 17 && i mod 5 = j mod 5 && i land 1 = j land 1 then
+            same (Printf.sprintf "cross-task at %d domains" d) i labels.(j) a)
         labels)
     dcounts
 
@@ -315,8 +321,8 @@ let () =
             test_task_flag_confined;
           Alcotest.test_case "window around nested run matches 1 domain" `Quick
             test_window_around_nested_run;
-          Alcotest.test_case "label intern stress" `Quick
-            test_label_intern_stress;
+          Alcotest.test_case "label equality across domains" `Quick
+            test_label_equality_across_domains;
         ] );
       ( "speedup",
         [
