@@ -19,7 +19,7 @@ let baseline_ipc flavor ~rtts =
           Unixsim.pipe_rtt u
         done)
   in
-  Int64.to_float ns /. float_of_int rtts
+  float_of_int ns /. float_of_int rtts
 
 let baseline_forkexec flavor ~iters =
   let clock = Clock.create () in
@@ -31,18 +31,18 @@ let baseline_forkexec flavor ~iters =
           Unixsim.fork_exec_true u
         done)
   in
-  (Int64.to_float ns /. float_of_int iters /. 1e6, Unixsim.syscall_count u / iters)
+  (float_of_int ns /. float_of_int iters /. 1e6, Unixsim.syscall_count u / iters)
 
 (* HiStar's side runs the runner's workloads: ms and syscalls per
    create-run-exit-wait cycle. *)
 let histar_proc ~use_spawn ~iters =
   let p = Runner.proc_cycle ~use_spawn ~iters in
-  (Int64.to_float p.ns /. float_of_int iters /. 1e6, p.syscalls / iters)
+  (float_of_int p.ns /. float_of_int iters /. 1e6, p.syscalls / iters)
 
 let run { rtts; iters } =
   header "Figure 12 (upper): IPC and process-creation microbenchmarks";
   let ipc = Runner.ipc_pingpong ~rtts in
-  let h_ipc_ns = Int64.to_float ipc.ns /. float_of_int rtts in
+  let h_ipc_ns = float_of_int ipc.ns /. float_of_int rtts in
   let h_ipc_sc = float_of_int ipc.syscalls /. float_of_int rtts in
   let l_ipc = baseline_ipc Unixsim.Linux ~rtts in
   let b_ipc = baseline_ipc Unixsim.Openbsd ~rtts in

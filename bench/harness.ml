@@ -48,13 +48,13 @@ let boot m f =
 
 (* Virtual-time measurement of a phase. *)
 let timed clock f =
-  let t0 = Clock.now_ns clock in
+  let t0 = Clock.now clock in
   let v = f () in
-  (v, Int64.sub (Clock.now_ns clock) t0)
+  (v, Clock.now clock - t0)
 
 (* A measured phase of a HiStar workload: its virtual time and the
    syscalls every thread made meanwhile, as a [Profile.total] delta. *)
-type phase = { ns : int64; syscalls : int }
+type phase = { ns : int; syscalls : int }
 
 let measure m f =
   let profile = Kernel.profile m.kernel in
@@ -62,8 +62,8 @@ let measure m f =
   let (), ns = timed m.clock f in
   { ns; syscalls = Histar_core.Profile.total profile - s0 }
 
-let s_of_ns ns = Int64.to_float ns /. 1e9
-let us_of_ns ns = Int64.to_float ns /. 1e3
+let s_of_ns ns = float_of_int ns /. 1e9
+let us_of_ns ns = float_of_int ns /. 1e3
 
 (* ---------- table printing ---------- *)
 

@@ -257,7 +257,7 @@ let wget_faulty size =
   let content = String.make bytes 'w' in
   Sim_host.serve_file server ~port:80 ~content;
   let page = ref "" in
-  let elapsed = ref (-1L) in
+  let elapsed = ref (-1) in
   let _tid =
     Kernel.spawn m.kernel ~name:"init" (fun () ->
         let fs = Fs.format_root ~container:(Kernel.root m.kernel) ~label:l1 in
@@ -275,7 +275,7 @@ let wget_faulty size =
             ~label:(Label.of_list [ (i, Level.L2) ] Level.L1)
             ~quota:2_097_152L "wget-faulty scratch"
         in
-        let t0 = Clock.now_ns m.clock in
+        let t0 = Clock.now m.clock in
         let client =
           Process.spawn proc ~name:"wget"
             ~extra_label:[ (i, Level.L2) ]
@@ -315,20 +315,19 @@ let wget_faulty size =
         Fs.write_file fs "/srv/page" !page;
         Fs.fsync fs "/srv/page";
         Sys.sync_all ();
-        elapsed := Int64.sub (Clock.now_ns m.clock) t0)
+        elapsed := Clock.now m.clock - t0)
   in
   (* Frames can be lost with the kernel idle, leaving only the external
      server's RTO armed; advance the clock to it and tick its stack
      whenever [Kernel.run] drains without finishing the workload. *)
   let rec drive n =
     Kernel.run m.kernel;
-    if !elapsed < 0L then begin
+    if !elapsed < 0 then begin
       if n <= 0 then failwith "wget-faulty: simulation stalled";
       match Stack.next_timer_deadline (Sim_host.stack server) with
       | Some d ->
-          let now = Clock.now_ns m.clock in
-          if Int64.compare d now > 0 then
-            Clock.advance_ns m.clock (Int64.sub d now);
+          let now = Clock.now m.clock in
+          if d > now then Clock.advance m.clock (d - now);
           Stack.tick (Sim_host.stack server);
           drive (n - 1)
       | None -> failwith "wget-faulty: stalled with no armed server timer"
@@ -407,7 +406,7 @@ let dist_cluster ?(user_count = 2) ?(concurrency = 8) ?(zipf = false) ~nodes
           (Printf.sprintf "dist-cluster-%d: %s did not get their record"
              nodes o.Webcluster.o_user))
     outcomes;
-  Webcluster.elapsed_since wc t0
+  Int64.to_int (Webcluster.elapsed_since wc t0)
 
 (* The LIO floating-label layer priced end to end: one service thread
    serving a fixed mix of tenant evaluations, each a [to_labeled]
@@ -422,7 +421,7 @@ let lio_eval size =
   let tenants = [| "alice"; "bob"; "carol"; "dave" |] in
   let n = Array.length tenants in
   let m = mk_machine () in
-  let elapsed = ref (-1L) in
+  let elapsed = ref (-1) in
   let _tid =
     Kernel.spawn m.kernel ~name:"lio-eval" (fun () ->
         let t =
@@ -456,7 +455,7 @@ let lio_eval size =
         elapsed := ns)
   in
   Kernel.run m.kernel;
-  if !elapsed < 0L then failwith "lio-eval: batch did not complete";
+  if !elapsed < 0 then failwith "lio-eval: batch did not complete";
   !elapsed
 
 let workloads =
@@ -513,7 +512,7 @@ type entry = {
   e_name : string;
   e_descr : string;
   e_wall_ms : float;
-  e_virtual_ns : int64;
+  e_virtual_ns : int;
   e_counters : (string * int) list;
 }
 
@@ -551,7 +550,7 @@ let run_suite ~size () =
       (fun () -> List.map (run_one size) workloads)
   in
   let total_virtual =
-    List.fold_left (fun a e -> Int64.add a e.e_virtual_ns) 0L entries
+    List.fold_left (fun a e -> a + e.e_virtual_ns) 0 entries
   in
   Json.Obj
     [
@@ -568,14 +567,14 @@ let run_suite ~size () =
                    ("name", Json.Str e.e_name);
                    ("descr", Json.Str e.e_descr);
                    ("wall_ms", Json.Float e.e_wall_ms);
-                   ("virtual_ns", Json.Int (Int64.to_int e.e_virtual_ns));
+                   ("virtual_ns", Json.Int e.e_virtual_ns);
                    ( "counters",
                      Json.Obj
                        (List.map (fun (k, v) -> (k, Json.Int v)) e.e_counters)
                    );
                  ])
              entries) );
-      ("total_virtual_ns", Json.Int (Int64.to_int total_virtual));
+      ("total_virtual_ns", Json.Int total_virtual);
     ]
 
 (* ---------- schema validation ---------- *)

@@ -237,7 +237,7 @@ let parse_index data =
    all) but dormant. The hour-long timer only fires if nothing else in
    the cluster ever wants to run. *)
 let rec park () =
-  Sys.sleep_until_ns (Int64.add (Sys.clock_ns ()) 3_600_000_000_000L);
+  Sys.sleep_until_ns (Sys.clock_ns () + 3_600_000_000_000);
   park ()
 
 let rec build ?(app_nodes = 2) ?(db_shards = 3) ?(user_count = 4)
@@ -367,8 +367,8 @@ let rec build ?(app_nodes = 2) ?(db_shards = 3) ?(user_count = 4)
   Cluster.sync_clocks cluster;
   (* The edge clock joins the cluster only when run_load registers
      client hosts — bring it to the same baseline by hand. *)
-  let skew = Int64.sub (Cluster.global_now_ns cluster) (Sim_clock.now_ns edge_clock) in
-  if Int64.compare skew 0L > 0 then Sim_clock.advance_ns edge_clock skew;
+  let skew = Cluster.global_now_ns cluster - Sim_clock.now edge_clock in
+  if skew > 0 then Sim_clock.advance edge_clock skew;
   (match faults with Some sched -> arm_crashes t sched | None -> ());
   t
 
@@ -670,7 +670,7 @@ and call_page t ~user ~op =
    label path is identical to the slow path; only the shard
    round-trip is elided. *)
 and session_token t ~user ~wire ~pwh ~expiry =
-  let plain = Printf.sprintf "%s|%Ld|%Ld|%Ld" user wire pwh expiry in
+  let plain = Printf.sprintf "%s|%Ld|%Ld|%d" user wire pwh expiry in
   Seal.seal_tagged t.session_seal
     ~nonce:(Checksum.fnv64 ("tok:" ^ user))
     plain
@@ -691,10 +691,8 @@ and session_check t ~user ~pass =
               try
                 let wire = Int64.of_string wire in
                 let pwh = Int64.of_string pwh in
-                let expiry = Int64.of_string expiry in
-                if
-                  Int64.equal pwh (pw_hash pass)
-                  && Int64.compare (Sys.clock_ns ()) expiry < 0
+                let expiry = int_of_string expiry in
+                if Int64.equal pwh (pw_hash pass) && Sys.clock_ns () < expiry
                 then Some wire
                 else None
               with _ -> None)
@@ -735,12 +733,9 @@ and auth_user t ~user ~pass =
                       : Category.t list);
                   (match grants with
                   | wire :: _ ->
-                      let ttl_ns =
-                        Int64.mul (Int64.of_int session_ttl_ms) 1_000_000L
-                      in
                       Hashtbl.replace t.sessions user
                         (session_token t ~user ~wire ~pwh:(pw_hash pass)
-                           ~expiry:(Int64.add (Sys.clock_ns ()) ttl_ns))
+                           ~expiry:(Sys.clock_ns () + (session_ttl_ms * 1_000_000)))
                   | [] -> ());
                   `Ok
               | Ok (_, _) ->
@@ -1041,9 +1036,11 @@ let run_load t ?(concurrency = 4) requests =
 
 (* Makespan across every clock in the system, relative to a baseline
    snapshot taken with [clock_snapshot]. *)
-let clock_snapshot t = List.map Sim_clock.now_ns (node_clocks t)
+let clock_snapshot t =
+  List.map (fun c -> Int64.of_int (Sim_clock.now c)) (node_clocks t)
 
 let elapsed_since t snap =
-  List.fold_left2
-    (fun acc c t0 -> Int64.max acc (Int64.sub (Sim_clock.now_ns c) t0))
-    0L (node_clocks t) snap
+  Int64.of_int
+    (List.fold_left2
+       (fun acc c t0 -> Int.max acc (Sim_clock.now c - Int64.to_int t0))
+       0 (node_clocks t) snap)

@@ -146,4 +146,6 @@ val clock_snapshot : t -> int64 list
 
 val elapsed_since : t -> int64 list -> int64
 (** Makespan: the largest advance of any clock in the system since
-    the snapshot. *)
+    the snapshot, in virtual ns. These two keep [int64] only because
+    perfbench's dist-cluster workload is compiled against them; they
+    go with that benchmark's next revision. *)

@@ -8,7 +8,7 @@ open Histar_core.Types
 type report = {
   verdicts : Scanner.verdict list;
   timed_out : bool;
-  elapsed_ns : int64;
+  elapsed_ns : int;
 }
 
 let run ~proc ~user ~db_path ~paths ?(timeout_ms = 10_000)
@@ -41,12 +41,10 @@ let run ~proc ~user ~db_path ~paths ?(timeout_ms = 10_000)
   in
   (* wait for results, bounded by the timeout (which also bounds how
      long a malicious scanner gets to modulate covert channels) *)
-  let deadline =
-    Int64.add started_ns (Int64.mul (Int64.of_int timeout_ms) 1_000_000L)
-  in
+  let deadline = started_ns + (timeout_ms * 1_000_000) in
   let rec await () =
     if not (Int64.equal (Sys.segment_word result_seg ~off:0) 0L) then `Done
-    else if Int64.compare (Sys.clock_ns ()) deadline > 0 then `Timeout
+    else if Sys.clock_ns () > deadline then `Timeout
     else begin
       Sys.usleep 1000;
       await ()
@@ -67,5 +65,5 @@ let run ~proc ~user ~db_path ~paths ?(timeout_ms = 10_000)
   {
     verdicts;
     timed_out = (outcome = `Timeout);
-    elapsed_ns = Int64.sub (Sys.clock_ns ()) started_ns;
+    elapsed_ns = Sys.clock_ns () - started_ns;
   }

@@ -16,7 +16,7 @@
 type report = {
   verdicts : Scanner.verdict list;
   timed_out : bool;
-  elapsed_ns : int64;
+  elapsed_ns : int;
 }
 
 val run :

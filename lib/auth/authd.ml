@@ -144,7 +144,7 @@ let setup_entry t ~evil () =
     | Challenge_response ->
         Some
           (Histar_util.Checksum.fnv64
-             (Printf.sprintf "%d|%Ld" session (Sys.clock_ns ())))
+             (Printf.sprintf "%d|%d" session (Sys.clock_ns ())))
   in
   (* verify the agreed code before lending it uw ownership *)
   if not (Agreed.verify ~marker:agreed_marker) then begin

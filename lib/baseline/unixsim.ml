@@ -58,7 +58,7 @@ let reset_syscall_count t = t.syscalls <- 0
 
 let syscall t =
   t.syscalls <- t.syscalls + 1;
-  Clock.advance_ns t.clock (Int64.of_float t.params.syscall_ns)
+  Clock.advance t.clock (int_of_float t.params.syscall_ns)
 
 let sectors_for bytes = (bytes + 511) / 512
 
@@ -213,14 +213,14 @@ let fork_exec_true t =
   for _ = 1 to 9 do
     syscall t
   done;
-  Clock.advance_ns t.clock (Int64.of_float t.params.fork_exec_ns)
+  Clock.advance t.clock (int_of_float t.params.fork_exec_ns)
 
 let pipe_rtt t =
   (* write + read in each direction, with a context switch per hop *)
   for _ = 1 to 4 do
     syscall t
   done;
-  Clock.advance_ns t.clock (Int64.of_float (2.0 *. t.params.ctx_switch_ns))
+  Clock.advance t.clock (int_of_float (2.0 *. t.params.ctx_switch_ns))
 
 (* ---------- the attack surface ---------- *)
 

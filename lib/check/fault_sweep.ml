@@ -152,9 +152,8 @@ let run_cell ?(requests = 3) ?(body_bytes = 8 * 1024) schedule =
       if n <= 0 then fail schedule "simulation stalled (driver bound hit)";
       match Stack.next_timer_deadline (Sim_host.stack server) with
       | Some d ->
-          let now = Clock.now_ns clock in
-          if Int64.compare d now > 0 then
-            Clock.advance_ns clock (Int64.sub d now);
+          let now = Clock.now clock in
+          if d > now then Clock.advance clock (d - now);
           Stack.tick (Sim_host.stack server);
           drive (n - 1)
       | None ->

@@ -38,7 +38,7 @@ type wait_reason =
   | W_futex of oid * int
   | W_net of oid
   | W_alert
-  | W_timer of int64  (** virtual-ns deadline *)
+  | W_timer of int  (** virtual-ns deadline *)
 
 (* ---------- kernel objects ---------- *)
 
@@ -169,10 +169,10 @@ type weaken =
 (* Timer sleepers ordered by (deadline, tid): the wake order when
    several deadlines tie. *)
 module Timers = Set.Make (struct
-  type t = int64 * oid
+  type t = int * oid
 
   let compare (d, tid) (d', tid') =
-    match Int64.compare d d' with 0 -> Int.compare tid tid' | c -> c
+    match Int.compare d d' with 0 -> Int.compare tid tid' | c -> c
 end)
 
 type t = {
@@ -190,9 +190,8 @@ type t = {
   mutable root : oid;
   mutable trace : (trace_event -> unit) option;
   syscall_cost_ns : int;
-  tier_ns : int64 array;
-      (** the three syscall cost tiers (data access, trap, creation),
-          boxed once rather than on every syscall *)
+  tier_ns : int array;
+      (** the three syscall cost tiers (data access, trap, creation) *)
   weaken : weaken option;
   key : int64;
 }
@@ -673,7 +672,7 @@ let rec next_timer k =
   | Some ((d, tid) as e) -> (
       match find_obj k tid with
       | Some { body = Thr { tstate = `Blocked (W_timer d'); _ }; _ }
-        when Int64.equal d d' ->
+        when d = d' ->
           Some e
       | Some _ | None ->
           k.timers <- Timers.remove e k.timers;
@@ -1146,12 +1145,14 @@ let handle_syscall k kont req : action =
     | Self_yield -> ok_unit
     | Self_usleep us ->
         if us < 0 then invalid_f "self_usleep: negative"
+        else if us > (max_int - Sim_clock.now k.clock) / 1000 then
+          invalid_f "self_usleep: past the end of virtual time"
         else begin
-          Sim_clock.advance_us k.clock (float_of_int us);
+          Sim_clock.advance k.clock (us * 1000);
           ok_unit
         end
     | Self_sleep_until deadline ->
-        if Int64.compare deadline (Sim_clock.now_ns k.clock) <= 0 then
+        if deadline <= Sim_clock.now k.clock then
           ok_unit
         else Ok (A_block (W_timer deadline))
     | Self_wait_alert ->
@@ -1429,7 +1430,7 @@ let handle_syscall k kont req : action =
     | Sync_all ->
         do_checkpoint k;
         ok_unit
-    | Clock_read -> ok_resp (R_clock (Sim_clock.now_ns k.clock))
+    | Clock_read -> ok_resp (R_clock (Sim_clock.now k.clock))
   in
   match result with Ok action -> action | Error e -> A_resp (R_err e)
 
@@ -1489,12 +1490,11 @@ let rec run_state_loop k tid rs =
             2
         | _ -> 1
       in
-      let t0 = Sim_clock.now_ns k.clock in
-      Sim_clock.advance_ns k.clock k.tier_ns.(tier);
+      let t0 = Sim_clock.now k.clock in
+      Sim_clock.advance k.clock k.tier_ns.(tier);
       let action = handle_syscall k kont req in
       Metrics.Counter.incr m_syscalls;
-      let t1 = Sim_clock.now_ns k.clock in
-      Metrics.Counter.add m_syscall_ns_sum (Int64.to_int (Int64.sub t1 t0));
+      Metrics.Counter.add m_syscall_ns_sum (Sim_clock.now k.clock - t0);
       (match action with
       | A_resp (R_err (Label_check _)) -> Metrics.Counter.incr m_label_errors
       | _ -> ());
@@ -1556,9 +1556,8 @@ let fire_next_timer k =
   | None -> false
   | Some ((d, tid) as e) ->
       k.timers <- Timers.remove e k.timers;
-      let now = Sim_clock.now_ns k.clock in
-      if Int64.compare d now > 0 then
-        Sim_clock.advance_ns k.clock (Int64.sub d now);
+      let now = Sim_clock.now k.clock in
+      if d > now then Sim_clock.advance k.clock (d - now);
       wake k tid R_unit;
       true
 
@@ -1662,9 +1661,7 @@ let make ~clock ?store ~key ~oid_counter ~cat_counter ~root
     root;
     trace = None;
     syscall_cost_ns;
-    tier_ns =
-      Array.map Int64.of_int
-        [| syscall_cost_ns / 4; syscall_cost_ns; syscall_cost_ns * 30 |];
+    tier_ns = [| syscall_cost_ns / 4; syscall_cost_ns; syscall_cost_ns * 30 |];
     weaken;
     key;
   }
@@ -1844,7 +1841,7 @@ type handle = {
   h_oid_counter : int64;
   h_cat_counter : int64;
   h_key : int64;
-  h_now_ns : int64;
+  h_now_ns : int;
   h_syscall_cost_ns : int;
   h_weaken : weaken option;
   h_label_cache : Label_cache.t;
@@ -1863,7 +1860,7 @@ let fork k =
     h_oid_counter = Category_gen.counter k.oidgen;
     h_cat_counter = Category_gen.counter k.catgen;
     h_key = k.key;
-    h_now_ns = Sim_clock.now_ns k.clock;
+    h_now_ns = Sim_clock.now k.clock;
     h_syscall_cost_ns = k.syscall_cost_ns;
     h_weaken = k.weaken;
     h_label_cache = Label_cache.copy k.label_cache;
@@ -1874,7 +1871,7 @@ let fork k =
    resume of a handle. *)
 let resume h =
   let clock = Sim_clock.create () in
-  Sim_clock.advance_ns clock h.h_now_ns;
+  Sim_clock.advance clock h.h_now_ns;
   let k =
     make ~clock ~key:h.h_key ~oid_counter:h.h_oid_counter
       ~cat_counter:h.h_cat_counter ~root:h.h_root

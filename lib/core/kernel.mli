@@ -85,7 +85,7 @@ val step : t -> bool
 
 val runnable_count : t -> int
 
-val next_timer_ns : t -> int64 option
+val next_timer_ns : t -> int option
 (** Earliest deadline (virtual ns) any thread is parked on, if any.
     Lets a multi-kernel driver (lib/dist) pick which host's idle
     clock to advance next instead of letting each [step] fire its own

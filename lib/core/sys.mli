@@ -26,10 +26,12 @@ val self_halt : unit -> 'a
 
 val yield : unit -> unit
 
-(** Advance virtual time by this many microseconds and reschedule. *)
+(** Advance virtual time by this many microseconds and reschedule.
+    Fails with [Invalid] for a negative amount or one that would carry
+    the clock past [max_int]. *)
 val usleep : int -> unit
 
-val sleep_until_ns : int64 -> unit
+val sleep_until_ns : int -> unit
 (** Block until virtual time reaches the deadline (ns). Unlike
     {!usleep} this parks the thread: when nothing else is runnable
     the scheduler advances the clock to the earliest parked deadline,
@@ -201,4 +203,4 @@ val sync_many : centry list -> unit
     the log as with {!sync_object}. *)
 val sync_range : centry -> off:int -> len:int -> unit
 val sync_all : unit -> unit
-val clock_ns : unit -> int64
+val clock_ns : unit -> int

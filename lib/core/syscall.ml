@@ -39,7 +39,7 @@ type req =
   | Self_halt
   | Self_yield
   | Self_usleep of int  (** advance virtual time; reschedules *)
-  | Self_sleep_until of int64
+  | Self_sleep_until of int
       (** block until virtual time reaches the deadline (ns); the
           scheduler advances the clock to the earliest such deadline
           when nothing else is runnable *)
@@ -137,7 +137,7 @@ type resp =
   | R_label of Label.t
   | R_bytes of string
   | R_int of int
-  | R_clock of int64  (** virtual ns *)
+  | R_clock of int  (** virtual ns *)
   | R_quota of int64 * int64
   | R_kind of kind
   | R_entries of (oid * kind * string) list

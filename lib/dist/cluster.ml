@@ -30,7 +30,7 @@ type t = {
   mutable clocks : Sim_clock.t list;
       (* every distinct clock of [kernels] and [hosts], kept current by
          the add/remove functions so drive rounds need not rebuild it *)
-  mutable on_tick : (int64 -> unit) option;
+  mutable on_tick : (int -> unit) option;
       (* driver hook, called with global virtual now once per drive
          round — the crash-plan pump (kill/restart at virtual times) *)
 }
@@ -77,18 +77,14 @@ let host_count t = List.length t.hosts
 let advance_all t tgt =
   List.iter
     (fun c ->
-      let d = Int64.sub tgt (Sim_clock.now_ns c) in
-      if Int64.compare d 0L > 0 then Sim_clock.advance_ns c d)
+      let d = tgt - Sim_clock.now c in
+      if d > 0 then Sim_clock.advance c d)
     t.clocks
 
 (* Global virtual now: the maximum over every clock in the cluster.
    This is the time axis crash schedules are written against. *)
 let global_now_ns t =
-  List.fold_left
-    (fun m c ->
-      let n = Sim_clock.now_ns c in
-      if Int64.compare n m > 0 then n else m)
-    0L t.clocks
+  List.fold_left (fun m c -> Int.max m (Sim_clock.now c)) 0 t.clocks
 
 (* Jointly advance every clock to the global maximum — the same
    synchronization a timer firing performs, available to hosts that
@@ -114,29 +110,27 @@ let fire_next_timer t =
   let best = ref None in
   let consider wait target =
     match !best with
-    | Some (w, _) when Int64.compare w wait <= 0 -> ()
+    | Some (w, _) when w <= wait -> ()
     | Some _ | None -> best := Some (wait, target)
   in
   List.iter
     (fun k ->
       match Kernel.next_timer_ns k with
       | Some d ->
-          let w = Int64.sub d (Sim_clock.now_ns (Kernel.clock k)) in
-          consider (if Int64.compare w 0L < 0 then 0L else w) (`Kernel k)
+          consider (Int.max 0 (d - Sim_clock.now (Kernel.clock k))) (`Kernel k)
       | None -> ())
     t.kernels;
   List.iter
     (fun h ->
       match Stack.next_timer_deadline h.h_stack with
       | Some d ->
-          let w = Int64.sub d (Sim_clock.now_ns h.h_clock) in
-          consider (if Int64.compare w 0L < 0 then 0L else w) (`Host h)
+          consider (Int.max 0 (d - Sim_clock.now h.h_clock)) (`Host h)
       | None -> ())
     t.hosts;
   match !best with
   | None -> false
   | Some (w, target) ->
-      advance_all t (Int64.add (global_now_ns t) w);
+      advance_all t (global_now_ns t + w);
       (match target with
       | `Kernel k -> ignore (Kernel.step k : bool)
       | `Host h -> Stack.tick h.h_stack);

@@ -17,7 +17,7 @@ val remove_kernel : t -> Histar_core.Kernel.t -> unit
     recovered kernel with {!add_kernel} appends it to registration
     order (part of the deterministic schedule). *)
 
-val global_now_ns : t -> int64
+val global_now_ns : t -> int
 (** Global virtual now — the maximum over every clock in the
     cluster.  Crash schedules ([crash:node=..,at=..] entries) are
     written against this axis. *)
@@ -28,7 +28,7 @@ val sync_clocks : t -> unit
     baseline after un-driven work (e.g. a build that charged disk
     time to one node's clock during provisioning). *)
 
-val set_on_tick : t -> (int64 -> unit) option -> unit
+val set_on_tick : t -> (int -> unit) option -> unit
 (** Driver hook invoked with [global_now_ns] once per {!drive} round
     (before slicing).  Used to pump node-crash fault plans: the hook
     kills/restarts nodes when their virtual-time deadlines pass. *)

@@ -82,30 +82,23 @@ let default_retry_cap_ms = 640
    healthy; one that fails doubles the window again.  All state is
    driven by virtual time, so failover schedules replay exactly. *)
 module Peer_health = struct
-  type peer = { mutable fails : int; mutable down_until_ns : int64 }
-
-  type t = {
-    peers : (int, peer) Hashtbl.t;
-    cooldown_ns : int64;
-    cap_ns : int64;
-  }
-
-  let ns_of_ms ms = Int64.mul (Int64.of_int ms) 1_000_000L
+  type peer = { mutable fails : int; mutable down_until_ns : int }
+  type t = { peers : (int, peer) Hashtbl.t; cooldown_ns : int; cap_ns : int }
 
   let create ?cooldown_ms ?cap_ms () =
     let cd = Option.value cooldown_ms ~default:default_cooldown_ms in
     let cap = Option.value cap_ms ~default:default_retry_cap_ms in
     {
       peers = Hashtbl.create 8;
-      cooldown_ns = ns_of_ms (max 1 cd);
-      cap_ns = ns_of_ms (max 1 cap);
+      cooldown_ns = max 1 cd * 1_000_000;
+      cap_ns = max 1 cap * 1_000_000;
     }
 
   let peer t node =
     match Hashtbl.find_opt t.peers node with
     | Some p -> p
     | None ->
-        let p = { fails = 0; down_until_ns = 0L } in
+        let p = { fails = 0; down_until_ns = 0 } in
         Hashtbl.replace t.peers node p;
         p
 
@@ -115,7 +108,7 @@ module Peer_health = struct
   let usable t ~node ~now_ns =
     let p = peer t node in
     if p.fails = 0 then `Yes
-    else if Int64.compare now_ns p.down_until_ns >= 0 then (
+    else if now_ns >= p.down_until_ns then (
       Metrics.Counter.incr m_probes;
       `Probe)
     else `No
@@ -123,19 +116,17 @@ module Peer_health = struct
   let ok t ~node =
     let p = peer t node in
     p.fails <- 0;
-    p.down_until_ns <- 0L
+    p.down_until_ns <- 0
 
   let failed t ~node ~now_ns =
     let p = peer t node in
     p.fails <- p.fails + 1;
     (* cooldown * 2^(fails-1), capped; shift saturates via the cap *)
-    let mult = Int64.shift_left 1L (min 20 (p.fails - 1)) in
     let backoff =
-      let b = Int64.mul t.cooldown_ns mult in
-      if Int64.compare b t.cap_ns > 0 || Int64.compare b 0L <= 0 then t.cap_ns
-      else b
+      let b = t.cooldown_ns lsl min 20 (p.fails - 1) in
+      if b > t.cap_ns || b <= 0 then t.cap_ns else b
     in
-    p.down_until_ns <- Int64.add now_ns backoff
+    p.down_until_ns <- now_ns + backoff
 end
 
 type service = {
@@ -295,7 +286,7 @@ let rec await_cell cell =
   match !cell with
   | Some r -> r
   | None ->
-      Sys.sleep_until_ns (Int64.add (Sys.clock_ns ()) 50_000L);
+      Sys.sleep_until_ns (Sys.clock_ns () + 50_000);
       await_cell cell
 
 (* Admission phase: translate the caller's wire label and capacity

@@ -44,7 +44,7 @@ module Peer_health : sig
   val create : ?cooldown_ms:int -> ?cap_ms:int -> unit -> t
   (** Defaults: [cooldown_ms] 40, [cap_ms] 640. *)
 
-  val usable : t -> node:int -> now_ns:int64 -> [ `Yes | `Probe | `No ]
+  val usable : t -> node:int -> now_ns:int -> [ `Yes | `Probe | `No ]
   (** [`Yes]: healthy. [`Probe]: backoff elapsed, this send is the
       probe (counted in [net.dist_probes]). [`No]: still backing off —
       do not send. *)
@@ -52,7 +52,7 @@ module Peer_health : sig
   val ok : t -> node:int -> unit
   (** Record a success: the peer is healthy again. *)
 
-  val failed : t -> node:int -> now_ns:int64 -> unit
+  val failed : t -> node:int -> now_ns:int -> unit
   (** Record a transport failure: doubles the backoff window. *)
 end
 

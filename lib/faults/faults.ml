@@ -111,13 +111,20 @@ module Schedule = struct
         | Some f when f >= 0.0 && f <= 1.0 -> f
         | _ -> failwith (Printf.sprintf "bad rate %s=%s" key v))
 
-  let get_i kvs key dflt =
+  (* Largest ms / µs field whose nanoseconds still fit a native int,
+     the type every consumer computes virtual time in. *)
+  let max_ms = max_int / 1_000_000
+  let max_us = max_int / 1_000
+
+  let parse_i ~max key v =
+    match int_of_string_opt v with
+    | Some i when i >= 0 && i <= max -> i
+    | _ -> failwith (Printf.sprintf "bad int %s=%s" key v)
+
+  let get_i ?(max = max_int) kvs key dflt =
     match List.assoc_opt key kvs with
     | None -> dflt
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some i when i >= 0 -> i
-        | _ -> failwith (Printf.sprintf "bad int %s=%s" key v))
+    | Some v -> parse_i ~max key v
 
   let disk_of_kvs kvs =
     {
@@ -133,28 +140,27 @@ module Schedule = struct
       duplicate_rate = get_f kvs "dup" default_net.duplicate_rate;
       reorder_rate = get_f kvs "reorder" default_net.reorder_rate;
       reorder_depth = get_i kvs "depth" default_net.reorder_depth;
-      jitter_us = get_i kvs "jitter" default_net.jitter_us;
-      flap_period_ms = get_i kvs "flap_period" default_net.flap_period_ms;
-      flap_down_ms = get_i kvs "flap_down" default_net.flap_down_ms;
+      jitter_us = get_i ~max:max_us kvs "jitter" default_net.jitter_us;
+      flap_period_ms =
+        get_i ~max:max_ms kvs "flap_period" default_net.flap_period_ms;
+      flap_down_ms = get_i ~max:max_ms kvs "flap_down" default_net.flap_down_ms;
     }
 
   let crash_of_kvs kvs =
-    let req key =
+    let req ?(max = max_int) key =
       match List.assoc_opt key kvs with
       | None -> failwith (Printf.sprintf "crash section missing %s" key)
-      | Some v -> (
-          match int_of_string_opt v with
-          | Some i when i >= 0 -> i
-          | _ -> failwith (Printf.sprintf "bad int %s=%s" key v))
+      | Some v -> parse_i ~max key v
     in
-    {
-      crash_node = req "node";
-      at_ms = req "at";
-      restart_after_ms =
-        (match List.assoc_opt "restart" kvs with
-        | None -> None
-        | Some _ -> Some (req "restart"));
-    }
+    let crash_node = req "node" in
+    let at_ms = req ~max:max_ms "at" in
+    (* the restart fires at [at + restart], which must fit too *)
+    let restart_after_ms =
+      match List.assoc_opt "restart" kvs with
+      | None -> None
+      | Some _ -> Some (req ~max:(max_ms - at_ms) "restart")
+    in
+    { crash_node; at_ms; restart_after_ms }
 
   let of_string s =
     try
@@ -275,7 +281,7 @@ module Net_faults = struct
     corrupt : bool;
     duplicate : bool;
     hold : int;
-    jitter_ns : int64;
+    jitter_ns : int;
   }
 
   type t = {
@@ -306,21 +312,20 @@ module Net_faults = struct
   let link_up t ~now_ns =
     if t.params.flap_period_ms <= 0 || t.params.flap_down_ms <= 0 then true
     else
-      let period = Int64.mul (Int64.of_int t.params.flap_period_ms) 1_000_000L in
-      let down = Int64.mul (Int64.of_int t.params.flap_down_ms) 1_000_000L in
-      let phase = Int64.rem now_ns period in
+      let period = t.params.flap_period_ms * 1_000_000 in
+      let down = t.params.flap_down_ms * 1_000_000 in
       (* the link is down for the trailing flap_down of each period,
          so time 0 starts with the link up *)
-      Int64.compare phase (Int64.sub period down) < 0
+      now_ns mod period < period - down
 
   let on_frame t ~now_ns =
     let p = t.params in
     if not (link_up t ~now_ns) then (
       Metrics.Counter.incr t.c_flap;
-      { drop = `Flap; corrupt = false; duplicate = false; hold = 0; jitter_ns = 0L })
+      { drop = `Flap; corrupt = false; duplicate = false; hold = 0; jitter_ns = 0 })
     else if unit_float t.rng < p.loss_rate then (
       Metrics.Counter.incr t.c_lost;
-      { drop = `Loss; corrupt = false; duplicate = false; hold = 0; jitter_ns = 0L })
+      { drop = `Loss; corrupt = false; duplicate = false; hold = 0; jitter_ns = 0 })
     else
       let corrupt = unit_float t.rng < p.corrupt_rate in
       if corrupt then Metrics.Counter.incr t.c_corrupt;
@@ -333,9 +338,8 @@ module Net_faults = struct
         else 0
       in
       let jitter_ns =
-        if p.jitter_us > 0 then
-          Int64.mul (Int64.of_int (Rng.int t.rng (p.jitter_us + 1))) 1_000L
-        else 0L
+        if p.jitter_us > 0 then Rng.int t.rng (p.jitter_us + 1) * 1_000
+        else 0
       in
       { drop = `No; corrupt; duplicate; hold; jitter_ns }
 
@@ -359,13 +363,11 @@ module Node_faults = struct
   type action = Kill of int | Restart of int
 
   type t = {
-    mutable pending : (int64 * int * action) list;
+    mutable pending : (int * int * action) list;
         (* (virtual ns, tiebreak rank, action), sorted *)
     c_kills : Metrics.Counter.t;
     c_restarts : Metrics.Counter.t;
   }
-
-  let ns_of_ms ms = Int64.mul (Int64.of_int ms) 1_000_000L
 
   let create (s : Schedule.t) =
     match s.crashes with
@@ -375,13 +377,13 @@ module Node_faults = struct
           List.concat
             (List.mapi
                (fun i (c : Schedule.crash) ->
-                 let kill = (ns_of_ms c.at_ms, (2 * i) + 0, Kill c.crash_node) in
+                 let kill = (c.at_ms * 1_000_000, (2 * i) + 0, Kill c.crash_node) in
                  match c.restart_after_ms with
                  | None -> [ kill ]
                  | Some r ->
                      [
                        kill;
-                       ( ns_of_ms (c.at_ms + r),
+                       ( (c.at_ms + r) * 1_000_000,
                          (2 * i) + 1,
                          Restart c.crash_node );
                      ])
@@ -392,7 +394,7 @@ module Node_faults = struct
             pending =
               List.sort
                 (fun (t1, r1, _) (t2, r2, _) ->
-                  match Int64.compare t1 t2 with 0 -> compare r1 r2 | c -> c)
+                  match Int.compare t1 t2 with 0 -> compare r1 r2 | c -> c)
                 events;
             c_kills = Metrics.counter "faults.node_kills";
             c_restarts = Metrics.counter "faults.node_restarts";
@@ -400,7 +402,7 @@ module Node_faults = struct
 
   let due t ~now_ns =
     let rec take acc = function
-      | (at, _, a) :: rest when Int64.compare at now_ns <= 0 ->
+      | (at, _, a) :: rest when at <= now_ns ->
           (match a with
           | Kill _ -> Metrics.Counter.incr t.c_kills
           | Restart _ -> Metrics.Counter.incr t.c_restarts);

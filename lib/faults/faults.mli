@@ -106,14 +106,14 @@ module Net_faults : sig
     corrupt : bool;
     duplicate : bool;
     hold : int;  (** deliver after this many subsequent frames; 0 = now *)
-    jitter_ns : int64;
+    jitter_ns : int;
   }
 
   val create : Schedule.t -> t option
   (** [None] when the schedule injects no network faults. *)
 
-  val link_up : t -> now_ns:int64 -> bool
-  val on_frame : t -> now_ns:int64 -> verdict
+  val link_up : t -> now_ns:int -> bool
+  val on_frame : t -> now_ns:int -> verdict
   val corrupt_bytes : t -> bytes -> unit
   (** Flip one deterministic-random byte in place. *)
 end
@@ -136,7 +136,7 @@ module Node_faults : sig
   val create : Schedule.t -> t option
   (** [None] when the schedule has no crash entries. *)
 
-  val due : t -> now_ns:int64 -> action list
+  val due : t -> now_ns:int -> action list
   (** Pop every event with firing time <= [now_ns], in order. *)
 
   val remaining : t -> int

@@ -54,7 +54,7 @@ type endpoint = {
    every frame to or from the endpoint. The clock is caller-supplied
    so a link can flap on a node's virtual time rather than the hub's
    wire time. *)
-type link = { lk_faults : Net_faults.t; lk_clock : unit -> int64 }
+type link = { lk_faults : Net_faults.t; lk_clock : unit -> int }
 
 type t = {
   clock : Sim_clock.t;
@@ -230,7 +230,7 @@ let inject_now t bytes =
   (match t.faults with
   | None -> route t decoded bytes
   | Some nf -> (
-      let v = Net_faults.on_frame nf ~now_ns:(Sim_clock.now_ns t.clock) in
+      let v = Net_faults.on_frame nf ~now_ns:(Sim_clock.now t.clock) in
       match v.Net_faults.drop with
       | `Loss | `Flap -> drop_lost ~nbytes
       | `No ->
@@ -242,8 +242,8 @@ let inject_now t bytes =
               (Packet.frame_of_bytes bytes, bytes))
             else (decoded, bytes)
           in
-          if Int64.compare v.Net_faults.jitter_ns 0L > 0 then
-            Sim_clock.advance_ns t.clock v.Net_faults.jitter_ns;
+          if v.Net_faults.jitter_ns > 0 then
+            Sim_clock.advance t.clock v.Net_faults.jitter_ns;
           if v.Net_faults.hold > 0 then (
             Metrics.Counter.incr m_frames_reordered;
             t.holdq <- t.holdq @ [ (v.Net_faults.hold, decoded, bytes) ])

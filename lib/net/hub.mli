@@ -31,7 +31,7 @@ val set_faults : t -> Histar_faults.Faults.Net_faults.t option -> unit
 val set_link_faults :
   t ->
   mac:string ->
-  (Histar_faults.Faults.Net_faults.t * (unit -> int64)) option ->
+  (Histar_faults.Faults.Net_faults.t * (unit -> int)) option ->
   unit
 (** Attach (or clear) a per-endpoint link-fault plan: only its flap
     windows are consulted, and every frame to or from the endpoint is

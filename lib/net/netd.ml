@@ -323,7 +323,7 @@ let timer_loop shared notify () =
        let deadline =
          match Stack.next_timer_deadline stack with
          | Some d -> d
-         | None -> Int64.add (Sys.clock_ns ()) 50_000_000L
+         | None -> Sys.clock_ns () + 50_000_000
        in
        Sys.sleep_until_ns deadline;
        Stack.tick stack;

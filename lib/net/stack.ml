@@ -15,11 +15,14 @@ let mss = 1460
 let window_bytes = 65_535
 
 (* RFC 6298-style retransmission timing on the virtual clock. *)
-let rto_initial_ns = 200_000_000L (* before the first RTT sample *)
-let rto_min_ns = 50_000_000L
-let rto_max_ns = 10_000_000_000L
+let rto_initial_ns = 200_000_000 (* before the first RTT sample *)
+let rto_min_ns = 50_000_000
+let rto_max_ns = 10_000_000_000
 let max_retries = 8 (* consecutive timeouts before giving up *)
 let max_syn_retries = 5
+
+(* [rto_deadline] of a connection with no RTO armed *)
+let disarmed = max_int
 
 type conn_state =
   | Syn_sent
@@ -46,18 +49,18 @@ type conn = {
   rxq : Buffer.t;
   mutable fin_received : bool;
   mutable fin_sent : bool;
-  mutable rto_deadline : int64;
+  mutable rto_deadline : int;
   (* adaptive RTO state (RFC 6298): smoothed RTT / variance in ns;
      srtt = 0 means no sample yet *)
-  mutable srtt_ns : int64;
-  mutable rttvar_ns : int64;
-  mutable cur_rto_ns : int64;
+  mutable srtt_ns : int;
+  mutable rttvar_ns : int;
+  mutable cur_rto_ns : int;
   mutable retries : int;  (** consecutive timeouts since last forward ack *)
   (* Karn's algorithm: time one span at a time, and only if it was
      never retransmitted. rtt_seq is the ack number that completes the
      timed span; -1 = nothing being timed. *)
   mutable rtt_seq : int;
-  mutable rtt_sent_at : int64;
+  mutable rtt_sent_at : int;
   mutable error : string option;
       (** terminal failure (e.g. retransmission give-up) *)
 }
@@ -109,7 +112,7 @@ let emit_tcp t ~dst_ip ~tcp =
 let give_up c reason =
   c.error <- Some reason;
   c.cstate <- Closed;
-  c.rto_deadline <- Int64.max_int;
+  c.rto_deadline <- disarmed;
   Metrics.Counter.incr m_rto_giveups;
   Hashtbl.remove c.stack.conns (conn_key c)
 
@@ -138,35 +141,31 @@ let send_seg c ?(payload = "") ?(flags = no_flags) ~seq () =
 let send_ack c = send_seg c ~flags:{ no_flags with ack = true } ~seq:c.snd_nxt ()
 
 let arm_rto c =
-  c.rto_deadline <- Int64.add (Sim_clock.now_ns c.stack.clock) c.cur_rto_ns
+  c.rto_deadline <- Sim_clock.now c.stack.clock + c.cur_rto_ns
 
 (* Fold an RTT sample into the estimator and recompute the RTO.
    First sample: srtt = R, rttvar = R/2. After: rttvar = 3/4 rttvar +
    1/4 |srtt - R|; srtt = 7/8 srtt + 1/8 R; rto = srtt + 4 rttvar,
    clamped to [rto_min, rto_max]. *)
 let update_rtt c r =
-  if Int64.equal c.srtt_ns 0L then begin
+  if c.srtt_ns = 0 then begin
     c.srtt_ns <- r;
-    c.rttvar_ns <- Int64.div r 2L
+    c.rttvar_ns <- r / 2
   end
   else begin
-    let diff = Int64.abs (Int64.sub c.srtt_ns r) in
-    c.rttvar_ns <-
-      Int64.add
-        (Int64.div (Int64.mul 3L c.rttvar_ns) 4L)
-        (Int64.div diff 4L);
-    c.srtt_ns <-
-      Int64.add (Int64.div (Int64.mul 7L c.srtt_ns) 8L) (Int64.div r 8L)
+    let diff = abs (c.srtt_ns - r) in
+    c.rttvar_ns <- (3 * c.rttvar_ns / 4) + (diff / 4);
+    c.srtt_ns <- (7 * c.srtt_ns / 8) + (r / 8)
   end;
-  let rto = Int64.add c.srtt_ns (Int64.mul 4L c.rttvar_ns) in
-  c.cur_rto_ns <- Int64.max rto_min_ns (Int64.min rto_max_ns rto)
+  let rto = c.srtt_ns + (4 * c.rttvar_ns) in
+  c.cur_rto_ns <- Int.max rto_min_ns (Int.min rto_max_ns rto)
 
 (* Begin timing the span that the next cumulative ack >= [upto]
    completes, unless a span is already being timed. *)
 let maybe_time_span c ~upto =
   if c.rtt_seq < 0 then begin
     c.rtt_seq <- upto;
-    c.rtt_sent_at <- Sim_clock.now_ns c.stack.clock
+    c.rtt_sent_at <- Sim_clock.now c.stack.clock
   end
 
 (* Remove the next [n] unsent bytes from the tx queue, copying only
@@ -241,13 +240,13 @@ let mk_conn stack ~local_port ~remote ~cstate ~isn ~rcv_nxt =
     rxq = Buffer.create 256;
     fin_received = false;
     fin_sent = false;
-    rto_deadline = Int64.max_int;
-    srtt_ns = 0L;
-    rttvar_ns = 0L;
+    rto_deadline = disarmed;
+    srtt_ns = 0;
+    rttvar_ns = 0;
     cur_rto_ns = rto_initial_ns;
     retries = 0;
     rtt_seq = -1;
-    rtt_sent_at = 0L;
+    rtt_sent_at = 0;
     error = None;
   }
 
@@ -322,7 +321,7 @@ let handle_ack c ack_no =
        is abandoned on any timeout, so a sample here is clean) *)
     c.retries <- 0;
     if c.rtt_seq >= 0 && ack_no >= c.rtt_seq then begin
-      update_rtt c (Int64.sub (Sim_clock.now_ns c.stack.clock) c.rtt_sent_at);
+      update_rtt c (Sim_clock.now c.stack.clock - c.rtt_sent_at);
       c.rtt_seq <- -1
     end;
     c.snd_una <- ack_no;
@@ -336,7 +335,7 @@ let handle_ack c ack_no =
       | Some _ | None -> ()
     in
     drop_acked ();
-    if Queue.is_empty c.inflight then c.rto_deadline <- Int64.max_int
+    if Queue.is_empty c.inflight then c.rto_deadline <- disarmed
     else arm_rto c;
     pump c;
     maybe_send_fin c;
@@ -364,12 +363,12 @@ let handle_tcp t ~src_ip (seg : tcp) =
         | Syn_sent when seg.flags.syn && seg.flags.ack ->
             c.rcv_nxt <- seg.seq + 1;
             c.cstate <- Established;
-            c.rto_deadline <- Int64.max_int;
+            c.rto_deadline <- disarmed;
             send_ack c;
             pump c
         | Syn_received when seg.flags.ack ->
             c.cstate <- Established;
-            c.rto_deadline <- Int64.max_int;
+            c.rto_deadline <- disarmed;
             (match Hashtbl.find_opt t.listeners c.local_port with
             | Some q -> Queue.push c q
             | None -> ());
@@ -469,7 +468,7 @@ let handle_timeout c =
          c.retries)
   else begin
     (* exponential backoff, then go-back-N on what is outstanding *)
-    c.cur_rto_ns <- Int64.min rto_max_ns (Int64.mul 2L c.cur_rto_ns);
+    c.cur_rto_ns <- Int.min rto_max_ns (2 * c.cur_rto_ns);
     (match c.cstate with
     | Syn_sent ->
         count_retx ();
@@ -498,15 +497,14 @@ let handle_timeout c =
   end
 
 let tick t =
-  let now = Sim_clock.now_ns t.clock in
+  let now = Sim_clock.now t.clock in
   (* Collect first: handling a timeout can re-enter this stack (a
      retransmitted frame can trigger a synchronous ack from the peer)
      and close/remove connections, which must not race the
      iteration. Sort for a deterministic processing order. *)
   let expired =
     Hashtbl.fold
-      (fun _ c acc ->
-        if Int64.compare now c.rto_deadline >= 0 then c :: acc else acc)
+      (fun _ c acc -> if now >= c.rto_deadline then c :: acc else acc)
       t.conns []
     |> List.sort (fun a b -> compare (conn_key a) (conn_key b))
   in
@@ -514,7 +512,7 @@ let tick t =
     (fun c ->
       (* re-check: an earlier expiry's effects may have acked or
          closed this connection already *)
-      if c.cstate <> Closed && Int64.compare now c.rto_deadline >= 0 then
+      if c.cstate <> Closed && now >= c.rto_deadline then
         handle_timeout c)
     expired
 
@@ -522,17 +520,17 @@ let tick t =
 
 let needs_timer t =
   Hashtbl.fold
-    (fun _ c acc -> acc || c.rto_deadline <> Int64.max_int)
+    (fun _ c acc -> acc || c.rto_deadline <> disarmed)
     t.conns false
 
 let next_timer_deadline t =
   Hashtbl.fold
     (fun _ c acc ->
-      if Int64.equal c.rto_deadline Int64.max_int then acc
+      if c.rto_deadline = disarmed then acc
       else
         match acc with
         | None -> Some c.rto_deadline
-        | Some d -> Some (Int64.min d c.rto_deadline))
+        | Some d -> Some (Int.min d c.rto_deadline))
     t.conns None
 
 (* ----- UDP ----- *)

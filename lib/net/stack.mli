@@ -87,5 +87,5 @@ val udp_recv : t -> port:Addr.port -> (Addr.t * string) option
 val needs_timer : t -> bool
 (** Some connection has an armed RTO. *)
 
-val next_timer_deadline : t -> int64 option
+val next_timer_deadline : t -> int option
 (** Earliest armed RTO deadline (virtual ns), if any. *)

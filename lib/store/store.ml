@@ -357,7 +357,7 @@ let encode_metadata ~object_map ~alloc ~quarantined =
 let checkpoint t =
   Metrics.Counter.incr m_checkpoints;
   let clock = Disk.clock t.disk in
-  let t0 = Histar_util.Sim_clock.now_ns clock in
+  let t0 = Histar_util.Sim_clock.now clock in
   let to_free = ref [] in
   (* Write dirty objects to fresh home locations, in oid order for
      locality. *)
@@ -431,8 +431,7 @@ let checkpoint t =
   (* The new snapshot is durable: vacated extents may now be reused. *)
   List.iter (fun (start, sectors) -> Extent_alloc.free t.alloc ~start ~sectors) !to_free;
   Wal.truncate t.wal;
-  let t1 = Histar_util.Sim_clock.now_ns clock in
-  Metrics.Counter.add m_checkpoint_ns_sum (Int64.to_int (Int64.sub t1 t0))
+  Metrics.Counter.add m_checkpoint_ns_sum (Histar_util.Sim_clock.now clock - t0)
 
 (* ---------- sync (fsync path) ---------- *)
 

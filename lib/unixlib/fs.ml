@@ -254,7 +254,7 @@ let find_file t path =
    metadata, as §3 suggests. *)
 let set_mtime ce =
   let e = Histar_util.Codec.Enc.create () in
-  Histar_util.Codec.Enc.i64 e (Sys.clock_ns ());
+  Histar_util.Codec.Enc.int e (Sys.clock_ns ());
   Sys.set_metadata ce (Histar_util.Codec.Enc.to_string e)
 
 let write_file t path data =
@@ -380,11 +380,11 @@ let mtime t path =
   match find_file t path with
   | None -> invalid_arg (Printf.sprintf "Fs.mtime: no such file: %s" path)
   | Some (n, _) -> (
-      let md = Sys.get_metadata (entry n) in
-      if String.length md < 8 then None
-      else
-        let d = Histar_util.Codec.Dec.of_string md in
-        Some (Histar_util.Codec.Dec.i64 d))
+      (* any thread that may modify the file can write its metadata *)
+      let d = Histar_util.Codec.Dec.of_string (Sys.get_metadata (entry n)) in
+      match Histar_util.Codec.Dec.int d with
+      | ns when ns >= 0 -> Some ns
+      | _ | (exception Histar_util.Codec.Truncated) -> None)
 
 let fsync t path =
   match resolve t path with

@@ -87,9 +87,10 @@ val relabel :
     label, swap the directory entry, and unreference the old object
     (revoking existing descriptors). Returns the new entry. *)
 
-val mtime : t -> string -> int64 option
+val mtime : t -> string -> int option
 (** Modification time (virtual nanoseconds), from the object metadata.
-    [None] if the file was never written through this library. *)
+    [None] if the file was never written through this library, or if
+    its metadata does not start with a non-negative 63-bit time. *)
 
 val reserve : t -> string -> int -> unit
 (** Ensure the named file can grow to [n] bytes, moving quota down the

@@ -1,13 +1,13 @@
 type t = { mutable now : int64 }
 
 let create () = { now = 0L }
+let now t = Int64.to_int t.now
 let now_ns t = t.now
 
-let advance_ns t dt =
-  assert (dt >= 0L);
-  t.now <- Int64.add t.now dt
+let advance t dt =
+  if dt < 0 then invalid_arg "Sim_clock.advance: negative";
+  let n = now t + dt in
+  (* [n] wraps negative exactly when the sum passes [max_int] *)
+  t.now <- Int64.of_int (if n < 0 then max_int else n)
 
-let advance_us t us = advance_ns t (Int64.of_float (us *. 1e3))
-let advance_ms t ms = advance_ns t (Int64.of_float (ms *. 1e6))
-let elapsed_since_ns t t0 = Int64.sub t.now t0
-let to_seconds ns = Int64.to_float ns /. 1e9
+let advance_us t us = advance t (int_of_float (us *. 1e3))

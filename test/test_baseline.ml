@@ -31,40 +31,40 @@ let test_fsync_costs_time () =
   let clock, u = mk Unixsim.Linux in
   Unixsim.creat u ~uid:1 ~mode:0o644 "/f";
   Unixsim.write u ~uid:1 "/f" (String.make 1024 'x');
-  let t0 = Clock.now_ns clock in
+  let t0 = Clock.now clock in
   Unixsim.fsync u "/f";
-  let dt = Int64.sub (Clock.now_ns clock) t0 in
+  let dt = Clock.now clock - t0 in
   (* two barriers: at least ~8 ms of simulated time *)
   Alcotest.(check bool)
-    (Printf.sprintf "fsync took %Ld ns" dt)
+    (Printf.sprintf "fsync took %d ns" dt)
     true
-    (dt > 6_000_000L)
+    (dt > 6_000_000)
 
 let test_mfs_fsync_free () =
   let clock, u = mk Unixsim.Openbsd in
   Unixsim.creat u ~uid:1 ~mode:0o644 "/f";
   Unixsim.write u ~uid:1 "/f" (String.make 1024 'x');
-  let t0 = Clock.now_ns clock in
+  let t0 = Clock.now clock in
   Unixsim.fsync u "/f";
-  let dt = Int64.sub (Clock.now_ns clock) t0 in
-  Alcotest.(check bool) "near-free" true (dt < 10_000L)
+  let dt = Clock.now clock - t0 in
+  Alcotest.(check bool) "near-free" true (dt < 10_000)
 
 let test_uncached_read_hits_disk () =
   let clock, u = mk Unixsim.Linux in
   Unixsim.creat u ~uid:1 ~mode:0o644 "/f";
   Unixsim.write u ~uid:1 "/f" (String.make 1024 'x');
   Unixsim.sync_all u;
-  let t0 = Clock.now_ns clock in
+  let t0 = Clock.now clock in
   ignore (Unixsim.read u ~uid:1 "/f");
-  let cached_dt = Int64.sub (Clock.now_ns clock) t0 in
+  let cached_dt = Clock.now clock - t0 in
   Unixsim.drop_caches u;
-  let t1 = Clock.now_ns clock in
+  let t1 = Clock.now clock in
   ignore (Unixsim.read u ~uid:1 "/f");
-  let uncached_dt = Int64.sub (Clock.now_ns clock) t1 in
+  let uncached_dt = Clock.now clock - t1 in
   Alcotest.(check bool)
-    (Printf.sprintf "uncached %Ld >> cached %Ld" uncached_dt cached_dt)
+    (Printf.sprintf "uncached %d >> cached %d" uncached_dt cached_dt)
     true
-    (Int64.compare uncached_dt (Int64.mul 10L cached_dt) > 0)
+    (uncached_dt > 10 * cached_dt)
 
 let test_fork_exec_nine_syscalls () =
   let _, u = mk Unixsim.Linux in
@@ -74,11 +74,11 @@ let test_fork_exec_nine_syscalls () =
 
 let test_pipe_rtt_time () =
   let clock, u = mk Unixsim.Linux in
-  let t0 = Clock.now_ns clock in
+  let t0 = Clock.now clock in
   for _ = 1 to 1000 do
     Unixsim.pipe_rtt u
   done;
-  let per = Int64.to_float (Int64.sub (Clock.now_ns clock) t0) /. 1000.0 in
+  let per = float_of_int (Clock.now clock - t0) /. 1000.0 in
   (* paper: 4.32 us on Linux *)
   Alcotest.(check bool)
     (Printf.sprintf "per RTT %.0f ns" per)

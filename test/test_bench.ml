@@ -25,7 +25,7 @@ let test_workloads_smoke () =
         (fun () ->
           match f Runner.Smoke with
           | ns ->
-              if ns < 0L then
+              if ns < 0 then
                 Alcotest.failf "workload %s: negative virtual time" name
           | exception e ->
               Alcotest.failf "workload %s failed: %s" name

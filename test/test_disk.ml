@@ -37,9 +37,9 @@ let test_bad_args () =
 
 let test_time_advances () =
   let clock, d = mk () in
-  let t0 = Clock.now_ns clock in
+  let t0 = Clock.now clock in
   ignore (Disk.read d ~sector:5_000 ~count:8);
-  Alcotest.(check bool) "read costs time" true (Clock.now_ns clock > t0)
+  Alcotest.(check bool) "read costs time" true (Clock.now clock > t0)
 
 let test_sequential_cheaper_than_random () =
   (* 100 sequential sector writes+flush should cost far less than 100
@@ -49,17 +49,17 @@ let test_sequential_cheaper_than_random () =
     Disk.write d_seq ~sector:(1000 + i) (sector 'x')
   done;
   Disk.flush d_seq;
-  let seq_ns = Clock.now_ns clock_seq in
+  let seq_ns = Clock.now clock_seq in
   let clock_rnd, d_rnd = mk () in
   for i = 0 to 99 do
     Disk.write d_rnd ~sector:(i * 97) (sector 'x');
     Disk.flush d_rnd
   done;
-  let rnd_ns = Clock.now_ns clock_rnd in
+  let rnd_ns = Clock.now clock_rnd in
   Alcotest.(check bool)
-    (Printf.sprintf "random (%Ld) >> sequential (%Ld)" rnd_ns seq_ns)
+    (Printf.sprintf "random (%d) >> sequential (%d)" rnd_ns seq_ns)
     true
-    (rnd_ns > Int64.mul 10L seq_ns)
+    (rnd_ns > 10 * seq_ns)
 
 let test_flush_coalesces () =
   let _, d = mk () in

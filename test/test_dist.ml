@@ -558,7 +558,7 @@ let test_cluster_failover () =
   let bclock = Webcluster.balancer_clock wc in
   Hub.set_link_faults (Webcluster.back_hub wc)
     ~mac:(Webcluster.app_mac wc 1)
-    (Some (dead, fun () -> Sim_clock.now_ns bclock));
+    (Some (dead, fun () -> Sim_clock.now bclock));
   let served1_before_outage = (Webcluster.served wc).(1) in
   let lost_before = Metrics.counter_value "net.frames_lost" in
   check_batch "outage batch" (Webcluster.run_load wc (mk_batch 30));
@@ -690,9 +690,8 @@ let test_session_ttl_expiry () =
   (* jump the balancer's virtual clock across the expiry boundary (the
      cluster-wide sync inside run_load raises every other clock to
      match — time never goes backwards) *)
-  let ttl_ns = Int64.mul (Int64.of_int Webcluster.session_ttl_ms) 1_000_000L in
-  Sim_clock.advance_ns (Webcluster.balancer_clock wc)
-    (Int64.add ttl_ns 1_000_000L);
+  Sim_clock.advance (Webcluster.balancer_clock wc)
+    ((Webcluster.session_ttl_ms + 1) * 1_000_000);
   drive "third request (expired token)";
   Alcotest.(check int)
     "expired token falls back to real auth (no hit)"

@@ -120,14 +120,14 @@ let test_schedule_crash_sections () =
   Alcotest.(check int) "three events armed" 3 (Faults.Node_faults.remaining plan);
   Alcotest.(check bool)
     "nothing due before the first kill" true
-    (Faults.Node_faults.due plan ~now_ns:59_000_000L = []);
+    (Faults.Node_faults.due plan ~now_ns:59_000_000 = []);
   Alcotest.(check bool)
     "kill of node 3 due at 60ms" true
-    (Faults.Node_faults.due plan ~now_ns:60_000_000L
+    (Faults.Node_faults.due plan ~now_ns:60_000_000
     = [ Faults.Node_faults.Kill 3 ]);
   Alcotest.(check bool)
     "kill of 5 then restart of 3, in time order" true
-    (Faults.Node_faults.due plan ~now_ns:200_000_000L
+    (Faults.Node_faults.due plan ~now_ns:200_000_000
     = [ Faults.Node_faults.Kill 5; Faults.Node_faults.Restart 3 ]);
   Alcotest.(check int) "each event fires exactly once" 0
     (Faults.Node_faults.remaining plan)
@@ -139,7 +139,39 @@ let test_schedule_errors () =
       match Schedule.of_string s with
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted malformed %S" s)
       | Error _ -> ())
-    bad
+    bad;
+  (* Times are native-int nanoseconds downstream: a field whose ns
+     would pass max_int (4_611_686_018_427 ms, 4_611_686_018_427_387
+     µs) is refused, not wrapped into a kill due at time 0. *)
+  let too_late =
+    [
+      "crash:node=0,at=10000000000000";
+      "crash:node=0,at=4611686018428";
+      "crash:node=0,at=4611686018427,restart=1";
+      "crash:node=0,at=1,restart=4611686018427";
+      "net:flap_period=4611686018428";
+      "net:flap_down=4611686018428";
+      "net:jitter=4611686018427388";
+    ]
+  in
+  List.iter
+    (fun s ->
+      match Schedule.of_string s with
+      | Ok _ -> Alcotest.fail (Printf.sprintf "accepted out-of-range %S" s)
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S: %s" s e) true
+            (String.starts_with ~prefix:"bad int" e))
+    too_late;
+  match Schedule.of_string "crash:node=0,at=4611686018427;net:jitter=4611686018427387" with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+      let plan = Option.get (Faults.Node_faults.create s) in
+      Alcotest.(check bool) "the last ms is not due at 0" true
+        (Faults.Node_faults.due plan ~now_ns:0 = []);
+      Alcotest.(check bool) "it is due at its own ns" true
+        (Faults.Node_faults.due plan ~now_ns:4_611_686_018_427_000_000
+        = [ Faults.Node_faults.Kill 0 ])
 
 (* ---------- disk fault semantics ---------- *)
 

@@ -733,7 +733,7 @@ let settle k =
     ignore (Kernel.step k : bool)
   done
 
-let deadline = 1_000_000_000L
+let deadline = 1_000_000_000
 
 let test_timer_ties_wake_in_tid_order () =
   let k = Kernel.create () in
@@ -752,9 +752,9 @@ let test_timer_ties_wake_in_tid_order () =
   List.iter
     (fun (_, at) ->
       Alcotest.(check bool) "not woken early" true
-        (Int64.compare at deadline >= 0))
+        (at >= deadline))
     !woke;
-  Alcotest.(check (option int64)) "no timer left" None (Kernel.next_timer_ns k)
+  Alcotest.(check (option int)) "no timer left" None (Kernel.next_timer_ns k)
 
 let test_destroyed_sleeper_never_woken () =
   let k = Kernel.create () in
@@ -766,18 +766,18 @@ let test_destroyed_sleeper_never_woken () =
         woke := true)
   in
   settle k;
-  Alcotest.(check (option int64)) "indexed" (Some deadline)
+  Alcotest.(check (option int)) "indexed" (Some deadline)
     (Kernel.next_timer_ns k);
   let _killer =
     Kernel.spawn k ~name:"killer" (fun () -> Sys.unref (centry root sleeper))
   in
   settle k;
   Alcotest.(check bool) "destroyed" true (Kernel.thread_state k sleeper = None);
-  Alcotest.(check (option int64)) "entry dropped" None (Kernel.next_timer_ns k);
+  Alcotest.(check (option int)) "entry dropped" None (Kernel.next_timer_ns k);
   Alcotest.(check bool) "nothing to fire" false (Kernel.step k);
   Alcotest.(check bool) "never woken" false !woke;
   Alcotest.(check bool) "clock did not jump" true
-    (Int64.compare (Histar_util.Sim_clock.now_ns (Kernel.clock k)) deadline < 0)
+    (Histar_util.Sim_clock.now (Kernel.clock k) < deadline)
 
 (* [thread_alert] does not cut a sleep short, so the sleeper is
    re-armed to wait for the alert instead: its old deadline must not
@@ -797,7 +797,7 @@ let test_alerted_sleeper_never_woken_by_timer () =
         woke := true)
   in
   settle k;
-  Alcotest.(check (option int64)) "indexed" (Some deadline)
+  Alcotest.(check (option int)) "indexed" (Some deadline)
     (Kernel.next_timer_ns k);
   Kernel.restart_thread k sleeper (fun () ->
       Sys.self_set_as (centry root !asp);
@@ -805,7 +805,7 @@ let test_alerted_sleeper_never_woken_by_timer () =
   settle k;
   Alcotest.(check bool) "waits for an alert" true
     (Kernel.thread_state k sleeper = Some `Blocked);
-  Alcotest.(check (option int64)) "entry dropped" None (Kernel.next_timer_ns k);
+  Alcotest.(check (option int)) "entry dropped" None (Kernel.next_timer_ns k);
   Alcotest.(check bool) "nothing to fire" false (Kernel.step k);
   Alcotest.(check (option int)) "not resumed by the deadline" None !got;
   let _alerter =
@@ -815,7 +815,47 @@ let test_alerted_sleeper_never_woken_by_timer () =
   Kernel.run k;
   Alcotest.(check (option int)) "alert delivered" (Some 7) !got;
   Alcotest.(check bool) "never woken by the timer" false !woke;
-  Alcotest.(check (option int64)) "no timer left" None (Kernel.next_timer_ns k)
+  Alcotest.(check (option int)) "no timer left" None (Kernel.next_timer_ns k)
+
+(* ---------- virtual-time bounds ---------- *)
+
+let now k = Histar_util.Sim_clock.now (Kernel.clock k)
+
+(* A sleep amount is a thread's to choose: one whose nanoseconds would
+   carry the clock past max_int is refused with [Invalid], like a
+   negative one, and neither the kernel nor the clock moves for it
+   (syscalls cost nothing here, so the clock reads only sleeps). *)
+let test_usleep_past_end_refused () =
+  List.iter
+    (fun us ->
+      let k = Kernel.create ~syscall_cost_ns:0 () in
+      let refused = ref false in
+      let _tid =
+        Kernel.spawn k ~name:"sleeper" (fun () ->
+            try Sys.usleep us with Kernel_error (Invalid _) -> refused := true)
+      in
+      Kernel.run k;
+      Alcotest.(check bool) (Printf.sprintf "usleep %d refused" us) true !refused;
+      Alcotest.(check int) "clock unmoved" 0 (now k))
+    [ max_int; (max_int / 1000) + 1 ];
+  let k = Kernel.create ~syscall_cost_ns:0 () in
+  let _tid = Kernel.spawn k ~name:"sleeper" (fun () -> Sys.usleep (max_int / 1000)) in
+  Kernel.run k;
+  Alcotest.(check int) "the longest sleep that fits" (max_int / 1000 * 1000) (now k)
+
+(* Parking on the last representable deadline is legal; the syscall
+   after it finds time stopped at max_int rather than wrapped. *)
+let test_sleep_until_end_of_time () =
+  let k = Kernel.create () in
+  let seen = ref 0 in
+  let _tid =
+    Kernel.spawn k ~name:"late" (fun () ->
+        Sys.sleep_until_ns max_int;
+        seen := Sys.clock_ns ())
+  in
+  Kernel.run k;
+  Alcotest.(check int) "time stops at max_int" max_int !seen;
+  Alcotest.(check int) "and stays there" max_int (now k)
 
 let test_frame_for_destroyed_waiter_stays_queued () =
   let k = Kernel.create () in
@@ -1791,6 +1831,13 @@ let () =
             test_alerted_sleeper_never_woken_by_timer;
           Alcotest.test_case "frame for destroyed waiter stays queued" `Quick
             test_frame_for_destroyed_waiter_stays_queued;
+        ] );
+      ( "virtual time",
+        [
+          Alcotest.test_case "usleep past the end refused" `Quick
+            test_usleep_past_end_refused;
+          Alcotest.test_case "sleep until the last ns" `Quick
+            test_sleep_until_end_of_time;
         ] );
       ( "persistence",
         [

@@ -114,14 +114,17 @@ let test_rng_bytes_len () =
 
 let test_clock () =
   let c = Sim_clock.create () in
-  Alcotest.(check int64) "starts at 0" 0L (Sim_clock.now_ns c);
-  Sim_clock.advance_ns c 500L;
-  Sim_clock.advance_us c 1.0;
-  Sim_clock.advance_ms c 2.0;
-  Alcotest.(check int64) "sum" 2_001_500L (Sim_clock.now_ns c);
-  Alcotest.(check int64) "elapsed" 2_001_000L (Sim_clock.elapsed_since_ns c 500L);
-  Alcotest.(check (float 1e-12)) "seconds" 2.0015e-3
-    (Sim_clock.to_seconds (Sim_clock.now_ns c))
+  Alcotest.(check int) "starts at 0" 0 (Sim_clock.now c);
+  Sim_clock.advance c 500;
+  Sim_clock.advance_us c 1.5;
+  Alcotest.(check int) "sum" 2_000 (Sim_clock.now c);
+  Alcotest.(check int64) "now_ns agrees" 2_000L (Sim_clock.now_ns c);
+  Alcotest.check_raises "negative" (Invalid_argument "Sim_clock.advance: negative")
+    (fun () -> Sim_clock.advance c (-1));
+  Sim_clock.advance c max_int;
+  Alcotest.(check int) "stops at max_int" max_int (Sim_clock.now c);
+  Sim_clock.advance c 1;
+  Alcotest.(check int) "and stays there" max_int (Sim_clock.now c)
 
 let () =
   Alcotest.run "histar_util"
