@@ -67,8 +67,8 @@ type t = {
   mutable faults : Net_faults.t option;
   mutable tap : (string -> unit) option;
       (** packet-capture hook: sees every injected frame *)
-  mutable holdq : (int * Packet.frame option * string) list;
-      (** reordering: frames held back (with their decoding), released
+  mutable holdq : (int * (string * string) option * string) list;
+      (** reordering: frames held back (with their MACs), released
           after N later injects *)
 }
 
@@ -145,23 +145,22 @@ let deliver ep bytes =
   account_rx ~mac:ep.ep_mac (String.length bytes);
   ep.ep_deliver bytes
 
-(* Deliver to the destination endpoint(s), given the frame as
-   [inject_now] decoded it. A frame that does not decode was corrupted
-   in flight (or addressed nowhere) — the receiving NIC would never see
-   a valid destination, so it is a no-route drop. A frame to or from a
-   flapped-down link is lost. *)
-let route t decoded bytes =
+(* Deliver to the destination endpoint(s), given the frame's MACs as
+   [inject_now] scanned them. A frame that does not decode was
+   corrupted in flight (or addressed nowhere) — the receiving NIC would
+   never see a valid destination, so it is a no-route drop. A frame to
+   or from a flapped-down link is lost. *)
+let route t macs bytes =
   let nbytes = String.length bytes in
-  match decoded with
+  match macs with
   | None -> drop_no_route ~nbytes
-  | Some f ->
-      if not (link_up t f.Packet.src_mac && link_up t f.Packet.dst_mac) then
-        drop_lost ~nbytes
-      else if String.equal f.Packet.dst_mac broadcast_mac then begin
+  | Some (src_mac, dst_mac) ->
+      if not (link_up t src_mac && link_up t dst_mac) then drop_lost ~nbytes
+      else if String.equal dst_mac broadcast_mac then begin
         let recipients =
           Hashtbl.fold
             (fun mac ep acc ->
-              if String.equal mac f.Packet.src_mac then acc else ep :: acc)
+              if String.equal mac src_mac then acc else ep :: acc)
             t.endpoints []
           |> List.sort (fun a b -> String.compare a.ep_mac b.ep_mac)
         in
@@ -172,12 +171,12 @@ let route t decoded bytes =
             List.iter
               (fun ep ->
                 (* the hub repeats the frame out of each extra port *)
-                account_tx ~src:(Some f.Packet.src_mac) nbytes;
+                account_tx ~src:(Some src_mac) nbytes;
                 deliver ep bytes)
               rest
       end
       else (
-        match Hashtbl.find_opt t.endpoints f.Packet.dst_mac with
+        match Hashtbl.find_opt t.endpoints dst_mac with
         | Some ep -> deliver ep bytes
         | None -> drop_no_route ~nbytes)
 
@@ -222,37 +221,37 @@ let inject_now t bytes =
   (* The tap is an eavesdropper on the shared wire: it sees every
      frame as injected, before any loss or corruption decision. *)
   (match t.tap with Some f -> f bytes | None -> ());
-  let decoded = Packet.frame_of_bytes bytes in
-  let src_mac =
-    match decoded with Some f -> Some f.Packet.src_mac | None -> None
-  in
+  (* Routing reads the two MACs off the same scan (FCS included) that
+     the receiving stack's decoder runs, without copying the payload. *)
+  let macs = Packet.macs_of_bytes bytes in
+  let src_mac = Option.map fst macs in
   account_tx ~src:src_mac nbytes;
   (match t.faults with
-  | None -> route t decoded bytes
+  | None -> route t macs bytes
   | Some nf -> (
       let v = Net_faults.on_frame nf ~now_ns:(Sim_clock.now t.clock) in
       match v.Net_faults.drop with
       | `Loss | `Flap -> drop_lost ~nbytes
       | `No ->
-          let decoded, bytes =
+          let macs, bytes =
             if v.Net_faults.corrupt then (
               let b = Bytes.of_string bytes in
               Net_faults.corrupt_bytes nf b;
               let bytes = Bytes.unsafe_to_string b in
-              (Packet.frame_of_bytes bytes, bytes))
-            else (decoded, bytes)
+              (Packet.macs_of_bytes bytes, bytes))
+            else (macs, bytes)
           in
           if v.Net_faults.jitter_ns > 0 then
             Sim_clock.advance t.clock v.Net_faults.jitter_ns;
           if v.Net_faults.hold > 0 then (
             Metrics.Counter.incr m_frames_reordered;
-            t.holdq <- t.holdq @ [ (v.Net_faults.hold, decoded, bytes) ])
+            t.holdq <- t.holdq @ [ (v.Net_faults.hold, macs, bytes) ])
           else begin
-            route t decoded bytes;
+            route t macs bytes;
             if v.Net_faults.duplicate then begin
               Metrics.Counter.incr m_frames_duplicated;
               account_tx ~src:src_mac nbytes;
-              route t decoded bytes
+              route t macs bytes
             end
           end));
   release_due t

@@ -71,30 +71,39 @@ type request =
 
 type reply = Rp_ok | Rp_sock of int | Rp_data of string | Rp_eof | Rp_err of string
 
-let encode_request r =
+(* The variants that carry a string are built in one block of exact
+   size: the tag byte, the socket id (u32) if given, then the string
+   length-prefixed — the bytes the [Codec] encoders write, with no
+   buffer growth and no final copy. *)
+let encode_data tag ?sock data =
+  let o = if Option.is_some sock then 5 else 1 in
+  let n = String.length data in
+  let b = Bytes.create (o + 4 + n) in
+  Bytes.set_uint8 b 0 tag;
+  (match sock with
+  | Some s -> Bytes.set_int32_le b 1 (Int32.of_int s)
+  | None -> ());
+  Bytes.set_int32_le b o (Int32.of_int n);
+  Bytes.blit_string data 0 b (o + 4) n;
+  Bytes.unsafe_to_string b
+
+(* The tag byte, then what [f] writes. *)
+let encode_fields tag f =
   let e = Codec.Enc.create () in
-  (match r with
-  | R_connect a ->
-      Codec.Enc.u8 e 1;
-      Codec.Enc.u32 e a.Addr.ip;
-      Codec.Enc.u16 e a.Addr.port
-  | R_listen p ->
-      Codec.Enc.u8 e 2;
-      Codec.Enc.u16 e p
-  | R_accept p ->
-      Codec.Enc.u8 e 3;
-      Codec.Enc.u16 e p
-  | R_send (s, data) ->
-      Codec.Enc.u8 e 4;
-      Codec.Enc.u32 e s;
-      Codec.Enc.str e data
-  | R_recv s ->
-      Codec.Enc.u8 e 5;
-      Codec.Enc.u32 e s
-  | R_close s ->
-      Codec.Enc.u8 e 6;
-      Codec.Enc.u32 e s);
+  Codec.Enc.u8 e tag;
+  f e;
   Codec.Enc.to_string e
+
+let encode_request = function
+  | R_connect a ->
+      encode_fields 1 (fun e ->
+          Codec.Enc.u32 e a.Addr.ip;
+          Codec.Enc.u16 e a.Addr.port)
+  | R_listen p -> encode_fields 2 (fun e -> Codec.Enc.u16 e p)
+  | R_accept p -> encode_fields 3 (fun e -> Codec.Enc.u16 e p)
+  | R_send (s, data) -> encode_data 4 ~sock:s data
+  | R_recv s -> encode_fields 5 (fun e -> Codec.Enc.u32 e s)
+  | R_close s -> encode_fields 6 (fun e -> Codec.Enc.u32 e s)
 
 let decode_request s =
   let d = Codec.Dec.of_string s in
@@ -113,21 +122,12 @@ let decode_request s =
   | 6 -> R_close (Codec.Dec.u32 d)
   | _ -> failwith "netd: bad request"
 
-let encode_reply r =
-  let e = Codec.Enc.create () in
-  (match r with
-  | Rp_ok -> Codec.Enc.u8 e 0
-  | Rp_sock s ->
-      Codec.Enc.u8 e 1;
-      Codec.Enc.u32 e s
-  | Rp_data d ->
-      Codec.Enc.u8 e 2;
-      Codec.Enc.str e d
-  | Rp_eof -> Codec.Enc.u8 e 3
-  | Rp_err m ->
-      Codec.Enc.u8 e 4;
-      Codec.Enc.str e m);
-  Codec.Enc.to_string e
+let encode_reply = function
+  | Rp_ok -> "\000"
+  | Rp_sock s -> encode_fields 1 (fun e -> Codec.Enc.u32 e s)
+  | Rp_data d -> encode_data 2 d
+  | Rp_eof -> "\003"
+  | Rp_err m -> encode_data 4 m
 
 let decode_reply s =
   let d = Codec.Dec.of_string s in

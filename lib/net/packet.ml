@@ -1,5 +1,3 @@
-module Codec = Histar_util.Codec
-
 type tcp_flags = { syn : bool; ack : bool; fin : bool; rst : bool }
 
 type tcp = {
@@ -20,97 +18,153 @@ type frame = { src_mac : string; dst_mac : string; ip : ip_packet }
 let no_flags = { syn = false; ack = false; fin = false; rst = false }
 
 (* Every frame carries an FCS trailer (fnv64 over the body), checked
-   by [frame_of_bytes].  A frame whose bits flipped on the wire fails
-   the check and is dropped at the receiving NIC rather than handed
-   to the stack — the guarantee that makes injected frame corruption
+   by [scan].  A frame whose bits flipped on the wire fails the check
+   and is dropped at the receiving NIC rather than handed to the stack
+   — the guarantee that makes injected frame corruption
    indistinguishable from loss at the transport layer. *)
 let fcs_len = 8
 
-(* The FCS is appended to the buffer the body was encoded into. *)
+(* The body, little-endian, as the [Codec] encoders lay out fields:
+   src MAC and dst MAC, each a u32 length then its bytes; src IP and
+   dst IP (u32); the protocol byte; TCP's ports (u16), seq and ack
+   (u32), flag bits (u8) and window (u32), or UDP's ports; then the
+   payload as a u32 length and its bytes. The MACs end at [p]; every
+   later field up to the payload length sits at a fixed offset from
+   [p]. *)
+let tcp_fixed = 26 (* IPs, protocol byte, TCP header *)
+let udp_fixed = 13 (* IPs, protocol byte, UDP ports *)
+
+let set_u16 b o v = Bytes.set_uint16_le b o (v land 0xFFFF)
+
+let set_u32 b o v =
+  set_u16 b o v;
+  set_u16 b (o + 2) (v lsr 16)
+
+(* writes a length-prefixed string at [o]; returns where it ends *)
+let set_str b o s =
+  let n = String.length s in
+  set_u32 b o n;
+  Bytes.blit_string s 0 b (o + 4) n;
+  o + 4 + n
+
+let get_u16 = String.get_uint16_le
+let get_u32 s o = get_u16 s o lor (get_u16 s (o + 2) lsl 16)
+
+(* Each field is written once into one [Bytes] of the frame's exact
+   length, and the FCS is computed over that block in place. *)
 let frame_to_bytes f =
-  let e = Codec.Enc.create () in
-  Codec.Enc.str e f.src_mac;
-  Codec.Enc.str e f.dst_mac;
-  Codec.Enc.u32 e f.ip.src_ip;
-  Codec.Enc.u32 e f.ip.dst_ip;
+  let fixed, payload =
+    match f.ip.proto with
+    | Tcp t -> (tcp_fixed, t.payload)
+    | Udp u -> (udp_fixed, u.upayload)
+  in
+  let p = 8 + String.length f.src_mac + String.length f.dst_mac in
+  let n = p + fixed + 4 + String.length payload in
+  let b = Bytes.create (n + fcs_len) in
+  ignore (set_str b (set_str b 0 f.src_mac) f.dst_mac);
+  set_u32 b p f.ip.src_ip;
+  set_u32 b (p + 4) f.ip.dst_ip;
   (match f.ip.proto with
   | Tcp t ->
-      Codec.Enc.u8 e 6;
-      Codec.Enc.u16 e t.src_port;
-      Codec.Enc.u16 e t.dst_port;
-      Codec.Enc.u32 e t.seq;
-      Codec.Enc.u32 e t.ack_no;
-      let bits =
-        (if t.flags.syn then 1 else 0)
+      Bytes.set_uint8 b (p + 8) 6;
+      set_u16 b (p + 9) t.src_port;
+      set_u16 b (p + 11) t.dst_port;
+      set_u32 b (p + 13) t.seq;
+      set_u32 b (p + 17) t.ack_no;
+      Bytes.set_uint8 b (p + 21)
+        ((if t.flags.syn then 1 else 0)
         lor (if t.flags.ack then 2 else 0)
         lor (if t.flags.fin then 4 else 0)
-        lor if t.flags.rst then 8 else 0
-      in
-      Codec.Enc.u8 e bits;
-      Codec.Enc.u32 e t.window;
-      Codec.Enc.str e t.payload
+        lor if t.flags.rst then 8 else 0);
+      set_u32 b (p + 22) t.window
   | Udp u ->
-      Codec.Enc.u8 e 17;
-      Codec.Enc.u16 e u.usrc_port;
-      Codec.Enc.u16 e u.udst_port;
-      Codec.Enc.str e u.upayload);
-  Codec.Enc.i64 e (Histar_util.Checksum.fnv64 (Codec.Enc.to_string e));
-  Codec.Enc.to_string e
+      Bytes.set_uint8 b (p + 8) 17;
+      set_u16 b (p + 9) u.usrc_port;
+      set_u16 b (p + 11) u.udst_port);
+  ignore (set_str b (p + fixed) payload);
+  Bytes.set_int64_le b n
+    (Histar_util.Checksum.fnv64_sub (Bytes.unsafe_to_string b) ~pos:0 ~len:n);
+  Bytes.unsafe_to_string b
 
-(* The body is decoded in place, bounded to end where the FCS starts:
-   a length field that runs into the trailer is a truncated body.
-   Unknown flag bits and bytes left over after the last field are
-   malformed, so every frame accepted re-encodes to exactly the bytes
-   it came from. *)
-let frame_of_bytes s =
-  match
-    let n = String.length s - fcs_len in
-    if n < 0 then raise Codec.Truncated;
-    if not
+(* Where the length-prefixed string at [o] ends, or -1 if it (or [o])
+   does not fit before [limit]. *)
+let str_end s ~limit o =
+  if o < 0 || o + 4 > limit then -1
+  else
+    let e = o + 4 + get_u32 s o in
+    if e > limit then -1 else e
+
+(* The one structural scan of a received frame: the payload's offset if
+   the FCS matches and the body has exactly the layout above, else -1.
+   A length field that runs into the trailer is a truncated body;
+   unknown protocols, unknown flag bits and bytes left over after the
+   payload are malformed, so every frame accepted re-encodes to exactly
+   the bytes it came from. *)
+let scan s =
+  let n = String.length s - fcs_len in
+  if
+    n < 0
+    || not
          (Int64.equal (String.get_int64_le s n)
             (Histar_util.Checksum.fnv64_sub s ~pos:0 ~len:n))
-    then raise Codec.Truncated;
-    let d = Codec.Dec.of_substring s ~pos:0 ~len:n in
-    let src_mac = Codec.Dec.str d in
-    let dst_mac = Codec.Dec.str d in
-    let src_ip = Codec.Dec.u32 d in
-    let dst_ip = Codec.Dec.u32 d in
-    let proto =
-      match Codec.Dec.u8 d with
-      | 6 ->
-          let src_port = Codec.Dec.u16 d in
-          let dst_port = Codec.Dec.u16 d in
-          let seq = Codec.Dec.u32 d in
-          let ack_no = Codec.Dec.u32 d in
-          let bits = Codec.Dec.u8 d in
-          if bits land lnot 15 <> 0 then raise Codec.Truncated;
-          let window = Codec.Dec.u32 d in
-          let payload = Codec.Dec.str d in
-          Tcp
-            {
-              src_port;
-              dst_port;
-              seq;
-              ack_no;
-              flags =
-                {
-                  syn = bits land 1 <> 0;
-                  ack = bits land 2 <> 0;
-                  fin = bits land 4 <> 0;
-                  rst = bits land 8 <> 0;
-                };
-              window;
-              payload;
-            }
-      | 17 ->
-          let usrc_port = Codec.Dec.u16 d in
-          let udst_port = Codec.Dec.u16 d in
-          let upayload = Codec.Dec.str d in
-          Udp { usrc_port; udst_port; upayload }
-      | _ -> raise Codec.Truncated
+  then -1
+  else
+    let p = str_end s ~limit:n (str_end s ~limit:n 0) in
+    let o =
+      if p < 0 || p + 9 > n then -1
+      else
+        match Char.code s.[p + 8] with
+        | 6 when p + tcp_fixed <= n && Char.code s.[p + 21] land lnot 15 = 0
+          ->
+            p + tcp_fixed
+        | 17 -> p + udp_fixed
+        | _ -> -1
     in
-    if not (Codec.Dec.at_end d) then raise Codec.Truncated;
-    { src_mac; dst_mac; ip = { src_ip; dst_ip; proto } }
-  with
-  | f -> Some f
-  | exception Codec.Truncated -> None
+    if str_end s ~limit:n o = n then o + 4 else -1
+
+let src_mac_of s = String.sub s 4 (get_u32 s 0)
+
+let dst_mac_of s =
+  let o = 4 + get_u32 s 0 in
+  String.sub s (o + 4) (get_u32 s o)
+
+let macs_of_bytes s =
+  if scan s < 0 then None else Some (src_mac_of s, dst_mac_of s)
+
+let frame_of_bytes s =
+  let off = scan s in
+  if off < 0 then None
+  else
+    let src_mac = src_mac_of s in
+    let dst_mac = dst_mac_of s in
+    let p = 8 + String.length src_mac + String.length dst_mac in
+    let payload = String.sub s off (String.length s - fcs_len - off) in
+    let proto =
+      if Char.code s.[p + 8] = 6 then
+        let bits = Char.code s.[p + 21] in
+        Tcp
+          {
+            src_port = get_u16 s (p + 9);
+            dst_port = get_u16 s (p + 11);
+            seq = get_u32 s (p + 13);
+            ack_no = get_u32 s (p + 17);
+            flags =
+              {
+                syn = bits land 1 <> 0;
+                ack = bits land 2 <> 0;
+                fin = bits land 4 <> 0;
+                rst = bits land 8 <> 0;
+              };
+            window = get_u32 s (p + 22);
+            payload;
+          }
+      else
+        Udp
+          {
+            usrc_port = get_u16 s (p + 9);
+            udst_port = get_u16 s (p + 11);
+            upayload = payload;
+          }
+    in
+    let ip = { src_ip = get_u32 s p; dst_ip = get_u32 s (p + 4); proto } in
+    Some { src_mac; dst_mac; ip }

@@ -1,7 +1,8 @@
 (** Wire formats for the simulated network: an Ethernet-style frame
     carrying an IP-style packet carrying TCP or UDP. Everything is
-    length-delimited binary via {!Histar_util.Codec}; malformed input
-    yields [None] from the decoders (a real stack drops bad frames). *)
+    length-delimited little-endian binary, the layout the
+    {!Histar_util.Codec} encoders write; malformed input yields [None]
+    from the decoders (a real stack drops bad frames). *)
 
 type tcp_flags = { syn : bool; ack : bool; fin : bool; rst : bool }
 
@@ -27,7 +28,9 @@ val no_flags : tcp_flags
 val frame_to_bytes : frame -> string
 (** Serializes the frame and appends an 8-byte FCS trailer (fnv64
     over the body), so single-bit wire corruption is detected at the
-    receiving NIC. *)
+    receiving NIC. One allocation: each field is written once into a
+    block of the frame's exact length, and the FCS is computed over
+    that block in place. *)
 
 val frame_of_bytes : string -> frame option
 (** [None] on truncation, a malformed body (including a field that
@@ -35,3 +38,8 @@ val frame_of_bytes : string -> frame option
     over after the last field), or an FCS mismatch. Never raises. A
     frame it returns re-encodes to the input bytes. *)
 
+val macs_of_bytes : string -> (string * string) option
+(** [Some (src_mac, dst_mac)] of exactly the frames {!frame_of_bytes}
+    accepts (the same scan, FCS included), [None] otherwise. Copies
+    the two MACs but not the payload: what a hub needs to route a
+    frame. Never raises. *)

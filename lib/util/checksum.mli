@@ -3,6 +3,9 @@
 
 val fnv64 : string -> int64
 val fnv64_sub : string -> pos:int -> len:int -> int64
+(** [fnv64] of the [len] bytes of the string from [pos], reading a word
+    per eight bytes. [Invalid_argument] if the range is not inside the
+    string. *)
 
 val fold64 : int64 -> string -> pos:int -> len:int -> int64
 (** [fold64 h s ~pos ~len] folds [len] bytes of [s] from [pos] into the

@@ -85,6 +85,43 @@ let prop_codec_int_list_roundtrip =
       let d = Codec.Dec.of_string (Codec.Enc.to_string e) in
       Check.ensure (Codec.Dec.list d Codec.Dec.int = l))
 
+(* Checksum *)
+
+(* FNV-1a one byte at a time: what the word-wide [fnv64_sub] must equal. *)
+let fnv64_bytewise s ~pos ~len =
+  let h = ref 0xCBF29CE484222325L in
+  for i = pos to pos + len - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) 0x100000001B3L
+  done;
+  !h
+
+(* Over random bytes, every start position mod 8 and every length in
+   0..64 and 1440..1520 (an ack to a full frame), the last range ending
+   at the string's end; and [Invalid_argument] on ranges outside it. *)
+let prop_fnv64_sub_bytewise =
+  Check.test_case ~count:20 ~print:(Printf.sprintf "%S") "fnv64_sub bytewise"
+    Gen.(map (fun seed -> Rng.bytes (Rng.create seed) 1527) int64)
+    (fun s ->
+      for pos = 0 to 7 do
+        List.iter
+          (fun (lo, hi) ->
+            for len = lo to hi do
+              Check.ensure
+                ~msg:(Printf.sprintf "pos %d len %d" pos len)
+                (Int64.equal
+                   (Checksum.fnv64_sub s ~pos ~len)
+                   (fnv64_bytewise s ~pos ~len))
+            done)
+          [ (0, 64); (1440, 1520) ]
+      done;
+      let n = String.length s in
+      List.iter
+        (fun (pos, len) ->
+          match Checksum.fnv64_sub s ~pos ~len with
+          | _ -> failwith (Printf.sprintf "pos %d len %d accepted" pos len)
+          | exception Invalid_argument _ -> ())
+        [ (-1, 8); (0, -1); (n - 7, 8); (n + 1, 0); (1, n); (max_int, 1) ])
+
 (* Rng *)
 
 let test_rng_deterministic () =
@@ -143,5 +180,6 @@ let () =
           Alcotest.test_case "split" `Quick test_rng_split_independent;
           Alcotest.test_case "bytes" `Quick test_rng_bytes_len;
         ] );
+      ("checksum", [ prop_fnv64_sub_bytewise ]);
       ("clock", [ Alcotest.test_case "advance" `Quick test_clock ]);
     ]
