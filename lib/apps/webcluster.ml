@@ -66,8 +66,8 @@
    re-enters rotation on the next successful probe.
 
    Rebalance: migrating a user to another shard marks the owning ring
-   arc *draining* — admission refused, never mis-routed — captures
-   the record from a [Kernel.fork] branch of the live source (PR-6),
+   arc *draining* — admission refused, never mis-routed — reads the
+   record host-side from the live source between rounds,
    re-creates it on the target under the target's twin of the same
    wire name (the origin delegates speaking-for trust), retires it at
    the source, and commits the arc. Both sides checkpoint before the
@@ -189,12 +189,15 @@ let shard_by_id t id =
 
 (* --- construction --- *)
 
-let mk_node ~cluster ~back ~key ~directory ~peers ~seed ?store i =
-  let n_clock = Sim_clock.create () in
-  let n_kernel =
-    Kernel.create ~seed:(Int64.add seed (Int64.of_int (1000 * (i + 1))))
-      ~clock:n_clock ?store ()
-  in
+let dist_peer i = Addr.v (back_ip i) dist_port
+
+(* Node [i]'s kernel seed, derived from the cluster seed. *)
+let node_seed seed i = Int64.add seed (Int64.of_int (1000 * (i + 1)))
+
+(* The one place a node is brought up, on a kernel the caller built
+   (fresh, on a shard's disk, or recovered from it): schedule it,
+   attach it to the backbone and start its distd. *)
+let mk_node ~cluster ~back ~key ~directory i n_kernel =
   Cluster.add_kernel cluster n_kernel;
   let root = Kernel.root n_kernel in
   let n_netd =
@@ -205,9 +208,9 @@ let mk_node ~cluster ~back ~key ~directory ~peers ~seed ?store i =
   let names = Names.create ~node_id:i ~key ~directory in
   let n_dist =
     Distd.start n_kernel ~netd:n_netd ~names ~key ~container:root
-      ~port:dist_port ~peers ()
+      ~port:dist_port ~peers:dist_peer ()
   in
-  { n_id = i; n_kernel; n_clock; n_netd; n_dist }
+  { n_id = i; n_kernel; n_clock = Kernel.clock n_kernel; n_netd; n_dist }
 
 (* Index segment: one "user wire cat seg" line per record, written at
    {1} on every membership change and read host-side after a crash to
@@ -250,14 +253,17 @@ let rec build ?(app_nodes = 2) ?(db_shards = 3) ?(user_count = 4)
   (* A fast, quiet backbone and edge: the interesting serial resource
      in the scale benchmark must be app CPU, not wire time. *)
   let front = Hub.create ~bandwidth_bps:1e9 ~latency_us:10.0 ~clock:front_clock () in
-  let back = Hub.create ~bandwidth_bps:1e9 ~latency_us:10.0 ~clock:back_clock () in
-  (match faults with
-  | Some sched -> Hub.set_faults back (Faults.Net_faults.create sched)
-  | None -> ());
+  let back =
+    Hub.create ~bandwidth_bps:1e9 ~latency_us:10.0
+      ?faults:(Option.bind faults Faults.Net_faults.create)
+      ~clock:back_clock ()
+  in
   let key = Int64.logxor 0x6469737463616673L seed in
   let directory = Names.Directory.create () in
-  let peers i = Addr.v (back_ip i) dist_port in
-  let node = mk_node ~cluster ~back ~key ~directory ~peers ~seed in
+  let node i =
+    mk_node ~cluster ~back ~key ~directory i
+      (Kernel.create ~seed:(node_seed seed i) ())
+  in
   let balancer = node 0 in
   let apps = Array.init app_nodes (fun i -> node (i + 1)) in
   let shards =
@@ -266,40 +272,21 @@ let rec build ?(app_nodes = 2) ?(db_shards = 3) ?(user_count = 4)
         let sh_clock = Sim_clock.create () in
         (* The disk is the shard's durable identity; the kernel is
            expendable. Disk faults from the schedule apply here. *)
-        let disk_faults =
-          match faults with
-          | Some sched -> Faults.Disk_faults.create sched
-          | None -> None
-        in
+        let disk_faults = Option.bind faults Faults.Disk_faults.create in
         let sh_disk = Disk.create ?faults:disk_faults ~clock:sh_clock () in
         let sh_store = Store.format ~disk:sh_disk () in
-        (* mk_node builds its own clock; the disk keeps charging the
-           clock it was created with, which for the initial kernel we
-           make the same object. *)
-        let n_clock = sh_clock in
-        let n_kernel =
-          Kernel.create
-            ~seed:(Int64.add seed (Int64.of_int (1000 * (id + 1))))
-            ~clock:n_clock ~store:sh_store ()
-        in
-        Cluster.add_kernel cluster n_kernel;
-        let root = Kernel.root n_kernel in
-        let n_netd =
-          Netd.start n_kernel ~hub:back ~container:root
-            ~ip:(Addr.ip_of_string (back_ip id))
-            ~mac:(back_mac id) ()
-        in
-        let names = Names.create ~node_id:id ~key ~directory in
-        let n_dist =
-          Distd.start n_kernel ~netd:n_netd ~names ~key ~container:root
-            ~port:dist_port ~peers ()
+        (* The disk keeps charging the clock it was created with, which
+           for the initial kernel is the kernel's own. *)
+        let kernel =
+          Kernel.create ~seed:(node_seed seed id) ~clock:sh_clock
+            ~store:sh_store ()
         in
         {
           sh_idx = k;
           sh_id = id;
           sh_disk;
           sh_store;
-          sh_node = { n_id = id; n_kernel; n_clock; n_netd; n_dist };
+          sh_node = mk_node ~cluster ~back ~key ~directory id kernel;
           sh_alive = true;
           sh_users = [];
           sh_records = Hashtbl.create 8;
@@ -490,24 +477,11 @@ and recover_shard t k =
     Store.fsck store;
     sh.sh_store <- store;
     let kern = Kernel.recover ~store in
-    Cluster.add_kernel t.cluster kern;
-    let root = Kernel.root kern in
-    let netd =
-      Netd.start kern ~hub:t.back ~container:root
-        ~ip:(Addr.ip_of_string (back_ip sh.sh_id))
-        ~mac:(back_mac sh.sh_id) ()
+    let node =
+      mk_node ~cluster:t.cluster ~back:t.back ~key:t.key
+        ~directory:t.directory sh.sh_id kern
     in
-    let names =
-      Names.create ~node_id:sh.sh_id ~key:t.key ~directory:t.directory
-    in
-    let peers i = Addr.v (back_ip i) dist_port in
-    let dist =
-      Distd.start kern ~netd ~names ~key:t.key ~container:root ~port:dist_port
-        ~peers ()
-    in
-    sh.sh_node <-
-      { n_id = sh.sh_id; n_kernel = kern; n_clock = Kernel.clock kern;
-        n_netd = netd; n_dist = dist };
+    sh.sh_node <- node;
     (* Rebuild the host-side record table from the persisted index. *)
     (match Kernel.segment_data kern sh.sh_index with
     | None -> failwith "recover_shard: index segment missing after recovery"
@@ -531,7 +505,7 @@ and recover_shard t k =
               (fun user ->
                 match Hashtbl.find_opt sh.sh_records user with
                 | Some (cat, _, wire) ->
-                    Distd.rebind_owned dist ~wire cat
+                    Distd.rebind_owned node.n_dist ~wire cat
                 | None -> ())
               kusers;
             register_services t sh;
@@ -829,16 +803,15 @@ let rebalance_user t ~user ~to_shard =
               match Ring.begin_handoff t.ring ~key ~target:dst.sh_id with
               | Error m -> Error m
               | Ok () ->
-                  (* Admission for this arc now refuses. Capture the
-                     record from a branch of the live source: the fork
-                     is O(1), the branch is immutable, and the source
-                     keeps serving its other users meanwhile. *)
-                  let h = Kernel.fork src.sh_node.n_kernel in
-                  let branch = Kernel.resume h in
+                  (* Admission for this arc now refuses. Read the
+                     record host-side from the live source: no thread
+                     runs between rounds, so this is the segment as
+                     the last round left it, and the source keeps
+                     serving its other users meanwhile. *)
                   let data =
-                    match Kernel.segment_data branch seg_oid with
+                    match Kernel.segment_data src.sh_node.n_kernel seg_oid with
                     | Some d -> d
-                    | None -> failwith "rebalance: record missing in branch"
+                    | None -> failwith "rebalance: record missing at source"
                   in
                   (* The origin delegates: the target may now speak
                      for the wire name (out-of-band trust, §8). *)
@@ -989,7 +962,7 @@ let run_load t ?(concurrency = 4) requests =
     | Some (conn, idx, buf) -> (
         let buf = buf ^ Stack.recv conn in
         match Wire.deframe buf with
-        | Some (nonce, body, _rest) ->
+        | Wire.Frame (nonce, body, _rest) ->
             let user, pass, _ = requests.(idx) in
             let seal = Seal.create ~key:(session_key ~user ~password:pass) in
             let reply =
@@ -1000,7 +973,11 @@ let run_load t ?(concurrency = 4) requests =
             Stack.close conn;
             s.s_cur <- None;
             finish idx reply
-        | None ->
+        | Wire.Runt _ ->
+            Stack.close conn;
+            s.s_cur <- None;
+            finish idx "ERR bad frame"
+        | Wire.Partial ->
             if Stack.state conn = Stack.Closed then begin
               s.s_cur <- None;
               finish idx

@@ -13,7 +13,6 @@ type t = {
   password_hash : int64 ref;
   salt : string;
   mode : mode;
-  retry_limit : int;
   log : Logd.t;
   setup_cell : centry option ref;
   trojan_cell : centry option ref;
@@ -39,10 +38,13 @@ let set_password t password =
 
 (* --- the check gate: runs tainted pir3 on the login thread --- *)
 
+(* A session may try at most this many credentials. *)
+let retry_limit = 3
+
 let check_entry t ~x ~retry ~challenge () =
   let credential = Proto.dec_credential (Sys.tls_read ()) in
   let tries = Sys.segment_word retry ~off:0 in
-  if Int64.to_int tries >= t.retry_limit then begin
+  if Int64.to_int tries >= retry_limit then begin
     Sys.tls_write (Proto.enc_check_reply false);
     Sys.gate_return ()
   end
@@ -207,15 +209,13 @@ let setup_entry t ~evil () =
     Sys.gate_return ()
   end
 
-let start proc ~user ~password ?(retry_limit = 3) ?(mode = Password) ~log
-    ~dir () =
+let start proc ~user ~password ?(mode = Password) ~log ~dir () =
   let t =
     {
       auth_user = user;
       password_hash = ref 0L;
       salt = "histar-salt-" ^ user.Process.user_name;
       mode;
-      retry_limit;
       log;
       setup_cell = ref None;
       trojan_cell = ref None;

@@ -31,7 +31,6 @@ val start :
   Histar_unix.Process.t ->
   user:Histar_unix.Process.user ->
   password:string ->
-  ?retry_limit:int ->
   ?mode:mode ->
   log:Logd.t ->
   dir:Dird.t ->

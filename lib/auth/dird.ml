@@ -1,5 +1,6 @@
 module Sys = Histar_core.Sys
 module Process = Histar_unix.Process
+module Untaint = Histar_unix.Untaint
 module Label = Histar_label.Label
 module Level = Histar_label.Level
 module Codec = Histar_util.Codec
@@ -52,21 +53,15 @@ let start proc =
   in
   t
 
-let call gate ~return_container payload =
-  Sys.tls_write payload;
-  Sys.gate_call ~gate
-    ~label:(Sys.gate_floor gate)
-    ~clearance:(Sys.self_clearance ()) ~return_container
-    ~return_label:(Sys.self_label ())
-    ~return_clearance:(Sys.self_clearance ()) ();
-  Sys.tls_read ()
-
 let register t ~return_container ~user ~setup_gate =
   let e = Codec.Enc.create () in
   Codec.Enc.str e user;
   Proto.enc_centry e setup_gate;
-  ignore (call (await t.register_cell) ~return_container (Codec.Enc.to_string e))
+  ignore
+    (Untaint.call (await t.register_cell) ~return_container
+       (Codec.Enc.to_string e))
 
 let lookup t ~return_container user =
   Proto.dec_dir_reply
-    (call (await t.lookup_cell) ~return_container (Proto.enc_string user))
+    (Untaint.call (await t.lookup_cell) ~return_container
+       (Proto.enc_string user))

@@ -58,8 +58,10 @@ type 'a failure = {
   exn : exn;
 }
 
-let search ?(count = 100) ?(max_size = 30) ?seed:seed_arg
-    ?(max_shrink_steps = 2000) gen prop =
+(* Shrinking stops after this many property evaluations. *)
+let max_shrink_steps = 2000
+
+let search ?(count = 100) ?(max_size = 30) ?seed:seed_arg gen prop =
   let seed = match seed_arg with Some s -> s | None -> seed () in
   let count =
     match count_override () with
@@ -89,13 +91,13 @@ let search ?(count = 100) ?(max_size = 30) ?seed:seed_arg
   in
   loop 0
 
-let find_counterexample ?count ?max_size ?seed ?max_shrink_steps gen prop =
-  match search ?count ?max_size ?seed ?max_shrink_steps gen prop with
+let find_counterexample ?count ?max_size ?seed gen prop =
+  match search ?count ?max_size ?seed gen prop with
   | None -> None
   | Some (_, f) -> Some f.minimal
 
-let run ?count ?max_size ?seed ?max_shrink_steps ?print ~name gen prop =
-  match search ?count ?max_size ?seed ?max_shrink_steps gen prop with
+let run ?count ?max_size ?seed ?print ~name gen prop =
+  match search ?count ?max_size ?seed gen prop with
   | None -> ()
   | Some (seed, f) ->
       let printed =

@@ -37,7 +37,6 @@ val run :
   ?count:int ->
   ?max_size:int ->
   ?seed:int64 ->
-  ?max_shrink_steps:int ->
   ?print:('a -> string) ->
   name:string ->
   'a Gen.t ->
@@ -51,7 +50,6 @@ val find_counterexample :
   ?count:int ->
   ?max_size:int ->
   ?seed:int64 ->
-  ?max_shrink_steps:int ->
   'a Gen.t ->
   ('a -> unit) ->
   'a option

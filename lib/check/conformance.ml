@@ -873,6 +873,35 @@ let real_view_str k cats slot_of oid =
                      m.offset m.npages m.flags.read m.flags.write m.flags.exec)
                  ms))
 
+(* §3.3: every live object is named by a container reachable from the
+   root, except that each live thread holds one TLS outside any
+   container. So the object table holds exactly |R| + |threads in R|
+   objects, R being the set reachable through container children. *)
+let reachability_divergence k =
+  let seen = Hashtbl.create 64 in
+  let threads = ref 0 in
+  let rec visit oid kind =
+    if not (Hashtbl.mem seen oid) then begin
+      Hashtbl.replace seen oid ();
+      (match kind with
+      | T.Thread -> incr threads
+      | T.Segment | T.Address_space | T.Gate | T.Container | T.Device -> ());
+      match Kernel.container_children k oid with
+      | Some cs -> List.iter (fun (o, kd) -> visit o kd) cs
+      | None -> ()
+    end
+  in
+  visit (Kernel.root k) T.Container;
+  let reachable = Hashtbl.length seen in
+  let n = Kernel.object_count k in
+  if n = reachable + !threads then None
+  else
+    Some
+      (Printf.sprintf
+         "reachability: %d objects, but %d reachable from the root and %d \
+          thread TLSs"
+         n reachable !threads)
+
 let compare_runs (m : model_run) (r : real_run) =
   let rec outcomes i mo ro =
     match (mo, ro) with
@@ -914,7 +943,9 @@ let compare_runs (m : model_run) (r : real_run) =
               else slots (i + 1) mt rt
           | _ -> None
         in
-        slots 0 m.mr_slots r.rr_slots
+        match slots 0 m.mr_slots r.rr_slots with
+        | Some d -> Some d
+        | None -> reachability_divergence r.rr_k
       end
 
 let run_pair ?weaken trace =

@@ -46,7 +46,11 @@ let fail schedule fmt =
 let page_body schedule bytes =
   Rng.bytes (Rng.create (Int64.logxor schedule.Schedule.seed 0x9A6EL)) bytes
 
-let run_cell ?(requests = 3) ?(body_bytes = 8 * 1024) schedule =
+(* Each cell serves this many requests of this many bytes. *)
+let requests = 3
+let body_bytes = 8 * 1024
+
+let run_cell schedule =
   let was_enabled = Metrics.enabled () in
   Metrics.set_enabled true;
   Metrics.reset ();
@@ -228,16 +232,15 @@ let default_seeds () =
   let base = Check.seed () in
   [ base; Int64.add base 1L ]
 
-let sweep ?requests ?body_bytes ?seeds () =
-  let seeds = match seeds with Some s -> s | None -> default_seeds () in
+let sweep () =
   let schedules =
-    matrix ~seeds
+    matrix ~seeds:(default_seeds ())
     @ (match Schedule.of_env () with Some s -> [ s ] | None -> [])
   in
   List.map
     (fun schedule ->
-      let first = run_cell ?requests ?body_bytes schedule in
-      let second = run_cell ?requests ?body_bytes schedule in
+      let first = run_cell schedule in
+      let second = run_cell schedule in
       if not (String.equal first.metrics_dump second.metrics_dump) then
         fail schedule
           "two runs of the same schedule diverged (metrics dumps differ)";

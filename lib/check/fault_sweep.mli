@@ -35,8 +35,8 @@ type cell = {
   metrics_dump : string;  (** canonical JSON of every counter in the cell's scope *)
 }
 
-val run_cell : ?requests:int -> ?body_bytes:int -> Schedule.t -> cell
-(** Run one schedule to completion (defaults: 3 requests of 8 KiB).
+val run_cell : Schedule.t -> cell
+(** Run one schedule to completion: 3 requests of 8 KiB.
     Raises {!Check.Falsified} on any acceptance violation. *)
 
 val matrix : seeds:int64 list -> Schedule.t list
@@ -44,11 +44,10 @@ val matrix : seeds:int64 list -> Schedule.t list
     (the default fault rates), plus a link-flap variant of the
     combined schedule for the first seed. *)
 
-val sweep :
-  ?requests:int -> ?body_bytes:int -> ?seeds:int64 list -> unit -> cell list
+val sweep : unit -> cell list
 (** Run every matrix cell twice (honoring [HISTAR_FAULTS] as an extra
     cell when set) and require the two metrics dumps to be
-    byte-identical; returns the first run's cells. Default seeds are
+    byte-identical; returns the first run's cells. The seeds are
     derived from {!Check.seed}. *)
 
 val pp_cell : Format.formatter -> cell -> unit

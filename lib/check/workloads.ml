@@ -23,8 +23,8 @@ let rec is_prefix xs ys =
   | _, [] -> false
   | x :: xs, y :: ys -> String.equal x y && is_prefix xs ys
 
-let wal ?(commits = 14) () =
-  let wal_start = 1 and wal_sectors = 1024 in
+let wal () =
+  let wal_start = 1 and wal_sectors = 1024 and commits = 14 in
   let mk seed =
     let _clock, disk = fresh_disk () in
     let formatted = ref false in

@@ -21,7 +21,7 @@
     seed replays the identical operation sequence, so a crash index
     uniquely identifies a failure. *)
 
-val wal : ?commits:int -> unit -> Crash_sweep.t
+val wal : unit -> Crash_sweep.t
 val store : ?nops:int -> unit -> Crash_sweep.t
 val fs : ?nops:int -> unit -> Crash_sweep.t
 val fsync_range : ?nops:int -> unit -> Crash_sweep.t

@@ -205,6 +205,56 @@ let set_trace t f = t.trace <- f
 
 let find_obj k oid = Oid_tbl.find_opt k.objects oid
 
+(* The one place an object record is built. It enters the object table
+   here, fresh: mutable, without metadata, with one reference. Naming it
+   in a container (§3.3) is the caller's job; only the root and a
+   thread's TLS have none. *)
+let add_obj k ~id ~kind ~label ~descrip ~quota ~usage ~fixed_quota body =
+  let o =
+    {
+      id;
+      kind;
+      label;
+      descrip;
+      quota;
+      usage;
+      fixed_quota;
+      immut = false;
+      metadata = "";
+      refs = 1;
+      body;
+    }
+  in
+  Oid_tbl.replace k.objects id o;
+  o
+
+(* A thread's body: ready to run [entry], or halted when it has none
+   (a thread decoded from a checkpoint or a fork handle). *)
+let thread_body ~tclear ~tls entry =
+  Thr
+    {
+      tclear;
+      tls;
+      tas = None;
+      tstate = (match entry with Some _ -> `Ready | None -> `Halted);
+      next_run = (match entry with Some f -> Start f | None -> Nothing);
+      parked = None;
+      alerts = Queue.create ();
+      return_gate = None;
+    }
+
+(* A thread's thread-local segment, inserted only once its thread
+   exists. One page initially, like the paper, but with headroom to
+   grow: gate arguments and RPC replies travel through this segment. *)
+let add_tls k id =
+  ignore
+    (add_obj k ~id ~kind:Segment ~label:(Label.make Level.L1)
+       ~descrip:"thread-local segment"
+       ~quota:(Int64.add base_overhead 2_097_152L)
+       ~usage:(Int64.add base_overhead 4096L) ~fixed_quota:true
+       (Seg { data = Bytes.make 4096 '\000' })
+      : obj)
+
 (* A container's children in ascending oid order, never the table's. *)
 let sorted_children c =
   Oid_tbl.fold (fun oid kind acc -> (oid, kind) :: acc) c.children []
@@ -437,7 +487,8 @@ let kind_of_bit = function
 
 let decode_oid d = oid_of_int64 (Codec.Dec.i64 d)
 
-let decode_obj payload =
+(* Decode one object's encoding into [k]'s object table. *)
+let decode_obj k payload =
   let d = Codec.Dec.of_string payload in
   let kind = kind_of_bit (Codec.Dec.u8 d) in
   let id = decode_oid d in
@@ -466,17 +517,7 @@ let decode_obj payload =
     | Thread ->
         let tclear = Label.decode d in
         let tls = decode_oid d in
-        Thr
-          {
-            tclear;
-            tls;
-            tas = None;
-            tstate = `Halted;
-            next_run = Nothing;
-            parked = None;
-            alerts = Queue.create ();
-            return_gate = None;
-          }
+        thread_body ~tclear ~tls None
     | Gate ->
         let gclear = Label.decode d in
         let gonce = Codec.Dec.bool d in
@@ -504,7 +545,11 @@ let decode_obj payload =
             transmit = ignore;
           }
   in
-  { id; kind; label; descrip; quota; usage; fixed_quota; immut; metadata; refs; body }
+  let o = add_obj k ~id ~kind ~label ~descrip ~quota ~usage ~fixed_quota body in
+  o.immut <- immut;
+  o.metadata <- metadata;
+  o.refs <- refs;
+  o
 
 (* ---------- allocation / deallocation ---------- *)
 
@@ -601,24 +646,11 @@ let create_object k ~(spec : create_spec) ~kind ~clearance_check ~body =
     else Ok ()
   in
   let* () = charge ~op:"create" d_obj spec.quota in
-  let id = next_oid k in
   let o =
-    {
-      id;
-      kind;
-      label = spec.label;
-      descrip = spec.descrip;
-      quota = spec.quota;
-      usage = initial_usage;
-      fixed_quota = false;
-      immut = false;
-      metadata = "";
-      refs = 1;
-      body;
-    }
+    add_obj k ~id:(next_oid k) ~kind ~label:spec.label ~descrip:spec.descrip
+      ~quota:spec.quota ~usage:initial_usage ~fixed_quota:false body
   in
-  Oid_tbl.replace k.objects id o;
-  Oid_tbl.replace c.children id kind;
+  Oid_tbl.replace c.children o.id kind;
   Ok o
 
 (* ---------- scheduler ---------- *)
@@ -764,28 +796,6 @@ let segment_resize_impl k (ce : centry) len =
       end
   | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> assert false
 
-let mk_tls k =
-  let id = next_oid k in
-  (* one page initially, like the paper, but with headroom to grow:
-     gate arguments and RPC replies travel through this segment *)
-  let o =
-    {
-      id;
-      kind = Segment;
-      label = Label.make Level.L1;
-      descrip = "thread-local segment";
-      quota = Int64.add base_overhead 2_097_152L;
-      usage = Int64.add base_overhead 4096L;
-      fixed_quota = true;
-      immut = false;
-      metadata = "";
-      refs = 1;
-      body = Seg { data = Bytes.make 4096 '\000' };
-    }
-  in
-  Oid_tbl.replace k.objects id o;
-  id
-
 let thread_create_impl k ~(spec : create_spec) ~clearance ~entry =
   let lt = cur_label k in
   let ct = cur_clearance k in
@@ -801,21 +811,12 @@ let thread_create_impl k ~(spec : create_spec) ~clearance ~entry =
         (Label.to_string spec.label)
         (Label.to_string clearance)
   in
-  let tls = mk_tls k in
-  let body =
-    Thr
-      {
-        tclear = clearance;
-        tls;
-        tas = None;
-        tstate = `Ready;
-        next_run = Start entry;
-        parked = None;
-        alerts = Queue.create ();
-        return_gate = None;
-      }
-  in
+  (* The TLS oid is drawn before the thread's, but the TLS is inserted
+     only if the thread is: a refused create leaves no object behind. *)
+  let tls = next_oid k in
+  let body = thread_body ~tclear:clearance ~tls (Some entry) in
   let* o = create_object k ~spec ~kind:Thread ~clearance_check:true ~body in
+  add_tls k tls;
   enqueue k o.id;
   ok_resp (R_oid o.id)
 
@@ -1674,93 +1675,54 @@ let create ?(seed = 0x4853_7461_7221L) ?clock ?store ?syscall_cost_ns ?weaken
       ?syscall_cost_ns ?weaken ()
   in
   let root_id = next_oid k in
-  let root_obj =
-    {
-      id = root_id;
-      kind = Container;
-      label = Label.make Level.L1;
-      descrip = "root container";
-      quota = infinite_quota;
-      usage = base_overhead;
-      fixed_quota = true;
-      immut = false;
-      metadata = "";
-      refs = 1;
-      body = Con { children = Oid_tbl.create 32; avoid = 0; parent = root_id };
-    }
-  in
-  Oid_tbl.replace k.objects root_id root_obj;
+  ignore
+    (add_obj k ~id:root_id ~kind:Container ~label:(Label.make Level.L1)
+       ~descrip:"root container" ~quota:infinite_quota ~usage:base_overhead
+       ~fixed_quota:true
+       (Con { children = Oid_tbl.create 32; avoid = 0; parent = root_id })
+      : obj);
   k.root <- root_id;
   k
+
+(* Host-side constructors check their container before they draw an
+   oid or insert anything, and charge it without a quota check. *)
+let host_container k ~op oid =
+  match find_obj k oid with
+  | Some ({ body = Con c; _ } as d) -> (d, c)
+  | Some _ | None -> invalid_arg ("Kernel." ^ op ^ ": bad container")
+
+let host_link (d, c) o =
+  Oid_tbl.replace c.children o.id o.kind;
+  d.usage <- Int64.add d.usage o.quota
 
 let spawn k ?label ?clearance ?container ~name entry =
   let label = Option.value label ~default:(Label.make Level.L1) in
   let clearance = Option.value clearance ~default:(Label.make Level.L2) in
-  let container = Option.value container ~default:k.root in
-  let tls = mk_tls k in
-  let id = next_oid k in
-  let o =
-    {
-      id;
-      kind = Thread;
-      label;
-      descrip = name;
-      quota = 65_536L;
-      usage = base_overhead;
-      fixed_quota = false;
-      immut = false;
-      metadata = "";
-      refs = 1;
-      body =
-        Thr
-          {
-            tclear = clearance;
-            tls;
-            tas = None;
-            tstate = `Ready;
-            next_run = Start entry;
-            parked = None;
-            alerts = Queue.create ();
-            return_gate = None;
-          };
-    }
+  let parent =
+    host_container k ~op:"spawn" (Option.value container ~default:k.root)
   in
-  Oid_tbl.replace k.objects id o;
-  (match find_obj k container with
-  | Some ({ body = Con c; _ } as d) ->
-      Oid_tbl.replace c.children id Thread;
-      d.usage <- Int64.add d.usage o.quota
-  | Some _ | None -> invalid_arg "Kernel.spawn: bad container");
-  enqueue k id;
-  id
+  let tls = next_oid k in
+  let o =
+    add_obj k ~id:(next_oid k) ~kind:Thread ~label ~descrip:name
+      ~quota:65_536L ~usage:base_overhead ~fixed_quota:false
+      (thread_body ~tclear:clearance ~tls (Some entry))
+  in
+  add_tls k tls;
+  host_link parent o;
+  enqueue k o.id;
+  o.id
 
 (* ---------- devices ---------- *)
 
 let attach_netdev k ~container ~label ~mac ~transmit =
-  let id = next_oid k in
+  let parent = host_container k ~op:"attach_netdev" container in
   let o =
-    {
-      id;
-      kind = Device;
-      label;
-      descrip = "netdev " ^ mac;
-      quota = 65_536L;
-      usage = base_overhead;
-      fixed_quota = true;
-      immut = false;
-      metadata = "";
-      refs = 1;
-      body =
-        Dev { mac; rx = Queue.create (); waiters = Tidq.create (); transmit };
-    }
+    add_obj k ~id:(next_oid k) ~kind:Device ~label ~descrip:("netdev " ^ mac)
+      ~quota:65_536L ~usage:base_overhead ~fixed_quota:true
+      (Dev { mac; rx = Queue.create (); waiters = Tidq.create (); transmit })
   in
-  Oid_tbl.replace k.objects id o;
-  (match find_obj k container with
-  | Some ({ body = Con c; _ } as d) ->
-      Oid_tbl.replace c.children id Device;
-      d.usage <- Int64.add d.usage o.quota
-  | Some _ | None -> invalid_arg "Kernel.attach_netdev: bad container");
-  id
+  host_link parent o;
+  o.id
 
 let deliver_packet k dev_oid frame =
   match find_obj k dev_oid with
@@ -1816,15 +1778,14 @@ let recover ~store =
       if oid <> meta_oid then
         match Store.get store ~oid with
         | Some payload ->
-            let o = decode_obj payload in
+            let o = decode_obj k payload in
             (* Re-declare each segment's layout, as [store_put] does, so
                [Sync_range] can flush in place right after recovery. *)
             (match o.body with
             | Seg sg ->
                 Store.set_prefix_len store ~oid
                   (String.length payload - Bytes.length sg.data)
-            | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> ());
-            Oid_tbl.replace k.objects oid o
+            | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> ())
         | None -> ());
   k
 
@@ -1879,9 +1840,7 @@ let resume h =
       ~profile:(Profile.copy h.h_profile) ~syscall_cost_ns:h.h_syscall_cost_ns
       ?weaken:h.h_weaken ()
   in
-  Array.iter
-    (fun (oid, enc) -> Oid_tbl.replace k.objects oid (decode_obj enc))
-    h.h_objects;
+  Array.iter (fun (_, enc) -> ignore (decode_obj k enc : obj)) h.h_objects;
   k
 
 let handle_object_count h = Array.length h.h_objects

@@ -68,7 +68,9 @@ val spawn :
   oid
 (** Host-level bootstrap: create a thread outside any label checks
     (used to start init processes and test harnesses). Defaults:
-    label [{1}], clearance [{2}], linked in the root container. *)
+    label [{1}], clearance [{2}], linked in the root container.
+    Raises [Invalid_argument], creating nothing, if [container] is
+    not a container. *)
 
 val run : t -> unit
 (** Run until no thread is runnable. Threads blocked on futexes,
@@ -101,7 +103,8 @@ val attach_netdev :
   transmit:(string -> unit) ->
   oid
 (** Create a network device whose transmit path invokes [transmit]
-    (the simulated wire). *)
+    (the simulated wire). Raises [Invalid_argument], creating nothing,
+    if [container] is not a container. *)
 
 val deliver_packet : t -> oid -> string -> unit
 (** Host-side packet arrival: enqueue on the device receive queue and

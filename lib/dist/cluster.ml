@@ -140,7 +140,7 @@ let fire_next_timer t =
    threads (netd init, service registration, listeners parking in
    accept) complete before any cross-node traffic is attempted, so
    no SYN can race a listener that has not yet registered its port. *)
-let settle ?(max_rounds = 64) t =
+let settle t =
   let rec go n =
     if n > 0 && List.exists (fun k -> Kernel.runnable_count k > 0) t.kernels
     then begin
@@ -153,31 +153,31 @@ let settle ?(max_rounds = 64) t =
       go (n - 1)
     end
   in
-  go max_rounds
+  go 64
 
 (* One bulk-synchronous step: every kernel, in registration order,
-   runs up to [slice] steps inside one deferred-injection scope. When
+   runs up to 20,000 steps inside one deferred-injection scope. When
    the scope closes, the round's frames go on the wire in the order
    they were sent, so no kernel sees a peer's frame before the barrier
    and the wire schedule is a pure function of registration order. *)
-let step_round ~slice t =
+let step_round t =
   Hub.deferred (fun () ->
       List.iter
         (fun k ->
-          let budget = ref slice in
+          let budget = ref 20_000 in
           while Kernel.runnable_count k > 0 && !budget > 0 do
             ignore (Kernel.step k : bool);
             decr budget
           done)
         t.kernels)
 
-let drive ?(slice = 20_000) ?(max_rounds = 200_000) t ~until () =
+let drive t ~until () =
   let rec round n =
     (match t.on_tick with Some f -> f (global_now_ns t) | None -> ());
     if until () then true
     else if n <= 0 then false
     else begin
-      step_round ~slice t;
+      step_round t;
       if List.exists (fun k -> Kernel.runnable_count k > 0) t.kernels then
         round (n - 1)
       else if until () then true
@@ -185,4 +185,4 @@ let drive ?(slice = 20_000) ?(max_rounds = 200_000) t ~until () =
       else until ()
     end
   in
-  round max_rounds
+  round 200_000

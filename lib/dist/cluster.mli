@@ -49,15 +49,15 @@ val kernels : t -> Histar_core.Kernel.t list
 val host_count : t -> int
 (** Hosts currently registered with {!add_host}. *)
 
-val settle : ?max_rounds:int -> t -> unit
+val settle : t -> unit
 (** Run every kernel to quiescence without firing timers: boot work
     (netd init, service registration, listeners parking in accept)
     completes before any cross-node traffic starts, so a connection
     attempt cannot race a listener that has not yet registered. *)
 
-val drive :
-  ?slice:int -> ?max_rounds:int -> t -> until:(unit -> bool) -> unit -> bool
+val drive : t -> until:(unit -> bool) -> unit -> bool
 (** Run until [until ()] (checked every round — it doubles as the
     caller's poll/pump hook) or deadlock/exhaustion; [true] iff
-    [until] held. [slice] bounds consecutive steps per kernel per
-    round so no node starves another. *)
+    [until] held. Each round runs at most 20,000 consecutive steps
+    per kernel so no node starves another, and [drive] gives up after
+    200,000 rounds. *)

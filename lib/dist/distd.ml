@@ -320,6 +320,15 @@ let admit_call t call (sv : service) =
   | Error reason -> Error reason
   | Ok () -> Ok (lt, ct, rl, rc)
 
+(* A reply with no label and no grants: every refusal and error. *)
+let bare_reply r_status r_payload =
+  {
+    Wire.r_status;
+    r_label = { wl_entries = []; wl_default = 1 };
+    r_grants = [];
+    r_payload;
+  }
+
 (* Execution phase: spawn the proxy at the admitted floor and police
    the reply. *)
 let run_admitted t call (sv : service) ~ct ~rl ~rc =
@@ -347,8 +356,7 @@ let run_admitted t call (sv : service) ~ct ~rl ~rc =
       Sys.self_set_label clean;
       match await_cell cell with
       | `Err m ->
-          { Wire.r_status = S_error; r_label = { wl_entries = []; wl_default = 1 };
-            r_grants = []; r_payload = m }
+          bare_reply S_error m
       | `Done (rlabel, payload, grants) -> (
           (* Server-side refusal: the reply label, stripped of the
              proxy's privileges, must fit the caller's capacity —
@@ -361,17 +369,13 @@ let run_admitted t call (sv : service) ~ct ~rl ~rc =
           if not (Label.leq (Proto.star_to_l3 rlabel) ct) then (
             ignore (refuse t "dist: reply label exceeds caller capacity"
                     : (_, call_error) result);
-            { Wire.r_status = S_refused;
-              r_label = { wl_entries = []; wl_default = 1 };
-              r_grants = []; r_payload = "reply label exceeds caller capacity" })
+            bare_reply S_refused "reply label exceeds caller capacity")
           else
             match Proto.to_wire t.names rlabel with
             | Error m ->
                 ignore (refuse t ("dist: reply carries unexported taint: " ^ m)
                         : (_, call_error) result);
-                { Wire.r_status = S_refused;
-                  r_label = { wl_entries = []; wl_default = 1 };
-                  r_grants = []; r_payload = "reply carries unexported taint" }
+                bare_reply S_refused "reply carries unexported taint"
             | Ok wl ->
                 let r_grants =
                   List.map
@@ -408,8 +412,7 @@ let memo_key (call : Wire.call) : memo_key =
 let handle_call ?memo t call =
   match Hashtbl.find_opt t.services call.Wire.c_service with
   | None ->
-      { Wire.r_status = S_error; r_label = { wl_entries = []; wl_default = 1 };
-        r_grants = []; r_payload = "no such service: " ^ call.Wire.c_service }
+      bare_reply S_error ("no such service: " ^ call.Wire.c_service)
   | Some sv -> (
       let cached =
         match memo with
@@ -428,9 +431,7 @@ let handle_call ?memo t call =
           match admit_call t call sv with
           | Error reason ->
               ignore (refuse t reason : (_, call_error) result);
-              { Wire.r_status = S_refused;
-                r_label = { wl_entries = []; wl_default = 1 };
-                r_grants = []; r_payload = reason }
+              bare_reply S_refused reason
           | Ok (_lt, ct, rl, rc) ->
               (match memo with
               | Some tbl ->
@@ -439,49 +440,57 @@ let handle_call ?memo t call =
               | None -> ());
               run_admitted t call sv ~ct ~rl ~rc))
 
+(* Read the next frame off [sock] through [buf], receiving until one
+   is whole: [`Closed] when the peer closes first, [`Runt] when the
+   stream is not frames. *)
+let recv_frame t rc sock buf =
+  let rec go () =
+    match Wire.deframe !buf with
+    | Wire.Frame (nonce, body, rest) ->
+        buf := rest;
+        `Frame (nonce, body)
+    | Wire.Runt _ -> `Runt
+    | Wire.Partial -> (
+        match Netd.Client.recv t.netd ~return_container:rc sock with
+        | Some data ->
+            buf := !buf ^ data;
+            go ()
+        | None -> `Closed)
+  in
+  go ()
+
 let conn_loop t sock () =
   let rc = t.container in
   let buf = ref "" in
   let memo : (memo_key, int * Label.t * Label.t * Label.t) Hashtbl.t =
     Hashtbl.create 8
   in
-  let closed = ref false in
-  try
-    while not !closed do
-      (match Wire.deframe !buf with
-      | Some (nonce, body, rest) ->
-          buf := rest;
-          let reply =
-            match Wire.unseal_msg t.seal ~nonce body with
-            | Some (Wire.Call call) -> (
-                try handle_call ~memo t call
-                with e ->
-                  { Wire.r_status = S_error;
-                    r_label = { wl_entries = []; wl_default = 1 };
-                    r_grants = []; r_payload = Printexc.to_string e })
-            | Some (Wire.Reply _) ->
-                { Wire.r_status = S_error;
-                  r_label = { wl_entries = []; wl_default = 1 };
-                  r_grants = []; r_payload = "unexpected reply" }
-            | None ->
-                ignore (refuse t "dist: unsealable frame"
-                        : (_, call_error) result);
-                { Wire.r_status = S_error;
-                  r_label = { wl_entries = []; wl_default = 1 };
-                  r_grants = []; r_payload = "unsealable frame" }
-          in
-          (* Reply under the complemented nonce: request and reply
-             must not share a keystream. *)
-          Netd.Client.send t.netd ~return_container:rc sock
-            (Wire.seal_msg t.seal ~nonce:(Int64.lognot nonce)
-               (Wire.Reply reply))
-      | None -> (
-          match Netd.Client.recv t.netd ~return_container:rc sock with
-          | Some data -> buf := !buf ^ data
-          | None -> closed := true))
-    done;
-    Netd.Client.close t.netd ~return_container:rc sock
-  with Netd.Client.Netd_error _ -> ()
+  let rec serve () =
+    match recv_frame t rc sock buf with
+    | `Frame (nonce, body) ->
+        let reply =
+          match Wire.unseal_msg t.seal ~nonce body with
+          | Some (Wire.Call call) -> (
+              try handle_call ~memo t call
+              with e -> bare_reply S_error (Printexc.to_string e))
+          | Some (Wire.Reply _) -> bare_reply S_error "unexpected reply"
+          | None ->
+              ignore (refuse t "dist: unsealable frame"
+                      : (_, call_error) result);
+              bare_reply S_error "unsealable frame"
+        in
+        (* Reply under the complemented nonce: request and reply
+           must not share a keystream. *)
+        Netd.Client.send t.netd ~return_container:rc sock
+          (Wire.seal_msg t.seal ~nonce:(Int64.lognot nonce)
+             (Wire.Reply reply));
+        serve ()
+    | `Runt ->
+        ignore (refuse t "dist: runt frame" : (_, call_error) result);
+        Netd.Client.close t.netd ~return_container:rc sock
+    | `Closed -> Netd.Client.close t.netd ~return_container:rc sock
+  in
+  try serve () with Netd.Client.Netd_error _ -> ()
 
 let listener t () =
   let rc = t.container in
@@ -523,21 +532,6 @@ let start k ~netd ~names ~key ~container ~port ~peers () =
   t
 
 (* --- client side --- *)
-
-let recv_frame t rc sock buf =
-  let rec go () =
-    match Wire.deframe !buf with
-    | Some (nonce, body, rest) ->
-        buf := rest;
-        Some (nonce, body)
-    | None -> (
-        match Netd.Client.recv t.netd ~return_container:rc sock with
-        | Some data ->
-            buf := !buf ^ data;
-            go ()
-        | None -> None)
-  in
-  go ()
 
 (* Connection pooling: idle peer connections are parked in [t.pool]
    and reused by later calls ([Hashtbl.add] multi-binding — two
@@ -611,8 +605,9 @@ let call t ~node ~service args =
                       }));
               let buf = ref "" in
               match recv_frame t rc sock buf with
-              | None -> `Transport "connection closed"
-              | Some (rnonce, body) -> (
+              | `Closed -> `Transport "connection closed"
+              | `Runt -> `Final (drop (refuse t "dist: unsealable reply"))
+              | `Frame (rnonce, body) -> (
                   match Wire.unseal_msg t.seal ~nonce:rnonce body with
                   | None | Some (Wire.Call _) ->
                       `Final (drop (refuse t "dist: unsealable reply"))

@@ -42,13 +42,13 @@ let point_hash ~node ~vidx =
 
 let key_hash key = Checksum.mix64 (Checksum.fnv64 ("key:" ^ key))
 
-let create ?(vnodes = 16) members =
+let create members =
   let members = List.sort_uniq compare members in
   let points =
     Array.of_list
       (List.concat_map
          (fun node ->
-           List.init vnodes (fun vidx ->
+           List.init 16 (fun vidx ->
                { hash = point_hash ~node ~vidx; node; vidx; draining = None }))
          members)
   in

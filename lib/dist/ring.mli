@@ -8,9 +8,8 @@
 
 type t
 
-val create : ?vnodes:int -> int list -> t
-(** [create members] builds a ring of [vnodes] points per member
-    (default 16). *)
+val create : int list -> t
+(** [create members] builds a ring of 16 points per member. *)
 
 val owner : t -> string -> int option
 (** Owning member of a key, ignoring handoff state. [None] iff the

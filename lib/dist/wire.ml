@@ -108,19 +108,21 @@ let frame_raw ~nonce body =
   Codec.Enc.raw e body;
   Codec.Enc.to_string e
 
+type deframed = Frame of int64 * string * string | Partial | Runt of int
+
 let deframe buf =
-  if String.length buf < 4 then None
+  if String.length buf < 4 then Partial
   else
     let n = Char.code buf.[0] lor (Char.code buf.[1] lsl 8)
             lor (Char.code buf.[2] lsl 16) lor (Char.code buf.[3] lsl 24) in
-    if n < 8 then Fmt.invalid_arg "Wire.deframe: runt frame (%d)" n
-    else if String.length buf < 4 + n then None
+    if n < 8 then Runt n
+    else if String.length buf < 4 + n then Partial
     else
       let d = Codec.Dec.of_string buf in
       let _len = Codec.Dec.u32 d in
       let nonce = Codec.Dec.i64 d in
       let body = Codec.Dec.raw d (n - 8) in
-      Some (nonce, body, String.sub buf (4 + n) (String.length buf - 4 - n))
+      Frame (nonce, body, String.sub buf (4 + n) (String.length buf - 4 - n))
 
 let seal_msg seal ~nonce m =
   frame_raw ~nonce (Histar_crypto.Seal.seal_tagged seal ~nonce (encode_msg m))

@@ -41,10 +41,17 @@ val decode_msg : string -> msg
 val frame_raw : nonce:int64 -> string -> string
 (** [u32 length | i64 nonce | body]; [body] is already sealed. *)
 
-val deframe : string -> (int64 * string * string) option
-(** Peel one complete frame off a reassembly buffer: [Some (nonce,
-    body, rest)], or [None] if the buffer does not yet hold a whole
-    frame. Raises [Invalid_argument] on a runt length field. *)
+type deframed =
+  | Frame of int64 * string * string  (** nonce, body, rest of the buffer *)
+  | Partial  (** the buffer does not yet hold a whole frame *)
+  | Runt of int
+      (** a length field below the 8-byte nonce, which {!frame_raw}
+          never writes: the stream is not frames, and no later byte
+          can make it one *)
+
+val deframe : string -> deframed
+(** Peel one complete frame off a reassembly buffer. Total: any bytes
+    a peer sends give one of the three answers, never an exception. *)
 
 val seal_msg : Histar_crypto.Seal.t -> nonce:int64 -> msg -> string
 (** Encode, seal-and-tag, and frame one message. *)

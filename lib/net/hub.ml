@@ -64,7 +64,7 @@ type t = {
   by_ip : (Addr.ip, string) Hashtbl.t;
   links : (string, link) Hashtbl.t;
   mutable default_route : string option;  (** MAC for unknown IPs *)
-  mutable faults : Net_faults.t option;
+  faults : Net_faults.t option;
   mutable tap : (string -> unit) option;
       (** packet-capture hook: sees every injected frame *)
   mutable holdq : (int * (string * string) option * string) list;
@@ -88,7 +88,6 @@ let create ?(bandwidth_bps = 100e6) ?(latency_us = 100.0) ?faults ~clock () =
     holdq = [];
   }
 
-let set_faults t f = t.faults <- f
 let set_tap t f = t.tap <- f
 
 let set_link_faults t ~mac plan =

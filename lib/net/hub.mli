@@ -20,13 +20,10 @@ val create :
   clock:Histar_util.Sim_clock.t ->
   unit ->
   t
-(** Defaults: 100 Mbps, 100 µs latency, no fault plan. *)
-
-val set_faults : t -> Histar_faults.Faults.Net_faults.t option -> unit
-(** Attach (or clear) a deterministic network-fault plan: per-frame
-    loss, single-byte corruption (caught by the frame FCS at the
-    receiver), duplication, bounded reordering, delay jitter, and
-    time-based link flaps. *)
+(** Defaults: 100 Mbps, 100 µs latency, no fault plan. [faults] is a
+    deterministic network-fault plan: per-frame loss, single-byte
+    corruption (caught by the frame FCS at the receiver), duplication,
+    bounded reordering, delay jitter, and time-based link flaps. *)
 
 val set_link_faults :
   t ->

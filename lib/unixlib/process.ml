@@ -89,11 +89,42 @@ let clearance_for ?(extra = []) label =
 
 (* ---------- process structure (Figure 6) ---------- *)
 
-(* Build the kernel objects for a new process. Runs in the creating
-   thread, which must currently own [pr] and [pw]. *)
-let build_structure ~fs ~parent_ct ~name ~pr ~pw ~user () =
+let publish_exit exit_seg status =
+  Sys.set_segment_word exit_seg ~off:8 (Int64.of_int status);
+  Sys.set_segment_word exit_seg ~off:0 1L;
+  ignore (Sys.futex_wake exit_seg ~off:0 ~count:max_int)
+
+(* The exit gate runs with the spawner's ownership (including any taint
+   categories it owns), so it may declassify the exit event. *)
+let exit_gate_entry exit_seg () =
+  let d = Codec.Dec.of_string (Sys.tls_read ()) in
+  let status = Codec.Dec.u32 d in
+  publish_exit exit_seg status;
+  Sys.self_halt ()
+
+let make_exit_gate ~proc_ct ~exit_seg =
+  (* clearance = the spawner's clearance, so children tainted in any
+     category the spawner has clearance for can still invoke it *)
+  let gate =
+    Sys.gate_create ~container:proc_ct ~label:(Sys.self_label ())
+      ~clearance:(Sys.self_clearance ()) ~quota:4096L ~name:"exit gate"
+      (exit_gate_entry exit_seg)
+  in
+  centry proc_ct gate
+
+(* The label of a process's private objects: {pr3, pw0, 1}. *)
+let priv_label ~pr ~pw = l [ (pr, Level.L3); (pw, Level.L0) ] Level.L1
+
+(* The one place a process is built: its two categories, its
+   containers, exit segment and address-space object (Figure 6), and,
+   if [untaint_exit], its exit gate. Runs in the creating thread, which
+   owns [pr] and [pw] from here on. [signal_gate] is a placeholder
+   until [install_signal_infra] replaces it. *)
+let new_process ~name ~parent_ct ~user ~pfs ~out_buf ~untaint_exit =
+  let pr = Sys.cat_create () in
+  let pw = Sys.cat_create () in
   let pub_label = l [ (pw, Level.L0) ] Level.L1 in
-  let priv_label = l [ (pr, Level.L3); (pw, Level.L0) ] Level.L1 in
+  let priv_label = priv_label ~pr ~pw in
   let proc_ct =
     Sys.container_create ~container:parent_ct ~label:pub_label
       ~quota:16_777_216L (name ^ " proc")
@@ -110,13 +141,35 @@ let build_structure ~fs ~parent_ct ~name ~pr ~pw ~user () =
     Sys.as_create ~container:internal_ct ~label:priv_label ~quota:4608L
       (name ^ " as")
   in
-  ignore fs;
-  ignore user;
-  (proc_ct, internal_ct, centry proc_ct exit_oid, centry internal_ct as_oid)
+  let exit_seg = centry proc_ct exit_oid in
+  let exit_gate =
+    if untaint_exit then Some (make_exit_gate ~proc_ct ~exit_seg) else None
+  in
+  {
+    pname = name;
+    parent_ct;
+    proc_ct;
+    internal_ct;
+    pr;
+    pw;
+    exit_seg;
+    signal_gate = exit_seg;
+    as_entry = centry internal_ct as_oid;
+    puser = user;
+    pfs;
+    fds = Hashtbl.create 8;
+    next_fd = 3;
+    handlers = Hashtbl.create 4;
+    out_buf;
+    sig_thread = 0;
+    exit_gate;
+  }
 
 (* Map text/data/bss/environ/heap/stack into a process address space,
    as exec does. *)
-let setup_address_space ~internal_ct ~as_entry ~priv_label ~text =
+let setup_address_space p ~text =
+  let internal_ct = p.internal_ct and as_entry = p.as_entry in
+  let priv_label = priv_label ~pr:p.pr ~pw:p.pw in
   let heap =
     Sys.segment_create ~container:internal_ct ~label:priv_label ~quota:266_240L
       ~len:4096 "heap"
@@ -178,8 +231,7 @@ let setup_address_space ~internal_ct ~as_entry ~priv_label ~text =
       offset = 0;
       npages = 2;
       flags = flags_rw;
-    };
-  (heap, stack)
+    }
 
 (* The signal dispatcher thread: waits for alerts and runs handlers.
    Signal 9 always destroys the process. *)
@@ -233,38 +285,13 @@ let install_signal_infra proc =
   centry proc.proc_ct gate_oid
 
 let boot ~fs ~container ?user ~name () =
-  let pr = Sys.cat_create () in
-  let pw = Sys.cat_create () in
-  let proc_ct, internal_ct, exit_seg, as_entry =
-    build_structure ~fs ~parent_ct:container ~name ~pr ~pw ~user ()
-  in
-  let priv_label = l [ (pr, Level.L3); (pw, Level.L0) ] Level.L1 in
-  let _heap, _stack =
-    setup_address_space ~internal_ct ~as_entry ~priv_label ~text:None
-  in
   let proc =
-    {
-      pname = name;
-      parent_ct = container;
-      proc_ct;
-      internal_ct;
-      pr;
-      pw;
-      exit_seg;
-      signal_gate = exit_seg (* placeholder, replaced below *);
-      as_entry;
-      puser = user;
-      pfs = fs;
-      fds = Hashtbl.create 8;
-      next_fd = 3;
-      handlers = Hashtbl.create 4;
-      out_buf = Buffer.create 256;
-      sig_thread = 0;
-      exit_gate = None;
-    }
+    new_process ~name ~parent_ct:container ~user ~pfs:fs
+      ~out_buf:(Buffer.create 256) ~untaint_exit:false
   in
+  setup_address_space proc ~text:None;
   let signal_gate = install_signal_infra proc in
-  Sys.self_set_as as_entry;
+  Sys.self_set_as proc.as_entry;
   { proc with signal_gate }
 
 (* ---------- file descriptors ---------- *)
@@ -411,11 +438,6 @@ let inherited_cats proc fds =
       [ (st.fr, Level.Star); (st.fw, Level.Star) ])
     fds
 
-let publish_exit exit_seg status =
-  Sys.set_segment_word exit_seg ~off:8 (Int64.of_int status);
-  Sys.set_segment_word exit_seg ~off:0 1L;
-  ignore (Sys.futex_wake exit_seg ~off:0 ~count:max_int)
-
 (* Terminate the current thread, publishing [status]. A thread that has
    tainted itself cannot write the exit-status segment directly — doing
    so would leak — so it falls back to the process's exit untainting
@@ -440,24 +462,6 @@ let do_exit proc status : unit =
           Sys.gate_enter ~gate ~label:floor ~clearance:(Sys.self_clearance ())
             ())
 
-(* The exit gate runs with the spawner's ownership (including any taint
-   categories it owns), so it may declassify the exit event. *)
-let exit_gate_entry exit_seg () =
-  let d = Codec.Dec.of_string (Sys.tls_read ()) in
-  let status = Codec.Dec.u32 d in
-  publish_exit exit_seg status;
-  Sys.self_halt ()
-
-let make_exit_gate ~proc_ct ~exit_seg =
-  (* clearance = the spawner's clearance, so children tainted in any
-     category the spawner has clearance for can still invoke it *)
-  let gate =
-    Sys.gate_create ~container:proc_ct ~label:(Sys.self_label ())
-      ~clearance:(Sys.self_clearance ()) ~quota:4096L ~name:"exit gate"
-      (exit_gate_entry exit_seg)
-  in
-  centry proc_ct gate
-
 (* The common tail: create the child's main thread running [main]. *)
 let start_main_thread ~proc_for_child ~tlabel ~tclear ~name main =
   Sys.thread_create ~container:proc_for_child.proc_ct ~label:tlabel
@@ -468,78 +472,57 @@ let start_main_thread ~proc_for_child ~tlabel ~tclear ~name main =
       (* falling off the end = exit 0 *)
       do_exit proc_for_child 0)
 
-let spawn proc ~name ?user ?(fds = []) ?(extra_label = [])
-    ?(extra_clearance = []) ?(untaint_exit = true) ?in_container main =
-  let user = match user with Some u -> Some u | None -> proc.puser in
-  let parent_ct = Option.value in_container ~default:proc.parent_ct in
-  let pr = Sys.cat_create () in
-  let pw = Sys.cat_create () in
-  let proc_ct, internal_ct, exit_seg, as_entry =
-    build_structure ~fs:proc.pfs ~parent_ct ~name ~pr ~pw ~user ()
-  in
-  let exit_gate =
-    if untaint_exit then Some (make_exit_gate ~proc_ct ~exit_seg) else None
-  in
-  let priv_label = l [ (pr, Level.L3); (pw, Level.L0) ] Level.L1 in
-  let _heap, _stack =
-    setup_address_space ~internal_ct ~as_entry ~priv_label ~text:None
-  in
-  let child =
-    {
-      pname = name;
-      parent_ct;
-      proc_ct;
-      internal_ct;
-      pr;
-      pw;
-      exit_seg;
-      signal_gate = exit_seg;
-      as_entry;
-      puser = user;
-      pfs = Fs.copy proc.pfs;
-      fds = Hashtbl.create 8;
-      next_fd = 3;
-      handlers = Hashtbl.create 4;
-      out_buf = proc.out_buf;
-      sig_thread = 0;
-      exit_gate;
-    }
-  in
-  (* inherit the requested descriptors: hard-link each descriptor
-     segment (and any pipe backing segment) into the child's own
-     container, so the objects survive whichever process exits first
-     and each holder can unreference its own link (§5.3) *)
+(* The common end of [spawn] and [fork_exec], once [child]'s address
+   space is set up: inherit the descriptors [fds] by hard-linking each
+   descriptor segment (and any pipe backing segment) into the child's
+   own container, so the objects survive whichever process exits first
+   and each holder can unreference its own link (§5.3); then start the
+   signal machinery and the main thread. *)
+let start_child proc child ~fds ~extra_label ~extra_clearance main =
   List.iter (fun n -> inherit_fd proc child n) fds;
   if fds <> [] then
     child.next_fd <- 1 + List.fold_left max child.next_fd fds;
   let signal_gate = install_signal_infra child in
   let child = { child with signal_gate } in
   let tlabel =
-    thread_label ~pr ~pw ~user ~extra:(inherited_cats proc fds @ extra_label)
+    thread_label ~pr:child.pr ~pw:child.pw ~user:child.puser
+      ~extra:(inherited_cats proc fds @ extra_label)
   in
   let tclear = clearance_for ~extra:extra_clearance tlabel in
-  let _tid = start_main_thread ~proc_for_child:child ~tlabel ~tclear ~name main in
+  let _tid =
+    start_main_thread ~proc_for_child:child ~tlabel ~tclear ~name:child.pname
+      main
+  in
   {
-    h_parent_ct = parent_ct;
-    h_proc_ct = proc_ct;
-    h_exit_seg = exit_seg;
-    h_signal_gate = child.signal_gate;
-    h_pr = pr;
-    h_pw = pw;
+    h_parent_ct = child.parent_ct;
+    h_proc_ct = child.proc_ct;
+    h_exit_seg = child.exit_seg;
+    h_signal_gate = signal_gate;
+    h_pr = child.pr;
+    h_pw = child.pw;
   }
+
+let spawn proc ~name ?user ?(fds = []) ?(extra_label = [])
+    ?(extra_clearance = []) ?(untaint_exit = true) ?in_container main =
+  let child =
+    new_process ~name
+      ~parent_ct:(Option.value in_container ~default:proc.parent_ct)
+      ~user:(match user with Some _ -> user | None -> proc.puser)
+      ~pfs:(Fs.copy proc.pfs) ~out_buf:proc.out_buf ~untaint_exit
+  in
+  setup_address_space child ~text:None;
+  start_child proc child ~fds ~extra_label ~extra_clearance main
 
 (* fork + exec: faithfully wasteful. fork copies the parent's writable
    segments and descriptor state into a new process; exec throws the
    copies away and rebuilds from the executable. *)
 let fork_exec proc ~name ?text ?(fds = []) main =
-  let pr = Sys.cat_create () in
-  let pw = Sys.cat_create () in
-  let proc_ct, internal_ct, exit_seg, as_entry =
-    build_structure ~fs:proc.pfs ~parent_ct:proc.parent_ct ~name ~pr ~pw
-      ~user:proc.puser ()
+  let child =
+    new_process ~name ~parent_ct:proc.parent_ct ~user:proc.puser
+      ~pfs:(Fs.copy proc.pfs) ~out_buf:proc.out_buf ~untaint_exit:true
   in
-  let exit_gate = Some (make_exit_gate ~proc_ct ~exit_seg) in
-  let priv_label = l [ (pr, Level.L3); (pw, Level.L0) ] Level.L1 in
+  let internal_ct = child.internal_ct and as_entry = child.as_entry in
+  let priv_label = priv_label ~pr:child.pr ~pw:child.pw in
   (* --- fork: duplicate the parent's address-space contents --- *)
   let parent_mappings = Sys.as_get proc.as_entry in
   let copies =
@@ -561,12 +544,10 @@ let fork_exec proc ~name ?text ?(fds = []) main =
   (* duplicate every descriptor's state segment, as fork shares them *)
   let fd_copies =
     Hashtbl.fold
-      (fun n st acc ->
-        let c =
-          Sys.segment_copy ~src:st.fd_seg ~container:internal_ct
-            ~label:priv_label ~quota:8192L "fd copy"
-        in
-        (n, st, c) :: acc)
+      (fun _ st acc ->
+        Sys.segment_copy ~src:st.fd_seg ~container:internal_ct
+          ~label:priv_label ~quota:8192L "fd copy"
+        :: acc)
       proc.fds []
   in
   (* --- exec: discard the copies, rebuild a fresh image --- *)
@@ -575,11 +556,7 @@ let fork_exec proc ~name ?text ?(fds = []) main =
       Sys.as_unmap as_entry m.Histar_core.Syscall.va;
       Sys.unref (centry internal_ct copy))
     copies;
-  List.iter
-    (fun (n, _st, c) ->
-      ignore n;
-      Sys.unref (centry internal_ct c))
-    fd_copies;
+  List.iter (fun c -> Sys.unref (centry internal_ct c)) fd_copies;
   let text_ce =
     match text with
     | Some path -> (
@@ -590,46 +567,8 @@ let fork_exec proc ~name ?text ?(fds = []) main =
                            (Option.value text ~default:"?")))
     | None -> None
   in
-  let _heap, _stack =
-    setup_address_space ~internal_ct ~as_entry ~priv_label ~text:text_ce
-  in
-  let child =
-    {
-      pname = name;
-      parent_ct = proc.parent_ct;
-      proc_ct;
-      internal_ct;
-      pr;
-      pw;
-      exit_seg;
-      signal_gate = exit_seg;
-      as_entry;
-      puser = proc.puser;
-      pfs = Fs.copy proc.pfs;
-      fds = Hashtbl.create 8;
-      next_fd = 3;
-      handlers = Hashtbl.create 4;
-      out_buf = proc.out_buf;
-      sig_thread = 0;
-      exit_gate;
-    }
-  in
-  List.iter (fun n -> inherit_fd proc child n) fds;
-  let signal_gate = install_signal_infra child in
-  let child = { child with signal_gate } in
-  let tlabel =
-    thread_label ~pr ~pw ~user:proc.puser ~extra:(inherited_cats proc fds)
-  in
-  let tclear = clearance_for tlabel in
-  let _tid = start_main_thread ~proc_for_child:child ~tlabel ~tclear ~name main in
-  {
-    h_parent_ct = proc.parent_ct;
-    h_proc_ct = proc_ct;
-    h_exit_seg = exit_seg;
-    h_signal_gate = child.signal_gate;
-    h_pr = pr;
-    h_pw = pw;
-  }
+  setup_address_space child ~text:text_ce;
+  start_child proc child ~fds ~extra_label:[] ~extra_clearance:[] main
 
 (* ---------- wait / exit / kill ---------- *)
 

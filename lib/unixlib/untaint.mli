@@ -17,6 +17,12 @@
 
 open Histar_core.Types
 
+val call : centry -> return_container:oid -> string -> string
+(** [call gate ~return_container payload] invokes a service gate at
+    its floor with the caller's clearance. [payload] goes out through
+    the thread-local segment, and the gate's reply comes back the same
+    way. *)
+
 val make_file_create_gate :
   fs:Fs.t ->
   container:oid ->

@@ -28,6 +28,8 @@ module Names = Histar_dist.Names
 module Proto = Histar_dist.Proto
 module Distd = Histar_dist.Distd
 module Cluster = Histar_dist.Cluster
+module Check = Histar_check.Check
+module Gen = Histar_check.Gen
 module Webcluster = Histar_apps.Webcluster
 module Faults = Histar_faults.Faults
 
@@ -117,15 +119,81 @@ let test_wire_deframe () =
     (fun c ->
       buf := !buf ^ String.make 1 c;
       match Wire.deframe !buf with
-      | Some (nonce, body, rest) ->
+      | Wire.Frame (nonce, body, rest) ->
           buf := rest;
           got := (nonce, Wire.unseal_msg s ~nonce body) :: !got
-      | None -> ())
+      | Wire.Partial -> ()
+      | Wire.Runt n -> Alcotest.failf "runt length %d" n)
     (f1 ^ f2);
   match List.rev !got with
   | [ (10L, Some m1); (11L, Some m2) ] ->
       Alcotest.(check bool) "both decoded" true (m1 = m && m2 = m)
   | _ -> Alcotest.fail "expected exactly two frames"
+
+(* [deframe] is total: on any stream — the frames [frame_raw] built,
+   cut short, or with one byte changed — it never raises, and it gives
+   back exactly the whole frames that precede the first damaged one. *)
+let gen_stream =
+  let open Gen in
+  let* frames = list (pair int64 (resize 24 string)) in
+  let* cut = nat in
+  (* a byte of frame [k] at [off], biased to the 12-byte header and to
+     the small values that make a length field a runt *)
+  let g_mutation =
+    triple nat
+      (frequency [ (2, int_range 0 11); (1, nat) ])
+      (frequency [ (1, byte); (1, map Char.chr (int_range 0 8)) ])
+  in
+  let* mutation = oneof [ return None; map Option.some g_mutation ] in
+  return (frames, cut, mutation)
+
+let print_stream (frames, cut, mutation) =
+  Printf.sprintf "%d frames, cut %d, %s" (List.length frames) cut
+    (match mutation with
+    | None -> "intact"
+    | Some (k, off, c) -> Printf.sprintf "frame %d byte %d := %C" k off c)
+
+let prop_deframe_total (frames, cut, mutation) =
+  let encoded =
+    List.map (fun (nonce, body) -> Wire.frame_raw ~nonce body) frames
+  in
+  let stream = Bytes.of_string (String.concat "" encoded) in
+  let len = Bytes.length stream in
+  (* the first byte of the stream that no longer reads as built *)
+  let damage = ref len and mutated = ref false in
+  (match mutation with
+  | Some (k, off, c) when len > 0 ->
+      let start =
+        List.fold_left ( + ) 0
+          (List.filteri (fun i _ -> i < k mod List.length encoded)
+             (List.map String.length encoded))
+      in
+      let i = (start + off) mod len in
+      if Bytes.get stream i <> c then begin
+        Bytes.set stream i c;
+        damage := i;
+        mutated := true
+      end
+  | Some _ | None -> ());
+  let kept = if cut = 0 then len else cut mod (len + 1) in
+  damage := min !damage kept;
+  let rec peel buf acc =
+    match Wire.deframe buf with
+    | Wire.Frame (nonce, body, rest) -> peel rest ((nonce, body) :: acc)
+    | Wire.Partial | Wire.Runt _ -> List.rev acc
+  in
+  let got = peel (Bytes.sub_string stream 0 kept) [] in
+  (* the frames that end before the damage come back unchanged *)
+  let rec intact pos = function
+    | (f, e) :: rest when pos + String.length e <= !damage ->
+        f :: intact (pos + String.length e) rest
+    | _ -> []
+  in
+  let expected = intact 0 (List.combine frames encoded) in
+  if !mutated then
+    Check.ensure ~msg:"frames before the damage"
+      (List.filteri (fun i _ -> i < List.length expected) got = expected)
+  else Check.ensure ~msg:"an unmutated stream deframes exactly" (got = expected)
 
 (* --- names --- *)
 
@@ -249,7 +317,7 @@ let test_admit_matches_model () =
 
 (* --- two-node fixture --- *)
 
-type node = { k : Kernel.t; dist : Distd.t }
+type node = { k : Kernel.t; dist : Distd.t; netd : Netd.t; hub : Hub.t }
 
 let mk_nodes ?(seed = 11L) n =
   let cluster = Cluster.create () in
@@ -273,7 +341,7 @@ let mk_nodes ?(seed = 11L) n =
     let dist =
       Distd.start k ~netd ~names ~key ~container:root ~port:7000 ~peers ()
     in
-    { k; dist }
+    { k; dist; netd; hub = back }
   in
   (cluster, Array.init n mk)
 
@@ -733,12 +801,76 @@ let test_cluster_stationary () =
     (Printf.sprintf "waves 45-49 allocate %.3fx waves 5-9 (<= 1.03)" ratio)
     true (ratio <= 1.03)
 
+(* A peer that sends a runt frame (length field below 8) loses its
+   connection and is counted as refused; a reply that is a runt frame
+   fails [Distd.call] as an unsealable reply would. Neither stops the
+   thread that reads it. *)
+let test_hostile_runt_frames () =
+  let cluster, nodes = mk_nodes 2 in
+  Distd.register nodes.(1).dist ~service:"echo" ~label:l1 ~clearance:l3
+    (fun s -> ("echo:" ^ s, []));
+  (* a third host whose port 7000 answers any call with a runt frame *)
+  let hostile = Kernel.create ~seed:99L () in
+  Cluster.add_kernel cluster hostile;
+  let hroot = Kernel.root hostile in
+  let hnetd =
+    Netd.start hostile ~hub:nodes.(0).hub ~container:hroot
+      ~ip:(Addr.ip_of_string "10.1.0.3") ~mac:"n2" ()
+  in
+  let runt = "\004\000\000\000junk" in
+  ignore
+    (Kernel.spawn hostile ~label:l1 ~clearance:l3 ~name:"hostile" (fun () ->
+         Netd.Client.listen hnetd ~return_container:hroot 7000;
+         let sock = Netd.Client.accept hnetd ~return_container:hroot 7000 in
+         ignore (Netd.Client.recv hnetd ~return_container:hroot sock);
+         Netd.Client.send hnetd ~return_container:hroot sock runt));
+  Cluster.settle cluster;
+  let was_enabled = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was_enabled) @@ fun () ->
+  let refused () = Metrics.counter_value "net.dist_refused" in
+  let before = refused () in
+  let eof = ref None in
+  ignore
+    (Kernel.spawn nodes.(0).k ~label:l1 ~clearance:l3 ~name:"runt-sender"
+       (fun () ->
+         let rc = Kernel.root nodes.(0).k in
+         let sock =
+           Netd.Client.connect nodes.(0).netd ~return_container:rc
+             (Addr.v "10.1.0.2" 7000)
+         in
+         Netd.Client.send nodes.(0).netd ~return_container:rc sock runt;
+         eof :=
+           Some (Netd.Client.recv nodes.(0).netd ~return_container:rc sock)));
+  drive_until cluster (fun () -> !eof <> None);
+  Alcotest.(check bool) "server closed the connection" true (!eof = Some None);
+  Alcotest.(check int) "one refusal counted" (before + 1) (refused ());
+  let call node =
+    let r = ref None in
+    ignore
+      (Kernel.spawn nodes.(0).k ~label:l1 ~clearance:l3 ~name:"caller"
+         (fun () ->
+           r := Some (Distd.call nodes.(0).dist ~node ~service:"echo" "hi")));
+    drive_until cluster (fun () -> !r <> None);
+    Option.get !r
+  in
+  (match call 1 with
+  | Ok ("echo:hi", []) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "the server stopped serving");
+  match call 2 with
+  | Error (Distd.Refused m) ->
+      Alcotest.(check string) "runt reply" "dist: unsealable reply" m
+  | Ok _ | Error _ -> Alcotest.fail "a runt reply was not refused"
+
 let suite =
   [
     ("seal roundtrip", `Quick, test_seal_roundtrip);
     ("seal tagged tamper detection", `Quick, test_seal_tagged);
     ("wire msg roundtrip", `Quick, test_wire_roundtrip);
     ("wire deframe byte-at-a-time", `Quick, test_wire_deframe);
+    Check.test_case ~print:print_stream "wire deframe is total" gen_stream
+      prop_deframe_total;
+    ("hostile runt frames", `Quick, test_hostile_runt_frames);
     ("names: mint/origin/trust", `Quick, test_names);
     ("proto: translate and clamp", `Quick, test_proto_translate);
     ("admit matches model", `Quick, test_admit_matches_model);

@@ -443,6 +443,67 @@ let test_avoid_types () =
 
 (* ---------- threads ---------- *)
 
+(* §3.3: every object is named by a container or is a live thread's
+   TLS. A refused thread_create must leave no TLS behind, whichever
+   check refuses it, and a host-side spawn into a bad container must
+   insert nothing before it raises. *)
+let test_refused_create_leaves_nothing () =
+  in_kernel_k (fun k root ->
+      let small =
+        Sys.container_create ~container:root ~label:l1 ~quota:4096L "small"
+      in
+      let no_threads =
+        Sys.container_create ~avoid:[ Thread ] ~container:root ~label:l1
+          ~quota:1_000_000L "no threads"
+      in
+      let c = Sys.cat_create () in
+      let locked =
+        Sys.container_create ~container:root
+          ~label:(l [ (c, Level.L0) ] Level.L1)
+          ~quota:1_000_000L "locked"
+      in
+      (* give up c⋆, so [locked] is no longer writable *)
+      Sys.self_set_label l1;
+      let refused what container expect =
+        let before = Kernel.object_count k in
+        (match
+           Sys.thread_create ~container ~label:l1 ~clearance:l2
+             ~quota:65536L ~name:"t" ignore
+         with
+        | _ -> Alcotest.failf "%s: thread_create succeeded" what
+        | exception Kernel_error e ->
+            Alcotest.(check bool)
+              (what ^ ": " ^ error_to_string e)
+              true (expect e));
+        Alcotest.(check int) (what ^ ": object count") before
+          (Kernel.object_count k)
+      in
+      refused "quota" small (function Quota _ -> true | _ -> false);
+      refused "missing container" 0x5eed (function
+        | Not_found_ _ -> true
+        | _ -> false);
+      refused "avoided type" no_threads (function
+        | Avoid_type _ -> true
+        | _ -> false);
+      refused "container label" locked (function
+        | Label_check _ -> true
+        | _ -> false);
+      let before = Kernel.object_count k in
+      (match Kernel.spawn k ~container:small ~name:"x" ignore with
+      | _ -> ()
+      | exception Invalid_argument _ -> Alcotest.fail "small is a container");
+      Alcotest.(check int) "spawn into a container" (before + 2)
+        (Kernel.object_count k);
+      let seg =
+        Sys.segment_create ~container:root ~label:l1 ~quota:4096L ~len:0 "s"
+      in
+      let before = Kernel.object_count k in
+      (match Kernel.spawn k ~container:seg ~name:"y" ignore with
+      | _ -> Alcotest.fail "spawn into a segment succeeded"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) "spawn into a segment" before
+        (Kernel.object_count k))
+
 let test_thread_label_rules () =
   in_kernel (fun root ->
       (* cannot spawn a thread owning a category we don't own *)
@@ -1788,6 +1849,8 @@ let () =
         ] );
       ( "threads",
         [
+          Alcotest.test_case "refused create leaves nothing" `Quick
+            test_refused_create_leaves_nothing;
           Alcotest.test_case "label rules" `Quick test_thread_label_rules;
           Alcotest.test_case "clearance bound" `Quick
             test_thread_clearance_bound;

@@ -200,7 +200,7 @@ let test_model_login_below_floor_rejected () =
 let test_fuzz_clean_kernel () =
   (* The headline acceptance check: a bounded coverage-guided fuzz on
      the unmodified kernel finds no divergence from the model. The
-     budget is well above every mutant's detection point (120 traces,
+     budget is well above every mutant's detection point (536 traces,
      worst case) and still runs in well under a second;
      HISTAR_CHECK_FULL=1 (nightly CI) multiplies it by 8. *)
   let runs = if Check.full_mode () then 9600 else 1200 in
@@ -221,7 +221,7 @@ let test_fuzz_clean_kernel () =
 (* Each [weaken] switch deletes one label comparison from the kernel.
    The fuzzer must catch all three within a bounded budget at the
    default seed, or it has lost its teeth. Detection points at
-   [Check.default_seed]: segment 120 traces, gate 53, unref 70 — the
+   [Check.default_seed]: segment 536 traces, gate 53, unref 70 — the
    2000-trace budget leaves a wide margin and still takes < 0.5 s. *)
 let assert_mutant_caught name weaken =
   let stats = Conf.run_fuzz ~weaken ~runs:2000 ~seed:Check.default_seed () in

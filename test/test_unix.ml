@@ -279,6 +279,32 @@ let test_fork_exec () =
       Alcotest.(check int) "status" 0 (Process.wait proc child);
       Alcotest.(check bool) "program ran" true !ran)
 
+(* A fork_exec child's own descriptors start past the ones it
+   inherits, as a spawned child's do: its first open must not reuse
+   the inherited fd 3. *)
+let test_fork_exec_keeps_inherited_fds () =
+  in_unix (fun _k proc ->
+      let fs = Process.fs proc in
+      ignore (Fs.mkdir fs "/bin");
+      Fs.write_file fs "/bin/true" "#!histar/true";
+      Fs.write_file fs "/a" "AAAA";
+      Fs.write_file fs "/b" "BBBB";
+      let fd = Process.open_file proc "/a" in
+      Alcotest.(check int) "parent's first fd" 3 fd;
+      let seen = ref None in
+      let child =
+        Process.fork_exec proc ~name:"reader" ~text:"/bin/true" ~fds:[ fd ]
+          (fun child ->
+            let own = Process.open_file child "/b" in
+            seen := Some (own, Process.read child fd 4))
+      in
+      ignore (Process.wait proc child);
+      match !seen with
+      | None -> Alcotest.fail "child did not run"
+      | Some (own, data) ->
+          Alcotest.(check string) "inherited fd still reads /a" "AAAA" data;
+          Alcotest.(check bool) "own fd is fresh" true (own <> fd))
+
 let test_fork_exec_costlier_than_spawn () =
   in_unix (fun k proc ->
       let fs = Process.fs proc in
@@ -495,6 +521,8 @@ let () =
           Alcotest.test_case "fork/exec" `Quick test_fork_exec;
           Alcotest.test_case "fork/exec cost" `Quick
             test_fork_exec_costlier_than_spawn;
+          Alcotest.test_case "fork/exec keeps inherited fds" `Quick
+            test_fork_exec_keeps_inherited_fds;
           Alcotest.test_case "signal handler" `Quick test_signal_handler;
           Alcotest.test_case "sigkill" `Quick test_sigkill;
           Alcotest.test_case "tainted child" `Quick
