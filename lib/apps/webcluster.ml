@@ -919,7 +919,7 @@ type outcome = { o_user : string; o_request : string; o_reply : string }
 
 type slot = {
   s_host : Sim_host.t;
-  mutable s_cur : (Stack.conn * int * string) option;
+  mutable s_cur : (Stack.conn * int * Wire.reader) option;
       (* conn, request index, reassembly buffer *)
 }
 
@@ -957,12 +957,12 @@ let run_load t ?(concurrency = 4) requests =
               ~dst:(Addr.v "10.0.0.1" front_port)
           in
           Stack.send conn (Printf.sprintf "%s %s %s\n" user pass op);
-          s.s_cur <- Some (conn, idx, "")
+          s.s_cur <- Some (conn, idx, Wire.reader ())
         end
-    | Some (conn, idx, buf) -> (
-        let buf = buf ^ Stack.recv conn in
-        match Wire.deframe buf with
-        | Wire.Frame (nonce, body, _rest) ->
+    | Some (conn, idx, r) -> (
+        Wire.feed r (Stack.recv conn);
+        match Wire.deframe r with
+        | Wire.Frame (nonce, body) ->
             let user, pass, _ = requests.(idx) in
             let seal = Seal.create ~key:(session_key ~user ~password:pass) in
             let reply =
@@ -973,7 +973,7 @@ let run_load t ?(concurrency = 4) requests =
             Stack.close conn;
             s.s_cur <- None;
             finish idx reply
-        | Wire.Runt _ ->
+        | Wire.Bad_length _ ->
             Stack.close conn;
             s.s_cur <- None;
             finish idx "ERR bad frame"
@@ -984,8 +984,7 @@ let run_load t ?(concurrency = 4) requests =
                 (match Stack.error conn with
                 | Some e -> "ERR transport: " ^ e
                 | None -> "ERR connection closed")
-            end
-            else s.s_cur <- Some (conn, idx, buf))
+            end)
   in
   let pump () =
     Array.iter pump_slot slots;

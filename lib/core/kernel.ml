@@ -84,7 +84,11 @@ module Tidq = struct
     tid
 end
 
-type segment = { mutable data : Bytes.t }
+(* A segment's bytes are [data[0, len)]; the block past [len] is
+   spare capacity, so growing within it copies nothing. Everything
+   outside this file sees only [len]: usage, sizes, bounds checks,
+   encodings and the store. *)
+type segment = { mutable data : Bytes.t; mutable len : int }
 
 type container = {
   children : kind Oid_tbl.t;
@@ -132,6 +136,8 @@ type body =
   | Gat of gate
   | Asp of address_space
   | Dev of device
+
+let seg_of_bytes data = Seg { data; len = Bytes.length data }
 
 type obj = {
   id : oid;
@@ -252,7 +258,7 @@ let add_tls k id =
        ~descrip:"thread-local segment"
        ~quota:(Int64.add base_overhead 2_097_152L)
        ~usage:(Int64.add base_overhead 4096L) ~fixed_quota:true
-       (Seg { data = Bytes.make 4096 '\000' })
+       (seg_of_bytes (Bytes.make 4096 '\000'))
       : obj)
 
 (* A container's children in ascending oid order, never the table's. *)
@@ -375,7 +381,7 @@ let as_container ~op o =
 (* ---------- quotas ---------- *)
 
 let usage_of_body = function
-  | Seg s -> Int64.add base_overhead (Int64.of_int (Bytes.length s.data))
+  | Seg s -> Int64.add base_overhead (Int64.of_int s.len)
   | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> base_overhead
 
 let quota_avail o =
@@ -427,7 +433,7 @@ let encode_prefix e o =
   Codec.Enc.str e o.metadata;
   Codec.Enc.u32 e o.refs;
   match o.body with
-  | Seg s -> Codec.Enc.u32 e (Bytes.length s.data)
+  | Seg s -> Codec.Enc.u32 e s.len
   | Con c ->
       Codec.Enc.u32 e c.avoid;
       Codec.Enc.int e c.parent;
@@ -461,7 +467,7 @@ let encode_obj o =
   let e = Codec.Enc.create () in
   encode_prefix e o;
   (match o.body with
-  | Seg s -> Codec.Enc.raw e (Bytes.unsafe_to_string s.data)
+  | Seg s -> Codec.Enc.raw_sub e (Bytes.unsafe_to_string s.data) 0 s.len
   | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> ());
   Codec.Enc.to_string e
 
@@ -471,7 +477,7 @@ let store_put s o =
   let payload = encode_obj o in
   let prefix_len =
     match o.body with
-    | Seg sg -> Some (String.length payload - Bytes.length sg.data)
+    | Seg sg -> Some (String.length payload - sg.len)
     | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> None
   in
   Store.put s ~oid:o.id ?prefix_len payload
@@ -502,7 +508,7 @@ let decode_obj k payload =
   let refs = Codec.Dec.u32 d in
   let body =
     match kind with
-    | Segment -> Seg { data = Bytes.of_string (Codec.Dec.str d) }
+    | Segment -> seg_of_bytes (Bytes.of_string (Codec.Dec.str d))
     | Container ->
         let avoid = Codec.Dec.u32 d in
         let parent = decode_oid d in
@@ -753,7 +759,7 @@ let segment_read_impl k (ce : centry) off len =
   match resolve_segment k ~op:"segment_read" ~dir ce with
   | Error e -> Error e
   | Ok { body = Seg s; _ } ->
-      let n = Bytes.length s.data in
+      let n = s.len in
       let len = if len < 0 then n - off else len in
       if off < 0 || len < 0 || off + len > n then
         invalid_f "segment_read: range [%d,%d) outside length %d" off (off + len) n
@@ -764,7 +770,7 @@ let segment_write_impl k (ce : centry) off data =
   match resolve_segment k ~op:"segment_write" ~dir:`Modify ce with
   | Error e -> Error e
   | Ok { body = Seg s; _ } ->
-      let n = Bytes.length s.data in
+      let n = s.len in
       if off < 0 || off + String.length data > n then
         invalid_f "segment_write: range [%d,%d) outside length %d" off
           (off + String.length data) n
@@ -786,10 +792,18 @@ let segment_resize_impl k (ce : centry) len =
           && Int64.compare new_usage o.quota > 0
         then quota_f "segment_resize: length %d exceeds quota %Ld" len o.quota
         else begin
-          let old = s.data in
-          let fresh = Bytes.make len '\000' in
-          Bytes.blit old 0 fresh 0 (min (Bytes.length old) len);
-          s.data <- fresh;
+          (* Grow within the block, or into one of twice its capacity
+             when it runs out, so a segment grown a little at a time
+             is copied O(log n) times. The bytes between the old and
+             the new length are zeroed: a shrink keeps its tail in the
+             block, and it must never read back. *)
+          if len > Bytes.length s.data then begin
+            let fresh = Bytes.create (max len (2 * Bytes.length s.data)) in
+            Bytes.blit s.data 0 fresh 0 s.len;
+            s.data <- fresh
+          end;
+          if len > s.len then Bytes.fill s.data s.len (len - s.len) '\000';
+          s.len <- len;
           o.usage <- new_usage;
           ok_unit
         end
@@ -1249,7 +1263,7 @@ let handle_syscall k kont req : action =
     | Segment_create (spec, len) ->
         if len < 0 then invalid_f "segment_create: negative length"
         else
-          let body = Seg { data = Bytes.make len '\000' } in
+          let body = seg_of_bytes (Bytes.make len '\000') in
           let* o = create_object k ~spec ~kind:Segment ~clearance_check:false ~body in
           ok_resp (R_oid o.id)
     | Segment_read (ce, off, len) -> segment_read_impl k ce off len
@@ -1258,13 +1272,13 @@ let handle_syscall k kont req : action =
     | Segment_get_size ce -> (
         match resolve_segment k ~op:"segment_get_size" ~dir:`Observe ce with
         | Error e -> Error e
-        | Ok { body = Seg s; _ } -> ok_resp (R_int (Bytes.length s.data))
+        | Ok { body = Seg s; _ } -> ok_resp (R_int s.len)
         | Ok _ -> assert false)
     | Segment_copy (src, spec) ->
         let* o = resolve_segment k ~op:"segment_copy" ~dir:`Observe src in
         (match o.body with
         | Seg s ->
-            let body = Seg { data = Bytes.copy s.data } in
+            let body = seg_of_bytes (Bytes.sub s.data 0 s.len) in
             let* o' = create_object k ~spec ~kind:Segment ~clearance_check:false ~body in
             ok_resp (R_oid o'.id)
         | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> assert false)
@@ -1327,7 +1341,7 @@ let handle_syscall k kont req : action =
         match resolve_segment k ~op:"futex_wait" ~dir:`Observe ce with
         | Error e -> Error e
         | Ok ({ body = Seg s; _ } as o) ->
-            if off < 0 || off + 8 > Bytes.length s.data then
+            if off < 0 || off + 8 > s.len then
               invalid_f "futex_wait: offset out of range"
             else if Int64.equal (Bytes.get_int64_le s.data off) expected then begin
               Tidq.push (futex_queue k (futex_key o.id off)) k.current;
@@ -1370,7 +1384,7 @@ let handle_syscall k kont req : action =
         match resolve_segment k ~op:"segment_cas" ~dir:`Modify ce with
         | Error e -> Error e
         | Ok { body = Seg s; _ } ->
-            if off < 0 || off + 8 > Bytes.length s.data then
+            if off < 0 || off + 8 > s.len then
               invalid_f "segment_cas: offset out of range"
             else if Int64.equal (Bytes.get_int64_le s.data off) expected then begin
               Bytes.set_int64_le s.data off desired;
@@ -1419,7 +1433,10 @@ let handle_syscall k kont req : action =
                home location, so the counters already cover its id; only
                the log fallback can make a new object durable and must
                carry the metadata record with it. *)
-            if not (Store.sync_range s ~oid:o.id ~prefix ~data:sg.data ~off ~len)
+            if
+              not
+                (Store.sync_range s ~oid:o.id ~prefix ~data:sg.data
+                   ~data_len:sg.len ~off ~len)
             then begin
               store_put s o;
               Store.sync_oid s ~oid:o.id;
@@ -1459,12 +1476,18 @@ let start_body body =
           | _ -> None);
     }
 
+(* A halted thread keeps its TLS until it is destroyed, but never
+   writes it again: drop the spare capacity its messages left. *)
 let halt_thread k tid =
   match find_obj k tid with
   | Some ({ body = Thr th; _ } as _o) ->
       th.tstate <- `Halted;
       th.next_run <- Nothing;
-      th.parked <- None
+      th.parked <- None;
+      (match find_obj k th.tls with
+      | Some { body = Seg s; _ } when Bytes.length s.data > s.len ->
+          s.data <- Bytes.sub s.data 0 s.len
+      | Some _ | None -> ())
   | Some _ | None -> ()
 
 let rec run_state_loop k tid rs =
@@ -1593,7 +1616,7 @@ let container_children k oid =
 
 let segment_data k oid =
   match find_obj k oid with
-  | Some { body = Seg s; _ } -> Some (Bytes.to_string s.data)
+  | Some { body = Seg s; _ } -> Some (Bytes.sub_string s.data 0 s.len)
   | Some _ | None -> None
 
 let thread_state k oid =
@@ -1784,7 +1807,7 @@ let recover ~store =
             (match o.body with
             | Seg sg ->
                 Store.set_prefix_len store ~oid
-                  (String.length payload - Bytes.length sg.data)
+                  (String.length payload - sg.len)
             | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> ())
         | None -> ());
   k

@@ -440,20 +440,18 @@ let handle_call ?memo t call =
               | None -> ());
               run_admitted t call sv ~ct ~rl ~rc))
 
-(* Read the next frame off [sock] through [buf], receiving until one
-   is whole: [`Closed] when the peer closes first, [`Runt] when the
-   stream is not frames. *)
-let recv_frame t rc sock buf =
+(* Read the next frame off [sock] through [r], receiving until one
+   is whole: [`Closed] when the peer closes first, [`Bad_frame] when
+   the stream is not frames. *)
+let recv_frame t rc sock r =
   let rec go () =
-    match Wire.deframe !buf with
-    | Wire.Frame (nonce, body, rest) ->
-        buf := rest;
-        `Frame (nonce, body)
-    | Wire.Runt _ -> `Runt
+    match Wire.deframe r with
+    | Wire.Frame (nonce, body) -> `Frame (nonce, body)
+    | Wire.Bad_length _ -> `Bad_frame
     | Wire.Partial -> (
         match Netd.Client.recv t.netd ~return_container:rc sock with
         | Some data ->
-            buf := !buf ^ data;
+            Wire.feed r data;
             go ()
         | None -> `Closed)
   in
@@ -461,12 +459,12 @@ let recv_frame t rc sock buf =
 
 let conn_loop t sock () =
   let rc = t.container in
-  let buf = ref "" in
+  let r = Wire.reader () in
   let memo : (memo_key, int * Label.t * Label.t * Label.t) Hashtbl.t =
     Hashtbl.create 8
   in
   let rec serve () =
-    match recv_frame t rc sock buf with
+    match recv_frame t rc sock r with
     | `Frame (nonce, body) ->
         let reply =
           match Wire.unseal_msg t.seal ~nonce body with
@@ -480,13 +478,20 @@ let conn_loop t sock () =
               bare_reply S_error "unsealable frame"
         in
         (* Reply under the complemented nonce: request and reply
-           must not share a keystream. *)
+           must not share a keystream. A reply its caller would refuse
+           as too long becomes an error, so the caller keeps the
+           connection and does not take this node for dead. *)
+        let seal m =
+          Wire.seal_msg t.seal ~nonce:(Int64.lognot nonce) (Wire.Reply m)
+        in
+        let frame = seal reply in
         Netd.Client.send t.netd ~return_container:rc sock
-          (Wire.seal_msg t.seal ~nonce:(Int64.lognot nonce)
-             (Wire.Reply reply));
+          (if Wire.oversized frame then
+             seal (bare_reply S_error "dist: reply too large")
+           else frame);
         serve ()
-    | `Runt ->
-        ignore (refuse t "dist: runt frame" : (_, call_error) result);
+    | `Bad_frame ->
+        ignore (refuse t "dist: bad frame length" : (_, call_error) result);
         Netd.Client.close t.netd ~return_container:rc sock
     | `Closed -> Netd.Client.close t.netd ~return_container:rc sock
   in
@@ -593,58 +598,68 @@ let call t ~node ~service args =
         | Ok wc -> (
             try
               let nonce = mint_nonce t in
-              Netd.Client.send t.netd ~return_container:rc sock
-                (Wire.seal_msg t.seal ~nonce
-                   (Wire.Call
-                      {
-                        c_service = service;
-                        c_from = t.node_id;
-                        c_label = wl;
-                        c_clear = wc;
-                        c_args = args;
-                      }));
-              let buf = ref "" in
-              match recv_frame t rc sock buf with
-              | `Closed -> `Transport "connection closed"
-              | `Runt -> `Final (drop (refuse t "dist: unsealable reply"))
-              | `Frame (rnonce, body) -> (
-                  match Wire.unseal_msg t.seal ~nonce:rnonce body with
-                  | None | Some (Wire.Call _) ->
-                      `Final (drop (refuse t "dist: unsealable reply"))
-                  | Some (Wire.Reply r) -> (
-                      match r.Wire.r_status with
-                      | Wire.S_refused -> `Final (park (refuse t r.Wire.r_payload))
-                      | Wire.S_error ->
-                          `Final (park (Error (Remote r.Wire.r_payload)))
-                      | Wire.S_ok ->
-                          let resolve w = (import t w).Names.e_cat in
-                          let rlabel =
-                            Proto.of_wire ~resolve
-                              ~trusted:(fun w ->
-                                Names.trusted_for t.names ~wire:w ~node)
-                              r.Wire.r_label
-                          in
-                          (* Acceptance: raising our label to read the
-                             reply must stay within our clearance. *)
-                          let needed =
-                            Label.taint_to_read ~thread:(Sys.self_label ())
-                              ~obj:rlabel
-                          in
-                          if not (Label.leq needed (Sys.self_clearance ()))
-                          then
-                            `Final
-                              (park
-                                 (refuse t "dist: reply exceeds caller clearance"))
-                          else (
-                            (* Park while still clean: once tainted, this
-                               thread may no longer speak to netd (egress
-                               policy), so the label raise must be the
-                               last thing done. *)
-                            let r =
-                              park (Ok (r.Wire.r_payload, r.Wire.r_grants))
+              let frame =
+                Wire.seal_msg t.seal ~nonce
+                  (Wire.Call
+                     {
+                       c_service = service;
+                       c_from = t.node_id;
+                       c_label = wl;
+                       c_clear = wc;
+                       c_args = args;
+                     })
+              in
+              (* The peer would drop the stream on a frame this long:
+                 refuse it here, with the socket unused, so the call
+                 is not taken for a dead node. *)
+              if Wire.oversized frame then
+                `Final (park (refuse t "dist: message too large"))
+              else (
+                Netd.Client.send t.netd ~return_container:rc sock frame;
+                match recv_frame t rc sock (Wire.reader ()) with
+                | `Closed -> `Transport "connection closed"
+                | `Bad_frame ->
+                    `Final (drop (refuse t "dist: unsealable reply"))
+                | `Frame (rnonce, body) -> (
+                    match Wire.unseal_msg t.seal ~nonce:rnonce body with
+                    | None | Some (Wire.Call _) ->
+                        `Final (drop (refuse t "dist: unsealable reply"))
+                    | Some (Wire.Reply r) -> (
+                        match r.Wire.r_status with
+                        | Wire.S_refused ->
+                            `Final (park (refuse t r.Wire.r_payload))
+                        | Wire.S_error ->
+                            `Final (park (Error (Remote r.Wire.r_payload)))
+                        | Wire.S_ok ->
+                            let resolve w = (import t w).Names.e_cat in
+                            let rlabel =
+                              Proto.of_wire ~resolve
+                                ~trusted:(fun w ->
+                                  Names.trusted_for t.names ~wire:w ~node)
+                                r.Wire.r_label
                             in
-                            Sys.self_set_label needed;
-                            `Final r)))
+                            (* Acceptance: raising our label to read the
+                               reply must stay within our clearance. *)
+                            let needed =
+                              Label.taint_to_read ~thread:(Sys.self_label ())
+                                ~obj:rlabel
+                            in
+                            if not (Label.leq needed (Sys.self_clearance ()))
+                            then
+                              `Final
+                                (park
+                                   (refuse t
+                                      "dist: reply exceeds caller clearance"))
+                            else (
+                              (* Park while still clean: once tainted, this
+                                 thread may no longer speak to netd (egress
+                                 policy), so the label raise must be the
+                                 last thing done. *)
+                              let r =
+                                park (Ok (r.Wire.r_payload, r.Wire.r_grants))
+                              in
+                              Sys.self_set_label needed;
+                              `Final r))))
             with Netd.Client.Netd_error m -> `Transport m)
       in
       let fresh () =

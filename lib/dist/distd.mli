@@ -125,7 +125,12 @@ val call :
     socket for reuse by the next (possibly different) calling thread
     — reuses counted in [net.dist_conn_reused] — and a transport
     failure on a pooled socket is retried once on a fresh connection
-    (the peer may have restarted since the socket was parked). *)
+    (the peer may have restarted since the socket was parked).
+
+    A call whose frame would exceed {!Wire.max_frame_len} is refused
+    ([Refused "dist: message too large"]) without being sent, and a
+    reply that would is answered as [Remote "dist: reply too large"];
+    neither closes the connection. *)
 
 val pool_drop_all : t -> node:int -> unit
 (** Close every pooled connection to [node] — call when the peer is

@@ -108,21 +108,52 @@ let frame_raw ~nonce body =
   Codec.Enc.raw e body;
   Codec.Enc.to_string e
 
-type deframed = Frame of int64 * string * string | Partial | Runt of int
+type deframed = Frame of int64 * string | Partial | Bad_length of int
 
-let deframe buf =
-  if String.length buf < 4 then Partial
+(* The largest message a cluster sends is a few hundred bytes (177 in
+   the dist tests, 77 in the smoke cluster), so 64 KiB leaves room for
+   pages and records two orders of magnitude larger. *)
+let max_frame_len = 65_536
+
+let oversized frame = String.length frame - 4 > max_frame_len
+
+(* The unread bytes are [data.[off] .. data.[off + len - 1]]. *)
+type reader = { mutable data : Bytes.t; mutable off : int; mutable len : int }
+
+let reader () = { data = Bytes.create 256; off = 0; len = 0 }
+
+let feed r s =
+  let n = String.length s in
+  let cap = Bytes.length r.data in
+  if r.off + r.len + n > cap then begin
+    (* Slide the unread bytes to the front only when no more of them
+       move than were taken off since the last slide, so each byte
+       moves at most once per byte consumed; otherwise grow. *)
+    let dst =
+      if r.len + n <= cap && r.len <= r.off then r.data
+      else Bytes.create (max (2 * cap) (r.len + n))
+    in
+    Bytes.blit r.data r.off dst 0 r.len;
+    r.data <- dst;
+    r.off <- 0
+  end;
+  Bytes.blit_string s 0 r.data (r.off + r.len) n;
+  r.len <- r.len + n
+
+let deframe r =
+  if r.len < 4 then Partial
   else
-    let n = Char.code buf.[0] lor (Char.code buf.[1] lsl 8)
-            lor (Char.code buf.[2] lsl 16) lor (Char.code buf.[3] lsl 24) in
-    if n < 8 then Runt n
-    else if String.length buf < 4 + n then Partial
-    else
-      let d = Codec.Dec.of_string buf in
-      let _len = Codec.Dec.u32 d in
-      let nonce = Codec.Dec.i64 d in
-      let body = Codec.Dec.raw d (n - 8) in
-      Frame (nonce, body, String.sub buf (4 + n) (String.length buf - 4 - n))
+    let n = Int32.to_int (Bytes.get_int32_le r.data r.off) land 0xFFFF_FFFF in
+    if n < 8 || n > max_frame_len then Bad_length n
+    else if r.len < 4 + n then Partial
+    else begin
+      let nonce = Bytes.get_int64_le r.data (r.off + 4) in
+      let body = Bytes.sub_string r.data (r.off + 12) (n - 8) in
+      r.off <- r.off + 4 + n;
+      r.len <- r.len - 4 - n;
+      if r.len = 0 then r.off <- 0;
+      Frame (nonce, body)
+    end
 
 let seal_msg seal ~nonce m =
   frame_raw ~nonce (Histar_crypto.Seal.seal_tagged seal ~nonce (encode_msg m))

@@ -41,17 +41,42 @@ val decode_msg : string -> msg
 val frame_raw : nonce:int64 -> string -> string
 (** [u32 length | i64 nonce | body]; [body] is already sealed. *)
 
+val max_frame_len : int
+(** The largest length field {!deframe} accepts: the 8-byte nonce plus
+    a sealed body of up to 64 KiB less 8. It bounds what a peer can
+    make a reader buffer before a frame is whole. *)
+
+val oversized : string -> bool
+(** Whether a frame built by {!frame_raw} or {!seal_msg} has a length
+    field above {!max_frame_len}, so that its receiver would refuse it
+    and drop the stream. A sender checks this before it sends. *)
+
 type deframed =
-  | Frame of int64 * string * string  (** nonce, body, rest of the buffer *)
-  | Partial  (** the buffer does not yet hold a whole frame *)
-  | Runt of int
-      (** a length field below the 8-byte nonce, which {!frame_raw}
+  | Frame of int64 * string  (** nonce and body, taken off the reader *)
+  | Partial  (** the reader does not yet hold a whole frame *)
+  | Bad_length of int
+      (** a length field below the 8-byte nonce or above
+          {!max_frame_len}, which a sender that checks {!oversized}
           never writes: the stream is not frames, and no later byte
           can make it one *)
 
-val deframe : string -> deframed
-(** Peel one complete frame off a reassembly buffer. Total: any bytes
-    a peer sends give one of the three answers, never an exception. *)
+type reader
+(** The reassembly buffer of one byte stream. *)
+
+val reader : unit -> reader
+
+val feed : reader -> string -> unit
+(** Append the bytes just received. *)
+
+val deframe : reader -> deframed
+(** Take one complete frame off the front of the reader, leaving the
+    bytes after it. Neither a partial frame nor the bytes after a
+    frame are copied when a frame is taken: a received byte is copied
+    once by {!feed}, once into the body it belongs to, and at most
+    once more when the unread bytes slide to the front of the buffer,
+    which happens only after at least as many bytes were taken off.
+    Total: any bytes a peer sends give one of the three answers, never
+    an exception. *)
 
 val seal_msg : Histar_crypto.Seal.t -> nonce:int64 -> msg -> string
 (** Encode, seal-and-tag, and frame one message. *)

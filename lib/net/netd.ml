@@ -74,18 +74,22 @@ type reply = Rp_ok | Rp_sock of int | Rp_data of string | Rp_eof | Rp_err of str
 (* The variants that carry a string are built in one block of exact
    size: the tag byte, the socket id (u32) if given, then the string
    length-prefixed — the bytes the [Codec] encoders write, with no
-   buffer growth and no final copy. *)
-let encode_data tag ?sock data =
+   buffer growth and no final copy. [fill b off] writes the [n] string
+   bytes at [off]. *)
+let encode_block tag ?sock n fill =
   let o = if Option.is_some sock then 5 else 1 in
-  let n = String.length data in
   let b = Bytes.create (o + 4 + n) in
   Bytes.set_uint8 b 0 tag;
   (match sock with
   | Some s -> Bytes.set_int32_le b 1 (Int32.of_int s)
   | None -> ());
   Bytes.set_int32_le b o (Int32.of_int n);
-  Bytes.blit_string data 0 b (o + 4) n;
+  fill b (o + 4);
   Bytes.unsafe_to_string b
+
+let encode_data tag ?sock data =
+  let n = String.length data in
+  encode_block tag ?sock n (fun b off -> Bytes.blit_string data 0 b off n)
 
 (* The tag byte, then what [f] writes. *)
 let encode_fields tag f =
@@ -129,6 +133,11 @@ let encode_reply = function
   | Rp_eof -> "\003"
   | Rp_err m -> encode_data 4 m
 
+(* The [Rp_data] reply of everything [conn] has received: the queued
+   payloads are drained once, straight into the reply block. *)
+let encode_recv_data conn =
+  encode_block 2 (Stack.recv_len conn) (Stack.recv_into conn)
+
 let decode_reply s =
   let d = Codec.Dec.of_string s in
   match Codec.Dec.u8 d with
@@ -150,11 +159,12 @@ let service_entry shared dev_label () =
   let notify = Option.get !(shared.notify_cell) in
   let req_seg = Option.get !(shared.req_cell) in
   let self = Sys.self_label () in
+  let err m = encode_reply (Rp_err m) in
   let dispatch () =
     match decode_request (Sys.tls_read ()) with
     | R_connect dst ->
         if not (taint_ok ~dir:`Send self dev_label) then
-          Rp_err "label: cannot send to this network"
+          err "label: cannot send to this network"
         else begin
           let sock = shared.next_sock in
           shared.next_sock <- sock + 1;
@@ -169,13 +179,13 @@ let service_entry shared dev_label () =
               | Established | Closed | Close_wait | Fin_wait -> true
               | Syn_sent | Syn_received -> false);
           match Stack.state conn with
-          | Established -> Rp_sock sock
+          | Established -> encode_reply (Rp_sock sock)
           | _ ->
               (* the handshake gave up (retransmission exhaustion over
                  a dead link) or was refused; reap the socket and say
                  why so callers can retry at request level *)
               Hashtbl.remove shared.socks sock;
-              Rp_err
+              err
                 (match Stack.error conn with
                 | Some reason -> "connect failed: " ^ reason
                 | None -> "connect failed")
@@ -183,10 +193,10 @@ let service_entry shared dev_label () =
     | R_listen port ->
         Queue.push (W_listen port) shared.workq;
         word_bump req_seg;
-        Rp_ok
+        encode_reply Rp_ok
     | R_accept port ->
         if not (taint_ok ~dir:`Recv self dev_label) then
-          Rp_err "label: must carry the network taint to receive"
+          err "label: must carry the network taint to receive"
         else begin
           let stack = Option.get !(shared.stack_cell) in
           let got = ref None in
@@ -200,65 +210,61 @@ let service_entry shared dev_label () =
           let sock = shared.next_sock in
           shared.next_sock <- sock + 1;
           Hashtbl.replace shared.socks sock conn;
-          Rp_sock sock
+          encode_reply (Rp_sock sock)
         end
     | R_send (sock, data) -> (
         if not (taint_ok ~dir:`Send self dev_label) then
-          Rp_err "label: cannot send to this network"
+          err "label: cannot send to this network"
         else
           match Hashtbl.find_opt shared.socks sock with
-          | None -> Rp_err "bad socket"
+          | None -> err "bad socket"
           | Some conn ->
               if Stack.state conn = Closed then
-                Rp_err
+                err
                   (match Stack.error conn with
                   | Some reason -> "send failed: " ^ reason
                   | None -> "send failed: connection closed")
               else begin
                 Queue.push (W_send (sock, data)) shared.workq;
                 word_bump req_seg;
-                Rp_ok
+                encode_reply Rp_ok
               end)
     | R_recv sock -> (
         if not (taint_ok ~dir:`Recv self dev_label) then
-          Rp_err "label: must carry the network taint to receive"
+          err "label: must carry the network taint to receive"
         else
           match Hashtbl.find_opt shared.socks sock with
-          | None -> Rp_err "bad socket"
+          | None -> err "bad socket"
           | Some conn ->
-              let data = ref "" in
               (* a connection that died (give-up or reset) is a
                  terminal condition too — without it a flapping link
                  would wedge this thread forever *)
               wait_on notify (fun () ->
-                  data := Stack.recv conn;
-                  String.length !data > 0
+                  Stack.recv_len conn > 0
                   || Stack.recv_eof conn
                   || Stack.state conn = Closed);
-              if String.length !data > 0 then Rp_data !data
-              else if Stack.recv_eof conn then Rp_eof
+              if Stack.recv_len conn > 0 then encode_recv_data conn
+              else if Stack.recv_eof conn then encode_reply Rp_eof
               else
-                Rp_err
+                err
                   (match Stack.error conn with
                   | Some reason -> "recv failed: " ^ reason
                   | None -> "recv failed: connection closed"))
     | R_close sock -> (
         match Hashtbl.find_opt shared.socks sock with
-        | None -> Rp_err "bad socket"
+        | None -> err "bad socket"
         | Some _ ->
             Queue.push (W_close sock) shared.workq;
             word_bump req_seg;
-            Rp_ok)
-    | exception Histar_util.Codec.Truncated -> Rp_err "malformed request"
-    | exception Failure m -> Rp_err m
+            encode_reply Rp_ok)
+    | exception Histar_util.Codec.Truncated -> err "malformed request"
+    | exception Failure m -> err m
   in
   (* Any label denial inside the dispatch (e.g. an untainted sender
      touching the tainted request segment) surfaces as a clean error
      reply rather than killing the borrowed thread. *)
-  let reply =
-    try dispatch () with Kernel_error e -> Rp_err (error_to_string e)
-  in
-  Sys.tls_write (encode_reply reply);
+  let reply = try dispatch () with Kernel_error e -> err (error_to_string e) in
+  Sys.tls_write reply;
   Sys.gate_return ()
 
 (* ---- netd process threads ---- *)

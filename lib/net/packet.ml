@@ -1,4 +1,12 @@
 type tcp_flags = { syn : bool; ack : bool; fin : bool; rst : bool }
+type view = { buf : string; off : int; len : int }
+
+let view buf = { buf; off = 0; len = String.length buf }
+let empty = view ""
+
+let view_to_string v =
+  if v.off = 0 && v.len = String.length v.buf then v.buf
+  else String.sub v.buf v.off v.len
 
 type tcp = {
   src_port : Addr.port;
@@ -7,10 +15,10 @@ type tcp = {
   ack_no : int;
   flags : tcp_flags;
   window : int;
-  payload : string;
+  payload : view;
 }
 
-type udp = { usrc_port : Addr.port; udst_port : Addr.port; upayload : string }
+type udp = { usrc_port : Addr.port; udst_port : Addr.port; upayload : view }
 type proto = Tcp of tcp | Udp of udp
 type ip_packet = { src_ip : Addr.ip; dst_ip : Addr.ip; proto : proto }
 type frame = { src_mac : string; dst_mac : string; ip : ip_packet }
@@ -41,11 +49,12 @@ let set_u32 b o v =
   set_u16 b (o + 2) (v lsr 16)
 
 (* writes a length-prefixed string at [o]; returns where it ends *)
-let set_str b o s =
-  let n = String.length s in
-  set_u32 b o n;
-  Bytes.blit_string s 0 b (o + 4) n;
-  o + 4 + n
+let set_sub b o s ~off ~len =
+  set_u32 b o len;
+  Bytes.blit_string s off b (o + 4) len;
+  o + 4 + len
+
+let set_str b o s = set_sub b o s ~off:0 ~len:(String.length s)
 
 let get_u16 = String.get_uint16_le
 let get_u32 s o = get_u16 s o lor (get_u16 s (o + 2) lsl 16)
@@ -59,7 +68,7 @@ let frame_to_bytes f =
     | Udp u -> (udp_fixed, u.upayload)
   in
   let p = 8 + String.length f.src_mac + String.length f.dst_mac in
-  let n = p + fixed + 4 + String.length payload in
+  let n = p + fixed + 4 + payload.len in
   let b = Bytes.create (n + fcs_len) in
   ignore (set_str b (set_str b 0 f.src_mac) f.dst_mac);
   set_u32 b p f.ip.src_ip;
@@ -81,7 +90,7 @@ let frame_to_bytes f =
       Bytes.set_uint8 b (p + 8) 17;
       set_u16 b (p + 9) u.usrc_port;
       set_u16 b (p + 11) u.udst_port);
-  ignore (set_str b (p + fixed) payload);
+  ignore (set_sub b (p + fixed) payload.buf ~off:payload.off ~len:payload.len);
   Bytes.set_int64_le b n
     (Histar_util.Checksum.fnv64_sub (Bytes.unsafe_to_string b) ~pos:0 ~len:n);
   Bytes.unsafe_to_string b
@@ -138,7 +147,7 @@ let frame_of_bytes s =
     let src_mac = src_mac_of s in
     let dst_mac = dst_mac_of s in
     let p = 8 + String.length src_mac + String.length dst_mac in
-    let payload = String.sub s off (String.length s - fcs_len - off) in
+    let payload = { buf = s; off; len = String.length s - fcs_len - off } in
     let proto =
       if Char.code s.[p + 8] = 6 then
         let bits = Char.code s.[p + 21] in

@@ -43,10 +43,11 @@ type conn = {
   txq : string Queue.t;  (** bytes not yet segmented, as appended *)
   mutable txq_head : int;  (** bytes of [txq]'s front already segmented *)
   mutable txq_bytes : int;  (** bytes in [txq] not yet segmented *)
-  inflight : (int * string) Queue.t;
+  inflight : (int * view) Queue.t;
       (** (seq, payload), oldest first; contiguous in seq *)
   mutable inflight_bytes : int;  (** sum of the [inflight] payloads *)
-  rxq : Buffer.t;
+  rxq : view Queue.t;  (** received in-order payloads, not yet read *)
+  mutable rxq_bytes : int;  (** sum of the [rxq] payloads *)
   mutable fin_received : bool;
   mutable fin_sent : bool;
   mutable rto_deadline : int;
@@ -116,7 +117,7 @@ let give_up c reason =
   Metrics.Counter.incr m_rto_giveups;
   Hashtbl.remove c.stack.conns (conn_key c)
 
-let send_seg c ?(payload = "") ?(flags = no_flags) ~seq () =
+let send_seg c ?(payload = empty) ?(flags = no_flags) ~seq () =
   (* A destination with no hub endpoint is a powered-off machine on
      the local segment: fail the connection synchronously (the ICMP
      host-unreachable a LAN would deliver) rather than burning a full
@@ -168,24 +169,37 @@ let maybe_time_span c ~upto =
     c.rtt_sent_at <- Sim_clock.now c.stack.clock
   end
 
-(* Remove the next [n] unsent bytes from the tx queue, copying only
-   those bytes. *)
+(* Advance past [k] bytes of the tx queue's front string. *)
+let consume_tx c chunk k =
+  if c.txq_head + k = String.length chunk then begin
+    ignore (Queue.pop c.txq);
+    c.txq_head <- 0
+  end
+  else c.txq_head <- c.txq_head + k
+
+(* Remove the next [n] unsent bytes from the tx queue: a view into the
+   front string when it holds them all, else a copy of just those
+   bytes (a segment that straddles queued strings). *)
 let take_tx c n =
   c.txq_bytes <- c.txq_bytes - n;
-  let seg = Bytes.create n in
-  let filled = ref 0 in
-  while !filled < n do
-    let chunk = Queue.peek c.txq in
-    let k = min (n - !filled) (String.length chunk - c.txq_head) in
-    Bytes.blit_string chunk c.txq_head seg !filled k;
-    filled := !filled + k;
-    if c.txq_head + k = String.length chunk then begin
-      ignore (Queue.pop c.txq);
-      c.txq_head <- 0
-    end
-    else c.txq_head <- c.txq_head + k
-  done;
-  Bytes.unsafe_to_string seg
+  let chunk = Queue.peek c.txq in
+  if String.length chunk - c.txq_head >= n then begin
+    let v = { buf = chunk; off = c.txq_head; len = n } in
+    consume_tx c chunk n;
+    v
+  end
+  else begin
+    let seg = Bytes.create n in
+    let filled = ref 0 in
+    while !filled < n do
+      let chunk = Queue.peek c.txq in
+      let k = min (n - !filled) (String.length chunk - c.txq_head) in
+      Bytes.blit_string chunk c.txq_head seg !filled k;
+      filled := !filled + k;
+      consume_tx c chunk k
+    done;
+    view (Bytes.unsafe_to_string seg)
+  end
 
 (* Segment pending bytes from the tx queue into the window. Fin_wait
    still drains: close() with queued data must deliver it all before
@@ -237,7 +251,8 @@ let mk_conn stack ~local_port ~remote ~cstate ~isn ~rcv_nxt =
     txq_bytes = 0;
     inflight = Queue.create ();
     inflight_bytes = 0;
-    rxq = Buffer.create 256;
+    rxq = Queue.create ();
+    rxq_bytes = 0;
     fin_received = false;
     fin_sent = false;
     rto_deadline = disarmed;
@@ -292,12 +307,24 @@ let send c data =
   end;
   pump c
 
-let recv c =
-  let data = Buffer.contents c.rxq in
-  Buffer.clear c.rxq;
-  data
+let recv_len c = c.rxq_bytes
 
-let recv_eof c = c.fin_received && Buffer.length c.rxq = 0
+let recv_into c b off =
+  let pos = ref off in
+  Queue.iter
+    (fun v ->
+      Bytes.blit_string v.buf v.off b !pos v.len;
+      pos := !pos + v.len)
+    c.rxq;
+  Queue.clear c.rxq;
+  c.rxq_bytes <- 0
+
+let recv c =
+  let b = Bytes.create c.rxq_bytes in
+  recv_into c b 0;
+  Bytes.unsafe_to_string b
+
+let recv_eof c = c.fin_received && c.rxq_bytes = 0
 
 let close c =
   match c.cstate with
@@ -328,9 +355,9 @@ let handle_ack c ack_no =
     (* the acked entries are a prefix: the queue is in seq order *)
     let rec drop_acked () =
       match Queue.peek_opt c.inflight with
-      | Some (seq, p) when seq + String.length p <= ack_no ->
+      | Some (seq, p) when seq + p.len <= ack_no ->
           ignore (Queue.pop c.inflight);
-          c.inflight_bytes <- c.inflight_bytes - String.length p;
+          c.inflight_bytes <- c.inflight_bytes - p.len;
           drop_acked ()
       | Some _ | None -> ()
     in
@@ -376,10 +403,11 @@ let handle_tcp t ~src_ip (seg : tcp) =
         | Established | Fin_wait | Close_wait | Syn_sent | Syn_received -> (
             if seg.flags.ack then handle_ack c seg.ack_no;
             (* in-order data *)
-            if String.length seg.payload > 0 then
+            if seg.payload.len > 0 then
               if seg.seq = c.rcv_nxt then begin
-                Buffer.add_string c.rxq seg.payload;
-                c.rcv_nxt <- c.rcv_nxt + String.length seg.payload;
+                Queue.push seg.payload c.rxq;
+                c.rxq_bytes <- c.rxq_bytes + seg.payload.len;
+                c.rcv_nxt <- c.rcv_nxt + seg.payload.len;
                 send_ack c
               end
               else send_ack c (* dup or out-of-order: re-ack *);
@@ -428,7 +456,7 @@ let handle_tcp t ~src_ip (seg : tcp) =
                   ack_no = seg.seq + 1;
                   flags = { no_flags with rst = true; ack = true };
                   window = 0;
-                  payload = "";
+                  payload = empty;
                 })
 
 let input t bytes =
@@ -445,7 +473,8 @@ let input t bytes =
             match Hashtbl.find_opt t.udp_ports u.udst_port with
             | Some q ->
                 Queue.push
-                  ({ Addr.ip = f.ip.src_ip; port = u.usrc_port }, u.upayload)
+                  ( { Addr.ip = f.ip.src_ip; port = u.usrc_port },
+                    view_to_string u.upayload )
                   q
             | None -> ()))
 
@@ -553,7 +582,13 @@ let udp_send t ~dst payload =
                {
                  src_ip = t.sip;
                  dst_ip = dst.Addr.ip;
-                 proto = Udp { usrc_port = usrc; udst_port = dst.Addr.port; upayload = payload };
+                 proto =
+                   Udp
+                     {
+                       usrc_port = usrc;
+                       udst_port = dst.Addr.port;
+                       upayload = view payload;
+                     };
                };
            })
 

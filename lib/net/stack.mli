@@ -68,6 +68,15 @@ val send : conn -> string -> unit
 val recv : conn -> string
 (** Drain whatever has arrived (possibly [""]). *)
 
+val recv_len : conn -> int
+(** Bytes arrived and not yet drained. *)
+
+val recv_into : conn -> Bytes.t -> int -> unit
+(** [recv_into c b off] drains all {!recv_len} bytes into [b] at [off]:
+    the one copy a received byte makes on its way out of the stack.
+    Received payloads wait as views into their frames, so nothing is
+    copied before this. *)
+
 val recv_eof : conn -> bool
 (** The peer has sent FIN and all data has been drained. *)
 

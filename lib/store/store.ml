@@ -514,8 +514,8 @@ let rewrite_run t h ~prefix ~data a b =
    payload and prefix lengths, so every data byte keeps its sector, and
    whose rewritten sectors after sector 0 form one run (see [omits_run]):
    a multi-sector prefix must adjoin the data sectors. *)
-let sync_range t ~oid ~prefix ~data ~off ~len =
-  let plen = String.length prefix and n = Bytes.length data in
+let sync_range t ~oid ~prefix ~data ~data_len:n ~off ~len =
+  let plen = String.length prefix in
   let sb = t.sector_bytes in
   let data_at = header_bytes + plen in
   (* Header sectors [0, head]; data sectors [first, last] hold the

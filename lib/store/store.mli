@@ -73,15 +73,18 @@ val sync_range :
   oid:int ->
   prefix:string ->
   data:Bytes.t ->
+  data_len:int ->
   off:int ->
   len:int ->
   bool
 (** In-place page flush (§7.1). The object's current payload is
-    [prefix ^ data]. When the object is clean (no pending or logged
+    [prefix] followed by [data[0, data_len)]; the block may be longer
+    (a segment's spare capacity), and no byte past [data_len] is read.
+    When the object is clean (no pending or logged
     update), has a home image, and that image was written with the same
     payload length and the same prefix length (see {!put}), rewrite
     just the image's header sector(s) and the sectors holding
-    [data[off, off+len)] (clipped to [data]) with one barrier: no log
+    [data[off, off+len)] (clipped to [data_len]) with one barrier: no log
     record, no checkpoint, O(sectors written) work. The object stays
     clean and its clean copy is patched with the same bytes. Returns
     [false] without writing anything otherwise: the caller must make

@@ -30,6 +30,7 @@ module Enc = struct
     Buffer.add_string b s
 
   let raw b s = Buffer.add_string b s
+  let raw_sub b s pos len = Buffer.add_substring b s pos len
 
   let list b f l =
     u32 b (List.length l);

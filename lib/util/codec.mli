@@ -26,6 +26,10 @@ module Enc : sig
   val raw : t -> string -> unit
   (** Appends the bytes with no length prefix. *)
 
+  val raw_sub : t -> string -> int -> int -> unit
+  (** [raw_sub e s pos len] appends [s[pos, pos+len)] with no length
+      prefix. *)
+
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   val array : t -> (t -> 'a -> unit) -> 'a array -> unit
   val option : t -> (t -> 'a -> unit) -> 'a option -> unit

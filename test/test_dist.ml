@@ -114,16 +114,15 @@ let test_wire_deframe () =
   let f1 = Wire.seal_msg s ~nonce:10L m in
   let f2 = Wire.seal_msg s ~nonce:11L m in
   (* byte-at-a-time delivery of two back-to-back frames *)
-  let buf = ref "" and got = ref [] in
+  let r = Wire.reader () and got = ref [] in
   String.iter
     (fun c ->
-      buf := !buf ^ String.make 1 c;
-      match Wire.deframe !buf with
-      | Wire.Frame (nonce, body, rest) ->
-          buf := rest;
+      Wire.feed r (String.make 1 c);
+      match Wire.deframe r with
+      | Wire.Frame (nonce, body) ->
           got := (nonce, Wire.unseal_msg s ~nonce body) :: !got
       | Wire.Partial -> ()
-      | Wire.Runt n -> Alcotest.failf "runt length %d" n)
+      | Wire.Bad_length n -> Alcotest.failf "bad length %d" n)
     (f1 ^ f2);
   match List.rev !got with
   | [ (10L, Some m1); (11L, Some m2) ] ->
@@ -131,58 +130,91 @@ let test_wire_deframe () =
   | _ -> Alcotest.fail "expected exactly two frames"
 
 (* [deframe] is total: on any stream — the frames [frame_raw] built,
-   cut short, or with one byte changed — it never raises, and it gives
-   back exactly the whole frames that precede the first damaged one. *)
+   cut short, with one byte changed, or with one length field raised
+   past [Wire.max_frame_len] — it never raises, and it gives back
+   exactly the whole frames that precede the first damaged one. An
+   oversized length is refused as soon as its 4 bytes are in, before
+   the frame it claims could arrive. *)
+type damage =
+  | Intact
+  | Byte of int * int * char  (** frame, offset, new byte *)
+  | Oversize of int * int  (** frame, new length field *)
+
 let gen_stream =
   let open Gen in
   let* frames = list (pair int64 (resize 24 string)) in
   let* cut = nat in
   (* a byte of frame [k] at [off], biased to the 12-byte header and to
      the small values that make a length field a runt *)
-  let g_mutation =
-    triple nat
-      (frequency [ (2, int_range 0 11); (1, nat) ])
-      (frequency [ (1, byte); (1, map Char.chr (int_range 0 8)) ])
+  let g_byte =
+    map
+      (fun (k, off, c) -> Byte (k, off, c))
+      (triple nat
+         (frequency [ (2, int_range 0 11); (1, nat) ])
+         (frequency [ (1, byte); (1, map Char.chr (int_range 0 8)) ]))
   in
-  let* mutation = oneof [ return None; map Option.some g_mutation ] in
-  return (frames, cut, mutation)
+  let g_oversize =
+    map2
+      (fun k n -> Oversize (k, n))
+      nat
+      (frequency
+         [ (1, return (Wire.max_frame_len + 1)); (1, int_range 0 0xFFFF_FFFF) ])
+  in
+  let* mutation = oneof [ return Intact; g_byte; g_oversize ] in
+  let* chunk = frequency [ (3, int_range 1 16); (1, int_range 1 1024) ] in
+  return (frames, cut, mutation, chunk)
 
-let print_stream (frames, cut, mutation) =
-  Printf.sprintf "%d frames, cut %d, %s" (List.length frames) cut
+let print_stream (frames, cut, mutation, chunk) =
+  Printf.sprintf "%d frames, cut %d, chunks of %d, %s" (List.length frames)
+    cut chunk
     (match mutation with
-    | None -> "intact"
-    | Some (k, off, c) -> Printf.sprintf "frame %d byte %d := %C" k off c)
+    | Intact -> "intact"
+    | Byte (k, off, c) -> Printf.sprintf "frame %d byte %d := %C" k off c
+    | Oversize (k, n) -> Printf.sprintf "frame %d length := %d" k n)
 
-let prop_deframe_total (frames, cut, mutation) =
+let prop_deframe_total (frames, cut, mutation, chunk) =
   let encoded =
     List.map (fun (nonce, body) -> Wire.frame_raw ~nonce body) frames
   in
   let stream = Bytes.of_string (String.concat "" encoded) in
   let len = Bytes.length stream in
+  let start_of k =
+    List.fold_left ( + ) 0
+      (List.filteri (fun i _ -> i < k mod List.length encoded)
+         (List.map String.length encoded))
+  in
   (* the first byte of the stream that no longer reads as built *)
-  let damage = ref len and mutated = ref false in
+  let damage = ref len and mutated = ref false and oversized = ref None in
   (match mutation with
-  | Some (k, off, c) when len > 0 ->
-      let start =
-        List.fold_left ( + ) 0
-          (List.filteri (fun i _ -> i < k mod List.length encoded)
-             (List.map String.length encoded))
-      in
-      let i = (start + off) mod len in
+  | Byte (k, off, c) when len > 0 ->
+      let i = (start_of k + off) mod len in
       if Bytes.get stream i <> c then begin
         Bytes.set stream i c;
         damage := i;
         mutated := true
       end
-  | Some _ | None -> ());
+  | Oversize (k, n) when len > 0 && n > Wire.max_frame_len ->
+      let i = start_of k in
+      Bytes.set_int32_le stream i (Int32.of_int n);
+      damage := i;
+      oversized := Some (i, n)
+  | Intact | Byte _ | Oversize _ -> ());
   let kept = if cut = 0 then len else cut mod (len + 1) in
   damage := min !damage kept;
-  let rec peel buf acc =
-    match Wire.deframe buf with
-    | Wire.Frame (nonce, body, rest) -> peel rest ((nonce, body) :: acc)
-    | Wire.Partial | Wire.Runt _ -> List.rev acc
+  (* fed [chunk] bytes at a time, each taking off what is whole, as a
+     conn thread reads a stream *)
+  let r = Wire.reader () in
+  let rec peel acc pos =
+    match Wire.deframe r with
+    | Wire.Frame (nonce, body) -> peel ((nonce, body) :: acc) pos
+    | Wire.Bad_length n -> (List.rev acc, Some n)
+    | Wire.Partial when pos >= kept -> (List.rev acc, None)
+    | Wire.Partial ->
+        let n = min chunk (kept - pos) in
+        Wire.feed r (Bytes.sub_string stream pos n);
+        peel acc (pos + n)
   in
-  let got = peel (Bytes.sub_string stream 0 kept) [] in
+  let got, refused = peel [] 0 in
   (* the frames that end before the damage come back unchanged *)
   let rec intact pos = function
     | (f, e) :: rest when pos + String.length e <= !damage ->
@@ -190,10 +222,16 @@ let prop_deframe_total (frames, cut, mutation) =
     | _ -> []
   in
   let expected = intact 0 (List.combine frames encoded) in
-  if !mutated then
-    Check.ensure ~msg:"frames before the damage"
-      (List.filteri (fun i _ -> i < List.length expected) got = expected)
-  else Check.ensure ~msg:"an unmutated stream deframes exactly" (got = expected)
+  match !oversized with
+  | Some (i, n) when i + 4 <= kept ->
+      Check.ensure ~msg:"frames before the oversized length" (got = expected);
+      Check.ensure ~msg:"the oversized length is refused" (refused = Some n)
+  | Some _ | None ->
+      if !mutated then
+        Check.ensure ~msg:"frames before the damage"
+          (List.filteri (fun i _ -> i < List.length expected) got = expected)
+      else
+        Check.ensure ~msg:"an unmutated stream deframes exactly" (got = expected)
 
 (* --- names --- *)
 
@@ -801,10 +839,12 @@ let test_cluster_stationary () =
     (Printf.sprintf "waves 45-49 allocate %.3fx waves 5-9 (<= 1.03)" ratio)
     true (ratio <= 1.03)
 
-(* A peer that sends a runt frame (length field below 8) loses its
+(* A peer that sends a runt frame (length field below 8) or an
+   oversized one (above [Wire.max_frame_len]: at 4 GiB less one it
+   would have had the conn thread buffer that much) loses its
    connection and is counted as refused; a reply that is a runt frame
-   fails [Distd.call] as an unsealable reply would. Neither stops the
-   thread that reads it. *)
+   fails [Distd.call] as an unsealable reply would. None of them stops
+   the thread that reads it. *)
 let test_hostile_runt_frames () =
   let cluster, nodes = mk_nodes 2 in
   Distd.register nodes.(1).dist ~service:"echo" ~label:l1 ~clearance:l3
@@ -829,22 +869,36 @@ let test_hostile_runt_frames () =
   Metrics.set_enabled true;
   Fun.protect ~finally:(fun () -> Metrics.set_enabled was_enabled) @@ fun () ->
   let refused () = Metrics.counter_value "net.dist_refused" in
-  let before = refused () in
-  let eof = ref None in
-  ignore
-    (Kernel.spawn nodes.(0).k ~label:l1 ~clearance:l3 ~name:"runt-sender"
-       (fun () ->
-         let rc = Kernel.root nodes.(0).k in
-         let sock =
-           Netd.Client.connect nodes.(0).netd ~return_container:rc
-             (Addr.v "10.1.0.2" 7000)
-         in
-         Netd.Client.send nodes.(0).netd ~return_container:rc sock runt;
-         eof :=
-           Some (Netd.Client.recv nodes.(0).netd ~return_container:rc sock)));
-  drive_until cluster (fun () -> !eof <> None);
-  Alcotest.(check bool) "server closed the connection" true (!eof = Some None);
-  Alcotest.(check int) "one refusal counted" (before + 1) (refused ());
+  (* [frame] to node 1's distd, then what the server answers *)
+  let send_frame what frame =
+    let before = refused () in
+    let eof = ref None in
+    ignore
+      (Kernel.spawn nodes.(0).k ~label:l1 ~clearance:l3 ~name:"hostile-sender"
+         (fun () ->
+           let rc = Kernel.root nodes.(0).k in
+           let sock =
+             Netd.Client.connect nodes.(0).netd ~return_container:rc
+               (Addr.v "10.1.0.2" 7000)
+           in
+           Netd.Client.send nodes.(0).netd ~return_container:rc sock frame;
+           eof :=
+             Some (Netd.Client.recv nodes.(0).netd ~return_container:rc sock)));
+    drive_until cluster (fun () -> !eof <> None);
+    Alcotest.(check bool) (what ^ ": server closed the connection") true
+      (!eof = Some None);
+    Alcotest.(check int)
+      (what ^ ": one refusal counted")
+      (before + 1) (refused ())
+  in
+  send_frame "runt" runt;
+  let oversized len =
+    let b = Bytes.make 12 'x' in
+    Bytes.set_int32_le b 0 (Int32.of_int len);
+    Bytes.to_string b
+  in
+  send_frame "one past the maximum" (oversized (Wire.max_frame_len + 1));
+  send_frame "4 GiB less one" (oversized 0xFFFF_FFFF);
   let call node =
     let r = ref None in
     ignore
@@ -862,6 +916,68 @@ let test_hostile_runt_frames () =
       Alcotest.(check string) "runt reply" "dist: unsealable reply" m
   | Ok _ | Error _ -> Alcotest.fail "a runt reply was not refused"
 
+(* A call or a reply longer than its receiver accepts
+   ([Wire.max_frame_len]) is refused by its sender and never sent:
+   the receiver would drop the stream, and the caller would take a
+   live node for a dead one. The one connection stays in use. *)
+let test_oversized_refused () =
+  let cluster, nodes = mk_nodes 2 in
+  let too_long = String.make (Wire.max_frame_len + 1) 'x' in
+  Distd.register nodes.(1).dist ~service:"echo" ~label:l1 ~clearance:l3
+    (fun s -> ("echo:" ^ s, []));
+  Distd.register nodes.(1).dist ~service:"big" ~label:l1 ~clearance:l3
+    (fun _ -> (too_long, []));
+  let was_enabled = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was_enabled) @@ fun () ->
+  let reused () = Metrics.counter_value "net.dist_conn_reused" in
+  let call service args =
+    let r = ref None in
+    ignore
+      (Kernel.spawn nodes.(0).k ~label:l1 ~clearance:l3 ~name:"caller"
+         (fun () ->
+           r := Some (Distd.call nodes.(0).dist ~node:1 ~service args)));
+    drive_until cluster (fun () -> !r <> None);
+    Option.get !r
+  in
+  (match call "echo" "hi" with
+  | Ok ("echo:hi", []) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "the first call failed");
+  let before = reused () in
+  (match call "echo" too_long with
+  | Error (Distd.Refused m) ->
+      Alcotest.(check string) "long call" "dist: message too large" m
+  | Ok _ | Error _ -> Alcotest.fail "a long call was not refused");
+  (match call "big" "" with
+  | Error (Distd.Remote m) ->
+      Alcotest.(check string) "long reply" "dist: reply too large" m
+  | Ok _ | Error _ -> Alcotest.fail "a long reply was not an error");
+  (match call "echo" "hi" with
+  | Ok ("echo:hi", []) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "the node stopped serving");
+  Alcotest.(check int) "every call reused the first connection" (before + 3)
+    (reused ())
+
+(* The same through the web cluster, where the password and the op
+   are fields a client sets: a long one gets a refusal, and neither
+   the shard nor an app node is taken for dead. *)
+let test_web_long_fields () =
+  let wc = Webcluster.build ~app_nodes:2 ~user_count:2 () in
+  let u0, p0 = (Webcluster.users wc).(0) in
+  let too_long = String.make (Wire.max_frame_len + 1) 'x' in
+  let finished, outcomes =
+    Webcluster.run_load wc ~concurrency:1
+      [| (u0, too_long, u0); (u0, p0, too_long); (u0, p0, u0) |]
+  in
+  Alcotest.(check bool) "all requests completed" true finished;
+  let reply i = outcomes.(i).Webcluster.o_reply in
+  Alcotest.(check string) "long password" "ERR auth: refused: dist: message too large"
+    (reply 0);
+  Alcotest.(check string) "long op" "REFUSED dist: message too large" (reply 1);
+  Alcotest.(check bool) "the next request is served" true
+    (contains_sub (reply 2) (Webcluster.secret_of wc u0));
+  Alcotest.(check int) "no failover" 0 (Webcluster.failovers wc)
+
 let suite =
   [
     ("seal roundtrip", `Quick, test_seal_roundtrip);
@@ -871,6 +987,9 @@ let suite =
     Check.test_case ~print:print_stream "wire deframe is total" gen_stream
       prop_deframe_total;
     ("hostile runt frames", `Quick, test_hostile_runt_frames);
+    ("oversized messages refused before sending", `Quick,
+      test_oversized_refused);
+    ("web cluster: long fields refused", `Quick, test_web_long_fields);
     ("names: mint/origin/trust", `Quick, test_names);
     ("proto: translate and clamp", `Quick, test_proto_translate);
     ("admit matches model", `Quick, test_admit_matches_model);

@@ -145,6 +145,142 @@ let test_segment_oob () =
       expect_error (fun () -> Sys.segment_write ce "too long");
       expect_error (fun () -> Sys.segment_read ce ~off:2 ~len:10 ()))
 
+(* A segment keeps its block when it shrinks, so the bytes it cut off
+   are still in the block; growing again must read them as zeros. The
+   TLS is where this would show: a short gate message after a long one
+   must not carry the long one's tail. *)
+let test_segment_shrink_grow_zeros () =
+  in_kernel (fun root ->
+      let s =
+        Sys.segment_create ~container:root ~label:l1 ~quota:4096L ~len:64 "s"
+      in
+      let ce = centry root s in
+      Sys.segment_write ce ~off:32 "MARKER";
+      Sys.segment_resize ce 16;
+      Sys.segment_resize ce 64;
+      Alcotest.(check string) "grown bytes are zero" (String.make 6 '\000')
+        (Sys.segment_read ce ~off:32 ~len:6 ());
+      Sys.tls_write (String.make 100 'x' ^ "TAIL");
+      Sys.tls_write "short";
+      Sys.segment_resize Sys.tls 104;
+      Alcotest.(check string) "a short message leaves no tail"
+        ("short" ^ String.make 99 '\000')
+        (Sys.tls_read ()))
+
+(* Random resize, read, write, CAS and copy sequences on one segment,
+   each step checked against a plain [Bytes] reference (an operation
+   out of range must fail on both), then a fork: the handle must hold
+   the logical bytes and nothing of the spare capacity. *)
+type seg_op =
+  | Op_resize of int
+  | Op_read of int * int
+  | Op_write of int * string
+  | Op_cas of int * bool  (** offset, whether [expected] is the word there *)
+  | Op_copy
+
+let gen_seg_op =
+  let open Gen in
+  let off = int_range 0 160 in
+  frequency
+    [
+      (3, map (fun n -> Op_resize n) (int_range 0 160));
+      (2, map2 (fun o n -> Op_read (o, n)) off (int_range 0 40));
+      ( 3,
+        map2
+          (fun o d -> Op_write (o, d))
+          off
+          (string_of (map Char.chr (int_range 1 255))) );
+      (1, map2 (fun o hit -> Op_cas (o, hit)) off bool);
+      (1, return Op_copy);
+    ]
+
+let print_seg_op = function
+  | Op_resize n -> Printf.sprintf "resize %d" n
+  | Op_read (o, n) -> Printf.sprintf "read %d+%d" o n
+  | Op_write (o, d) -> Printf.sprintf "write %d %S" o d
+  | Op_cas (o, hit) -> Printf.sprintf "cas %d %b" o hit
+  | Op_copy -> "copy"
+
+(* Apply [ops] to a fresh segment in [root] and to [reference] side by
+   side; returns the segment. *)
+let run_seg_ops ~root ~reference ops =
+  let s = Sys.segment_create ~container:root ~label:l1 ~quota:65536L ~len:8 "s" in
+  let ce = centry root s in
+  (* [ok] says whether the reference allows the step; the kernel must
+     agree by failing exactly when it does not *)
+  let step ~ok f =
+    match f () with
+    | () -> Check.ensure ~msg:"kernel accepted an out-of-range step" ok
+    | exception Kernel_error _ ->
+        Check.ensure ~msg:"kernel refused an in-range step" (not ok)
+  in
+  let in_range o n = o + n <= Bytes.length !reference in
+  List.iter
+    (fun op ->
+      match op with
+      | Op_resize n ->
+          step ~ok:true (fun () -> Sys.segment_resize ce n);
+          let r = Bytes.make n '\000' in
+          Bytes.blit !reference 0 r 0 (min n (Bytes.length !reference));
+          reference := r
+      | Op_read (o, n) ->
+          step ~ok:(in_range o n) (fun () ->
+              let got = Sys.segment_read ce ~off:o ~len:n () in
+              Check.ensure ~msg:"read differs from the reference"
+                (got = Bytes.sub_string !reference o n))
+      | Op_write (o, d) ->
+          let ok = in_range o (String.length d) in
+          step ~ok (fun () -> Sys.segment_write ce ~off:o d);
+          if ok then Bytes.blit_string d 0 !reference o (String.length d)
+      | Op_cas (o, hit) ->
+          let ok = in_range o 8 in
+          let now = if ok then Bytes.get_int64_le !reference o else 0L in
+          let expected = if hit then now else Int64.lognot now in
+          step ~ok (fun () ->
+              Check.ensure ~msg:"cas outcome differs from the reference"
+                (Sys.segment_cas ce ~off:o ~expected ~desired:0x5A5AL = hit));
+          if ok && hit then Bytes.set_int64_le !reference o 0x5A5AL
+      | Op_copy ->
+          let c =
+            centry root
+              (Sys.segment_copy ~src:ce ~container:root ~label:l1
+                 ~quota:65536L "copy")
+          in
+          Check.ensure ~msg:"copy differs from the reference"
+            (Sys.segment_read c () = Bytes.to_string !reference);
+          Check.ensure ~msg:"copy size"
+            (Sys.segment_size c = Bytes.length !reference))
+    ops;
+  Check.ensure ~msg:"size differs from the reference"
+    (Sys.segment_size ce = Bytes.length !reference);
+  s
+
+let prop_segment_reference ops =
+  let k = Kernel.create () in
+  let reference = ref (Bytes.make 8 '\000') in
+  (* a thread that raises only halts, so the outcome is carried out *)
+  let outcome = ref None in
+  let _tid =
+    Kernel.spawn k ~name:"ops" (fun () ->
+        outcome :=
+          Some
+            (match run_seg_ops ~root:(Kernel.root k) ~reference ops with
+            | s -> Ok s
+            | exception e -> Error e))
+  in
+  Kernel.run k;
+  let s =
+    match !outcome with
+    | Some (Ok s) -> s
+    | Some (Error e) -> raise e
+    | None -> failwith "the ops thread did not finish"
+  in
+  let want = Some (Bytes.to_string !reference) in
+  Check.ensure ~msg:"the live segment differs from the reference"
+    (Kernel.segment_data k s = want);
+  Check.ensure ~msg:"the fork holds more or other bytes than the segment's"
+    (Kernel.segment_data (Kernel.resume (Kernel.fork k)) s = want)
+
 let test_tainted_segment_unreadable () =
   in_kernel (fun root ->
       let c = Sys.cat_create () in
@@ -1578,6 +1714,39 @@ let test_pipe_round_trip_alloc () =
           ignore (Histar_unix.Pipe.read p ~max:8)))
   |> check_words "8-byte pipe write + read" ~bound:520.
 
+(* Words allocated so far, exactly, in both heaps: a block above the
+   minor heap's size limit (a 5 KB reply) goes straight to the major
+   heap, which [Gc.minor_words] does not see. [Gc.counters]'s major
+   minus promoted words is that direct major allocation. *)
+let words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* A gate call's TLS traffic with a 5 KB reply: the caller writes a
+   short request, the callee overwrites it with the reply, the caller
+   reads it back. With spare capacity, the reply's resize reuses the
+   block the first call grew, so the read is the one 5 KB block a call
+   allocates (about 640 words); when every resize allocated a block of
+   the new length, each call allocated two. *)
+let test_tls_reply_alloc () =
+  let reply = String.make 5000 'r' in
+  let w =
+    in_kernel (fun _ ->
+        let call () =
+          Sys.tls_write "request";
+          Sys.tls_write reply;
+          ignore (Sys.tls_read ())
+        in
+        call ();
+        let n = 200 in
+        let w0 = words () in
+        for _ = 1 to n do
+          call ()
+        done;
+        (words () -. w0) /. float_of_int n)
+  in
+  check_words "5 KB TLS reply round trip" ~bound:880. w
+
 (* ---------- syscall profile ---------- *)
 
 (* A fixed program making 16 distinct syscalls, some several times. *)
@@ -1827,6 +1996,12 @@ let () =
             test_integrity_write_protection;
           Alcotest.test_case "copy with new label" `Quick
             test_segment_copy_new_label;
+          Alcotest.test_case "shrink then grow reads zeros" `Quick
+            test_segment_shrink_grow_zeros;
+          Check.test_case ~count:300
+            ~print:(fun ops -> String.concat "; " (List.map print_seg_op ops))
+            "random ops match a Bytes reference" (Gen.list gen_seg_op)
+            prop_segment_reference;
           Alcotest.test_case "immutable" `Quick test_immutable;
           Alcotest.test_case "tls per thread" `Quick test_tls_per_thread;
         ] );
@@ -1947,6 +2122,8 @@ let () =
             test_segment_word_alloc;
           Alcotest.test_case "pipe round trip words per call" `Quick
             test_pipe_round_trip_alloc;
+          Alcotest.test_case "5 KB TLS reply words per call" `Quick
+            test_tls_reply_alloc;
         ] );
       ( "profile",
         [

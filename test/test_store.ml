@@ -228,7 +228,8 @@ let test_sync_range_in_place () =
   let t0 = Clock.now clock in
   let in_place, d =
     counted (fun () ->
-        Store.sync_range s ~oid:9 ~prefix ~data:big ~off:50_000 ~len:100)
+        Store.sync_range s ~oid:9 ~prefix ~data:big ~data_len:(Bytes.length big)
+          ~off:50_000 ~len:100)
   in
   Alcotest.(check bool) "in-place path taken" true in_place;
   let dt = Clock.now clock - t0 in
@@ -262,7 +263,8 @@ let test_sync_range_refuses () =
   let refuses what ~prefix ~data =
     let writes = Disk.media_writes disk in
     Alcotest.(check bool) what false
-      (Store.sync_range s ~oid:1 ~prefix ~data ~off:0 ~len:16);
+      (Store.sync_range s ~oid:1 ~prefix ~data ~data_len:(Bytes.length data)
+       ~off:0 ~len:16);
     Alcotest.(check int) (what ^ ": no media writes") writes (Disk.media_writes disk);
     (* a buffered write would reach the media at the next barrier *)
     Disk.flush disk;
@@ -283,7 +285,8 @@ let test_sync_range_refuses () =
   Store.put s ~oid:2 (prefix ^ Bytes.to_string data);
   Store.checkpoint s;
   Alcotest.(check bool) "layout never declared" false
-    (Store.sync_range s ~oid:2 ~prefix ~data ~off:0 ~len:16);
+    (Store.sync_range s ~oid:2 ~prefix ~data ~data_len:(Bytes.length data)
+       ~off:0 ~len:16);
   Store.fsck s
 
 let test_sync_range_multi_sector_prefix () =
@@ -297,11 +300,13 @@ let test_sync_range_multi_sector_prefix () =
   Store.checkpoint s;
   let writes = Disk.media_writes disk in
   Alcotest.(check bool) "gap between runs: refused" false
-    (Store.sync_range s ~oid:6 ~prefix ~data ~off:6_000 ~len:10);
+    (Store.sync_range s ~oid:6 ~prefix ~data ~data_len:(Bytes.length data)
+       ~off:6_000 ~len:10);
   Alcotest.(check int) "refusal writes nothing" writes (Disk.media_writes disk);
   Bytes.fill data 100 10 'b';
   Alcotest.(check bool) "adjoining range: in place" true
-    (Store.sync_range s ~oid:6 ~prefix ~data ~off:100 ~len:10);
+    (Store.sync_range s ~oid:6 ~prefix ~data ~data_len:(Bytes.length data)
+       ~off:100 ~len:10);
   Store.fsck s;
   match Store.get (Store.recover ~disk) ~oid:6 with
   | Some v -> Alcotest.(check char) "flushed" 'b' v.[600 + 105]
@@ -341,7 +346,8 @@ let test_sync_range_corruption_caught () =
   let last_written = ref 0 in
   Disk.set_write_trace disk (Some (fun ~sector ~data:_ -> last_written := sector));
   Alcotest.(check bool) "in place" true
-    (Store.sync_range s ~oid:4 ~prefix ~data ~off:6_000 ~len:1_000);
+    (Store.sync_range s ~oid:4 ~prefix ~data ~data_len:(Bytes.length data)
+       ~off:6_000 ~len:1_000);
   Disk.set_write_trace disk None;
   corrupt_sector disk !last_written;
   check_repaired "silent" disk s;
@@ -361,7 +367,8 @@ let test_sync_range_corruption_caught () =
             }
           ()));
   Alcotest.(check bool) "in place" true
-    (Store.sync_range s ~oid:4 ~prefix ~data ~off:6_000 ~len:1_000);
+    (Store.sync_range s ~oid:4 ~prefix ~data ~data_len:(Bytes.length data)
+       ~off:6_000 ~len:1_000);
   check_repaired "corrupt writes" disk s
 
 let test_sync_range_scrub_repairs () =
@@ -387,7 +394,8 @@ let test_sync_range_scrub_repairs () =
   in
   Disk.set_faults disk (Faults.Disk_faults.create every_write_latent);
   Alcotest.(check bool) "in place" true
-    (Store.sync_range s ~oid:4 ~prefix ~data ~off:6_000 ~len:1_000);
+    (Store.sync_range s ~oid:4 ~prefix ~data ~data_len:(Bytes.length data)
+       ~off:6_000 ~len:1_000);
   let report = Store.scrub ~max_passes:1 s in
   Alcotest.(check int) "repaired" 1 report.Store.repaired;
   Alcotest.(check (list int)) "nothing lost" [] report.Store.lost;
