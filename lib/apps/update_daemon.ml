@@ -16,17 +16,6 @@ type t = {
 
 let db_write_label ~dbw = Label.of_list [ (dbw, Level.L0) ] Level.L1
 
-let rec await cell =
-  match !cell with
-  | Some v -> v
-  | None ->
-      Sys.yield ();
-      await cell
-
-let bump ce =
-  Sys.set_segment_word ce ~off:0 (Int64.add (Sys.segment_word ce ~off:0) 1L);
-  ignore (Sys.futex_wake ce ~off:0 ~count:max_int)
-
 let start ~proc ~dbw ~db_path ~netd ~vendor =
   let t =
     {
@@ -69,6 +58,7 @@ let start ~proc ~dbw ~db_path ~netd ~vendor =
               | None -> ()
             with Kernel_error _ | Histar_net.Netd.Client.Netd_error _ -> ()));
         (* then serve queued commands forever *)
+        let pending () = not (Queue.is_empty t.inbox) in
         let rec serve () =
           (match Queue.take_opt t.inbox with
           | Some (Apply db) ->
@@ -88,10 +78,7 @@ let start ~proc ~dbw ~db_path ~netd ~vendor =
                   t.snoops := (p, ok) :: !(t.snoops))
                 paths
           | None -> ());
-          (if Queue.is_empty t.inbox then
-             let gen = Sys.segment_word wake ~off:0 in
-             if Queue.is_empty t.inbox then
-               Sys.futex_wait wake ~off:0 ~expected:gen);
+          Sys.wait_until wake pending;
           serve ()
         in
         serve ())
@@ -100,11 +87,11 @@ let start ~proc ~dbw ~db_path ~netd ~vendor =
 
 let push_update t db =
   Queue.push (Apply db) t.inbox;
-  bump (await t.wake_cell)
+  Sys.bump (Sys.await t.wake_cell)
 
 let try_snoop t paths =
   Queue.push (Snoop paths) t.inbox;
-  bump (await t.wake_cell)
+  Sys.bump (Sys.await t.wake_cell)
 
 let updates_applied t = !(t.applied)
 let snoop_attempts t = List.rev !(t.snoops)

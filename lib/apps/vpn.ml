@@ -163,6 +163,7 @@ let setup ~proc ~kernel ~inet_hub ~corp_hub ~i ~v =
               loop ())
         in
         (* uplink loop: encrypt tunnel-hub frames up to the server *)
+        let pending () = not (Queue.is_empty outbox) in
         let rec uplink () =
           match Queue.take_opt outbox with
           | Some frame ->
@@ -173,9 +174,7 @@ let setup ~proc ~kernel ~inet_hub ~corp_hub ~i ~v =
                 (Buffer.contents b);
               uplink ()
           | None ->
-              let gen = Sys.segment_word notify ~off:0 in
-              if Queue.is_empty outbox then
-                Sys.futex_wait notify ~off:0 ~expected:gen;
+              Sys.wait_until notify pending;
               uplink ()
         in
         uplink ())

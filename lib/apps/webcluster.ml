@@ -725,15 +725,22 @@ and auth_user t ~user ~pass =
 
 and handle_front t front_netd sock () =
   let root = Kernel.root t.balancer.n_kernel in
-  let rec read_line buf =
-    match String.index_opt buf '\n' with
-    | Some i -> Some (String.sub buf 0 i)
-    | None -> (
-        match Netd.Client.recv front_netd ~return_container:root sock with
-        | Some d -> read_line (buf ^ d)
-        | None -> None)
+  (* The request line, or [None] if the stream ends first or the line
+     runs past two frames: no split of a longer line fits both dist
+     calls behind it. Each chunk is scanned once. *)
+  let buf = Buffer.create 256 in
+  let rec read_line () =
+    match Netd.Client.recv front_netd ~return_container:root sock with
+    | None -> None
+    | Some d ->
+        let n = String.length d in
+        let i = Option.value (String.index_opt d '\n') ~default:n in
+        Buffer.add_substring buf d 0 i;
+        if Buffer.length buf > 2 * Wire.max_frame_len then None
+        else if i < n then Some (Buffer.contents buf)
+        else read_line ()
   in
-  (match read_line "" with
+  (match read_line () with
   | None -> ()
   | Some line ->
       Metrics.Counter.incr m_requests;

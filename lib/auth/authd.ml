@@ -22,15 +22,8 @@ type t = {
   stolen_paths : string list ref;
 }
 
-let rec await cell =
-  match !cell with
-  | Some v -> v
-  | None ->
-      Sys.yield ();
-      await cell
-
-let setup_gate t = await t.setup_cell
-let trojaned_setup_gate t = await t.trojan_cell
+let setup_gate t = Sys.await t.setup_cell
+let trojaned_setup_gate t = Sys.await t.trojan_cell
 let stolen t = !(t.stolen_paths)
 
 let set_password t password =
@@ -79,7 +72,7 @@ let check_entry t ~x ~retry ~challenge () =
    channel it can think of to exfiltrate the password. Each attempt
    that the kernel permits is recorded — the test asserts none are. *)
 let evil_check_entry t ~session () =
-  let dropbox = await t.dropbox_cell in
+  let dropbox = Sys.await t.dropbox_cell in
   let password =
     match Proto.dec_credential (Sys.tls_read ()) with
     | `Password pw -> pw

@@ -12,13 +12,6 @@ type t = {
   table : (string, centry) Hashtbl.t;
 }
 
-let rec await cell =
-  match !cell with
-  | Some v -> v
-  | None ->
-      Sys.yield ();
-      await cell
-
 let lookup_entry t () =
   let user = Proto.dec_string (Sys.tls_read ()) in
   Sys.tls_write (Proto.enc_dir_reply (Hashtbl.find_opt t.table user));
@@ -58,10 +51,10 @@ let register t ~return_container ~user ~setup_gate =
   Codec.Enc.str e user;
   Proto.enc_centry e setup_gate;
   ignore
-    (Untaint.call (await t.register_cell) ~return_container
+    (Untaint.call (Sys.await t.register_cell) ~return_container
        (Codec.Enc.to_string e))
 
 let lookup t ~return_container user =
   Proto.dec_dir_reply
-    (Untaint.call (await t.lookup_cell) ~return_container
+    (Untaint.call (Sys.await t.lookup_cell) ~return_container
        (Proto.enc_string user))

@@ -10,22 +10,15 @@ type t = {
   log_cell : centry option ref;
 }
 
-let rec await cell =
-  match !cell with
-  | Some v -> v
-  | None ->
-      Sys.yield ();
-      await cell
-
-let gate t = await t.gate_cell
-let log_segment t = await t.log_cell
+let gate t = Sys.await t.gate_cell
+let log_segment t = Sys.await t.log_cell
 
 (* Append-only enforcement: the log segment is labeled {lw0, 1} where
    only logd's threads own lw; all writes go through the gate entry,
    which only ever appends. *)
 let entry_fn log_cell () =
   let msg = Proto.dec_string (Sys.tls_read ()) in
-  let log = await log_cell in
+  let log = Sys.await log_cell in
   let size = Sys.segment_size log in
   let e = Codec.Enc.create () in
   Codec.Enc.str e msg;
@@ -70,7 +63,7 @@ let append t ~return_container msg =
     ~return_clearance:(Sys.self_clearance ()) ()
 
 let entries t =
-  let log = await t.log_cell in
+  let log = Sys.await t.log_cell in
   let blob = Sys.segment_read log () in
   let d = Codec.Dec.of_string blob in
   let rec go acc =

@@ -689,12 +689,30 @@ let futex_queue k key =
       Oid_tbl.replace k.futexq key q;
       q
 
-(* Blocked-thread index: a thread that blocks on a deadline enters
-   [k.timers], one that blocks in [net_recv] enters its device's
-   [waiters]. As with the futex queues, entries are validated when
-   they are peeked, so wake, halt and destroy leave the index alone:
-   an entry whose thread no longer waits for that reason is dropped
-   when it surfaces. *)
+(* Pop, validate and wake up to [count] threads blocked on the word
+   [(oid, off)], in blocking order; returns how many woke. *)
+let wake_futex k oid off count =
+  let q = futex_queue k (futex_key oid off) in
+  let woken = ref 0 in
+  while !woken < count && not (Tidq.is_empty q) do
+    let tid = Tidq.pop q in
+    match Oid_tbl.find k.objects tid with
+    | { body = Thr { tstate = `Blocked (W_futex (o, f)); _ }; _ }
+      when o = oid && f = off ->
+        wake k tid (R_ok true);
+        incr woken
+    | _ | (exception Not_found) -> ()
+  done;
+  !woken
+
+(* Blocked-thread index: a thread that blocks on a futex word enters
+   that word's queue, one that blocks on a deadline enters [k.timers],
+   one that blocks in [net_recv] enters its device's [waiters]. An
+   index entry is live iff its thread is blocked on exactly that
+   reason (the same word, deadline or device). Entries are validated
+   when they are popped or peeked, so wake, halt, destroy and
+   [restart_thread] leave the index alone: an entry whose thread no
+   longer waits for that reason is dropped when it surfaces. *)
 let index_blocked k tid = function
   | W_timer d -> k.timers <- Timers.add (d, tid) k.timers
   | W_net dev -> (
@@ -1354,18 +1372,7 @@ let handle_syscall k kont req : action =
            it demands modify permission like any store to the word *)
         match resolve_segment k ~op:"futex_wake" ~dir:`Modify ce with
         | Error e -> Error e
-        | Ok o ->
-            let q = futex_queue k (futex_key o.id off) in
-            let woken = ref 0 in
-            while !woken < count && not (Tidq.is_empty q) do
-              let tid = Tidq.pop q in
-              match Oid_tbl.find k.objects tid with
-              | { body = Thr { tstate = `Blocked (W_futex _); _ }; _ } ->
-                  wake k tid (R_ok true);
-                  incr woken
-              | _ | (exception Not_found) -> ()
-            done;
-            ok_resp (R_int !woken))
+        | Ok o -> ok_resp (R_int (wake_futex k o.id off count)))
     | Net_get_mac ce ->
         let* o, d = resolve_device k ~op:"net_get_mac" ce in
         let* () = check_observe k ~op:"net_get_mac" o in
@@ -1766,17 +1773,7 @@ let deliver_packet k dev_oid frame =
    glue that runs outside any thread, e.g. the VPN tunnel endpoint).
    Does not write the word; lost wakeups cannot occur because host code
    only runs between thread slices. *)
-let host_wake_futex k oid ~off =
-  let q = futex_queue k (futex_key oid off) in
-  while not (Tidq.is_empty q) do
-    let tid = Tidq.pop q in
-    match find_obj k tid with
-    | Some { body = Thr th; _ } -> (
-        match th.tstate with
-        | `Blocked (W_futex _) -> wake k tid (R_ok true)
-        | `Ready | `Running | `Blocked _ | `Halted -> ())
-    | Some _ | None -> ()
-  done
+let host_wake_futex k oid ~off = ignore (wake_futex k oid off max_int : int)
 
 (* ---------- persistence ---------- *)
 
@@ -1868,9 +1865,12 @@ let resume h =
 
 let handle_object_count h = Array.length h.h_objects
 
-(* Restart a thread that decoded as halted: same oid, same TLS, fresh
-   entry body. Consumes no generator state, so a restarted branch stays
-   oid-for-oid aligned with one that never stopped. *)
+(* Restart a thread with a fresh entry body: same oid, same TLS. Used
+   on threads that decoded as halted, and by tests on a blocked
+   sleeper; the old continuation is dropped, and so are the thread's
+   stale blocked-index entries, when they surface (see
+   [index_blocked]). Consumes no generator state, so a restarted
+   branch stays oid-for-oid aligned with one that never stopped. *)
 let restart_thread k tid entry =
   match find_obj k tid with
   | Some { body = Thr th; _ } ->

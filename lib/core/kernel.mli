@@ -112,7 +112,8 @@ val deliver_packet : t -> oid -> string -> unit
 
 val host_wake_futex : t -> oid -> off:int -> unit
 (** Host-side wake of all futex waiters on a segment word, for device
-    glue that runs outside any thread. *)
+    glue that runs outside any thread. The same wake loop as the
+    [futex_wake] syscall, with no count limit. *)
 
 (** {1 Persistence} *)
 
@@ -150,9 +151,12 @@ val resume : handle -> t
 val handle_object_count : handle -> int
 
 val restart_thread : t -> oid -> (unit -> unit) -> unit
-(** Give a halted (resumed/recovered) thread a fresh entry body: same
-    oid, same TLS segment, no generator state consumed, re-enqueued as
-    ready. Raises [Invalid_argument] if the oid is not a thread. *)
+(** Give a thread a fresh entry body: same oid, same TLS segment, no
+    generator state consumed, re-enqueued as ready. Meant for halted
+    (resumed/recovered) threads; a blocked one loses its continuation,
+    and its stale futex, timer and device-queue entries are dropped
+    when they surface, so a later wake never lands on it. Raises
+    [Invalid_argument] if the oid is not a thread. *)
 
 (** {1 Introspection (host/test interface, not subject to labels)} *)
 

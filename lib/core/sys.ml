@@ -267,6 +267,28 @@ let futex_wait ce ~off ~expected =
 
 let futex_wake ce ~off ~count = int_resp "futex_wake" (Futex_wake (ce, off, count))
 
+(* --- waiting on a generation word --- *)
+
+let bump ce =
+  set_segment_word ce ~off:0 (Int64.add (segment_word ce ~off:0) 1L);
+  ignore (futex_wake ce ~off:0 ~count:max_int)
+
+let rec wait_until ce pred =
+  if not (pred ()) then begin
+    let gen = segment_word ce ~off:0 in
+    if not (pred ()) then begin
+      futex_wait ce ~off:0 ~expected:gen;
+      wait_until ce pred
+    end
+  end
+
+let rec await cell =
+  match !cell with
+  | Some v -> v
+  | None ->
+      yield ();
+      await cell
+
 (* --- network devices --- *)
 
 let net_mac ce = bytes_resp "net_mac" (Net_get_mac ce)

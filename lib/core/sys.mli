@@ -183,6 +183,29 @@ val gate_floor : centry -> Label.t
 val futex_wait : centry -> off:int -> expected:int64 -> unit
 val futex_wake : centry -> off:int -> count:int -> int
 
+(** {1 Waiting}
+
+    The blocking idioms the library builds on futexes. A generation
+    word is the 8-byte word at offset 0 of a segment: a waker changes
+    the state it guards, then {!bump}s it; a waiter sleeps on it with
+    {!wait_until}. *)
+
+val bump : centry -> unit
+(** Increment the generation word and wake every thread asleep on it:
+    one {!segment_word}, one {!set_segment_word}, one {!futex_wake}. *)
+
+val wait_until : centry -> (unit -> bool) -> unit
+(** [wait_until ce pred] returns once [pred ()] holds, making no
+    syscall if it already does. Otherwise it reads the generation
+    word, re-checks [pred], and if that still fails sleeps in
+    {!futex_wait} on the generation it read, so a {!bump} in between
+    is not lost; then it starts over. Each sleep costs one
+    {!segment_word} and one {!futex_wait}. [pred] makes no syscall. *)
+
+val await : 'a option ref -> 'a
+(** The value in the cell, {!yield}ing until some other thread (a
+    service's init thread publishing its gate) fills it in. *)
+
 (** {1 Network devices} *)
 
 val net_mac : centry -> string

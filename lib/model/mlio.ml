@@ -30,7 +30,6 @@ let taint st l =
 
 let label_ok st l = Mlabel.leq st.cur l && Mlabel.leq l st.clear
 let unlabel st l = taint st l
-let write_ok st l = Mlabel.leq st.cur l
 
 (* Scope entry: to_labeled additionally lowers the clearance to the
    block label, which is how the kernel itself ends up refusing any
@@ -59,8 +58,3 @@ let exit_scope ~pre ~keep_acquired st =
       (Mlabel.lub (Mlabel.raise_j dropped) (Mlabel.raise_j pre.cur))
   in
   { cur = lr; clear = pre.clear }
-
-(* to_labeled's result check: the block's final label must flow to the
-   block label. With the clearance bound in place this can only fail
-   through ⋆-free slack, but the reference states it explicitly. *)
-let to_labeled_result_ok ~block_label ~final = Mlabel.leq final block_label

@@ -20,18 +20,16 @@ val clear : st -> Mlabel.t
 val equal : st -> st -> bool
 val to_string : st -> string
 
-val taint_join : Mlabel.t -> Mlabel.t -> Mlabel.t
-(** Pointwise ⊔ except ⋆ (privilege) absorbs joins at or below the
-    public level 1; only an explicit higher taint clobbers it. *)
-
 val taint : st -> Mlabel.t -> (st, unit) result
-(** [Error] when the joined label would exceed the clearance. *)
+(** Join [l] into the current label: pointwise ⊔ except ⋆ (privilege)
+    absorbs joins at or below the public level 1; only an explicit
+    higher taint clobbers it. [Error] when the joined label would
+    exceed the clearance. *)
 
 val label_ok : st -> Mlabel.t -> bool
 (** [cur ⊑ l ⊑ clear]. *)
 
 val unlabel : st -> Mlabel.t -> (st, unit) result
-val write_ok : st -> Mlabel.t -> bool
 
 val enter_to_labeled : st -> Mlabel.t -> (st, unit) result
 (** Checks [label_ok], then lowers the clearance to the block label. *)
@@ -42,5 +40,3 @@ val exit_scope : pre:st -> keep_acquired:bool -> st -> st
 (** The return-gate transition: owned-category taint laundered to ⋆,
     non-owned taint kept, clearance restored; ⋆s acquired inside the
     scope are dropped unless [keep_acquired]. *)
-
-val to_labeled_result_ok : block_label:Mlabel.t -> final:Mlabel.t -> bool

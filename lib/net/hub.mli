@@ -46,9 +46,6 @@ val set_tap : t -> (string -> unit) option -> unit
     it appears on the wire (before any loss/corruption decision) —
     what a passive eavesdropper on the shared segment would record. *)
 
-val broadcast_mac : string
-(** ["ff:ff:ff:ff:ff:ff"]. *)
-
 val attach : t -> endpoint -> unit
 val detach : t -> mac:string -> unit
 

@@ -37,28 +37,6 @@ let stack t =
   | Some s -> s
   | None -> invalid_arg "Netd.stack: netd not initialized yet"
 
-(* ---- futex helpers over a one-word segment ---- *)
-
-let word_bump ce =
-  Sys.set_segment_word ce ~off:0 (Int64.add (Sys.segment_word ce ~off:0) 1L);
-  ignore (Sys.futex_wake ce ~off:0 ~count:max_int)
-
-(* Wait until [pred ()] becomes true, sleeping on the notify futex in
-   between. Spurious wakes are fine; we always re-check. *)
-let wait_on ce pred =
-  let rec loop () =
-    if pred () then ()
-    else begin
-      let gen = Sys.segment_word ce ~off:0 in
-      if pred () then ()
-      else begin
-        Sys.futex_wait ce ~off:0 ~expected:gen;
-        loop ()
-      end
-    end
-  in
-  loop ()
-
 (* ---- request wire format (travels via the thread-local segment) ---- *)
 
 type request =
@@ -169,12 +147,12 @@ let service_entry shared dev_label () =
           let sock = shared.next_sock in
           shared.next_sock <- sock + 1;
           Queue.push (W_connect (dst, sock)) shared.workq;
-          word_bump req_seg;
+          Sys.bump req_seg;
           (* wait for the worker to create the connection, then for the
              handshake to finish *)
-          wait_on notify (fun () -> Hashtbl.mem shared.socks sock);
+          Sys.wait_until notify (fun () -> Hashtbl.mem shared.socks sock);
           let conn = Hashtbl.find shared.socks sock in
-          wait_on notify (fun () ->
+          Sys.wait_until notify (fun () ->
               match Stack.state conn with
               | Established | Closed | Close_wait | Fin_wait -> true
               | Syn_sent | Syn_received -> false);
@@ -192,7 +170,7 @@ let service_entry shared dev_label () =
         end
     | R_listen port ->
         Queue.push (W_listen port) shared.workq;
-        word_bump req_seg;
+        Sys.bump req_seg;
         encode_reply Rp_ok
     | R_accept port ->
         if not (taint_ok ~dir:`Recv self dev_label) then
@@ -200,7 +178,7 @@ let service_entry shared dev_label () =
         else begin
           let stack = Option.get !(shared.stack_cell) in
           let got = ref None in
-          wait_on notify (fun () ->
+          Sys.wait_until notify (fun () ->
               match Stack.accept stack ~port with
               | Some c ->
                   got := Some c;
@@ -226,7 +204,7 @@ let service_entry shared dev_label () =
                   | None -> "send failed: connection closed")
               else begin
                 Queue.push (W_send (sock, data)) shared.workq;
-                word_bump req_seg;
+                Sys.bump req_seg;
                 encode_reply Rp_ok
               end)
     | R_recv sock -> (
@@ -239,7 +217,7 @@ let service_entry shared dev_label () =
               (* a connection that died (give-up or reset) is a
                  terminal condition too — without it a flapping link
                  would wedge this thread forever *)
-              wait_on notify (fun () ->
+              Sys.wait_until notify (fun () ->
                   Stack.recv_len conn > 0
                   || Stack.recv_eof conn
                   || Stack.state conn = Closed);
@@ -255,7 +233,7 @@ let service_entry shared dev_label () =
         | None -> err "bad socket"
         | Some _ ->
             Queue.push (W_close sock) shared.workq;
-            word_bump req_seg;
+            Sys.bump req_seg;
             encode_reply Rp_ok)
     | exception Histar_util.Codec.Truncated -> err "malformed request"
     | exception Failure m -> err m
@@ -288,15 +266,13 @@ let worker_loop shared dev_ce req_seg notify () =
             Stack.close conn;
             Hashtbl.remove shared.socks sock
         | None -> ()));
-    word_bump notify
+    Sys.bump notify
   in
+  let pending () = not (Queue.is_empty shared.workq) in
   let rec loop () =
     (match Queue.take_opt shared.workq with
     | Some w -> process w
-    | None ->
-        let gen = Sys.segment_word req_seg ~off:0 in
-        if Queue.is_empty shared.workq then
-          Sys.futex_wait req_seg ~off:0 ~expected:gen);
+    | None -> Sys.wait_until req_seg pending);
     loop ()
   in
   loop ()
@@ -307,7 +283,7 @@ let rx_loop shared dev_ce notify () =
     let frame = Sys.net_recv dev_ce in
     Stack.input stack frame;
     Stack.tick stack;
-    word_bump notify;
+    Sys.bump notify;
     loop ()
   in
   loop ()
@@ -324,8 +300,9 @@ let rx_loop shared dev_ce notify () =
    might have armed one) and the system can go quiescent. *)
 let timer_loop shared notify () =
   let stack = Option.get !(shared.stack_cell) in
+  let armed () = Stack.needs_timer stack in
   let rec loop () =
-    (if Stack.needs_timer stack then begin
+    (if armed () then begin
        let deadline =
          match Stack.next_timer_deadline stack with
          | Some d -> d
@@ -333,13 +310,9 @@ let timer_loop shared notify () =
        in
        Sys.sleep_until_ns deadline;
        Stack.tick stack;
-       word_bump notify
+       Sys.bump notify
      end
-     else begin
-       let gen = Sys.segment_word notify ~off:0 in
-       if not (Stack.needs_timer stack) then
-         Sys.futex_wait notify ~off:0 ~expected:gen
-     end);
+     else Sys.wait_until notify armed);
     loop ()
   in
   loop ()
@@ -427,16 +400,9 @@ module Client = struct
 
   exception Netd_error of string
 
-  (* netd publishes its gate from its init thread; early callers spin. *)
-  let rec await_gate t =
-    match !(t.shared.gate_cell) with
-    | Some g -> g
-    | None ->
-        Sys.yield ();
-        await_gate t
-
   let call t ~return_container req =
-    let gate = await_gate t in
+    (* netd publishes its gate from its init thread *)
+    let gate = Sys.await t.shared.gate_cell in
     decode_reply (Sys.rpc_call ~gate ~return_container (encode_request req))
 
   let connect t ~return_container dst =

@@ -960,14 +960,26 @@ let test_oversized_refused () =
 
 (* The same through the web cluster, where the password and the op
    are fields a client sets: a long one gets a refusal, and neither
-   the shard nor an app node is taken for dead. *)
+   the shard nor an app node is taken for dead. A request line longer
+   than two frames is not buffered to its end: the front worker closes
+   the connection without a reply. *)
 let test_web_long_fields () =
   let wc = Webcluster.build ~app_nodes:2 ~user_count:2 () in
   let u0, p0 = (Webcluster.users wc).(0) in
   let too_long = String.make (Wire.max_frame_len + 1) 'x' in
+  let line_len = (2 * Wire.max_frame_len) + 1 in
+  let too_long_line =
+    String.make (line_len - String.length u0 - String.length p0 - 2) 'x'
+  in
   let finished, outcomes =
     Webcluster.run_load wc ~concurrency:1
-      [| (u0, too_long, u0); (u0, p0, too_long); (u0, p0, u0) |]
+      [|
+        (u0, too_long, u0);
+        (u0, p0, too_long);
+        (u0, p0, u0);
+        (u0, p0, too_long_line);
+        (u0, p0, u0);
+      |]
   in
   Alcotest.(check bool) "all requests completed" true finished;
   let reply i = outcomes.(i).Webcluster.o_reply in
@@ -976,6 +988,10 @@ let test_web_long_fields () =
   Alcotest.(check string) "long op" "REFUSED dist: message too large" (reply 1);
   Alcotest.(check bool) "the next request is served" true
     (contains_sub (reply 2) (Webcluster.secret_of wc u0));
+  Alcotest.(check string) "line of 2 frames + 1 bytes" "ERR connection closed"
+    (reply 3);
+  Alcotest.(check bool) "the request after it is served" true
+    (contains_sub (reply 4) (Webcluster.secret_of wc u0));
   Alcotest.(check int) "no failover" 0 (Webcluster.failovers wc)
 
 let suite =

@@ -58,6 +58,13 @@ let join pred =
   done;
   if not (pred ()) then Alcotest.fail "join: condition never became true"
 
+(* Run every runnable slice without letting an idle kernel fire a
+   timer: [Kernel.run] would jump the clock to the first deadline. *)
+let settle k =
+  while Kernel.runnable_count k > 0 do
+    ignore (Kernel.step k : bool)
+  done
+
 (* ---------- basic lifecycle ---------- *)
 
 let test_spawn_runs () =
@@ -740,6 +747,103 @@ let test_futex_value_mismatch_returns () =
       (* expected 0 but value is 7: returns immediately *)
       Sys.futex_wait ce ~off:0 ~expected:0L)
 
+(* T blocks on futex A, is restarted, and blocks on futex B; W then
+   blocks on A. T's entry in A's queue is stale, so a wake on A must
+   skip it and reach W. [wake] is the wake on A. *)
+let restarted_across_futexes wake =
+  let k = Kernel.create () in
+  let root = Kernel.root k in
+  let segs = ref (0, 0) in
+  let _setup =
+    Kernel.spawn k ~name:"setup" (fun () ->
+        let seg n =
+          Sys.segment_create ~container:root ~label:l1 ~quota:8192L ~len:8 n
+        in
+        segs := (seg "a", seg "b"))
+  in
+  settle k;
+  let a, b = !segs in
+  let sleep_on seg woke () =
+    Sys.futex_wait (centry root seg) ~off:0 ~expected:0L;
+    woke := true
+  in
+  let t_woke = ref false and w_woke = ref false in
+  let t = Kernel.spawn k ~name:"t" (sleep_on a t_woke) in
+  settle k;
+  Kernel.restart_thread k t (sleep_on b t_woke);
+  let _w = Kernel.spawn k ~name:"w" (sleep_on a w_woke) in
+  settle k;
+  wake k root a;
+  settle k;
+  Alcotest.(check bool) "A's waiter woke" true !w_woke;
+  Alcotest.(check bool) "the thread on B did not" false !t_woke;
+  Alcotest.(check bool) "it still sleeps on B" true
+    (Kernel.thread_state k t = Some `Blocked)
+
+let test_futex_wake_skips_restarted () =
+  restarted_across_futexes (fun k root a ->
+      let n = ref (-1) in
+      let _waker =
+        Kernel.spawn k ~name:"waker" (fun () ->
+            n := Sys.futex_wake (centry root a) ~off:0 ~count:1)
+      in
+      settle k;
+      Alcotest.(check int) "one woken" 1 !n)
+
+let test_host_wake_skips_restarted () =
+  restarted_across_futexes (fun k _root a -> Kernel.host_wake_futex k a ~off:0)
+
+(* The syscalls of [Sys.wait_until], pinned: none when the predicate
+   holds, then one generation read and one [futex_wait] per sleep. A
+   segment syscall traces one check on the container and one on the
+   segment; the second names the syscall once. *)
+let test_wait_until_profile () =
+  let k = Kernel.create () in
+  let root = Kernel.root k in
+  let seg = ref 0 in
+  let _setup =
+    Kernel.spawn k ~name:"setup" (fun () ->
+        seg :=
+          Sys.segment_create ~container:root ~label:l1 ~quota:8192L ~len:8 "gen")
+  in
+  settle k;
+  let ce = centry root !seg in
+  let syscalls () =
+    List.fold_left (fun n (_, c) -> n + c) 0 (Profile.to_list (Kernel.profile k))
+  in
+  let ready = ref false and held = ref (-1) and returned = ref false in
+  let waiter =
+    Kernel.spawn k ~name:"waiter" (fun () ->
+        let before = syscalls () in
+        Sys.wait_until ce (fun () -> true);
+        held := syscalls () - before;
+        Sys.wait_until ce (fun () -> !ready);
+        returned := true)
+  in
+  let ops = ref [] in
+  Kernel.set_trace k
+    (Some
+       (fun ev ->
+         if ev.Kernel.ev_thread = waiter && ev.ev_obj = !seg then
+           ops := ev.ev_op :: !ops));
+  let bump () =
+    ignore (Kernel.spawn k ~name:"bumper" (fun () -> Sys.bump ce) : oid);
+    settle k
+  in
+  let sleep = [ "segment_read"; "futex_wait" ] in
+  settle k;
+  Alcotest.(check int) "a predicate that holds: no syscall" 0 !held;
+  Alcotest.(check (list string)) "first sleep" sleep (List.rev !ops);
+  bump ();
+  Alcotest.(check (list string)) "a wake that leaves it false: one more sleep"
+    (sleep @ sleep) (List.rev !ops);
+  Alcotest.(check bool) "still waiting" false !returned;
+  ready := true;
+  bump ();
+  Alcotest.(check bool) "returned" true !returned;
+  Alcotest.(check (list string)) "no syscall after the wake that ends it"
+    (sleep @ sleep) (List.rev !ops)
+
 (* ---------- gates ---------- *)
 
 let test_gate_grants_privilege () =
@@ -922,13 +1026,6 @@ let test_netdev_taint () =
   Alcotest.(check (list string)) "phases" [ "got:pong"; "sent" ] !phase
 
 (* ---------- blocked-thread index ---------- *)
-
-(* Run every runnable slice without letting an idle kernel fire a
-   timer: [Kernel.run] would jump the clock to the first deadline. *)
-let settle k =
-  while Kernel.runnable_count k > 0 do
-    ignore (Kernel.step k : bool)
-  done
 
 let deadline = 1_000_000_000
 
@@ -2038,6 +2135,12 @@ let () =
           Alcotest.test_case "wait/wake" `Quick test_futex_wait_wake;
           Alcotest.test_case "value mismatch" `Quick
             test_futex_value_mismatch_returns;
+          Alcotest.test_case "wake skips a restarted waiter" `Quick
+            test_futex_wake_skips_restarted;
+          Alcotest.test_case "host wake skips a restarted waiter" `Quick
+            test_host_wake_skips_restarted;
+          Alcotest.test_case "wait_until syscall profile" `Quick
+            test_wait_until_profile;
         ] );
       ( "gates",
         [
